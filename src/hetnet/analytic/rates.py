@@ -31,10 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core import DuplexMode, NetworkParams, Thresholds
-from ..numerics import IntegralResult, NonConvergenceError
+from ..numerics import IntegralResult, NonConvergenceError, _leggauss
 from .coverage import coverage_total
 from .macro import coverage_macro_result
 from .smallcell import evaluate_joint
@@ -56,10 +54,6 @@ _GEOM_WIDTH0 = 0.6
 _GEOM_RATIO = 1.7
 _GEOM_WIDTH_MAX = 2.0
 _MAX_PANELS = 80
-
-
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _band_shares(params: NetworkParams, mode: DuplexMode):

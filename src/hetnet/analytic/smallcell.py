@@ -47,6 +47,7 @@ boundaries, all distance powers precomputed and reused across thresholds
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from typing import Optional
 
@@ -57,6 +58,7 @@ from ..numerics import (
     IntegralResult,
     NonConvergenceError,
     QuadratureSpec,
+    _leggauss,
     gauss_panel_nodes,
 )
 from .distances import inner_disc_radius, joint_pdf, outer_grid
@@ -83,10 +85,6 @@ _LADDER_S = np.array([0.0, 0.02, 0.08, 0.2, 0.45, 0.8, 1.3, 2.0, 3.2,
                       5.5, 10.0, 20.0, 40.0, 100.0, 300.0, 1000.0])
 _LADDER_M = np.array([1.4, 2.0, 3.0, 5.0, 8.0, 14.0, 25.0, 50.0,
                       120.0, 300.0, 1000.0])
-
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _clip_cos(x: np.ndarray) -> np.ndarray:
@@ -210,9 +208,12 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     return out
 
 
-# geometry cache: rebuilt when the geometric parameters or level change
+# geometry cache: rebuilt when the geometric parameters or level change;
+# the lock makes each lookup and each insert-with-eviction atomic, since
+# threaded sweeps share the cache
 _GEOM_CACHE: OrderedDict = OrderedDict()
 _GEOM_CACHE_MAX = 6
+_GEOM_LOCK = threading.Lock()
 
 
 def _geometry_key(params: NetworkParams, level: int) -> tuple:
@@ -226,10 +227,11 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     level is the Gauss order per outer panel; inner orders scale with it.
     """
     key = _geometry_key(params, level)
-    hit = _GEOM_CACHE.get(key)
-    if hit is not None:
-        _GEOM_CACHE.move_to_end(key)
-        return hit
+    with _GEOM_LOCK:
+        hit = _GEOM_CACHE.get(key)
+        if hit is not None:
+            _GEOM_CACHE.move_to_end(key)
+            return hit
 
     g = outer_grid(params, level)
     f2 = joint_pdf(g["rs"], g["r"], params)
@@ -252,9 +254,10 @@ def _geometry(params: NetworkParams, level: int) -> dict:
         reach_o2=np.maximum(ri, rs + r) ** 2,   # disc around o covering both voids
         reach_s2=np.maximum(r, rs + ri) ** 2,   # disc around S covering both voids
     )
-    _GEOM_CACHE[key] = geom
-    if len(_GEOM_CACHE) > _GEOM_CACHE_MAX:
-        _GEOM_CACHE.popitem(last=False)
+    with _GEOM_LOCK:
+        _GEOM_CACHE[key] = geom
+        if len(_GEOM_CACHE) > _GEOM_CACHE_MAX:
+            _GEOM_CACHE.popitem(last=False)
     return geom
 
 

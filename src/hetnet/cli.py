@@ -7,8 +7,13 @@ the two spellings of one field are mutually exclusive and unknown keys
 are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
 (window_half_width, wrap, fixed_count), quadrature tolerance overrides
-(quad_abs_tol, quad_rel_tol; applied to the single-point analytic
-commands), and a default output path (out).
+(quad_abs_tol, quad_rel_tol; applied to the coverage integrals of every
+command that reads a config), and a default output path (out).
+
+Every command evaluates a point through experiments.evaluate_point, so a
+reported value whose integral missed its tolerance is never printed: the
+single-point commands and validate stop with exit code 2, and a sweep
+keeps an error marker row for that point.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence
 (including sweep points that recorded an error marker).
@@ -23,26 +28,17 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .analytic import (
-    association_probability,
-    coverage_macro_result,
-    coverage_smallcell_result,
-    rate_macro_term_result,
-    rate_smallcell_term_result,
-)
+from .analytic import association_probability
 from .core import DuplexMode, NetworkParams, Thresholds
 from .experiments import (
     FIGURE_IDS,
-    SweepRow,
     SweepSpec,
+    _db_to_linear,
+    evaluate_point,
     figure_preset,
     run_sweep,
 )
-from .montecarlo import (
-    SimulationWindow,
-    estimate_coverage_breakdown,
-    estimate_rate,
-)
+from .montecarlo import SimulationWindow, estimate_metrics
 from .numerics import NonConvergenceError, QuadratureSpec
 
 __all__ = [
@@ -66,6 +62,9 @@ _SWEEP_KEYS = ("swept_parameter", "grid", "modes", "outputs", "mc_trials",
 _MC_KEYS = ("window_half_width", "wrap", "fixed_count")
 _QUAD_KEYS = ("quad_abs_tol", "quad_rel_tol")
 _MODES = {"ibfd": DuplexMode.IBFD, "fdd": DuplexMode.FDD}
+# outputs of the single-point commands
+_POINT_OUTPUTS = {"coverage": ("coverage_breakdown",), "rate": ("rate",),
+                  "simulate": ("coverage_breakdown", "rate")}
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ class RunConfig:
     fixed_count: bool = False
     quad_spec: Optional[QuadratureSpec] = None
     out: Optional[str] = None
-
-
-def _db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
 
 
 def parse_config(text: str, source: str = "config") -> RunConfig:
@@ -200,72 +195,14 @@ def rows_to_csv(rows, notes=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_converged(name: str, result) -> None:
-    if not result.converged:
-        raise NonConvergenceError(
-            f"{name} did not reach the requested tolerance "
-            f"(estimate {result.error_estimate:.2e})",
-            level=name, result=result)
-
-
-def _coverage_row(cfg: RunConfig, mode: DuplexMode) -> SweepRow:
-    th = cfg.thresholds
-    small = coverage_smallcell_result(cfg.params, th.T_s, th.T_b, mode,
-                                      spec=cfg.quad_spec)
-    macro = coverage_macro_result(cfg.params, th.T_m, mode,
-                                  spec=cfg.quad_spec)
-    _require_converged("small-cell coverage integral", small)
-    _require_converged("macro coverage integral", macro)
-    analytic = {"p_total": small.value + macro.value,
-                "p_smallcell_joint": small.value,
-                "p_macro_joint": macro.value}
-    quad_error = {"p_total": small.error_estimate + macro.error_estimate,
-                  "p_smallcell_joint": small.error_estimate,
-                  "p_macro_joint": macro.error_estimate}
-    return SweepRow(x=math.nan, mode=mode, analytic=analytic,
-                    quad_error=quad_error)
-
-
-def _rate_row(cfg: RunConfig, mode: DuplexMode) -> SweepRow:
-    th = cfg.thresholds
-    macro = rate_macro_term_result(cfg.params, th, mode)
-    small = rate_smallcell_term_result(cfg.params, th, mode)
-    _require_converged("macro rate integral", macro)
-    _require_converged("small-cell rate integral", small)
-    cov = _coverage_row(cfg, mode)
-    p_cov = cov.analytic["p_total"]
-    if p_cov <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    analytic = {"rate_total": (macro.value + small.value) / p_cov,
-                "rate_macro_term": macro.value,
-                "rate_smallcell_term": small.value}
-    quad_error = {
-        "rate_total":
-            (macro.error_estimate + small.error_estimate) / p_cov,
-        "rate_macro_term": macro.error_estimate,
-        "rate_smallcell_term": small.error_estimate,
-    }
-    return SweepRow(x=math.nan, mode=mode, analytic=analytic,
-                    quad_error=quad_error)
-
-
-def _simulate_rows(cfg: RunConfig, mode: DuplexMode, trials: int,
-                   seed: int) -> list:
-    cov = _coverage_row(cfg, mode)
-    rate = _rate_row(cfg, mode)
-    bd = estimate_coverage_breakdown(
-        cfg.params, cfg.thresholds, mode, n_trials=trials,
-        window=cfg.window, master_seed=seed, fixed_count=cfg.fixed_count)
-    mc_cov = {name: bd[name] for name in cov.analytic if name in bd}
-    mc_rate = {"rate_total": estimate_rate(
-        cfg.params, cfg.thresholds, mode, n_trials=trials,
-        window=cfg.window, master_seed=seed, fixed_count=cfg.fixed_count)}
-    return [replace(cov, mc=mc_cov), replace(rate, mc=mc_rate)]
-
-
-def _validate(cfg: RunConfig, mode_names, trials: int, seed: int,
+def _validate(cfg: RunConfig, trials: int, seed: int, fixed_count: bool,
               stream) -> int:
-    """Analytic-vs-simulation consistency checks; 0 if all pass, else 2."""
+    """Analytic-vs-simulation consistency checks; 0 if all pass, else 2.
+
+    The analytic side uses the serving-macro bearing law the simulator
+    realizes (bearing="arc"), so the comparison stays unbiased at any
+    trial count.
+    """
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -274,41 +211,30 @@ def _validate(cfg: RunConfig, mode_names, trials: int, seed: int,
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=stream)
 
     th = cfg.thresholds
-    for mode_name in mode_names:
-        mode = _MODES[mode_name]
-        bd = estimate_coverage_breakdown(
-            cfg.params, th, mode, n_trials=trials, window=cfg.window,
-            master_seed=seed, fixed_count=cfg.fixed_count)
-        small = coverage_smallcell_result(cfg.params, th.T_s, th.T_b, mode)
-        macro = coverage_macro_result(cfg.params, th.T_m, mode)
-        p_s, _ = association_probability(cfg.params)
-        for name, analytic in (("p_total", small.value + macro.value),
-                               ("p_smallcell_joint", small.value),
-                               ("p_macro_joint", macro.value),
-                               ("p_assoc_s", p_s)):
-            est = bd[name]
+    p_s, _ = association_probability(cfg.params)
+    for mode_name, mode in _MODES.items():
+        row = evaluate_point(cfg.params, th, mode,
+                             ("coverage_breakdown", "rate"),
+                             quad_spec=cfg.quad_spec, bearing="arc")
+        estimates = estimate_metrics(cfg.params, th, mode, n_trials=trials,
+                                     window=cfg.window, master_seed=seed,
+                                     fixed_count=fixed_count)
+        if "rate_total" not in estimates:
+            raise ValueError("conditioning event empty in sample")
+        analytic = dict(row.analytic, p_assoc_s=p_s)
+        for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
+                     "p_assoc_s", "rate_total"):
+            est = estimates[name]
             sigma = max(est.std_error, 1e-9)
-            z = (est.mean - analytic) / sigma
+            z = (est.mean - analytic[name]) / sigma
             report(f"{mode_name} {name}", abs(z) <= 3.0,
-                   f"analytic={analytic:.6f} mc={est.mean:.6f} z={z:+.2f}")
-        rate_est = estimate_rate(cfg.params, th, mode, n_trials=trials,
-                                 window=cfg.window, master_seed=seed,
-                                 fixed_count=cfg.fixed_count)
-        m = rate_macro_term_result(cfg.params, th, mode)
-        s = rate_smallcell_term_result(cfg.params, th, mode)
-        rate_analytic = (m.value + s.value) / (small.value + macro.value)
-        sigma = max(rate_est.std_error, 1e-9)
-        z = (rate_est.mean - rate_analytic) / sigma
-        report(f"{mode_name} rate_total", abs(z) <= 3.0,
-               f"analytic={rate_analytic:.6f} mc={rate_est.mean:.6f} "
-               f"z={z:+.2f}")
+                   f"analytic={analytic[name]:.6f} mc={est.mean:.6f} "
+                   f"z={z:+.2f}")
 
-    first = estimate_coverage_breakdown(cfg.params, th, DuplexMode.IBFD,
-                                        n_trials=200, window=cfg.window,
-                                        master_seed=seed)
-    second = estimate_coverage_breakdown(cfg.params, th, DuplexMode.IBFD,
-                                         n_trials=200, window=cfg.window,
-                                         master_seed=seed)
+    first = estimate_metrics(cfg.params, th, DuplexMode.IBFD, n_trials=200,
+                             window=cfg.window, master_seed=seed)
+    second = estimate_metrics(cfg.params, th, DuplexMode.IBFD, n_trials=200,
+                              window=cfg.window, master_seed=seed)
     report("seeded determinism", first == second,
            "two identically seeded runs agree" if first == second
            else "identically seeded runs diverged")
@@ -388,15 +314,18 @@ def main(argv=None) -> int:
     threads = args.threads if args.threads is not None \
         else int(os.environ.get("HETNET_THREADS", "1"))
     out_path = args.out if args.out is not None else cfg.out
+    fixed_count = cfg.fixed_count or getattr(args, "full_scale", False)
     notes = ()
     try:
-        if args.command == "coverage":
-            rows = [_coverage_row(cfg, _MODES[args.mode])]
-        elif args.command == "rate":
-            rows = [_rate_row(cfg, _MODES[args.mode])]
-        elif args.command == "simulate":
-            trials = args.trials if args.trials is not None else 20_000
-            rows = _simulate_rows(cfg, _MODES[args.mode], trials, args.seed)
+        if args.command in _POINT_OUTPUTS:
+            trials = 0
+            if args.command == "simulate":
+                trials = args.trials if args.trials is not None else 20_000
+            rows = [evaluate_point(
+                cfg.params, cfg.thresholds, _MODES[args.mode],
+                _POINT_OUTPUTS[args.command], trials=trials,
+                seed=getattr(args, "seed", 0), window=cfg.window,
+                fixed_count=fixed_count, quad_spec=cfg.quad_spec)]
         elif args.command == "sweep":
             if cfg.sweep is None:
                 print("error: config does not define a sweep",
@@ -407,22 +336,21 @@ def main(argv=None) -> int:
                 spec = replace(spec, mc_trials=args.trials)
             notes = spec.notes
             rows = run_sweep(spec, master_seed=args.seed, threads=threads,
-                             window=cfg.window,
-                             fixed_count=cfg.fixed_count or args.full_scale)
+                             window=cfg.window, fixed_count=fixed_count,
+                             quad_spec=cfg.quad_spec)
         elif args.command == "figure":
             spec = figure_preset(args.figure_id)
             if args.trials is not None:
                 spec = replace(spec, mc_trials=args.trials)
             notes = spec.notes
             rows = run_sweep(spec, master_seed=args.seed, threads=threads,
-                             fixed_count=args.full_scale)
+                             fixed_count=fixed_count)
         else:  # validate
             trials = args.trials if args.trials is not None else 4000
             stream = sys.stdout if out_path is None \
                 else open(out_path, "w", encoding="utf-8")
             try:
-                return _validate(cfg, ("ibfd", "fdd"), trials, args.seed,
-                                 stream)
+                return _validate(cfg, trials, args.seed, fixed_count, stream)
             finally:
                 if stream is not sys.stdout:
                     stream.close()

@@ -4,7 +4,8 @@ A sweep varies one scalar knob over a sorted grid and evaluates the
 requested outputs at every grid point for every duplexing mode, pairing
 each analytic value with an optional simulation estimate.  Points are
 independent, so they can be dispatched to a thread pool; row order always
-follows the grid regardless of completion order.
+follows the grid regardless of completion order.  Each point goes
+through evaluate_point, which the single-point CLI commands call too.
 
 Swept-parameter units follow the figure axes: B_s and beta grids are in
 power dB (converted to linear before evaluation), all other grids are in
@@ -27,13 +28,8 @@ from .analytic import (
     topology_probabilities,
 )
 from .core import DuplexMode, NetworkParams, Thresholds
-from .numerics import NonConvergenceError
-from .montecarlo import (
-    EstimateWithCI,
-    SimulationWindow,
-    estimate_coverage_breakdown,
-    estimate_rate,
-)
+from .montecarlo import SimulationWindow, estimate_metrics
+from .numerics import NonConvergenceError, QuadratureSpec
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -41,6 +37,7 @@ __all__ = [
     "FIGURE_IDS",
     "SweepRow",
     "SweepSpec",
+    "evaluate_point",
     "figure_preset",
     "run_sweep",
 ]
@@ -48,8 +45,6 @@ __all__ = [
 SWEEPABLE_PARAMETERS = ("B_s", "T_s", "lambda_ratio", "eta", "beta",
                         "alpha_s")
 SWEEP_OUTPUTS = ("coverage_total", "coverage_breakdown", "topology", "rate")
-# grids stated in dB on the figure axes
-_DB_SWEEPS = ("B_s", "beta")
 
 
 def _db_to_linear(value_db: float) -> float:
@@ -128,33 +123,13 @@ def _apply_swept_value(spec: SweepSpec, x: float):
     return replace(p, alpha_s=x), th
 
 
-def _coverage_metrics(params, th, mode, analytic, quad_error,
-                      breakdown: bool) -> None:
-    small = coverage_smallcell_result(params, th.T_s, th.T_b, mode)
-    macro = coverage_macro_result(params, th.T_m, mode)
-    analytic["p_total"] = small.value + macro.value
-    quad_error["p_total"] = small.error_estimate + macro.error_estimate
-    if breakdown:
-        analytic["p_smallcell_joint"] = small.value
-        analytic["p_macro_joint"] = macro.value
-        quad_error["p_smallcell_joint"] = small.error_estimate
-        quad_error["p_macro_joint"] = macro.error_estimate
-
-
-def _rate_metrics(params, th, mode, analytic, quad_error) -> None:
-    macro = rate_macro_term_result(params, th, mode)
-    small = rate_smallcell_term_result(params, th, mode)
-    p_cov = coverage_smallcell_result(params, th.T_s, th.T_b, mode).value \
-        + coverage_macro_result(params, th.T_m, mode).value
-    if p_cov <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    analytic["rate_macro_term"] = macro.value
-    analytic["rate_smallcell_term"] = small.value
-    analytic["rate_total"] = (macro.value + small.value) / p_cov
-    quad_error["rate_macro_term"] = macro.error_estimate
-    quad_error["rate_smallcell_term"] = small.error_estimate
-    quad_error["rate_total"] = \
-        (macro.error_estimate + small.error_estimate) / p_cov
+def _converged(name: str, result):
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{name} did not reach the requested tolerance "
+            f"(estimate {result.error_estimate:.2e})",
+            level=name, result=result)
+    return result
 
 
 def _topology_metrics(params, analytic, quad_error) -> None:
@@ -165,47 +140,94 @@ def _topology_metrics(params, analytic, quad_error) -> None:
         quad_error[name] = math.nan
 
 
-def _evaluate_point(spec: SweepSpec, x: float, mode: DuplexMode,
-                    mc_seed: int, window: SimulationWindow,
-                    fixed_count: bool) -> SweepRow:
+def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
+                   outputs: tuple = ("coverage_total",), trials: int = 0,
+                   seed: int = 0, window: Optional[SimulationWindow] = None,
+                   fixed_count: bool = False,
+                   quad_spec: Optional[QuadratureSpec] = None,
+                   bearing: str = "circle", x: float = math.nan) -> SweepRow:
+    """Every requested output (SWEEP_OUTPUTS) at one model point.
+
+    Coverage is integrated once and also normalizes the covered rate;
+    with trials > 0 one seeded simulation pass supplies the Monte Carlo
+    estimate of every reported metric it covers.  quad_spec overrides
+    the coverage tolerances; bearing is the serving-macro bearing
+    convention of the small-cell integrals; x labels the row.
+
+    Raises NonConvergenceError when an integral behind a reported value
+    misses its tolerance, and ValueError when the rate's conditioning
+    event is empty (zero analytic coverage, or no covered trial).
+    """
+    analytic: dict = {}
+    quad_error: dict = {}
+    wants_coverage = "coverage_total" in outputs \
+        or "coverage_breakdown" in outputs
+    wants_rate = "rate" in outputs
+    if wants_coverage or wants_rate:
+        small = _converged("small-cell coverage integral",
+                           coverage_smallcell_result(
+                               params, th.T_s, th.T_b, mode, spec=quad_spec,
+                               bearing=bearing))
+        macro = _converged("macro coverage integral",
+                           coverage_macro_result(params, th.T_m, mode,
+                                                 spec=quad_spec))
+        p_cov = small.value + macro.value
+    if wants_coverage:
+        analytic["p_total"] = p_cov
+        quad_error["p_total"] = small.error_estimate + macro.error_estimate
+        if "coverage_breakdown" in outputs:
+            analytic["p_smallcell_joint"] = small.value
+            analytic["p_macro_joint"] = macro.value
+            quad_error["p_smallcell_joint"] = small.error_estimate
+            quad_error["p_macro_joint"] = macro.error_estimate
+    if "topology" in outputs:
+        _topology_metrics(params, analytic, quad_error)
+    if wants_rate:
+        macro_rate = _converged("macro rate integral",
+                                rate_macro_term_result(params, th, mode))
+        small_rate = _converged("small-cell rate integral",
+                                rate_smallcell_term_result(
+                                    params, th, mode, bearing=bearing))
+        if p_cov <= 0.0:
+            raise ValueError("conditioning event has zero probability")
+        analytic["rate_macro_term"] = macro_rate.value
+        analytic["rate_smallcell_term"] = small_rate.value
+        analytic["rate_total"] = (macro_rate.value + small_rate.value) / p_cov
+        quad_error["rate_macro_term"] = macro_rate.error_estimate
+        quad_error["rate_smallcell_term"] = small_rate.error_estimate
+        quad_error["rate_total"] = \
+            (macro_rate.error_estimate + small_rate.error_estimate) / p_cov
+
+    mc: dict = {}
+    if trials > 0 and (wants_coverage or wants_rate):
+        estimates = estimate_metrics(params, th, mode, n_trials=trials,
+                                     window=window, master_seed=seed,
+                                     fixed_count=fixed_count)
+        if wants_rate and "rate_total" not in estimates:
+            raise ValueError("conditioning event empty in sample")
+        mc = {name: est for name, est in estimates.items()
+              if name in analytic}
+    return SweepRow(x=x, mode=mode, analytic=analytic, mc=mc,
+                    quad_error=quad_error)
+
+
+def _sweep_cell(spec: SweepSpec, x: float, mode: DuplexMode, seed: int,
+                window: SimulationWindow, fixed_count: bool,
+                quad_spec: Optional[QuadratureSpec]) -> SweepRow:
     try:
         params, th = _apply_swept_value(spec, x)
-        analytic: dict = {}
-        quad_error: dict = {}
-        wants_coverage = "coverage_total" in spec.outputs \
-            or "coverage_breakdown" in spec.outputs
-        if wants_coverage:
-            _coverage_metrics(params, th, mode, analytic, quad_error,
-                              breakdown="coverage_breakdown" in spec.outputs)
-        if "topology" in spec.outputs:
-            _topology_metrics(params, analytic, quad_error)
-        if "rate" in spec.outputs:
-            _rate_metrics(params, th, mode, analytic, quad_error)
-
-        mc: dict = {}
-        if spec.mc_trials > 0:
-            if wants_coverage:
-                bd = estimate_coverage_breakdown(
-                    params, th, mode, n_trials=spec.mc_trials,
-                    window=window, master_seed=mc_seed,
-                    fixed_count=fixed_count)
-                for name in analytic:
-                    if name in bd:
-                        mc[name] = bd[name]
-            if "rate" in spec.outputs:
-                mc["rate_total"] = estimate_rate(
-                    params, th, mode, n_trials=spec.mc_trials,
-                    window=window, master_seed=mc_seed,
-                    fixed_count=fixed_count)
-        return SweepRow(x=x, mode=mode, analytic=analytic, mc=mc,
-                        quad_error=quad_error)
+        return evaluate_point(params, th, mode, spec.outputs,
+                              trials=spec.mc_trials, seed=seed,
+                              window=window, fixed_count=fixed_count,
+                              quad_spec=quad_spec, x=x)
     except (ValueError, NonConvergenceError) as exc:
         return SweepRow(x=x, mode=mode, error=str(exc))
 
 
 def run_sweep(spec: SweepSpec, master_seed: int = 0, threads: int = 1,
               window: Optional[SimulationWindow] = None,
-              fixed_count: bool = False) -> list:
+              fixed_count: bool = False,
+              quad_spec: Optional[QuadratureSpec] = None) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Simulation seeds derive from master_seed by cell index, so results are
@@ -216,12 +238,12 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0, threads: int = 1,
         window = SimulationWindow()
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
     seeds = np.random.SeedSequence(master_seed).generate_state(len(cells))
-    jobs = [(spec, x, mode, int(seed), window, fixed_count)
+    jobs = [(spec, x, mode, int(seed), window, fixed_count, quad_spec)
             for (x, mode), seed in zip(cells, seeds)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda j: _evaluate_point(*j), jobs))
-    return [_evaluate_point(*job) for job in jobs]
+            return list(pool.map(lambda j: _sweep_cell(*j), jobs))
+    return [_sweep_cell(*job) for job in jobs]
 
 
 _TS_GRID = tuple(round(0.1 + 0.25 * k, 2) for k in range(40))

@@ -39,9 +39,7 @@ __all__ = [
     "NetworkRealization",
     "SimulationWindow",
     "UserSample",
-    "estimate_coverage",
-    "estimate_coverage_breakdown",
-    "estimate_rate",
+    "estimate_metrics",
     "evaluate_user",
     "sample_ppp",
 ]
@@ -69,11 +67,10 @@ class SimulationWindow:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One sampled network: station coordinates plus fading seed material."""
+    """One sampled network: station coordinates of both tiers."""
 
     macro_points: np.ndarray  # shape (N_m, 2)
     pico_points: np.ndarray  # shape (N_s, 2)
-    rng_state: np.random.SeedSequence
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,6 @@ def _iter_samples(params: NetworkParams, mode: DuplexMode, n_trials: int,
                                     fixed_count=fixed_count),
             pico_points=sample_ppp(params.lambda_s, window, seed_s,
                                    fixed_count=fixed_count),
-            rng_state=seed_fading,
         )
         yield evaluate_user(realization, params, mode, seed_fading,
                             window=window,
@@ -305,52 +301,6 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def estimate_coverage_breakdown(params: NetworkParams, th: Thresholds,
-                                mode: DuplexMode = DuplexMode.IBFD,
-                                n_trials: int = 20_000,
-                                window: Optional[SimulationWindow] = None,
-                                master_seed: int = 0,
-                                fixed_count: bool = False,
-                                tail_compensation: bool = True,
-                                ) -> dict[str, EstimateWithCI]:
-    """Empirical coverage split by serving tier, from one batch of trials.
-
-    Keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.  The tier
-    components count trials that both associate with that tier and clear
-    its thresholds, so p_total = p_smallcell_joint + p_macro_joint exactly.
-    """
-    if window is None:
-        window = SimulationWindow()
-    hits_s = hits_m = n_assoc_s = 0
-    for sample in _iter_samples(params, mode, n_trials, window, master_seed,
-                                fixed_count, tail_compensation):
-        covered = _is_covered(sample, th)
-        if sample.associated_tier == "pico":
-            n_assoc_s += 1
-            hits_s += covered
-        else:
-            hits_m += covered
-    return {
-        "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
-        "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),
-        "p_macro_joint": _binomial_estimate(hits_m, n_trials),
-        "p_assoc_s": _binomial_estimate(n_assoc_s, n_trials),
-    }
-
-
-def estimate_coverage(params: NetworkParams, th: Thresholds,
-                      mode: DuplexMode = DuplexMode.IBFD,
-                      n_trials: int = 20_000,
-                      window: Optional[SimulationWindow] = None,
-                      master_seed: int = 0,
-                      fixed_count: bool = False,
-                      tail_compensation: bool = True) -> EstimateWithCI:
-    """Fraction of trials in which the serving chain clears its thresholds."""
-    return estimate_coverage_breakdown(
-        params, th, mode, n_trials, window, master_seed, fixed_count,
-        tail_compensation)["p_total"]
-
-
 def _rate_sample(sample: UserSample, params: NetworkParams,
                  mode: DuplexMode) -> float:
     k_a, k_b, macro_prefactor = _band_shares(params, mode)
@@ -362,33 +312,53 @@ def _rate_sample(sample: UserSample, params: NetworkParams,
     return min(access, backhaul)
 
 
-def estimate_rate(params: NetworkParams, th: Thresholds,
-                  mode: DuplexMode = DuplexMode.IBFD,
-                  n_trials: int = 20_000,
-                  window: Optional[SimulationWindow] = None,
-                  master_seed: int = 0,
-                  fixed_count: bool = False,
-                  tail_compensation: bool = True) -> EstimateWithCI:
-    """Mean throughput over covered trials (conditional on coverage).
+def estimate_metrics(params: NetworkParams, th: Thresholds,
+                     mode: DuplexMode = DuplexMode.IBFD,
+                     n_trials: int = 20_000,
+                     window: Optional[SimulationWindow] = None,
+                     master_seed: int = 0,
+                     fixed_count: bool = False,
+                     tail_compensation: bool = True,
+                     ) -> dict[str, EstimateWithCI]:
+    """Every simulated metric at one point, from one batch of trials.
 
-    Macro users get the macro band share of log2(1 + SIR_um); pico users
-    get the lesser of their access share and the backhaul share split
-    across the lambda_s/lambda_m picos per macro.  Summation uses fsum so
-    the estimate does not depend on accumulation order.
+    Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
+    The tier components count trials that both associate with that tier
+    and clear its thresholds, so p_total = p_smallcell_joint +
+    p_macro_joint exactly.
+
+    rate_total, present when at least one trial is covered, is the mean
+    throughput over covered trials (conditional on coverage; its n_trials
+    is the covered count).  Macro users get the macro band share of
+    log2(1 + SIR_um); pico users get the lesser of their access share and
+    the backhaul share split across the lambda_s/lambda_m picos per
+    macro.  Summation uses fsum so the estimate does not depend on
+    accumulation order.
     """
     if window is None:
         window = SimulationWindow()
-    values = [
-        _rate_sample(sample, params, mode)
-        for sample in _iter_samples(params, mode, n_trials, window,
-                                    master_seed, fixed_count,
-                                    tail_compensation)
-        if _is_covered(sample, th)
-    ]
-    n_cov = len(values)
-    if n_cov == 0:
-        raise ValueError("conditioning event empty in sample")
-    mean = math.fsum(values) / n_cov
-    var = math.fsum((v - mean) ** 2 for v in values) / max(n_cov - 1, 1)
-    se = math.sqrt(var / n_cov)
-    return EstimateWithCI.from_mean_se(mean, se, n_cov)
+    hits_s = hits_m = n_assoc_s = 0
+    rates = []
+    for sample in _iter_samples(params, mode, n_trials, window, master_seed,
+                                fixed_count, tail_compensation):
+        covered = _is_covered(sample, th)
+        if sample.associated_tier == "pico":
+            n_assoc_s += 1
+            hits_s += covered
+        else:
+            hits_m += covered
+        if covered:
+            rates.append(_rate_sample(sample, params, mode))
+    out = {
+        "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
+        "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),
+        "p_macro_joint": _binomial_estimate(hits_m, n_trials),
+        "p_assoc_s": _binomial_estimate(n_assoc_s, n_trials),
+    }
+    n_cov = len(rates)
+    if n_cov:
+        mean = math.fsum(rates) / n_cov
+        var = math.fsum((v - mean) ** 2 for v in rates) / max(n_cov - 1, 1)
+        out["rate_total"] = EstimateWithCI.from_mean_se(
+            mean, math.sqrt(var / n_cov), n_cov)
+    return out

@@ -26,6 +26,7 @@ from hetnet.analytic import (
     coverage_macro_result,
     coverage_smallcell_result,
     coverage_total,
+    evaluate_joint,
     rate_covered,
 )
 from hetnet.cli import CSV_HEADER, main
@@ -37,8 +38,7 @@ from hetnet.core import (
     lens_area,
 )
 from hetnet.experiments import figure_preset, run_sweep
-from hetnet.montecarlo import estimate_coverage_breakdown
-from hetnet.numerics import QuadratureSpec
+from hetnet.montecarlo import estimate_metrics
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
 
@@ -161,7 +161,7 @@ def test_2_simulation_brackets_analytic_density_curve(density_sweep):
         analytic_exact = {"p_smallcell_joint": small_exact,
                           "p_macro_joint": macro,
                           "p_total": small_exact + macro}
-        breakdown = estimate_coverage_breakdown(
+        breakdown = estimate_metrics(
             params, TH, DuplexMode.IBFD, n_trials=20_000,
             master_seed=2026 + k)
         for metric, analytic in analytic_exact.items():
@@ -322,19 +322,21 @@ def test_7_property_suite():
 
     # (e) seeded simulation is deterministic
     kwargs = dict(n_trials=300, master_seed=5)
-    assert estimate_coverage_breakdown(NetworkParams(), TH,
-                                       DuplexMode.IBFD, **kwargs) \
-        == estimate_coverage_breakdown(NetworkParams(), TH,
-                                       DuplexMode.IBFD, **kwargs)
+    assert estimate_metrics(NetworkParams(), TH, DuplexMode.IBFD,
+                            **kwargs) \
+        == estimate_metrics(NetworkParams(), TH, DuplexMode.IBFD, **kwargs)
 
-    # (f) quadrature self-consistency under truncation-radius doubling
-    near = coverage_smallcell_result(
-        NetworkParams(), TH.T_s, TH.T_b, DuplexMode.IBFD,
-        spec=QuadratureSpec(truncation_radius=1e3))
-    far = coverage_smallcell_result(
-        NetworkParams(), TH.T_s, TH.T_b, DuplexMode.IBFD,
-        spec=QuadratureSpec(truncation_radius=2e3))
-    assert abs(near.value - far.value) <= 1e-7
+    # (f) quadrature self-consistency: the reported (6,3) panel-pair error
+    # bounds the distance to the finer level-10 panel sum
+    for ratio in (1.0, 4.0, 20.0):
+        params = NetworkParams(lambda_s=ratio)
+        for mode in (DuplexMode.IBFD, DuplexMode.FDD):
+            res = coverage_smallcell_result(params, TH.T_s, TH.T_b, mode)
+            assert res.value == evaluate_joint(params, TH.T_s, TH.T_b, mode,
+                                               level=6)
+            finer = evaluate_joint(params, TH.T_s, TH.T_b, mode, level=10)
+            assert abs(finer - res.value) <= res.error_estimate, \
+                f"level-10 sum outside the (6,3) error at ratio {ratio}"
 
 
 def test_8_threshold_sweep_reference_band_and_note(threshold_sweep_output):

@@ -6,9 +6,11 @@ row schema, exit codes, and end-to-end runs of every subcommand through
 """
 import json
 import math
+import sys
 
 import pytest
 
+from hetnet.analytic import coverage_smallcell_result
 from hetnet.cli import (
     CSV_HEADER,
     config_from_sweep_spec,
@@ -18,7 +20,7 @@ from hetnet.cli import (
 )
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 from hetnet.experiments import FIGURE_IDS, SweepRow, figure_preset
-from hetnet.montecarlo import EstimateWithCI, SimulationWindow
+from hetnet.montecarlo import EstimateWithCI, SimulationWindow, evaluate_user
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -244,6 +246,30 @@ class TestMainSimulate:
         rate = next(r for r in rows if r["metric"] == "rate_total")
         assert 0 < int(rate["n_trials"]) <= 200
 
+    def test_one_simulation_pass_and_one_coverage_integral(self, tmp_path,
+                                                           monkeypatch):
+        calls = {"evaluate_user": 0, "coverage_smallcell_result": 0}
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        # patch every hetnet namespace that holds the function
+        for name, original in (("evaluate_user", evaluate_user),
+                               ("coverage_smallcell_result",
+                                coverage_smallcell_result)):
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.startswith("hetnet") and \
+                        getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name,
+                                        count(name, original))
+        assert main(["simulate", "--trials", "120", "--seed", "4",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        assert calls == {"evaluate_user": 120,
+                         "coverage_smallcell_result": 1}
+
 
 class TestMainSweep:
     def test_sweep_runs_config_grid(self, tmp_path, capsys):
@@ -305,3 +331,11 @@ class TestMainValidate:
         assert "FAIL" not in out
         assert "seeded determinism" in out
         assert out.count("PASS") == 11
+        # the analytic side follows the bearing law the simulator realizes
+        line = next(l for l in out.splitlines()
+                    if "ibfd p_smallcell_joint:" in l)
+        printed = float(line.split("analytic=")[1].split()[0])
+        th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
+        arc = coverage_smallcell_result(NetworkParams(), th.T_s, th.T_b,
+                                        DuplexMode.IBFD, bearing="arc")
+        assert printed == pytest.approx(arc.value, abs=5e-7)

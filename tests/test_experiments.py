@@ -5,6 +5,7 @@ checks run tiny sweeps and compare against direct calls of the
 underlying solvers.
 """
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -178,9 +179,7 @@ class TestRunSweep:
         def boom(*args, **kwargs):
             raise AssertionError("simulation invoked on analytic sweep")
 
-        monkeypatch.setattr(
-            "hetnet.experiments.estimate_coverage_breakdown", boom)
-        monkeypatch.setattr("hetnet.experiments.estimate_rate", boom)
+        monkeypatch.setattr("hetnet.experiments.estimate_metrics", boom)
         rows = run_sweep(SweepSpec("lambda_ratio", (4.0,)))
         assert rows[0].mc == {}
 
@@ -194,9 +193,20 @@ class TestRunSweep:
         assert abs(est.mean - row.analytic["p_total"]) < 5.0 * est.std_error
 
     def test_thread_count_does_not_change_results(self):
-        spec = SweepSpec("lambda_ratio", (2.0, 4.0), mc_trials=300)
+        # seven densities are seven geometries at each panel level, more
+        # than the shared geometry cache holds, so pooled workers evict
+        # entries while others look them up; a short switch interval makes
+        # those accesses interleave
+        spec = SweepSpec("lambda_ratio", tuple(float(k) for k in range(1, 8)),
+                         mc_trials=300)
         serial = run_sweep(spec, master_seed=11, threads=1)
-        pooled = run_sweep(spec, master_seed=11, threads=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_sweep(spec, master_seed=11, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(row.error is None for row in pooled)
         assert serial == pooled
 
     def test_master_seed_changes_draws(self):

@@ -11,13 +11,12 @@ import pytest
 
 from hetnet.analytic import association_probability, coverage_total, rate_covered
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_m
+from hetnet.experiments import evaluate_point
 from hetnet.montecarlo import (
     EstimateWithCI,
     NetworkRealization,
     SimulationWindow,
-    estimate_coverage,
-    estimate_coverage_breakdown,
-    estimate_rate,
+    estimate_metrics,
     evaluate_user,
     sample_ppp,
 )
@@ -29,7 +28,6 @@ def realization(macros, picos) -> NetworkRealization:
     return NetworkRealization(
         macro_points=np.asarray(macros, dtype=float).reshape(-1, 2),
         pico_points=np.asarray(picos, dtype=float).reshape(-1, 2),
-        rng_state=np.random.SeedSequence(0),
     )
 
 
@@ -172,17 +170,15 @@ class TestEstimators:
     def test_coverage_deterministic(self):
         p = NetworkParams()
         w = SimulationWindow(half_width=8.0)
-        a = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=50,
-                              window=w, master_seed=21)
-        b = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=50,
-                              window=w, master_seed=21)
+        a = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=50,
+                             window=w, master_seed=21)
+        b = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=50,
+                             window=w, master_seed=21)
         assert a == b
         # a continuous statistic separates seeds without binomial collisions
-        r1 = estimate_rate(p, TH, DuplexMode.IBFD, n_trials=50,
-                           window=w, master_seed=21)
-        r2 = estimate_rate(p, TH, DuplexMode.IBFD, n_trials=50,
-                           window=w, master_seed=22)
-        assert r1.mean != r2.mean
+        c = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=50,
+                             window=w, master_seed=22)
+        assert a["rate_total"].mean != c["rate_total"].mean
 
     def test_estimate_shape(self):
         e = EstimateWithCI.from_mean_se(0.4, 0.01, 100)
@@ -191,17 +187,19 @@ class TestEstimators:
 
     def test_breakdown_components_sum(self):
         p = NetworkParams()
-        bd = estimate_coverage_breakdown(p, TH, DuplexMode.IBFD,
-                                         n_trials=400, master_seed=5)
+        bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=400,
+                              master_seed=5)
         assert bd["p_total"].mean == pytest.approx(
             bd["p_smallcell_joint"].mean + bd["p_macro_joint"].mean,
             abs=1e-12)
         assert 0.0 <= bd["p_assoc_s"].mean <= 1.0
+        # the rate is conditional: its sample is the covered trials
+        assert bd["rate_total"].n_trials == round(bd["p_total"].mean * 400)
 
     def test_association_split_matches_analytic(self):
         p = NetworkParams()
-        bd = estimate_coverage_breakdown(p, TH, DuplexMode.IBFD,
-                                         n_trials=2000, master_seed=7)
+        bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=2000,
+                              master_seed=7)
         p_s, _ = association_probability(p)
         est = bd["p_assoc_s"]
         assert abs(est.mean - p_s) < 3.0 * max(est.std_error, 1e-6)
@@ -210,34 +208,34 @@ class TestEstimators:
         p = NetworkParams()
         for mode in (DuplexMode.IBFD, DuplexMode.FDD):
             analytic = coverage_total(p, TH, mode).p_total
-            est = estimate_coverage(p, TH, mode, n_trials=3000,
-                                    master_seed=17)
+            est = estimate_metrics(p, TH, mode, n_trials=3000,
+                                   master_seed=17)["p_total"]
             assert abs(est.mean - analytic) < 3.0 * est.std_error
 
     def test_rate_consistent_with_analytic(self):
         p = NetworkParams()
         analytic = rate_covered(p, TH, DuplexMode.IBFD).rate_total
-        est = estimate_rate(p, TH, DuplexMode.IBFD, n_trials=3000,
-                            master_seed=19)
+        est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=3000,
+                               master_seed=19)["rate_total"]
         assert abs(est.mean - analytic) < 3.0 * est.std_error
 
     def test_window_doubling_within_noise(self):
         p = NetworkParams()
-        small = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=1200,
-                                  window=SimulationWindow(30.0),
-                                  master_seed=23)
-        big = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=1200,
-                                window=SimulationWindow(60.0),
-                                master_seed=23)
+        small = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=1200,
+                                 window=SimulationWindow(30.0),
+                                 master_seed=23)["p_total"]
+        big = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=1200,
+                               window=SimulationWindow(60.0),
+                               master_seed=23)["p_total"]
         gap = abs(small.mean - big.mean)
         assert gap < 3.0 * math.hypot(small.std_error, big.std_error)
 
     def test_torus_route_consistent(self):
         p = NetworkParams()
         analytic = coverage_total(p, TH, DuplexMode.IBFD).p_total
-        est = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=1500,
-                                window=SimulationWindow(30.0, wrap=True),
-                                master_seed=29)
+        est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=1500,
+                               window=SimulationWindow(30.0, wrap=True),
+                               master_seed=29)["p_total"]
         assert abs(est.mean - analytic) < 3.0 * est.std_error
 
     def test_tail_compensation_only_hurts_sir(self):
@@ -245,42 +243,47 @@ class TestEstimators:
         # can only knock trials out of coverage, never in
         p = NetworkParams()
         w = SimulationWindow(half_width=10.0)
-        on = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=500,
+        on = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=500,
+                              window=w, master_seed=31,
+                              tail_compensation=True)["p_total"]
+        off = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=500,
                                window=w, master_seed=31,
-                               tail_compensation=True)
-        off = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=500,
-                                window=w, master_seed=31,
-                                tail_compensation=False)
+                               tail_compensation=False)["p_total"]
         assert off.mean >= on.mean
 
     def test_fixed_count_route(self):
         p = NetworkParams()
-        est = estimate_coverage(p, TH, DuplexMode.IBFD, n_trials=300,
-                                master_seed=37, fixed_count=True)
+        est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
+                               master_seed=37, fixed_count=True)["p_total"]
         assert 0.1 < est.mean < 0.7
 
     def test_macro_only_network(self):
         p = NetworkParams(lambda_s=0.0)
-        bd = estimate_coverage_breakdown(p, TH, DuplexMode.IBFD,
-                                         n_trials=300, master_seed=41)
+        bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
+                              master_seed=41)
         assert bd["p_assoc_s"].mean == 0.0
         assert bd["p_smallcell_joint"].mean == 0.0
         assert bd["p_total"].mean > 0.0
 
     def test_huge_residual_suppresses_pico_coverage(self):
         p = NetworkParams(beta=1e15)
-        bd = estimate_coverage_breakdown(p, TH, DuplexMode.IBFD,
-                                         n_trials=300, master_seed=43)
+        bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
+                              master_seed=43)
         assert bd["p_smallcell_joint"].mean == 0.0
 
     def test_empty_conditioning_event_rejected(self):
         p = NetworkParams()
         th = Thresholds(T_s=1e11, T_b=1e11, T_m=1e11)
+        est = estimate_metrics(p, th, DuplexMode.IBFD, n_trials=100,
+                               master_seed=47)
+        assert est["p_total"].mean == 0.0
+        assert "rate_total" not in est
+        # a point evaluation that must report the rate refuses instead
         with pytest.raises(ValueError, match="conditioning event empty"):
-            estimate_rate(p, th, DuplexMode.IBFD, n_trials=100,
-                          master_seed=47)
+            evaluate_point(p, th, DuplexMode.IBFD, ("rate",), trials=100,
+                           seed=47)
 
     def test_bad_trial_count_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
-            estimate_coverage(NetworkParams(), TH, DuplexMode.IBFD,
-                              n_trials=0)
+            estimate_metrics(NetworkParams(), TH, DuplexMode.IBFD,
+                             n_trials=0)
