@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 from ..core import DuplexMode, NetworkParams, Thresholds
 from ..numerics import IntegralResult, NonConvergenceError, _leggauss
-from .coverage import coverage_total
-from .macro import coverage_macro_result
-from .smallcell import evaluate_joint
+from .macro import coverage_macro, coverage_macro_result
+from .smallcell import coverage_smallcell, evaluate_joint
 
 __all__ = [
     "RateBreakdown",
@@ -190,10 +189,13 @@ class RateBreakdown:
 def rate_covered(params: NetworkParams, th: Thresholds,
                  mode: DuplexMode = DuplexMode.IBFD,
                  bearing: str = "circle") -> RateBreakdown:
-    """E[rate | coverage]: tier addends normalized by total coverage."""
+    """E[rate | coverage]: tier addends normalized by total coverage
+    (the p_total of coverage_total, without its per-link conditionals)."""
     macro = rate_macro_term(params, th, mode)
     small = rate_smallcell_term(params, th, mode, bearing=bearing)
-    p_cov = coverage_total(params, th, mode, bearing=bearing).p_total
+    p_cov = min(max(coverage_smallcell(params, th.T_s, th.T_b, mode,
+                                       bearing=bearing)
+                    + coverage_macro(params, th.T_m, mode), 0.0), 1.0)
     if p_cov <= 0.0:
         raise ValueError("conditioning event has zero probability")
     return RateBreakdown(rate_total=(macro + small) / p_cov,

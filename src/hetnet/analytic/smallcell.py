@@ -41,8 +41,16 @@ The (1 - g1) parts reduce to the closed-form exterior-disc functional
 parts are integrated in polar coordinates around S, where both exclusion
 discs subtend simple angular intervals.  Everything is vectorized over a
 panelized (r_s, r) grid with panel edges pinned to the geometric case
-boundaries, all distance powers precomputed and reused across thresholds
-(rate integrals re-evaluate at many thresholds on one grid).
+boundaries, all distance powers precomputed and cached per geometry
+(rate integrals re-evaluate at many thresholds on one grid).  A call
+first drops the nodes whose exponent lower bound already makes them
+negligible, then indexes only the live ones.  The mixed terms, whose
+(node, radial, angular) tensors dominate, run _BLOCK live nodes at a
+time: each block is gathered from the cached tensor into one scratch
+buffer, turned into Rayleigh factors in place and reduced over the
+angular rule by a matrix-vector product, so no full-size temporary is
+built.  The scratch buffer belongs to the call, never to the module:
+threaded sweeps share the cached geometries, and the cache is read-only.
 """
 from __future__ import annotations
 
@@ -77,6 +85,9 @@ _SKIP_EXPONENT = 45.0
 # default accuracy targets for the panelized 2-D coverage integral
 _COV_ABS_TOL = 5e-5
 _COV_REL_TOL = 2e-4
+# live nodes per block of the mixed-term kernel: a block's (node, radial,
+# angular) slab, about 0.6 MB at level 6, stays in cache through its passes
+_BLOCK = 64
 
 # radial panel ladders, in units of the natural per-node scale; the wide
 # span keeps the grid threshold-independent (the 1-g sigmoid may sit
@@ -96,34 +107,31 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                   n_tail: int) -> dict:
     """Threshold-independent quadrature tensors for a batch of (r_s, r).
 
-    Returns per-node radial nodes/weights (weights absorb the Jacobian
-    factor l dl), cached negative distance powers, angular half-widths and
-    the angular Gauss rule, for the three 1-D/2-D corrections described in
-    the module docstring.
+    Returns per-node radial weights (which absorb the Jacobian factor
+    l dl), cached negative distance powers, angular widths and the angular
+    Gauss weights, for the three 1-D/2-D corrections described in the
+    module docstring.
     """
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
-    N = rs.size
     gx, gw = _leggauss(n_ang)
     # angular nodes mapped later per (node, l) interval [chi_ex, pi]
 
-    out: dict = {"ang_x": gx, "ang_w": gw}
+    out: dict = {"ang_w": gw}
 
     # --- pico-field mixed term: polar around S, exclusion B(o, r_s) ------
     knots_s = rs[:, None] * _LADDER_S[None, :]
     xs, wxs = gauss_panel_nodes(knots_s, n_rad)
     chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
-    half = 0.5 * (np.pi - chi_ex)
-    chi = chi_ex[..., None] + half[..., None] * (gx + 1.0)
+    width = np.pi - chi_ex          # angular interval [chi_ex, pi]
+    chi = chi_ex[..., None] + 0.5 * width[..., None] * (gx + 1.0)
     z2 = (rs[:, None, None] ** 2 + xs[..., None] ** 2
           - 2.0 * rs[:, None, None] * xs[..., None] * np.cos(chi))
-    out["s_x"] = xs
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
-    out["s_half"] = half
+    out["s_width"] = width
     out["s_znpow"] = np.maximum(z2, 1e-300) ** (-alpha_s / 2.0)
     xt, wt = power_tail_nodes(rs * _LADDER_S[-1], alpha_s, n_tail)
-    out["s_tx"] = xt
-    out["s_tw"] = wt
+    out["s_tw"] = wt * xt
     out["s_txnpow"] = xt ** -alpha_s
 
     # --- macro-field mixed term: polar around S, exclusions B(o, R_i)
@@ -143,18 +151,16 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     cos_in = (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2) \
         / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
     chi_ex2 = np.arccos(_clip_cos(cos_in))
-    half2 = 0.5 * (np.pi - chi_ex2)
-    chi2 = chi_ex2[..., None] + half2[..., None] * (gx + 1.0)
+    width_m = np.pi - chi_ex2
+    chi2 = chi_ex2[..., None] + 0.5 * width_m[..., None] * (gx + 1.0)
     z2m = (rs[:, None, None] ** 2 + xm[..., None] ** 2
            - 2.0 * rs[:, None, None] * xm[..., None] * np.cos(chi2))
-    out["m_x"] = xm
     out["m_wx"] = wxm * xm
     out["m_xnpow"] = xm ** -alpha_m
-    out["m_half"] = half2
+    out["m_width"] = width_m
     out["m_znpow"] = np.maximum(z2m, 1e-300) ** (-alpha_m / 2.0)
     xtm, wtm = power_tail_nodes(base * _LADDER_M[-1], alpha_m, n_tail)
-    out["m_tx"] = xtm
-    out["m_tw"] = wtm
+    out["m_tw"] = wtm * xtm
     out["m_txnpow"] = xtm ** -alpha_m
 
     # --- lens correction K1: user-centered shell of B(S, r) beyond R_i ---
@@ -168,7 +174,6 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     width1 = 2.0 * np.arccos(_clip_cos(
         (rs[:, None] ** 2 + rho1 ** 2 - r[:, None] ** 2)
         / np.maximum(2.0 * rs[:, None] * rho1, 1e-300)))
-    out["k1_x"] = rho1
     out["k1_w"] = wrho1 * rho1 * width1
     out["k1_xnpow"] = rho1 ** -alpha_m
 
@@ -184,7 +189,6 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     width2 = 2.0 * np.arccos(_clip_cos(
         (rs[:, None] ** 2 + rho2 ** 2 - ri[:, None] ** 2)
         / np.maximum(2.0 * rs[:, None] * rho2, 1e-300)))
-    out["k2_x"] = rho2
     out["k2_w"] = wrho2 * rho2 * width2
     out["k2_xnpow"] = rho2 ** -alpha_m
 
@@ -196,7 +200,7 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     cos_allow = _clip_cos((ri ** 2 - rs ** 2 - r ** 2)
                           / np.maximum(2.0 * rs * r, 1e-300))
     theta_allow = np.arccos(cos_allow)
-    out["g_w"] = np.broadcast_to(0.5 * gwt, (N, gwt.size))
+    out["g_w"] = 0.5 * gwt
     for tag, upper in (("arc", theta_allow[:, None]), ("circle", np.pi)):
         theta = 0.5 * upper * (gxt + 1.0)
         rm2 = rs[:, None] ** 2 + r[:, None] ** 2 \
@@ -246,7 +250,7 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     n_tail = 12 if level >= 6 else 8
     geom = _node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
     geom.update(
-        rs=rs, r=r, ri=ri, f2w=f2w,
+        f2w=f2w,
         case_b=(r > nu_lo) & (r < nu_hi),
         rs_pow_as=rs ** params.alpha_s,
         r_pow_am=r ** params.alpha_m,
@@ -261,39 +265,50 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     return geom
 
 
-def _mixed_term(s_cross, s_own, geom: dict, prefix: str) -> np.ndarray:
-    """Sum_l w_l (1-g(s_cross, l)) * 2*half*Sum_chi w_chi g(s_own, |z|).
+def _mixed_term(s_cross, s_own, geom: dict, prefix: str,
+                idx: np.ndarray) -> np.ndarray:
+    """Sum_l w_l (1-g(s_cross, l)) * width*Sum_chi w_chi g(s_own, |z|).
 
     prefix selects the pico ("s_") or macro ("m_") tensor family; s_own is
     the access-link sharpness entering through |z| (distance to the user),
-    s_cross the backhaul-link sharpness entering radially from S.
+    s_cross the backhaul-link sharpness entering radially from S.  Both are
+    given on the geometry nodes idx, which are evaluated _BLOCK at a time.
     """
-    xn = geom[prefix + "xnpow"]
     zn = geom[prefix + "znpow"]
-    wl = geom[prefix + "wx"]
-    half = geom[prefix + "half"]
+    xn, wl = geom[prefix + "xnpow"], geom[prefix + "wx"]
+    width = geom[prefix + "width"]
+    txn, tw = geom[prefix + "txnpow"], geom[prefix + "tw"]
     aw = geom["ang_w"]
-    one_minus = 1.0 - 1.0 / (1.0 + s_cross[:, None] * xn)
-    inner = np.einsum("nlk,k->nl", 1.0 / (1.0 + s_own[:, None, None] * zn), aw)
-    body = np.einsum("nl,nl->n", wl * one_minus, 2.0 * half * inner)
-    # radial tail: the two discs subtend vanishing angles, g(s_own) -> along
-    # the ray, so the angular factor collapses to 2*pi*g(s_own, l)
-    txn = geom[prefix + "txnpow"]
-    tw = geom[prefix + "tw"]
-    tx = geom[prefix + "tx"]
-    tail = np.einsum(
-        "nl,nl->n",
-        tw * tx,
-        (1.0 - 1.0 / (1.0 + s_cross[:, None] * txn))
-        * (2.0 * np.pi / (1.0 + s_own[:, None] * txn)),
-    )
-    return body + tail
+    out = np.empty(idx.size)
+    scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
+    for lo in range(0, idx.size, _BLOCK):
+        ib = idx[lo:lo + _BLOCK]
+        sl = slice(lo, lo + ib.size)
+        g = scratch[:ib.size]
+        np.take(zn, ib, axis=0, out=g, mode="clip")
+        g *= s_own[sl, None, None]
+        g += 1.0
+        np.reciprocal(g, out=g)
+        inner = (g.reshape(-1, zn.shape[2]) @ aw).reshape(ib.size, -1)
+        sc, so = s_cross[sl, None], s_own[sl, None]
+        body = np.einsum("nl,nl->n",
+                         wl[ib] * (1.0 - 1.0 / (1.0 + sc * xn[ib])),
+                         width[ib] * inner)
+        # radial tail: the two discs subtend vanishing angles, g(s_own) ->
+        # along the ray, so the angular factor collapses to 2*pi*g(s_own, l)
+        t = txn[ib]
+        tail = np.einsum("nl,nl->n", tw[ib],
+                         (1.0 - 1.0 / (1.0 + sc * t))
+                         * (2.0 * np.pi / (1.0 + so * t)))
+        out[sl] = body + tail
+    return out
 
 
-def _lens_correction(s, geom: dict, prefix: str) -> np.ndarray:
+def _lens_correction(s, geom: dict, prefix: str,
+                     idx: np.ndarray) -> np.ndarray:
     """K-type correction: integral of (1 - g(s, rho)) over a lens shell."""
-    xn = geom[prefix + "_xnpow"]
-    w = geom[prefix + "_w"]
+    xn = geom[prefix + "_xnpow"][idx]
+    w = geom[prefix + "_w"][idx]
     return np.einsum("nl,nl->n", w, 1.0 - 1.0 / (1.0 + s[:, None] * xn))
 
 
@@ -325,82 +340,56 @@ def evaluate_joint(params: NetworkParams, T_s: float, T_b: float,
     if not (math.isfinite(T_s) and math.isfinite(T_b)):
         return 0.0
     geom = _geometry(params, level)
-    if geom["rs"].size == 0:
+    if geom["f2w"].size == 0:
         return 0.0
     lam_s, lam_m = params.lambda_s, params.lambda_m
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     s1, s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
+    # exterior-disc functional of the access link: part of J_s exactly
+    F_s = shifted_functional_radius2(s1, alpha_s, geom["rs2"])
 
     if mode is DuplexMode.IBFD:
         beta_term = params.beta * (
             s2 if params.self_interference_convention == "ps" else s2p)
         exponent_lb = (
-            lam_s * np.maximum(
-                shifted_functional_radius2(s1, alpha_s, geom["rs2"]),
-                shifted_functional_radius2(s2, alpha_s, 4.0 * geom["rs2"]))
+            lam_s * np.maximum(F_s, shifted_functional_radius2(
+                s2, alpha_s, 4.0 * geom["rs2"]))
             + lam_m * np.maximum(
                 shifted_functional_radius2(s1p, alpha_m, geom["reach_o2"]),
                 shifted_functional_radius2(s2p, alpha_m, geom["reach_s2"]))
             + beta_term
         )
     else:
-        beta_term = None
         exponent_lb = (
-            lam_s * shifted_functional_radius2(s1, alpha_s, geom["rs2"])
+            lam_s * F_s
             + lam_m * shifted_functional_radius2(s2p, alpha_m,
                                                  geom["reach_s2"])
         )
     keep = exponent_lb < _SKIP_EXPONENT
     if case_b_only:
-        keep = keep & geom["case_b"]
-    if not np.any(keep):
-        return 0.0
+        keep &= geom["case_b"]
     idx = np.flatnonzero(keep)
-    sub = _restrict(geom, idx) if idx.size < 0.7 * keep.size else geom
-    if sub is not geom:
-        s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]
-        if beta_term is not None:
-            beta_term = beta_term[idx]
-        mask = None
-    else:
-        mask = keep if idx.size < keep.size or case_b_only else None
-        if case_b_only and mask is None:
-            mask = geom["case_b"]
+    if idx.size == 0:
+        return 0.0
+    s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]
 
     if mode is DuplexMode.IBFD:
-        J_s = (shifted_functional_radius2(s1, alpha_s, sub["rs2"])
-               + _mixed_term(s2, s1, sub, "s_"))
-        J_m = (shifted_functional_radius2(s1p, alpha_m, sub["ri2"])
-               - _lens_correction(s1p, sub, "k1")
-               + _mixed_term(s2p, s1p, sub, "m_"))
-        gbar = np.einsum(
-            "nk,nk->n", sub["g_w"],
-            1.0 / (1.0 + s1p[:, None] * sub["g_rmnpow_" + bearing]))
-        expo = lam_s * J_s + lam_m * J_m + beta_term
-        weight = sub["f2w"] * gbar
+        J_s = F_s[idx] + _mixed_term(s2, s1, geom, "s_", idx)
+        J_m = (shifted_functional_radius2(s1p, alpha_m, geom["ri2"][idx])
+               - _lens_correction(s1p, geom, "k1", idx)
+               + _mixed_term(s2p, s1p, geom, "m_", idx))
+        gbar = (1.0 / (1.0 + s1p[:, None]
+                       * geom["g_rmnpow_" + bearing][idx])) @ geom["g_w"]
+        expo = lam_s * J_s + lam_m * J_m + beta_term[idx]
+        weight = geom["f2w"][idx] * gbar
     else:
-        J_s = shifted_functional_radius2(s1, alpha_s, sub["rs2"])
-        J_m = (shifted_functional_radius2(s2p, alpha_m, sub["r2"])
-               - _lens_correction(s2p, sub, "k2"))
-        expo = lam_s * J_s + lam_m * J_m
-        weight = sub["f2w"]
+        J_m = (shifted_functional_radius2(s2p, alpha_m, geom["r2"][idx])
+               - _lens_correction(s2p, geom, "k2", idx))
+        expo = lam_s * F_s[idx] + lam_m * J_m
+        weight = geom["f2w"][idx]
 
     contrib = weight * np.exp(-np.minimum(expo, 700.0))
-    if mask is not None:
-        contrib = np.where(mask, contrib, 0.0)
     return float(contrib.sum())
-
-
-def _restrict(geom: dict, idx: np.ndarray) -> dict:
-    sub = {}
-    for k, v in geom.items():
-        if k == "ang_w" or k == "ang_x":
-            sub[k] = v
-        elif isinstance(v, np.ndarray) and v.shape[:1] == geom["rs"].shape:
-            sub[k] = v[idx]
-        else:
-            sub[k] = v
-    return sub
 
 
 def coverage_smallcell_result(
@@ -479,16 +468,16 @@ def j_components(params: NetworkParams, T_s: float, T_b: float,
                 rs_pow_as=rs ** params.alpha_s,
                 r_pow_am=rr ** params.alpha_m)
     s1, s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
-    K1 = _lens_correction(s1p, geom, "k1")
-    K2 = _lens_correction(s2p, geom, "k2")
+    idx = np.arange(1)
+    K1 = _lens_correction(s1p, geom, "k1", idx)
+    K2 = _lens_correction(s2p, geom, "k2", idx)
     J_s = (shifted_functional_radius2(s1, params.alpha_s, geom["rs2"])
-           + _mixed_term(s2, s1, geom, "s_"))
+           + _mixed_term(s2, s1, geom, "s_", idx))
     J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
-           - K1 + _mixed_term(s2p, s1p, geom, "m_"))
+           - K1 + _mixed_term(s2p, s1p, geom, "m_", idx))
     gbar = {
-        tag: float(np.einsum(
-            "nk,nk->n", geom["g_w"],
-            1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))[0])
+        tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
+                    @ geom["g_w"])[0])
         for tag in ("arc", "circle")
     }
     J_m_fdd = (shifted_functional_radius2(s2p, params.alpha_m, geom["r2"])

@@ -16,6 +16,7 @@ from hetnet.analytic import (
     rate_smallcell_term,
     rate_smallcell_term_result,
 )
+from hetnet.analytic import smallcell
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 
 
@@ -179,3 +180,20 @@ class TestRateCovered:
         th = Thresholds(T_s=math.inf, T_b=math.inf, T_m=math.inf)
         with pytest.raises(ValueError, match="zero probability"):
             rate_covered(params_with(), th)
+
+    def test_normalisation_integrates_joint_coverage_once(self, monkeypatch):
+        # p_total needs the joint small-cell integral only, not the two
+        # per-link conditionals that coverage_total also integrates
+        calls = []
+        original = smallcell.coverage_smallcell_result
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smallcell, "coverage_smallcell_result", counted)
+        rb = rate_covered(params_with(), TH, DuplexMode.FDD)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rb.coverage_used == coverage_total(params_with(), TH,
+                                                  DuplexMode.FDD).p_total

@@ -1,5 +1,6 @@
 """Tests for the joint access+backhaul coverage solver (small-cell tier)."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from hetnet.analytic import smallcell
 from hetnet.analytic.distances import inner_disc_radius
 from hetnet.analytic.smallcell import (
     coverage_smallcell,
@@ -17,6 +19,7 @@ from hetnet.analytic.smallcell import (
 )
 from hetnet.core import DuplexMode, NetworkParams
 from hetnet.numerics import NonConvergenceError
+from oracles import dense_evaluate_joint, dense_mixed_term
 
 
 def params_with(**kw) -> NetworkParams:
@@ -338,3 +341,70 @@ class TestCaseRestriction:
         part = evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD,
                               case_b_only=True)
         assert q == pytest.approx(part / full, rel=1e-9)
+
+
+class TestBlockedKernel:
+    """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
+    buffer; the dense einsum formulation in tests/oracles.py is the
+    reference.  Only the order of summation differs."""
+
+    @pytest.mark.parametrize("level", [3, 6, 10])
+    @pytest.mark.parametrize("mode, bearing", [
+        (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
+        (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
+    @pytest.mark.parametrize("case_b_only", [False, True])
+    def test_matches_dense_oracle(self, level, mode, bearing, case_b_only):
+        p = params_with()
+        args = (p, 0.5, 0.5, mode, level, case_b_only, bearing)
+        expected, n_live = dense_evaluate_joint(*args)
+        assert n_live > 0
+        assert evaluate_joint(*args) == pytest.approx(expected, rel=1e-12,
+                                                      abs=0.0)
+
+    @pytest.mark.parametrize("prefix", ["s_", "m_"])
+    def test_mixed_term_node_by_node(self, prefix):
+        # scattered live nodes, three full blocks and a partial one
+        p = params_with()
+        geom = smallcell._geometry(p, 6)
+        rng = np.random.default_rng(7)
+        idx = np.sort(rng.choice(geom["f2w"].size,
+                                 3 * smallcell._BLOCK + 5, replace=False))
+        s1, s2, s1p, s2p = smallcell._sharpness(p, 0.5, 0.5, geom)
+        s_cross, s_own = (s2, s1) if prefix == "s_" else (s2p, s1p)
+        args = (s_cross[idx], s_own[idx], geom, prefix, idx)
+        np.testing.assert_allclose(smallcell._mixed_term(*args),
+                                   dense_mixed_term(*args),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
+    @pytest.mark.parametrize("T, live", [
+        (0.1, "partial last block"), (1e5, "fewer than one block"),
+        (1e300, "none")])
+    def test_live_set_sizes(self, mode, T, live):
+        p = params_with()
+        expected, n_live = dense_evaluate_joint(p, T, T, mode)
+        if live == "none":
+            assert n_live == 0 and expected == 0.0
+        elif live == "fewer than one block":
+            assert 0 < n_live < smallcell._BLOCK
+        else:
+            assert n_live > smallcell._BLOCK
+            assert n_live % smallcell._BLOCK != 0
+        assert evaluate_joint(p, T, T, mode) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
+    def test_warm_call_allocates_far_less_than_one_tensor(self):
+        # every node live: a pass that materializes any (node, radial,
+        # angular) temporary allocates a whole m_znpow-sized array
+        p = params_with()
+        geom = smallcell._geometry(p, 6)
+        assert dense_evaluate_joint(p, 0.01, 0.01,
+                                    DuplexMode.IBFD)[1] == geom["f2w"].size
+        evaluate_joint(p, 0.01, 0.01, DuplexMode.IBFD)
+        tracemalloc.start()
+        try:
+            evaluate_joint(p, 0.01, 0.01, DuplexMode.IBFD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * geom["m_znpow"].nbytes
