@@ -21,6 +21,14 @@ fading-averaged tail is deterministic: intensity * P * integral of
 |z|^{-alpha} beyond the square, computed with the exact square-boundary
 angular profile, offset by the receiver's displacement from center).  A
 torus option wraps distances instead; zero-interference links are capped.
+
+Per-trial kernel: each receiver's squared distances x*x + y*y go into one
+fresh array (minimum-image components under wrap), which is turned into
+the path gains d2^{-alpha/2} in place (1/(d2*d2) when alpha == 4).  A
+link's interference is then one dot product P * (h @ g) with the serving
+(or, at the serving pico, its own) entry of g zeroed; serving distances
+are the square root of the argmin entry.  Fading is drawn once per
+station per receiving link, in a fixed order, whatever the kernel does.
 """
 from __future__ import annotations
 
@@ -144,22 +152,49 @@ def _tail_mean(intensity: float, power: float, alpha: float,
         * _square_tail_angular_factor(alpha)
 
 
-def _distances(points: np.ndarray, center: np.ndarray,
-               window: SimulationWindow) -> np.ndarray:
-    if points.shape[0] == 0:
-        return np.empty(0)
-    diff = np.abs(points - center)
+def _sq_distances(points: np.ndarray, center,
+                  window: SimulationWindow) -> np.ndarray:
+    """Squared distances from center, as a fresh array."""
     if window.wrap:
+        # minimum-image displacement on the torus
+        diff = np.abs(points - center)
         period = 2.0 * window.half_width
-        diff = np.minimum(diff, period - diff)
-    return np.hypot(diff[:, 0], diff[:, 1])
+        np.minimum(diff, period - diff, out=diff)
+        diff *= diff
+        return diff[:, 0] + diff[:, 1]
+    d2 = points[:, 0] - center[0]
+    d2 *= d2
+    dy = points[:, 1] - center[1]
+    dy *= dy
+    d2 += dy
+    return d2
 
 
-def _power_sum(power: float, h: np.ndarray, d: np.ndarray,
-               alpha: float) -> float:
-    if d.size == 0:
-        return 0.0
-    return float(power * np.sum(h * d ** (-alpha)))
+def _gain(d2: np.ndarray, alpha: float) -> np.ndarray:
+    """Path gains d^{-alpha} from squared distances, in place.
+
+    A zero distance gives an infinite gain without a warning: a coincident
+    interferer makes the link's interference infinite (SIR 0).
+    """
+    with np.errstate(divide="ignore"):
+        if alpha == 4.0:
+            np.multiply(d2, d2, out=d2)
+            np.reciprocal(d2, out=d2)
+        else:
+            np.power(d2, -0.5 * alpha, out=d2)
+    return d2
+
+
+def _power_sum(power: float, h: np.ndarray, d2: np.ndarray, alpha: float,
+               skip: Optional[int] = None) -> float:
+    """power * sum of h * d^{-alpha} over every station but skip.
+
+    Consumes d2: it is overwritten by the gains.
+    """
+    g = _gain(d2, alpha)
+    if skip is not None:
+        g[skip] = 0.0
+    return power * float(h @ g)
 
 
 def _sir(signal: float, interference: float) -> float:
@@ -183,10 +218,9 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = np.random.default_rng(seed)
-    origin = np.zeros(2)
     m_pts, s_pts = realization.macro_points, realization.pico_points
-    d_m = _distances(m_pts, origin, window)
-    d_s = _distances(s_pts, origin, window)
+    d2_m = _sq_distances(m_pts, (0.0, 0.0), window)
+    d2_s = _sq_distances(s_pts, (0.0, 0.0), window)
     comp_on = tail_compensation and not window.wrap
     a_m, a_s = params.alpha_m, params.alpha_s
 
@@ -202,58 +236,56 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
         return _tail_mean(params.lambda_s, params.P_s, a_s,
                           window.half_width - center_dist)
 
-    i_macro = int(np.argmin(d_m))
-    x_m = float(d_m[i_macro])
-    x_s = float(d_s[int(np.argmin(d_s))]) if d_s.size else math.inf
-    pico_assoc = d_s.size > 0 and \
+    i_macro = int(np.argmin(d2_m))
+    x_m = math.sqrt(d2_m[i_macro])
+    i_pico = int(np.argmin(d2_s)) if d2_s.size else -1
+    x_s = math.sqrt(d2_s[i_pico]) if d2_s.size else math.inf
+    pico_assoc = d2_s.size > 0 and \
         x_m > x_s ** (a_s / a_m) / delta_m(params)
 
     if not pico_assoc:
-        h_m = rng.exponential(size=d_m.shape)
+        h_m = rng.exponential(size=d2_m.shape)
         signal = params.P_m * float(h_m[i_macro]) * x_m ** (-a_m)
-        mask = np.arange(d_m.size) != i_macro
-        interference = _power_sum(params.P_m, h_m[mask], d_m[mask], a_m)
+        interference = _power_sum(params.P_m, h_m, d2_m, a_m, skip=i_macro)
         interference += macro_tail(0.0)
         if mode is DuplexMode.IBFD:
-            if d_s.size:
-                h_s = rng.exponential(size=d_s.shape)
-                interference += _power_sum(params.P_s, h_s, d_s, a_s)
+            if d2_s.size:
+                h_s = rng.exponential(size=d2_s.shape)
+                interference += _power_sum(params.P_s, h_s, d2_s, a_s)
             interference += pico_tail(0.0)
         return UserSample(associated_tier="macro", sir_us=math.nan,
                           sir_sm=math.nan,
                           sir_um=_sir(signal, interference))
 
-    i_pico = int(np.argmin(d_s))
     s_pos = s_pts[i_pico]
-    r_s = float(d_s[i_pico])
-    d_m_from_s = _distances(m_pts, s_pos, window)
-    i_backhaul = int(np.argmin(d_m_from_s))
-    r = float(d_m_from_s[i_backhaul])
+    d2_m_from_s = _sq_distances(m_pts, s_pos, window)
+    i_backhaul = int(np.argmin(d2_m_from_s))
+    r = math.sqrt(d2_m_from_s[i_backhaul])
 
     # access link, receiver at the user
-    h_s_user = rng.exponential(size=d_s.shape)
-    signal_us = params.P_s * float(h_s_user[i_pico]) * r_s ** (-a_s)
-    mask_s = np.arange(d_s.size) != i_pico
-    int_us = _power_sum(params.P_s, h_s_user[mask_s], d_s[mask_s], a_s)
+    h_s_user = rng.exponential(size=d2_s.shape)
+    signal_us = params.P_s * float(h_s_user[i_pico]) * x_s ** (-a_s)
+    int_us = _power_sum(params.P_s, h_s_user, d2_s, a_s, skip=i_pico)
     int_us += pico_tail(0.0)
     if mode is DuplexMode.IBFD:
         # every macro interferes, the backhauling one via its own term
-        h_m_user = rng.exponential(size=d_m.shape)
-        int_us += _power_sum(params.P_m, h_m_user, d_m, a_m)
+        h_m_user = rng.exponential(size=d2_m.shape)
+        int_us += _power_sum(params.P_m, h_m_user, d2_m, a_m)
         int_us += macro_tail(0.0)
 
     # backhaul link, receiver at the serving pico
-    h_m_s = rng.exponential(size=d_m_from_s.shape)
+    h_m_s = rng.exponential(size=d2_m_from_s.shape)
     signal_sm = params.P_m * float(h_m_s[i_backhaul]) * r ** (-a_m)
-    mask_m = np.arange(d_m_from_s.size) != i_backhaul
-    int_sm = _power_sum(params.P_m, h_m_s[mask_m], d_m_from_s[mask_m], a_m)
-    int_sm += macro_tail(r_s)
+    int_sm = _power_sum(params.P_m, h_m_s, d2_m_from_s, a_m,
+                        skip=i_backhaul)
+    int_sm += macro_tail(x_s)
     if mode is DuplexMode.IBFD:
-        d_s_from_s = _distances(s_pts, s_pos, window)
-        h_s_s = rng.exponential(size=d_s_from_s.shape)
-        int_sm += _power_sum(params.P_s, h_s_s[mask_s],
-                             d_s_from_s[mask_s], a_s)
-        int_sm += pico_tail(r_s)
+        d2_s_from_s = _sq_distances(s_pts, s_pos, window)
+        h_s_s = rng.exponential(size=d2_s_from_s.shape)
+        # the serving pico's own zero distance is excluded, not summed
+        int_sm += _power_sum(params.P_s, h_s_s, d2_s_from_s, a_s,
+                             skip=i_pico)
+        int_sm += pico_tail(x_s)
         int_sm += params.beta * (
             params.P_s if params.self_interference_convention == "ps"
             else params.P_m)
@@ -301,14 +333,27 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def _rate_sample(sample: UserSample, params: NetworkParams,
-                 mode: DuplexMode) -> float:
+def _rate_shares(params: NetworkParams,
+                 mode: DuplexMode) -> tuple[float, float, float]:
+    """(macro, pico access, pico backhaul) prefactors of log2(1 + SIR).
+
+    The backhaul share is split across the lambda_s/lambda_m picos per
+    macro; with no pico tier no trial reads it.
+    """
     k_a, k_b, macro_prefactor = _band_shares(params, mode)
-    if sample.associated_tier == "macro":
-        return macro_prefactor * math.log2(1.0 + sample.sir_um)
+    if params.lambda_s == 0.0:
+        return macro_prefactor, k_a, math.nan
     n_ratio = params.lambda_s / params.lambda_m
-    access = k_a * math.log2(1.0 + sample.sir_us)
-    backhaul = params.eta * k_b / n_ratio * math.log2(1.0 + sample.sir_sm)
+    return macro_prefactor, k_a, params.eta * k_b / n_ratio
+
+
+def _rate_sample(sample: UserSample,
+                 shares: tuple[float, float, float]) -> float:
+    macro_share, access_share, backhaul_share = shares
+    if sample.associated_tier == "macro":
+        return macro_share * math.log2(1.0 + sample.sir_um)
+    access = access_share * math.log2(1.0 + sample.sir_us)
+    backhaul = backhaul_share * math.log2(1.0 + sample.sir_sm)
     return min(access, backhaul)
 
 
@@ -339,6 +384,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
         window = SimulationWindow()
     hits_s = hits_m = n_assoc_s = 0
     rates = []
+    shares = _rate_shares(params, mode)
     for sample in _iter_samples(params, mode, n_trials, window, master_seed,
                                 fixed_count, tail_compensation):
         covered = _is_covered(sample, th)
@@ -348,7 +394,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
         else:
             hits_m += covered
         if covered:
-            rates.append(_rate_sample(sample, params, mode))
+            rates.append(_rate_sample(sample, shares))
     out = {
         "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
         "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),

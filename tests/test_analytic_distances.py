@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -131,6 +131,8 @@ class TestAssociation:
         bias_db=st.floats(-10.0, 40.0),
         alpha=st.floats(2.5, 4.5),
     )
+    # a draw that the shared default tolerance (rel_tol 1e-5) missed
+    @example(lam_s=9.71875, bias_db=9.71875, alpha=2.5)
     def test_equal_exponents_closed_form(self, lam_s, bias_db, alpha):
         p = params_with(lambda_s=lam_s, B_s=10 ** (bias_db / 10.0),
                         alpha_m=alpha, alpha_s=alpha)

@@ -5,10 +5,13 @@ are small enough to reason about exactly; statistical checks pin seeds
 and compare against the analytic route at 3-sigma.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import reference_evaluate_user
 
+from hetnet import montecarlo
 from hetnet.analytic import association_probability, coverage_total, rate_covered
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_m
 from hetnet.experiments import evaluate_point
@@ -164,6 +167,106 @@ class TestEvaluateUser:
         expected = (19.5 / 10.5) ** p.alpha_m
         assert flat.sir_sm * wrapped.sir_sm == pytest.approx(expected,
                                                              rel=1e-9)
+
+
+def same_sir(got: float, ref: float) -> bool:
+    """Equal up to rounding: 1e-12 relative, both capped, or both nan."""
+    if math.isnan(ref):
+        return math.isnan(got)
+    return got == ref or abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def assert_matches_oracle(rel, p, mode, seed, **kw):
+    got = evaluate_user(rel, p, mode, seed, **kw)
+    ref = reference_evaluate_user(rel, p, mode, seed, **kw)
+    assert got.associated_tier == ref.associated_tier
+    for field in ("sir_us", "sir_sm", "sir_um"):
+        assert same_sir(getattr(got, field), getattr(ref, field)), \
+            (field, getattr(got, field), getattr(ref, field))
+    return got
+
+
+class TestKernelMatchesOracle:
+    """The squared-distance, in-place kernel against the distance-and-mask
+    reference: same tier, every SIR equal up to rounding."""
+
+    @staticmethod
+    def build(case, window, seed):
+        # a sampled field plus one station by the user that fixes the tier
+        macros = sample_ppp(1.0, window, seed=seed)
+        picos = sample_ppp(4.0, window, seed=seed + 1)
+        if case == "pico":
+            picos = np.vstack([[[0.05, -0.02]], picos])
+        elif case == "macro":
+            macros = np.vstack([[[0.02, 0.01]], macros])
+        else:
+            picos = np.empty((0, 2))
+        return realization(macros, picos)
+
+    @pytest.mark.parametrize("case", ["pico", "macro", "empty"])
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_grid(self, mode, wrap, case):
+        window = SimulationWindow(half_width=6.0, wrap=wrap)
+        for k, (comp, conv, alpha_s) in enumerate(
+                (c, v, a) for c in (True, False) for v in ("ps", "pm")
+                for a in (4.0, 3.5)):
+            p = NetworkParams(alpha_s=alpha_s, beta=1e-6,
+                              self_interference_convention=conv)
+            rel = self.build(case, window, seed=100 + 2 * k)
+            got = assert_matches_oracle(rel, p, mode, seed=k, window=window,
+                                        tail_compensation=comp)
+            assert got.associated_tier == \
+                ("pico" if case == "pico" else "macro")
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_estimates_match_oracle_pass(self, seed, monkeypatch):
+        p = NetworkParams()
+        runs = []
+        for kernel in (evaluate_user, reference_evaluate_user):
+            monkeypatch.setattr(montecarlo, "evaluate_user", kernel)
+            runs.append({mode: estimate_metrics(p, TH, mode, n_trials=100,
+                                                master_seed=seed)
+                         for mode in DuplexMode})
+        got, ref = runs
+        for mode in DuplexMode:
+            for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
+                         "p_assoc_s"):
+                assert got[mode][name] == ref[mode][name], (mode, name)
+            assert got[mode]["rate_total"].n_trials == \
+                ref[mode]["rate_total"].n_trials
+            assert got[mode]["rate_total"].mean == pytest.approx(
+                ref[mode]["rate_total"].mean, rel=1e-12, abs=0.0)
+
+    def test_self_distance_neither_warns_nor_counts(self):
+        # the serving pico is 0 from itself in the IBFD backhaul sum
+        rel = realization([[6.0, 0.0], [-7.0, 1.0]],
+                          [[0.3, 0.0], [2.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = assert_matches_oracle(rel, NetworkParams(beta=0.0),
+                                      DuplexMode.IBFD, seed=5,
+                                      tail_compensation=False)
+        assert 0.0 < s.sir_sm < 1e12
+
+    def test_coincident_interferer_zeroes_sir(self):
+        # a second pico on top of the serving one: infinite backhaul
+        # interference in IBFD (the shared band), untouched in FDD
+        rel = realization([[6.0, 0.0]], [[0.3, 0.0], [0.3, 0.0]])
+        p = NetworkParams(beta=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9,
+                                 tail_compensation=False)
+            fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9,
+                                tail_compensation=False)
+        with np.errstate(divide="ignore"):
+            ref = reference_evaluate_user(rel, p, DuplexMode.IBFD, seed=9,
+                                          tail_compensation=False)
+        assert ibfd.associated_tier == "pico"
+        assert ibfd.sir_sm == ref.sir_sm == 0.0
+        assert same_sir(ibfd.sir_us, ref.sir_us) and 0.0 < ibfd.sir_us
+        assert fdd.sir_sm == pytest.approx(1e12)
 
 
 class TestEstimators:
