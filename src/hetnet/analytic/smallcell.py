@@ -42,15 +42,23 @@ parts are integrated in polar coordinates around S, where both exclusion
 discs subtend simple angular intervals.  Everything is vectorized over a
 panelized (r_s, r) grid with panel edges pinned to the geometric case
 boundaries, all distance powers precomputed and cached per geometry
-(rate integrals re-evaluate at many thresholds on one grid).  A call
+(rate integrals re-evaluate at many thresholds on one grid).  The pico
+field is seen from S with the exclusion disc B(o, r_s), so every length
+in J_s scales with r_s: its tables are built once, for r_s = 1, with no
+node axis, and a call forms their angular sum once and scales each node's
+radial sum by r_s^2 (likewise the access functional F_s).  The macro
+field depends on r and R_i as well, so its (node, radial, angular) tensor
+is per node; it is built _BLOCK nodes at a time in place in its own
+storage (_znpow) and is the bulk of a geometry: 36 MB of 49 MB at level
+6 and 166 MB of 223 MB at level 10, at the default parameters.  A call
 first drops the nodes whose exponent lower bound already makes them
-negligible, then indexes only the live ones.  The mixed terms, whose
-(node, radial, angular) tensors dominate, run _BLOCK live nodes at a
-time: each block is gathered from the cached tensor into one scratch
-buffer, turned into Rayleigh factors in place and reduced over the
-angular rule by a matrix-vector product, so no full-size temporary is
-built.  The scratch buffer belongs to the call, never to the module:
-threaded sweeps share the cached geometries, and the cache is read-only.
+negligible, then indexes only the live ones.  The macro mixed term runs
+_BLOCK live nodes at a time: each block is gathered from the cached
+tensor into one scratch buffer, turned into Rayleigh factors in place and
+reduced over the angular rule by a matrix-vector product, so no full-size
+temporary is built.  The scratch buffer belongs to the call, never to the
+module: threaded sweeps share the cached geometries, and the cache is
+read-only.
 """
 from __future__ import annotations
 
@@ -85,8 +93,9 @@ _SKIP_EXPONENT = 45.0
 # default accuracy targets for the panelized 2-D coverage integral
 _COV_ABS_TOL = 5e-5
 _COV_REL_TOL = 2e-4
-# live nodes per block of the mixed-term kernel: a block's (node, radial,
-# angular) slab, about 0.6 MB at level 6, stays in cache through its passes
+# nodes per block of the macro tensor build and of the mixed-term kernel: a
+# block's (node, radial, angular) slab, about 0.6 MB at level 6, stays in
+# cache through its passes
 _BLOCK = 64
 
 # radial panel ladders, in units of the natural per-node scale; the wide
@@ -102,15 +111,40 @@ def _clip_cos(x: np.ndarray) -> np.ndarray:
     return np.clip(x, -1.0, 1.0)
 
 
+def _znpow(rx2: np.ndarray, two_rx: np.ndarray, chi_ex: np.ndarray,
+           width: np.ndarray, gx: np.ndarray, alpha: float) -> np.ndarray:
+    """|z|^-alpha at the angular nodes chi = chi_ex + width/2 (gx + 1) of
+    each radial node, where |z|^2 = rx2 - two_rx cos(chi).
+
+    Built _BLOCK rows at a time in place in the output, with the operations
+    of the whole-array expression in its order (so bit-identical to it): no
+    temporary the size of the output is ever allocated.
+    """
+    half, gx1 = 0.5 * width, gx + 1.0
+    zn = np.empty(rx2.shape + gx.shape)
+    for lo in range(0, zn.shape[0], _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        z = zn[b]
+        np.multiply(half[b, ..., None], gx1, out=z)
+        z += chi_ex[b, ..., None]
+        np.cos(z, out=z)
+        z *= two_rx[b, ..., None]
+        np.subtract(rx2[b, ..., None], z, out=z)
+        np.maximum(z, 1e-300, out=z)
+        z **= -alpha / 2.0
+    return zn
+
+
 def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                   ri: np.ndarray, n_rad: int, n_ang: int,
                   n_tail: int) -> dict:
     """Threshold-independent quadrature tensors for a batch of (r_s, r).
 
-    Returns per-node radial weights (which absorb the Jacobian factor
-    l dl), cached negative distance powers, angular widths and the angular
-    Gauss weights, for the three 1-D/2-D corrections described in the
-    module docstring.
+    Returns radial weights (which absorb the Jacobian factor l dl), cached
+    negative distance powers, angular widths and the angular Gauss weights,
+    for the three 1-D/2-D corrections described in the module docstring.
+    The pico family ("s_") is one node-free table for r_s = 1 (see
+    _pico_mixed_term); every other family is per node.
     """
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     gx, gw = _leggauss(n_ang)
@@ -118,19 +152,15 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
 
     out: dict = {"ang_w": gw}
 
-    # --- pico-field mixed term: polar around S, exclusion B(o, r_s) ------
-    knots_s = rs[:, None] * _LADDER_S[None, :]
-    xs, wxs = gauss_panel_nodes(knots_s, n_rad)
-    chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
-    width = np.pi - chi_ex          # angular interval [chi_ex, pi]
-    chi = chi_ex[..., None] + 0.5 * width[..., None] * (gx + 1.0)
-    z2 = (rs[:, None, None] ** 2 + xs[..., None] ** 2
-          - 2.0 * rs[:, None, None] * xs[..., None] * np.cos(chi))
+    # --- pico-field mixed term: polar around S, exclusion B(o, 1) --------
+    xs, wxs = gauss_panel_nodes(_LADDER_S, n_rad)
+    chi_ex = np.arccos(_clip_cos(0.5 * xs))
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
-    out["s_width"] = width
-    out["s_znpow"] = np.maximum(z2, 1e-300) ** (-alpha_s / 2.0)
-    xt, wt = power_tail_nodes(rs * _LADDER_S[-1], alpha_s, n_tail)
+    out["s_width"] = np.pi - chi_ex  # angular interval [chi_ex, pi]
+    out["s_znpow"] = _znpow(1.0 + xs ** 2, 2.0 * xs, chi_ex, out["s_width"],
+                            gx, alpha_s)
+    xt, wt = power_tail_nodes(_LADDER_S[-1], alpha_s, n_tail)
     out["s_tw"] = wt * xt
     out["s_txnpow"] = xt ** -alpha_s
 
@@ -148,17 +178,14 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     )
     knots_m = np.sort(knots_m, axis=1)
     xm, wxm = gauss_panel_nodes(knots_m, n_rad)
-    cos_in = (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2) \
-        / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
-    chi_ex2 = np.arccos(_clip_cos(cos_in))
-    width_m = np.pi - chi_ex2
-    chi2 = chi_ex2[..., None] + 0.5 * width_m[..., None] * (gx + 1.0)
-    z2m = (rs[:, None, None] ** 2 + xm[..., None] ** 2
-           - 2.0 * rs[:, None, None] * xm[..., None] * np.cos(chi2))
-    out["m_wx"] = wxm * xm
+    wxm *= xm
+    out["m_wx"] = wxm
     out["m_xnpow"] = xm ** -alpha_m
-    out["m_width"] = width_m
-    out["m_znpow"] = np.maximum(z2m, 1e-300) ** (-alpha_m / 2.0)
+    rx2, two_rx = rs[:, None] ** 2 + xm ** 2, 2.0 * rs[:, None] * xm
+    chi_ex2 = np.arccos(_clip_cos(
+        (rx2 - ri[:, None] ** 2) / np.maximum(two_rx, 1e-300)))
+    out["m_width"] = np.pi - chi_ex2
+    out["m_znpow"] = _znpow(rx2, two_rx, chi_ex2, out["m_width"], gx, alpha_m)
     xtm, wtm = power_tail_nodes(base * _LADDER_M[-1], alpha_m, n_tail)
     out["m_tw"] = wtm * xtm
     out["m_txnpow"] = xtm ** -alpha_m
@@ -214,7 +241,10 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
 
 # geometry cache: rebuilt when the geometric parameters or level change;
 # the lock makes each lookup and each insert-with-eviction atomic, since
-# threaded sweeps share the cache
+# threaded sweeps share the cache.  The bound counts entries, not bytes: at
+# the default parameters a geometry holds 6.5 MB at level 3, 49 MB at
+# level 6 and 223 MB at level 10 (the macro tensor m_znpow is 4.0, 35.8 and
+# 165.5 MB of that), so a full cache of level-10 geometries holds ~1.3 GB
 _GEOM_CACHE: OrderedDict = OrderedDict()
 _GEOM_CACHE_MAX = 6
 _GEOM_LOCK = threading.Lock()
@@ -265,19 +295,38 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     return geom
 
 
-def _mixed_term(s_cross, s_own, geom: dict, prefix: str,
-                idx: np.ndarray) -> np.ndarray:
+def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
+                     geom: dict) -> np.ndarray:
+    """The pico-field mixed term of J_s from the r_s = 1 tables.
+
+    Every length of this term scales with r_s: with z = r_s z', the access
+    sharpness s_1 |z|^-a_s = T_s |z'|^-a_s no longer depends on the node,
+    the backhaul sharpness s_2 l^-a_s = c l'^-a_s with c = s_2 r_s^-a_s,
+    and the area element gives a factor rs2.  So the angular inner sum is
+    formed once per call and each node costs one radial dot product.
+    """
+    inner = (1.0 / (1.0 + T_s * geom["s_znpow"])) @ geom["ang_w"]
+    body_w = geom["s_wx"] * geom["s_width"] * inner
+    # radial tail: both discs subtend vanishing angles, so the angular
+    # factor collapses to 2*pi*g(s_1, l)
+    txn = geom["s_txnpow"]
+    tail_w = geom["s_tw"] * (2.0 * np.pi / (1.0 + T_s * txn))
+    c = c[:, None]
+    return rs2 * ((1.0 - 1.0 / (1.0 + c * geom["s_xnpow"])) @ body_w
+                  + (1.0 - 1.0 / (1.0 + c * txn)) @ tail_w)
+
+
+def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray) -> np.ndarray:
     """Sum_l w_l (1-g(s_cross, l)) * width*Sum_chi w_chi g(s_own, |z|).
 
-    prefix selects the pico ("s_") or macro ("m_") tensor family; s_own is
-    the access-link sharpness entering through |z| (distance to the user),
-    s_cross the backhaul-link sharpness entering radially from S.  Both are
-    given on the geometry nodes idx, which are evaluated _BLOCK at a time.
+    The macro-field mixed term of J_m: s_own is the access-link sharpness
+    entering through |z| (distance to the user), s_cross the backhaul-link
+    sharpness entering radially from S.  Both are given on the geometry
+    nodes idx, which are evaluated _BLOCK at a time.
     """
-    zn = geom[prefix + "znpow"]
-    xn, wl = geom[prefix + "xnpow"], geom[prefix + "wx"]
-    width = geom[prefix + "width"]
-    txn, tw = geom[prefix + "txnpow"], geom[prefix + "tw"]
+    zn = geom["m_znpow"]
+    xn, wl, width = geom["m_xnpow"], geom["m_wx"], geom["m_width"]
+    txn, tw = geom["m_txnpow"], geom["m_tw"]
     aw = geom["ang_w"]
     out = np.empty(idx.size)
     scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
@@ -313,12 +362,13 @@ def _lens_correction(s, geom: dict, prefix: str,
 
 
 def _sharpness(params: NetworkParams, T_s: float, T_b: float, geom: dict):
+    # the pico access sharpness s_1 = T_s r_s^a_s is never formed: J_s
+    # takes it at r_s = 1 and scales by rs2 (F_s, _pico_mixed_term)
     cap = 1e280
-    s1 = np.minimum(T_s * geom["rs_pow_as"], cap)
     s2 = np.minimum((T_b * params.P_s / params.P_m) * geom["r_pow_am"], cap)
     s1p = np.minimum((T_s * params.P_m / params.P_s) * geom["rs_pow_as"], cap)
     s2p = np.minimum(T_b * geom["r_pow_am"], cap)
-    return s1, s2, s1p, s2p
+    return s2, s1p, s2p
 
 
 def evaluate_joint(params: NetworkParams, T_s: float, T_b: float,
@@ -344,9 +394,10 @@ def evaluate_joint(params: NetworkParams, T_s: float, T_b: float,
         return 0.0
     lam_s, lam_m = params.lambda_s, params.lambda_m
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
-    s1, s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
-    # exterior-disc functional of the access link: part of J_s exactly
-    F_s = shifted_functional_radius2(s1, alpha_s, geom["rs2"])
+    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
+    # exterior-disc functional of the access link, part of J_s exactly; like
+    # the pico mixed term it is rs2 times its value at r_s = 1
+    F_s = geom["rs2"] * shifted_functional_radius2(T_s, alpha_s, 1.0)
 
     if mode is DuplexMode.IBFD:
         beta_term = params.beta * (
@@ -371,13 +422,14 @@ def evaluate_joint(params: NetworkParams, T_s: float, T_b: float,
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         return 0.0
-    s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]
+    s2, s1p, s2p = s2[idx], s1p[idx], s2p[idx]
 
     if mode is DuplexMode.IBFD:
-        J_s = F_s[idx] + _mixed_term(s2, s1, geom, "s_", idx)
+        J_s = F_s[idx] + _pico_mixed_term(
+            T_s, s2 / geom["rs_pow_as"][idx], geom["rs2"][idx], geom)
         J_m = (shifted_functional_radius2(s1p, alpha_m, geom["ri2"][idx])
                - _lens_correction(s1p, geom, "k1", idx)
-               + _mixed_term(s2p, s1p, geom, "m_", idx))
+               + _mixed_term(s2p, s1p, geom, idx))
         gbar = (1.0 / (1.0 + s1p[:, None]
                        * geom["g_rmnpow_" + bearing][idx])) @ geom["g_w"]
         expo = lam_s * J_s + lam_m * J_m + beta_term[idx]
@@ -467,14 +519,15 @@ def j_components(params: NetworkParams, T_s: float, T_b: float,
     geom.update(rs2=rs ** 2, r2=rr ** 2, ri2=ri ** 2,
                 rs_pow_as=rs ** params.alpha_s,
                 r_pow_am=rr ** params.alpha_m)
-    s1, s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
+    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
     idx = np.arange(1)
     K1 = _lens_correction(s1p, geom, "k1", idx)
     K2 = _lens_correction(s2p, geom, "k2", idx)
-    J_s = (shifted_functional_radius2(s1, params.alpha_s, geom["rs2"])
-           + _mixed_term(s2, s1, geom, "s_", idx))
+    F_s = geom["rs2"] * shifted_functional_radius2(T_s, params.alpha_s, 1.0)
+    J_s = F_s + _pico_mixed_term(T_s, s2 / geom["rs_pow_as"], geom["rs2"],
+                                 geom)
     J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
-           - K1 + _mixed_term(s2p, s1p, geom, "m_", idx))
+           - K1 + _mixed_term(s2p, s1p, geom, idx))
     gbar = {
         tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
                     @ geom["g_w"])[0])
@@ -484,8 +537,7 @@ def j_components(params: NetworkParams, T_s: float, T_b: float,
                - K2)
     return {
         "J_s": float(J_s[0]), "J_m": float(J_m[0]),
-        "J_s_fdd": float(shifted_functional_radius2(
-            s1, params.alpha_s, geom["rs2"])[0]),
+        "J_s_fdd": float(F_s[0]),
         "J_m_fdd": float(J_m_fdd[0]),
         "K1": float(K1[0]), "K2": float(K2[0]),
         "gbar_arc": gbar["arc"], "gbar_circle": gbar["circle"],

@@ -1,10 +1,13 @@
 """Test-only reference implementations, kept out of the package.
 
 dense_evaluate_joint is the small-cell joint-coverage panel sum written as
-whole-tensor einsums over the live nodes of the cached geometry: every
-(node, radial, angular) intermediate is materialized at once.  The package
-evaluates the same sums block by block in place; the two differ only in the
-order of floating-point summation.
+whole-tensor einsums over per-node tensors: dense_node_tensors builds both
+mixed-term families for every node, each (node, radial, angular) tensor as
+one whole-array expression.  The package builds the pico family once for
+r_s = 1 and scales it per node, builds the macro tensor block by block in
+place and evaluates the sums block by block; the two differ only in the
+order of floating-point operations (the macro tensor itself is
+bit-identical).
 
 reference_evaluate_user is the simulator's per-trial kernel written on
 plain distances: abs + hypot per station, boolean masks to drop the serving
@@ -12,18 +15,157 @@ index and sum(h * d**-alpha) per link.  The package works on squared
 distances in place and takes each power sum as one dot product; with the
 same seed both draw the same fading, so they differ only in rounding.
 """
+import functools
 import math
 
 import numpy as np
 
 from hetnet import montecarlo
 from hetnet.analytic import smallcell
-from hetnet.analytic.tails import shifted_functional_radius2
+from hetnet.analytic.distances import joint_pdf, outer_grid
+from hetnet.analytic.tails import power_tail_nodes, shifted_functional_radius2
 from hetnet.core import DuplexMode, delta_m
+from hetnet.numerics import _leggauss, gauss_panel_nodes
+
+
+def _clip_cos(x):
+    return np.clip(x, -1.0, 1.0)
+
+
+def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
+    """smallcell._node_tensors with both mixed-term families per node,
+    every (node, radial, angular) tensor built as one whole-array
+    expression."""
+    alpha_s, alpha_m = params.alpha_s, params.alpha_m
+    gx, gw = _leggauss(n_ang)
+    # angular nodes mapped later per (node, l) interval [chi_ex, pi]
+
+    out = {"ang_w": gw}
+
+    # --- pico-field mixed term: polar around S, exclusion B(o, r_s) ------
+    knots_s = rs[:, None] * smallcell._LADDER_S[None, :]
+    xs, wxs = gauss_panel_nodes(knots_s, n_rad)
+    chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
+    width = np.pi - chi_ex          # angular interval [chi_ex, pi]
+    chi = chi_ex[..., None] + 0.5 * width[..., None] * (gx + 1.0)
+    z2 = (rs[:, None, None] ** 2 + xs[..., None] ** 2
+          - 2.0 * rs[:, None, None] * xs[..., None] * np.cos(chi))
+    out["s_wx"] = wxs * xs          # fold the l dl Jacobian
+    out["s_xnpow"] = xs ** -alpha_s
+    out["s_width"] = width
+    out["s_znpow"] = np.maximum(z2, 1e-300) ** (-alpha_s / 2.0)
+    xt, wt = power_tail_nodes(rs * smallcell._LADDER_S[-1], alpha_s, n_tail)
+    out["s_tw"] = wt * xt
+    out["s_txnpow"] = xt ** -alpha_s
+
+    # --- macro-field mixed term: polar around S, exclusions B(o, R_i)
+    #     (angular) and B(S, r) (radial lower limit) ----------------------
+    base = np.maximum(r, rs + ri)
+    knots_m = np.concatenate(
+        [
+            r[:, None] * np.array([1.0, 1.12, 1.3, 1.6])[None, :],
+            np.clip(np.abs(ri - rs), r, None)[:, None],
+            np.clip(ri + rs, r, None)[:, None],
+            base[:, None] * smallcell._LADDER_M[None, :],
+        ],
+        axis=1,
+    )
+    knots_m = np.sort(knots_m, axis=1)
+    xm, wxm = gauss_panel_nodes(knots_m, n_rad)
+    cos_in = (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2) \
+        / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
+    chi_ex2 = np.arccos(_clip_cos(cos_in))
+    width_m = np.pi - chi_ex2
+    chi2 = chi_ex2[..., None] + 0.5 * width_m[..., None] * (gx + 1.0)
+    z2m = (rs[:, None, None] ** 2 + xm[..., None] ** 2
+           - 2.0 * rs[:, None, None] * xm[..., None] * np.cos(chi2))
+    out["m_wx"] = wxm * xm
+    out["m_xnpow"] = xm ** -alpha_m
+    out["m_width"] = width_m
+    out["m_znpow"] = np.maximum(z2m, 1e-300) ** (-alpha_m / 2.0)
+    xtm, wtm = power_tail_nodes(base * smallcell._LADDER_M[-1], alpha_m,
+                                n_tail)
+    out["m_tw"] = wtm * xtm
+    out["m_txnpow"] = xtm ** -alpha_m
+
+    # --- lens correction K1: user-centered shell of B(S, r) beyond R_i ---
+    k1_knots = np.sort(np.stack([
+        ri,
+        np.clip(np.abs(rs - r), ri, rs + r),
+        np.clip(np.sqrt(np.abs(rs - r) * (rs + r)), ri, rs + r),
+        np.maximum(rs + r, ri),
+    ], axis=1), axis=1)
+    rho1, wrho1 = gauss_panel_nodes(k1_knots, max(n_rad, 6))
+    width1 = 2.0 * np.arccos(_clip_cos(
+        (rs[:, None] ** 2 + rho1 ** 2 - r[:, None] ** 2)
+        / np.maximum(2.0 * rs[:, None] * rho1, 1e-300)))
+    out["k1_w"] = wrho1 * rho1 * width1
+    out["k1_xnpow"] = rho1 ** -alpha_m
+
+    # --- lens correction K2: S-centered shell of B(o, R_i) beyond r ------
+    k2_knots = np.sort(np.stack([
+        r,
+        np.clip(np.abs(ri - rs), r, None),
+        np.clip(np.sqrt(np.clip(np.abs(ri - rs), 1e-300, None)
+                        * (ri + rs)), r, None),
+        np.maximum(ri + rs, r),
+    ], axis=1), axis=1)
+    rho2, wrho2 = gauss_panel_nodes(k2_knots, max(n_rad, 6))
+    width2 = 2.0 * np.arccos(_clip_cos(
+        (rs[:, None] ** 2 + rho2 ** 2 - ri[:, None] ** 2)
+        / np.maximum(2.0 * rs[:, None] * rho2, 1e-300)))
+    out["k2_w"] = wrho2 * rho2 * width2
+    out["k2_xnpow"] = rho2 ** -alpha_m
+
+    # --- serving-macro bearing average -----------------------------------
+    # both conventions share the normalized Gauss weights: nodes are mapped
+    # onto [0, U] with U = pi (circle) or U = theta_allow (arc), and the
+    # 1/U density makes U cancel out of the weighted mean
+    gxt, gwt = _leggauss(16)
+    cos_allow = _clip_cos((ri ** 2 - rs ** 2 - r ** 2)
+                          / np.maximum(2.0 * rs * r, 1e-300))
+    theta_allow = np.arccos(cos_allow)
+    out["g_w"] = 0.5 * gwt
+    for tag, upper in (("arc", theta_allow[:, None]), ("circle", np.pi)):
+        theta = 0.5 * upper * (gxt + 1.0)
+        rm2 = rs[:, None] ** 2 + r[:, None] ** 2 \
+            + 2.0 * rs[:, None] * r[:, None] * np.cos(theta)
+        # the circle convention reaches bearings with r_m ~ |r_s - r|; the
+        # floor only guards the r_s = r cancellation (g -> 0 there anyway)
+        out["g_rmnpow_" + tag] = np.maximum(rm2, 1e-60) ** (-alpha_m / 2.0)
+    out["theta_allow"] = theta_allow
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def dense_geometry(params, level):
+    """The live nodes of smallcell._geometry with dense_node_tensors, plus
+    their (r_s, r, R_i); the last one built is kept."""
+    g = outer_grid(params, level)
+    f2w = joint_pdf(g["rs"], g["r"], params) * g["w"]
+    live = f2w > (f2w.max() * 1e-15 if f2w.size else 0.0)
+    rs, r, ri = g["rs"][live], g["r"][live], g["ri"][live]
+    n_rad = max(level, 4)
+    n_ang = n_tail = 12 if level >= 6 else 8
+    geom = dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
+    geom.update(f2w=f2w[live], rs=rs, r=r, ri=ri,
+                case_b=(r > g["nu_lo"][live]) & (r < g["nu_hi"][live]))
+    return geom
+
+
+def dense_sharpness(params, T_s, T_b, geom):
+    """(s_1, s_2, s_1', s_2') per node (module docstring of smallcell)."""
+    rs_a, r_a = geom["rs"] ** params.alpha_s, geom["r"] ** params.alpha_m
+    cap = 1e280
+    return (np.minimum(T_s * rs_a, cap),
+            np.minimum((T_b * params.P_s / params.P_m) * r_a, cap),
+            np.minimum((T_s * params.P_m / params.P_s) * rs_a, cap),
+            np.minimum(T_b * r_a, cap))
 
 
 def dense_mixed_term(s_cross, s_own, geom, prefix, idx):
-    """smallcell._mixed_term on the nodes idx, one einsum per sum."""
+    """The pico ("s_") or macro ("m_") mixed term of dense_geometry on the
+    nodes idx, one einsum per sum."""
     xn = geom[prefix + "xnpow"][idx]
     zn = geom[prefix + "znpow"][idx]
     one_minus = 1.0 - 1.0 / (1.0 + s_cross[:, None] * xn)
@@ -48,24 +190,27 @@ def _dense_lens(s, geom, prefix, idx):
 def dense_evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=False,
                          bearing="circle"):
     """(value, number of live nodes) of smallcell.evaluate_joint, dense."""
-    geom = smallcell._geometry(params, level)
+    geom = dense_geometry(params, level)
     lam_s, lam_m = params.lambda_s, params.lambda_m
     a_s, a_m = params.alpha_s, params.alpha_m
-    s1, s2, s1p, s2p = smallcell._sharpness(params, T_s, T_b, geom)
+    rs, r, ri = geom["rs"], geom["r"], geom["ri"]
+    s1, s2, s1p, s2p = dense_sharpness(params, T_s, T_b, geom)
     if mode is DuplexMode.IBFD:
         beta_term = params.beta * (
             s2 if params.self_interference_convention == "ps" else s2p)
         lb = (lam_s * np.maximum(
-                  shifted_functional_radius2(s1, a_s, geom["rs2"]),
-                  shifted_functional_radius2(s2, a_s, 4.0 * geom["rs2"]))
+                  shifted_functional_radius2(s1, a_s, rs ** 2),
+                  shifted_functional_radius2(s2, a_s, 4.0 * rs ** 2))
               + lam_m * np.maximum(
-                  shifted_functional_radius2(s1p, a_m, geom["reach_o2"]),
-                  shifted_functional_radius2(s2p, a_m, geom["reach_s2"]))
+                  shifted_functional_radius2(s1p, a_m,
+                                             np.maximum(ri, rs + r) ** 2),
+                  shifted_functional_radius2(s2p, a_m,
+                                             np.maximum(r, rs + ri) ** 2))
               + beta_term)
     else:
-        lb = (lam_s * shifted_functional_radius2(s1, a_s, geom["rs2"])
-              + lam_m * shifted_functional_radius2(s2p, a_m,
-                                                   geom["reach_s2"]))
+        lb = (lam_s * shifted_functional_radius2(s1, a_s, rs ** 2)
+              + lam_m * shifted_functional_radius2(
+                  s2p, a_m, np.maximum(r, rs + ri) ** 2))
     keep = lb < smallcell._SKIP_EXPONENT
     if case_b_only:
         keep = keep & geom["case_b"]
@@ -73,10 +218,11 @@ def dense_evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=False,
     if idx.size == 0:
         return 0.0, 0
     s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]
+    rs, r, ri = rs[idx], r[idx], ri[idx]
     if mode is DuplexMode.IBFD:
-        J_s = (shifted_functional_radius2(s1, a_s, geom["rs2"][idx])
+        J_s = (shifted_functional_radius2(s1, a_s, rs ** 2)
                + dense_mixed_term(s2, s1, geom, "s_", idx))
-        J_m = (shifted_functional_radius2(s1p, a_m, geom["ri2"][idx])
+        J_m = (shifted_functional_radius2(s1p, a_m, ri ** 2)
                - _dense_lens(s1p, geom, "k1", idx)
                + dense_mixed_term(s2p, s1p, geom, "m_", idx))
         gbar = np.einsum(
@@ -86,8 +232,8 @@ def dense_evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=False,
         expo = lam_s * J_s + lam_m * J_m + beta_term[idx]
         weight = geom["f2w"][idx] * gbar
     else:
-        J_s = shifted_functional_radius2(s1, a_s, geom["rs2"][idx])
-        J_m = (shifted_functional_radius2(s2p, a_m, geom["r2"][idx])
+        J_s = shifted_functional_radius2(s1, a_s, rs ** 2)
+        J_m = (shifted_functional_radius2(s2p, a_m, r ** 2)
                - _dense_lens(s2p, geom, "k2", idx))
         expo = lam_s * J_s + lam_m * J_m
         weight = geom["f2w"][idx]

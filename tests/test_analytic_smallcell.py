@@ -19,7 +19,12 @@ from hetnet.analytic.smallcell import (
 )
 from hetnet.core import DuplexMode, NetworkParams
 from hetnet.numerics import NonConvergenceError
-from oracles import dense_evaluate_joint, dense_mixed_term
+from oracles import (
+    dense_evaluate_joint,
+    dense_geometry,
+    dense_mixed_term,
+    dense_sharpness,
+)
 
 
 def params_with(**kw) -> NetworkParams:
@@ -345,8 +350,9 @@ class TestCaseRestriction:
 
 class TestBlockedKernel:
     """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
-    buffer; the dense einsum formulation in tests/oracles.py is the
-    reference.  Only the order of summation differs."""
+    buffer and takes the pico field from its r_s = 1 tables; the dense
+    einsum formulation over per-node tensors in tests/oracles.py is the
+    reference.  Only the order of floating-point operations differs."""
 
     @pytest.mark.parametrize("level", [3, 6, 10])
     @pytest.mark.parametrize("mode, bearing", [
@@ -363,18 +369,51 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("prefix", ["s_", "m_"])
     def test_mixed_term_node_by_node(self, prefix):
-        # scattered live nodes, three full blocks and a partial one
+        # scattered live nodes: three full blocks and a partial one of the
+        # macro kernel
         p = params_with()
         geom = smallcell._geometry(p, 6)
+        dense = dense_geometry(p, 6)
         rng = np.random.default_rng(7)
         idx = np.sort(rng.choice(geom["f2w"].size,
                                  3 * smallcell._BLOCK + 5, replace=False))
-        s1, s2, s1p, s2p = smallcell._sharpness(p, 0.5, 0.5, geom)
-        s_cross, s_own = (s2, s1) if prefix == "s_" else (s2p, s1p)
-        args = (s_cross[idx], s_own[idx], geom, prefix, idx)
-        np.testing.assert_allclose(smallcell._mixed_term(*args),
-                                   dense_mixed_term(*args),
-                                   rtol=1e-12, atol=0.0)
+        s1, s2, s1p, s2p = (s[idx] for s in dense_sharpness(p, 0.5, 0.5,
+                                                            dense))
+        if prefix == "s_":
+            got = smallcell._pico_mixed_term(
+                0.5, s2 / geom["rs_pow_as"][idx], geom["rs2"][idx], geom)
+            expected = dense_mixed_term(s2, s1, dense, prefix, idx)
+        else:
+            got = smallcell._mixed_term(s2p, s1p, geom, idx)
+            expected = dense_mixed_term(s2p, s1p, dense, prefix, idx)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("level", [3, 6, 10])
+    def test_geometry_matches_dense_build(self, level):
+        p = params_with()
+        geom = smallcell._geometry(p, level)
+        dense = dense_geometry(p, level)
+        # the blocked in-place build runs the dense build's operations in
+        # its order, on a node count that leaves a partial last block
+        assert geom["f2w"].size % smallcell._BLOCK != 0
+        assert np.array_equal(geom["m_znpow"], dense["m_znpow"])
+        # the pico family has no node axis; each node's dense tensor is
+        # the r_s = 1 table with lengths scaled by r_s
+        n_l, n_ang = geom["s_znpow"].shape
+        assert n_ang == geom["ang_w"].size
+        assert all(geom[k].shape == (n_l,)
+                   for k in ("s_xnpow", "s_wx", "s_width"))
+        assert geom["s_tw"].ndim == 1
+        assert geom["s_tw"].shape == geom["s_txnpow"].shape
+        rs = dense["rs"][::5, None]
+        rs_a = rs ** p.alpha_s
+        for key, scale in (("s_znpow", rs_a[..., None]), ("s_xnpow", rs_a),
+                           ("s_txnpow", rs_a), ("s_wx", rs ** -2.0),
+                           ("s_tw", rs ** -2.0), ("s_width", 1.0)):
+            scaled = dense[key][::5] * scale
+            np.testing.assert_allclose(
+                scaled, np.broadcast_to(geom[key], scaled.shape),
+                rtol=1e-13, atol=0.0, err_msg=key)
 
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
     @pytest.mark.parametrize("T, live", [
@@ -408,3 +447,18 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * geom["m_znpow"].nbytes
+
+    def test_cold_build_peak_stays_near_the_macro_tensor(self):
+        # the macro tensor is built block by block in its own storage and
+        # the pico family has no node axis, so a cold build allocates
+        # little beyond the one tensor it keeps
+        p = params_with()
+        with smallcell._GEOM_LOCK:
+            smallcell._GEOM_CACHE.pop(smallcell._geometry_key(p, 6), None)
+        tracemalloc.start()
+        try:
+            geom = smallcell._geometry(p, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * geom["m_znpow"].nbytes
