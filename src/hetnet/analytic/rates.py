@@ -24,12 +24,15 @@ at the floor breakpoints and then geometrically; each panel is evaluated
 at two Gauss orders for an error estimate, and paneling stops once a
 panel's contribution falls below the tail tolerance (the integrand decays
 at least as fast as 2^{-t/(k_a alpha_s)} there, so the remainder is
-bounded by a geometric series).
+bounded by a geometric series).  Each panel's nodes go to the integrand
+in one vectorized call: one evaluate_joint call per panel for the pico term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..core import DuplexMode, NetworkParams, Thresholds
 from ..numerics import IntegralResult, NonConvergenceError, _leggauss
@@ -67,40 +70,40 @@ def _survival_integral(survival, breakpoints) -> IntegralResult:
     """Integrate a smooth-between-breakpoints survival function over t>0.
 
     breakpoints: sorted positive floats where max(...) floors switch off;
-    below the first one the function is constant.
+    below the first one the function is constant.  survival maps an array
+    of t to values; it is called once per panel, on its G10 and G5 nodes
+    (and, for the first panel, the head node).
     """
     t1 = breakpoints[0]
-    head = t1 * survival(0.5 * t1)  # constant stretch, any node works
-    value, err = head, 0.0
+    rules = (_leggauss(10), _leggauss(5))
 
-    def panel(lo: float, hi: float, fine: int, coarse: int):
-        acc = []
-        for order in (fine, coarse):
-            gx, gw = _leggauss(order)
-            half = 0.5 * (hi - lo)
-            nodes = lo + half * (gx + 1.0)
-            acc.append(half * sum(w * survival(t)
-                                  for t, w in zip(nodes, gw)))
-        return acc[0], abs(acc[0] - acc[1])
+    def panels():
+        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+            if hi > lo:
+                yield lo, hi, False
+        lo, width = breakpoints[-1], _GEOM_WIDTH0
+        for _ in range(_MAX_PANELS):
+            yield lo, lo + width, True
+            lo += width
+            width = min(width * _GEOM_RATIO, _GEOM_WIDTH_MAX)
 
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi > lo:
-            v, e = panel(lo, hi, 10, 5)
-            value += v
-            err += e
-    lo = breakpoints[-1]
-    width = _GEOM_WIDTH0
-    converged = False
-    for _ in range(_MAX_PANELS):
-        v, e = panel(lo, lo + width, 10, 5)
-        value += v
-        err += e
-        lo += width
-        width = min(width * _GEOM_RATIO, _GEOM_WIDTH_MAX)
-        if abs(v) < _TAIL_TOL:
+    value, err, converged = None, 0.0, False
+    for lo, hi, tail in panels():
+        half = 0.5 * (hi - lo)
+        nodes = [lo + half * (gx + 1.0) for gx, _ in rules]
+        if value is None:
+            nodes.insert(0, [0.5 * t1])
+        f = survival(np.concatenate(nodes))
+        if value is None:
+            value, f = t1 * f[0], f[1:]  # constant stretch, any node works
+        fine, coarse = (half * sum(w * v for w, v in zip(gw, part))
+                        for (_, gw), part in zip(rules, (f[:10], f[10:])))
+        value += fine
+        err += abs(fine - coarse)
+        if tail and abs(fine) < _TAIL_TOL:
             # contributions shrink at least geometrically from here (the
             # integrand decays exponentially while widths are capped)
-            err += 2.0 * abs(v)
+            err += 2.0 * abs(fine)
             converged = True
             break
     return IntegralResult(value=value, error_estimate=err,
@@ -114,11 +117,11 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
         # no access bandwidth, or an unsatisfiable floor
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
 
-    def survival(t: float) -> float:
-        if t > 200.0:
-            return 0.0
-        T = max(2.0 ** t - 1.0, th.T_m)
-        return coverage_macro_result(params, T, mode).value
+    def survival(ts: np.ndarray) -> np.ndarray:
+        return np.array([
+            0.0 if t > 200.0 else coverage_macro_result(
+                params, max(2.0 ** t - 1.0, th.T_m), mode).value
+            for t in ts])
 
     t_star = math.log2(1.0 + th.T_m)
     res = _survival_integral(survival, [t_star])
@@ -138,13 +141,14 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
     k_a, k_b, _ = _band_shares(params, mode)
     n = params.picos_per_macro
 
-    def survival(t: float) -> float:
+    def survival(t: np.ndarray) -> np.ndarray:
         e_a = t / k_a
         e_b = n * t / (params.eta * k_b)
-        if max(e_a, e_b) > _EXP_CAP:
-            return 0.0
-        T_s = max(2.0 ** e_a - 1.0, th.T_s)
-        T_b = max(2.0 ** e_b - 1.0, th.T_b)
+        # past the cap the threshold is out of reach: inf gives 0 at no cost
+        T_s = np.where(e_a > _EXP_CAP, np.inf, np.maximum(
+            2.0 ** np.minimum(e_a, _EXP_CAP) - 1.0, th.T_s))
+        T_b = np.where(e_b > _EXP_CAP, np.inf, np.maximum(
+            2.0 ** np.minimum(e_b, _EXP_CAP) - 1.0, th.T_b))
         return evaluate_joint(params, T_s, T_b, mode, bearing=bearing)
 
     t_a = k_a * math.log2(1.0 + th.T_s)

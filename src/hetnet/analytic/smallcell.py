@@ -56,9 +56,18 @@ negligible, then indexes only the live ones.  The macro mixed term runs
 _BLOCK live nodes at a time: each block is gathered from the cached
 tensor into one scratch buffer, turned into Rayleigh factors in place and
 reduced over the angular rule by a matrix-vector product, so no full-size
-temporary is built.  The scratch buffer belongs to the call, never to the
-module: threaded sweeps share the cached geometries, and the cache is
-read-only.
+temporary is built.  All scratch, this buffer and a threshold batch's
+tables below, belongs to the call, never to the module: threaded sweeps
+share the cached geometries, and the cache is read-only.
+
+Threshold batches: evaluate_joint takes K (T_s, T_b) pairs (one rate
+t-panel) and equals K scalar calls node for node.  The skip bound grows
+with both thresholds: it runs over all nodes once, at the smallest pair,
+and each pair re-applies its own bound to the survivors only.  Entries
+sharing a node and T_s form one access pair, carrying all that depends on
+T_s alone (s_1', the J_m access part with K1, gbar, the macro angular
+sum): a floored T_s pays the O(N L A) work once, and each macro slab is
+read from memory once per batch.
 """
 from __future__ import annotations
 
@@ -295,6 +304,16 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     return geom
 
 
+def _by_rows(fn, n: int) -> np.ndarray:
+    """fn(rows) over slices of 16 _BLOCK rows, so that the (row, radial)
+    temporaries of a threshold batch stay in cache whatever its size."""
+    out = np.empty(n)
+    for lo in range(0, n, 16 * _BLOCK):
+        b = slice(lo, lo + 16 * _BLOCK)
+        out[b] = fn(b)
+    return out
+
+
 def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
                      geom: dict) -> np.ndarray:
     """The pico-field mixed term of J_s from the r_s = 1 tables.
@@ -309,139 +328,192 @@ def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
     body_w = geom["s_wx"] * geom["s_width"] * inner
     # radial tail: both discs subtend vanishing angles, so the angular
     # factor collapses to 2*pi*g(s_1, l)
-    txn = geom["s_txnpow"]
+    xn, txn = geom["s_xnpow"], geom["s_txnpow"]
     tail_w = geom["s_tw"] * (2.0 * np.pi / (1.0 + T_s * txn))
-    c = c[:, None]
-    return rs2 * ((1.0 - 1.0 / (1.0 + c * geom["s_xnpow"])) @ body_w
-                  + (1.0 - 1.0 / (1.0 + c * txn)) @ tail_w)
+    return rs2 * _by_rows(
+        lambda b: ((1.0 - 1.0 / (1.0 + c[b, None] * xn)) @ body_w
+                   + (1.0 - 1.0 / (1.0 + c[b, None] * txn)) @ tail_w),
+        c.size)
 
 
-def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray) -> np.ndarray:
+def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
+                acc: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum_l w_l (1-g(s_cross, l)) * width*Sum_chi w_chi g(s_own, |z|).
 
     The macro-field mixed term of J_m: s_own is the access-link sharpness
     entering through |z| (distance to the user), s_cross the backhaul-link
-    sharpness entering radially from S.  Both are given on the geometry
-    nodes idx, which are evaluated _BLOCK at a time.
+    sharpness entering radially from S.  s_own is given per access pair
+    (node idx, one T_s), s_cross per entry, whose access pair is acc
+    (non-decreasing; None: one entry each).  The angular inner sum is formed
+    once per access pair, _BLOCK at a time; each entry pays radial sums.
     """
     zn = geom["m_znpow"]
     xn, wl, width = geom["m_xnpow"], geom["m_wx"], geom["m_width"]
     txn, tw = geom["m_txnpow"], geom["m_tw"]
     aw = geom["ang_w"]
-    out = np.empty(idx.size)
+    one_to_one = acc is None or acc.size == idx.size
+    out = np.empty(idx.size if one_to_one else acc.size)
     scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
     for lo in range(0, idx.size, _BLOCK):
         ib = idx[lo:lo + _BLOCK]
-        sl = slice(lo, lo + ib.size)
+        so = s_own[lo:lo + ib.size, None]
         g = scratch[:ib.size]
         np.take(zn, ib, axis=0, out=g, mode="clip")
-        g *= s_own[sl, None, None]
+        g *= so[..., None]
         g += 1.0
         np.reciprocal(g, out=g)
         inner = (g.reshape(-1, zn.shape[2]) @ aw).reshape(ib.size, -1)
-        sc, so = s_cross[sl, None], s_own[sl, None]
-        body = np.einsum("nl,nl->n",
-                         wl[ib] * (1.0 - 1.0 / (1.0 + sc * xn[ib])),
-                         width[ib] * inner)
+        inner *= width[ib]
         # radial tail: the two discs subtend vanishing angles, g(s_own) ->
         # along the ray, so the angular factor collapses to 2*pi*g(s_own, l)
-        t = txn[ib]
-        tail = np.einsum("nl,nl->n", tw[ib],
-                         (1.0 - 1.0 / (1.0 + sc * t))
-                         * (2.0 * np.pi / (1.0 + so * t)))
-        out[sl] = body + tail
+        own_tail = tw[ib] * (2.0 * np.pi / (1.0 + so * txn[ib]))
+        if one_to_one:
+            b = slice(lo, lo + ib.size)
+        else:
+            b = slice(*np.searchsorted(acc, (lo, lo + ib.size)))
+            j = acc[b] - lo
+            ib, inner, own_tail = ib[j], inner[j], own_tail[j]
+        sc = s_cross[b, None]
+        out[b] = (np.einsum("nl,nl->n",
+                            wl[ib] * (1.0 - 1.0 / (1.0 + sc * xn[ib])), inner)
+                  + np.einsum("nl,nl->n", own_tail,
+                              1.0 - 1.0 / (1.0 + sc * txn[ib])))
     return out
 
 
 def _lens_correction(s, geom: dict, prefix: str,
                      idx: np.ndarray) -> np.ndarray:
     """K-type correction: integral of (1 - g(s, rho)) over a lens shell."""
-    xn = geom[prefix + "_xnpow"][idx]
-    w = geom[prefix + "_w"][idx]
-    return np.einsum("nl,nl->n", w, 1.0 - 1.0 / (1.0 + s[:, None] * xn))
+    xn, w = geom[prefix + "_xnpow"], geom[prefix + "_w"]
+    return _by_rows(lambda b: np.einsum(
+        "nl,nl->n", w[idx[b]], 1.0 - 1.0 / (1.0 + s[b, None] * xn[idx[b]])),
+        idx.size)
 
 
-def _sharpness(params: NetworkParams, T_s: float, T_b: float, geom: dict):
-    # the pico access sharpness s_1 = T_s r_s^a_s is never formed: J_s
-    # takes it at r_s = 1 and scales by rs2 (F_s, _pico_mixed_term)
-    cap = 1e280
-    s2 = np.minimum((T_b * params.P_s / params.P_m) * geom["r_pow_am"], cap)
-    s1p = np.minimum((T_s * params.P_m / params.P_s) * geom["rs_pow_as"], cap)
-    s2p = np.minimum(T_b * geom["r_pow_am"], cap)
-    return s2, s1p, s2p
+# s_1 = T_s r_s^a_s is never formed: J_s takes it at r_s = 1 and scales by
+# rs2 (F_s, _pico_mixed_term); these broadcast over thresholds and nodes
+def _access_sharpness(params: NetworkParams, T_s, rs_pow_as):
+    return np.minimum((T_s * params.P_m / params.P_s) * rs_pow_as, 1e280)
 
 
-def evaluate_joint(params: NetworkParams, T_s: float, T_b: float,
-                   mode: DuplexMode, level: int = 6,
-                   case_b_only: bool = False,
-                   bearing: str = "circle") -> float:
+def _backhaul_sharpness(params: NetworkParams, T_b, r_pow_am):
+    return (np.minimum((T_b * params.P_s / params.P_m) * r_pow_am, 1e280),
+            np.minimum(T_b * r_pow_am, 1e280))
+
+
+def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
+                    geom: dict, nodes) -> np.ndarray:
+    """Lower bound on the exponent of each threshold pair (rows) at each of
+    the nodes (columns); access terms are formed once per distinct T_s."""
+    a_s, a_m = params.alpha_s, params.alpha_m
+    ts_u, u_of = np.unique(T_s, return_inverse=True)
+    rs2 = geom["rs2"][nodes]
+    F_s = (rs2 * shifted_functional_radius2(ts_u, a_s, 1.0)[:, None])[u_of]
+    s2, s2p = _backhaul_sharpness(params, T_b[:, None],
+                                  geom["r_pow_am"][nodes])
+    via_s = shifted_functional_radius2(s2p, a_m, geom["reach_s2"][nodes])
+    if mode is DuplexMode.FDD:
+        return params.lambda_s * F_s + params.lambda_m * via_s
+    s1p = _access_sharpness(params, ts_u[:, None], geom["rs_pow_as"][nodes])
+    via_o = shifted_functional_radius2(s1p, a_m, geom["reach_o2"][nodes])
+    return (params.lambda_s * np.maximum(
+                F_s, shifted_functional_radius2(s2, a_s, 4.0 * rs2))
+            + params.lambda_m * np.maximum(via_o[u_of], via_s)
+            + params.beta * (
+                s2 if params.self_interference_convention == "ps" else s2p))
+
+
+def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
+                   level: int = 6, case_b_only: bool = False,
+                   bearing: str = "circle"):
     """Single-level evaluation of the joint access+backhaul probability.
 
     This is the raw panel sum without error control; coverage_smallcell
-    wraps it with a two-level estimate.  With ``case_b_only`` the outer
-    mass is restricted to lens-intersection geometries (the Bayes
+    wraps it with a two-level estimate.  T_s and T_b are scalars (the
+    result is a float) or 1-D arrays of one length K (K values; a scalar
+    broadcasts); an infinite threshold gives 0.  With ``case_b_only`` the
+    outer mass is restricted to lens-intersection geometries (the Bayes
     numerator of intersection_given_coverage).  ``bearing`` selects the
     serving-macro bearing convention (module docstring).
     """
-    if not (T_s > 0.0 and T_b > 0.0):
+    T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
+                                   np.asarray(T_b, dtype=float))
+    if T_s.ndim > 1:
+        raise ValueError("thresholds must be scalars or 1-D arrays")
+    if not (np.all(T_s > 0.0) and np.all(T_b > 0.0)):
         raise ValueError("thresholds must be strictly positive")
     if bearing not in ("circle", "arc"):
         raise ValueError("bearing must be 'circle' or 'arc'")
-    if not (math.isfinite(T_s) and math.isfinite(T_b)):
-        return 0.0
-    geom = _geometry(params, level)
-    if geom["f2w"].size == 0:
-        return 0.0
-    lam_s, lam_m = params.lambda_s, params.lambda_m
-    alpha_s, alpha_m = params.alpha_s, params.alpha_m
-    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
-    # exterior-disc functional of the access link, part of J_s exactly; like
-    # the pico mixed term it is rs2 times its value at r_s = 1
-    F_s = geom["rs2"] * shifted_functional_radius2(T_s, alpha_s, 1.0)
+    out = np.zeros(T_s.size)
+    ks = np.flatnonzero(np.isfinite(T_s) & np.isfinite(T_b))
+    if ks.size and (geom := _geometry(params, level))["f2w"].size:
+        out[ks] = _joint_batch(params, T_s.ravel()[ks], T_b.ravel()[ks],
+                               mode, geom, case_b_only, bearing)[0]
+    return float(out[0]) if T_s.ndim == 0 else out
 
-    if mode is DuplexMode.IBFD:
-        beta_term = params.beta * (
-            s2 if params.self_interference_convention == "ps" else s2p)
-        exponent_lb = (
-            lam_s * np.maximum(F_s, shifted_functional_radius2(
-                s2, alpha_s, 4.0 * geom["rs2"]))
-            + lam_m * np.maximum(
-                shifted_functional_radius2(s1p, alpha_m, geom["reach_o2"]),
-                shifted_functional_radius2(s2p, alpha_m, geom["reach_s2"]))
-            + beta_term
-        )
-    else:
-        exponent_lb = (
-            lam_s * F_s
-            + lam_m * shifted_functional_radius2(s2p, alpha_m,
-                                                 geom["reach_s2"])
-        )
-    keep = exponent_lb < _SKIP_EXPONENT
+
+def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
+                 mode: DuplexMode, geom: dict, case_b_only: bool,
+                 bearing: str) -> tuple:
+    """evaluate_joint for K finite threshold pairs (module docstring):
+    (K values, K live-node counts)."""
+    lam_s, lam_m = params.lambda_s, params.lambda_m
+    # the bound at the batch's smallest thresholds passes every node that
+    # any pair keeps (the slack absorbs rounding); each pair then applies
+    # its own bound to these candidates only
+    lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
+                         T_b.min(keepdims=True), geom, slice(None))[0]
+    keep = lb < _SKIP_EXPONENT * (1.0 + 1e-12)
     if case_b_only:
         keep &= geom["case_b"]
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return 0.0
-    s2, s1p, s2p = s2[idx], s1p[idx], s2p[idx]
+    cand = np.flatnonzero(keep)
+    live = (lb[None, cand] if T_s.size == 1 else _exponent_bound(
+        params, mode, T_s, T_b, geom, cand)) < _SKIP_EXPONENT
+    # (threshold k, node) pairs, node-major and grouped by access threshold
+    # u within a node; each distinct (node, u) is one access pair
+    ts_u, u_of = np.unique(T_s, return_inverse=True)
+    order = np.argsort(u_of, kind="stable")
+    pos, j = np.nonzero(live[order].T)
+    k = order[j]
+    u, node = u_of[k], cand[pos]
+    new = (np.diff(node, prepend=-1) != 0) | (np.diff(u, prepend=-1) != 0)
+    acc = np.cumsum(new) - 1
+    node_a, u_a = node[new], u[new]
 
+    s2, s2p = _backhaul_sharpness(params, T_b[k], geom["r_pow_am"][node])
+    # exterior-disc functional of the access link, part of J_s exactly; like
+    # the pico mixed term it is rs2 times its value at r_s = 1
+    rs2 = geom["rs2"][node]
+    F_s = rs2 * shifted_functional_radius2(ts_u, params.alpha_s, 1.0)[u]
     if mode is DuplexMode.IBFD:
-        J_s = F_s[idx] + _pico_mixed_term(
-            T_s, s2 / geom["rs_pow_as"][idx], geom["rs2"][idx], geom)
-        J_m = (shifted_functional_radius2(s1p, alpha_m, geom["ri2"][idx])
-               - _lens_correction(s1p, geom, "k1", idx)
-               + _mixed_term(s2p, s1p, geom, idx))
-        gbar = (1.0 / (1.0 + s1p[:, None]
-                       * geom["g_rmnpow_" + bearing][idx])) @ geom["g_w"]
-        expo = lam_s * J_s + lam_m * J_m + beta_term[idx]
-        weight = geom["f2w"][idx] * gbar
+        s1p = _access_sharpness(params, ts_u[u_a], geom["rs_pow_as"][node_a])
+        c = s2 / geom["rs_pow_as"][node]
+        J_s = F_s.copy()
+        for i in np.unique(u):
+            m = u == i
+            J_s[m] += _pico_mixed_term(ts_u[i], c[m], rs2[m], geom)
+        J_m = ((shifted_functional_radius2(s1p, params.alpha_m,
+                                           geom["ri2"][node_a])
+                - _lens_correction(s1p, geom, "k1", node_a))[acc]
+               + _mixed_term(s2p, s1p, geom, node_a, acc))
+        rm = geom["g_rmnpow_" + bearing]
+        gbar = _by_rows(lambda b: (1.0 / (1.0 + s1p[b, None] * rm[node_a[b]]))
+                        @ geom["g_w"], node_a.size)
+        beta = params.beta * (
+            s2 if params.self_interference_convention == "ps" else s2p)
+        expo = lam_s * J_s + lam_m * J_m + beta
+        weight = geom["f2w"][node] * gbar[acc]
     else:
-        J_m = (shifted_functional_radius2(s2p, alpha_m, geom["r2"][idx])
-               - _lens_correction(s2p, geom, "k2", idx))
-        expo = lam_s * F_s[idx] + lam_m * J_m
-        weight = geom["f2w"][idx]
+        J_m = (shifted_functional_radius2(s2p, params.alpha_m,
+                                          geom["r2"][node])
+               - _lens_correction(s2p, geom, "k2", node))
+        expo = lam_s * F_s + lam_m * J_m
+        weight = geom["f2w"][node]
 
     contrib = weight * np.exp(-np.minimum(expo, 700.0))
-    return float(contrib.sum())
+    # one pairwise sum per threshold pair, over its nodes in grid order
+    return (np.array([contrib[k == i].sum() for i in range(T_s.size)]),
+            np.bincount(k, minlength=T_s.size))
 
 
 def coverage_smallcell_result(
@@ -519,7 +591,8 @@ def j_components(params: NetworkParams, T_s: float, T_b: float,
     geom.update(rs2=rs ** 2, r2=rr ** 2, ri2=ri ** 2,
                 rs_pow_as=rs ** params.alpha_s,
                 r_pow_am=rr ** params.alpha_m)
-    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom)
+    s2, s2p = _backhaul_sharpness(params, T_b, geom["r_pow_am"])
+    s1p = _access_sharpness(params, T_s, geom["rs_pow_as"])
     idx = np.arange(1)
     K1 = _lens_correction(s1p, geom, "k1", idx)
     K2 = _lens_correction(s2p, geom, "k2", idx)

@@ -42,30 +42,26 @@ def tail_profile_quad(c: float, alpha: float,
 def tail_profile(c, alpha: float):
     """C(c, alpha) in closed form, vectorized over c.
 
-    Uses C(0, alpha) = (pi/p)/sin(pi/p) with p = alpha/2 and the Gauss
-    hypergeometric form of the complementary piece
-    Int_0^c dt/(1+t^p) = c * 2F1(1, 1/p; 1 + 1/p; -c^p).
+    At alpha = 4 it is arctan(1/c).  Otherwise, with p = alpha/2, c < 1
+    uses C(0, alpha) = (pi/p)/sin(pi/p) minus the head
+    Int_0^c dt/(1+t^p) = c * 2F1(1, 1/p; 1 + 1/p; -c^p), and c >= 1 the
+    tail itself, c^(1-p)/(p-1) * 2F1(1, 1 - 1/p; 2 - 1/p; -c^-p), which
+    cannot cancel however large c grows.
     """
     p = alpha / 2.0
     c = np.asarray(c, dtype=float)
-    full = (np.pi / p) / np.sin(np.pi / p)
-    # hyp2f1 overflows its transform for very large |z|; switch to the
-    # asymptotic series of the tail itself there
-    out = np.empty_like(c)
-    small = c < 1e6
-    if np.any(small):
-        cs = c[small]
-        out[small] = full - cs * sp.hyp2f1(1.0, 1.0 / p, 1.0 + 1.0 / p, -(cs ** p))
-    if np.any(~small):
-        cl = c[~small]
-        # Int_c^inf t^-p (1 + t^-p)^-1 dt expanded in t^-p
-        acc = np.zeros_like(cl)
-        for k in range(1, 5):
-            acc += (-1.0) ** (k + 1) * cl ** (1.0 - k * p) / (k * p - 1.0)
-        out[~small] = acc
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if p == 2.0:
+        out = np.arctan2(1.0, c)
+    else:
+        out = np.empty_like(c)
+        head = c < 1.0
+        ch, ct = c[head], c[~head]
+        out[head] = ((np.pi / p) / np.sin(np.pi / p)
+                     - ch * sp.hyp2f1(1.0, 1.0 / p, 1.0 + 1.0 / p, -(ch ** p)))
+        b = 1.0 - 1.0 / p
+        out[~head] = ct ** (1.0 - p) / (p - 1.0) * sp.hyp2f1(
+            1.0, b, 1.0 + b, -(ct ** -p))
+    return float(out) if out.ndim == 0 else out
 
 
 def shifted_functional_radius2(s, alpha: float, r2):

@@ -123,6 +123,20 @@ class TestRateTerms:
                              limit=80, epsabs=1e-7)[0]
         assert rate_smallcell_term(p, TH) == pytest.approx(ref, rel=2e-4)
 
+    # rate_smallcell_term_result at T = 0.1, frozen from the scalar t-node
+    # integrand; batching a panel's nodes into one evaluate_joint call
+    # leaves the node sets, the t-rule and the stopping rule unchanged
+    @pytest.mark.parametrize("mode, eta, value, error", [
+        (DuplexMode.IBFD, 0.151, 0.009938091116137878, 1.1082287425870187e-05),
+        (DuplexMode.IBFD, 0.451, 0.0271281823304212, 2.6694100842230017e-06),
+        (DuplexMode.IBFD, 0.901, 0.04811097639988319, 2.385451651507664e-06),
+        (DuplexMode.FDD, 0.451, 0.045947772474799864, 3.115576960983264e-05)])
+    def test_frozen_smallcell_term(self, mode, eta, value, error):
+        res = rate_smallcell_term_result(params_with(eta=eta), TH, mode)
+        assert res.converged
+        assert res.value == pytest.approx(value, rel=1e-11, abs=0.0)
+        assert res.error_estimate == pytest.approx(error, rel=1e-2)
+
     def test_frozen_rate_anchors(self):
         p = params_with()
         ibfd = rate_covered(p, TH, DuplexMode.IBFD)

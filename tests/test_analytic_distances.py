@@ -55,9 +55,9 @@ class TestTailProfile:
                 math.pi / 2 - math.atan(c), rel=1e-12)
 
     def test_large_argument_series_continuity(self):
-        # the implementation switches to an asymptotic series at large c;
-        # both branches must agree with a high-precision reference through
-        # the switch point (head integral over [0, c] is finite and easy)
+        # large arguments, on both sides of c = 1e6, against a
+        # high-precision reference (head integral over [0, c] is finite and
+        # easy)
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         for alpha in (2.4, 2.8, 4.0):
@@ -66,6 +66,23 @@ class TestTailProfile:
             for c in (9.999e5, 1.001e6):
                 ref = float(full - mp.quad(lambda t: 1 / (1 + t ** p), [0, c]))
                 assert tail_profile(c, alpha) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [2.2, 2.8, 3.5, 4.0, 6.0])
+    def test_matches_hypergeometric_reference_to_rounding(self, alpha):
+        # reference: C(0) - c 2F1(1, 1/p; 1 + 1/p; -c^p) at 60 digits, where
+        # the cancellation of that form for large c costs nothing; the
+        # closed form switches route at c = 1, so both sides are sampled
+        mp = pytest.importorskip("mpmath")
+        cs = np.concatenate([np.logspace(-12, 12, 97),
+                             [np.nextafter(1.0, 0.0), 1.0, 1.0 + 2e-16]])
+        got = tail_profile(cs, alpha)
+        with mp.workdps(60):
+            p = mp.mpf(alpha) / 2
+            full = (mp.pi / p) / mp.sin(mp.pi / p)
+            for c, value in zip(cs, got):
+                c = mp.mpf(float(c))
+                ref = full - c * mp.hyp2f1(1, 1 / p, 1 + 1 / p, -c ** p)
+                assert abs(value - ref) <= 2e-15 * ref, float(c)
 
     def test_monotone_decreasing_in_c(self):
         cs = np.logspace(-3, 7, 60)

@@ -432,6 +432,26 @@ class TestBlockedKernel:
         assert evaluate_joint(p, T, T, mode) == pytest.approx(
             expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mode, bearing", [
+        (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
+        (DuplexMode.FDD, "circle")])
+    def test_batched_call_matches_dense_oracle(self, mode, bearing):
+        # one call on a t-panel-like batch: the access threshold floored
+        # for the first pairs, then both growing, ending with no live node
+        p = params_with()
+        T_s = np.array([0.5, 0.5, 0.5, 0.9, 3.0, 1e5, 1e300])
+        T_b = np.array([0.5, 2.0, 40.0, 0.9, 7.0, 1e5, 1e300])
+        got = evaluate_joint(p, T_s, T_b, mode, 6, False, bearing)
+        _, n_live = smallcell._joint_batch(p, T_s, T_b, mode,
+                                           smallcell._geometry(p, 6), False,
+                                           bearing)
+        for i, (ts, tb) in enumerate(zip(T_s, T_b)):
+            expected, dense_live = dense_evaluate_joint(p, ts, tb, mode, 6,
+                                                        False, bearing)
+            assert n_live[i] == dense_live
+            assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert n_live[-1] == 0 and 0 < n_live[-2] < smallcell._BLOCK
+
     def test_warm_call_allocates_far_less_than_one_tensor(self):
         # every node live: a pass that materializes any (node, radial,
         # angular) temporary allocates a whole m_znpow-sized array
@@ -462,3 +482,68 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * geom["m_znpow"].nbytes
+
+
+# threshold batches shaped like the rate integral's t-panels
+BATCHES = {
+    # the floored panel: one access threshold, the backhaul one growing
+    "equal T_s": ([0.1] * 6, [0.02, 0.1, 0.7, 4.0, 30.0, 300.0]),
+    # later panels: both grow, each pair with its own live set
+    "both vary": ([0.05, 0.2, 0.9, 3.0, 12.0, 60.0],
+                  [0.01, 0.08, 0.9, 11.0, 150.0, 2e3]),
+    # unreachable (inf) entries and one with no live node among live ones
+    "inf and no live node": ([0.1, math.inf, 1e300, 0.3, 0.1],
+                             [0.2, 0.1, 1e300, math.inf, 1e5]),
+}
+
+
+class TestBatchedThresholds:
+    """evaluate_joint on K threshold pairs is K scalar calls: the batch
+    shares the candidate nodes and the access-side work, but every pair
+    keeps its own live nodes and sums them in grid order."""
+
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("level", [3, 6])
+    @pytest.mark.parametrize("mode, bearing", [
+        (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
+        (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
+    @pytest.mark.parametrize("case_b_only", [False, True])
+    def test_batch_equals_scalar_calls(self, batch, level, mode, bearing,
+                                       case_b_only):
+        p = params_with()
+        T_s, T_b = (np.array(t) for t in BATCHES[batch])
+        args = (mode, level, case_b_only, bearing)
+        got = evaluate_joint(p, T_s, T_b, *args)
+        assert isinstance(got, np.ndarray) and got.shape == T_s.shape
+        for i, (ts, tb) in enumerate(zip(T_s, T_b)):
+            one = evaluate_joint(p, float(ts), float(tb), *args)
+            assert type(one) is float
+            assert got[i] == pytest.approx(one, rel=1e-14, abs=0.0)
+        finite = np.isfinite(T_s) & np.isfinite(T_b)
+        assert np.all(got[~finite] == 0.0)
+        geom = smallcell._geometry(p, level)
+        _, n_live = smallcell._joint_batch(p, T_s[finite], T_b[finite], mode,
+                                           geom, case_b_only, bearing)
+        singles = [smallcell._joint_batch(p, T_s[i:i + 1], T_b[i:i + 1],
+                                          mode, geom, case_b_only,
+                                          bearing)[1][0]
+                   for i in np.flatnonzero(finite)]
+        assert list(n_live) == singles
+        if batch == "inf and no live node":
+            assert singles[1] == 0 and singles[0] > 0
+
+    def test_one_pair_returns_a_float(self):
+        p = params_with()
+        one = evaluate_joint(p, 0.3, 0.2, DuplexMode.IBFD)
+        assert type(one) is float
+        assert evaluate_joint(p, [0.3], [0.2], DuplexMode.IBFD)[0] == one
+        # a scalar broadcasts against the other threshold's array
+        both = evaluate_joint(p, 0.3, [0.2, 0.2], DuplexMode.IBFD)
+        assert both == pytest.approx([one, one], rel=1e-14, abs=0.0)
+
+    def test_rejects_any_nonpositive_entry_and_matrices(self):
+        p = params_with()
+        with pytest.raises(ValueError, match="strictly positive"):
+            evaluate_joint(p, [0.1, 0.0], 0.1, DuplexMode.IBFD)
+        with pytest.raises(ValueError, match="1-D"):
+            evaluate_joint(p, np.full((2, 2), 0.1), 0.1, DuplexMode.IBFD)

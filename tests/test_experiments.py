@@ -209,6 +209,21 @@ class TestRunSweep:
         assert all(row.error is None for row in pooled)
         assert serial == pooled
 
+    def test_thread_count_does_not_change_rate_results(self):
+        # the rate path batches each t-panel into one evaluate_joint call
+        # whose scratch belongs to the call; pooled workers share the
+        # cached geometry while they interleave
+        spec = SweepSpec("eta", (0.151, 0.451, 0.901), outputs=("rate",))
+        serial = run_sweep(spec, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_sweep(spec, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(row.error is None for row in pooled)
+        assert serial == pooled
+
     def test_master_seed_changes_draws(self):
         spec = SweepSpec("lambda_ratio", (4.0,), outputs=("rate",),
                          mc_trials=300)
