@@ -56,18 +56,15 @@ negligible, then indexes only the live ones.  The macro mixed term runs
 _BLOCK live nodes at a time: each block is gathered from the cached
 tensor into one scratch buffer, turned into Rayleigh factors in place and
 reduced over the angular rule by a matrix-vector product, so no full-size
-temporary is built.  All scratch, this buffer and a threshold batch's
-tables below, belongs to the call, never to the module: threaded sweeps
-share the cached geometries, and the cache is read-only.
+temporary is built.  All scratch belongs to the call, never to the
+module: threaded sweeps share the cached geometries, and the cache is
+read-only.
 
-Threshold batches: evaluate_joint takes K (T_s, T_b) pairs (one rate
-t-panel) and equals K scalar calls node for node.  The skip bound grows
-with both thresholds: it runs over all nodes once, at the smallest pair,
-and each pair re-applies its own bound to the survivors only.  Entries
-sharing a node and T_s form one access pair, carrying all that depends on
-T_s alone (s_1', the J_m access part with K1, gbar, the macro angular
-sum): a floored T_s pays the O(N L A) work once, and each macro slab is
-read from memory once per batch.
+evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
+scalar calls.  The skip bound grows with both thresholds, so it runs over
+all nodes once at the smallest pair; each pair re-applies its own bound to
+those candidates only.  What depends on T_s alone (s_1', the J_m access
+part, K1, gbar, the macro angular sum) is formed once per (node, T_s).
 """
 from __future__ import annotations
 
@@ -305,8 +302,7 @@ def _geometry(params: NetworkParams, level: int) -> dict:
 
 
 def _by_rows(fn, n: int) -> np.ndarray:
-    """fn(rows) over slices of 16 _BLOCK rows, so that the (row, radial)
-    temporaries of a threshold batch stay in cache whatever its size."""
+    """fn(rows) on 16 _BLOCK rows at a time, bounding its temporaries."""
     out = np.empty(n)
     for lo in range(0, n, 16 * _BLOCK):
         b = slice(lo, lo + 16 * _BLOCK)
@@ -344,15 +340,15 @@ def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
     entering through |z| (distance to the user), s_cross the backhaul-link
     sharpness entering radially from S.  s_own is given per access pair
     (node idx, one T_s), s_cross per entry, whose access pair is acc
-    (non-decreasing; None: one entry each).  The angular inner sum is formed
-    once per access pair, _BLOCK at a time; each entry pays radial sums.
+    (non-decreasing; default: one each); angular sums are per pair.
     """
     zn = geom["m_znpow"]
     xn, wl, width = geom["m_xnpow"], geom["m_wx"], geom["m_width"]
     txn, tw = geom["m_txnpow"], geom["m_tw"]
     aw = geom["ang_w"]
-    one_to_one = acc is None or acc.size == idx.size
-    out = np.empty(idx.size if one_to_one else acc.size)
+    if acc is None:
+        acc = np.arange(idx.size)
+    out = np.empty(acc.size)
     scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
     for lo in range(0, idx.size, _BLOCK):
         ib = idx[lo:lo + _BLOCK]
@@ -367,10 +363,8 @@ def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
         # radial tail: the two discs subtend vanishing angles, g(s_own) ->
         # along the ray, so the angular factor collapses to 2*pi*g(s_own, l)
         own_tail = tw[ib] * (2.0 * np.pi / (1.0 + so * txn[ib]))
-        if one_to_one:
-            b = slice(lo, lo + ib.size)
-        else:
-            b = slice(*np.searchsorted(acc, (lo, lo + ib.size)))
+        b = slice(*np.searchsorted(acc, (lo, lo + ib.size)))
+        if b.stop - b.start > ib.size:  # else acc[b] - lo is the identity
             j = acc[b] - lo
             ib, inner, own_tail = ib[j], inner[j], own_tail[j]
         sc = s_cross[b, None]
@@ -390,15 +384,13 @@ def _lens_correction(s, geom: dict, prefix: str,
         idx.size)
 
 
-# s_1 = T_s r_s^a_s is never formed: J_s takes it at r_s = 1 and scales by
-# rs2 (F_s, _pico_mixed_term); these broadcast over thresholds and nodes
-def _access_sharpness(params: NetworkParams, T_s, rs_pow_as):
-    return np.minimum((T_s * params.P_m / params.P_s) * rs_pow_as, 1e280)
-
-
-def _backhaul_sharpness(params: NetworkParams, T_b, r_pow_am):
-    return (np.minimum((T_b * params.P_s / params.P_m) * r_pow_am, 1e280),
-            np.minimum(T_b * r_pow_am, 1e280))
+def _sharpness(params: NetworkParams, T_s, T_b, rs_pow_as, r_pow_am):
+    # (s2, s1p, s2p); s_1 = T_s r_s^a_s is never formed: J_s takes it at
+    # r_s = 1 and scales by rs2 (F_s, _pico_mixed_term)
+    cap = 1e280
+    return (np.minimum((T_b * params.P_s / params.P_m) * r_pow_am, cap),
+            np.minimum((T_s * params.P_m / params.P_s) * rs_pow_as, cap),
+            np.minimum(T_b * r_pow_am, cap))
 
 
 def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
@@ -409,12 +401,12 @@ def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
     ts_u, u_of = np.unique(T_s, return_inverse=True)
     rs2 = geom["rs2"][nodes]
     F_s = (rs2 * shifted_functional_radius2(ts_u, a_s, 1.0)[:, None])[u_of]
-    s2, s2p = _backhaul_sharpness(params, T_b[:, None],
-                                  geom["r_pow_am"][nodes])
+    s2, s1p, s2p = _sharpness(params, ts_u[:, None], T_b[:, None],
+                              geom["rs_pow_as"][nodes],
+                              geom["r_pow_am"][nodes])
     via_s = shifted_functional_radius2(s2p, a_m, geom["reach_s2"][nodes])
     if mode is DuplexMode.FDD:
         return params.lambda_s * F_s + params.lambda_m * via_s
-    s1p = _access_sharpness(params, ts_u[:, None], geom["rs_pow_as"][nodes])
     via_o = shifted_functional_radius2(s1p, a_m, geom["reach_o2"][nodes])
     return (params.lambda_s * np.maximum(
                 F_s, shifted_functional_radius2(s2, a_s, 4.0 * rs2))
@@ -458,9 +450,8 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     """evaluate_joint for K finite threshold pairs (module docstring):
     (K values, K live-node counts)."""
     lam_s, lam_m = params.lambda_s, params.lambda_m
-    # the bound at the batch's smallest thresholds passes every node that
-    # any pair keeps (the slack absorbs rounding); each pair then applies
-    # its own bound to these candidates only
+    # the bound at the smallest thresholds keeps every node any pair keeps
+    # (the slack absorbs rounding); each pair then applies its own bound
     lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
                          T_b.min(keepdims=True), geom, slice(None))[0]
     keep = lb < _SKIP_EXPONENT * (1.0 + 1e-12)
@@ -480,13 +471,14 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     acc = np.cumsum(new) - 1
     node_a, u_a = node[new], u[new]
 
-    s2, s2p = _backhaul_sharpness(params, T_b[k], geom["r_pow_am"][node])
+    s2, s1p, s2p = _sharpness(params, ts_u[u_a], T_b[k],  # s1p per pair
+                              geom["rs_pow_as"][node_a],
+                              geom["r_pow_am"][node])
     # exterior-disc functional of the access link, part of J_s exactly; like
     # the pico mixed term it is rs2 times its value at r_s = 1
     rs2 = geom["rs2"][node]
     F_s = rs2 * shifted_functional_radius2(ts_u, params.alpha_s, 1.0)[u]
     if mode is DuplexMode.IBFD:
-        s1p = _access_sharpness(params, ts_u[u_a], geom["rs_pow_as"][node_a])
         c = s2 / geom["rs_pow_as"][node]
         J_s = F_s.copy()
         for i in np.unique(u):
@@ -591,8 +583,8 @@ def j_components(params: NetworkParams, T_s: float, T_b: float,
     geom.update(rs2=rs ** 2, r2=rr ** 2, ri2=ri ** 2,
                 rs_pow_as=rs ** params.alpha_s,
                 r_pow_am=rr ** params.alpha_m)
-    s2, s2p = _backhaul_sharpness(params, T_b, geom["r_pow_am"])
-    s1p = _access_sharpness(params, T_s, geom["rs_pow_as"])
+    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom["rs_pow_as"],
+                              geom["r_pow_am"])
     idx = np.arange(1)
     K1 = _lens_correction(s1p, geom, "k1", idx)
     K2 = _lens_correction(s2p, geom, "k2", idx)
