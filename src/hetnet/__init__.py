@@ -3,7 +3,7 @@ full-duplex-capable pico stations self-backhaul wirelessly to the macro tier.
 
 Layout:
   core        parameters, derived constants, planar geometry
-  numerics    adaptive quadrature, semi-infinite and annular integrals
+  numerics    adaptive 1-D quadrature (finite or semi-infinite), Gauss panels
   analytic    association, joint distance pdf, coverage and rate integrals
   montecarlo  independent brute-force simulator (cross-validation oracle)
   experiments figure presets and parameter sweeps
@@ -12,7 +12,6 @@ Layout:
 from .core import (
     DuplexMode,
     NetworkParams,
-    Point2,
     Thresholds,
     delta_m,
     delta_s,
@@ -25,7 +24,6 @@ __all__ = [
     "NetworkParams",
     "Thresholds",
     "DuplexMode",
-    "Point2",
     "delta_m",
     "delta_s",
     "lens_area",

@@ -1,62 +1,26 @@
-"""Analytic (integral-based) route: association, distance law, coverage, rate."""
+"""Analytic (integral-based) route: association, distance law, coverage, rate.
+
+This namespace holds what the commands and the README's library example
+import; everything else is imported from its submodule.
+"""
 from .association import association_probability
-from .coverage import CoverageBreakdown, coverage_total
-from .distances import (
-    JointPdfCase,
-    PdfCase,
-    classify_case,
-    inner_disc_radius,
-    joint_pdf,
-    topology_probabilities,
-)
-from .macro import coverage_macro, coverage_macro_result
+from .coverage import coverage_total
+from .distances import topology_probabilities
+from .macro import coverage_macro_result
 from .rates import (
-    RateBreakdown,
     rate_covered,
-    rate_macro_term,
     rate_macro_term_result,
-    rate_smallcell_term,
     rate_smallcell_term_result,
 )
-from .smallcell import (
-    coverage_smallcell,
-    coverage_smallcell_result,
-    evaluate_joint,
-    intersection_given_coverage,
-    j_components,
-)
-from .tails import (
-    power_tail_nodes,
-    shifted_functional_radius2,
-    tail_profile,
-    tail_profile_quad,
-)
+from .smallcell import coverage_smallcell_result
 
 __all__ = [
     "association_probability",
-    "CoverageBreakdown",
     "coverage_total",
-    "JointPdfCase",
-    "PdfCase",
-    "classify_case",
-    "inner_disc_radius",
-    "joint_pdf",
     "topology_probabilities",
-    "coverage_macro",
     "coverage_macro_result",
-    "RateBreakdown",
     "rate_covered",
-    "rate_macro_term",
     "rate_macro_term_result",
-    "rate_smallcell_term",
     "rate_smallcell_term_result",
-    "coverage_smallcell",
     "coverage_smallcell_result",
-    "evaluate_joint",
-    "intersection_given_coverage",
-    "j_components",
-    "power_tail_nodes",
-    "shifted_functional_radius2",
-    "tail_profile",
-    "tail_profile_quad",
 ]

@@ -29,10 +29,6 @@ The relative geometry splits into the three cases used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
-
 import numpy as np
 
 from ..core import (
@@ -45,44 +41,10 @@ from ..numerics import NonConvergenceError, QuadratureSpec, gauss_panel_nodes
 from .association import association_probability
 
 __all__ = [
-    "PdfCase",
-    "JointPdfCase",
     "inner_disc_radius",
-    "classify_case",
     "joint_pdf",
     "topology_probabilities",
 ]
-
-
-class PdfCase(Enum):
-    CASE_A = "A"
-    CASE_B = "B"
-    CASE_C = "C"
-
-
-@dataclass(frozen=True)
-class JointPdfCase:
-    """Geometric case of a (r_s, r) pair plus the case-boundary radii.
-
-    nu_minus/nu_plus are populated when delta_m >= 1, mu_minus/mu_plus when
-    delta_m < 1 (the two parameterizations of |r_s - R_i| and r_s + R_i).
-    CASE_A also covers the zero-density configuration where the backhaul
-    disc lies inside the association disc (no boundary intersection).
-    """
-
-    case: PdfCase
-    nu_minus: Optional[float] = None
-    nu_plus: Optional[float] = None
-    mu_minus: Optional[float] = None
-    mu_plus: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.nu_minus is not None and self.nu_plus is not None:
-            if self.nu_minus > self.nu_plus:
-                raise ValueError("nu_minus must not exceed nu_plus")
-        if self.mu_minus is not None and self.mu_plus is not None:
-            if self.mu_minus > self.mu_plus:
-                raise ValueError("mu_minus must not exceed mu_plus")
 
 
 def inner_disc_radius(r_s, params: NetworkParams):
@@ -91,29 +53,10 @@ def inner_disc_radius(r_s, params: NetworkParams):
         / delta_m(params)
 
 
-def classify_case(r_s: float, r: float, params: NetworkParams) -> JointPdfCase:
-    if not (r_s > 0 and r > 0):
-        raise ValueError("r_s and r must be positive")
-    R_i = float(inner_disc_radius(r_s, params))
-    lo, hi = abs(r_s - R_i), r_s + R_i
-    if r <= lo:
-        case = PdfCase.CASE_A
-    elif r < hi:
-        case = PdfCase.CASE_B
-    else:
-        case = PdfCase.CASE_C
-    if delta_m(params) >= 1.0:
-        return JointPdfCase(case=case, nu_minus=r_s - R_i, nu_plus=r_s + R_i)
-    return JointPdfCase(case=case, mu_minus=R_i - r_s, mu_plus=R_i + r_s)
-
-
-def joint_pdf(r_s, r, params: NetworkParams, approx_ac: bool = False):
+def joint_pdf(r_s, r, params: NetworkParams):
     """Joint density of (nearest-pico distance, its backhaul distance).
 
-    Vectorized over broadcastable r_s, r.  With ``approx_ac`` the lens
-    regime (Case B) is zeroed out, keeping only the disjoint and engulfed
-    configurations; useful as a cheap approximation when the lens
-    probability is small.
+    Vectorized over broadcastable r_s, r.
     """
     r_s = np.asarray(r_s, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -125,9 +68,6 @@ def joint_pdf(r_s, r, params: NetworkParams, approx_ac: bool = False):
     L = r * circle_arc_outside_disc(r_s, r, R_i)
     f = 2.0 * np.pi * ls * r_s * np.exp(-np.pi * ls * r_s ** 2) \
         * lm * L * np.exp(-lm * U)
-    if approx_ac:
-        in_b = (np.abs(r_s - R_i) < r) & (r < r_s + R_i)
-        f = np.where(in_b, 0.0, f)
     if f.ndim == 0:
         return float(f)
     return f

@@ -16,87 +16,40 @@ invariance that makes the inner integrals r'-independent profiles:
   C_S = tail_profile((B_s/(B_m T))^{2/a_s}, a_s)   ... beyond d
 
 FDD puts the pico tier on an orthogonal band: the C_S interference term
-drops, the association void delta_s^2 stays.  ``pico_exclusion=False``
-removes the void *and* lets pico interference in from radius 0 (C_S at
-argument 0); that is the baseline the B_s -> 0 degenerate-tier limit
-converges to.
-
-``two_dim=True`` evaluates the pico expectation the long way, conditioning
-additionally on the nearest pico distance r_s >= d: its interference enters
-explicitly and the rest of the field is integrated beyond r_s.  The nested
-quadrature must agree with the closed reduction (Palm decomposition over
-the nearest point is an identity); it exists purely as a cross-check route.
+drops, the association void delta_s^2 stays.
 """
 from __future__ import annotations
 
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..core import DuplexMode, NetworkParams, delta_s
 from ..numerics import IntegralResult, NonConvergenceError, QuadratureSpec, integrate_1d
-from .tails import shifted_functional_radius2, tail_profile
+from .tails import tail_profile
 
 __all__ = ["coverage_macro", "coverage_macro_result"]
 
 
 def _exponent_coefficients(params: NetworkParams, T_m: float,
-                           mode: DuplexMode, pico_exclusion: bool):
+                           mode: DuplexMode):
     """(A, B, gamma) with integrand exp(-A u - B u^gamma), u = r'^2."""
     a_m, a_s = params.alpha_m, params.alpha_s
     c_macro = float(tail_profile(T_m ** (-2.0 / a_m), a_m))
     A = math.pi * params.lambda_m * (1.0 + T_m ** (2.0 / a_m) * c_macro)
     gamma = a_m / a_s
-    ds2 = delta_s(params) ** 2 if pico_exclusion else 0.0
+    ds2 = delta_s(params) ** 2
     if mode is DuplexMode.FDD:
         W = ds2
     else:
-        cut = (params.B_s / (params.B_m * T_m)) ** (2.0 / a_s) \
-            if pico_exclusion else 0.0
+        cut = (params.B_s / (params.B_m * T_m)) ** (2.0 / a_s)
         c_pico = float(tail_profile(cut, a_s))
         W = ds2 + (T_m * params.P_s / params.P_m) ** (2.0 / a_s) * c_pico
     B = math.pi * params.lambda_s * W
     return A, B, gamma
 
 
-def _two_dim_value(params: NetworkParams, T_m: float, mode: DuplexMode,
-                   pico_exclusion: bool, spec: QuadratureSpec) -> IntegralResult:
-    a_m, a_s = params.alpha_m, params.alpha_s
-    lm, ls = params.lambda_m, params.lambda_s
-    c_macro = float(tail_profile(T_m ** (-2.0 / a_m), a_m))
-    a_coef = math.pi * lm * (1.0 + T_m ** (2.0 / a_m) * c_macro)
-    dels = delta_s(params) if pico_exclusion else 0.0
-    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol * 1e-2,
-                                rel_tol=spec.rel_tol * 1e-1,
-                                max_subdivisions=spec.max_subdivisions)
-
-    def outer(rp: float) -> float:
-        d = dels * rp ** (a_m / a_s)
-        s_s = T_m * (params.P_s / params.P_m) * rp ** a_m
-
-        if mode is DuplexMode.FDD or ls == 0.0:
-            pico_factor = math.exp(-math.pi * ls * d * d)
-        else:
-            def inner(r_s: float) -> float:
-                tail = float(shifted_functional_radius2(
-                    np.asarray(s_s), a_s, np.asarray(r_s * r_s)))
-                nearest = 1.0 / (1.0 + s_s * r_s ** (-a_s))
-                return (2.0 * math.pi * ls * r_s * nearest
-                        * math.exp(-math.pi * ls * r_s * r_s - ls * tail))
-
-            res = integrate_1d(inner, d, math.inf, inner_spec)
-            pico_factor = res.value
-        return 2.0 * math.pi * lm * rp * math.exp(-a_coef * rp * rp) \
-            * pico_factor
-
-    return integrate_1d(outer, 0.0, math.inf, spec)
-
-
 def coverage_macro_result(params: NetworkParams, T_m: float,
                           mode: DuplexMode = DuplexMode.IBFD,
-                          pico_exclusion: bool = True,
-                          two_dim: bool = False,
                           spec: Optional[QuadratureSpec] = None) -> IntegralResult:
     """Pr{macro association, access SIR > T_m} with error estimate."""
     if not T_m > 0.0:
@@ -105,9 +58,7 @@ def coverage_macro_result(params: NetworkParams, T_m: float,
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     if not math.isfinite(T_m):
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    if two_dim:
-        return _two_dim_value(params, T_m, mode, pico_exclusion, spec)
-    A, B, gamma = _exponent_coefficients(params, T_m, mode, pico_exclusion)
+    A, B, gamma = _exponent_coefficients(params, T_m, mode)
     # rescale u -> v/A so the integrand is O(1)-scaled for every threshold
     # (A grows like T^{2/a_m}; without this the mass is a needle near 0)
     scale = math.pi * params.lambda_m / A
@@ -123,13 +74,9 @@ def coverage_macro_result(params: NetworkParams, T_m: float,
 
 
 def coverage_macro(params: NetworkParams, T_m: float,
-                   mode: DuplexMode = DuplexMode.IBFD,
-                   pico_exclusion: bool = True,
-                   two_dim: bool = False) -> float:
+                   mode: DuplexMode = DuplexMode.IBFD) -> float:
     """Pr{macro association, access SIR > T_m} (joint, not conditional)."""
-    res = coverage_macro_result(params, T_m, mode,
-                                pico_exclusion=pico_exclusion,
-                                two_dim=two_dim)
+    res = coverage_macro_result(params, T_m, mode)
     if not res.converged:
         raise NonConvergenceError(
             f"macro coverage integral not converged "

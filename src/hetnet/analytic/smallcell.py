@@ -83,15 +83,13 @@ from ..numerics import (
     _leggauss,
     gauss_panel_nodes,
 )
-from .distances import inner_disc_radius, joint_pdf, outer_grid
+from .distances import joint_pdf, outer_grid
 from .tails import power_tail_nodes, shifted_functional_radius2
 
 __all__ = [
     "coverage_smallcell",
     "coverage_smallcell_result",
     "evaluate_joint",
-    "intersection_given_coverage",
-    "j_components",
 ]
 
 # exponent above which a node's contribution e^{-E} is treated as zero
@@ -278,7 +276,6 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     f2w = f2 * g["w"]
     live = f2w > (f2w.max() * 1e-15 if f2w.size else 0.0)
     rs, r, ri = g["rs"][live], g["r"][live], g["ri"][live]
-    nu_lo, nu_hi = g["nu_lo"][live], g["nu_hi"][live]
     f2w = f2w[live]
 
     n_rad = max(level, 4)
@@ -287,7 +284,6 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     geom = _node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
     geom.update(
         f2w=f2w,
-        case_b=(r > nu_lo) & (r < nu_hi),
         rs_pow_as=rs ** params.alpha_s,
         r_pow_am=r ** params.alpha_m,
         ri2=ri ** 2, rs2=rs ** 2, r2=r ** 2,
@@ -416,16 +412,13 @@ def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
 
 
 def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
-                   level: int = 6, case_b_only: bool = False,
-                   bearing: str = "circle"):
+                   level: int = 6, bearing: str = "circle"):
     """Single-level evaluation of the joint access+backhaul probability.
 
     This is the raw panel sum without error control; coverage_smallcell
     wraps it with a two-level estimate.  T_s and T_b are scalars (the
     result is a float) or 1-D arrays of one length K (K values; a scalar
-    broadcasts); an infinite threshold gives 0.  With ``case_b_only`` the
-    outer mass is restricted to lens-intersection geometries (the Bayes
-    numerator of intersection_given_coverage).  ``bearing`` selects the
+    broadcasts); an infinite threshold gives 0.  ``bearing`` selects the
     serving-macro bearing convention (module docstring).
     """
     T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
@@ -440,13 +433,12 @@ def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
     ks = np.flatnonzero(np.isfinite(T_s) & np.isfinite(T_b))
     if ks.size and (geom := _geometry(params, level))["f2w"].size:
         out[ks] = _joint_batch(params, T_s.ravel()[ks], T_b.ravel()[ks],
-                               mode, geom, case_b_only, bearing)[0]
+                               mode, geom, bearing)[0]
     return float(out[0]) if T_s.ndim == 0 else out
 
 
 def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
-                 mode: DuplexMode, geom: dict, case_b_only: bool,
-                 bearing: str) -> tuple:
+                 mode: DuplexMode, geom: dict, bearing: str) -> tuple:
     """evaluate_joint for K finite threshold pairs (module docstring):
     (K values, K live-node counts)."""
     lam_s, lam_m = params.lambda_s, params.lambda_m
@@ -454,10 +446,7 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     # (the slack absorbs rounding); each pair then applies its own bound
     lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
                          T_b.min(keepdims=True), geom, slice(None))[0]
-    keep = lb < _SKIP_EXPONENT * (1.0 + 1e-12)
-    if case_b_only:
-        keep &= geom["case_b"]
-    cand = np.flatnonzero(keep)
+    cand = np.flatnonzero(lb < _SKIP_EXPONENT * (1.0 + 1e-12))
     live = (lb[None, cand] if T_s.size == 1 else _exponent_bound(
         params, mode, T_s, T_b, geom, cand)) < _SKIP_EXPONENT
     # (threshold k, node) pairs, node-major and grouped by access threshold
@@ -550,61 +539,3 @@ def coverage_smallcell(params: NetworkParams, T_s: float, T_b: float,
             f"(estimate {res.error_estimate:.2e})",
             level="smallcell outer (r_s, r) grid", result=res)
     return res.value
-
-
-def intersection_given_coverage(params: NetworkParams, T_s: float,
-                                T_b: float,
-                                mode: DuplexMode = DuplexMode.IBFD,
-                                bearing: str = "circle") -> float:
-    """Probability that the two exclusion discs intersect, conditioned on
-    the user being pico-associated and jointly covered (Bayes quotient of
-    the lens-restricted and full coverage integrals)."""
-    full = evaluate_joint(params, T_s, T_b, mode, level=6, bearing=bearing)
-    if full <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    part = evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=True,
-                          bearing=bearing)
-    return min(max(part / full, 0.0), 1.0)
-
-
-def j_components(params: NetworkParams, T_s: float, T_b: float,
-                 r_s: float, r: float) -> dict:
-    """Diagnostic: the pieces of the IBFD integrand at a single (r_s, r).
-
-    Returns J_s, J_m, the serving-macro access factor gbar, and the lens
-    corrections, computed through the same vectorized machinery on a
-    one-node batch (used by tests to cross-check against direct adaptive
-    quadrature of the defining integrals).
-    """
-    rs = np.array([float(r_s)])
-    rr = np.array([float(r)])
-    ri = inner_disc_radius(rs, params)
-    geom = _node_tensors(params, rs, rr, ri, n_rad=10, n_ang=24, n_tail=16)
-    geom.update(rs2=rs ** 2, r2=rr ** 2, ri2=ri ** 2,
-                rs_pow_as=rs ** params.alpha_s,
-                r_pow_am=rr ** params.alpha_m)
-    s2, s1p, s2p = _sharpness(params, T_s, T_b, geom["rs_pow_as"],
-                              geom["r_pow_am"])
-    idx = np.arange(1)
-    K1 = _lens_correction(s1p, geom, "k1", idx)
-    K2 = _lens_correction(s2p, geom, "k2", idx)
-    F_s = geom["rs2"] * shifted_functional_radius2(T_s, params.alpha_s, 1.0)
-    J_s = F_s + _pico_mixed_term(T_s, s2 / geom["rs_pow_as"], geom["rs2"],
-                                 geom)
-    J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
-           - K1 + _mixed_term(s2p, s1p, geom, idx))
-    gbar = {
-        tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
-                    @ geom["g_w"])[0])
-        for tag in ("arc", "circle")
-    }
-    J_m_fdd = (shifted_functional_radius2(s2p, params.alpha_m, geom["r2"])
-               - K2)
-    return {
-        "J_s": float(J_s[0]), "J_m": float(J_m[0]),
-        "J_s_fdd": float(F_s[0]),
-        "J_m_fdd": float(J_m_fdd[0]),
-        "K1": float(K1[0]), "K2": float(K2[0]),
-        "gbar_arc": gbar["arc"], "gbar_circle": gbar["circle"],
-        "theta_allow": float(geom["theta_allow"][0]),
-    }

@@ -11,32 +11,21 @@ transmitters with fading, beyond a disc, reduces to
     Int_{||z|| > R} [1 - 1/(1 + s*||z||^-alpha)] dz
         = pi * s^(2/alpha) * C(R^2 * s^(-2/alpha), alpha).
 
-Two evaluation routes are provided: the quadrature route (reference, used
-by the macro coverage integral) and a hypergeometric closed form (used by
-the vectorized hot paths); they are tested against each other.
+C is evaluated in closed form only (tail_profile: elementary at alpha = 4,
+Gauss hypergeometric otherwise), vectorized for the hot paths; the tests
+check it against adaptive quadrature of the defining integral and against
+mpmath.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy import special as sp
 
-from ..numerics import IntegralResult, QuadratureSpec, integrate_1d
-
 __all__ = [
-    "tail_profile_quad",
     "tail_profile",
     "shifted_functional_radius2",
     "power_tail_nodes",
 ]
-
-
-def tail_profile_quad(c: float, alpha: float,
-                      spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
-    """C(c, alpha) by adaptive quadrature on the mapped half-line."""
-    p = alpha / 2.0
-    return integrate_1d(lambda t: 1.0 / (1.0 + t ** p), c, math.inf, spec)
 
 
 def tail_profile(c, alpha: float):

@@ -44,7 +44,6 @@ from .numerics import NonConvergenceError, QuadratureSpec
 __all__ = [
     "CSV_HEADER",
     "RunConfig",
-    "config_from_sweep_spec",
     "main",
     "parse_config",
     "rows_to_csv",
@@ -151,23 +150,6 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
                      window=window,
                      fixed_count=bool(raw.get("fixed_count", False)),
                      quad_spec=quad_spec, out=raw.get("out"))
-
-
-def config_from_sweep_spec(spec: SweepSpec) -> dict:
-    """Flat JSON-ready mapping that parses back to an identical sweep."""
-    config = {name: getattr(spec.base_params, name) for name in _PARAM_KEYS}
-    config.update({name: getattr(spec.base_thresholds, name)
-                   for name in _THRESHOLD_KEYS})
-    config.update(
-        swept_parameter=spec.swept_parameter,
-        grid=list(spec.grid),
-        modes=[mode.name.lower() for mode in spec.modes],
-        outputs=list(spec.outputs),
-        mc_trials=spec.mc_trials,
-    )
-    if spec.notes:
-        config["notes"] = list(spec.notes)
-    return config
 
 
 def _fmt(value: float) -> str:

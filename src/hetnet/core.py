@@ -16,7 +16,6 @@ __all__ = [
     "NetworkParams",
     "Thresholds",
     "DuplexMode",
-    "Point2",
     "delta_m",
     "delta_s",
     "lens_area",
@@ -104,21 +103,6 @@ class DuplexMode(Enum):
 
     IBFD = "ibfd"
     FDD = "fdd"
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("Point2 components must be finite")
-
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 def delta_m(params: NetworkParams) -> float:

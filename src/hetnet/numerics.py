@@ -1,8 +1,9 @@
 """Adaptive quadrature and improper-integral handling.
 
 No domain knowledge lives here: the analytic layer composes its nested
-integrals from ``integrate_1d`` / ``integrate_annulus`` plus the fixed
-Gauss-Legendre panel helpers at the bottom (used by vectorized fast paths).
+integrals from ``integrate_1d`` (finite or semi-infinite intervals) plus
+the fixed Gauss-Legendre panel helpers at the bottom (used by vectorized
+fast paths).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -20,7 +21,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergenceError",
     "integrate_1d",
-    "integrate_annulus",
     "gauss_panel_nodes",
 ]
 
@@ -35,22 +35,20 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
+# subinterval budget of the adaptive pass in integrate_1d
+_MAX_SUBDIVISIONS = 200
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and domain-handling knobs shared by all integrals."""
+    """Absolute and relative tolerances shared by all integrals."""
 
     abs_tol: float = 1e-7
     rel_tol: float = 1e-5
-    max_subdivisions: int = 200
-    truncation_radius: float = 1e3
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.truncation_radius > 0:
-            raise ValueError("truncation_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ def integrate_1d(
         value, abserr = _sciint.quad(
             fn, lo, hi,
             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions if points is None
-            else max(spec.max_subdivisions, len(points) + 50),
+            limit=_MAX_SUBDIVISIONS if points is None
+            else max(_MAX_SUBDIVISIONS, len(points) + 50),
             points=points,
         )
     warned = any(issubclass(w.category, _sciint.IntegrationWarning) for w in caught)
@@ -120,155 +118,14 @@ def integrate_1d(
 
 
 # ---------------------------------------------------------------------------
-# planar integral outside a union of at most two discs
+# fixed Gauss-Legendre panels, vectorized over leading batch dimensions
 # ---------------------------------------------------------------------------
-
-def _excluded_halfwidth(rho: np.ndarray, d: float, R: float) -> np.ndarray:
-    """Angular half-width (at the origin) of the chord of disc(center_dist=d,
-    radius=R) cut by the circle of radius rho: 0 where the circle misses the
-    disc, pi where the circle is engulfed by it."""
-    rho = np.asarray(rho, dtype=float)
-    if d == 0.0:
-        return np.where(rho < R, np.pi, 0.0)
-    arg = (rho * rho + d * d - R * R) / np.maximum(2.0 * rho * d, np.finfo(float).tiny)
-    return np.arccos(np.clip(arg, -1.0, 1.0))
-
-
-def _allowed_arcs(
-    rho: float, discs: Sequence[tuple[float, float, float]]
-) -> list[tuple[float, float]]:
-    """Angular intervals (within one period) NOT covered by the discs at
-    radius rho.  Each disc is (center_angle, center_dist, radius)."""
-    excluded: list[tuple[float, float]] = []
-    for phi_c, d, R in discs:
-        w = float(_excluded_halfwidth(np.asarray(rho), d, R))
-        if w <= 0.0:
-            continue
-        if w >= np.pi:
-            return []
-        excluded.append((phi_c - w, phi_c + w))
-    if not excluded:
-        return [(0.0, 2.0 * np.pi)]
-    two_pi = 2.0 * np.pi
-    # split wrap-around intervals at the 0/2*pi seam, then merge on [0, 2*pi]
-    segs: list[list[float]] = []
-    for a, b in excluded:
-        width = min(b - a, two_pi)
-        a = a % two_pi
-        if a + width <= two_pi:
-            segs.append([a, a + width])
-        else:
-            segs.append([a, two_pi])
-            segs.append([0.0, a + width - two_pi])
-    segs.sort()
-    merged: list[list[float]] = []
-    for a, b in segs:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    allowed: list[tuple[float, float]] = []
-    cursor = 0.0
-    for a, b in merged:
-        if a > cursor:
-            allowed.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < two_pi:
-        allowed.append((cursor, two_pi))
-    return allowed
-
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
-
-def integrate_annulus(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    exclusion: Sequence[tuple[tuple[float, float], float]],
-    spec: QuadratureSpec = QuadratureSpec(),
-    angular_order: int = 32,
-) -> IntegralResult:
-    """Integral of f over the plane minus a union of at most two discs.
-
-    f(radius, angle) must accept numpy arrays (same shape) and decay at
-    least as fast as radius^-alpha with alpha > 2.  ``exclusion`` is a
-    sequence of ((x, y), R) discs, possibly empty.  The radial integral is
-    truncated at ``spec.truncation_radius``; a power-law tail bound fitted
-    from the outermost samples is added to the error estimate.
-    """
-    if len(exclusion) > 2:
-        raise ValueError("at most two excluded discs are supported")
-    discs = []
-    crit: list[float] = []
-    for (cx, cy), R in exclusion:
-        if R < 0:
-            raise ValueError("disc radius must be >= 0")
-        d = math.hypot(cx, cy)
-        discs.append((math.atan2(cy, cx), d, R))
-        crit.extend([abs(d - R), d + R])
-
-    R_t = spec.truncation_radius
-    gx, gw = _leggauss(angular_order)
-    gx_half, gw_half = _leggauss(max(angular_order // 2, 2))
-
-    def ring(rho: float, nodes: np.ndarray, wts: np.ndarray) -> float:
-        arcs = _allowed_arcs(rho, discs)
-        total = 0.0
-        for a, b in arcs:
-            theta = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            total += 0.5 * (b - a) * float(np.sum(wts * f(np.full_like(theta, rho), theta)))
-        return total
-
-    def radial(rho: float) -> float:
-        return rho * ring(rho, gx, gw)
-
-    # radius below which every direction is excluded (origin-covering disc)
-    r_min = 0.0
-    for _, d, R in discs:
-        if d < R:
-            r_min = max(r_min, R - d)
-    points = sorted({c for c in crit if r_min < c < R_t})
-    res = _sciint.quad(
-        radial, r_min, R_t,
-        points=points or None,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=1,
-    )
-    value, abserr = res[0], res[1]
-    quad_ok = len(res) < 4
-
-    # angular-resolution error probe at a few radii
-    probe = np.geomspace(max(r_min, 1e-3) + 1e-9, R_t, 7)
-    ang_err = 0.0
-    for rho in probe:
-        hi = ring(float(rho), gx, gw)
-        lo = ring(float(rho), gx_half, gw_half)
-        ang_err = max(ang_err, abs(hi - lo))
-    ang_err *= R_t  # coarse scale-up over the radial extent
-
-    # power-law tail bound from the two outermost full rings
-    r1, r2 = 0.7 * R_t, R_t
-    m1 = ring(r1, gx, gw) / (2 * np.pi)
-    m2 = ring(r2, gx, gw) / (2 * np.pi)
-    tail = math.inf
-    if m2 <= 0 or m1 <= 0:
-        tail = 0.0
-    else:
-        alpha_hat = math.log(m1 / m2) / math.log(r2 / r1)
-        if alpha_hat > 2.0:
-            c_hat = m2 * r2 ** alpha_hat
-            tail = 2 * np.pi * c_hat * R_t ** (2.0 - alpha_hat) / (alpha_hat - 2.0)
-
-    err = abserr + ang_err + (0.0 if math.isinf(tail) else tail)
-    converged = quad_ok and math.isfinite(tail) and err <= _tolerance(spec, value)
-    return IntegralResult(value=value, error_estimate=err, converged=converged)
-
-
-# ---------------------------------------------------------------------------
-# fixed Gauss-Legendre panels, vectorized over leading batch dimensions
-# ---------------------------------------------------------------------------
 
 def gauss_panel_nodes(
     breakpoints: np.ndarray, nodes_per_panel: int

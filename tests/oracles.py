@@ -14,18 +14,49 @@ plain distances: abs + hypot per station, boolean masks to drop the serving
 index and sum(h * d**-alpha) per link.  The package works on squared
 distances in place and takes each power sum as one dot product; with the
 same seed both draw the same fading, so they differ only in rounding.
+
+Independent routes that the package does not run:
+
+* integrate_annulus: adaptive polar quadrature over the plane minus at most
+  two discs, truncated at a radius whose power-law tail bound goes into the
+  error estimate; a check of the closed exterior-disc functional.
+* tail_profile_quad: the tail profile C(c, alpha) by adaptive quadrature
+  on the mapped half-line, against tails.tail_profile's closed form.
+* nested_coverage_macro: the macro coverage evaluated the long way.  It
+  conditions additionally on the nearest pico distance r_s >= d, enters
+  that pico's interference explicitly and integrates the rest of the field
+  beyond r_s.  Palm decomposition over the nearest point is an identity,
+  so it must agree with macro.coverage_macro's closed reduction.  With
+  pico_exclusion=False the association void is dropped and pico
+  interference comes in from radius 0: the baseline that the B_s -> 0
+  degenerate-tier limit converges to.
+* j_components: the pieces of the IBFD integrand at one (r_s, r), built
+  with the package's own kernels on a one-node geometry, for comparison
+  with direct adaptive quadrature of the defining integrals.
 """
 import functools
 import math
 
 import numpy as np
+from scipy import integrate as _sciint
 
 from hetnet import montecarlo
 from hetnet.analytic import smallcell
-from hetnet.analytic.distances import joint_pdf, outer_grid
-from hetnet.analytic.tails import power_tail_nodes, shifted_functional_radius2
-from hetnet.core import DuplexMode, delta_m
-from hetnet.numerics import _leggauss, gauss_panel_nodes
+from hetnet.analytic.distances import inner_disc_radius, joint_pdf, outer_grid
+from hetnet.analytic.tails import (
+    power_tail_nodes,
+    shifted_functional_radius2,
+    tail_profile,
+)
+from hetnet.core import DuplexMode, delta_m, delta_s
+from hetnet.numerics import (
+    IntegralResult,
+    NonConvergenceError,
+    QuadratureSpec,
+    _leggauss,
+    gauss_panel_nodes,
+    integrate_1d,
+)
 
 
 def _clip_cos(x):
@@ -148,8 +179,7 @@ def dense_geometry(params, level):
     n_rad = max(level, 4)
     n_ang = n_tail = 12 if level >= 6 else 8
     geom = dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
-    geom.update(f2w=f2w[live], rs=rs, r=r, ri=ri,
-                case_b=(r > g["nu_lo"][live]) & (r < g["nu_hi"][live]))
+    geom.update(f2w=f2w[live], rs=rs, r=r, ri=ri)
     return geom
 
 
@@ -187,8 +217,7 @@ def _dense_lens(s, geom, prefix, idx):
                                   * geom[prefix + "_xnpow"][idx]))
 
 
-def dense_evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=False,
-                         bearing="circle"):
+def dense_evaluate_joint(params, T_s, T_b, mode, level=6, bearing="circle"):
     """(value, number of live nodes) of smallcell.evaluate_joint, dense."""
     geom = dense_geometry(params, level)
     lam_s, lam_m = params.lambda_s, params.lambda_m
@@ -211,10 +240,7 @@ def dense_evaluate_joint(params, T_s, T_b, mode, level=6, case_b_only=False,
         lb = (lam_s * shifted_functional_radius2(s1, a_s, rs ** 2)
               + lam_m * shifted_functional_radius2(
                   s2p, a_m, np.maximum(r, rs + ri) ** 2))
-    keep = lb < smallcell._SKIP_EXPONENT
-    if case_b_only:
-        keep = keep & geom["case_b"]
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(lb < smallcell._SKIP_EXPONENT)
     if idx.size == 0:
         return 0.0, 0
     s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]
@@ -342,3 +368,233 @@ def reference_evaluate_user(realization, params, mode, seed, window=None,
                                  sir_us=sir(signal_us, int_us),
                                  sir_sm=sir(signal_sm, int_sm),
                                  sir_um=math.nan)
+
+
+# ---------------------------------------------------------------------------
+# planar integral outside a union of at most two discs
+# ---------------------------------------------------------------------------
+
+def _excluded_halfwidth(rho, d, R):
+    """Angular half-width (at the origin) of the chord of disc(center_dist=d,
+    radius=R) cut by the circle of radius rho: 0 where the circle misses the
+    disc, pi where the circle is engulfed by it."""
+    rho = np.asarray(rho, dtype=float)
+    if d == 0.0:
+        return np.where(rho < R, np.pi, 0.0)
+    arg = (rho * rho + d * d - R * R) / np.maximum(2.0 * rho * d,
+                                                   np.finfo(float).tiny)
+    return np.arccos(np.clip(arg, -1.0, 1.0))
+
+
+def _allowed_arcs(rho, discs):
+    """Angular intervals (within one period) NOT covered by the discs at
+    radius rho.  Each disc is (center_angle, center_dist, radius)."""
+    excluded = []
+    for phi_c, d, R in discs:
+        w = float(_excluded_halfwidth(np.asarray(rho), d, R))
+        if w <= 0.0:
+            continue
+        if w >= np.pi:
+            return []
+        excluded.append((phi_c - w, phi_c + w))
+    if not excluded:
+        return [(0.0, 2.0 * np.pi)]
+    two_pi = 2.0 * np.pi
+    # split wrap-around intervals at the 0/2*pi seam, then merge on [0, 2*pi]
+    segs = []
+    for a, b in excluded:
+        width = min(b - a, two_pi)
+        a = a % two_pi
+        if a + width <= two_pi:
+            segs.append([a, a + width])
+        else:
+            segs.append([a, two_pi])
+            segs.append([0.0, a + width - two_pi])
+    segs.sort()
+    merged = []
+    for a, b in segs:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    allowed = []
+    cursor = 0.0
+    for a, b in merged:
+        if a > cursor:
+            allowed.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < two_pi:
+        allowed.append((cursor, two_pi))
+    return allowed
+
+
+def integrate_annulus(f, exclusion, spec=QuadratureSpec(), angular_order=32,
+                      truncation_radius=1e3):
+    """Integral of f over the plane minus a union of at most two discs.
+
+    f(radius, angle) must accept numpy arrays (same shape) and decay at
+    least as fast as radius^-alpha with alpha > 2.  ``exclusion`` is a
+    sequence of ((x, y), R) discs, possibly empty.  The radial integral is
+    truncated at ``truncation_radius``; a power-law tail bound fitted from
+    the outermost samples is added to the error estimate.
+    """
+    if len(exclusion) > 2:
+        raise ValueError("at most two excluded discs are supported")
+    discs = []
+    crit = []
+    for (cx, cy), R in exclusion:
+        if R < 0:
+            raise ValueError("disc radius must be >= 0")
+        d = math.hypot(cx, cy)
+        discs.append((math.atan2(cy, cx), d, R))
+        crit.extend([abs(d - R), d + R])
+
+    R_t = truncation_radius
+    gx, gw = _leggauss(angular_order)
+    gx_half, gw_half = _leggauss(max(angular_order // 2, 2))
+
+    def ring(rho, nodes, wts):
+        total = 0.0
+        for a, b in _allowed_arcs(rho, discs):
+            theta = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            total += 0.5 * (b - a) * float(
+                np.sum(wts * f(np.full_like(theta, rho), theta)))
+        return total
+
+    def radial(rho):
+        return rho * ring(rho, gx, gw)
+
+    # radius below which every direction is excluded (origin-covering disc)
+    r_min = 0.0
+    for _, d, R in discs:
+        if d < R:
+            r_min = max(r_min, R - d)
+    points = sorted({c for c in crit if r_min < c < R_t})
+    res = _sciint.quad(
+        radial, r_min, R_t,
+        points=points or None,
+        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+        limit=200, full_output=1,
+    )
+    value, abserr = res[0], res[1]
+    quad_ok = len(res) < 4
+
+    # angular-resolution error probe at a few radii
+    probe = np.geomspace(max(r_min, 1e-3) + 1e-9, R_t, 7)
+    ang_err = 0.0
+    for rho in probe:
+        hi = ring(float(rho), gx, gw)
+        lo = ring(float(rho), gx_half, gw_half)
+        ang_err = max(ang_err, abs(hi - lo))
+    ang_err *= R_t  # coarse scale-up over the radial extent
+
+    # power-law tail bound from the two outermost full rings
+    r1, r2 = 0.7 * R_t, R_t
+    m1 = ring(r1, gx, gw) / (2 * np.pi)
+    m2 = ring(r2, gx, gw) / (2 * np.pi)
+    tail = math.inf
+    if m2 <= 0 or m1 <= 0:
+        tail = 0.0
+    else:
+        alpha_hat = math.log(m1 / m2) / math.log(r2 / r1)
+        if alpha_hat > 2.0:
+            c_hat = m2 * r2 ** alpha_hat
+            tail = (2 * np.pi * c_hat * R_t ** (2.0 - alpha_hat)
+                    / (alpha_hat - 2.0))
+
+    err = abserr + ang_err + (0.0 if math.isinf(tail) else tail)
+    converged = quad_ok and math.isfinite(tail) \
+        and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    return IntegralResult(value=value, error_estimate=err,
+                          converged=converged)
+
+
+# ---------------------------------------------------------------------------
+# tail profile and macro coverage by nested quadrature
+# ---------------------------------------------------------------------------
+
+def tail_profile_quad(c, alpha, spec=QuadratureSpec()):
+    """C(c, alpha) by adaptive quadrature on the mapped half-line."""
+    p = alpha / 2.0
+    return integrate_1d(lambda t: 1.0 / (1.0 + t ** p), c, math.inf, spec)
+
+
+def nested_coverage_macro(params, T_m, mode, pico_exclusion=True):
+    """macro.coverage_macro with the pico expectation conditioned on the
+    nearest pico as well (module docstring)."""
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
+    a_m, a_s = params.alpha_m, params.alpha_s
+    lm, ls = params.lambda_m, params.lambda_s
+    c_macro = float(tail_profile(T_m ** (-2.0 / a_m), a_m))
+    a_coef = math.pi * lm * (1.0 + T_m ** (2.0 / a_m) * c_macro)
+    dels = delta_s(params) if pico_exclusion else 0.0
+    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol * 1e-2,
+                                rel_tol=spec.rel_tol * 1e-1)
+
+    def outer(rp):
+        d = dels * rp ** (a_m / a_s)
+        s_s = T_m * (params.P_s / params.P_m) * rp ** a_m
+
+        if mode is DuplexMode.FDD or ls == 0.0:
+            pico_factor = math.exp(-math.pi * ls * d * d)
+        else:
+            def inner(r_s):
+                tail = float(shifted_functional_radius2(
+                    np.asarray(s_s), a_s, np.asarray(r_s * r_s)))
+                nearest = 1.0 / (1.0 + s_s * r_s ** (-a_s))
+                return (2.0 * math.pi * ls * r_s * nearest
+                        * math.exp(-math.pi * ls * r_s * r_s - ls * tail))
+
+            pico_factor = integrate_1d(inner, d, math.inf, inner_spec).value
+        return 2.0 * math.pi * lm * rp * math.exp(-a_coef * rp * rp) \
+            * pico_factor
+
+    res = integrate_1d(outer, 0.0, math.inf, spec)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"nested macro coverage not converged "
+            f"(estimate {res.error_estimate:.2e})", result=res)
+    return min(max(res.value, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the small-cell integrand at one (r_s, r), through the package kernels
+# ---------------------------------------------------------------------------
+
+def j_components(params, T_s, T_b, r_s, r):
+    """J_s, J_m, their FDD single-link forms, the lens corrections K1 and
+    K2, the serving-macro access factor gbar under both bearing conventions
+    and the allowed bearing angle, at a single (r_s, r)."""
+    rs = np.array([float(r_s)])
+    rr = np.array([float(r)])
+    ri = inner_disc_radius(rs, params)
+    geom = smallcell._node_tensors(params, rs, rr, ri, n_rad=10, n_ang=24,
+                                   n_tail=16)
+    geom.update(rs2=rs ** 2, r2=rr ** 2, ri2=ri ** 2,
+                rs_pow_as=rs ** params.alpha_s,
+                r_pow_am=rr ** params.alpha_m)
+    s2, s1p, s2p = smallcell._sharpness(params, T_s, T_b, geom["rs_pow_as"],
+                                        geom["r_pow_am"])
+    idx = np.arange(1)
+    K1 = smallcell._lens_correction(s1p, geom, "k1", idx)
+    K2 = smallcell._lens_correction(s2p, geom, "k2", idx)
+    F_s = geom["rs2"] * shifted_functional_radius2(T_s, params.alpha_s, 1.0)
+    J_s = F_s + smallcell._pico_mixed_term(T_s, s2 / geom["rs_pow_as"],
+                                           geom["rs2"], geom)
+    J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
+           - K1 + smallcell._mixed_term(s2p, s1p, geom, idx))
+    gbar = {
+        tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
+                    @ geom["g_w"])[0])
+        for tag in ("arc", "circle")
+    }
+    J_m_fdd = (shifted_functional_radius2(s2p, params.alpha_m, geom["r2"])
+               - K2)
+    return {
+        "J_s": float(J_s[0]), "J_m": float(J_m[0]),
+        "J_s_fdd": float(F_s[0]),
+        "J_m_fdd": float(J_m_fdd[0]),
+        "K1": float(K1[0]), "K2": float(K2[0]),
+        "gbar_arc": gbar["arc"], "gbar_circle": gbar["circle"],
+        "theta_allow": float(geom["theta_allow"][0]),
+    }

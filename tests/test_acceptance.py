@@ -26,9 +26,9 @@ from hetnet.analytic import (
     coverage_macro_result,
     coverage_smallcell_result,
     coverage_total,
-    evaluate_joint,
     rate_covered,
 )
+from hetnet.analytic.smallcell import evaluate_joint
 from hetnet.cli import CSV_HEADER, main
 from hetnet.core import (
     DuplexMode,

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hetnet.analytic import (
-    association_probability,
-    coverage_macro,
-    coverage_smallcell,
-    coverage_total,
-    evaluate_joint,
+from hetnet.analytic import association_probability, coverage_total, smallcell
+from hetnet.analytic.macro import coverage_macro
+from hetnet.analytic.rates import (
     rate_covered,
     rate_macro_term,
     rate_smallcell_term,
     rate_smallcell_term_result,
 )
-from hetnet.analytic import smallcell
+from hetnet.analytic.smallcell import coverage_smallcell, evaluate_joint
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 
 

@@ -7,20 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from hetnet.analytic import (
-    association_probability,
-    classify_case,
-    inner_disc_radius,
-    joint_pdf,
+from hetnet.analytic import association_probability, topology_probabilities
+from hetnet.analytic.distances import inner_disc_radius, joint_pdf, outer_grid
+from hetnet.analytic.tails import (
     power_tail_nodes,
     shifted_functional_radius2,
     tail_profile,
-    tail_profile_quad,
-    topology_probabilities,
 )
-from hetnet.analytic.distances import PdfCase, outer_grid
 from hetnet.core import NetworkParams, delta_m
-from hetnet.numerics import QuadratureSpec, integrate_annulus
+from hetnet.numerics import QuadratureSpec
+from oracles import integrate_annulus, tail_profile_quad
 
 
 def params_with(**kw) -> NetworkParams:
@@ -97,8 +93,8 @@ class TestTailProfile:
         def f(rho, theta):
             return 1.0 - 1.0 / (1.0 + s * rho ** -alpha)
 
-        spec = QuadratureSpec(truncation_radius=1e4)
-        res = integrate_annulus(f, [((0.0, 0.0), R)], spec)
+        res = integrate_annulus(f, [((0.0, 0.0), R)], QuadratureSpec(),
+                                truncation_radius=1e4)
         # alpha=2.8 leaves a slow radius^-0.8 tail: the truncated value sits
         # below the closed form by an amount covered by the reported estimate
         assert res.value < closed
@@ -172,7 +168,7 @@ class TestJointPdf:
         # lambda_m = lambda_s = 1, backhaul disc swallows the association
         # disc: density reduces to the product of two Rayleigh-type factors
         p = params_with(lambda_s=1.0)
-        assert classify_case(0.3, 1.0, p).case is PdfCase.CASE_C
+        assert 1.0 >= 0.3 + float(inner_disc_radius(0.3, p))
         assert joint_pdf(0.3, 1.0, p) == pytest.approx(
             0.38575429103694804, rel=1e-12)
 
@@ -200,19 +196,6 @@ class TestJointPdf:
         with pytest.raises(ValueError):
             joint_pdf(np.array([0.1, 0.2]), np.array([0.3, -0.4]), p)
 
-    def test_approx_ac_zeroes_only_the_lens_case(self):
-        p = params_with()
-        pts = [(0.3, 0.05), (0.3, 0.3), (0.3, 1.0)]  # cases A, B, C
-        cases = [classify_case(rs, r, p).case for rs, r in pts]
-        assert cases == [PdfCase.CASE_A, PdfCase.CASE_B, PdfCase.CASE_C]
-        for (rs, r), case in zip(pts, cases):
-            full = joint_pdf(rs, r, p)
-            trimmed = joint_pdf(rs, r, p, approx_ac=True)
-            if case is PdfCase.CASE_B:
-                assert trimmed == 0.0 and full > 0.0
-            else:
-                assert trimmed == full
-
     @pytest.mark.parametrize("r_s", [0.08, 0.3, 0.8])
     def test_radial_marginal_closed_form(self, r_s):
         # integrating the backhaul distance out must leave
@@ -236,33 +219,6 @@ class TestJointPdf:
         mass = float((joint_pdf(g["rs"], g["r"], p) * g["w"]).sum())
         p_s, _ = association_probability(p)
         assert mass == pytest.approx(p_s, rel=1e-3)
-
-
-class TestClassifyCase:
-    def test_boundary_fields_follow_bias_regime(self):
-        strong = classify_case(0.3, 0.5, params_with())  # delta_m > 1
-        assert strong.nu_minus is not None and strong.mu_minus is None
-        assert strong.nu_minus <= strong.nu_plus
-        weak = classify_case(0.3, 0.5, params_with(B_s=10 ** -1.0))
-        assert weak.mu_minus is not None and weak.nu_minus is None
-        assert weak.mu_minus <= weak.mu_plus
-
-    def test_rejects_nonpositive_distances(self):
-        with pytest.raises(ValueError):
-            classify_case(0.0, 1.0, params_with())
-
-    def test_cases_partition_the_positive_quadrant(self):
-        p = params_with()
-        rng = np.random.default_rng(7)
-        for r_s, r in rng.uniform(0.01, 2.0, size=(50, 2)):
-            info = classify_case(float(r_s), float(r), p)
-            R_i = float(inner_disc_radius(r_s, p))
-            if r <= abs(r_s - R_i):
-                assert info.case is PdfCase.CASE_A
-            elif r < r_s + R_i:
-                assert info.case is PdfCase.CASE_B
-            else:
-                assert info.case is PdfCase.CASE_C
 
 
 class TestTopologyProbabilities:

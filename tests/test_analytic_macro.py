@@ -11,6 +11,7 @@ from hetnet.analytic import association_probability
 from hetnet.analytic.macro import coverage_macro, coverage_macro_result
 from hetnet.analytic.smallcell import coverage_smallcell
 from hetnet.core import DuplexMode, NetworkParams, delta_s
+from oracles import nested_coverage_macro
 
 
 def params_with(**kw) -> NetworkParams:
@@ -84,7 +85,7 @@ class TestMacroCoverage:
         # pico; Palm calculus says it must reproduce the closed reduction
         p = params_with()
         direct = coverage_macro(p, 0.1, mode)
-        nested = coverage_macro(p, 0.1, mode, two_dim=True)
+        nested = nested_coverage_macro(p, 0.1, mode)
         assert nested == pytest.approx(direct, rel=1e-8)
 
     def test_vanishing_threshold_recovers_association_share(self):
@@ -108,7 +109,8 @@ class TestMacroCoverage:
         # macro-only with an unfiltered pico interferer field
         p = params_with(B_s=1e-9)
         total = coverage_smallcell(p, 0.1, 0.1) + coverage_macro(p, 0.1)
-        baseline = coverage_macro(p, 0.1, pico_exclusion=False)
+        baseline = nested_coverage_macro(p, 0.1, DuplexMode.IBFD,
+                                         pico_exclusion=False)
         assert total == pytest.approx(baseline, abs=1e-3)
 
     def test_no_picos_single_tier_closed_form(self):
@@ -124,7 +126,8 @@ class TestMacroCoverage:
         # at strong bias the lost association void outweighs the extra
         # close-in pico interference
         p = params_with()
-        assert coverage_macro(p, 0.1, pico_exclusion=False) \
+        assert nested_coverage_macro(p, 0.1, DuplexMode.IBFD,
+                                     pico_exclusion=False) \
             > coverage_macro(p, 0.1)
 
     def test_infinite_threshold_gives_zero(self):

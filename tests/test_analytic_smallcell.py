@@ -14,8 +14,6 @@ from hetnet.analytic.smallcell import (
     coverage_smallcell,
     coverage_smallcell_result,
     evaluate_joint,
-    intersection_given_coverage,
-    j_components,
 )
 from hetnet.core import DuplexMode, NetworkParams
 from hetnet.numerics import NonConvergenceError
@@ -24,6 +22,7 @@ from oracles import (
     dense_geometry,
     dense_mixed_term,
     dense_sharpness,
+    j_components,
 )
 
 
@@ -329,25 +328,6 @@ class TestSelfInterference:
         assert a == b
 
 
-class TestCaseRestriction:
-    def test_lens_mass_bounded_by_total(self):
-        p = params_with()
-        full = evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD)
-        part = evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD,
-                              case_b_only=True)
-        assert 0.0 < part < full
-
-    def test_conditional_intersection_probability(self):
-        p = params_with()
-        q = intersection_given_coverage(p, 0.1, 0.1)
-        assert q == pytest.approx(0.0892064, abs=1e-3)
-        # consistency with the raw restricted/full quotient
-        full = evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD)
-        part = evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD,
-                              case_b_only=True)
-        assert q == pytest.approx(part / full, rel=1e-9)
-
-
 class TestBlockedKernel:
     """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
     buffer and takes the pico field from its r_s = 1 tables; the dense
@@ -358,10 +338,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("mode, bearing", [
         (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
         (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
-    @pytest.mark.parametrize("case_b_only", [False, True])
-    def test_matches_dense_oracle(self, level, mode, bearing, case_b_only):
+    def test_matches_dense_oracle(self, level, mode, bearing):
         p = params_with()
-        args = (p, 0.5, 0.5, mode, level, case_b_only, bearing)
+        args = (p, 0.5, 0.5, mode, level, bearing)
         expected, n_live = dense_evaluate_joint(*args)
         assert n_live > 0
         assert evaluate_joint(*args) == pytest.approx(expected, rel=1e-12,
@@ -441,13 +420,12 @@ class TestBlockedKernel:
         p = params_with()
         T_s = np.array([0.5, 0.5, 0.5, 0.9, 3.0, 1e5, 1e300])
         T_b = np.array([0.5, 2.0, 40.0, 0.9, 7.0, 1e5, 1e300])
-        got = evaluate_joint(p, T_s, T_b, mode, 6, False, bearing)
+        got = evaluate_joint(p, T_s, T_b, mode, 6, bearing)
         _, n_live = smallcell._joint_batch(p, T_s, T_b, mode,
-                                           smallcell._geometry(p, 6), False,
-                                           bearing)
+                                           smallcell._geometry(p, 6), bearing)
         for i, (ts, tb) in enumerate(zip(T_s, T_b)):
             expected, dense_live = dense_evaluate_joint(p, ts, tb, mode, 6,
-                                                        False, bearing)
+                                                        bearing)
             assert n_live[i] == dense_live
             assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert n_live[-1] == 0 and 0 < n_live[-2] < smallcell._BLOCK
@@ -507,12 +485,10 @@ class TestBatchedThresholds:
     @pytest.mark.parametrize("mode, bearing", [
         (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
         (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
-    @pytest.mark.parametrize("case_b_only", [False, True])
-    def test_batch_equals_scalar_calls(self, batch, level, mode, bearing,
-                                       case_b_only):
+    def test_batch_equals_scalar_calls(self, batch, level, mode, bearing):
         p = params_with()
         T_s, T_b = (np.array(t) for t in BATCHES[batch])
-        args = (mode, level, case_b_only, bearing)
+        args = (mode, level, bearing)
         got = evaluate_joint(p, T_s, T_b, *args)
         assert isinstance(got, np.ndarray) and got.shape == T_s.shape
         for i, (ts, tb) in enumerate(zip(T_s, T_b)):
@@ -523,10 +499,9 @@ class TestBatchedThresholds:
         assert np.all(got[~finite] == 0.0)
         geom = smallcell._geometry(p, level)
         _, n_live = smallcell._joint_batch(p, T_s[finite], T_b[finite], mode,
-                                           geom, case_b_only, bearing)
+                                           geom, bearing)
         singles = [smallcell._joint_batch(p, T_s[i:i + 1], T_b[i:i + 1],
-                                          mode, geom, case_b_only,
-                                          bearing)[1][0]
+                                          mode, geom, bearing)[1][0]
                    for i in np.flatnonzero(finite)]
         assert list(n_live) == singles
         if batch == "inf and no live node":

@@ -7,20 +7,33 @@ row schema, exit codes, and end-to-end runs of every subcommand through
 import json
 import math
 import sys
+from dataclasses import fields
 
 import pytest
 
 from hetnet.analytic import coverage_smallcell_result
-from hetnet.cli import (
-    CSV_HEADER,
-    config_from_sweep_spec,
-    main,
-    parse_config,
-    rows_to_csv,
-)
+from hetnet.cli import CSV_HEADER, main, parse_config, rows_to_csv
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
-from hetnet.experiments import FIGURE_IDS, SweepRow, figure_preset
+from hetnet.experiments import FIGURE_IDS, SweepRow, SweepSpec, figure_preset
 from hetnet.montecarlo import EstimateWithCI, SimulationWindow, evaluate_user
+
+
+def config_from_sweep_spec(spec: SweepSpec) -> dict:
+    """Flat JSON-ready mapping that parses back to an identical sweep."""
+    config = {f.name: getattr(spec.base_params, f.name)
+              for f in fields(NetworkParams)}
+    config.update({f.name: getattr(spec.base_thresholds, f.name)
+                   for f in fields(Thresholds)})
+    config.update(
+        swept_parameter=spec.swept_parameter,
+        grid=list(spec.grid),
+        modes=[mode.name.lower() for mode in spec.modes],
+        outputs=list(spec.outputs),
+        mc_trials=spec.mc_trials,
+    )
+    if spec.notes:
+        config["notes"] = list(spec.notes)
+    return config
 
 
 def write_config(tmp_path, payload, name="config.json"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hetnet.core import (
     DuplexMode,
     NetworkParams,
-    Point2,
     Thresholds,
     circle_arc_outside_disc,
     delta_m,
@@ -77,12 +76,6 @@ class TestThresholds:
 
 def test_duplex_mode_variants():
     assert set(DuplexMode) == {DuplexMode.IBFD, DuplexMode.FDD}
-
-
-def test_point2_distance_and_validation():
-    assert Point2(0.0, 0.0).dist(Point2(3.0, 4.0)) == 5.0
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
 
 
 class TestDeltaScales:
