@@ -328,6 +328,15 @@ class TestSelfInterference:
         assert a == b
 
 
+# network points for the kernel cross-checks: the defaults (strong pico
+# bias, delta_m > 1) and a weak bias (delta_m < 1) with the residual
+# self-interference taken at the macro transmit power
+POINTS = {
+    "defaults": {},
+    "weak bias, pm": dict(B_s=10 ** -1.0, self_interference_convention="pm"),
+}
+
+
 class TestBlockedKernel:
     """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
     buffer and takes the pico field from its r_s = 1 tables; the dense
@@ -338,8 +347,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("mode, bearing", [
         (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
         (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
-    def test_matches_dense_oracle(self, level, mode, bearing):
-        p = params_with()
+    @pytest.mark.parametrize("point", list(POINTS))
+    def test_matches_dense_oracle(self, level, mode, bearing, point):
+        p = params_with(**POINTS[point])
         args = (p, 0.5, 0.5, mode, level, bearing)
         expected, n_live = dense_evaluate_joint(*args)
         assert n_live > 0
@@ -485,8 +495,10 @@ class TestBatchedThresholds:
     @pytest.mark.parametrize("mode, bearing", [
         (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
         (DuplexMode.FDD, "circle"), (DuplexMode.FDD, "arc")])
-    def test_batch_equals_scalar_calls(self, batch, level, mode, bearing):
-        p = params_with()
+    @pytest.mark.parametrize("point", list(POINTS))
+    def test_batch_equals_scalar_calls(self, batch, level, mode, bearing,
+                                       point):
+        p = params_with(**POINTS[point])
         T_s, T_b = (np.array(t) for t in BATCHES[batch])
         args = (mode, level, bearing)
         got = evaluate_joint(p, T_s, T_b, *args)

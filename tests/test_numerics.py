@@ -27,7 +27,9 @@ class TestQuadratureSpec:
     def test_defaults(self):
         assert SPEC.abs_tol == 1e-7 and SPEC.rel_tol == 1e-5
 
-    @pytest.mark.parametrize("kw", [dict(abs_tol=0), dict(rel_tol=-1e-3)])
+    @pytest.mark.parametrize("kw", [dict(abs_tol=0), dict(rel_tol=-1e-3),
+                                    dict(abs_tol=math.nan),
+                                    dict(rel_tol=math.nan)])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             QuadratureSpec(**kw)

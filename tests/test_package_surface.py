@@ -9,6 +9,8 @@ import ast
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hetnet"
 # read by the installer or by tools, never by the package's own code
@@ -69,3 +71,37 @@ def test_every_exported_name_is_used_by_the_package():
     unused = [f"{module}.{name}" for module, name in exported
               if name not in used and (module, name) not in EXEMPT]
     assert unused == [], f"exported but used only outside the package: {unused}"
+
+
+# Routes and knobs that only tests used and that now live under tests/ or
+# are gone.  The __all__ scan above cannot see a keyword argument or a
+# dataclass field, so each one is named here and must not come back.
+RETIRED = [
+    "integrate_annulus", "tail_profile_quad", "classify_case",
+    "JointPdfCase", "j_components", "intersection_given_coverage",
+    "case_b_only", "two_dim", "pico_exclusion", "approx_ac", "Point2",
+    "truncation_radius", "max_subdivisions", "config_from_sweep_spec",
+]
+
+
+@pytest.mark.parametrize("word", RETIRED)
+def test_retired_test_only_name_stays_out_of_the_package(word):
+    pattern = re.compile(rf"\b{word}\b")
+    hits = [f"{path.relative_to(ROOT)}:{n}"
+            for path in sorted(SRC.rglob("*.py"))
+            for n, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
+def test_own_definition_is_not_a_use():
+    tree = ast.parse(
+        "__all__ = ['f', 'g', 'C']\n"
+        "def f(n):\n    return f(n - 1) if n else g()\n"
+        "def g():\n    return 0\n"
+        "class C:\n    def m(self):\n        return C()\n")
+    assert _exported(tree) == ["f", "g", "C"]
+    # f and C only refer to themselves; g is called from inside f
+    assert {"f", "C"}.isdisjoint(_reads(tree))
+    assert "g" in _reads(tree)
