@@ -1,25 +1,21 @@
 """Analytic (integral-based) route: association, distance law, coverage, rate.
 
-This namespace holds what the commands and the README's library example
-import; everything else is imported from its submodule.
+Each solver returns an IntegralResult (value, error estimate, converged
+flag) or, for the association and topology splits, plain floats.
+experiments.evaluate_point assembles them into the reported coverage and
+covered rate of one model point; this namespace holds what it and the CLI
+import, and everything else is imported from its submodule.
 """
 from .association import association_probability
-from .coverage import coverage_total
 from .distances import topology_probabilities
 from .macro import coverage_macro_result
-from .rates import (
-    rate_covered,
-    rate_macro_term_result,
-    rate_smallcell_term_result,
-)
+from .rates import rate_macro_term_result, rate_smallcell_term_result
 from .smallcell import coverage_smallcell_result
 
 __all__ = [
     "association_probability",
-    "coverage_total",
     "topology_probabilities",
     "coverage_macro_result",
-    "rate_covered",
     "rate_macro_term_result",
     "rate_smallcell_term_result",
     "coverage_smallcell_result",

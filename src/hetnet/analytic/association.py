@@ -8,15 +8,14 @@ from ..numerics import NonConvergenceError, QuadratureSpec, integrate_1d
 
 __all__ = ["association_probability"]
 
-# The integrand is smooth and cheap, so a near-machine-precision default
-# costs about 0.1 ms; the shared default (rel_tol 1e-5) is 4e-6 off the
-# equal-exponent closed form at some draws.
+# The one tolerance of every caller (topology_probabilities, validate's
+# p_assoc_s).  The integrand is smooth and cheap, so near machine precision
+# costs about 0.1 ms; the shared QuadratureSpec default (rel_tol 1e-5) is
+# 4e-6 off the equal-exponent closed form at some draws.
 _ASSOCIATION_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
-def association_probability(
-    params: NetworkParams, spec: QuadratureSpec = _ASSOCIATION_SPEC
-) -> tuple[float, float]:
+def association_probability(params: NetworkParams) -> tuple[float, float]:
     """(p_s, p_m): probabilities that the typical user attaches to the pico
     tier or the macro tier under biased strongest-average-power association.
 
@@ -37,7 +36,7 @@ def association_probability(
             -math.pi * (coef * x ** ratio + ls * x * x)
         )
 
-    res = integrate_1d(integrand, 0.0, math.inf, spec)
+    res = integrate_1d(integrand, 0.0, math.inf, _ASSOCIATION_SPEC)
     if not res.converged:
         raise NonConvergenceError(
             "association probability integral did not converge",

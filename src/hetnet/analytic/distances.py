@@ -37,7 +37,7 @@ from ..core import (
     delta_m,
     disc_union_area,
 )
-from ..numerics import NonConvergenceError, QuadratureSpec, gauss_panel_nodes
+from ..numerics import NonConvergenceError, gauss_panel_nodes
 from .association import association_probability
 
 __all__ = [
@@ -120,6 +120,11 @@ def outer_grid(params: NetworkParams, nodes_per_panel: int = 6):
     return dict(rs=RS, r=R, w=W, ri=RI, nu_lo=LO, nu_hi=HI)
 
 
+# largest fine-vs-coarse gap (12 vs 8 nodes per panel) accepted for any
+# of the three case probabilities
+_TOPOLOGY_TOL = 1e-5
+
+
 def _case_masses(params: NetworkParams, nodes_per_panel: int
                  ) -> tuple[float, float, float]:
     g = outer_grid(params, nodes_per_panel)
@@ -136,19 +141,18 @@ def _case_masses(params: NetworkParams, nodes_per_panel: int
 
 
 def topology_probabilities(
-    params: NetworkParams, spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[float, float, float]:
+        params: NetworkParams) -> tuple[float, float, float]:
     """(p_A, p_B, p_C): probabilities of the three relative-geometry cases,
     conditioned on pico association (masses of the joint density per case
     region, normalized by the association probability)."""
-    p_s, _ = association_probability(params, spec)
+    p_s, _ = association_probability(params)
     if p_s <= 0.0:
         raise ValueError("pico association has zero probability")
     fine = _case_masses(params, 12)
     coarse = _case_masses(params, 8)
     probs = tuple(m / p_s for m in fine)
     err = max(abs(a - b) / p_s for a, b in zip(fine, coarse))
-    if err > max(spec.abs_tol * 100.0, spec.rel_tol):
+    if err > _TOPOLOGY_TOL:
         raise NonConvergenceError(
             f"case-probability grid not converged (diff {err:.2e})",
             level="topology", result=None,

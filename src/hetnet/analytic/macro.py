@@ -24,10 +24,10 @@ import math
 from typing import Optional
 
 from ..core import DuplexMode, NetworkParams, delta_s
-from ..numerics import IntegralResult, NonConvergenceError, QuadratureSpec, integrate_1d
+from ..numerics import IntegralResult, QuadratureSpec, integrate_1d
 from .tails import tail_profile
 
-__all__ = ["coverage_macro", "coverage_macro_result"]
+__all__ = ["coverage_macro_result"]
 
 
 def _exponent_coefficients(params: NetworkParams, T_m: float,
@@ -51,7 +51,8 @@ def _exponent_coefficients(params: NetworkParams, T_m: float,
 def coverage_macro_result(params: NetworkParams, T_m: float,
                           mode: DuplexMode = DuplexMode.IBFD,
                           spec: Optional[QuadratureSpec] = None) -> IntegralResult:
-    """Pr{macro association, access SIR > T_m} with error estimate."""
+    """Pr{macro association, access SIR > T_m} (joint, not conditional)
+    with error estimate."""
     if not T_m > 0.0:
         raise ValueError("threshold must be strictly positive")
     if spec is None:
@@ -67,19 +68,4 @@ def coverage_macro_result(params: NetworkParams, T_m: float,
     def f(v: float) -> float:
         return scale * math.exp(-v - b2 * v ** gamma)
 
-    res = integrate_1d(f, 0.0, math.inf, spec)
-    return IntegralResult(value=res.value,
-                          error_estimate=res.error_estimate,
-                          converged=res.converged)
-
-
-def coverage_macro(params: NetworkParams, T_m: float,
-                   mode: DuplexMode = DuplexMode.IBFD) -> float:
-    """Pr{macro association, access SIR > T_m} (joint, not conditional)."""
-    res = coverage_macro_result(params, T_m, mode)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"macro coverage integral not converged "
-            f"(estimate {res.error_estimate:.2e})",
-            level="macro nearest-distance integral", result=res)
-    return min(max(res.value, 0.0), 1.0)
+    return integrate_1d(f, 0.0, math.inf, spec)

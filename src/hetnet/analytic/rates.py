@@ -13,10 +13,13 @@ the floor and decays thereafter:
   pico:   Int_0^inf Pr(SIR_us > max(2^{t/k_a} - 1, T_s),
                        SIR_sm > max(2^{n t/(eta k_b)} - 1, T_b)) dt
 
-Band shares: IBFD runs everything on the whole band (k_a = k_b = 1,
-prefactor eta_bar).  FDD orthogonalizes the tiers: the pico tier's access
-gets kappa of the band, the macro band gets the rest, so k_a = kappa,
-k_b = 1 - kappa, prefactor (1 - kappa) * eta_bar.
+Band shares (core.band_shares): IBFD runs everything on the whole band
+(k_a = k_b = 1, prefactor eta_bar).  FDD orthogonalizes the tiers: the
+pico tier's access gets kappa of the band, the macro band gets the rest,
+so k_a = kappa, k_b = 1 - kappa, prefactor (1 - kappa) * eta_bar.
+
+Both terms are unnormalized: experiments.evaluate_point divides their sum
+by the total coverage it integrates once for the same point.
 
 Quadrature: the integrand is exactly constant below the smallest floor
 breakpoint and smooth between/after breakpoints, so the t-axis is paneled
@@ -30,23 +33,15 @@ in one vectorized call: one evaluate_joint call per panel for the pico term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DuplexMode, NetworkParams, Thresholds
-from ..numerics import IntegralResult, NonConvergenceError, _leggauss
-from .macro import coverage_macro, coverage_macro_result
-from .smallcell import coverage_smallcell, evaluate_joint
+from ..core import DuplexMode, NetworkParams, Thresholds, band_shares
+from ..numerics import IntegralResult, _leggauss
+from .macro import coverage_macro_result
+from .smallcell import evaluate_joint
 
-__all__ = [
-    "RateBreakdown",
-    "rate_covered",
-    "rate_macro_term",
-    "rate_macro_term_result",
-    "rate_smallcell_term",
-    "rate_smallcell_term_result",
-]
+__all__ = ["rate_macro_term_result", "rate_smallcell_term_result"]
 
 # exponent beyond which 2^x - 1 exceeds any SIR the model resolves
 _EXP_CAP = 50.0
@@ -56,14 +51,6 @@ _GEOM_WIDTH0 = 0.6
 _GEOM_RATIO = 1.7
 _GEOM_WIDTH_MAX = 2.0
 _MAX_PANELS = 80
-
-
-def _band_shares(params: NetworkParams, mode: DuplexMode):
-    """(k_access, k_backhaul, macro_prefactor) for the duplexing mode."""
-    eta_bar = 1.0 - params.eta
-    if mode is DuplexMode.FDD:
-        return params.kappa, 1.0 - params.kappa, (1.0 - params.kappa) * eta_bar
-    return 1.0, 1.0, eta_bar
 
 
 def _survival_integral(survival, breakpoints) -> IntegralResult:
@@ -112,7 +99,8 @@ def _survival_integral(survival, breakpoints) -> IntegralResult:
 
 def rate_macro_term_result(params: NetworkParams, th: Thresholds,
                            mode: DuplexMode = DuplexMode.IBFD) -> IntegralResult:
-    prefactor = _band_shares(params, mode)[2]
+    """Unnormalized macro addend of the covered rate (bits/s/Hz)."""
+    prefactor = band_shares(params, mode)[2]
     if prefactor == 0.0 or not math.isfinite(th.T_m):
         # no access bandwidth, or an unsatisfiable floor
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
@@ -133,12 +121,13 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
 def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
                                mode: DuplexMode = DuplexMode.IBFD,
                                bearing: str = "circle") -> IntegralResult:
+    """Unnormalized pico-path addend of the covered rate (bits/s/Hz)."""
     if params.eta == 0.0 or params.lambda_s == 0.0 \
             or not (math.isfinite(th.T_s) and math.isfinite(th.T_b)):
         # no backhaul bandwidth (the backhaul exponent blows up for every
         # t > 0), no pico tier at all, or an unsatisfiable floor
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    k_a, k_b, _ = _band_shares(params, mode)
+    k_a, k_b, _ = band_shares(params, mode)
     n = params.picos_per_macro
 
     def survival(t: np.ndarray) -> np.ndarray:
@@ -155,54 +144,3 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
     t_b = (params.eta * k_b / n) * math.log2(1.0 + th.T_b)
     return _survival_integral(survival, sorted((min(t_a, t_b),
                                                 max(t_a, t_b))))
-
-
-def rate_macro_term(params: NetworkParams, th: Thresholds,
-                    mode: DuplexMode = DuplexMode.IBFD) -> float:
-    """Unnormalized macro addend of the covered rate (bits/s/Hz)."""
-    res = rate_macro_term_result(params, th, mode)
-    if not res.converged:
-        raise NonConvergenceError(
-            "macro rate tail integral not converged",
-            level="macro rate t-axis", result=res)
-    return res.value
-
-
-def rate_smallcell_term(params: NetworkParams, th: Thresholds,
-                        mode: DuplexMode = DuplexMode.IBFD,
-                        bearing: str = "circle") -> float:
-    """Unnormalized pico-path addend of the covered rate (bits/s/Hz)."""
-    res = rate_smallcell_term_result(params, th, mode, bearing=bearing)
-    if not res.converged:
-        raise NonConvergenceError(
-            "pico rate tail integral not converged",
-            level="pico rate t-axis", result=res)
-    return res.value
-
-
-@dataclass(frozen=True)
-class RateBreakdown:
-    """Covered-rate decomposition; the two terms are pre-normalization."""
-
-    rate_total: float
-    rate_macro_term: float
-    rate_smallcell_term: float
-    coverage_used: float
-
-
-def rate_covered(params: NetworkParams, th: Thresholds,
-                 mode: DuplexMode = DuplexMode.IBFD,
-                 bearing: str = "circle") -> RateBreakdown:
-    """E[rate | coverage]: tier addends normalized by total coverage
-    (the p_total of coverage_total, without its per-link conditionals)."""
-    macro = rate_macro_term(params, th, mode)
-    small = rate_smallcell_term(params, th, mode, bearing=bearing)
-    p_cov = min(max(coverage_smallcell(params, th.T_s, th.T_b, mode,
-                                       bearing=bearing)
-                    + coverage_macro(params, th.T_m, mode), 0.0), 1.0)
-    if p_cov <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    return RateBreakdown(rate_total=(macro + small) / p_cov,
-                         rate_macro_term=macro,
-                         rate_smallcell_term=small,
-                         coverage_used=p_cov)

@@ -78,7 +78,6 @@ import numpy as np
 from ..core import DuplexMode, NetworkParams
 from ..numerics import (
     IntegralResult,
-    NonConvergenceError,
     QuadratureSpec,
     _leggauss,
     gauss_panel_nodes,
@@ -86,11 +85,7 @@ from ..numerics import (
 from .distances import joint_pdf, outer_grid
 from .tails import power_tail_nodes, shifted_functional_radius2
 
-__all__ = [
-    "coverage_smallcell",
-    "coverage_smallcell_result",
-    "evaluate_joint",
-]
+__all__ = ["coverage_smallcell_result", "evaluate_joint"]
 
 # exponent above which a node's contribution e^{-E} is treated as zero
 _SKIP_EXPONENT = 45.0
@@ -239,7 +234,6 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
         # the circle convention reaches bearings with r_m ~ |r_s - r|; the
         # floor only guards the r_s = r cancellation (g -> 0 there anyway)
         out["g_rmnpow_" + tag] = np.maximum(rm2, 1e-60) ** (-alpha_m / 2.0)
-    out["theta_allow"] = theta_allow
     return out
 
 
@@ -415,11 +409,12 @@ def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
                    level: int = 6, bearing: str = "circle"):
     """Single-level evaluation of the joint access+backhaul probability.
 
-    This is the raw panel sum without error control; coverage_smallcell
-    wraps it with a two-level estimate.  T_s and T_b are scalars (the
-    result is a float) or 1-D arrays of one length K (K values; a scalar
-    broadcasts); an infinite threshold gives 0.  ``bearing`` selects the
-    serving-macro bearing convention (module docstring).
+    This is the raw panel sum without error control;
+    coverage_smallcell_result wraps it with a two-level estimate.  T_s and
+    T_b are scalars (the result is a float) or 1-D arrays of one length K
+    (K values; a scalar broadcasts); an infinite threshold gives 0.
+    ``bearing`` selects the serving-macro bearing convention (module
+    docstring).
     """
     T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
                                    np.asarray(T_b, dtype=float))
@@ -503,7 +498,8 @@ def coverage_smallcell_result(
     spec: Optional[QuadratureSpec] = None,
     bearing: str = "circle",
 ) -> IntegralResult:
-    """Joint probability with a two-level panel error estimate.
+    """Pr{pico association, access SIR > T_s, backhaul SIR > T_b} with a
+    two-level panel error estimate.
 
     The value is the fine-level sum; the error estimate is the difference
     against a coarser panel order.  One escalation to a finer pair is
@@ -526,16 +522,3 @@ def coverage_smallcell_result(
                                   error_estimate=err, converged=True)
     return IntegralResult(value=min(max(value, 0.0), 1.0),
                           error_estimate=err, converged=False)
-
-
-def coverage_smallcell(params: NetworkParams, T_s: float, T_b: float,
-                       mode: DuplexMode = DuplexMode.IBFD,
-                       bearing: str = "circle") -> float:
-    """Pr{pico association, access SIR > T_s, backhaul SIR > T_b}."""
-    res = coverage_smallcell_result(params, T_s, T_b, mode, bearing=bearing)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"joint coverage panel grid not converged "
-            f"(estimate {res.error_estimate:.2e})",
-            level="smallcell outer (r_s, r) grid", result=res)
-    return res.value

@@ -18,6 +18,7 @@ __all__ = [
     "DuplexMode",
     "delta_m",
     "delta_s",
+    "band_shares",
     "lens_area",
     "disc_union_area",
     "circle_arc_outside_disc",
@@ -125,6 +126,20 @@ def delta_s(params: NetworkParams) -> float:
     """
     ratio = (params.P_s * params.B_s) / (params.P_m * params.B_m)
     return ratio ** (1.0 / params.alpha_s)
+
+
+def band_shares(params: NetworkParams, mode: DuplexMode):
+    """(k_access, k_backhaul, macro_prefactor): the band fractions of the
+    pico access and backhaul links and the macro-user rate prefactor.
+
+    IBFD runs every link on the whole band; FDD gives the pico access
+    kappa of the band and the macro band the rest.  Macro users get the
+    1 - eta of the macro band that the backhaul leaves.
+    """
+    eta_bar = 1.0 - params.eta
+    if mode is DuplexMode.FDD:
+        return params.kappa, 1.0 - params.kappa, (1.0 - params.kappa) * eta_bar
+    return 1.0, 1.0, eta_bar
 
 
 def lens_area(d, R1, R2):

@@ -148,6 +148,12 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    bearing: str = "circle", x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
+    This is the package's one analytic entry point, for library callers
+    as for every command.  The coverage event is a disjoint union over
+    the association outcome: pico-associated with both links up, or
+    macro-associated with its one link up.  Both tier solvers return
+    probabilities joint with their association event, so p_total is
+    their plain sum, with no extra association weighting.
     Coverage is integrated once and also normalizes the covered rate;
     with trials > 0 one seeded simulation pass supplies the Monte Carlo
     estimate of every reported metric it covers.  quad_spec overrides

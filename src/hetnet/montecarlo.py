@@ -39,8 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic.rates import _band_shares
-from .core import DuplexMode, NetworkParams, Thresholds, delta_m
+from .core import DuplexMode, NetworkParams, Thresholds, band_shares, delta_m
 
 __all__ = [
     "EstimateWithCI",
@@ -340,7 +339,7 @@ def _rate_shares(params: NetworkParams,
     The backhaul share is split across the lambda_s/lambda_m picos per
     macro; with no pico tier no trial reads it.
     """
-    k_a, k_b, macro_prefactor = _band_shares(params, mode)
+    k_a, k_b, macro_prefactor = band_shares(params, mode)
     if params.lambda_s == 0.0:
         return macro_prefactor, k_a, math.nan
     n_ratio = params.lambda_s / params.lambda_m

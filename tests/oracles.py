@@ -26,13 +26,14 @@ Independent routes that the package does not run:
   conditions additionally on the nearest pico distance r_s >= d, enters
   that pico's interference explicitly and integrates the rest of the field
   beyond r_s.  Palm decomposition over the nearest point is an identity,
-  so it must agree with macro.coverage_macro's closed reduction.  With
-  pico_exclusion=False the association void is dropped and pico
-  interference comes in from radius 0: the baseline that the B_s -> 0
-  degenerate-tier limit converges to.
+  so it must agree with the closed reduction of
+  macro.coverage_macro_result.  With pico_exclusion=False the association
+  void is dropped and pico interference comes in from radius 0: the
+  baseline that the B_s -> 0 degenerate-tier limit converges to.
 * j_components: the pieces of the IBFD integrand at one (r_s, r), built
   with the package's own kernels on a one-node geometry, for comparison
-  with direct adaptive quadrature of the defining integrals.
+  with direct adaptive quadrature of the defining integrals.  The allowed
+  bearing angle is computed here from (r_s, r, R_i).
 """
 import functools
 import math
@@ -164,7 +165,6 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
         # the circle convention reaches bearings with r_m ~ |r_s - r|; the
         # floor only guards the r_s = r cancellation (g -> 0 there anyway)
         out["g_rmnpow_" + tag] = np.maximum(rm2, 1e-60) ** (-alpha_m / 2.0)
-    out["theta_allow"] = theta_allow
     return out
 
 
@@ -596,5 +596,8 @@ def j_components(params, T_s, T_b, r_s, r):
         "J_m_fdd": float(J_m_fdd[0]),
         "K1": float(K1[0]), "K2": float(K2[0]),
         "gbar_arc": gbar["arc"], "gbar_circle": gbar["circle"],
-        "theta_allow": float(geom["theta_allow"][0]),
+        # bearings of the serving macro that keep it outside B(o, R_i)
+        "theta_allow": float(np.arccos(_clip_cos(
+            (ri[0] ** 2 - rs[0] ** 2 - rr[0] ** 2)
+            / max(2.0 * rs[0] * rr[0], 1e-300)))),
     }

@@ -25,8 +25,6 @@ from hetnet.analytic import (
     association_probability,
     coverage_macro_result,
     coverage_smallcell_result,
-    coverage_total,
-    rate_covered,
 )
 from hetnet.analytic.smallcell import evaluate_joint
 from hetnet.cli import CSV_HEADER, main
@@ -37,7 +35,7 @@ from hetnet.core import (
     delta_m,
     lens_area,
 )
-from hetnet.experiments import figure_preset, run_sweep
+from hetnet.experiments import evaluate_point, figure_preset, run_sweep
 from hetnet.montecarlo import estimate_metrics
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
@@ -241,11 +239,13 @@ def test_6_backhaul_share_rate_anchors_and_additivity():
         assert rates[eta] == pytest.approx(anchor, abs=0.05), \
             f"rate anchor at eta={eta}"
         # pre-normalization additivity of the two tier terms
-        rb = rate_covered(replace(NetworkParams(), eta=eta), TH,
-                          DuplexMode.IBFD)
-        net = rb.rate_total * rb.coverage_used
+        point = evaluate_point(replace(NetworkParams(), eta=eta), TH,
+                               DuplexMode.IBFD,
+                               ("coverage_total", "rate")).analytic
+        net = point["rate_total"] * point["p_total"]
         assert net == pytest.approx(
-            rb.rate_macro_term + rb.rate_smallcell_term, abs=1e-9)
+            point["rate_macro_term"] + point["rate_smallcell_term"],
+            abs=1e-9)
 
 
 def _lens_bounding_box(d, r1, r2):
@@ -306,11 +306,14 @@ def test_7_property_suite():
     assert p_s == pytest.approx(closed, abs=1e-8)
 
     # (c) coverage is monotone non-increasing in every threshold
-    base = coverage_total(NetworkParams(), TH, DuplexMode.IBFD).p_total
+    def p_total(th):
+        return evaluate_point(NetworkParams(), th,
+                              DuplexMode.IBFD).analytic["p_total"]
+
+    base = p_total(TH)
     for bumped in (replace(TH, T_s=0.4), replace(TH, T_b=0.4),
                    replace(TH, T_m=0.4)):
-        assert coverage_total(NetworkParams(), bumped,
-                              DuplexMode.IBFD).p_total < base
+        assert p_total(bumped) < base
 
     # (d) lens area against a seeded rejection-sampling oracle, with a
     # chord-quadrature cross-oracle pinning the geometry far tighter

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hetnet.analytic import association_probability
-from hetnet.analytic.macro import coverage_macro, coverage_macro_result
-from hetnet.analytic.smallcell import coverage_smallcell
-from hetnet.core import DuplexMode, NetworkParams, delta_s
+from hetnet.analytic.macro import coverage_macro_result
+from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_s
+from hetnet.experiments import evaluate_point
 from oracles import nested_coverage_macro
 
 
@@ -19,6 +19,14 @@ def params_with(**kw) -> NetworkParams:
                 B_m=1.0, B_s=10 ** 2.2, alpha_m=2.8, alpha_s=4.0)
     base.update(kw)
     return NetworkParams(**base)
+
+
+def macro_value(p: NetworkParams, T_m: float,
+                mode: DuplexMode = DuplexMode.IBFD) -> float:
+    """Converged macro coverage value."""
+    res = coverage_macro_result(p, T_m, mode)
+    assert res.converged
+    return res.value
 
 
 def oracle_macro(p: NetworkParams, T_m: float, mode: DuplexMode) -> float:
@@ -63,20 +71,20 @@ class TestMacroCoverage:
     @pytest.mark.parametrize("lam_s,expected", FROZEN_MACRO)
     def test_frozen_reference_values(self, lam_s, expected):
         p = params_with(lambda_s=lam_s)
-        assert coverage_macro(p, 0.1) == pytest.approx(expected, abs=1e-6)
+        assert macro_value(p, 0.1) == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
     @pytest.mark.parametrize("T_m", [0.05, 0.1, 1.0, 10.0])
     def test_matches_scipy_oracle(self, mode, T_m):
         p = params_with()
-        assert coverage_macro(p, T_m, mode) == pytest.approx(
+        assert macro_value(p, T_m, mode) == pytest.approx(
             oracle_macro(p, T_m, mode), rel=1e-7, abs=1e-10)
 
     def test_oracle_agreement_off_defaults(self):
         p = params_with(alpha_m=3.3, alpha_s=3.1, lambda_s=2.0,
                         B_s=5.0, P_m=40.0)
         for mode in DuplexMode:
-            assert coverage_macro(p, 0.7, mode) == pytest.approx(
+            assert macro_value(p, 0.7, mode) == pytest.approx(
                 oracle_macro(p, 0.7, mode), rel=1e-7)
 
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
@@ -84,31 +92,32 @@ class TestMacroCoverage:
         # the 2-D route decomposes the pico expectation over the nearest
         # pico; Palm calculus says it must reproduce the closed reduction
         p = params_with()
-        direct = coverage_macro(p, 0.1, mode)
+        direct = macro_value(p, 0.1, mode)
         nested = nested_coverage_macro(p, 0.1, mode)
         assert nested == pytest.approx(direct, rel=1e-8)
 
     def test_vanishing_threshold_recovers_association_share(self):
         p = params_with()
         _, p_m = association_probability(p)
-        assert coverage_macro(p, 1e-12) == pytest.approx(p_m, abs=1e-9)
+        assert macro_value(p, 1e-12) == pytest.approx(p_m, abs=1e-9)
 
     def test_monotone_in_threshold(self):
         p = params_with()
-        vals = [coverage_macro(p, T) for T in (0.01, 0.1, 1.0, 10.0, 100.0)]
+        vals = [macro_value(p, T) for T in (0.01, 0.1, 1.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_band_split_dominates_shared_band(self):
         p = params_with()
         for T_m in (0.05, 0.1, 1.0, 10.0):
-            assert coverage_macro(p, T_m, DuplexMode.FDD) \
-                > coverage_macro(p, T_m, DuplexMode.IBFD)
+            assert macro_value(p, T_m, DuplexMode.FDD) \
+                > macro_value(p, T_m, DuplexMode.IBFD)
 
     def test_degenerate_pico_tier_limit(self):
         # with the bias driven to zero the network is effectively
         # macro-only with an unfiltered pico interferer field
         p = params_with(B_s=1e-9)
-        total = coverage_smallcell(p, 0.1, 0.1) + coverage_macro(p, 0.1)
+        total = evaluate_point(p, Thresholds(T_s=0.1, T_b=0.1, T_m=0.1),
+                               DuplexMode.IBFD).analytic["p_total"]
         baseline = nested_coverage_macro(p, 0.1, DuplexMode.IBFD,
                                          pico_exclusion=False)
         assert total == pytest.approx(baseline, abs=1e-3)
@@ -119,7 +128,7 @@ class TestMacroCoverage:
             x = T_m ** (2.0 / p.alpha_m) * integrate.quad(
                 lambda t: 1.0 / (1.0 + t ** (p.alpha_m / 2.0)),
                 T_m ** (-2.0 / p.alpha_m), np.inf, limit=300)[0]
-            assert coverage_macro(p, T_m) == pytest.approx(
+            assert macro_value(p, T_m) == pytest.approx(
                 1.0 / (1.0 + x), rel=1e-8)
 
     def test_dropping_exclusion_lifts_coverage_at_defaults(self):
@@ -128,14 +137,14 @@ class TestMacroCoverage:
         p = params_with()
         assert nested_coverage_macro(p, 0.1, DuplexMode.IBFD,
                                      pico_exclusion=False) \
-            > coverage_macro(p, 0.1)
+            > macro_value(p, 0.1)
 
     def test_infinite_threshold_gives_zero(self):
-        assert coverage_macro(params_with(), math.inf) == 0.0
+        assert macro_value(params_with(), math.inf) == 0.0
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            coverage_macro(params_with(), 0.0)
+            coverage_macro_result(params_with(), 0.0)
 
     def test_result_reports_convergence(self):
         res = coverage_macro_result(params_with(), 0.1)
@@ -149,7 +158,7 @@ class TestMacroCoverage:
     def test_probability_sandwich(self, log_t, lam_s, log_bs):
         p = params_with(lambda_s=lam_s, B_s=10.0 ** log_bs)
         T_m = 10.0 ** log_t
-        ibfd = coverage_macro(p, T_m)
-        fdd = coverage_macro(p, T_m, DuplexMode.FDD)
+        ibfd = macro_value(p, T_m)
+        fdd = macro_value(p, T_m, DuplexMode.FDD)
         _, p_m = association_probability(p)
         assert 0.0 <= ibfd <= fdd <= p_m + 1e-9

@@ -10,11 +10,7 @@ from scipy import integrate
 
 from hetnet.analytic import smallcell
 from hetnet.analytic.distances import inner_disc_radius
-from hetnet.analytic.smallcell import (
-    coverage_smallcell,
-    coverage_smallcell_result,
-    evaluate_joint,
-)
+from hetnet.analytic.smallcell import coverage_smallcell_result, evaluate_joint
 from hetnet.core import DuplexMode, NetworkParams
 from hetnet.numerics import NonConvergenceError
 from oracles import (
@@ -31,6 +27,15 @@ def params_with(**kw) -> NetworkParams:
                 B_m=1.0, B_s=10 ** 2.2, alpha_m=2.8, alpha_s=4.0)
     base.update(kw)
     return NetworkParams(**base)
+
+
+def joint_value(p: NetworkParams, T_s: float, T_b: float,
+                mode: DuplexMode = DuplexMode.IBFD,
+                bearing: str = "circle") -> float:
+    """Converged joint coverage value."""
+    res = coverage_smallcell_result(p, T_s, T_b, mode, bearing=bearing)
+    assert res.converged
+    return res.value
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ class TestJointCoverage:
     @pytest.mark.parametrize("lam_s,T_s,T_b,expected", FROZEN_JOINT)
     def test_frozen_reference_values(self, lam_s, T_s, T_b, expected):
         p = params_with(lambda_s=lam_s)
-        assert coverage_smallcell(p, T_s, T_b) == pytest.approx(
+        assert joint_value(p, T_s, T_b) == pytest.approx(
             expected, abs=2e-4)
 
     def test_result_carries_error_estimate(self):
@@ -223,14 +228,12 @@ class TestJointCoverage:
 
     def test_monotone_in_access_threshold(self):
         p = params_with()
-        vals = [coverage_smallcell(p, T, 0.1) for T in (0.05, 0.1, 0.5,
-                                                        2.0, 10.0)]
+        vals = [joint_value(p, T, 0.1) for T in (0.05, 0.1, 0.5, 2.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_backhaul_threshold(self):
         p = params_with()
-        vals = [coverage_smallcell(p, 0.1, T) for T in (0.05, 0.1, 0.5,
-                                                        2.0, 10.0)]
+        vals = [joint_value(p, 0.1, T) for T in (0.05, 0.1, 0.5, 2.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_band_split_dominates_shared_band(self):
@@ -238,13 +241,13 @@ class TestJointCoverage:
         # serving-macro factor: pointwise the integrand can only grow
         p = params_with()
         for T_s, T_b in ((0.1, 0.1), (1.0, 0.3), (5.0, 2.0)):
-            ibfd = coverage_smallcell(p, T_s, T_b, DuplexMode.IBFD)
-            fdd = coverage_smallcell(p, T_s, T_b, DuplexMode.FDD)
+            ibfd = joint_value(p, T_s, T_b, DuplexMode.IBFD)
+            fdd = joint_value(p, T_s, T_b, DuplexMode.FDD)
             assert ibfd < fdd
 
     def test_fdd_reference_value(self):
-        assert coverage_smallcell(params_with(), 0.1, 0.1,
-                                  DuplexMode.FDD) == pytest.approx(
+        assert joint_value(params_with(), 0.1, 0.1,
+                           DuplexMode.FDD) == pytest.approx(
             0.66742003, abs=3e-4)
 
     @given(st.floats(min_value=-2.0, max_value=1.5),
@@ -280,15 +283,15 @@ class TestBearingConventions:
     def test_arc_dominates_circle(self):
         p = params_with()
         for T_s in (0.1, 1.0):
-            circle = coverage_smallcell(p, T_s, 0.1, bearing="circle")
-            arc = coverage_smallcell(p, T_s, 0.1, bearing="arc")
+            circle = joint_value(p, T_s, 0.1, bearing="circle")
+            arc = joint_value(p, T_s, 0.1, bearing="arc")
             assert arc > circle
             # the conventions only differ through the lens-regime mass
             assert arc - circle < 0.01
 
     def test_arc_reference_value(self):
-        assert coverage_smallcell(params_with(), 0.1, 0.1,
-                                  bearing="arc") == pytest.approx(
+        assert joint_value(params_with(), 0.1, 0.1,
+                           bearing="arc") == pytest.approx(
             0.27447356, abs=2e-4)
 
     def test_fdd_is_bearing_independent(self):
@@ -300,31 +303,29 @@ class TestBearingConventions:
 
 class TestSelfInterference:
     def test_coverage_decreases_with_cancellation_residue(self):
-        vals = [coverage_smallcell(params_with(beta=b), 0.1, 0.1)
+        vals = [joint_value(params_with(beta=b), 0.1, 0.1)
                 for b in (0.0, 1.0, 5.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_conventions_coincide_at_zero_residue(self):
-        a = coverage_smallcell(params_with(
+        a = joint_value(params_with(
             beta=0.0, self_interference_convention="ps"), 0.1, 0.1)
-        b = coverage_smallcell(params_with(
+        b = joint_value(params_with(
             beta=0.0, self_interference_convention="pm"), 0.1, 0.1)
         assert a == b
 
     def test_macro_power_convention_hurts_more(self):
         # scaling the residue by the (much larger) macro power must cost
         # coverage
-        a = coverage_smallcell(params_with(
+        a = joint_value(params_with(
             self_interference_convention="ps"), 0.1, 0.1)
-        b = coverage_smallcell(params_with(
+        b = joint_value(params_with(
             self_interference_convention="pm"), 0.1, 0.1)
         assert b < a
 
     def test_fdd_ignores_residue(self):
-        a = coverage_smallcell(params_with(beta=0.0), 0.1, 0.1,
-                               DuplexMode.FDD)
-        b = coverage_smallcell(params_with(beta=7.0), 0.1, 0.1,
-                               DuplexMode.FDD)
+        a = joint_value(params_with(beta=0.0), 0.1, 0.1, DuplexMode.FDD)
+        b = joint_value(params_with(beta=7.0), 0.1, 0.1, DuplexMode.FDD)
         assert a == b
 
 

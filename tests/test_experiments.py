@@ -13,7 +13,6 @@ import pytest
 from hetnet.analytic import (
     coverage_macro_result,
     coverage_smallcell_result,
-    coverage_total,
     rate_macro_term_result,
     rate_smallcell_term_result,
     topology_probabilities,
@@ -128,8 +127,10 @@ class TestRunSweep:
     def test_analytic_matches_direct_call(self):
         spec = SweepSpec("lambda_ratio", (4.0,))
         row = run_sweep(spec)[0]
-        direct = coverage_total(NetworkParams(lambda_s=4.0), TH,
-                                DuplexMode.IBFD).p_total
+        params = NetworkParams(lambda_s=4.0)
+        direct = coverage_smallcell_result(
+            params, TH.T_s, TH.T_b, DuplexMode.IBFD).value \
+            + coverage_macro_result(params, TH.T_m, DuplexMode.IBFD).value
         assert row.analytic["p_total"] == pytest.approx(direct, abs=1e-12)
         assert row.quad_error["p_total"] < 1e-4
         assert row.mc == {} and row.error is None

@@ -5,6 +5,10 @@ are small enough to reason about exactly; statistical checks pin seeds
 and compare against the analytic route at 3-sigma.
 """
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from oracles import reference_evaluate_user
 
 from hetnet import montecarlo
-from hetnet.analytic import association_probability, coverage_total, rate_covered
+from hetnet.analytic import association_probability
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_m
 from hetnet.experiments import evaluate_point
 from hetnet.montecarlo import (
@@ -310,14 +314,15 @@ class TestEstimators:
     def test_coverage_consistent_with_analytic(self):
         p = NetworkParams()
         for mode in (DuplexMode.IBFD, DuplexMode.FDD):
-            analytic = coverage_total(p, TH, mode).p_total
+            analytic = evaluate_point(p, TH, mode).analytic["p_total"]
             est = estimate_metrics(p, TH, mode, n_trials=3000,
                                    master_seed=17)["p_total"]
             assert abs(est.mean - analytic) < 3.0 * est.std_error
 
     def test_rate_consistent_with_analytic(self):
         p = NetworkParams()
-        analytic = rate_covered(p, TH, DuplexMode.IBFD).rate_total
+        analytic = evaluate_point(p, TH, DuplexMode.IBFD,
+                                  ("rate",)).analytic["rate_total"]
         est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=3000,
                                master_seed=19)["rate_total"]
         assert abs(est.mean - analytic) < 3.0 * est.std_error
@@ -335,7 +340,7 @@ class TestEstimators:
 
     def test_torus_route_consistent(self):
         p = NetworkParams()
-        analytic = coverage_total(p, TH, DuplexMode.IBFD).p_total
+        analytic = evaluate_point(p, TH, DuplexMode.IBFD).analytic["p_total"]
         est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=1500,
                                window=SimulationWindow(30.0, wrap=True),
                                master_seed=29)["p_total"]
@@ -390,3 +395,17 @@ class TestEstimators:
         with pytest.raises(ValueError, match="n_trials"):
             estimate_metrics(NetworkParams(), TH, DuplexMode.IBFD,
                              n_trials=0)
+
+
+def test_simulator_loads_no_analytic_module():
+    # the simulator cross-checks the analytic route, so importing it must
+    # not pull in any part of that route
+    src = pathlib.Path(montecarlo.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    code = ("import sys, hetnet.montecarlo; print(sorted("
+            "m for m in sys.modules if m.startswith('hetnet.analytic')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.strip() == "[]"
