@@ -50,15 +50,23 @@ radial sum by r_s^2 (likewise the access functional F_s).  The macro
 field depends on r and R_i as well, so its (node, radial, angular) tensor
 is per node; it is built _BLOCK nodes at a time in place in its own
 storage (_znpow) and is the bulk of a geometry: 36 MB of 49 MB at level
-6 and 166 MB of 223 MB at level 10, at the default parameters.  A call
-first drops the nodes whose exponent lower bound already makes them
-negligible, then indexes only the live ones.  The macro mixed term runs
-_BLOCK live nodes at a time: each block is gathered from the cached
-tensor into one scratch buffer, turned into Rayleigh factors in place and
-reduced over the angular rule by a matrix-vector product, so no full-size
-temporary is built.  All scratch belongs to the call, never to the
-module: threaded sweeps share the cached geometries, and the cache is
-read-only.
+6 and 166 MB of 223 MB at level 10, at the default parameters.  Each
+distance to the user that is built from polar coordinates (x, theta)
+around S -- |z| in both mixed terms, r_m in the bearing average, with
+theta measured from the ray pointing away from the user (pi - chi, or
+the bearing t) -- comes from the half-angle chord form of the law of
+cosines, (x - r_s)^2 + 4 r_s x / (1 + tan^2(theta/2)) (_znpow).  It is a
+sum of non-negative terms, so it keeps full relative accuracy where a
+near interferer makes |z| small, and it needs tan, which numpy runs as an
+AVX-512 loop where the CPU has one, instead of cos, which numpy runs
+through scalar libm.  A call first drops the nodes whose exponent lower
+bound already makes them negligible, then indexes only the live ones.
+The macro mixed term runs _BLOCK live nodes at a time: each block is
+gathered from the cached tensor into one scratch buffer, turned into
+Rayleigh factors in place and reduced over the angular rule by a
+matrix-vector product, so no full-size temporary is built.  All scratch
+belongs to the call, never to the module: threaded sweeps share the
+cached geometries, and the cache is read-only.
 
 evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
 scalar calls.  The skip bound grows with both thresholds, so it runs over
@@ -110,26 +118,36 @@ def _clip_cos(x: np.ndarray) -> np.ndarray:
     return np.clip(x, -1.0, 1.0)
 
 
-def _znpow(rx2: np.ndarray, two_rx: np.ndarray, chi_ex: np.ndarray,
-           width: np.ndarray, gx: np.ndarray, alpha: float) -> np.ndarray:
-    """|z|^-alpha at the angular nodes chi = chi_ex + width/2 (gx + 1) of
-    each radial node, where |z|^2 = rx2 - two_rx cos(chi).
+def _znpow(d2: np.ndarray, four_rx: np.ndarray, width: np.ndarray,
+           gx: np.ndarray, alpha: float) -> np.ndarray:
+    """|z|^-alpha with |z|^2 = x^2 + r^2 + 2 x r cos(theta), at the angular
+    nodes theta = width/2 (1 - gx) of each row, from the per-row
+    d2 = (x - r)^2 and four_rx = 4 x r.
+
+    With t = tan(theta/2), 1 + cos(theta) = 2 / (1 + t^2), so
+    |z|^2 = d2 + four_rx / (1 + t^2): the law of cosines as a sum of
+    non-negative terms.  It does not cancel where x ~ r and theta ~ pi
+    (|z| -> 0), and it calls no cos.  numpy's float64 cos is a scalar libm
+    loop, while on a CPU with AVX-512 numpy dispatches tan to an SVML loop
+    (17 ns against 2.8 ns per element on a 2-core x86-64 VM, numpy 2.4);
+    without AVX-512 np.tan falls back to libm too, and the form keeps only
+    its accuracy.
 
     Built _BLOCK rows at a time in place in the output, with the operations
     of the whole-array expression in its order (so bit-identical to it): no
     temporary the size of the output is ever allocated.
     """
-    half, gx1 = 0.5 * width, gx + 1.0
-    zn = np.empty(rx2.shape + gx.shape)
+    quarter, gx1 = 0.25 * width, 1.0 - gx
+    zn = np.empty(d2.shape + gx.shape)
     for lo in range(0, zn.shape[0], _BLOCK):
         b = slice(lo, lo + _BLOCK)
         z = zn[b]
-        np.multiply(half[b, ..., None], gx1, out=z)
-        z += chi_ex[b, ..., None]
-        np.cos(z, out=z)
-        z *= two_rx[b, ..., None]
-        np.subtract(rx2[b, ..., None], z, out=z)
-        np.maximum(z, 1e-300, out=z)
+        np.multiply(quarter[b, ..., None], gx1, out=z)
+        np.tan(z, out=z)
+        z *= z
+        z += 1.0
+        np.divide(four_rx[b, ..., None], z, out=z)
+        z += d2[b, ..., None]
         z **= -alpha / 2.0
     return zn
 
@@ -157,8 +175,8 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
     out["s_width"] = np.pi - chi_ex  # angular interval [chi_ex, pi]
-    out["s_znpow"] = _znpow(1.0 + xs ** 2, 2.0 * xs, chi_ex, out["s_width"],
-                            gx, alpha_s)
+    out["s_znpow"] = _znpow((xs - 1.0) ** 2, 4.0 * xs, out["s_width"], gx,
+                            alpha_s)
     xt, wt = power_tail_nodes(_LADDER_S[-1], alpha_s, n_tail)
     out["s_tw"] = wt * xt
     out["s_txnpow"] = xt ** -alpha_s
@@ -180,11 +198,12 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     wxm *= xm
     out["m_wx"] = wxm
     out["m_xnpow"] = xm ** -alpha_m
-    rx2, two_rx = rs[:, None] ** 2 + xm ** 2, 2.0 * rs[:, None] * xm
     chi_ex2 = np.arccos(_clip_cos(
-        (rx2 - ri[:, None] ** 2) / np.maximum(two_rx, 1e-300)))
+        (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2)
+        / np.maximum(2.0 * rs[:, None] * xm, 1e-300)))
     out["m_width"] = np.pi - chi_ex2
-    out["m_znpow"] = _znpow(rx2, two_rx, chi_ex2, out["m_width"], gx, alpha_m)
+    out["m_znpow"] = _znpow((xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm,
+                            out["m_width"], gx, alpha_m)
     xtm, wtm = power_tail_nodes(base * _LADDER_M[-1], alpha_m, n_tail)
     out["m_tw"] = wtm * xtm
     out["m_txnpow"] = xtm ** -alpha_m
@@ -227,13 +246,12 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                           / np.maximum(2.0 * rs * r, 1e-300))
     theta_allow = np.arccos(cos_allow)
     out["g_w"] = 0.5 * gwt
-    for tag, upper in (("arc", theta_allow[:, None]), ("circle", np.pi)):
-        theta = 0.5 * upper * (gxt + 1.0)
-        rm2 = rs[:, None] ** 2 + r[:, None] ** 2 \
-            + 2.0 * rs[:, None] * r[:, None] * np.cos(theta)
-        # the circle convention reaches bearings with r_m ~ |r_s - r|; the
-        # floor only guards the r_s = r cancellation (g -> 0 there anyway)
-        out["g_rmnpow_" + tag] = np.maximum(rm2, 1e-60) ** (-alpha_m / 2.0)
+    # r_m^2 = r_s^2 + r^2 + 2 r_s r cos(theta) in the chord form of _znpow;
+    # its nodes theta = U/2 (1 - x) at x = -gxt are the Gauss nodes on [0, U]
+    d2, four_rsr = (rs - r) ** 2, 4.0 * rs * r
+    for tag, upper in (("arc", theta_allow),
+                       ("circle", np.full_like(rs, np.pi))):
+        out["g_rmnpow_" + tag] = _znpow(d2, four_rsr, upper, -gxt, alpha_m)
     return out
 
 

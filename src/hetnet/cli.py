@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .analytic import association_probability
 from .core import DuplexMode, NetworkParams, Thresholds
 from .experiments import (
     FIGURE_IDS,
@@ -192,26 +191,22 @@ def _validate(cfg: RunConfig, trials: int, seed: int, fixed_count: bool,
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=stream)
 
+    if trials < 1:  # evaluate_point simulates only when trials > 0
+        raise ValueError("n_trials must be >= 1")
     th = cfg.thresholds
-    p_s, _ = association_probability(cfg.params)
     for mode_name, mode in _MODES.items():
         row = evaluate_point(cfg.params, th, mode,
-                             ("coverage_breakdown", "rate"),
+                             ("coverage_breakdown", "rate", "association"),
+                             trials=trials, seed=seed, window=cfg.window,
+                             fixed_count=fixed_count,
                              quad_spec=cfg.quad_spec, bearing="arc")
-        estimates = estimate_metrics(cfg.params, th, mode, n_trials=trials,
-                                     window=cfg.window, master_seed=seed,
-                                     fixed_count=fixed_count)
-        if "rate_total" not in estimates:
-            raise ValueError("conditioning event empty in sample")
-        analytic = dict(row.analytic, p_assoc_s=p_s)
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
-            est = estimates[name]
+            value, est = row.analytic[name], row.mc[name]
             sigma = max(est.std_error, 1e-9)
-            z = (est.mean - analytic[name]) / sigma
+            z = (est.mean - value) / sigma
             report(f"{mode_name} {name}", abs(z) <= 3.0,
-                   f"analytic={analytic[name]:.6f} mc={est.mean:.6f} "
-                   f"z={z:+.2f}")
+                   f"analytic={value:.6f} mc={est.mean:.6f} z={z:+.2f}")
 
     first = estimate_metrics(cfg.params, th, DuplexMode.IBFD, n_trials=200,
                              window=cfg.window, master_seed=seed)

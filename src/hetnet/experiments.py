@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import (
+    association_probability,
     coverage_macro_result,
     coverage_smallcell_result,
     rate_macro_term_result,
@@ -44,7 +45,8 @@ __all__ = [
 
 SWEEPABLE_PARAMETERS = ("B_s", "T_s", "lambda_ratio", "eta", "beta",
                         "alpha_s")
-SWEEP_OUTPUTS = ("coverage_total", "coverage_breakdown", "topology", "rate")
+SWEEP_OUTPUTS = ("coverage_total", "coverage_breakdown", "topology", "rate",
+                 "association")
 
 
 def _db_to_linear(value_db: float) -> float:
@@ -155,10 +157,12 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     probabilities joint with their association event, so p_total is
     their plain sum, with no extra association weighting.
     Coverage is integrated once and also normalizes the covered rate;
-    with trials > 0 one seeded simulation pass supplies the Monte Carlo
-    estimate of every reported metric it covers.  quad_spec overrides
-    the coverage tolerances; bearing is the serving-macro bearing
-    convention of the small-cell integrals; x labels the row.
+    with trials > 0 and coverage or rate requested, one seeded simulation
+    pass supplies the Monte Carlo estimate of every reported metric it
+    covers.  topology (p_case_*) and association (p_assoc_s) are closed
+    forms with quad_error NaN.  quad_spec overrides the coverage
+    tolerances; bearing is the serving-macro bearing convention of the
+    small-cell integrals; x labels the row.
 
     Raises NonConvergenceError when an integral behind a reported value
     misses its tolerance, and ValueError when the rate's conditioning
@@ -188,6 +192,9 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
             quad_error["p_macro_joint"] = macro.error_estimate
     if "topology" in outputs:
         _topology_metrics(params, analytic, quad_error)
+    if "association" in outputs:
+        analytic["p_assoc_s"] = association_probability(params)[0]
+        quad_error["p_assoc_s"] = math.nan
     if wants_rate:
         macro_rate = _converged("macro rate integral",
                                 rate_macro_term_result(params, th, mode))

@@ -64,6 +64,15 @@ def _clip_cos(x):
     return np.clip(x, -1.0, 1.0)
 
 
+def chord_form(d2, four_rx, width, gx):
+    """x^2 + r^2 + 2 x r cos(theta) at theta = width/2 (1 - gx) of each row,
+    as d2 + four_rx / (1 + tan^2(theta/2)) with d2 = (x - r)^2 and
+    four_rx = 4 x r: one whole-array expression (smallcell._znpow builds
+    the same in blocks and takes its power in place)."""
+    t = np.tan(0.25 * np.asarray(width)[..., None] * (1.0 - gx))
+    return d2[..., None] + four_rx[..., None] / (1.0 + t * t)
+
+
 def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     """smallcell._node_tensors with both mixed-term families per node,
     every (node, radial, angular) tensor built as one whole-array
@@ -79,13 +88,12 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     xs, wxs = gauss_panel_nodes(knots_s, n_rad)
     chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
     width = np.pi - chi_ex          # angular interval [chi_ex, pi]
-    chi = chi_ex[..., None] + 0.5 * width[..., None] * (gx + 1.0)
-    z2 = (rs[:, None, None] ** 2 + xs[..., None] ** 2
-          - 2.0 * rs[:, None, None] * xs[..., None] * np.cos(chi))
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
     out["s_width"] = width
-    out["s_znpow"] = np.maximum(z2, 1e-300) ** (-alpha_s / 2.0)
+    out["s_znpow"] = chord_form(
+        (xs - rs[:, None]) ** 2, 4.0 * rs[:, None] * xs, width, gx) \
+        ** (-alpha_s / 2.0)
     xt, wt = power_tail_nodes(rs * smallcell._LADDER_S[-1], alpha_s, n_tail)
     out["s_tw"] = wt * xt
     out["s_txnpow"] = xt ** -alpha_s
@@ -108,13 +116,13 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
         / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
     chi_ex2 = np.arccos(_clip_cos(cos_in))
     width_m = np.pi - chi_ex2
-    chi2 = chi_ex2[..., None] + 0.5 * width_m[..., None] * (gx + 1.0)
-    z2m = (rs[:, None, None] ** 2 + xm[..., None] ** 2
-           - 2.0 * rs[:, None, None] * xm[..., None] * np.cos(chi2))
+    out["m_x"] = xm
     out["m_wx"] = wxm * xm
     out["m_xnpow"] = xm ** -alpha_m
     out["m_width"] = width_m
-    out["m_znpow"] = np.maximum(z2m, 1e-300) ** (-alpha_m / 2.0)
+    out["m_znpow"] = chord_form(
+        (xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm, width_m, gx) \
+        ** (-alpha_m / 2.0)
     xtm, wtm = power_tail_nodes(base * smallcell._LADDER_M[-1], alpha_m,
                                 n_tail)
     out["m_tw"] = wtm * xtm
@@ -158,13 +166,10 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
                           / np.maximum(2.0 * rs * r, 1e-300))
     theta_allow = np.arccos(cos_allow)
     out["g_w"] = 0.5 * gwt
-    for tag, upper in (("arc", theta_allow[:, None]), ("circle", np.pi)):
-        theta = 0.5 * upper * (gxt + 1.0)
-        rm2 = rs[:, None] ** 2 + r[:, None] ** 2 \
-            + 2.0 * rs[:, None] * r[:, None] * np.cos(theta)
-        # the circle convention reaches bearings with r_m ~ |r_s - r|; the
-        # floor only guards the r_s = r cancellation (g -> 0 there anyway)
-        out["g_rmnpow_" + tag] = np.maximum(rm2, 1e-60) ** (-alpha_m / 2.0)
+    for tag, upper in (("arc", theta_allow), ("circle", np.pi)):
+        # bearing theta = upper/2 (gxt + 1): the chord form's nodes at -gxt
+        out["g_rmnpow_" + tag] = chord_form(
+            (rs - r) ** 2, 4.0 * rs * r, upper, -gxt) ** (-alpha_m / 2.0)
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the joint access+backhaul coverage solver (small-cell tier)."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hetnet.analytic import smallcell
 from hetnet.analytic.distances import inner_disc_radius
 from hetnet.analytic.smallcell import coverage_smallcell_result, evaluate_joint
 from hetnet.core import DuplexMode, NetworkParams
-from hetnet.numerics import NonConvergenceError
+from hetnet.numerics import NonConvergenceError, _leggauss, gauss_panel_nodes
 from oracles import (
     dense_evaluate_joint,
     dense_geometry,
@@ -471,6 +472,94 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * geom["m_znpow"].nbytes
+
+
+def law_of_cosines_pow(x, r, width, g, alpha, mp):
+    """(x^2 + r^2 + 2 x r cos(theta))^(-alpha/2) at theta = width/2 (1 - g),
+    in 30-digit arithmetic on the float64 inputs."""
+    with mp.workdps(30):
+        x, r = mp.mpf(float(x)), mp.mpf(float(r))
+        theta = mp.mpf(float(width)) / 2 * (1 - mp.mpf(float(g)))
+        return float((x ** 2 + r ** 2 + 2 * x * r * mp.cos(theta))
+                     ** (-mp.mpf(alpha) / 2))
+
+
+class TestChordForm:
+    """_znpow builds |z| (and r_m) from the half-angle chord form of the law
+    of cosines, (x - r)^2 + 4 x r / (1 + tan^2(theta/2)): a sum of
+    non-negative terms, with no cos."""
+
+    @pytest.mark.parametrize("level", [3, 6, 10])
+    def test_tensors_match_law_of_cosines(self, level):
+        mp = pytest.importorskip("mpmath")
+        p = params_with()
+        geom = smallcell._geometry(p, level)
+        dense = dense_geometry(p, level)
+        gx = _leggauss(geom["ang_w"].size)[0]
+        xm, rs, zn = dense["m_x"], dense["rs"], geom["m_znpow"]
+        assert np.array_equal(xm ** -p.alpha_m, geom["m_xnpow"])
+        # the rows where |z| gets smallest against its two legs are where
+        # r_s^2 + x^2 - 2 r_s x cos(chi) cancels; add a fixed random sample
+        ratio = (zn ** (-2.0 / p.alpha_m)).min(axis=2) \
+            / (rs[:, None] ** 2 + xm ** 2)
+        rng = np.random.default_rng(level)
+        rows = np.union1d(np.argsort(ratio, axis=None)[:200],
+                          rng.choice(ratio.size, 200, replace=False))
+        width, errors = geom["m_width"], []
+        for n, l in zip(*np.unravel_index(rows, ratio.shape)):
+            for a, g in enumerate(gx):
+                ref = law_of_cosines_pow(xm[n, l], rs[n], width[n, l], g,
+                                         p.alpha_m, mp)
+                errors.append(abs(zn[n, l, a] - ref) / ref)
+        # the pico table, every row: r_s = 1 and its own radial nodes
+        xs = gauss_panel_nodes(smallcell._LADDER_S, max(level, 4))[0]
+        assert np.array_equal(xs ** -p.alpha_s, geom["s_xnpow"])
+        for l, a in np.ndindex(geom["s_znpow"].shape):
+            ref = law_of_cosines_pow(xs[l], 1.0, geom["s_width"][l], gx[a],
+                                     p.alpha_s, mp)
+            errors.append(abs(geom["s_znpow"][l, a] - ref) / ref)
+        assert max(errors) <= 2.5e-14
+
+    @pytest.mark.parametrize("n_ang", [8, 12, 16])
+    @pytest.mark.parametrize("alpha", [2.8, 4.0])
+    def test_degenerate_rows(self, n_ang, alpha):
+        # widths 0 and pi, and x == r exactly, where the law of cosines
+        # cancels to 4 x r cos^2(theta/2); the nodes and their mirror
+        # images (the bearing table passes -gx)
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.5, 2.0, 1.0, 1.0, 3.0])
+        width = np.array([0.0, 0.0, np.pi, 0.0, np.pi])
+        r = 1.0
+        for gx in (_leggauss(n_ang)[0], -_leggauss(n_ang)[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                zn = smallcell._znpow((x - r) ** 2, 4.0 * r * x, width, gx,
+                                      alpha)
+            assert np.all(np.isfinite(zn)) and np.all(zn > 0.0)
+            # the reference takes theta/2 as rounded in float64: at x == r
+            # and theta -> pi one ulp of theta/2 moves |z|^-alpha by
+            # alpha tan(theta/2) theta/2 ulps (up to ~750 here), which no
+            # form of the law of cosines can recover
+            half = 0.25 * width[:, None] * (1.0 - gx)
+            for i, a in np.ndindex(zn.shape):
+                ref = law_of_cosines_pow(x[i], r, 4.0 * half[i, a], 0.0,
+                                         alpha, mp)
+                assert zn[i, a] == pytest.approx(ref, rel=2.5e-14, abs=0.0)
+
+    def test_node_tensors_call_no_cos(self, monkeypatch):
+        p = params_with()
+        rs = np.array([0.05, 0.3, 0.3, 1.2])
+        r = np.array([0.4, 0.3, 2.0, 1.3])
+
+        def no_cos(*args, **kwargs):
+            raise AssertionError("np.cos called")
+
+        monkeypatch.setattr(smallcell.np, "cos", no_cos)
+        geom = smallcell._node_tensors(p, rs, r, inner_disc_radius(rs, p),
+                                       n_rad=6, n_ang=12, n_tail=12)
+        assert all(np.all(np.isfinite(geom[k]) & (geom[k] > 0.0))
+                   for k in ("m_znpow", "s_znpow", "g_rmnpow_arc",
+                             "g_rmnpow_circle"))
 
 
 # threshold batches shaped like the rate integral's t-panels

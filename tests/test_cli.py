@@ -11,7 +11,10 @@ from dataclasses import fields
 
 import pytest
 
-from hetnet.analytic import coverage_smallcell_result
+from hetnet.analytic import (
+    association_probability,
+    coverage_smallcell_result,
+)
 from hetnet.cli import CSV_HEADER, main, parse_config, rows_to_csv
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 from hetnet.experiments import FIGURE_IDS, SweepRow, SweepSpec, figure_preset
@@ -352,3 +355,12 @@ class TestMainValidate:
         arc = coverage_smallcell_result(NetworkParams(), th.T_s, th.T_b,
                                         DuplexMode.IBFD, bearing="arc")
         assert printed == pytest.approx(arc.value, abs=5e-7)
+        # the association share comes from the same evaluator
+        line = next(l for l in out.splitlines() if "fdd p_assoc_s:" in l)
+        printed = float(line.split("analytic=")[1].split()[0])
+        assert printed == pytest.approx(
+            association_probability(NetworkParams())[0], abs=5e-7)
+
+    def test_rejects_zero_trials(self, capsys):
+        assert main(["validate", "--trials", "0"]) == 1
+        assert "n_trials" in capsys.readouterr().err

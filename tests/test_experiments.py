@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from hetnet.analytic import (
+    association_probability,
     coverage_macro_result,
     coverage_smallcell_result,
     rate_macro_term_result,
@@ -105,6 +106,11 @@ class TestFigurePresets:
         spec = figure_preset("fig10")
         assert spec.base_params.B_s == pytest.approx(10.0 ** 3.4)
 
+    def test_no_preset_reports_the_association_share(self):
+        # p_assoc_s is validate's output; the figure CSVs keep their rows
+        for figure_id in FIGURE_IDS:
+            assert "association" not in figure_preset(figure_id).outputs
+
     def test_rate_presets(self):
         assert figure_preset("fig12").outputs == ("rate",)
         assert figure_preset("fig13").outputs == ("rate",)
@@ -142,6 +148,15 @@ class TestRunSweep:
         assert row.analytic["p_case_b"] == pytest.approx(p_b, abs=1e-12)
         assert row.analytic["p_case_c"] == pytest.approx(p_c, abs=1e-12)
         assert math.isnan(row.quad_error["p_case_a"])
+
+    def test_association_output(self):
+        # like topology, a closed-form value with no quadrature estimate
+        p = NetworkParams(B_s=100.0)
+        row = run_sweep(SweepSpec("B_s", (20.0,),
+                                  outputs=("association",)))[0]
+        assert row.analytic == {"p_assoc_s": association_probability(p)[0]}
+        assert math.isnan(row.quad_error["p_assoc_s"])
+        assert row.mc == {}
 
     def test_breakdown_output_adds_components(self):
         spec = SweepSpec("lambda_ratio", (4.0,),
