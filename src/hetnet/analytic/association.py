@@ -39,8 +39,6 @@ def association_probability(params: NetworkParams) -> tuple[float, float]:
     res = integrate_1d(integrand, 0.0, math.inf, _ASSOCIATION_SPEC)
     if not res.converged:
         raise NonConvergenceError(
-            "association probability integral did not converge",
-            level="association", result=res,
-        )
+            "association probability integral did not converge")
     p_s = min(max(res.value, 0.0), 1.0)
     return p_s, 1.0 - p_s

@@ -154,7 +154,5 @@ def topology_probabilities(
     err = max(abs(a - b) / p_s for a, b in zip(fine, coarse))
     if err > _TOPOLOGY_TOL:
         raise NonConvergenceError(
-            f"case-probability grid not converged (diff {err:.2e})",
-            level="topology", result=None,
-        )
+            f"case-probability grid not converged (diff {err:.2e})")
     return probs

@@ -21,13 +21,15 @@ drops, the association void delta_s^2 stays.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..core import DuplexMode, NetworkParams, delta_s
 from ..numerics import IntegralResult, QuadratureSpec, integrate_1d
 from .tails import tail_profile
 
 __all__ = ["coverage_macro_result"]
+
+# the fixed tolerance of coverage_macro_result's 1-D integral
+_MACRO_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
 
 
 def _exponent_coefficients(params: NetworkParams, T_m: float,
@@ -49,14 +51,12 @@ def _exponent_coefficients(params: NetworkParams, T_m: float,
 
 
 def coverage_macro_result(params: NetworkParams, T_m: float,
-                          mode: DuplexMode = DuplexMode.IBFD,
-                          spec: Optional[QuadratureSpec] = None) -> IntegralResult:
+                          mode: DuplexMode = DuplexMode.IBFD
+                          ) -> IntegralResult:
     """Pr{macro association, access SIR > T_m} (joint, not conditional)
     with error estimate."""
     if not T_m > 0.0:
         raise ValueError("threshold must be strictly positive")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     if not math.isfinite(T_m):
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
     A, B, gamma = _exponent_coefficients(params, T_m, mode)
@@ -68,4 +68,4 @@ def coverage_macro_result(params: NetworkParams, T_m: float,
     def f(v: float) -> float:
         return scale * math.exp(-v - b2 * v ** gamma)
 
-    return integrate_1d(f, 0.0, math.inf, spec)
+    return integrate_1d(f, 0.0, math.inf, _MACRO_SPEC)

@@ -86,7 +86,6 @@ import numpy as np
 from ..core import DuplexMode, NetworkParams
 from ..numerics import (
     IntegralResult,
-    QuadratureSpec,
     _leggauss,
     gauss_panel_nodes,
 )
@@ -97,7 +96,7 @@ __all__ = ["coverage_smallcell_result", "evaluate_joint"]
 
 # exponent above which a node's contribution e^{-E} is treated as zero
 _SKIP_EXPONENT = 45.0
-# default accuracy targets for the panelized 2-D coverage integral
+# accuracy targets for the panelized 2-D coverage integral
 _COV_ABS_TOL = 5e-5
 _COV_REL_TOL = 2e-4
 # nodes per block of the macro tensor build and of the mixed-term kernel: a
@@ -513,7 +512,6 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
 def coverage_smallcell_result(
     params: NetworkParams, T_s: float, T_b: float,
     mode: DuplexMode = DuplexMode.IBFD,
-    spec: Optional[QuadratureSpec] = None,
     bearing: str = "circle",
 ) -> IntegralResult:
     """Pr{pico association, access SIR > T_s, backhaul SIR > T_b} with a
@@ -525,8 +523,6 @@ def coverage_smallcell_result(
     """
     if params.lambda_s <= 0.0:  # empty pico tier: the joint event is null
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    abs_tol = _COV_ABS_TOL if spec is None else max(spec.abs_tol, 1e-9)
-    rel_tol = _COV_REL_TOL if spec is None else spec.rel_tol
     pairs = ((6, 3), (10, 6))
     value = err = math.nan
     for fine, coarse in pairs:
@@ -535,7 +531,7 @@ def coverage_smallcell_result(
         v_c = evaluate_joint(params, T_s, T_b, mode, level=coarse,
                              bearing=bearing)
         value, err = v_f, abs(v_f - v_c)
-        if err <= max(abs_tol, rel_tol * abs(v_f)):
+        if err <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(v_f)):
             return IntegralResult(value=min(max(value, 0.0), 1.0),
                                   error_estimate=err, converged=True)
     return IntegralResult(value=min(max(value, 0.0), 1.0),

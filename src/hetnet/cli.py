@@ -6,9 +6,8 @@ linear name (P_m, B_s, T_s, ...) or, for power-like quantities, with a
 the two spellings of one field are mutually exclusive and unknown keys
 are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
-(window_half_width, wrap, fixed_count), quadrature tolerance overrides
-(quad_abs_tol, quad_rel_tol; applied to the coverage integrals of every
-command that reads a config), and a default output path (out).
+(window_half_width, wrap, fixed_count), and a default output path (out).
+wrap and fixed_count must be JSON booleans and mc_trials a JSON integer.
 
 Every command evaluates a point through experiments.evaluate_point, so a
 reported value whose integral missed its tolerance is never printed: the
@@ -38,7 +37,7 @@ from .experiments import (
     run_sweep,
 )
 from .montecarlo import SimulationWindow, estimate_metrics
-from .numerics import NonConvergenceError, QuadratureSpec
+from .numerics import NonConvergenceError
 
 __all__ = [
     "CSV_HEADER",
@@ -58,7 +57,6 @@ _DB_BASES = ("P_m", "P_s", "B_m", "B_s", "beta") + _THRESHOLD_KEYS
 _SWEEP_KEYS = ("swept_parameter", "grid", "modes", "outputs", "mc_trials",
                "notes")
 _MC_KEYS = ("window_half_width", "wrap", "fixed_count")
-_QUAD_KEYS = ("quad_abs_tol", "quad_rel_tol")
 _MODES = {"ibfd": DuplexMode.IBFD, "fdd": DuplexMode.FDD}
 # outputs of the single-point commands
 _POINT_OUTPUTS = {"coverage": ("coverage_breakdown",), "rate": ("rate",),
@@ -74,8 +72,18 @@ class RunConfig:
     sweep: Optional[SweepSpec] = None
     window: SimulationWindow = SimulationWindow()
     fixed_count: bool = False
-    quad_spec: Optional[QuadratureSpec] = None
     out: Optional[str] = None
+
+
+def _json_value(raw: dict, key: str, default, kind: type, source: str):
+    """raw[key] (default when absent), which must be a JSON boolean (kind
+    bool) or a JSON integer (kind int; true and false are not integers)."""
+    value = raw.get(key, default)
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise ValueError(
+            f"{source}: {key} must be a JSON {name}, got {value!r}")
+    return value
 
 
 def parse_config(text: str, source: str = "config") -> RunConfig:
@@ -90,7 +98,7 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
 
     allowed = set(_PARAM_KEYS) | set(_THRESHOLD_KEYS) \
         | {b + "_db" for b in _DB_BASES} | set(_SWEEP_KEYS) \
-        | set(_MC_KEYS) | set(_QUAD_KEYS) | {"out"}
+        | set(_MC_KEYS) | {"out"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ValueError(f"{source}: unknown keys: {', '.join(unknown)}")
@@ -109,10 +117,7 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
         return values
 
     params = NetworkParams(**scalar_fields(_PARAM_KEYS))
-    # captioned default thresholds (-10 dB) when the config is silent
-    threshold_values = {"T_s": 0.1, "T_b": 0.1, "T_m": 0.1}
-    threshold_values.update(scalar_fields(_THRESHOLD_KEYS))
-    thresholds = Thresholds(**threshold_values)
+    thresholds = Thresholds(**scalar_fields(_THRESHOLD_KEYS))
 
     sweep = None
     if any(k in raw for k in _SWEEP_KEYS):
@@ -133,22 +138,17 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             base_thresholds=thresholds,
             modes=modes,
             outputs=tuple(raw.get("outputs", ("coverage_total",))),
-            mc_trials=int(raw.get("mc_trials", 0)),
+            mc_trials=_json_value(raw, "mc_trials", 0, int, source),
             notes=tuple(raw.get("notes", ())),
         )
 
     window = SimulationWindow(
         half_width=float(raw.get("window_half_width", 30.0)),
-        wrap=bool(raw.get("wrap", False)))
-    quad_spec = None
-    if any(k in raw for k in _QUAD_KEYS):
-        quad_spec = QuadratureSpec(
-            abs_tol=float(raw.get("quad_abs_tol", 1e-7)),
-            rel_tol=float(raw.get("quad_rel_tol", 1e-5)))
-    return RunConfig(params=params, thresholds=thresholds, sweep=sweep,
-                     window=window,
-                     fixed_count=bool(raw.get("fixed_count", False)),
-                     quad_spec=quad_spec, out=raw.get("out"))
+        wrap=_json_value(raw, "wrap", False, bool, source))
+    return RunConfig(
+        params=params, thresholds=thresholds, sweep=sweep, window=window,
+        fixed_count=_json_value(raw, "fixed_count", False, bool, source),
+        out=raw.get("out"))
 
 
 def _fmt(value: float) -> str:
@@ -191,15 +191,12 @@ def _validate(cfg: RunConfig, trials: int, seed: int, fixed_count: bool,
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=stream)
 
-    if trials < 1:  # evaluate_point simulates only when trials > 0
-        raise ValueError("n_trials must be >= 1")
     th = cfg.thresholds
     for mode_name, mode in _MODES.items():
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
                              trials=trials, seed=seed, window=cfg.window,
-                             fixed_count=fixed_count,
-                             quad_spec=cfg.quad_spec, bearing="arc")
+                             fixed_count=fixed_count, bearing="arc")
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
@@ -229,12 +226,11 @@ def _build_parser() -> _CliParser:
     parser = _CliParser(prog="hetnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, mc=False):
+    def command(name, help_text, config=True, mc=False):
+        p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--mode", default="ibfd", choices=sorted(_MODES),
-                       help="duplexing mode for single-point commands")
         if mc:
             p.add_argument("--trials", type=int, default=None,
                            help="simulation trial count")
@@ -243,33 +239,40 @@ def _build_parser() -> _CliParser:
             p.add_argument("--full-scale", action="store_true",
                            help="fixed station counts as in the reference "
                             "setup instead of Poisson-distributed counts")
+        return p
+
+    for name, help_text in (
+            ("coverage", "single-point analytic coverage"),
+            ("rate", "single-point analytic covered rate"),
+            ("simulate", "Monte Carlo estimate at one point")):
+        command(name, help_text, mc=name == "simulate").add_argument(
+            "--mode", default="ibfd", choices=sorted(_MODES),
+            help="duplexing mode")
+    sweep_p = command("sweep", "run a sweep from a config file", mc=True)
+    figure_p = command("figure", "run a reference-figure preset sweep",
+                       config=False, mc=True)
+    figure_p.add_argument("figure_id", choices=list(FIGURE_IDS))
+    for p in (sweep_p, figure_p):
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default HETNET_THREADS or 1)")
-
-    common(sub.add_parser("coverage", help="single-point analytic coverage"))
-    common(sub.add_parser("rate", help="single-point analytic covered rate"))
-    common(sub.add_parser("simulate",
-                          help="Monte Carlo estimate at one point"),
-           mc=True)
-    sweep_p = sub.add_parser("sweep", help="run a sweep from a config file")
-    common(sweep_p, mc=True)
-    figure_p = sub.add_parser(
-        "figure", help="run a reference-figure preset sweep")
-    figure_p.add_argument("figure_id", choices=list(FIGURE_IDS))
-    common(figure_p, config=False, mc=True)
-    validate_p = sub.add_parser(
-        "validate", help="analytic-vs-simulation consistency suite")
-    common(validate_p, mc=True)
+    command("validate", "analytic-vs-simulation consistency suite", mc=True)
     return parser
 
 
 def _load_config(args) -> RunConfig:
     path = getattr(args, "config", None)
     if path is None:
-        return RunConfig(params=NetworkParams(),
-                         thresholds=Thresholds(T_s=0.1, T_b=0.1, T_m=0.1))
+        return parse_config("{}")
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read(), source=path)
+
+
+def _trials(args, default: int) -> int:
+    """--trials of simulate and validate, which need at least one trial."""
+    trials = args.trials if args.trials is not None else default
+    if trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    return trials
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -288,8 +291,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    threads = args.threads if args.threads is not None \
-        else int(os.environ.get("HETNET_THREADS", "1"))
     out_path = args.out if args.out is not None else cfg.out
     fixed_count = cfg.fixed_count or getattr(args, "full_scale", False)
     notes = ()
@@ -297,33 +298,30 @@ def main(argv=None) -> int:
         if args.command in _POINT_OUTPUTS:
             trials = 0
             if args.command == "simulate":
-                trials = args.trials if args.trials is not None else 20_000
+                trials = _trials(args, 20_000)
             rows = [evaluate_point(
                 cfg.params, cfg.thresholds, _MODES[args.mode],
                 _POINT_OUTPUTS[args.command], trials=trials,
                 seed=getattr(args, "seed", 0), window=cfg.window,
-                fixed_count=fixed_count, quad_spec=cfg.quad_spec)]
-        elif args.command == "sweep":
-            if cfg.sweep is None:
+                fixed_count=fixed_count)]
+        elif args.command in ("sweep", "figure"):
+            if args.command == "figure":
+                spec = figure_preset(args.figure_id)
+            elif cfg.sweep is None:
                 print("error: config does not define a sweep",
                       file=sys.stderr)
                 return 1
-            spec = cfg.sweep
+            else:
+                spec = cfg.sweep
             if args.trials is not None:
                 spec = replace(spec, mc_trials=args.trials)
             notes = spec.notes
+            threads = args.threads if args.threads is not None \
+                else int(os.environ.get("HETNET_THREADS", "1"))
             rows = run_sweep(spec, master_seed=args.seed, threads=threads,
-                             window=cfg.window, fixed_count=fixed_count,
-                             quad_spec=cfg.quad_spec)
-        elif args.command == "figure":
-            spec = figure_preset(args.figure_id)
-            if args.trials is not None:
-                spec = replace(spec, mc_trials=args.trials)
-            notes = spec.notes
-            rows = run_sweep(spec, master_seed=args.seed, threads=threads,
-                             fixed_count=fixed_count)
+                             window=cfg.window, fixed_count=fixed_count)
         else:  # validate
-            trials = args.trials if args.trials is not None else 4000
+            trials = _trials(args, 4000)
             stream = sys.stdout if out_path is None \
                 else open(out_path, "w", encoding="utf-8")
             try:

@@ -83,11 +83,14 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """SIR thresholds, linear scale: access (T_s), backhaul (T_b), macro (T_m)."""
+    """SIR thresholds, linear scale: access (T_s), backhaul (T_b), macro (T_m).
 
-    T_s: float
-    T_b: float
-    T_m: float
+    The defaults are the captioned -10 dB of the reference figures.
+    """
+
+    T_s: float = 0.1
+    T_b: float = 0.1
+    T_m: float = 0.1
 
     def __post_init__(self) -> None:
         if not (self.T_s > 0 and self.T_b > 0 and self.T_m > 0):

@@ -30,7 +30,7 @@ from .analytic import (
 )
 from .core import DuplexMode, NetworkParams, Thresholds
 from .montecarlo import SimulationWindow, estimate_metrics
-from .numerics import NonConvergenceError, QuadratureSpec
+from .numerics import NonConvergenceError
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -64,7 +64,7 @@ class SweepSpec:
     swept_parameter: str
     grid: tuple
     base_params: NetworkParams = NetworkParams()
-    base_thresholds: Thresholds = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
+    base_thresholds: Thresholds = Thresholds()
     modes: tuple = (DuplexMode.IBFD,)
     outputs: tuple = ("coverage_total",)
     mc_trials: int = 0
@@ -129,8 +129,7 @@ def _converged(name: str, result):
     if not result.converged:
         raise NonConvergenceError(
             f"{name} did not reach the requested tolerance "
-            f"(estimate {result.error_estimate:.2e})",
-            level=name, result=result)
+            f"(estimate {result.error_estimate:.2e})")
     return result
 
 
@@ -145,9 +144,8 @@ def _topology_metrics(params, analytic, quad_error) -> None:
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
                    seed: int = 0, window: Optional[SimulationWindow] = None,
-                   fixed_count: bool = False,
-                   quad_spec: Optional[QuadratureSpec] = None,
-                   bearing: str = "circle", x: float = math.nan) -> SweepRow:
+                   fixed_count: bool = False, bearing: str = "circle",
+                   x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
     This is the package's one analytic entry point, for library callers
@@ -160,9 +158,8 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     with trials > 0 and coverage or rate requested, one seeded simulation
     pass supplies the Monte Carlo estimate of every reported metric it
     covers.  topology (p_case_*) and association (p_assoc_s) are closed
-    forms with quad_error NaN.  quad_spec overrides the coverage
-    tolerances; bearing is the serving-macro bearing convention of the
-    small-cell integrals; x labels the row.
+    forms with quad_error NaN.  bearing is the serving-macro bearing
+    convention of the small-cell integrals; x labels the row.
 
     Raises NonConvergenceError when an integral behind a reported value
     misses its tolerance, and ValueError when the rate's conditioning
@@ -176,11 +173,10 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     if wants_coverage or wants_rate:
         small = _converged("small-cell coverage integral",
                            coverage_smallcell_result(
-                               params, th.T_s, th.T_b, mode, spec=quad_spec,
+                               params, th.T_s, th.T_b, mode,
                                bearing=bearing))
         macro = _converged("macro coverage integral",
-                           coverage_macro_result(params, th.T_m, mode,
-                                                 spec=quad_spec))
+                           coverage_macro_result(params, th.T_m, mode))
         p_cov = small.value + macro.value
     if wants_coverage:
         analytic["p_total"] = p_cov
@@ -225,22 +221,19 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
 
 def _sweep_cell(spec: SweepSpec, x: float, mode: DuplexMode, seed: int,
-                window: SimulationWindow, fixed_count: bool,
-                quad_spec: Optional[QuadratureSpec]) -> SweepRow:
+                window: SimulationWindow, fixed_count: bool) -> SweepRow:
     try:
         params, th = _apply_swept_value(spec, x)
         return evaluate_point(params, th, mode, spec.outputs,
                               trials=spec.mc_trials, seed=seed,
-                              window=window, fixed_count=fixed_count,
-                              quad_spec=quad_spec, x=x)
+                              window=window, fixed_count=fixed_count, x=x)
     except (ValueError, NonConvergenceError) as exc:
         return SweepRow(x=x, mode=mode, error=str(exc))
 
 
 def run_sweep(spec: SweepSpec, master_seed: int = 0, threads: int = 1,
               window: Optional[SimulationWindow] = None,
-              fixed_count: bool = False,
-              quad_spec: Optional[QuadratureSpec] = None) -> list:
+              fixed_count: bool = False) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Simulation seeds derive from master_seed by cell index, so results are
@@ -251,7 +244,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0, threads: int = 1,
         window = SimulationWindow()
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
     seeds = np.random.SeedSequence(master_seed).generate_state(len(cells))
-    jobs = [(spec, x, mode, int(seed), window, fixed_count, quad_spec)
+    jobs = [(spec, x, mode, int(seed), window, fixed_count)
             for (x, mode), seed in zip(cells, seeds)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

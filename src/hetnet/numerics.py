@@ -27,12 +27,7 @@ __all__ = [
 
 class NonConvergenceError(RuntimeError):
     """Raised when a caller requires a converged integral and the estimate
-    did not reach tolerance.  ``level`` names the failing nesting level."""
-
-    def __init__(self, message: str, level: str = "", result=None) -> None:
-        super().__init__(message)
-        self.level = level
-        self.result = result
+    did not reach tolerance."""
 
 
 # subinterval budget of the adaptive pass in integrate_1d

@@ -558,7 +558,7 @@ def nested_coverage_macro(params, T_m, mode, pico_exclusion=True):
     if not res.converged:
         raise NonConvergenceError(
             f"nested macro coverage not converged "
-            f"(estimate {res.error_estimate:.2e})", result=res)
+            f"(estimate {res.error_estimate:.2e})")
     return min(max(res.value, 0.0), 1.0)
 
 

@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import pytest
 
+from hetnet import cli, experiments
 from hetnet.analytic import (
     association_probability,
     coverage_smallcell_result,
@@ -19,6 +20,7 @@ from hetnet.cli import CSV_HEADER, main, parse_config, rows_to_csv
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 from hetnet.experiments import FIGURE_IDS, SweepRow, SweepSpec, figure_preset
 from hetnet.montecarlo import EstimateWithCI, SimulationWindow, evaluate_user
+from hetnet.numerics import IntegralResult
 
 
 def config_from_sweep_spec(spec: SweepSpec) -> dict:
@@ -45,6 +47,11 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _no_work(*args, **kwargs):
+    """Stand-in for an evaluator that a rejected command must not reach."""
+    raise AssertionError("work started")
+
+
 def csv_rows(text):
     """Parse emitted CSV into dict rows, skipping '#' comment lines."""
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
@@ -61,7 +68,6 @@ class TestParseConfig:
         assert cfg.thresholds == Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
         assert cfg.sweep is None and cfg.out is None
         assert cfg.window == SimulationWindow()
-        assert cfg.quad_spec is None
 
     def test_db_suffix_converts_power_decibels(self):
         cfg = parse_config('{"B_s_db": 20, "T_s_db": -10}')
@@ -108,14 +114,23 @@ class TestParseConfig:
         assert sweep.outputs == ("coverage_breakdown",)
         assert sweep.mc_trials == 50
 
-    def test_window_and_quad_settings(self):
+    def test_window_and_output_settings(self):
         cfg = parse_config(json.dumps({
             "window_half_width": 15.0, "wrap": True, "fixed_count": True,
-            "quad_abs_tol": 1e-9, "out": "result.csv"}))
+            "out": "result.csv"}))
         assert cfg.window == SimulationWindow(half_width=15.0, wrap=True)
         assert cfg.fixed_count is True
-        assert cfg.quad_spec.abs_tol == 1e-9
         assert cfg.out == "result.csv"
+
+    @pytest.mark.parametrize("key, value", [
+        ("wrap", "false"), ("fixed_count", "no"), ("fixed_count", 1),
+        ("mc_trials", 2.7), ("mc_trials", True), ("mc_trials", "5"),
+    ])
+    def test_mistyped_value_rejected_by_key(self, key, value):
+        payload = {"swept_parameter": "T_s", "grid": [0.1], key: value}
+        with pytest.raises(ValueError, match=f"cfg.json: {key} must be a "
+                                             f"JSON (boolean|integer)"):
+            parse_config(json.dumps(payload), source="cfg.json")
 
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_presets_round_trip_through_config(self, figure_id):
@@ -202,11 +217,15 @@ class TestMainSinglePoint:
         assert main(["coverage", "--config", cfg]) == 0
         assert out.exists()
 
-    def test_impossible_tolerance_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"quad_abs_tol": 1e-30,
-                                      "quad_rel_tol": 1e-30})
-        assert main(["coverage", "--config", cfg]) == 2
-        assert "non-convergence" in capsys.readouterr().err
+    def test_nonconverged_integral_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            experiments, "coverage_macro_result",
+            lambda *args, **kwargs: IntegralResult(
+                value=0.5, error_estimate=0.1, converged=False))
+        assert main(["coverage"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-convergence" in captured.err
 
 
 class TestMainErrors:
@@ -222,6 +241,12 @@ class TestMainErrors:
         cfg = write_config(tmp_path, {"bandwith": 3})
         assert main(["coverage", "--config", cfg]) == 1
         assert "unknown keys: bandwith" in capsys.readouterr().err
+        # the quadrature tolerances are solver constants, not settings
+        cfg = write_config(tmp_path, {"quad_abs_tol": 1e-9,
+                                      "quad_rel_tol": 1e-9})
+        assert main(["coverage", "--config", cfg]) == 1
+        assert "unknown keys: quad_abs_tol, quad_rel_tol" in \
+            capsys.readouterr().err
 
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["coverage", "--config", "/nonexistent/x.json"]) == 1
@@ -241,8 +266,31 @@ class TestMainErrors:
     def test_bad_mode_flag_exits_one(self, capsys):
         assert main(["rate", "--mode", "xdd"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig6", "--mode", "fdd"],
+        ["validate", "--mode", "fdd"],
+        ["validate", "--threads", "2"],
+        ["simulate", "--threads", "2"],
+        ["coverage", "--threads", "2"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+    def test_flag_the_command_ignores_exits_one(self, argv, monkeypatch,
+                                                capsys):
+        for name in ("evaluate_point", "run_sweep", "estimate_metrics"):
+            monkeypatch.setattr(cli, name, _no_work)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+            captured.err
+
 
 class TestMainSimulate:
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_rejects_nonpositive_trials(self, trials, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "evaluate_point", _no_work)
+        assert main(["simulate", "--trials", trials]) == 1
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+
     def test_identical_seeds_give_identical_bytes(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--trials", "300", "--seed", "42"]

@@ -91,6 +91,7 @@ RETIRED = [
     "coverage_total", "CoverageBreakdown", "rate_covered", "RateBreakdown",
     "coverage_used", "access_conditional", "backhaul_conditional",
     "coverage_smallcell", "coverage_macro", "_band_shares",
+    "quad_spec", "quad_abs_tol", "quad_rel_tol",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
