@@ -3,7 +3,7 @@ full-duplex-capable pico stations self-backhaul wirelessly to the macro tier.
 
 Layout:
   core        parameters, derived constants, band shares, planar geometry
-  numerics    adaptive 1-D quadrature (finite or semi-infinite), Gauss panels
+  numerics    fixed vectorized quadrature rules with nested error estimates
   analytic    association, joint distance pdf, tier coverage and rate integrals
   montecarlo  independent brute-force simulator (cross-validation oracle)
   experiments evaluate_point (the one analytic entry point), figure presets

@@ -4,15 +4,9 @@ from __future__ import annotations
 import math
 
 from ..core import NetworkParams, delta_m
-from ..numerics import NonConvergenceError, QuadratureSpec, integrate_1d
+from ..numerics import NonConvergenceError, exp_power_integral
 
 __all__ = ["association_probability"]
-
-# The one tolerance of every caller (topology_probabilities, validate's
-# p_assoc_s).  The integrand is smooth and cheap, so near machine precision
-# costs about 0.1 ms; the shared QuadratureSpec default (rel_tol 1e-5) is
-# 4e-6 off the equal-exponent closed form at some draws.
-_ASSOCIATION_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
 def association_probability(params: NetworkParams) -> tuple[float, float]:
@@ -23,22 +17,21 @@ def association_probability(params: NetworkParams) -> tuple[float, float]:
     that no macro is close enough to win the biased comparison:
 
         p_s = 2 pi l_s Int_0^inf x exp(-pi (l_m dm^-2 x^(2 a_s/a_m) + l_s x^2)) dx.
+
+    v = pi l_s x^2 makes it Int_0^inf exp(-v - b v^gamma) dv with
+    gamma = a_s/a_m and b = pi l_m dm^-2 (pi l_s)^-gamma, the integral of
+    numerics.exp_power_integral.
     """
     if params.lambda_s == 0.0:
         return 0.0, 1.0
-    dm = delta_m(params)
-    lm, ls = params.lambda_m, params.lambda_s
-    ratio = 2.0 * params.alpha_s / params.alpha_m
-    coef = lm * dm ** -2.0
-
-    def integrand(x: float) -> float:
-        return 2.0 * math.pi * ls * x * math.exp(
-            -math.pi * (coef * x ** ratio + ls * x * x)
-        )
-
-    res = integrate_1d(integrand, 0.0, math.inf, _ASSOCIATION_SPEC)
-    if not res.converged:
+    gamma = params.alpha_s / params.alpha_m
+    log_b = math.log(math.pi * params.lambda_m * delta_m(params) ** -2.0) \
+        - gamma * math.log(math.pi * params.lambda_s)
+    if log_b > 700.0:  # p_s < Gamma(1 + 1/gamma) b^(-1/gamma): negligible
+        return 0.0, 1.0
+    value, _, converged = exp_power_integral(math.exp(log_b), gamma)
+    if not converged:
         raise NonConvergenceError(
             "association probability integral did not converge")
-    p_s = min(max(res.value, 0.0), 1.0)
+    p_s = min(max(float(value), 0.0), 1.0)
     return p_s, 1.0 - p_s

@@ -17,37 +17,49 @@ invariance that makes the inner integrals r'-independent profiles:
 
 FDD puts the pico tier on an orthogonal band: the C_S interference term
 drops, the association void delta_s^2 stays.
+
+Quadrature: u = r'^2 and v = A u turn Pr into (pi l_m / A) times
+Int_0^inf exp(-v - (B/A^gamma) v^gamma) dv (A, B, gamma below), which
+numerics.exp_power_integral takes for all thresholds in one pass.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..core import DuplexMode, NetworkParams, delta_s
-from ..numerics import IntegralResult, QuadratureSpec, integrate_1d
+from ..numerics import IntegralResult, exp_power_integral
 from .tails import tail_profile
 
-__all__ = ["coverage_macro_result"]
-
-# the fixed tolerance of coverage_macro_result's 1-D integral
-_MACRO_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
+__all__ = ["coverage_macro_batch", "coverage_macro_result"]
 
 
-def _exponent_coefficients(params: NetworkParams, T_m: float,
+def _exponent_coefficients(params: NetworkParams, T_m: np.ndarray,
                            mode: DuplexMode):
-    """(A, B, gamma) with integrand exp(-A u - B u^gamma), u = r'^2."""
+    """(A, B, gamma) with integrand exp(-A u - B u^gamma), u = r'^2, for
+    an array of thresholds."""
     a_m, a_s = params.alpha_m, params.alpha_s
-    c_macro = float(tail_profile(T_m ** (-2.0 / a_m), a_m))
+    c_macro = tail_profile(T_m ** (-2.0 / a_m), a_m)
     A = math.pi * params.lambda_m * (1.0 + T_m ** (2.0 / a_m) * c_macro)
     gamma = a_m / a_s
-    ds2 = delta_s(params) ** 2
-    if mode is DuplexMode.FDD:
-        W = ds2
-    else:
+    W = delta_s(params) ** 2
+    if mode is DuplexMode.IBFD:
         cut = (params.B_s / (params.B_m * T_m)) ** (2.0 / a_s)
-        c_pico = float(tail_profile(cut, a_s))
-        W = ds2 + (T_m * params.P_s / params.P_m) ** (2.0 / a_s) * c_pico
+        W = W + (T_m * params.P_s / params.P_m) ** (2.0 / a_s) \
+            * tail_profile(cut, a_s)
     B = math.pi * params.lambda_s * W
     return A, B, gamma
+
+
+def coverage_macro_batch(params: NetworkParams, T_m: np.ndarray,
+                         mode: DuplexMode = DuplexMode.IBFD):
+    """(value, error, converged) arrays of the macro coverage at every
+    finite, positive threshold of the 1-D array T_m."""
+    A, B, gamma = _exponent_coefficients(params, T_m, mode)
+    value, error, converged = exp_power_integral(B / A ** gamma, gamma)
+    scale = math.pi * params.lambda_m / A
+    return scale * value, scale * error, converged
 
 
 def coverage_macro_result(params: NetworkParams, T_m: float,
@@ -59,13 +71,8 @@ def coverage_macro_result(params: NetworkParams, T_m: float,
         raise ValueError("threshold must be strictly positive")
     if not math.isfinite(T_m):
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    A, B, gamma = _exponent_coefficients(params, T_m, mode)
-    # rescale u -> v/A so the integrand is O(1)-scaled for every threshold
-    # (A grows like T^{2/a_m}; without this the mass is a needle near 0)
-    scale = math.pi * params.lambda_m / A
-    b2 = B / A ** gamma
-
-    def f(v: float) -> float:
-        return scale * math.exp(-v - b2 * v ** gamma)
-
-    return integrate_1d(f, 0.0, math.inf, _MACRO_SPEC)
+    value, error, converged = coverage_macro_batch(
+        params, np.array([float(T_m)]), mode)
+    return IntegralResult(value=float(value[0]),
+                          error_estimate=float(error[0]),
+                          converged=bool(converged[0]))

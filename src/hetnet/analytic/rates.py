@@ -21,14 +21,16 @@ so k_a = kappa, k_b = 1 - kappa, prefactor (1 - kappa) * eta_bar.
 Both terms are unnormalized: experiments.evaluate_point divides their sum
 by the total coverage it integrates once for the same point.
 
-Quadrature: the integrand is exactly constant below the smallest floor
-breakpoint and smooth between/after breakpoints, so the t-axis is paneled
-at the floor breakpoints and then geometrically; each panel is evaluated
-at two Gauss orders for an error estimate, and paneling stops once a
-panel's contribution falls below the tail tolerance (the integrand decays
-at least as fast as 2^{-t/(k_a alpha_s)} there, so the remainder is
-bounded by a geometric series).  Each panel's nodes go to the integrand
-in one vectorized call: one evaluate_joint call per panel for the pico term.
+Quadrature: the integrand is constant below the smallest floor breakpoint
+(one node times its length) and smooth between and after the breakpoints.
+A panel between breakpoints takes the G10 and G5 rules, the tail beyond
+the last one, t_b, G10/K21 Gauss-Kronrod panels: a graded panel
+t = t_b + _TAIL_GRADE u^2, u in [0, 1], then plain panels of doubling
+width until one adds less than _TAIL_TOL.  The difference of each pair is
+the panel's error; the last panel counts twice more for the remainder
+(the survival is non-increasing and decays exponentially).  Each panel is
+one vectorized call of the integrand: one evaluate_joint call for the pico
+term, one numpy pass for the macro term.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ import math
 import numpy as np
 
 from ..core import DuplexMode, NetworkParams, Thresholds, band_shares
-from ..numerics import IntegralResult, _leggauss
-from .macro import coverage_macro_result
+from ..numerics import IntegralResult, _leggauss, kronrod_panel
+from .macro import coverage_macro_batch
 from .smallcell import evaluate_joint
 
 __all__ = ["rate_macro_term_result", "rate_smallcell_term_result"]
@@ -47,54 +49,48 @@ __all__ = ["rate_macro_term_result", "rate_smallcell_term_result"]
 _EXP_CAP = 50.0
 # absolute tail tolerance for the t-integral
 _TAIL_TOL = 1e-8
-_GEOM_WIDTH0 = 0.6
-_GEOM_RATIO = 1.7
-_GEOM_WIDTH_MAX = 2.0
-_MAX_PANELS = 80
+# length of the graded first tail panel
+_TAIL_GRADE = 6.0
+_MAX_PANELS = 40
 
 
 def _survival_integral(survival, breakpoints) -> IntegralResult:
     """Integrate a smooth-between-breakpoints survival function over t>0.
 
-    breakpoints: sorted positive floats where max(...) floors switch off;
-    below the first one the function is constant.  survival maps an array
-    of t to values; it is called once per panel, on its G10 and G5 nodes
-    (and, for the first panel, the head node).
+    breakpoints: one or two sorted positive floats where max(...) floors
+    switch off; below the first one the function is constant.  survival
+    maps an array of t to values; it is called once for the head node and
+    the panel between the breakpoints, then once per tail panel.
     """
-    t1 = breakpoints[0]
+    t1, t_b = breakpoints[0], breakpoints[-1]
     rules = (_leggauss(10), _leggauss(5))
-
-    def panels():
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-            if hi > lo:
-                yield lo, hi, False
-        lo, width = breakpoints[-1], _GEOM_WIDTH0
-        for _ in range(_MAX_PANELS):
-            yield lo, lo + width, True
-            lo += width
-            width = min(width * _GEOM_RATIO, _GEOM_WIDTH_MAX)
-
-    value, err, converged = None, 0.0, False
-    for lo, hi, tail in panels():
-        half = 0.5 * (hi - lo)
-        nodes = [lo + half * (gx + 1.0) for gx, _ in rules]
-        if value is None:
-            nodes.insert(0, [0.5 * t1])
-        f = survival(np.concatenate(nodes))
-        if value is None:
-            value, f = t1 * f[0], f[1:]  # constant stretch, any node works
+    half = 0.5 * (t_b - t1)
+    f = survival(np.concatenate([[0.5 * t1]] + [
+        t1 + half * (gx + 1.0) for gx, _ in rules if t_b > t1]))
+    value, err = t1 * f[0], 0.0  # constant stretch, any node works
+    if t_b > t1:
         fine, coarse = (half * sum(w * v for w, v in zip(gw, part))
-                        for (_, gw), part in zip(rules, (f[:10], f[10:])))
+                        for (_, gw), part in zip(rules, (f[1:11], f[11:])))
         value += fine
         err += abs(fine - coarse)
-        if tail and abs(fine) < _TAIL_TOL:
-            # contributions shrink at least geometrically from here (the
-            # integrand decays exponentially while widths are capped)
-            err += 2.0 * abs(fine)
-            converged = True
-            break
-    return IntegralResult(value=value, error_estimate=err,
-                          converged=converged)
+
+    # graded first panel t = t_b + L u^2, then [t_b + (2^k - 1) L,
+    # t_b + (2^(k+1) - 1) L] for k = 1, 2, ...
+    u, w_k, w_g = kronrod_panel(0.0, 1.0)
+    jacobian = 2.0 * _TAIL_GRADE * u
+    t, w_k, w_g = (t_b + _TAIL_GRADE * u * u, jacobian * w_k,
+                   jacobian * w_g)
+    for k in range(1, _MAX_PANELS + 1):
+        f = survival(t)
+        fine = f @ w_k
+        value += fine
+        err += abs(fine - f @ w_g)
+        if abs(fine) < _TAIL_TOL:
+            return IntegralResult(value=value, error_estimate=err
+                                  + 2.0 * abs(fine), converged=True)
+        t, w_k, w_g = kronrod_panel(*(t_b + _TAIL_GRADE * (
+            2.0 ** np.array([k, k + 1]) - 1.0)))
+    return IntegralResult(value=value, error_estimate=err, converged=False)
 
 
 def rate_macro_term_result(params: NetworkParams, th: Thresholds,
@@ -104,18 +100,23 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
     if prefactor == 0.0 or not math.isfinite(th.T_m):
         # no access bandwidth, or an unsatisfiable floor
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
+    worst = [0.0, True]  # of the coverage values: relative error, converged
 
     def survival(ts: np.ndarray) -> np.ndarray:
-        return np.array([
-            0.0 if t > 200.0 else coverage_macro_result(
-                params, max(2.0 ** t - 1.0, th.T_m), mode).value
-            for t in ts])
+        out = np.zeros_like(ts)
+        live = ts <= 200.0  # beyond, the threshold is out of reach
+        out[live], err, ok = coverage_macro_batch(
+            params, np.maximum(2.0 ** ts[live] - 1.0, th.T_m), mode)
+        worst[:] = (max(worst[0], np.max(err / out[live], initial=0.0)),
+                    worst[1] and ok.all())
+        return out
 
-    t_star = math.log2(1.0 + th.T_m)
-    res = _survival_integral(survival, [t_star])
+    res = _survival_integral(survival, [math.log2(1.0 + th.T_m)])
+    # the coverage errors add at most their worst relative share
+    error = res.error_estimate + worst[0] * abs(res.value)
     return IntegralResult(value=prefactor * res.value,
-                          error_estimate=prefactor * res.error_estimate,
-                          converged=res.converged)
+                          error_estimate=prefactor * error,
+                          converged=bool(res.converged and worst[1]))
 
 
 def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
@@ -142,5 +143,4 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
 
     t_a = k_a * math.log2(1.0 + th.T_s)
     t_b = (params.eta * k_b / n) * math.log2(1.0 + th.T_b)
-    return _survival_integral(survival, sorted((min(t_a, t_b),
-                                                max(t_a, t_b))))
+    return _survival_integral(survival, sorted((t_a, t_b)))

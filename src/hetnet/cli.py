@@ -7,7 +7,8 @@ the two spellings of one field are mutually exclusive and unknown keys
 are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
 (window_half_width, wrap, fixed_count), and a default output path (out).
-wrap and fixed_count must be JSON booleans and mc_trials a JSON integer.
+wrap and fixed_count are JSON booleans, mc_trials an integer,
+window_half_width a number, and grid, modes, outputs and notes arrays.
 
 Every command evaluates a point through experiments.evaluate_point, so a
 reported value whose integral missed its tolerance is never printed: the
@@ -76,11 +77,12 @@ class RunConfig:
 
 
 def _json_value(raw: dict, key: str, default, kind: type, source: str):
-    """raw[key] (default when absent), which must be a JSON boolean (kind
-    bool) or a JSON integer (kind int; true and false are not integers)."""
+    """raw[key] (default when absent), which must have the JSON type of
+    kind; true and false are not numbers, a string is not an array."""
     value = raw.get(key, default)
-    if type(value) is not kind:
-        name = "boolean" if kind is bool else "integer"
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        name = {bool: "boolean", int: "integer", float: "number",
+                list: "array"}[kind]
         raise ValueError(
             f"{source}: {key} must be a JSON {name}, got {value!r}")
     return value
@@ -124,7 +126,7 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
         if "swept_parameter" not in raw or "grid" not in raw:
             raise ValueError(
                 f"{source}: a sweep needs swept_parameter and grid")
-        mode_names = raw.get("modes", ["ibfd"])
+        mode_names = _json_value(raw, "modes", ["ibfd"], list, source)
         try:
             modes = tuple(_MODES[str(m).lower()] for m in mode_names)
         except KeyError as exc:
@@ -133,17 +135,20 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
                 f"ibfd or fdd") from exc
         sweep = SweepSpec(
             swept_parameter=raw["swept_parameter"],
-            grid=tuple(float(v) for v in raw["grid"]),
+            grid=tuple(float(v) for v in
+                       _json_value(raw, "grid", None, list, source)),
             base_params=params,
             base_thresholds=thresholds,
             modes=modes,
-            outputs=tuple(raw.get("outputs", ("coverage_total",))),
+            outputs=tuple(_json_value(raw, "outputs", ["coverage_total"],
+                                      list, source)),
             mc_trials=_json_value(raw, "mc_trials", 0, int, source),
-            notes=tuple(raw.get("notes", ())),
+            notes=tuple(_json_value(raw, "notes", [], list, source)),
         )
 
     window = SimulationWindow(
-        half_width=float(raw.get("window_half_width", 30.0)),
+        half_width=float(_json_value(raw, "window_half_width", 30.0, float,
+                                     source)),
         wrap=_json_value(raw, "wrap", False, bool, source))
     return RunConfig(
         params=params, thresholds=thresholds, sweep=sweep, window=window,

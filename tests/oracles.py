@@ -17,6 +17,9 @@ same seed both draw the same fading, so they differ only in rounding.
 
 Independent routes that the package does not run:
 
+* integrate_1d: scipy's adaptive quadpack on finite or semi-infinite
+  intervals, with a QuadratureSpec tolerance; the nested routes below are
+  built from it.
 * integrate_annulus: adaptive polar quadrature over the plane minus at most
   two discs, truncated at a radius whose power-law tail bound goes into the
   error estimate; a check of the closed exterior-disc functional.
@@ -37,6 +40,8 @@ Independent routes that the package does not run:
 """
 import functools
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -53,11 +58,81 @@ from hetnet.core import DuplexMode, delta_m, delta_s
 from hetnet.numerics import (
     IntegralResult,
     NonConvergenceError,
-    QuadratureSpec,
     _leggauss,
     gauss_panel_nodes,
-    integrate_1d,
 )
+
+
+# ---------------------------------------------------------------------------
+# adaptive 1-D quadrature (quadpack), the base of the nested routes
+# ---------------------------------------------------------------------------
+
+# subinterval budget of the adaptive pass in integrate_1d
+_MAX_SUBDIVISIONS = 200
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Absolute and relative tolerances of one adaptive integral."""
+
+    abs_tol: float = 1e-7
+    rel_tol: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
+            raise ValueError("tolerances must be positive")
+
+
+def _tolerance(spec: QuadratureSpec, value: float) -> float:
+    return max(spec.abs_tol, spec.rel_tol * abs(value))
+
+
+def integrate_1d(f, lower, upper, spec=QuadratureSpec()):
+    """Integrate f on [lower, upper]; upper may be math.inf / np.inf.
+
+    Semi-infinite domains are mapped to (0, 1) with t = lower + u/(1-u)
+    (Jacobian 1/(1-u)^2) before the adaptive pass, so no truncation of the
+    domain occurs.  Non-convergence is reported through ``converged``;
+    the value is still returned so the caller can decide.
+    """
+    points = None
+    if math.isinf(upper):
+        a = float(lower)
+
+        def g(u):
+            om = 1.0 - u
+            if om <= 0.0:
+                return 0.0  # u = 1 is the image of t = inf; integrand limit
+            return f(a + u / om) / (om * om)
+
+        lo, hi, fn = 0.0, 1.0, g
+        if a > 10.0:
+            # a large lower bound squeezes the image of scales t ~ O(a)
+            # against u = 1, invisible to the initial global rule.  A few
+            # breakpoints bracketing t - a ~ a locate the bulk; adaptive
+            # bisection then follows the tail on its own.  (More points
+            # would force evaluations deep into the Jacobian blow-up and
+            # cost accuracy through cancellation.)
+            t_shift = a * 2.0 ** np.array([-3.0, 0.0, 3.0])
+            u_pts = t_shift / (1.0 + t_shift)
+            points = [float(u) for u in u_pts if 1e-12 < u < 1.0 - 1e-14]
+    else:
+        lo, hi, fn = float(lower), float(upper), f
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", _sciint.IntegrationWarning)
+        value, abserr = _sciint.quad(
+            fn, lo, hi,
+            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+            limit=_MAX_SUBDIVISIONS if points is None
+            else max(_MAX_SUBDIVISIONS, len(points) + 50),
+            points=points,
+        )
+    warned = any(issubclass(w.category, _sciint.IntegrationWarning)
+                 for w in caught)
+    converged = (not warned) and abserr <= _tolerance(spec, value)
+    return IntegralResult(value=value, error_estimate=abserr,
+                          converged=converged)
 
 
 def _clip_cos(x):

@@ -126,19 +126,34 @@ class TestRateTerms:
         assert converged_value(rate_smallcell_term_result(
             p, TH)) == pytest.approx(ref, rel=2e-4)
 
-    # rate_smallcell_term_result at T = 0.1, frozen from the scalar t-node
-    # integrand; batching a panel's nodes into one evaluate_joint call
-    # leaves the node sets, the t-rule and the stopping rule unchanged
+    # rate_smallcell_term_result at T = 0.1 with the G10/K21 tail, frozen
+    # from the scalar t-node integrand (one evaluate_joint call per node
+    # gives the same bits); each moved from its G10/G5-tail value by less
+    # than 0.1 of that value's error estimate
     @pytest.mark.parametrize("mode, eta, value, error", [
-        (DuplexMode.IBFD, 0.151, 0.009938091116137878, 1.1082287425870187e-05),
-        (DuplexMode.IBFD, 0.451, 0.0271281823304212, 2.6694100842230017e-06),
-        (DuplexMode.IBFD, 0.901, 0.04811097639988319, 2.385451651507664e-06),
-        (DuplexMode.FDD, 0.451, 0.045947772474799864, 3.115576960983264e-05)])
+        (DuplexMode.IBFD, 0.151, 0.00993803803823713, 9.986400763833925e-06),
+        (DuplexMode.IBFD, 0.451, 0.027128185427559993, 1.2007917668923132e-06),
+        (DuplexMode.IBFD, 0.901, 0.04811085124611326, 1.4323000174755376e-06),
+        (DuplexMode.FDD, 0.451, 0.045945250861810644, 1.3578540567917019e-05)])
     def test_frozen_smallcell_term(self, mode, eta, value, error):
         res = rate_smallcell_term_result(params_with(eta=eta), TH, mode)
         assert res.converged
         assert res.value == pytest.approx(value, rel=1e-11, abs=0.0)
         assert res.error_estimate == pytest.approx(error, rel=1e-2)
+
+    # fig14's first point, eta = 0.001: the backhaul threshold
+    # 2^(4000 t) - 1 makes the survival drop within ~1e-3 of
+    # t_b = 3.4e-5, and the one G10/G5 panel on [t_b, t_a] =
+    # [3.4e-5, 0.1375] misses the drop (1.61e-5, error 6.8e-6).  Composite
+    # Gauss rules on geometric panels from t_b (600 and 2,400 level-6
+    # evaluate_joint nodes) agree on 6.68806e-5 to 3e-12.  The benchmark
+    # reference holds the old value, so the panel stays until a benchmark
+    # change re-records it (docs/DECISIONS.md).
+    @pytest.mark.xfail(strict=True, reason="the G10 breakpoint panel misses "
+                       "the backhaul drop at eta = 0.001")
+    def test_steep_backhaul_panel_against_composite_reference(self):
+        res = rate_smallcell_term_result(NetworkParams(eta=0.001), TH)
+        assert abs(res.value - 6.688059e-5) <= res.error_estimate
 
     def test_frozen_rate_anchors(self):
         p = params_with()

@@ -15,8 +15,7 @@ from hetnet.analytic.tails import (
     tail_profile,
 )
 from hetnet.core import NetworkParams, delta_m
-from hetnet.numerics import QuadratureSpec
-from oracles import integrate_annulus, tail_profile_quad
+from oracles import QuadratureSpec, integrate_annulus, tail_profile_quad
 
 
 def params_with(**kw) -> NetworkParams:
@@ -152,6 +151,17 @@ class TestAssociation:
         p_s, _ = association_probability(p)
         expected = lam_s / (lam_s + p.lambda_m * delta_m(p) ** -2)
         assert p_s == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("lam_s", [0.01, 4.0, 400.0])
+    @pytest.mark.parametrize("bias_db", [-60.0, 0.0, 22.0, 60.0])
+    def test_equal_exponents_closed_form_to_rounding(self, lam_s, bias_db):
+        # the exp-sinh rule is exact far beyond its nested error estimate,
+        # from a pico share of 1.4e-8 to one of 1 - 4.6e-6
+        p = params_with(lambda_s=lam_s, B_s=10 ** (bias_db / 10.0),
+                        alpha_s=2.8)
+        p_s, _ = association_probability(p)
+        expected = lam_s / (lam_s + p.lambda_m * delta_m(p) ** -2)
+        assert p_s == pytest.approx(expected, rel=1e-12)
 
     def test_bias_increases_pico_share(self):
         shares = [association_probability(params_with(B_s=10 ** (b / 10)))[0]

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from hetnet.analytic import association_probability
 from hetnet.analytic.macro import coverage_macro_result
+from hetnet.analytic.rates import rate_macro_term_result
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_s
 from hetnet.experiments import evaluate_point
 from oracles import nested_coverage_macro
@@ -162,3 +163,89 @@ class TestMacroCoverage:
         fdd = macro_value(p, T_m, DuplexMode.FDD)
         _, p_m = association_probability(p)
         assert 0.0 <= ibfd <= fdd <= p_m + 1e-9
+
+
+def mpmath_macro(p: NetworkParams, T_m: float, mode: DuplexMode) -> float:
+    """The whole macro reduction at 30 digits, independent of the package
+    kernels: both profiles by quadrature of their defining integrals, the
+    outer integral over u = r'^2 split at the two scales of its exponent,
+    1/A and B^(-1/gamma)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        T, a_m, a_s = mp.mpf(T_m), mp.mpf(p.alpha_m), mp.mpf(p.alpha_s)
+
+        def profile(c, alpha):
+            # Int_c^inf dt / (1 + t^q): t = u^(-1/(q-1)) maps [X, inf)
+            # onto (0, X^(1-q)] with a smooth integrand, where tanh-sinh
+            # on the t^-q tail is good to 3e-9 only at alpha = 2.5
+            q, X = alpha / 2, max(c, 1)
+            return mp.quad(lambda t: 1 / (1 + t ** q), [c, X]) + mp.quad(
+                lambda u: 1 / (1 + u ** (q / (q - 1))),
+                [0, X ** (1 - q)]) / (q - 1)
+
+        A = mp.pi * p.lambda_m * (1 + T ** (2 / a_m)
+                                  * profile(T ** (-2 / a_m), a_m))
+        W = mp.mpf(delta_s(p)) ** 2
+        if mode is DuplexMode.IBFD:
+            W += (T * p.P_s / p.P_m) ** (2 / a_s) * profile(
+                (p.B_s / (p.B_m * T)) ** (2 / a_s), a_s)
+        B, gamma = mp.pi * p.lambda_s * W, a_m / a_s
+        scales = [1 / A] + ([B ** (-1 / gamma)] if B > 0 else [])
+        points = sorted({mp.mpf(0)} | {k * s for s in scales
+                                      for k in (0.1, 1, 10)})
+        return float(mp.pi * p.lambda_m * mp.quad(
+            lambda u: mp.exp(-A * u - B * u ** gamma), points + [mp.inf]))
+
+
+# a dense, strongly biased pico tier ({"lambda_s": 40, "B_s_db": 60}):
+# after v = A u the mass lies below v ~ 1e-5, where quadpack on the mapped
+# half-line saw none of it and returned 8.4e-18 as converged
+STRONG_BIAS = dict(lambda_s=40.0, B_s=1e6)
+# rate_macro_term_result there, by 30-digit mpmath: T_m = 2^t - 1 and
+# x = ln T_m turn the t-integral into Int p(e^x) e^x / ((1 + e^x) ln 2) dx,
+# taken by 24-point Gauss-Legendre panels split at
+# ln 0.1 + (0, 1, 3, 7, 15, 30, 60) (16 and 40 points agree to 1.5e-14
+# and 1e-18), each node's coverage by mpmath_macro
+STRONG_BIAS_RATE = {
+    (DuplexMode.IBFD, 0.1): 2.7969355356181394e-05,
+    (DuplexMode.IBFD, 0.01): 2.7969355659556110e-05,
+    (DuplexMode.FDD, 0.1): 1.5642664267368869e-05,
+    (DuplexMode.FDD, 0.01): 1.5642664411748025e-05,
+}
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
+    @pytest.mark.parametrize("T_m", [0.1, 0.01])
+    def test_strong_bias_dense_tier_coverage(self, mode, T_m):
+        res = coverage_macro_result(params_with(**STRONG_BIAS), T_m, mode)
+        ref = mpmath_macro(params_with(**STRONG_BIAS), T_m, mode)
+        assert ref == pytest.approx(7.40e-6, rel=1e-3)
+        assert res.converged
+        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert abs(res.value - ref) <= res.error_estimate
+
+    @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
+    @pytest.mark.parametrize("T_m", [0.1, 0.01])
+    def test_strong_bias_dense_tier_rate_term(self, mode, T_m):
+        res = rate_macro_term_result(params_with(**STRONG_BIAS),
+                                     Thresholds(T_m=T_m), mode)
+        ref = STRONG_BIAS_RATE[mode, T_m]
+        assert res.converged
+        assert res.value == pytest.approx(ref, rel=1e-10)
+        assert abs(res.value - ref) <= res.error_estimate
+
+    @pytest.mark.parametrize("lam_s", [0.5, 40.0])
+    @pytest.mark.parametrize("bias_db", [-10.0, 20.0, 60.0])
+    @pytest.mark.parametrize("alpha_m", [2.5, 3.5])
+    def test_error_estimate_covers_mpmath_across_regimes(self, lam_s,
+                                                          bias_db, alpha_m):
+        p = params_with(lambda_s=lam_s, B_s=10.0 ** (bias_db / 10.0),
+                        alpha_m=alpha_m)
+        for mode in DuplexMode:
+            for T_m in (0.01, 10.0):
+                res = coverage_macro_result(p, T_m, mode)
+                ref = mpmath_macro(p, T_m, mode)
+                assert res.converged
+                assert abs(res.value - ref) <= res.error_estimate, \
+                    f"{mode.name} T_m={T_m}: {res.value!r} vs {ref!r}"

@@ -132,6 +132,25 @@ class TestParseConfig:
                                              f"JSON (boolean|integer)"):
             parse_config(json.dumps(payload), source="cfg.json")
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("grid", "015", "array"), ("notes", "abc", "array"),
+        ("modes", "ibfd", "array"), ("outputs", "rate", "array"),
+        ("grid", 0.5, "array"), ("window_half_width", "15", "number"),
+        ("window_half_width", True, "number"),
+    ])
+    def test_string_or_scalar_for_list_or_number_rejected(self, key, value,
+                                                          kind):
+        # a string must not be read as a list of its characters, nor a
+        # quoted number as a number
+        payload = {"swept_parameter": "T_s", "grid": [0.1], key: value}
+        with pytest.raises(ValueError, match=f"cfg.json: {key} must be a "
+                                             f"JSON {kind}"):
+            parse_config(json.dumps(payload), source="cfg.json")
+
+    def test_integer_window_half_width_accepted(self):
+        cfg = parse_config('{"window_half_width": 15}')
+        assert cfg.window.half_width == 15.0
+
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_presets_round_trip_through_config(self, figure_id):
         spec = figure_preset(figure_id)
@@ -247,6 +266,17 @@ class TestMainErrors:
         assert main(["coverage", "--config", cfg]) == 1
         assert "unknown keys: quad_abs_tol, quad_rel_tol" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"swept_parameter": "T_s", "grid": "015"}, "grid"),
+        ({"swept_parameter": "T_s", "grid": [0.1], "notes": "abc"}, "notes"),
+        ({"window_half_width": "15"}, "window_half_width"),
+    ])
+    def test_string_for_list_or_number_exits_one(self, tmp_path, capsys,
+                                                 payload, key):
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert f"{key} must be a JSON" in capsys.readouterr().err
 
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["coverage", "--config", "/nonexistent/x.json"]) == 1

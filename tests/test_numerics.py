@@ -5,11 +5,11 @@ import pytest
 
 from hetnet.numerics import (
     IntegralResult,
-    QuadratureSpec,
+    exp_power_integral,
     gauss_panel_nodes,
-    integrate_1d,
+    kronrod_panel,
 )
-from oracles import integrate_annulus
+from oracles import QuadratureSpec, integrate_1d, integrate_annulus
 
 SPEC = QuadratureSpec()
 
@@ -175,3 +175,60 @@ class TestGaussPanels:
     def test_zero_width_panel(self):
         x, w = gauss_panel_nodes(np.array([0.0, 1.0, 1.0, 2.0]), 4)
         assert float(np.sum(w * np.ones_like(x))) == pytest.approx(2.0)
+
+
+class TestKronrodPanel:
+    def test_gauss_subset_is_the_ten_point_rule(self):
+        x, _, w_g = kronrod_panel(-1.0, 1.0)
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(x[w_g > 0], gx, atol=1e-15)
+        np.testing.assert_allclose(w_g[w_g > 0], gw, atol=1e-15)
+        assert np.all(np.diff(x) > 0) and np.count_nonzero(w_g) == 10
+
+    @pytest.mark.parametrize("degree", range(0, 32, 3))
+    def test_kronrod_exact_through_degree_31(self, degree):
+        x, w_k, _ = kronrod_panel(0.0, 2.0)
+        exact = 2.0 ** (degree + 1) / (degree + 1)
+        assert float(w_k @ x ** degree) == pytest.approx(exact, rel=1e-13)
+
+    def test_gauss_exact_through_degree_19_only(self):
+        x, _, w_g = kronrod_panel(0.0, 1.0)
+        assert float(w_g @ x ** 19) == pytest.approx(1.0 / 20.0, rel=1e-13)
+        assert abs(float(w_g @ x ** 20) - 1.0 / 21.0) > 1e-12
+
+
+class TestExpPowerIntegral:
+    """Int_0^inf exp(-v - b v^gamma) dv by the exp-sinh rule, against
+    30-digit mpmath quadrature split at the integrand's own scale."""
+
+    @staticmethod
+    def reference(b, gamma):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            b, gamma = mp.mpf(b), mp.mpf(gamma)
+            scale = 1 / (1 + b ** (1 / gamma))
+            return float(mp.quad(lambda v: mp.exp(-v - b * v ** gamma),
+                                 [0, scale / 10, scale, 1, mp.inf]))
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0, 1.43, 2.0])
+    @pytest.mark.parametrize("b", [0.0, 1e-3, 1.0, 4e3, 1e9])
+    def test_matches_mpmath_and_error_covers_it(self, b, gamma):
+        value, error, converged = exp_power_integral(b, gamma)
+        ref = self.reference(b, gamma)
+        assert converged
+        assert float(value) == pytest.approx(ref, rel=1e-12)
+        assert abs(float(value) - ref) <= float(error)
+        assert float(error) <= 3e-8 * ref
+
+    def test_vectorized_equals_scalar_calls(self):
+        b = np.array([0.0, 0.3, 12.0, 4e3])
+        value, error, converged = exp_power_integral(b, 0.7)
+        for i, bi in enumerate(b):
+            v, e, c = exp_power_integral(bi, 0.7)
+            assert (v, e, c) == (value[i], error[i], converged[i])
+
+    def test_equal_exponents_closed_form(self):
+        # gamma = 1: Int exp(-(1 + b) v) dv = 1/(1 + b)
+        b = np.geomspace(1e-6, 1e6, 25)
+        value, _, _ = exp_power_integral(b, 1.0)
+        np.testing.assert_allclose(value, 1.0 / (1.0 + b), rtol=1e-13)

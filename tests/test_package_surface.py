@@ -7,8 +7,11 @@ reference routes live in tests/oracles.py), not in the installed package.
 """
 import ast
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +95,7 @@ RETIRED = [
     "coverage_used", "access_conditional", "backhaul_conditional",
     "coverage_smallcell", "coverage_macro", "_band_shares",
     "quad_spec", "quad_abs_tol", "quad_rel_tol",
+    "integrate_1d", "QuadratureSpec", "_MAX_SUBDIVISIONS",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
@@ -141,3 +145,22 @@ def test_own_definition_is_not_a_use():
     # f and C only refer to themselves; g is called from inside f
     assert {"f", "C"}.isdisjoint(_reads(tree))
     assert "g" in _reads(tree)
+
+
+def test_cli_import_loads_no_adaptive_quadrature_or_optimizer():
+    # every integral in the package is a fixed vectorized rule; scipy's
+    # quadpack and optimize modules (about a third of the import time of
+    # `hetnet`) belong to the test oracles only
+    code = ("import sys, hetnet.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'optimize'])))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
+    importers = [str(path.relative_to(ROOT))
+                 for path in sorted(SRC.rglob("*.py"))
+                 if re.search(r"^\s*(from\s+scipy\s+import\s+integrate|"
+                              r"(from|import)\s+scipy\.integrate)",
+                              path.read_text(encoding="utf-8"), re.M)]
+    assert importers == []
