@@ -37,36 +37,28 @@ serving-macro factor (the bearing convention is moot).
 
 Numerical layout: each J splits as 1 - g1 g2 = (1 - g1) + g1 (1 - g2).
 The (1 - g1) parts reduce to the closed-form exterior-disc functional
-(tails.shifted_functional_radius2) minus a 1-D lens correction; the mixed
-parts are integrated in polar coordinates around S, where both exclusion
-discs subtend simple angular intervals.  Everything is vectorized over a
-panelized (r_s, r) grid with panel edges pinned to the geometric case
-boundaries, all distance powers precomputed and cached per geometry
+(tails.shifted_functional_radius2) minus a 1-D correction over a lens
+shell (_lens_shell builds both, K1 and K2); the mixed parts are integrated
+in polar coordinates around S, where both exclusion discs subtend angular
+intervals.  Each such angle comes from core.chord_angle, and every
+Rayleigh complement 1 - g from _one_minus_g.  Everything is vectorized
+over a panelized (r_s, r) grid with panel edges pinned to the geometric
+case boundaries, all distance powers precomputed and cached per geometry
 (rate integrals re-evaluate at many thresholds on one grid).  The pico
 field is seen from S with the exclusion disc B(o, r_s), so every length
 in J_s scales with r_s: its tables are built once, for r_s = 1, with no
 node axis, and a call forms their angular sum once and scales each node's
 radial sum by r_s^2 (likewise the access functional F_s).  The macro
 field depends on r and R_i as well, so its (node, radial, angular) tensor
-is per node; it is built _BLOCK nodes at a time in place in its own
-storage (_znpow) and is the bulk of a geometry: 36 MB of 49 MB at level
-6 and 166 MB of 223 MB at level 10, at the default parameters.  Each
-distance to the user that is built from polar coordinates (x, theta)
-around S -- |z| in both mixed terms, r_m in the bearing average, with
-theta measured from the ray pointing away from the user (pi - chi, or
-the bearing t) -- comes from the half-angle chord form of the law of
-cosines, (x - r_s)^2 + 4 r_s x / (1 + tan^2(theta/2)) (_znpow).  It is a
-sum of non-negative terms, so it keeps full relative accuracy where a
-near interferer makes |z| small, and it needs tan, which numpy runs as an
-AVX-512 loop where the CPU has one, instead of cos, which numpy runs
-through scalar libm.  A call first drops the nodes whose exponent lower
-bound already makes them negligible, then indexes only the live ones.
-The macro mixed term runs _BLOCK live nodes at a time: each block is
-gathered from the cached tensor into one scratch buffer, turned into
-Rayleigh factors in place and reduced over the angular rule by a
-matrix-vector product, so no full-size temporary is built.  All scratch
-belongs to the call, never to the module: threaded sweeps share the
-cached geometries, and the cache is read-only.
+is per node and the bulk of a geometry (36 MB of 49 MB at level 6, 166 MB
+of 223 MB at level 10, at the default parameters).  _znpow builds it, and
+every distance to the user taken from polar coordinates around S, in
+place from the half-angle chord form of the law of cosines.  A call first
+drops the nodes whose exponent lower bound already makes them negligible,
+then indexes only the live ones.  The macro mixed term runs _BLOCK live
+nodes at a time through one scratch buffer, so no full-size temporary is
+built.  All scratch belongs to the call, never to the module: threaded
+sweeps share the cached geometries, and the cache is read-only.
 
 evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
 scalar calls.  The skip bound grows with both thresholds, so it runs over
@@ -76,19 +68,14 @@ part, K1, gbar, the macro angular sum) is formed once per (node, T_s).
 """
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
-from ..core import DuplexMode, NetworkParams
-from ..numerics import (
-    IntegralResult,
-    _leggauss,
-    gauss_panel_nodes,
-)
+from ..core import DuplexMode, NetworkParams, chord_angle
+from ..numerics import IntegralResult, _leggauss, gauss_panel_nodes
 from .distances import joint_pdf, outer_grid
 from .tails import power_tail_nodes, shifted_functional_radius2
 
@@ -111,10 +98,6 @@ _LADDER_S = np.array([0.0, 0.02, 0.08, 0.2, 0.45, 0.8, 1.3, 2.0, 3.2,
                       5.5, 10.0, 20.0, 40.0, 100.0, 300.0, 1000.0])
 _LADDER_M = np.array([1.4, 2.0, 3.0, 5.0, 8.0, 14.0, 25.0, 50.0,
                       120.0, 300.0, 1000.0])
-
-
-def _clip_cos(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, -1.0, 1.0)
 
 
 def _znpow(d2: np.ndarray, four_rx: np.ndarray, width: np.ndarray,
@@ -170,10 +153,10 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
 
     # --- pico-field mixed term: polar around S, exclusion B(o, 1) --------
     xs, wxs = gauss_panel_nodes(_LADDER_S, n_rad)
-    chi_ex = np.arccos(_clip_cos(0.5 * xs))
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
-    out["s_width"] = np.pi - chi_ex  # angular interval [chi_ex, pi]
+    # angular interval [chi_ex, pi], chi_ex = arccos(x/2) at r_s = 1
+    out["s_width"] = np.pi - np.arccos(np.clip(0.5 * xs, -1.0, 1.0))
     out["s_znpow"] = _znpow((xs - 1.0) ** 2, 4.0 * xs, out["s_width"], gx,
                             alpha_s)
     xt, wt = power_tail_nodes(_LADDER_S[-1], alpha_s, n_tail)
@@ -197,53 +180,27 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     wxm *= xm
     out["m_wx"] = wxm
     out["m_xnpow"] = xm ** -alpha_m
-    chi_ex2 = np.arccos(_clip_cos(
-        (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2)
-        / np.maximum(2.0 * rs[:, None] * xm, 1e-300)))
-    out["m_width"] = np.pi - chi_ex2
+    out["m_width"] = np.pi - chord_angle(rs[:, None], xm, ri[:, None])
     out["m_znpow"] = _znpow((xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm,
                             out["m_width"], gx, alpha_m)
     xtm, wtm = power_tail_nodes(base * _LADDER_M[-1], alpha_m, n_tail)
     out["m_tw"] = wtm * xtm
     out["m_txnpow"] = xtm ** -alpha_m
 
-    # --- lens correction K1: user-centered shell of B(S, r) beyond R_i ---
-    k1_knots = np.sort(np.stack([
-        ri,
-        np.clip(np.abs(rs - r), ri, rs + r),
-        np.clip(np.sqrt(np.abs(rs - r) * (rs + r)), ri, rs + r),
-        np.maximum(rs + r, ri),
-    ], axis=1), axis=1)
-    rho1, wrho1 = gauss_panel_nodes(k1_knots, max(n_rad, 6))
-    width1 = 2.0 * np.arccos(_clip_cos(
-        (rs[:, None] ** 2 + rho1 ** 2 - r[:, None] ** 2)
-        / np.maximum(2.0 * rs[:, None] * rho1, 1e-300)))
-    out["k1_w"] = wrho1 * rho1 * width1
-    out["k1_xnpow"] = rho1 ** -alpha_m
-
-    # --- lens correction K2: S-centered shell of B(o, R_i) beyond r ------
-    k2_knots = np.sort(np.stack([
-        r,
-        np.clip(np.abs(ri - rs), r, None),
-        np.clip(np.sqrt(np.clip(np.abs(ri - rs), 1e-300, None)
-                        * (ri + rs)), r, None),
-        np.maximum(ri + rs, r),
-    ], axis=1), axis=1)
-    rho2, wrho2 = gauss_panel_nodes(k2_knots, max(n_rad, 6))
-    width2 = 2.0 * np.arccos(_clip_cos(
-        (rs[:, None] ** 2 + rho2 ** 2 - ri[:, None] ** 2)
-        / np.maximum(2.0 * rs[:, None] * rho2, 1e-300)))
-    out["k2_w"] = wrho2 * rho2 * width2
-    out["k2_xnpow"] = rho2 ** -alpha_m
+    # --- lens corrections: K1, the user-centered shell of B(S, r) beyond
+    #     R_i, and K2, the S-centered shell of B(o, R_i) beyond r ---------
+    for tag, lo, far in (("k1", ri, r), ("k2", r, ri)):
+        out[tag + "_w"], out[tag + "_xnpow"] = _lens_shell(
+            rs, lo, far, max(n_rad, 6), alpha_m)
 
     # --- serving-macro bearing average -----------------------------------
     # both conventions share the normalized Gauss weights: nodes are mapped
     # onto [0, U] with U = pi (circle) or U = theta_allow (arc), and the
     # 1/U density makes U cancel out of the weighted mean
     gxt, gwt = _leggauss(16)
-    cos_allow = _clip_cos((ri ** 2 - rs ** 2 - r ** 2)
-                          / np.maximum(2.0 * rs * r, 1e-300))
-    theta_allow = np.arccos(cos_allow)
+    theta_allow = np.arccos(np.clip((ri ** 2 - rs ** 2 - r ** 2)
+                                    / np.maximum(2.0 * rs * r, 1e-300),
+                                    -1.0, 1.0))
     out["g_w"] = 0.5 * gwt
     # r_m^2 = r_s^2 + r^2 + 2 r_s r cos(theta) in the chord form of _znpow;
     # its nodes theta = U/2 (1 - x) at x = -gxt are the Gauss nodes on [0, U]
@@ -254,13 +211,31 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     return out
 
 
+def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
+    """(weights, rho^-alpha) of a radial rule over the disc of radius far,
+    centered r_s away, beyond radius lo; the weights fold in rho drho and
+    the width 2 chord_angle of each circle in the disc.  Knots where that
+    arc opens (|r_s - far|) and closes (r_s + far), and at the root of
+    their product."""
+    gap, reach = np.abs(rs - far), rs + far
+    knots = np.sort(np.stack([
+        lo, np.maximum(gap, lo), np.maximum(np.sqrt(gap * reach), lo),
+        np.maximum(reach, lo)], axis=1), axis=1)
+    rho, w = gauss_panel_nodes(knots, n)
+    width = 2.0 * chord_angle(rs[:, None], rho, far[:, None])
+    return w * rho * width, rho ** -alpha
+
+
 # geometry cache: rebuilt when the geometric parameters or level change;
 # the lock makes each lookup and each insert-with-eviction atomic, since
-# threaded sweeps share the cache.  The bound counts entries, not bytes: at
-# the default parameters a geometry holds 6.5 MB at level 3, 49 MB at
-# level 6 and 223 MB at level 10 (the macro tensor m_znpow is 4.0, 35.8 and
-# 165.5 MB of that), so a full cache of level-10 geometries holds ~1.3 GB
+# threaded sweeps share the cache.  Least recently used geometries (never
+# the one just inserted) are evicted while the cache holds more than
+# _GEOM_CACHE_BYTES of arrays or more than _GEOM_CACHE_MAX geometries.  At
+# the default point a geometry holds 6.5, 49 and 223 MB at levels 3, 6 and
+# 10: the bytes hold one point's whole ladder, the count keeps a sweep over
+# new points (fig7, 54 MB a point) from holding more than three of them
 _GEOM_CACHE: OrderedDict = OrderedDict()
+_GEOM_CACHE_BYTES = 512 * 2 ** 20
 _GEOM_CACHE_MAX = 6
 _GEOM_LOCK = threading.Lock()
 
@@ -303,7 +278,11 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     )
     with _GEOM_LOCK:
         _GEOM_CACHE[key] = geom
-        if len(_GEOM_CACHE) > _GEOM_CACHE_MAX:
+        _GEOM_CACHE.move_to_end(key)
+        while len(_GEOM_CACHE) > 1 and (
+                len(_GEOM_CACHE) > _GEOM_CACHE_MAX
+                or sum(a.nbytes for g in _GEOM_CACHE.values()
+                       for a in g.values()) > _GEOM_CACHE_BYTES):
             _GEOM_CACHE.popitem(last=False)
     return geom
 
@@ -315,6 +294,16 @@ def _by_rows(fn, n: int) -> np.ndarray:
         b = slice(lo, lo + 16 * _BLOCK)
         out[b] = fn(b)
     return out
+
+
+def _one_minus_g(s, xn):
+    """1 - g(s, x) = 1 - 1/(1 + s x^-alpha), from xn = x^-alpha.
+
+    This form cancels where s xn is small (about 11 digits left at 1e-5;
+    the radial tails reach xn = 4e-15).  s xn/(1 + s xn) does not, but it
+    moves small-cell values past the tolerances of bench/reference/fig9.csv
+    (docs/DECISIONS.md, entry 6)."""
+    return 1.0 - 1.0 / (1.0 + s * xn)
 
 
 def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
@@ -334,8 +323,8 @@ def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
     xn, txn = geom["s_xnpow"], geom["s_txnpow"]
     tail_w = geom["s_tw"] * (2.0 * np.pi / (1.0 + T_s * txn))
     return rs2 * _by_rows(
-        lambda b: ((1.0 - 1.0 / (1.0 + c[b, None] * xn)) @ body_w
-                   + (1.0 - 1.0 / (1.0 + c[b, None] * txn)) @ tail_w),
+        lambda b: (_one_minus_g(c[b, None], xn) @ body_w
+                   + _one_minus_g(c[b, None], txn) @ tail_w),
         c.size)
 
 
@@ -375,10 +364,10 @@ def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
             j = acc[b] - lo
             ib, inner, own_tail = ib[j], inner[j], own_tail[j]
         sc = s_cross[b, None]
-        out[b] = (np.einsum("nl,nl->n",
-                            wl[ib] * (1.0 - 1.0 / (1.0 + sc * xn[ib])), inner)
+        out[b] = (np.einsum("nl,nl->n", wl[ib] * _one_minus_g(sc, xn[ib]),
+                            inner)
                   + np.einsum("nl,nl->n", own_tail,
-                              1.0 - 1.0 / (1.0 + sc * txn[ib])))
+                              _one_minus_g(sc, txn[ib])))
     return out
 
 
@@ -387,7 +376,7 @@ def _lens_correction(s, geom: dict, prefix: str,
     """K-type correction: integral of (1 - g(s, rho)) over a lens shell."""
     xn, w = geom[prefix + "_xnpow"], geom[prefix + "_w"]
     return _by_rows(lambda b: np.einsum(
-        "nl,nl->n", w[idx[b]], 1.0 - 1.0 / (1.0 + s[b, None] * xn[idx[b]])),
+        "nl,nl->n", w[idx[b]], _one_minus_g(s[b, None], xn[idx[b]])),
         idx.size)
 
 
@@ -398,6 +387,12 @@ def _sharpness(params: NetworkParams, T_s, T_b, rs_pow_as, r_pow_am):
     return (np.minimum((T_b * params.P_s / params.P_m) * r_pow_am, cap),
             np.minimum((T_s * params.P_m / params.P_s) * rs_pow_as, cap),
             np.minimum(T_b * r_pow_am, cap))
+
+
+def _self_interference(params: NetworkParams, s2, s2p):
+    """beta_term of the exponent (module docstring)."""
+    return params.beta * (
+        s2 if params.self_interference_convention == "ps" else s2p)
 
 
 def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
@@ -418,8 +413,7 @@ def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
     return (params.lambda_s * np.maximum(
                 F_s, shifted_functional_radius2(s2, a_s, 4.0 * rs2))
             + params.lambda_m * np.maximum(via_o[u_of], via_s)
-            + params.beta * (
-                s2 if params.self_interference_convention == "ps" else s2p))
+            + _self_interference(params, s2, s2p))
 
 
 def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
@@ -492,9 +486,7 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
         rm = geom["g_rmnpow_" + bearing]
         gbar = _by_rows(lambda b: (1.0 / (1.0 + s1p[b, None] * rm[node_a[b]]))
                         @ geom["g_w"], node_a.size)
-        beta = params.beta * (
-            s2 if params.self_interference_convention == "ps" else s2p)
-        expo = lam_s * J_s + lam_m * J_m + beta
+        expo = lam_s * J_s + lam_m * J_m + _self_interference(params, s2, s2p)
         weight = geom["f2w"][node] * gbar[acc]
     else:
         J_m = (shifted_functional_radius2(s2p, params.alpha_m,
@@ -517,22 +509,21 @@ def coverage_smallcell_result(
     """Pr{pico association, access SIR > T_s, backhaul SIR > T_b} with a
     two-level panel error estimate.
 
-    The value is the fine-level sum; the error estimate is the difference
-    against a coarser panel order.  One escalation to a finer pair is
-    attempted before reporting non-convergence.
+    The ladder walks levels 3, 6 and 10, evaluating each at most once.
+    The value is the finest level reached; the error estimate is its
+    difference against the level below.  One escalation, (6,3) to (10,6),
+    is attempted before reporting non-convergence.
     """
     if params.lambda_s <= 0.0:  # empty pico tier: the joint event is null
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    pairs = ((6, 3), (10, 6))
-    value = err = math.nan
-    for fine, coarse in pairs:
-        v_f = evaluate_joint(params, T_s, T_b, mode, level=fine,
-                             bearing=bearing)
-        v_c = evaluate_joint(params, T_s, T_b, mode, level=coarse,
-                             bearing=bearing)
-        value, err = v_f, abs(v_f - v_c)
-        if err <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(v_f)):
-            return IntegralResult(value=min(max(value, 0.0), 1.0),
-                                  error_estimate=err, converged=True)
+    coarse = evaluate_joint(params, T_s, T_b, mode, level=3, bearing=bearing)
+    for level in (6, 10):
+        value = evaluate_joint(params, T_s, T_b, mode, level=level,
+                               bearing=bearing)
+        err = abs(value - coarse)
+        converged = err <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(value))
+        if converged:
+            break
+        coarse = value
     return IntegralResult(value=min(max(value, 0.0), 1.0),
-                          error_estimate=err, converged=False)
+                          error_estimate=err, converged=converged)

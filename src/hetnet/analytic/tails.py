@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as sp
 
+from ..numerics import _leggauss
+
 __all__ = [
     "tail_profile",
     "shifted_functional_radius2",
@@ -75,7 +77,7 @@ def power_tail_nodes(L, alpha: float, n: int):
     L may be an array (leading batch dims); returns arrays with one extra
     trailing axis of length n.  Substitution: v = (l/L)^(2-alpha) on (0, 1].
     """
-    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx, gw = _leggauss(n)
     v = 0.5 * (gx + 1.0)          # (0,1)
     wv = 0.5 * gw
     L = np.asarray(L, dtype=float)[..., None]

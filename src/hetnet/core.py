@@ -21,6 +21,7 @@ __all__ = [
     "band_shares",
     "lens_area",
     "disc_union_area",
+    "chord_angle",
     "circle_arc_outside_disc",
 ]
 
@@ -188,6 +189,18 @@ def disc_union_area(d, R1, R2):
         + np.pi * np.asarray(R2, dtype=float) ** 2 - lens_area(d, R1, R2)
 
 
+def chord_angle(d, r, R):
+    """Half-angle (in [0, pi]) of the arc of the circle of radius r,
+    centered a distance d from the origin, inside the disc B(origin, R),
+    seen from the circle's center: arccos((d^2 + r^2 - R^2) / 2 d r),
+    clamped so that tangency gives exactly 0 (circle outside) or pi
+    (inside), as does d = 0 when r != R.  Broadcastable scalars or arrays.
+    """
+    d, r, R = (np.asarray(v, dtype=float) for v in (d, r, R))
+    denom = np.maximum(2.0 * d * r, np.finfo(float).tiny)
+    return np.arccos(np.clip((d * d + r * r - R * R) / denom, -1.0, 1.0))
+
+
 def circle_arc_outside_disc(d, r, R):
     """Angle (radians, in [0, 2*pi]) of the circle of radius r, centered a
     distance d from the origin, that lies outside the disc B(origin, R).
@@ -196,13 +209,5 @@ def circle_arc_outside_disc(d, r, R):
     by r, and also 2*pi times the fraction of directions (seen from the
     circle's own center) pointing out of the disc.  Scalars or arrays.
     """
-    d = np.asarray(d, dtype=float)
-    r = np.asarray(r, dtype=float)
-    R = np.asarray(R, dtype=float)
-    d, r, R = np.broadcast_arrays(d, r, R)
-    denom = np.maximum(2.0 * d * r, np.finfo(float).tiny)
-    arg = np.clip((d * d + r * r - R * R) / denom, -1.0, 1.0)
-    out = 2.0 * (np.pi - np.arccos(arg))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = 2.0 * (np.pi - chord_angle(d, r, R))
+    return float(out) if out.ndim == 0 else out

@@ -9,6 +9,7 @@ from hetnet.core import (
     DuplexMode,
     NetworkParams,
     Thresholds,
+    chord_angle,
     circle_arc_outside_disc,
     delta_m,
     delta_s,
@@ -174,6 +175,37 @@ class TestDiscGeometry:
         assert circle_arc_outside_disc(3.0, 0.5, 1.0) == pytest.approx(2 * math.pi)
         # circle engulfing the disc -> whole circumference
         assert circle_arc_outside_disc(0.5, 4.0, 1.0) == pytest.approx(2 * math.pi)
+
+    def test_chord_angle_at_tangency_and_zero_distance(self):
+        # external tangency (d = r + R) and a circle engulfing the disc at
+        # tangency (d = r - R): no arc inside
+        assert chord_angle(1.5, 0.5, 1.0) == 0.0
+        assert chord_angle(1.0, 2.0, 1.0) == 0.0
+        # internal tangency (d = R - r): the whole circle inside
+        assert chord_angle(0.5, 0.5, 1.0) == math.pi
+        # concentric: wholly inside or wholly outside
+        assert chord_angle(0.0, 0.5, 1.0) == math.pi
+        assert chord_angle(0.0, 2.0, 1.0) == 0.0
+
+    def test_chord_angle_ends_on_the_disc_boundary(self):
+        # the arc inside B(0, R) ends where the law of cosines gives
+        # distance R from the origin; outside the disc the circle keeps
+        # 2 (pi - chord angle) of its circumference
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.1, 3.0, 200)
+        R = rng.uniform(0.1, 2.0, 200)
+        r = rng.uniform(0.05, 3.0, 200)
+        phi = chord_angle(d, r, R)
+        cross = (np.abs(r - R) < d) & (d < r + R)
+        assert 20 < cross.sum() < 200
+        np.testing.assert_allclose(
+            np.sqrt(d * d + r * r - 2.0 * d * r * np.cos(phi))[cross],
+            R[cross], rtol=1e-9)
+        assert np.all(phi[~cross] % math.pi == 0.0)
+        assert np.array_equal(circle_arc_outside_disc(d, r, R),
+                              2.0 * (np.pi - phi))
+        assert circle_arc_outside_disc(0.5, 0.7, 1.0) == \
+            2.0 * (math.pi - float(chord_angle(0.5, 0.7, 1.0)))
 
     def test_arc_is_union_area_derivative(self):
         # d(disc_union_area)/dr == r * arc angle, via central differences

@@ -95,7 +95,7 @@ RETIRED = [
     "coverage_used", "access_conditional", "backhaul_conditional",
     "coverage_smallcell", "coverage_macro", "_band_shares",
     "quad_spec", "quad_abs_tol", "quad_rel_tol",
-    "integrate_1d", "QuadratureSpec", "_MAX_SUBDIVISIONS",
+    "integrate_1d", "QuadratureSpec", "_MAX_SUBDIVISIONS", "_clip_cos",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
