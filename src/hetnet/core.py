@@ -166,9 +166,10 @@ def lens_area(d, R1, R2):
     # projections are computed directly (not via d - d1) so that swapping
     # R1 and R2 gives a bitwise-identical result
     safe_d = np.where(d > 0, d, 1.0)
-    # subnormal d can overflow these intermediates; such configurations
-    # land in the disjoint/contained masks below, so the noise is inert
-    with np.errstate(over="ignore", invalid="ignore"):
+    # subnormal d can overflow these intermediates and a zero radius divides
+    # by zero; such configurations land in the disjoint/contained masks
+    # below, so the noise is inert
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d1 = (d * d + R1 * R1 - R2 * R2) / (2.0 * safe_d)
         d2 = (d * d + R2 * R2 - R1 * R1) / (2.0 * safe_d)
         a1 = np.clip(d1 / R1, -1.0, 1.0)
@@ -198,7 +199,10 @@ def chord_angle(d, r, R):
     """
     d, r, R = (np.asarray(v, dtype=float) for v in (d, r, R))
     denom = np.maximum(2.0 * d * r, np.finfo(float).tiny)
-    return np.arccos(np.clip((d * d + r * r - R * R) / denom, -1.0, 1.0))
+    # at d*r = 0 the quotient overflows to +-inf, which the clip takes to
+    # the limit
+    with np.errstate(over="ignore"):
+        return np.arccos(np.clip((d * d + r * r - R * R) / denom, -1.0, 1.0))
 
 
 def circle_arc_outside_disc(d, r, R):

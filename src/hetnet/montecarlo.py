@@ -38,6 +38,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import SeedSequence, default_rng
 
 from .core import DuplexMode, NetworkParams, Thresholds, band_shares, delta_m
 
@@ -119,7 +121,7 @@ def sample_ppp(intensity: float, window: SimulationWindow, seed,
     """
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if fixed_count:
         n = int(round(intensity * window.area))
     else:
@@ -136,7 +138,7 @@ def _square_tail_angular_factor(alpha: float) -> float:
     so the fading-averaged interference from outside the square is
     intensity * P * w^{2-alpha}/(alpha-2) * this factor.
     """
-    theta, wq = np.polynomial.legendre.leggauss(32)
+    theta, wq = leggauss(32)
     theta = 0.125 * math.pi * (theta + 1.0)
     wq = 0.125 * math.pi * wq
     return float(8.0 * np.sum(wq * np.cos(theta) ** (alpha - 2.0)))
@@ -216,7 +218,7 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
         window = SimulationWindow()
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     m_pts, s_pts = realization.macro_points, realization.pico_points
     d2_m = _sq_distances(m_pts, (0.0, 0.0), window)
     d2_s = _sq_distances(s_pts, (0.0, 0.0), window)
@@ -306,7 +308,7 @@ def _iter_samples(params: NetworkParams, mode: DuplexMode, n_trials: int,
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be >= 1")
-    children = np.random.SeedSequence(master_seed).spawn(n_trials)
+    children = SeedSequence(master_seed).spawn(n_trials)
     for child in children:
         seed_m, seed_s, seed_fading = child.spawn(3)
         realization = NetworkRealization(

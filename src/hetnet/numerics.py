@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "IntegralResult",
@@ -41,8 +42,7 @@ class IntegralResult:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return leggauss(n)
 
 
 def gauss_panel_nodes(

@@ -79,6 +79,50 @@ class TestTailProfile:
                 ref = full - c * mp.hyp2f1(1, 1 / p, 1 + 1 / p, -c ** p)
                 assert abs(value - ref) <= 2e-15 * ref, float(c)
 
+    @pytest.mark.parametrize("alpha", [2.05, 2.4, 4.5, 8.0])
+    def test_gauss_jacobi_rule_against_mpmath(self, alpha):
+        # the ends of the exponent range, where each route's Gauss-Jacobi
+        # weight u^(b-1) is most singular (alpha -> 2 on the tail route,
+        # large alpha on the head route); dense around the route switch at
+        # c = 1, where the head route cancels most.  Reference: the head
+        # form for every c, at 60 digits
+        mp = pytest.importorskip("mpmath")
+        cs = np.concatenate([[0.0], np.logspace(-10, 10, 81),
+                             np.linspace(0.8, 1.25, 46)])
+        got = tail_profile(cs, alpha)
+        with mp.workdps(60):
+            p = mp.mpf(alpha) / 2
+            full = (mp.pi / p) / mp.sin(mp.pi / p)
+            for c, value in zip(cs, got):
+                c = mp.mpf(float(c))
+                ref = full - c * mp.hyp2f1(1, 1 / p, 1 + 1 / p, -c ** p)
+                assert abs(value - ref) <= 2e-15 * ref, float(c)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.8, 6.0])
+    def test_each_element_independent_of_its_batch(self, alpha):
+        # head (c < 1) and tail (c >= 1) routes, more elements than one
+        # evaluation chunk, against one-element calls bit for bit
+        rng = np.random.default_rng(5)
+        cs = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)],
+                             10.0 ** rng.uniform(-6, 6, 9000)])
+        got = tail_profile(cs, alpha)
+        picks = np.concatenate([np.arange(3), rng.integers(3, cs.size, 60),
+                                [cs.size - 1]])
+        for i in picks:
+            assert tail_profile(cs[i], alpha) == got[i]
+            assert tail_profile(cs[i:i + 1], alpha)[0] == got[i]
+
+    @pytest.mark.parametrize("alpha", [2.8, 4.0])
+    def test_scalar_gives_float_and_arrays_keep_shape(self, alpha):
+        assert type(tail_profile(0.5, alpha)) is float
+        assert type(tail_profile(np.float64(3.0), alpha)) is float
+        cs = np.array([[0.1, 1.0, 7.0], [2.0, 0.0, 1e5]])
+        got = tail_profile(cs, alpha)
+        assert got.shape == cs.shape
+        np.testing.assert_array_equal(got.ravel(),
+                                      tail_profile(cs.ravel(), alpha))
+        assert tail_profile(np.empty((0, 2)), alpha).shape == (0, 2)
+
     def test_monotone_decreasing_in_c(self):
         cs = np.logspace(-3, 7, 60)
         vals = tail_profile(cs, 2.8)
@@ -198,6 +242,15 @@ class TestJointPdf:
         R_i = float(inner_disc_radius(r_s, p))
         assert R_i > r_s
         assert joint_pdf(r_s, 0.5 * (R_i - r_s), p) == 0.0
+
+    def test_zero_pico_distance_is_a_null_density_without_warnings(self):
+        # r_s = 0 gives an association disc of radius 0: lens_area divides
+        # by that radius and chord_angle by d*r = 0 (warnings are errors
+        # for hetnet.core under the test configuration)
+        assert joint_pdf(0.0, 20.0, NetworkParams()) == 0.0
+        np.testing.assert_array_equal(
+            joint_pdf(np.zeros(3), np.array([0.5, 1.0, 20.0]), params_with()),
+            0.0)
 
     def test_rejects_negative_distances(self):
         p = params_with()

@@ -187,6 +187,16 @@ class TestDiscGeometry:
         assert chord_angle(0.0, 0.5, 1.0) == math.pi
         assert chord_angle(0.0, 2.0, 1.0) == 0.0
 
+    def test_zero_distance_raises_no_warning(self):
+        # d * r = 0 under a numerator above 4 overflows the quotient of
+        # chord_angle, and a zero radius divides by zero inside lens_area;
+        # warnings from hetnet.core are errors under the test configuration
+        assert circle_arc_outside_disc(0.0, 20.0, 1.0) == 2 * math.pi
+        assert chord_angle(0.0, 20.0, 1.0) == 0.0
+        assert chord_angle(0.0, 0.5, 20.0) == math.pi
+        assert lens_area(0.0, 0.0, 3.0) == 0.0
+        assert lens_area(5.0, 0.0, 3.0) == 0.0
+
     def test_chord_angle_ends_on_the_disc_boundary(self):
         # the arc inside B(0, R) ends where the law of cosines gives
         # distance R from the origin; outside the disc the circle keeps

@@ -164,3 +164,38 @@ def test_cli_import_loads_no_adaptive_quadrature_or_optimizer():
                               r"(from|import)\s+scipy\.integrate)",
                               path.read_text(encoding="utf-8"), re.M)]
     assert importers == []
+
+
+def _imported_top_level_modules(path: pathlib.Path) -> set:
+    """Top-level names of the absolute imports in one source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_runtime_needs_numpy_only():
+    # scipy serves the test oracles alone: launching `hetnet` loads none of
+    # it, and the package's runtime dependencies are exactly the
+    # third-party modules its sources import
+    code = ("import sys, hetnet.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
+    imports = {str(path.relative_to(ROOT)): _imported_top_level_modules(path)
+               for path in sorted(SRC.rglob("*.py"))}
+    assert [path for path, mods in imports.items() if "scipy" in mods] == []
+
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    third_party = set().union(*imports.values()) - set(
+        sys.stdlib_module_names) - {"hetnet"}
+    assert declared == third_party == {"numpy"}
