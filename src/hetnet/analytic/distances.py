@@ -85,8 +85,7 @@ def outer_grid(params: NetworkParams, nodes_per_panel: int = 6):
     """Tensor grid over (r_s, r) with panel edges at the case boundaries.
 
     Returns a dict of flat arrays: rs, r, w (combined quadrature weight,
-    without any density factor), ri (association disc radius at each rs),
-    nu_lo (|r_s - R_i|), nu_hi (r_s + R_i).
+    without any density factor), ri (association disc radius at each rs).
     """
     sigma_s = 1.0 / np.sqrt(np.pi * params.lambda_s)
     sigma_m = 1.0 / np.sqrt(np.pi * params.lambda_m)
@@ -113,11 +112,9 @@ def outer_grid(params: NetworkParams, nodes_per_panel: int = 6):
     n_rs, n_r = rs_nodes.size, r_nodes.shape[1]
     RS = np.repeat(rs_nodes, n_r)
     RI = np.repeat(ri, n_r)
-    LO = np.repeat(np.abs(rs_nodes - ri), n_r)
-    HI = np.repeat(rs_nodes + ri, n_r)
     W = (rs_w[:, None] * r_w).reshape(-1)
     R = r_nodes.reshape(-1)
-    return dict(rs=RS, r=R, w=W, ri=RI, nu_lo=LO, nu_hi=HI)
+    return dict(rs=RS, r=R, w=W, ri=RI)
 
 
 # largest fine-vs-coarse gap (12 vs 8 nodes per panel) accepted for any
@@ -130,8 +127,8 @@ def _case_masses(params: NetworkParams, nodes_per_panel: int
     g = outer_grid(params, nodes_per_panel)
     f = joint_pdf(g["rs"], g["r"], params)
     contrib = f * g["w"]
-    in_a = g["r"] <= g["nu_lo"]
-    in_c = g["r"] >= g["nu_hi"]
+    in_a = g["r"] <= np.abs(g["rs"] - g["ri"])
+    in_c = g["r"] >= g["rs"] + g["ri"]
     in_b = ~(in_a | in_c)
     return (
         float(contrib[in_a].sum()),

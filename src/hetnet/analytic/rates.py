@@ -11,12 +11,13 @@ the floor and decays thereafter:
 
   macro:  prefactor * Int_0^inf Pr(SIR_um > max(2^t - 1, T_m)) dt
   pico:   Int_0^inf Pr(SIR_us > max(2^{t/k_a} - 1, T_s),
-                       SIR_sm > max(2^{n t/(eta k_b)} - 1, T_b)) dt
+                       SIR_sm > max(2^{t/k_bh} - 1, T_b)) dt
 
 Band shares (core.band_shares): IBFD runs everything on the whole band
 (k_a = k_b = 1, prefactor eta_bar).  FDD orthogonalizes the tiers: the
 pico tier's access gets kappa of the band, the macro band gets the rest,
-so k_a = kappa, k_b = 1 - kappa, prefactor (1 - kappa) * eta_bar.
+so k_a = kappa, k_b = 1 - kappa, prefactor (1 - kappa) * eta_bar.  The
+per-pico backhaul share is k_bh = eta k_b / n.
 
 Both terms are unnormalized: experiments.evaluate_point divides their sum
 by the total coverage it integrates once for the same point.
@@ -128,12 +129,11 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
         # no backhaul bandwidth (the backhaul exponent blows up for every
         # t > 0), no pico tier at all, or an unsatisfiable floor
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    k_a, k_b, _ = band_shares(params, mode)
-    n = params.picos_per_macro
+    k_a, k_bh, _ = band_shares(params, mode)
 
     def survival(t: np.ndarray) -> np.ndarray:
         e_a = t / k_a
-        e_b = n * t / (params.eta * k_b)
+        e_b = t / k_bh
         # past the cap the threshold is out of reach: inf gives 0 at no cost
         T_s = np.where(e_a > _EXP_CAP, np.inf, np.maximum(
             2.0 ** np.minimum(e_a, _EXP_CAP) - 1.0, th.T_s))
@@ -142,5 +142,5 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
         return evaluate_joint(params, T_s, T_b, mode, bearing=bearing)
 
     t_a = k_a * math.log2(1.0 + th.T_s)
-    t_b = (params.eta * k_b / n) * math.log2(1.0 + th.T_b)
+    t_b = k_bh * math.log2(1.0 + th.T_b)
     return _survival_integral(survival, sorted((t_a, t_b)))

@@ -44,27 +44,36 @@ intervals.  Each such angle comes from core.chord_angle, and every
 Rayleigh complement 1 - g from _one_minus_g.  Everything is vectorized
 over a panelized (r_s, r) grid with panel edges pinned to the geometric
 case boundaries, all distance powers precomputed and cached per geometry
-(rate integrals re-evaluate at many thresholds on one grid).  The pico
-field is seen from S with the exclusion disc B(o, r_s), so every length
-in J_s scales with r_s: its tables are built once, for r_s = 1, with no
-node axis, and a call forms their angular sum once and scales each node's
-radial sum by r_s^2 (likewise the access functional F_s).  The macro
-field depends on r and R_i as well, so its (node, radial, angular) tensor
-is per node and the bulk of a geometry (36 MB of 49 MB at level 6, 166 MB
-of 223 MB at level 10, at the default parameters).  _znpow builds it, and
-every distance to the user taken from polar coordinates around S, in
-place from the half-angle chord form of the law of cosines.  A call first
-drops the nodes whose exponent lower bound already makes them negligible,
-then indexes only the live ones.  The macro mixed term runs _BLOCK live
-nodes at a time through one scratch buffer, so no full-size temporary is
-built.  All scratch belongs to the call, never to the module: threaded
-sweeps share the cached geometries, and the cache is read-only.
+(rate integrals re-evaluate at many thresholds on one grid).
+
+Both mixed terms run through one kernel, _mixed_term, on tables in one
+layout that _field builds: a row per (r_s, R_i), with radial nodes,
+angular widths and a (radial, angular) block of distances to the user.
+The pico field is seen from S with the exclusion disc B(o, r_s), so every
+length in J_s scales with r_s: its tables are a single row, the node
+r_s = R_i = 1, where the access sharpness s_1 is T_s itself.  A call
+forms that row's angular sum once per distinct T_s, and each node costs
+one radial sum, scaled by r_s^2 (likewise the access functional F_s).
+The macro field depends on r and R_i as well, so it has a row per node,
+and its (node, radial, angular) tensor is the bulk of a geometry (36 MB
+of 49 MB at level 6, 166 MB of 223 MB at level 10, at the default
+parameters).  _znpow builds it, and every distance to the user taken from
+polar coordinates around S, in place from the half-angle chord form of
+the law of cosines.  A call first drops the nodes whose exponent lower
+bound already makes them negligible, then indexes only the live ones.
+The kernel forms the angular sums of _BLOCK access pairs (a table row
+with one T_s) at a time in one scratch buffer and the radial sums 16
+_BLOCK entries (a threshold pair at a node) at a time, so no full-size
+temporary is built.  All scratch belongs to the call, never to the
+module: threaded sweeps share the cached geometries, and the cache is
+read-only.
 
 evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
 scalar calls.  The skip bound grows with both thresholds, so it runs over
 all nodes once at the smallest pair; each pair re-applies its own bound to
 those candidates only.  What depends on T_s alone (s_1', the J_m access
-part, K1, gbar, the macro angular sum) is formed once per (node, T_s).
+part, K1, gbar, the macro angular sum) is formed once per (node, T_s),
+the pico angular sum once per T_s.
 """
 from __future__ import annotations
 
@@ -139,32 +148,26 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                   n_tail: int) -> dict:
     """Threshold-independent quadrature tensors for a batch of (r_s, r).
 
-    Returns radial weights (which absorb the Jacobian factor l dl), cached
-    negative distance powers, angular widths and the angular Gauss weights,
-    for the three 1-D/2-D corrections described in the module docstring.
-    The pico family ("s_") is one node-free table for r_s = 1 (see
-    _pico_mixed_term); every other family is per node.
+    Returns the angular Gauss weights and, per family, radial weights
+    (which absorb the Jacobian factor l dl), cached negative distance
+    powers and angular widths, for the three 1-D/2-D corrections described
+    in the module docstring.  Both mixed-term families come from _field in
+    one layout, a row per node; the pico family ("s_") has a single row,
+    the node r_s = R_i = 1, which every node scales (module docstring).
     """
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     gx, gw = _leggauss(n_ang)
-    # angular nodes mapped later per (node, l) interval [chi_ex, pi]
 
     out: dict = {"ang_w": gw}
 
-    # --- pico-field mixed term: polar around S, exclusion B(o, 1) --------
-    xs, wxs = gauss_panel_nodes(_LADDER_S, n_rad)
-    out["s_wx"] = wxs * xs          # fold the l dl Jacobian
-    out["s_xnpow"] = xs ** -alpha_s
-    # angular interval [chi_ex, pi], chi_ex = arccos(x/2) at r_s = 1
-    out["s_width"] = np.pi - np.arccos(np.clip(0.5 * xs, -1.0, 1.0))
-    out["s_znpow"] = _znpow((xs - 1.0) ** 2, 4.0 * xs, out["s_width"], gx,
-                            alpha_s)
-    xt, wt = power_tail_nodes(_LADDER_S[-1], alpha_s, n_tail)
-    out["s_tw"] = wt * xt
-    out["s_txnpow"] = xt ** -alpha_s
+    # --- pico-field mixed term: exclusion B(o, r_s), whose lengths all
+    #     scale with r_s; one row, at r_s = 1 ------------------------------
+    one = np.ones(1)
+    _field(out, "s_", _LADDER_S[None, :], one, one, one * _LADDER_S[-1],
+           gx, alpha_s, n_rad, n_tail)
 
-    # --- macro-field mixed term: polar around S, exclusions B(o, R_i)
-    #     (angular) and B(S, r) (radial lower limit) ----------------------
+    # --- macro-field mixed term: exclusions B(o, R_i) (angular) and
+    #     B(S, r) (radial lower limit); one row per node -------------------
     base = np.maximum(r, rs + ri)
     knots_m = np.concatenate(
         [
@@ -175,17 +178,9 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
         ],
         axis=1,
     )
-    knots_m = np.sort(knots_m, axis=1)
-    xm, wxm = gauss_panel_nodes(knots_m, n_rad)
-    wxm *= xm
-    out["m_wx"] = wxm
-    out["m_xnpow"] = xm ** -alpha_m
-    out["m_width"] = np.pi - chord_angle(rs[:, None], xm, ri[:, None])
-    out["m_znpow"] = _znpow((xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm,
-                            out["m_width"], gx, alpha_m)
-    xtm, wtm = power_tail_nodes(base * _LADDER_M[-1], alpha_m, n_tail)
-    out["m_tw"] = wtm * xtm
-    out["m_txnpow"] = xtm ** -alpha_m
+    knots_m.sort(axis=1)
+    _field(out, "m_", knots_m, rs, ri, base * _LADDER_M[-1], gx, alpha_m,
+           n_rad, n_tail)
 
     # --- lens corrections: K1, the user-centered shell of B(S, r) beyond
     #     R_i, and K2, the S-centered shell of B(o, R_i) beyond r ---------
@@ -209,6 +204,27 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                        ("circle", np.full_like(rs, np.pi))):
         out["g_rmnpow_" + tag] = _znpow(d2, four_rsr, upper, -gxt, alpha_m)
     return out
+
+
+def _field(out: dict, prefix: str, knots: np.ndarray, rs: np.ndarray,
+           ri: np.ndarray, far: np.ndarray, gx: np.ndarray, alpha: float,
+           n_rad: int, n_tail: int) -> None:
+    """Tables of one field's mixed term into out, under prefix: a row per
+    (r_s, R_i), in polar coordinates around S.  The radial rule runs over
+    the panels knots, then a power tail beyond far; at radius l the arc
+    outside B(o, R_i) is [chi_ex, pi], chi_ex = chord_angle(r_s, l, R_i),
+    and its angular nodes are mapped onto it per (row, l)."""
+    x, wx = gauss_panel_nodes(knots, n_rad)
+    wx *= x                         # fold the l dl Jacobian
+    out[prefix + "wx"] = wx
+    out[prefix + "xnpow"] = x ** -alpha
+    width = out[prefix + "width"] = np.pi - chord_angle(rs[:, None], x,
+                                                        ri[:, None])
+    out[prefix + "znpow"] = _znpow((x - rs[:, None]) ** 2,
+                                   4.0 * rs[:, None] * x, width, gx, alpha)
+    xt, wt = power_tail_nodes(far, alpha, n_tail)
+    out[prefix + "tw"] = wt * xt
+    out[prefix + "txnpow"] = xt ** -alpha
 
 
 def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
@@ -306,41 +322,22 @@ def _one_minus_g(s, xn):
     return 1.0 - 1.0 / (1.0 + s * xn)
 
 
-def _pico_mixed_term(T_s: float, c: np.ndarray, rs2: np.ndarray,
-                     geom: dict) -> np.ndarray:
-    """The pico-field mixed term of J_s from the r_s = 1 tables.
-
-    Every length of this term scales with r_s: with z = r_s z', the access
-    sharpness s_1 |z|^-a_s = T_s |z'|^-a_s no longer depends on the node,
-    the backhaul sharpness s_2 l^-a_s = c l'^-a_s with c = s_2 r_s^-a_s,
-    and the area element gives a factor rs2.  So the angular inner sum is
-    formed once per call and each node costs one radial dot product.
-    """
-    inner = (1.0 / (1.0 + T_s * geom["s_znpow"])) @ geom["ang_w"]
-    body_w = geom["s_wx"] * geom["s_width"] * inner
-    # radial tail: both discs subtend vanishing angles, so the angular
-    # factor collapses to 2*pi*g(s_1, l)
-    xn, txn = geom["s_xnpow"], geom["s_txnpow"]
-    tail_w = geom["s_tw"] * (2.0 * np.pi / (1.0 + T_s * txn))
-    return rs2 * _by_rows(
-        lambda b: (_one_minus_g(c[b, None], xn) @ body_w
-                   + _one_minus_g(c[b, None], txn) @ tail_w),
-        c.size)
-
-
-def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
+def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
                 acc: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum_l w_l (1-g(s_cross, l)) * width*Sum_chi w_chi g(s_own, |z|).
 
-    The macro-field mixed term of J_m: s_own is the access-link sharpness
-    entering through |z| (distance to the user), s_cross the backhaul-link
-    sharpness entering radially from S.  s_own is given per access pair
-    (node idx, one T_s), s_cross per entry, whose access pair is acc
-    (non-decreasing; default: one each); angular sums are per pair.
+    The mixed term of the pico ("s_") or macro ("m_") field: s_own is the
+    access-link sharpness entering through |z| (distance to the user),
+    s_cross the backhaul-link sharpness entering radially from S.  s_own
+    is given per access pair (table row idx, one T_s), s_cross per entry,
+    whose access pair is acc (non-decreasing, every pair at least once;
+    default: one each).  Angular sums are per pair, _BLOCK pairs at a time
+    in one scratch buffer; radial sums run 16 _BLOCK entries at a time,
+    and read the pairs' rows in place when each pair has one entry or the
+    chunk has one pair.
     """
-    zn = geom["m_znpow"]
-    xn, wl, width = geom["m_xnpow"], geom["m_wx"], geom["m_width"]
-    txn, tw = geom["m_txnpow"], geom["m_tw"]
+    zn, xn, txn = (geom[prefix + k] for k in ("znpow", "xnpow", "txnpow"))
+    wl, width, tw = (geom[prefix + k] for k in ("wx", "width", "tw"))
     aw = geom["ang_w"]
     if acc is None:
         acc = np.arange(idx.size)
@@ -356,18 +353,23 @@ def _mixed_term(s_cross, s_own, geom: dict, idx: np.ndarray,
         np.reciprocal(g, out=g)
         inner = (g.reshape(-1, zn.shape[2]) @ aw).reshape(ib.size, -1)
         inner *= width[ib]
+        inner *= wl[ib]
         # radial tail: the two discs subtend vanishing angles, g(s_own) ->
         # along the ray, so the angular factor collapses to 2*pi*g(s_own, l)
         own_tail = tw[ib] * (2.0 * np.pi / (1.0 + so * txn[ib]))
-        b = slice(*np.searchsorted(acc, (lo, lo + ib.size)))
-        if b.stop - b.start > ib.size:  # else acc[b] - lo is the identity
+        start, stop = np.searchsorted(acc, (lo, lo + ib.size))
+        for c in range(start, stop, 16 * _BLOCK):
+            b = slice(c, min(c + 16 * _BLOCK, stop))
             j = acc[b] - lo
-            ib, inner, own_tail = ib[j], inner[j], own_tail[j]
-        sc = s_cross[b, None]
-        out[b] = (np.einsum("nl,nl->n", wl[ib] * _one_minus_g(sc, xn[ib]),
-                            inner)
-                  + np.einsum("nl,nl->n", own_tail,
-                              _one_minus_g(sc, txn[ib])))
+            if stop - start == ib.size or j[0] == j[-1]:
+                # an entry per pair, or one pair: its rows, not copies
+                j = slice(j[0], j[-1] + 1)
+            row = ib[j]
+            sc = s_cross[b, None]
+            out[b] = (np.einsum("nl,nl->n", _one_minus_g(sc, xn[row]),
+                                inner[j])
+                      + np.einsum("nl,nl->n", own_tail[j],
+                                  _one_minus_g(sc, txn[row])))
     return out
 
 
@@ -382,7 +384,8 @@ def _lens_correction(s, geom: dict, prefix: str,
 
 def _sharpness(params: NetworkParams, T_s, T_b, rs_pow_as, r_pow_am):
     # (s2, s1p, s2p); s_1 = T_s r_s^a_s is never formed: J_s takes it at
-    # r_s = 1 and scales by rs2 (F_s, _pico_mixed_term)
+    # r_s = 1, where it is T_s, and scales by rs2 (F_s and the pico row of
+    # _mixed_term)
     cap = 1e280
     return (np.minimum((T_b * params.P_s / params.P_m) * r_pow_am, cap),
             np.minimum((T_s * params.P_m / params.P_s) * rs_pow_as, cap),
@@ -474,15 +477,19 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     rs2 = geom["rs2"][node]
     F_s = rs2 * shifted_functional_radius2(ts_u, params.alpha_s, 1.0)[u]
     if mode is DuplexMode.IBFD:
-        c = s2 / geom["rs_pow_as"][node]
-        J_s = F_s.copy()
-        for i in np.unique(u):
-            m = u == i
-            J_s[m] += _pico_mixed_term(ts_u[i], c[m], rs2[m], geom)
+        # the pico field on its r_s = 1 row: an access pair per T_s that
+        # has a live node, with s_1 = T_s and s_2 = s2 r_s^-a_s
+        live_u, pair = np.unique(u, return_inverse=True)
+        by_u = np.argsort(pair, kind="stable")
+        mixed_s = np.empty(node.size)
+        mixed_s[by_u] = _mixed_term(
+            (s2 / geom["rs_pow_as"][node])[by_u], ts_u[live_u], geom, "s_",
+            np.zeros(live_u.size, dtype=np.intp), pair[by_u])
+        J_s = F_s + rs2 * mixed_s
         J_m = ((shifted_functional_radius2(s1p, params.alpha_m,
                                            geom["ri2"][node_a])
                 - _lens_correction(s1p, geom, "k1", node_a))[acc]
-               + _mixed_term(s2p, s1p, geom, node_a, acc))
+               + _mixed_term(s2p, s1p, geom, "m_", node_a, acc))
         rm = geom["g_rmnpow_" + bearing]
         gbar = _by_rows(lambda b: (1.0 / (1.0 + s1p[b, None] * rm[node_a[b]]))
                         @ geom["g_w"], node_a.size)

@@ -133,17 +133,22 @@ def delta_s(params: NetworkParams) -> float:
 
 
 def band_shares(params: NetworkParams, mode: DuplexMode):
-    """(k_access, k_backhaul, macro_prefactor): the band fractions of the
-    pico access and backhaul links and the macro-user rate prefactor.
+    """(k_access, backhaul_share, macro_prefactor): the rate prefactors of
+    log2(1 + SIR) on the pico access link, on one pico's backhaul link and
+    for a macro user.
 
     IBFD runs every link on the whole band; FDD gives the pico access
-    kappa of the band and the macro band the rest.  Macro users get the
-    1 - eta of the macro band that the backhaul leaves.
+    kappa of the band and the macro band k_b = 1 - kappa.  The backhaul
+    takes eta of the macro band, split across the lambda_s/lambda_m picos
+    per macro (nan with no pico tier), and macro users get the 1 - eta
+    that it leaves.
     """
-    eta_bar = 1.0 - params.eta
+    k_a, k_b = 1.0, 1.0
     if mode is DuplexMode.FDD:
-        return params.kappa, 1.0 - params.kappa, (1.0 - params.kappa) * eta_bar
-    return 1.0, 1.0, eta_bar
+        k_a, k_b = params.kappa, 1.0 - params.kappa
+    backhaul = (params.eta * k_b / params.picos_per_macro
+                if params.lambda_s > 0.0 else math.nan)
+    return k_a, backhaul, k_b * (1.0 - params.eta)
 
 
 def lens_area(d, R1, R2):

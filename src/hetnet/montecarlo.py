@@ -334,23 +334,9 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def _rate_shares(params: NetworkParams,
-                 mode: DuplexMode) -> tuple[float, float, float]:
-    """(macro, pico access, pico backhaul) prefactors of log2(1 + SIR).
-
-    The backhaul share is split across the lambda_s/lambda_m picos per
-    macro; with no pico tier no trial reads it.
-    """
-    k_a, k_b, macro_prefactor = band_shares(params, mode)
-    if params.lambda_s == 0.0:
-        return macro_prefactor, k_a, math.nan
-    n_ratio = params.lambda_s / params.lambda_m
-    return macro_prefactor, k_a, params.eta * k_b / n_ratio
-
-
 def _rate_sample(sample: UserSample,
                  shares: tuple[float, float, float]) -> float:
-    macro_share, access_share, backhaul_share = shares
+    access_share, backhaul_share, macro_share = shares  # core.band_shares
     if sample.associated_tier == "macro":
         return macro_share * math.log2(1.0 + sample.sir_um)
     access = access_share * math.log2(1.0 + sample.sir_us)
@@ -385,7 +371,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
         window = SimulationWindow()
     hits_s = hits_m = n_assoc_s = 0
     rates = []
-    shares = _rate_shares(params, mode)
+    shares = band_shares(params, mode)
     for sample in _iter_samples(params, mode, n_trials, window, master_seed,
                                 fixed_count, tail_compensation):
         covered = _is_covered(sample, th)

@@ -3,10 +3,10 @@
 dense_evaluate_joint is the small-cell joint-coverage panel sum written as
 whole-tensor einsums over per-node tensors: dense_node_tensors builds both
 mixed-term families for every node, each (node, radial, angular) tensor as
-one whole-array expression.  The package builds the pico family once for
-r_s = 1 and scales it per node, builds the macro tensor block by block in
-place and evaluates the sums block by block; the two differ only in the
-order of floating-point operations (the macro tensor itself is
+one whole-array expression.  The package builds the pico family as one
+row, for r_s = 1, and scales it per node, builds the macro tensor block by
+block in place and evaluates the sums block by block; the two differ only
+in the order of floating-point operations (the macro tensor itself is
 bit-identical).
 
 reference_evaluate_user is the simulator's per-trial kernel written on
@@ -659,10 +659,12 @@ def j_components(params, T_s, T_b, r_s, r):
     K1 = smallcell._lens_correction(s1p, geom, "k1", idx)
     K2 = smallcell._lens_correction(s2p, geom, "k2", idx)
     F_s = geom["rs2"] * shifted_functional_radius2(T_s, params.alpha_s, 1.0)
-    J_s = F_s + smallcell._pico_mixed_term(T_s, s2 / geom["rs_pow_as"],
-                                           geom["rs2"], geom)
+    # the pico field on its r_s = 1 row, where s_1 = T_s
+    J_s = F_s + geom["rs2"] * smallcell._mixed_term(
+        s2 / geom["rs_pow_as"], np.array([float(T_s)]), geom, "s_",
+        np.zeros(1, dtype=np.intp))
     J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
-           - K1 + smallcell._mixed_term(s2p, s1p, geom, idx))
+           - K1 + smallcell._mixed_term(s2p, s1p, geom, "m_", idx))
     gbar = {
         tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
                     @ geom["g_w"])[0])

@@ -374,11 +374,30 @@ POINTS = {
 }
 
 
+# threshold batches for the dense-oracle batch test
+ORACLE_BATCHES = {
+    # shaped like a rate t-panel: the access threshold floored for the
+    # first pairs, then both growing, ending with no live node
+    "t-panel": ([0.5, 0.5, 0.5, 0.9, 3.0, 1e5, 1e300],
+                [0.5, 2.0, 40.0, 0.9, 7.0, 1e5, 1e300]),
+    # most access thresholds have no live node (their backhaul thresholds
+    # are out of reach), so the pico field gets fewer access pairs than
+    # the batch has distinct T_s: one with many live nodes ...
+    "one live": ([0.2, 0.4, 0.8, 1.6, 3.2, 0.2],
+                 [0.1, 1e20, 1e20, 1e20, 1e20, 0.5]),
+    # ... and, under IBFD, as many live nodes as distinct T_s (3, 0, 0, 1),
+    # which would pass for one entry per access pair if the idle T_s were
+    # access pairs too
+    "entries equal thresholds": ([0.2, 0.4, 0.8, 1.6],
+                                 [5e9, 1e20, 1e20, 1e12]),
+}
+
+
 class TestBlockedKernel:
     """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
-    buffer and takes the pico field from its r_s = 1 tables; the dense
-    einsum formulation over per-node tensors in tests/oracles.py is the
-    reference.  Only the order of floating-point operations differs."""
+    buffer and takes the pico field from its one-row r_s = 1 tables; the
+    dense einsum formulation over per-node tensors in tests/oracles.py is
+    the reference.  Only the order of floating-point operations differs."""
 
     @pytest.mark.parametrize("level", [3, 6, 10])
     @pytest.mark.parametrize("mode, bearing", [
@@ -393,24 +412,31 @@ class TestBlockedKernel:
         assert evaluate_joint(*args) == pytest.approx(expected, rel=1e-12,
                                                       abs=0.0)
 
-    @pytest.mark.parametrize("prefix", ["s_", "m_"])
-    def test_mixed_term_node_by_node(self, prefix):
-        # scattered live nodes: three full blocks and a partial one of the
-        # macro kernel
+    @pytest.mark.parametrize("prefix, n", [
+        # three full blocks and a partial one of the macro kernel
+        ("s_", 3 * smallcell._BLOCK + 5), ("m_", 3 * smallcell._BLOCK + 5),
+        # one pico access pair whose entries fill two radial chunks of
+        # 16 _BLOCK and part of a third
+        ("s_", 32 * smallcell._BLOCK + 5),
+    ], ids=["s_", "m_", "s_ three entry chunks"])
+    def test_mixed_term_node_by_node(self, prefix, n):
+        # n scattered live nodes
         p = params_with()
         geom = smallcell._geometry(p, 6)
         dense = dense_geometry(p, 6)
         rng = np.random.default_rng(7)
-        idx = np.sort(rng.choice(geom["f2w"].size,
-                                 3 * smallcell._BLOCK + 5, replace=False))
+        idx = np.sort(rng.choice(geom["f2w"].size, n, replace=False))
         s1, s2, s1p, s2p = (s[idx] for s in dense_sharpness(p, 0.5, 0.5,
                                                             dense))
         if prefix == "s_":
-            got = smallcell._pico_mixed_term(
-                0.5, s2 / geom["rs_pow_as"][idx], geom["rs2"][idx], geom)
+            # one access pair on the r_s = 1 row (s_1 = T_s) with an entry
+            # per node, scaled back by r_s^2
+            got = geom["rs2"][idx] * smallcell._mixed_term(
+                s2 / geom["rs_pow_as"][idx], np.array([0.5]), geom, prefix,
+                np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp))
             expected = dense_mixed_term(s2, s1, dense, prefix, idx)
         else:
-            got = smallcell._mixed_term(s2p, s1p, geom, idx)
+            got = smallcell._mixed_term(s2p, s1p, geom, prefix, idx)
             expected = dense_mixed_term(s2p, s1p, dense, prefix, idx)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -430,14 +456,15 @@ class TestBlockedKernel:
         assert len(per_node) == 14
         for key in per_node:
             assert np.array_equal(geom[key], dense[key]), key
-        # the pico family has no node axis; each node's dense tensor is
-        # the r_s = 1 table with lengths scaled by r_s
-        n_l, n_ang = geom["s_znpow"].shape
-        assert n_ang == geom["ang_w"].size
-        assert all(geom[k].shape == (n_l,)
+        # the pico family has the macro layout with one row, the node
+        # r_s = R_i = 1; each node's dense tensor is that row with lengths
+        # scaled by r_s
+        n_l = geom["s_znpow"].shape[1]
+        assert geom["s_znpow"].shape == (1, n_l, geom["ang_w"].size)
+        assert all(geom[k].shape == (1, n_l)
                    for k in ("s_xnpow", "s_wx", "s_width"))
-        assert geom["s_tw"].ndim == 1
-        assert geom["s_tw"].shape == geom["s_txnpow"].shape
+        assert geom["s_tw"].shape == geom["s_txnpow"].shape \
+            == (1, geom["m_tw"].shape[1])
         rs = dense["rs"][::5, None]
         rs_a = rs ** p.alpha_s
         for key, scale in (("s_znpow", rs_a[..., None]), ("s_xnpow", rs_a),
@@ -465,15 +492,20 @@ class TestBlockedKernel:
         assert evaluate_joint(p, T, T, mode) == pytest.approx(
             expected, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("mode, bearing", [
-        (DuplexMode.IBFD, "circle"), (DuplexMode.IBFD, "arc"),
-        (DuplexMode.FDD, "circle")])
-    def test_batched_call_matches_dense_oracle(self, mode, bearing):
-        # one call on a t-panel-like batch: the access threshold floored
-        # for the first pairs, then both growing, ending with no live node
+    @pytest.mark.parametrize("mode, bearing, batch", [
+        pytest.param(mode, bearing, batch, id="-".join(
+            [str(mode), bearing] + ([batch] if batch != "t-panel" else [])))
+        for mode, bearing, batch in [
+            (DuplexMode.IBFD, "circle", "t-panel"),
+            (DuplexMode.IBFD, "arc", "t-panel"),
+            (DuplexMode.FDD, "circle", "t-panel"),
+            (DuplexMode.IBFD, "circle", "one live"),
+            (DuplexMode.FDD, "circle", "one live"),
+            (DuplexMode.IBFD, "circle", "entries equal thresholds"),
+            (DuplexMode.FDD, "circle", "entries equal thresholds")]])
+    def test_batched_call_matches_dense_oracle(self, mode, bearing, batch):
         p = params_with()
-        T_s = np.array([0.5, 0.5, 0.5, 0.9, 3.0, 1e5, 1e300])
-        T_b = np.array([0.5, 2.0, 40.0, 0.9, 7.0, 1e5, 1e300])
+        T_s, T_b = (np.array(t) for t in ORACLE_BATCHES[batch])
         got = evaluate_joint(p, T_s, T_b, mode, 6, bearing)
         _, n_live = smallcell._joint_batch(p, T_s, T_b, mode,
                                            smallcell._geometry(p, 6), bearing)
@@ -482,7 +514,12 @@ class TestBlockedKernel:
                                                         bearing)
             assert n_live[i] == dense_live
             assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert n_live[-1] == 0 and 0 < n_live[-2] < smallcell._BLOCK
+        if batch == "t-panel":
+            assert n_live[-1] == 0 and 0 < n_live[-2] < smallcell._BLOCK
+        else:
+            assert np.count_nonzero(n_live) <= T_s.size / 2
+        if batch == "entries equal thresholds" and mode is DuplexMode.IBFD:
+            assert list(n_live) == [3, 0, 0, 1]
 
     def test_warm_call_allocates_far_less_than_one_tensor(self):
         # every node live: a pass that materializes any (node, radial,
@@ -502,7 +539,7 @@ class TestBlockedKernel:
 
     def test_cold_build_peak_stays_near_the_macro_tensor(self):
         # the macro tensor is built block by block in its own storage and
-        # the pico family has no node axis, so a cold build allocates
+        # the pico family is a single row, so a cold build allocates
         # little beyond the one tensor it keeps
         p = params_with()
         with smallcell._GEOM_LOCK:
@@ -580,13 +617,14 @@ class TestChordForm:
                 ref = law_of_cosines_pow(xm[n, l], rs[n], width[n, l], g,
                                          p.alpha_m, mp)
                 errors.append(abs(zn[n, l, a] - ref) / ref)
-        # the pico table, every row: r_s = 1 and its own radial nodes
+        # the pico table, all of its one row: r_s = 1 and its own radial
+        # nodes
         xs = gauss_panel_nodes(smallcell._LADDER_S, max(level, 4))[0]
-        assert np.array_equal(xs ** -p.alpha_s, geom["s_xnpow"])
-        for l, a in np.ndindex(geom["s_znpow"].shape):
-            ref = law_of_cosines_pow(xs[l], 1.0, geom["s_width"][l], gx[a],
-                                     p.alpha_s, mp)
-            errors.append(abs(geom["s_znpow"][l, a] - ref) / ref)
+        zs, ws = geom["s_znpow"][0], geom["s_width"][0]
+        assert np.array_equal(xs ** -p.alpha_s, geom["s_xnpow"][0])
+        for l, a in np.ndindex(zs.shape):
+            ref = law_of_cosines_pow(xs[l], 1.0, ws[l], gx[a], p.alpha_s, mp)
+            errors.append(abs(zs[l, a] - ref) / ref)
         assert max(errors) <= 2.5e-14
 
     @pytest.mark.parametrize("n_ang", [8, 12, 16])

@@ -81,11 +81,13 @@ def test_every_exported_name_is_used_by_the_package():
 
 
 # Names that must not come back to the package: routes and knobs that
-# only tests used (now under tests/ or gone), and the second library path
+# only tests used (now under tests/ or gone), the second library path
 # beside experiments.evaluate_point (the coverage_total/rate_covered
 # assembly, its result fields, and the float wrappers that raised on
-# non-convergence).  The __all__ scan above cannot see a keyword argument,
-# a dataclass field or a private helper, so each one is named here.
+# non-convergence), and second copies of one quantity (the pico mixed-term
+# kernel, the simulator's rate shares, the outer grid's case bounds).  The
+# __all__ scan above cannot see a keyword argument, a dataclass field or a
+# private helper, so each one is named here.
 RETIRED = [
     "integrate_annulus", "tail_profile_quad", "classify_case",
     "JointPdfCase", "j_components", "intersection_given_coverage",
@@ -96,6 +98,7 @@ RETIRED = [
     "coverage_smallcell", "coverage_macro", "_band_shares",
     "quad_spec", "quad_abs_tol", "quad_rel_tol",
     "integrate_1d", "QuadratureSpec", "_MAX_SUBDIVISIONS", "_clip_cos",
+    "_pico_mixed_term", "_rate_shares", "nu_lo", "nu_hi",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
