@@ -347,3 +347,7 @@ def main(argv=None) -> int:
         print(f"point x={row.x} mode={row.mode.name.lower()} failed: "
               f"{row.error}", file=sys.stderr)
     return 2 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,14 +25,28 @@ torus option wraps distances instead; zero-interference links are capped.
 Per-trial kernel: each receiver's squared distances x*x + y*y go into one
 fresh array (minimum-image components under wrap), which is turned into
 the path gains d2^{-alpha/2} in place (1/(d2*d2) when alpha == 4).  A
-link's interference is then one dot product P * (h @ g) with the serving
+link's interference is then P * einsum("i,i->", h, g) with the serving
 (or, at the serving pico, its own) entry of g zeroed; serving distances
-are the square root of the argmin entry.  Fading is drawn once per
-station per receiving link, in a fixed order, whatever the kernel does.
+are the square root of the argmin entry.  The sum is numpy's own loop,
+not a BLAS dot product, whose result would depend on how many threads
+the BLAS library runs.  Fading is drawn once per station per receiving
+link, in a fixed order, whatever the kernel does.
+
+Chunked pass: trial i is seeded by SeedSequence(master_seed,
+spawn_key=(i,)), so any contiguous range of trials can run anywhere.
+estimate_metrics splits its trials into one range per usable CPU (none
+shorter than _MIN_CHUNK_TRIALS), runs the first range itself and the
+rest in forked worker processes, and merges the ranges' tallies in trial
+order.  Every estimate is therefore bit-identical for any CPU count.  A
+pass that is too short to split, a process without fork, and a process
+that runs other threads (a threaded sweep, which already spreads its
+cells over the CPUs) run the single range in-process.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -56,6 +70,8 @@ __all__ = [
 # stand-in for an interference-free link, keeping rate samples finite
 _SIR_CAP = 1e12
 _Z95 = 1.959963984540054
+# a pass is split only into ranges of at least this many trials
+_MIN_CHUNK_TRIALS = 250
 
 
 @dataclass(frozen=True)
@@ -195,7 +211,7 @@ def _power_sum(power: float, h: np.ndarray, d2: np.ndarray, alpha: float,
     g = _gain(d2, alpha)
     if skip is not None:
         g[skip] = 0.0
-    return power * float(h @ g)
+    return power * float(np.einsum("i,i->", h, g))
 
 
 def _sir(signal: float, interference: float) -> float:
@@ -297,31 +313,6 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
                       sir_um=math.nan)
 
 
-def _iter_samples(params: NetworkParams, mode: DuplexMode, n_trials: int,
-                  window: SimulationWindow, master_seed: int,
-                  fixed_count: bool, tail_compensation: bool):
-    """Yield one UserSample per trial, independently seeded per trial.
-
-    Each trial gets its own SeedSequence child, split again into the two
-    point-process draws and the fading draw, so results are reproducible
-    and independent of evaluation order.
-    """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be >= 1")
-    children = SeedSequence(master_seed).spawn(n_trials)
-    for child in children:
-        seed_m, seed_s, seed_fading = child.spawn(3)
-        realization = NetworkRealization(
-            macro_points=sample_ppp(params.lambda_m, window, seed_m,
-                                    fixed_count=fixed_count),
-            pico_points=sample_ppp(params.lambda_s, window, seed_s,
-                                   fixed_count=fixed_count),
-        )
-        yield evaluate_user(realization, params, mode, seed_fading,
-                            window=window,
-                            tail_compensation=tail_compensation)
-
-
 def _is_covered(sample: UserSample, th: Thresholds) -> bool:
     if sample.associated_tier == "pico":
         return sample.sir_us > th.T_s and sample.sir_sm > th.T_b
@@ -342,6 +333,70 @@ def _rate_sample(sample: UserSample,
     access = access_share * math.log2(1.0 + sample.sir_us)
     backhaul = backhaul_share * math.log2(1.0 + sample.sir_sm)
     return min(access, backhaul)
+
+
+def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
+                   window: SimulationWindow, master_seed: int,
+                   fixed_count: bool, tail_compensation: bool,
+                   start: int, stop: int):
+    """Tallies of trials start..stop-1, each seeded on its own.
+
+    Trial i's seed is child i of SeedSequence(master_seed), rebuilt from
+    its spawn key and split again into the two point-process draws and
+    the fading draw, so results do not depend on which process runs which
+    trials.  Returns (pico-associated count, pico hits, macro hits, the
+    covered trials' rates in trial order).
+    """
+    n_assoc_s = hits_s = hits_m = 0
+    rates = []
+    shares = band_shares(params, mode)
+    for i in range(start, stop):
+        seed_m, seed_s, seed_fading = \
+            SeedSequence(master_seed, spawn_key=(i,)).spawn(3)
+        realization = NetworkRealization(
+            macro_points=sample_ppp(params.lambda_m, window, seed_m,
+                                    fixed_count=fixed_count),
+            pico_points=sample_ppp(params.lambda_s, window, seed_s,
+                                   fixed_count=fixed_count),
+        )
+        sample = evaluate_user(realization, params, mode, seed_fading,
+                               window=window,
+                               tail_compensation=tail_compensation)
+        covered = _is_covered(sample, th)
+        if sample.associated_tier == "pico":
+            n_assoc_s += 1
+            hits_s += covered
+        else:
+            hits_m += covered
+        if covered:
+            rates.append(_rate_sample(sample, shares))
+    return n_assoc_s, hits_s, hits_m, rates
+
+
+def _process_count() -> int:
+    """Processes a long pass is spread over: the CPUs this one may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(jobs: list) -> list:
+    """_chunk_tallies of every job, in job order.
+
+    The first job runs here; the others run at the same time in forked
+    workers, which inherit every loaded module as it stands.  The pool is
+    closed, and its workers joined, before this returns or raises.
+    """
+    if len(jobs) == 1:
+        return [_chunk_tallies(*jobs[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            max_workers=len(jobs) - 1,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_chunk_tallies, *job) for job in jobs[1:]]
+        first = _chunk_tallies(*jobs[0])
+        return [first] + [future.result() for future in futures]
 
 
 def estimate_metrics(params: NetworkParams, th: Thresholds,
@@ -366,22 +421,27 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
     the backhaul share split across the lambda_s/lambda_m picos per
     macro.  Summation uses fsum so the estimate does not depend on
     accumulation order.
+
+    The trials run in contiguous ranges spread over the usable CPUs (see
+    the module docstring); the output does not depend on how many there
+    are.
     """
+    if n_trials <= 0:
+        raise ValueError("n_trials must be >= 1")
     if window is None:
         window = SimulationWindow()
-    hits_s = hits_m = n_assoc_s = 0
-    rates = []
-    shares = band_shares(params, mode)
-    for sample in _iter_samples(params, mode, n_trials, window, master_seed,
-                                fixed_count, tail_compensation):
-        covered = _is_covered(sample, th)
-        if sample.associated_tier == "pico":
-            n_assoc_s += 1
-            hits_s += covered
-        else:
-            hits_m += covered
-        if covered:
-            rates.append(_rate_sample(sample, shares))
+    n_chunks = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        n_chunks = max(1, min(_process_count(),
+                              n_trials // _MIN_CHUNK_TRIALS))
+    bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
+    tallies = _run_chunks([
+        (params, th, mode, window, master_seed, fixed_count,
+         tail_compensation, start, stop)
+        for start, stop in zip(bounds, bounds[1:])])
+    n_assoc_s, hits_s, hits_m = (sum(t[k] for t in tallies)
+                                 for k in range(3))
+    rates = [rate for t in tallies for rate in t[3]]
     out = {
         "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
         "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),

@@ -12,8 +12,8 @@ bit-identical).
 reference_evaluate_user is the simulator's per-trial kernel written on
 plain distances: abs + hypot per station, boolean masks to drop the serving
 index and sum(h * d**-alpha) per link.  The package works on squared
-distances in place and takes each power sum as one dot product; with the
-same seed both draw the same fading, so they differ only in rounding.
+distances in place and takes each power sum as one einsum; with the same
+seed both draw the same fading, so they differ only in rounding.
 
 Independent routes that the package does not run:
 

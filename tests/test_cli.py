@@ -6,6 +6,9 @@ row schema, exit codes, and end-to-end runs of every subcommand through
 """
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 from dataclasses import fields
 
@@ -416,6 +419,20 @@ class TestMainFigure:
         at_four = next(r for r in rows if float(r["x"]) == 4.0
                        and r["metric"] == "p_smallcell_joint")
         assert float(at_four["analytic"]) == pytest.approx(0.2545, abs=0.02)
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        # `python -m hetnet.cli` is the console script without installing
+        out = tmp_path / "f.csv"
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, (str(src),
+                                             os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetnet.cli", "figure", "fig6",
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = csv_rows(out.read_text(encoding="utf-8"))
+        assert len(rows) == 3 * len(figure_preset("fig6").grid)
 
 
 class TestMainValidate:

@@ -4,15 +4,21 @@ Structural checks use hand-built realizations where the interferer sets
 are small enough to reason about exactly; statistical checks pin seeds
 and compare against the analytic route at 3-sigma.
 """
+import functools
 import math
+import multiprocessing
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 from oracles import reference_evaluate_user
 
 from hetnet import montecarlo
@@ -409,3 +415,115 @@ def test_simulator_loads_no_analytic_module():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path)).stdout
     assert out.strip() == "[]"
+
+
+class TestChunkedPass:
+    """The trials of one pass split over forked workers: the estimates do
+    not depend on how many processes share the pass."""
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_estimates_equal_for_any_process_count(self, mode, wrap,
+                                                   monkeypatch):
+        # 1,001 trials: the ranges are uneven for 2 and 3 processes
+        window = SimulationWindow(half_width=15.0, wrap=wrap)
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_process_count",
+                                lambda count=count: count)
+            runs.append(estimate_metrics(NetworkParams(), TH, mode,
+                                         n_trials=1001, window=window,
+                                         master_seed=53))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_trial_seed_is_the_spawned_child(self):
+        # a range rebuilds trial i's seed from its spawn key alone
+        children = SeedSequence(61).spawn(7)
+        for i, child in enumerate(children):
+            rebuilt = SeedSequence(61, spawn_key=(i,))
+            assert rebuilt.spawn_key == child.spawn_key
+            np.testing.assert_array_equal(rebuilt.generate_state(8),
+                                          child.generate_state(8))
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # the last trial, which a worker runs, fails as an empty tier would
+        def fail_last(realization, params, mode, seed, **kwargs):
+            if seed.spawn_key[0] == 599:
+                raise ValueError("no station in tier: macro")
+            return evaluate_user(realization, params, mode, seed, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "evaluate_user", fail_last)
+        with pytest.raises(ValueError, match="^no station in tier: macro$"):
+            estimate_metrics(NetworkParams(), TH, n_trials=600,
+                             window=SimulationWindow(10.0))
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_left_after_pooled_pass(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        estimate_metrics(NetworkParams(), TH, n_trials=500,
+                         window=SimulationWindow(10.0))
+        # a worker ran (its time is counted once it is joined) and is gone
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("in_thread, n_trials", [
+        (True, 600), (False, 499)])
+    def test_runs_in_process(self, in_thread, n_trials, monkeypatch):
+        # from a second thread, or too short for two 250-trial ranges
+        parent = os.getpid()
+
+        def in_parent(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("ran in a worker")
+            return evaluate_user(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "evaluate_user", in_parent)
+        call = functools.partial(estimate_metrics, NetworkParams(), TH,
+                                 n_trials=n_trials,
+                                 window=SimulationWindow(10.0))
+        if in_thread:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(call).result(timeout=120)
+        else:
+            call()
+
+    def test_estimates_independent_of_blas_threads(self):
+        # ~72,000 picos per trial: a BLAS dot product of that length would
+        # run on the BLAS library's threads and round differently
+        src = pathlib.Path(montecarlo.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, (str(src),
+                                             os.environ.get("PYTHONPATH"))))
+        # a one-ulp change in a sum rarely survives into an estimate, so
+        # single users' SIRs are compared as well
+        code = (
+            "from hetnet import montecarlo as mc\n"
+            "from hetnet.core import DuplexMode, NetworkParams, Thresholds\n"
+            "mc._process_count = lambda: 2\n"
+            "p = NetworkParams(lambda_s=20.0)\n"
+            "w = mc.SimulationWindow()\n"
+            "for k in range(10):\n"
+            "    rel = mc.NetworkRealization(\n"
+            "        mc.sample_ppp(p.lambda_m, w, seed=2 * k),\n"
+            "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1))\n"
+            "    print(mc.evaluate_user(rel, p, DuplexMode.IBFD, seed=k))\n"
+            "th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)\n"
+            "for mode in DuplexMode:\n"
+            "    out = mc.estimate_metrics(p, th, mode, n_trials=500,"
+            " master_seed=67)\n"
+            "    print(sorted((k, repr(v)) for k, v in out.items()))\n")
+        outputs = []
+        for pinned in (True, False):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if pinned:
+                env["OPENBLAS_NUM_THREADS"] = "1"
+            env["PYTHONPATH"] = path
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env=env, timeout=300).stdout)
+        assert outputs[0] == outputs[1]
+        assert "rate_total" in outputs[0]

@@ -169,6 +169,18 @@ def test_cli_import_loads_no_adaptive_quadrature_or_optimizer():
     assert importers == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # the simulator imports its process pool when a pass is split, so a
+    # launch that runs no long pass does not pay for the import
+    code = ("import sys, hetnet.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
+
+
 def _imported_top_level_modules(path: pathlib.Path) -> set:
     """Top-level names of the absolute imports in one source file."""
     found = set()
