@@ -5,6 +5,7 @@ Layout:
   core        parameters, derived constants, band shares, planar geometry
   numerics    fixed vectorized quadrature rules with nested error estimates
   analytic    association, joint distance pdf, tier coverage and rate integrals
+  fanout      independent jobs spread over the usable CPUs (forked processes)
   montecarlo  independent brute-force simulator (cross-validation oracle)
   experiments evaluate_point (the one analytic entry point), figure presets
               and parameter sweeps

@@ -65,8 +65,7 @@ The kernel forms the angular sums of _BLOCK access pairs (a table row
 with one T_s) at a time in one scratch buffer and the radial sums 16
 _BLOCK entries (a threshold pair at a node) at a time, so no full-size
 temporary is built.  All scratch belongs to the call, never to the
-module: threaded sweeps share the cached geometries, and the cache is
-read-only.
+module, and the cached geometries are read-only.
 
 evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
 scalar calls.  The skip bound grows with both thresholds, so it runs over
@@ -77,7 +76,6 @@ the pico angular sum once per T_s.
 """
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Optional
 
@@ -242,18 +240,17 @@ def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
     return w * rho * width, rho ** -alpha
 
 
-# geometry cache: rebuilt when the geometric parameters or level change;
-# the lock makes each lookup and each insert-with-eviction atomic, since
-# threaded sweeps share the cache.  Least recently used geometries (never
-# the one just inserted) are evicted while the cache holds more than
-# _GEOM_CACHE_BYTES of arrays or more than _GEOM_CACHE_MAX geometries.  At
-# the default point a geometry holds 6.5, 49 and 223 MB at levels 3, 6 and
-# 10: the bytes hold one point's whole ladder, the count keeps a sweep over
-# new points (fig7, 54 MB a point) from holding more than three of them
+# geometry cache, one per process (the package runs no threads): rebuilt
+# when the geometric parameters or level change.  Least recently used
+# geometries (never the one just inserted) are evicted while the cache
+# holds more than _GEOM_CACHE_BYTES of arrays or more than _GEOM_CACHE_MAX
+# geometries.  At the default point a geometry holds 6.5, 49 and 223 MB at
+# levels 3, 6 and 10.  The bounds hold one point's ladder, and a sweep runs
+# all modes of a point back to back in one process, so a sweep over new
+# points (fig7, 54 MB a point) keeps no earlier point's geometry
 _GEOM_CACHE: OrderedDict = OrderedDict()
 _GEOM_CACHE_BYTES = 512 * 2 ** 20
-_GEOM_CACHE_MAX = 6
-_GEOM_LOCK = threading.Lock()
+_GEOM_CACHE_MAX = 3
 
 
 def _geometry_key(params: NetworkParams, level: int) -> tuple:
@@ -267,11 +264,10 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     level is the Gauss order per outer panel; inner orders scale with it.
     """
     key = _geometry_key(params, level)
-    with _GEOM_LOCK:
-        hit = _GEOM_CACHE.get(key)
-        if hit is not None:
-            _GEOM_CACHE.move_to_end(key)
-            return hit
+    hit = _GEOM_CACHE.get(key)
+    if hit is not None:
+        _GEOM_CACHE.move_to_end(key)
+        return hit
 
     g = outer_grid(params, level)
     f2 = joint_pdf(g["rs"], g["r"], params)
@@ -292,14 +288,12 @@ def _geometry(params: NetworkParams, level: int) -> dict:
         reach_o2=np.maximum(ri, rs + r) ** 2,   # disc around o covering both voids
         reach_s2=np.maximum(r, rs + ri) ** 2,   # disc around S covering both voids
     )
-    with _GEOM_LOCK:
-        _GEOM_CACHE[key] = geom
-        _GEOM_CACHE.move_to_end(key)
-        while len(_GEOM_CACHE) > 1 and (
-                len(_GEOM_CACHE) > _GEOM_CACHE_MAX
-                or sum(a.nbytes for g in _GEOM_CACHE.values()
-                       for a in g.values()) > _GEOM_CACHE_BYTES):
-            _GEOM_CACHE.popitem(last=False)
+    _GEOM_CACHE[key] = geom
+    while len(_GEOM_CACHE) > 1 and (
+            len(_GEOM_CACHE) > _GEOM_CACHE_MAX
+            or sum(a.nbytes for g in _GEOM_CACHE.values()
+                   for a in g.values()) > _GEOM_CACHE_BYTES):
+        _GEOM_CACHE.popitem(last=False)
     return geom
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -253,13 +252,9 @@ def _build_parser() -> _CliParser:
         command(name, help_text, mc=name == "simulate").add_argument(
             "--mode", default="ibfd", choices=sorted(_MODES),
             help="duplexing mode")
-    sweep_p = command("sweep", "run a sweep from a config file", mc=True)
-    figure_p = command("figure", "run a reference-figure preset sweep",
-                       config=False, mc=True)
-    figure_p.add_argument("figure_id", choices=list(FIGURE_IDS))
-    for p in (sweep_p, figure_p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default HETNET_THREADS or 1)")
+    command("sweep", "run a sweep from a config file", mc=True)
+    command("figure", "run a reference-figure preset sweep", config=False,
+            mc=True).add_argument("figure_id", choices=list(FIGURE_IDS))
     command("validate", "analytic-vs-simulation consistency suite", mc=True)
     return parser
 
@@ -321,10 +316,8 @@ def main(argv=None) -> int:
             if args.trials is not None:
                 spec = replace(spec, mc_trials=args.trials)
             notes = spec.notes
-            threads = args.threads if args.threads is not None \
-                else int(os.environ.get("HETNET_THREADS", "1"))
-            rows = run_sweep(spec, master_seed=args.seed, threads=threads,
-                             window=cfg.window, fixed_count=fixed_count)
+            rows = run_sweep(spec, master_seed=args.seed, window=cfg.window,
+                             fixed_count=fixed_count)
         else:  # validate
             trials = _trials(args, 4000)
             stream = sys.stdout if out_path is None \

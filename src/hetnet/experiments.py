@@ -2,9 +2,9 @@
 
 A sweep varies one scalar knob over a sorted grid and evaluates the
 requested outputs at every grid point for every duplexing mode, pairing
-each analytic value with an optional simulation estimate.  Points are
-independent, so they can be dispatched to a thread pool; row order always
-follows the grid regardless of completion order.  Each point goes
+each analytic value with an optional simulation estimate.  run_sweep
+spreads the points, each with all its modes, over the usable CPUs
+(fanout); rows follow the grid for any CPU count.  Each point goes
 through evaluate_point, which the single-point CLI commands call too.
 
 Swept-parameter units follow the figure axes: B_s and beta grids are in
@@ -14,7 +14,6 @@ natural units (thresholds linear, densities as the pico-per-macro ratio).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .analytic import (
     topology_probabilities,
 )
 from .core import DuplexMode, NetworkParams, Thresholds
+from .fanout import fan_out, process_count
 from .montecarlo import SimulationWindow, estimate_metrics
 from .numerics import NonConvergenceError
 
@@ -133,14 +133,6 @@ def _converged(name: str, result):
     return result
 
 
-def _topology_metrics(params, analytic, quad_error) -> None:
-    p_a, p_b, p_c = topology_probabilities(params)
-    for name, value in (("p_case_a", p_a), ("p_case_b", p_b),
-                        ("p_case_c", p_c)):
-        analytic[name] = value
-        quad_error[name] = math.nan
-
-
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
                    seed: int = 0, window: Optional[SimulationWindow] = None,
@@ -187,7 +179,9 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
             quad_error["p_smallcell_joint"] = small.error_estimate
             quad_error["p_macro_joint"] = macro.error_estimate
     if "topology" in outputs:
-        _topology_metrics(params, analytic, quad_error)
+        for name, value in zip(("p_case_a", "p_case_b", "p_case_c"),
+                               topology_probabilities(params)):
+            analytic[name], quad_error[name] = value, math.nan
     if "association" in outputs:
         analytic["p_assoc_s"] = association_probability(params)[0]
         quad_error["p_assoc_s"] = math.nan
@@ -220,36 +214,40 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                     quad_error=quad_error)
 
 
-def _sweep_cell(spec: SweepSpec, x: float, mode: DuplexMode, seed: int,
-                window: SimulationWindow, fixed_count: bool) -> SweepRow:
-    try:
-        params, th = _apply_swept_value(spec, x)
-        return evaluate_point(params, th, mode, spec.outputs,
-                              trials=spec.mc_trials, seed=seed,
-                              window=window, fixed_count=fixed_count, x=x)
-    except (ValueError, NonConvergenceError) as exc:
-        return SweepRow(x=x, mode=mode, error=str(exc))
+def _sweep_cells(spec: SweepSpec, cells: list,
+                 window: Optional[SimulationWindow],
+                 fixed_count: bool) -> list:
+    """The row of each (x, mode, seed) cell, in order."""
+    rows = []
+    for x, mode, seed in cells:
+        try:
+            params, th = _apply_swept_value(spec, x)
+            rows.append(evaluate_point(
+                params, th, mode, spec.outputs, trials=spec.mc_trials,
+                seed=seed, window=window, fixed_count=fixed_count, x=x))
+        except (ValueError, NonConvergenceError) as exc:
+            rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
+    return rows
 
 
-def run_sweep(spec: SweepSpec, master_seed: int = 0, threads: int = 1,
+def run_sweep(spec: SweepSpec, master_seed: int = 0,
               window: Optional[SimulationWindow] = None,
               fixed_count: bool = False) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Simulation seeds derive from master_seed by cell index, so results are
-    reproducible and independent of thread count.  A failing point is
+    reproducible and independent of the CPU count.  A failing point is
     reported in its row's `error` field without aborting the sweep.
     """
-    if window is None:
-        window = SimulationWindow()
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
     seeds = np.random.SeedSequence(master_seed).generate_state(len(cells))
-    jobs = [(spec, x, mode, int(seed), window, fixed_count)
-            for (x, mode), seed in zip(cells, seeds)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda j: _sweep_cell(*j), jobs))
-    return [_sweep_cell(*job) for job in jobs]
+    cells = [(x, mode, int(seed)) for (x, mode), seed in zip(cells, seeds)]
+    m, n = len(spec.modes), min(process_count(), len(spec.grid))
+    # grid point i, with all its modes, goes to process i % n
+    rows = [iter(part) for part in fan_out(_sweep_cells, [
+        (spec, [c for i, c in enumerate(cells) if i // m % n == j], window,
+         fixed_count) for j in range(n)])]
+    return [next(rows[i // m % n]) for i in range(len(cells))]
 
 
 _TS_GRID = tuple(round(0.1 + 0.25 * k, 2) for k in range(40))

@@ -35,18 +35,13 @@ link, in a fixed order, whatever the kernel does.
 Chunked pass: trial i is seeded by SeedSequence(master_seed,
 spawn_key=(i,)), so any contiguous range of trials can run anywhere.
 estimate_metrics splits its trials into one range per usable CPU (none
-shorter than _MIN_CHUNK_TRIALS), runs the first range itself and the
-rest in forked worker processes, and merges the ranges' tallies in trial
-order.  Every estimate is therefore bit-identical for any CPU count.  A
-pass that is too short to split, a process without fork, and a process
-that runs other threads (a threaded sweep, which already spreads its
-cells over the CPUs) run the single range in-process.
+shorter than _MIN_CHUNK_TRIALS; one inside a sweep, which spreads its
+points instead), runs them with fanout.fan_out and merges the ranges'
+tallies in trial order, so every estimate is bit-identical for any split.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -56,6 +51,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import SeedSequence, default_rng
 
 from .core import DuplexMode, NetworkParams, Thresholds, band_shares, delta_m
+from .fanout import fan_out, process_count
 
 __all__ = [
     "EstimateWithCI",
@@ -373,32 +369,6 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     return n_assoc_s, hits_s, hits_m, rates
 
 
-def _process_count() -> int:
-    """Processes a long pass is spread over: the CPUs this one may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_chunks(jobs: list) -> list:
-    """_chunk_tallies of every job, in job order.
-
-    The first job runs here; the others run at the same time in forked
-    workers, which inherit every loaded module as it stands.  The pool is
-    closed, and its workers joined, before this returns or raises.
-    """
-    if len(jobs) == 1:
-        return [_chunk_tallies(*jobs[0])]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            max_workers=len(jobs) - 1,
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_chunk_tallies, *job) for job in jobs[1:]]
-        first = _chunk_tallies(*jobs[0])
-        return [first] + [future.result() for future in futures]
-
-
 def estimate_metrics(params: NetworkParams, th: Thresholds,
                      mode: DuplexMode = DuplexMode.IBFD,
                      n_trials: int = 20_000,
@@ -419,23 +389,16 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
     is the covered count).  Macro users get the macro band share of
     log2(1 + SIR_um); pico users get the lesser of their access share and
     the backhaul share split across the lambda_s/lambda_m picos per
-    macro.  Summation uses fsum so the estimate does not depend on
-    accumulation order.
-
-    The trials run in contiguous ranges spread over the usable CPUs (see
-    the module docstring); the output does not depend on how many there
-    are.
+    macro.  Summation uses fsum, so no estimate depends on accumulation
+    order or on how the trials are split (see the module docstring).
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be >= 1")
     if window is None:
         window = SimulationWindow()
-    n_chunks = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        n_chunks = max(1, min(_process_count(),
-                              n_trials // _MIN_CHUNK_TRIALS))
+    n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
     bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
-    tallies = _run_chunks([
+    tallies = fan_out(_chunk_tallies, [
         (params, th, mode, window, master_seed, fixed_count,
          tail_compensation, start, stop)
         for start, stop in zip(bounds, bounds[1:])])

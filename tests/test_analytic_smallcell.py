@@ -542,8 +542,7 @@ class TestBlockedKernel:
         # the pico family is a single row, so a cold build allocates
         # little beyond the one tensor it keeps
         p = params_with()
-        with smallcell._GEOM_LOCK:
-            smallcell._GEOM_CACHE.pop(smallcell._geometry_key(p, 6), None)
+        smallcell._GEOM_CACHE.pop(smallcell._geometry_key(p, 6), None)
         tracemalloc.start()
         try:
             geom = smallcell._geometry(p, 6)

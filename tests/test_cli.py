@@ -305,6 +305,8 @@ class TestMainErrors:
         ["validate", "--threads", "2"],
         ["simulate", "--threads", "2"],
         ["coverage", "--threads", "2"],
+        ["sweep", "--threads", "2"],
+        ["figure", "fig7", "--threads", "2"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
     def test_flag_the_command_ignores_exits_one(self, argv, monkeypatch,
                                                 capsys):
@@ -397,18 +399,6 @@ class TestMainSweep:
         rows = csv_rows(out.read_text(encoding="utf-8"))
         assert rows[0]["metric"] == "error"
         assert rows[1]["metric"] == "p_total"
-
-    def test_thread_count_from_env_matches_serial(self, tmp_path,
-                                                  monkeypatch, capsys):
-        cfg = write_config(tmp_path, {
-            "swept_parameter": "lambda_ratio", "grid": [2.0, 4.0],
-            "mc_trials": 150})
-        monkeypatch.setenv("HETNET_THREADS", "3")
-        assert main(["sweep", "--config", cfg]) == 0
-        threaded = capsys.readouterr().out
-        monkeypatch.delenv("HETNET_THREADS")
-        assert main(["sweep", "--config", cfg, "--threads", "1"]) == 0
-        assert capsys.readouterr().out == threaded
 
 
 class TestMainFigure:

@@ -5,17 +5,23 @@ checks run tiny sweeps and compare against direct calls of the
 underlying solvers.
 """
 import math
-import sys
+import multiprocessing
+import os
+import resource
+import threading
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 
+from hetnet import experiments, fanout, montecarlo
 from hetnet.analytic import (
     association_probability,
     coverage_macro_result,
     coverage_smallcell_result,
     rate_macro_term_result,
     rate_smallcell_term_result,
+    smallcell,
     topology_probabilities,
 )
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
@@ -24,9 +30,11 @@ from hetnet.experiments import (
     SWEEP_OUTPUTS,
     SWEEPABLE_PARAMETERS,
     SweepSpec,
+    evaluate_point,
     figure_preset,
     run_sweep,
 )
+from hetnet.montecarlo import SimulationWindow, evaluate_user
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
 
@@ -208,37 +216,90 @@ class TestRunSweep:
         # crude sanity: simulation lands in the right neighbourhood
         assert abs(est.mean - row.analytic["p_total"]) < 5.0 * est.std_error
 
-    def test_thread_count_does_not_change_results(self):
-        # seven densities are seven geometries at each panel level, more
-        # than the shared geometry cache holds, so pooled workers evict
-        # entries while others look them up; a short switch interval makes
-        # those accesses interleave
-        spec = SweepSpec("lambda_ratio", tuple(float(k) for k in range(1, 8)),
-                         mc_trials=300)
-        serial = run_sweep(spec, master_seed=11, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = run_sweep(spec, master_seed=11, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(row.error is None for row in pooled)
-        assert serial == pooled
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("lambda_ratio", (1.0, 2.0, 3.0, 5.0),
+                  modes=tuple(DuplexMode), mc_trials=500),
+        SweepSpec("eta", (0.151, 0.451, 0.901), modes=tuple(DuplexMode),
+                  outputs=("rate",)),
+    ], ids=["coverage-trials", "rate"])
+    def test_process_count_does_not_change_results(self, spec, monkeypatch):
+        # 3 processes share 4 points unevenly; each run builds its own
+        # geometries, in its own processes
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(fanout, "_process_count",
+                                lambda count=count: count)
+            runs.append(run_sweep(spec, master_seed=11,
+                                  window=SimulationWindow(10.0)))
+        assert all(row.error is None for row in runs[0])
+        assert runs[0] == runs[1] == runs[2]
 
-    def test_thread_count_does_not_change_rate_results(self):
-        # the rate path batches each t-panel into one evaluate_joint call
-        # whose scratch belongs to the call; pooled workers share the
-        # cached geometry while they interleave
-        spec = SweepSpec("eta", (0.151, 0.451, 0.901), outputs=("rate",))
-        serial = run_sweep(spec, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = run_sweep(spec, threads=2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(row.error is None for row in pooled)
-        assert serial == pooled
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # the second point runs in the worker, and an error that is not a
+        # failed point's leaves no process or thread behind
+        def fail_second(*args, x, **kwargs):
+            if x == 3.0:
+                raise RuntimeError("cell failed")
+            return evaluate_point(*args, x=x, **kwargs)
+
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
+        monkeypatch.setattr(experiments, "evaluate_point", fail_second)
+        with pytest.raises(RuntimeError, match="^cell failed$"):
+            run_sweep(SweepSpec("lambda_ratio", (2.0, 3.0),
+                                outputs=("association",)))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+
+    def test_cell_simulation_runs_in_the_cell_process(self, monkeypatch):
+        # a 500-trial pass splits in two on its own; in a split sweep it
+        # runs in the process that runs its cell
+        cell_pid = []
+
+        def record_pid(*args, **kwargs):
+            cell_pid[:] = [os.getpid()]
+            return evaluate_point(*args, **kwargs)
+
+        def in_cell_process(*args, **kwargs):
+            if os.getpid() != cell_pid[0]:
+                raise RuntimeError("simulation left the cell's process")
+            return evaluate_user(*args, **kwargs)
+
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
+        monkeypatch.setattr(experiments, "evaluate_point", record_pid)
+        monkeypatch.setattr(montecarlo, "evaluate_user", in_cell_process)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        rows = run_sweep(SweepSpec("lambda_ratio", (2.0, 4.0), mc_trials=500),
+                         window=SimulationWindow(10.0))
+        assert all(row.error is None and row.mc for row in rows)
+        # the second point ran in a worker, which is gone
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
+        assert multiprocessing.active_children() == []
+
+    def test_rate_sweep_builds_each_geometry_once(self, monkeypatch,
+                                                  tmp_path):
+        # the cache holds one point's ladder (levels 3, 6 and 10); both
+        # modes of a point run back to back in one process, so they share
+        # its geometry.  Builds are logged to a file that the worker
+        # appends to as well
+        log = tmp_path / "builds.txt"
+        outer_grid = smallcell.outer_grid
+
+        def logged_grid(params, level):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{params.lambda_s} {level}\n")
+            return outer_grid(params, level)
+
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
+        monkeypatch.setattr(smallcell, "_GEOM_CACHE", OrderedDict())
+        monkeypatch.setattr(smallcell, "outer_grid", logged_grid)
+        rows = run_sweep(SweepSpec("lambda_ratio", (2.0, 3.0, 5.0),
+                                   modes=tuple(DuplexMode),
+                                   outputs=("rate",)))
+        assert all(row.error is None for row in rows)
+        built = log.read_text(encoding="utf-8").split("\n")[:-1]
+        assert sorted(b for b in built if b.endswith(" 6")) == [
+            "2.0 6", "3.0 6", "5.0 6"]
+        assert len(built) == len(set(built))
 
     def test_master_seed_changes_draws(self):
         spec = SweepSpec("lambda_ratio", (4.0,), outputs=("rate",),

@@ -21,7 +21,7 @@ import pytest
 from numpy.random import SeedSequence
 from oracles import reference_evaluate_user
 
-from hetnet import montecarlo
+from hetnet import fanout, montecarlo
 from hetnet.analytic import association_probability
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_m
 from hetnet.experiments import evaluate_point
@@ -429,7 +429,7 @@ class TestChunkedPass:
         window = SimulationWindow(half_width=15.0, wrap=wrap)
         runs = []
         for count in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_process_count",
+            monkeypatch.setattr(fanout, "_process_count",
                                 lambda count=count: count)
             runs.append(estimate_metrics(NetworkParams(), TH, mode,
                                          n_trials=1001, window=window,
@@ -452,7 +452,7 @@ class TestChunkedPass:
                 raise ValueError("no station in tier: macro")
             return evaluate_user(realization, params, mode, seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "evaluate_user", fail_last)
         with pytest.raises(ValueError, match="^no station in tier: macro$"):
             estimate_metrics(NetworkParams(), TH, n_trials=600,
@@ -460,7 +460,7 @@ class TestChunkedPass:
         assert multiprocessing.active_children() == []
 
     def test_no_process_left_after_pooled_pass(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
         estimate_metrics(NetworkParams(), TH, n_trials=500,
                          window=SimulationWindow(10.0))
@@ -480,7 +480,7 @@ class TestChunkedPass:
                 raise ValueError("ran in a worker")
             return evaluate_user(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_process_count", lambda: 2)
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "evaluate_user", in_parent)
         call = functools.partial(estimate_metrics, NetworkParams(), TH,
                                  n_trials=n_trials,
@@ -500,9 +500,9 @@ class TestChunkedPass:
         # a one-ulp change in a sum rarely survives into an estimate, so
         # single users' SIRs are compared as well
         code = (
-            "from hetnet import montecarlo as mc\n"
+            "from hetnet import fanout, montecarlo as mc\n"
             "from hetnet.core import DuplexMode, NetworkParams, Thresholds\n"
-            "mc._process_count = lambda: 2\n"
+            "fanout._process_count = lambda: 2\n"
             "p = NetworkParams(lambda_s=20.0)\n"
             "w = mc.SimulationWindow()\n"
             "for k in range(10):\n"

@@ -170,11 +170,11 @@ def test_cli_import_loads_no_adaptive_quadrature_or_optimizer():
 
 
 def test_cli_import_loads_no_process_pool():
-    # the simulator imports its process pool when a pass is split, so a
-    # launch that runs no long pass does not pay for the import
+    # the fan-out imports its process pool when it splits, so a launch
+    # that splits nothing does not pay for the import (concurrent.futures
+    # alone is about 8 ms of set-up time)
     code = ("import sys, hetnet.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('multiprocessing', "
-            "'concurrent.futures.process'))))")
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
