@@ -55,17 +55,22 @@ r_s = R_i = 1, where the access sharpness s_1 is T_s itself.  A call
 forms that row's angular sum once per distinct T_s, and each node costs
 one radial sum, scaled by r_s^2 (likewise the access functional F_s).
 The macro field depends on r and R_i as well, so it has a row per node,
-and its (node, radial, angular) tensor is the bulk of a geometry (36 MB
-of 49 MB at level 6, 166 MB of 223 MB at level 10, at the default
-parameters).  _znpow builds it, and every distance to the user taken from
-polar coordinates around S, in place from the half-angle chord form of
-the law of cosines.  A call first drops the nodes whose exponent lower
-bound already makes them negligible, then indexes only the live ones.
-The kernel forms the angular sums of _BLOCK access pairs (a table row
-with one T_s) at a time in one scratch buffer and the radial sums 16
-_BLOCK entries (a threshold pair at a node) at a time, so no full-size
-temporary is built.  All scratch belongs to the call, never to the
-module, and the cached geometries are read-only.
+and its (node, radial, angular) tensor is the bulk of a geometry (34 MB
+of 47 MB allocated at level 6, 158 MB of 214 MB at level 10, at the
+default parameters).  _znpow builds it, and every distance to the user
+taken from polar coordinates around S, in place from the half-angle
+chord form of the law of cosines.  A call first drops the nodes whose
+exponent lower bound already makes them negligible, then indexes only
+the live ones.  The radial tables of both fields are filled on first
+use, only in the rows a call keeps (_build_rows, run by _mixed_term), so
+a geometry holds only the rows its calls kept: after figure fig9, 40 % of
+the level-10 macro rows; FDD calls build none.  The kernel forms the angular sums of
+_BLOCK access pairs (a table row with one T_s) at a time in one scratch
+buffer and the radial sums 16 _BLOCK entries (a threshold pair at a node)
+at a time in another, so no full-size temporary is built.  All scratch
+belongs to the call, never to the module.  A cached geometry changes only
+where _build_rows fills an unbuilt row, with the values a build of every
+row at once would give.
 
 evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
 scalar calls.  The skip bound grows with both thresholds, so it runs over
@@ -108,7 +113,8 @@ _LADDER_M = np.array([1.4, 2.0, 3.0, 5.0, 8.0, 14.0, 25.0, 50.0,
 
 
 def _znpow(d2: np.ndarray, four_rx: np.ndarray, width: np.ndarray,
-           gx: np.ndarray, alpha: float) -> np.ndarray:
+           gx: np.ndarray, alpha: float,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """|z|^-alpha with |z|^2 = x^2 + r^2 + 2 x r cos(theta), at the angular
     nodes theta = width/2 (1 - gx) of each row, from the per-row
     d2 = (x - r)^2 and four_rx = 4 x r.
@@ -122,12 +128,13 @@ def _znpow(d2: np.ndarray, four_rx: np.ndarray, width: np.ndarray,
     without AVX-512 np.tan falls back to libm too, and the form keeps only
     its accuracy.
 
-    Built _BLOCK rows at a time in place in the output, with the operations
-    of the whole-array expression in its order (so bit-identical to it): no
-    temporary the size of the output is ever allocated.
+    Built _BLOCK rows at a time in place in the output (out, if given),
+    with the operations of the whole-array expression in its order (so
+    bit-identical to it): no temporary the size of the output is ever
+    allocated.
     """
     quarter, gx1 = 0.25 * width, 1.0 - gx
-    zn = np.empty(d2.shape + gx.shape)
+    zn = np.empty(d2.shape + gx.shape) if out is None else out
     for lo in range(0, zn.shape[0], _BLOCK):
         b = slice(lo, lo + _BLOCK)
         z = zn[b]
@@ -146,23 +153,24 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
                   n_tail: int) -> dict:
     """Threshold-independent quadrature tensors for a batch of (r_s, r).
 
-    Returns the angular Gauss weights and, per family, radial weights
+    Returns the angular Gauss rule and, per family, radial weights
     (which absorb the Jacobian factor l dl), cached negative distance
     powers and angular widths, for the three 1-D/2-D corrections described
     in the module docstring.  Both mixed-term families come from _field in
-    one layout, a row per node; the pico family ("s_") has a single row,
-    the node r_s = R_i = 1, which every node scales (module docstring).
+    one layout, a row per node, whose radial tables _mixed_term fills on
+    first use; the pico family ("s_") has a single row, the node
+    r_s = R_i = 1, which every node scales (module docstring).
     """
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     gx, gw = _leggauss(n_ang)
 
-    out: dict = {"ang_w": gw}
+    out: dict = {"ang_x": gx, "ang_w": gw}
 
     # --- pico-field mixed term: exclusion B(o, r_s), whose lengths all
     #     scale with r_s; one row, at r_s = 1 ------------------------------
     one = np.ones(1)
     _field(out, "s_", _LADDER_S[None, :], one, one, one * _LADDER_S[-1],
-           gx, alpha_s, n_rad, n_tail)
+           n_ang, alpha_s, n_rad, n_tail)
 
     # --- macro-field mixed term: exclusions B(o, R_i) (angular) and
     #     B(S, r) (radial lower limit); one row per node -------------------
@@ -177,7 +185,7 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
         axis=1,
     )
     knots_m.sort(axis=1)
-    _field(out, "m_", knots_m, rs, ri, base * _LADDER_M[-1], gx, alpha_m,
+    _field(out, "m_", knots_m, rs, ri, base * _LADDER_M[-1], n_ang, alpha_m,
            n_rad, n_tail)
 
     # --- lens corrections: K1, the user-centered shell of B(S, r) beyond
@@ -205,24 +213,59 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
 
 
 def _field(out: dict, prefix: str, knots: np.ndarray, rs: np.ndarray,
-           ri: np.ndarray, far: np.ndarray, gx: np.ndarray, alpha: float,
+           ri: np.ndarray, far: np.ndarray, n_ang: int, alpha: float,
            n_rad: int, n_tail: int) -> None:
     """Tables of one field's mixed term into out, under prefix: a row per
     (r_s, R_i), in polar coordinates around S.  The radial rule runs over
     the panels knots, then a power tail beyond far; at radius l the arc
     outside B(o, R_i) is [chi_ex, pi], chi_ex = chord_angle(r_s, l, R_i),
-    and its angular nodes are mapped onto it per (row, l)."""
-    x, wx = gauss_panel_nodes(knots, n_rad)
-    wx *= x                         # fold the l dl Jacobian
-    out[prefix + "wx"] = wx
-    out[prefix + "xnpow"] = x ** -alpha
-    width = out[prefix + "width"] = np.pi - chord_angle(rs[:, None], x,
-                                                        ri[:, None])
-    out[prefix + "znpow"] = _znpow((x - rs[:, None]) ** 2,
-                                   4.0 * rs[:, None] * x, width, gx, alpha)
+    and its angular nodes are mapped onto it per (row, l).
+
+    The tail tables are built here.  The radial ones (wx, xnpow, width,
+    znpow) are only allocated: _build_rows fills a row on its first use,
+    from the inputs kept here (knot rows, r_s, R_i, alpha) and marks it in
+    the built-row mask."""
+    n_l = (knots.shape[1] - 1) * n_rad
+    out.update({prefix + "knots": knots, prefix + "rs": rs,
+                prefix + "ri": ri, prefix + "alpha": np.float64(alpha),
+                prefix + "built": np.zeros(knots.shape[0], dtype=bool)})
+    for k in ("wx", "xnpow", "width"):
+        out[prefix + k] = np.empty((knots.shape[0], n_l))
+    out[prefix + "znpow"] = np.empty((knots.shape[0], n_l, n_ang))
     xt, wt = power_tail_nodes(far, alpha, n_tail)
     out[prefix + "tw"] = wt * xt
     out[prefix + "txnpow"] = xt ** -alpha
+
+
+def _build_rows(geom: dict, prefix: str, idx: np.ndarray) -> None:
+    """Fill the rows idx of the prefix field's radial tables (_field) that
+    are not built yet, each once, in place: runs of consecutive rows, 16
+    _BLOCK rows at a time.  Every entry comes from the same elementwise
+    operations as a whole-table build, so it does not depend on which rows
+    are built together or when."""
+    built = geom[prefix + "built"]
+    missing = idx[~built[idx]]
+    if not missing.size:
+        return
+    need = np.zeros_like(built)
+    need[missing] = True
+    knots, rs, ri = (geom[prefix + k] for k in ("knots", "rs", "ri"))
+    alpha = float(geom[prefix + "alpha"])
+    n_rad = geom[prefix + "wx"].shape[1] // (knots.shape[1] - 1)  # per panel
+    edges = np.flatnonzero(np.diff(need, prepend=False, append=False))
+    for start, stop in edges.reshape(-1, 2):
+        for lo in range(start, stop, 16 * _BLOCK):
+            rows = slice(lo, min(lo + 16 * _BLOCK, stop))
+            r_s, r_i = rs[rows, None], ri[rows, None]
+            x, wx = gauss_panel_nodes(knots[rows], n_rad)
+            wx *= x                 # fold the l dl Jacobian
+            geom[prefix + "wx"][rows] = wx
+            geom[prefix + "xnpow"][rows] = x ** -alpha
+            width = geom[prefix + "width"][rows]
+            np.subtract(np.pi, chord_angle(r_s, x, r_i), out=width)
+            _znpow((x - r_s) ** 2, 4.0 * r_s * x, width, geom["ang_x"],
+                   alpha, out=geom[prefix + "znpow"][rows])
+    built |= need
 
 
 def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
@@ -244,10 +287,12 @@ def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
 # when the geometric parameters or level change.  Least recently used
 # geometries (never the one just inserted) are evicted while the cache
 # holds more than _GEOM_CACHE_BYTES of arrays or more than _GEOM_CACHE_MAX
-# geometries.  At the default point a geometry holds 6.5, 49 and 223 MB at
-# levels 3, 6 and 10.  The bounds hold one point's ladder, and a sweep runs
-# all modes of a point back to back in one process, so a sweep over new
-# points (fig7, 54 MB a point) keeps no earlier point's geometry
+# geometries.  The byte bound counts allocated bytes, rows not yet built
+# included, not resident ones: at the default point a geometry allocates
+# 6.3, 47 and 214 MB at levels 3, 6 and 10.  The bounds hold one point's
+# ladder, and a sweep runs all modes of a point back to back in one
+# process, so a sweep over new points (fig7, 54 MB a point) keeps no
+# earlier point's geometry
 _GEOM_CACHE: OrderedDict = OrderedDict()
 _GEOM_CACHE_BYTES = 512 * 2 ** 20
 _GEOM_CACHE_MAX = 3
@@ -306,14 +351,18 @@ def _by_rows(fn, n: int) -> np.ndarray:
     return out
 
 
-def _one_minus_g(s, xn):
-    """1 - g(s, x) = 1 - 1/(1 + s x^-alpha), from xn = x^-alpha.
+def _one_minus_g(s, xn, out=None):
+    """1 - g(s, x) = 1 - 1/(1 + s x^-alpha), from xn = x^-alpha, formed in
+    place in out (which may be xn) when it is given.
 
     This form cancels where s xn is small (about 11 digits left at 1e-5;
     the radial tails reach xn = 4e-15).  s xn/(1 + s xn) does not, but it
     moves small-cell values past the tolerances of bench/reference/fig9.csv
     (docs/DECISIONS.md, entry 6)."""
-    return 1.0 - 1.0 / (1.0 + s * xn)
+    out = np.multiply(s, xn, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
@@ -325,11 +374,13 @@ def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
     s_cross the backhaul-link sharpness entering radially from S.  s_own
     is given per access pair (table row idx, one T_s), s_cross per entry,
     whose access pair is acc (non-decreasing, every pair at least once;
-    default: one each).  Angular sums are per pair, _BLOCK pairs at a time
-    in one scratch buffer; radial sums run 16 _BLOCK entries at a time,
-    and read the pairs' rows in place when each pair has one entry or the
-    chunk has one pair.
+    default: one each).  The rows of idx are built first (_build_rows).
+    Angular sums are per pair, _BLOCK pairs at a time in one scratch
+    buffer; radial sums run 16 _BLOCK entries at a time in another, and
+    read the pairs' angular sums in place when each pair has one entry or
+    the chunk has one pair.
     """
+    _build_rows(geom, prefix, idx)
     zn, xn, txn = (geom[prefix + k] for k in ("znpow", "xnpow", "txnpow"))
     wl, width, tw = (geom[prefix + k] for k in ("wx", "width", "tw"))
     aw = geom["ang_w"]
@@ -337,6 +388,7 @@ def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
         acc = np.arange(idx.size)
     out = np.empty(acc.size)
     scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
+    radial = np.empty((2, min(acc.size, 16 * _BLOCK), zn.shape[1]))
     for lo in range(0, idx.size, _BLOCK):
         ib = idx[lo:lo + _BLOCK]
         so = s_own[lo:lo + ib.size, None]
@@ -355,15 +407,21 @@ def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
         for c in range(start, stop, 16 * _BLOCK):
             b = slice(c, min(c + 16 * _BLOCK, stop))
             j = acc[b] - lo
+            rows, sc = ib[j], s_cross[b, None]
+            cross = radial[0, :j.size]
+            cross = _one_minus_g(
+                sc, np.take(xn, rows, axis=0, out=cross, mode="clip"),
+                out=cross)
             if stop - start == ib.size or j[0] == j[-1]:
-                # an entry per pair, or one pair: its rows, not copies
+                # an entry per pair, or one pair: its sums, not copies
                 j = slice(j[0], j[-1] + 1)
-            row = ib[j]
-            sc = s_cross[b, None]
-            out[b] = (np.einsum("nl,nl->n", _one_minus_g(sc, xn[row]),
-                                inner[j])
+                pair_inner = inner[j]
+            else:
+                pair_inner = np.take(inner, j, axis=0,
+                                     out=radial[1, :j.size], mode="clip")
+            out[b] = (np.einsum("nl,nl->n", cross, pair_inner)
                       + np.einsum("nl,nl->n", own_tail[j],
-                                  _one_minus_g(sc, txn[row])))
+                                  _one_minus_g(sc, txn[rows])))
     return out
 
 

@@ -310,7 +310,7 @@ class TestLevelLadder:
         p = params_with()
         res = coverage_smallcell_result(p, 7.1, 0.1, DuplexMode.IBFD)
         monkeypatch.setattr(smallcell, "_one_minus_g",
-                            lambda s, xn: s * xn / (1.0 + s * xn))
+                            lambda s, xn, out=None: s * xn / (1.0 + s * xn))
         exact = coverage_smallcell_result(p, 7.1, 0.1, DuplexMode.IBFD)
         assert abs(exact.value - res.value) <= res.error_estimate
 
@@ -393,6 +393,104 @@ ORACLE_BATCHES = {
 }
 
 
+# what _field keeps for the row builder of the macro family
+ROW_INPUTS = ("m_knots", "m_rs", "m_ri", "m_alpha", "m_built")
+
+
+def build_every_row(geom: dict) -> dict:
+    """geom with every row of both fields' radial tables built, through
+    the row builder that _mixed_term runs."""
+    for prefix in ("s_", "m_"):
+        smallcell._build_rows(geom, prefix,
+                              np.arange(geom[prefix + "built"].size))
+    return geom
+
+
+class TestLazyRows:
+    """_mixed_term builds the radial table rows of the nodes a call keeps
+    on first use, each once; whatever the order of calls, every entry
+    equals the one a build of all rows at once gives."""
+
+    @pytest.fixture
+    def rows_built(self, monkeypatch):
+        # a cold cache, and the row count of every _znpow call that builds
+        # a field's rows (the bearing tables pass 1-D inputs, a node each)
+        monkeypatch.setattr(smallcell, "_GEOM_CACHE", OrderedDict())
+        counts = []
+        znpow = smallcell._znpow
+
+        def counted(d2, *args, **kwargs):
+            if d2.ndim == 2:
+                counts.append(d2.shape[0])
+            return znpow(d2, *args, **kwargs)
+
+        monkeypatch.setattr(smallcell, "_znpow", counted)
+        return counts
+
+    def test_cold_batch_builds_each_row_once(self, rows_built):
+        # 21 distinct access thresholds, as on one G10/K21 rate t-panel:
+        # the batch's access pairs repeat each node once per T_s
+        p = params_with()
+        T_s = np.geomspace(0.02, 2.0, 21)
+        evaluate_joint(p, T_s, np.geomspace(0.01, 1.0, 21), DuplexMode.IBFD)
+        geom = smallcell._geometry(p, 6)
+        n_built = int(geom["m_built"].sum())
+        assert n_built > 16 * smallcell._BLOCK   # more than one build chunk
+        assert geom["s_built"].all()
+        assert sum(rows_built) == n_built + 1
+
+    @pytest.mark.parametrize("order", ["listed", "reversed"])
+    def test_any_call_order_fills_the_eager_tables(self, rows_built,
+                                                   order):
+        p = params_with()
+        calls = [(50.0, 20.0, DuplexMode.IBFD, "circle"),   # high thresholds
+                 (0.5, 0.5, DuplexMode.FDD, "circle"),
+                 (2.0, 0.3, DuplexMode.IBFD, "arc"),
+                 (*ORACLE_BATCHES["t-panel"], DuplexMode.IBFD, "circle")]
+        for T_s, T_b, mode, bearing in (calls if order == "listed"
+                                        else calls[::-1]):
+            evaluate_joint(p, np.array(T_s), np.array(T_b), mode, 6, bearing)
+        lazy = smallcell._geometry(p, 6)
+        assert 0 < lazy["m_built"].sum() < lazy["m_built"].size
+        build_every_row(lazy)
+        assert sum(rows_built) == lazy["m_built"].size + 1
+        smallcell._GEOM_CACHE.clear()
+        eager = build_every_row(smallcell._geometry(p, 6))
+        assert lazy.keys() == eager.keys()
+        for key in lazy:
+            assert np.array_equal(lazy[key], eager[key]), key
+
+    def test_one_call_builds_exactly_its_live_nodes(self, rows_built):
+        p = params_with()
+        evaluate_joint(p, 2.0, 0.5, DuplexMode.IBFD)
+        geom = smallcell._geometry(p, 6)
+        live = smallcell._exponent_bound(
+            p, DuplexMode.IBFD, np.array([2.0]), np.array([0.5]), geom,
+            slice(None))[0] < smallcell._SKIP_EXPONENT
+        assert 0 < live.sum() < live.size
+        assert np.array_equal(geom["m_built"], live)
+        assert geom["s_built"].all()
+        assert sum(rows_built) == live.sum() + 1
+
+    def test_fdd_builds_no_row(self, rows_built):
+        p = params_with()
+        evaluate_joint(p, [0.1, 0.5], [0.1, 2.0], DuplexMode.FDD)
+        geom = smallcell._geometry(p, 6)
+        assert not geom["m_built"].any() and not geom["s_built"].any()
+        assert rows_built == []
+
+    def test_warm_repeat_builds_nothing(self, rows_built):
+        p = params_with()
+        T_s, T_b = (np.array(t) for t in ORACLE_BATCHES["t-panel"])
+        first = evaluate_joint(p, T_s, T_b, DuplexMode.IBFD)
+        n_calls = len(rows_built)
+        assert n_calls > 0
+        assert np.array_equal(evaluate_joint(p, T_s, T_b, DuplexMode.IBFD),
+                              first)
+        evaluate_joint(p, T_s[3], T_b[3], DuplexMode.IBFD)
+        assert len(rows_built) == n_calls
+
+
 class TestBlockedKernel:
     """evaluate_joint walks the live nodes _BLOCK at a time in one scratch
     buffer and takes the pico field from its one-row r_s = 1 tables; the
@@ -443,16 +541,18 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("level", [3, 6, 10])
     def test_geometry_matches_dense_build(self, level):
         p = params_with()
-        geom = smallcell._geometry(p, level)
+        geom = build_every_row(smallcell._geometry(p, level))
         dense = dense_geometry(p, level)
         # the blocked in-place build runs the dense build's operations in
         # its order, on a node count that leaves a partial last block
         assert geom["f2w"].size % smallcell._BLOCK != 0
         # every per-node table (the macro family, both lens shells, the
         # bearing tables, the node weights) runs the dense build's
-        # arithmetic too, through core.chord_angle and _lens_shell
-        per_node = [k for k in geom if k == "f2w" or k == "g_w"
-                    or k.startswith(("m_", "k1_", "k2_", "g_rmnpow_"))]
+        # arithmetic too, through core.chord_angle and _lens_shell; the
+        # macro row builder's inputs are not tables
+        per_node = [k for k in geom if (k == "f2w" or k == "g_w"
+                    or k.startswith(("m_", "k1_", "k2_", "g_rmnpow_")))
+                    and k not in ROW_INPUTS]
         assert len(per_node) == 14
         for key in per_node:
             assert np.array_equal(geom[key], dense[key]), key
@@ -538,14 +638,14 @@ class TestBlockedKernel:
         assert peak < 0.5 * geom["m_znpow"].nbytes
 
     def test_cold_build_peak_stays_near_the_macro_tensor(self):
-        # the macro tensor is built block by block in its own storage and
-        # the pico family is a single row, so a cold build allocates
-        # little beyond the one tensor it keeps
+        # the macro tensor is built 16 _BLOCK rows at a time into its own
+        # storage and the pico family is a single row, so a cold build of
+        # every row allocates little beyond the one tensor it keeps
         p = params_with()
         smallcell._GEOM_CACHE.pop(smallcell._geometry_key(p, 6), None)
         tracemalloc.start()
         try:
-            geom = smallcell._geometry(p, 6)
+            geom = build_every_row(smallcell._geometry(p, 6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,7 +656,13 @@ class TestBlockedKernel:
         a, b, c, d = (params_with(lambda_s=lam) for lam in (2, 3, 5, 7))
 
         def nbytes(p):
-            return sum(v.nbytes for v in smallcell._geometry(p, 3).values())
+            # the bound counts allocated bytes: filling every row of the
+            # lazily built tables leaves it as it was
+            geom = smallcell._geometry(p, 3)
+            allocated = sum(v.nbytes for v in geom.values())
+            assert sum(v.nbytes for v in build_every_row(geom).values()) \
+                == allocated
+            return allocated
 
         def cached():
             return [k[2] for k in smallcell._GEOM_CACHE]  # lambda_s
@@ -598,7 +704,7 @@ class TestChordForm:
     def test_tensors_match_law_of_cosines(self, level):
         mp = pytest.importorskip("mpmath")
         p = params_with()
-        geom = smallcell._geometry(p, level)
+        geom = build_every_row(smallcell._geometry(p, level))
         dense = dense_geometry(p, level)
         gx = _leggauss(geom["ang_w"].size)[0]
         xm, rs, zn = dense["m_x"], dense["rs"], geom["m_znpow"]
@@ -661,8 +767,8 @@ class TestChordForm:
             raise AssertionError("np.cos called")
 
         monkeypatch.setattr(smallcell.np, "cos", no_cos)
-        geom = smallcell._node_tensors(p, rs, r, inner_disc_radius(rs, p),
-                                       n_rad=6, n_ang=12, n_tail=12)
+        geom = build_every_row(smallcell._node_tensors(
+            p, rs, r, inner_disc_radius(rs, p), n_rad=6, n_ang=12, n_tail=12))
         assert all(np.all(np.isfinite(geom[k]) & (geom[k] > 0.0))
                    for k in ("m_znpow", "s_znpow", "g_rmnpow_arc",
                              "g_rmnpow_circle"))
