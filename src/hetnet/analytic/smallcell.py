@@ -68,7 +68,7 @@ the level-10 macro rows; FDD calls build none.  The kernel forms the angular sum
 _BLOCK access pairs (a table row with one T_s) at a time in one scratch
 buffer and the radial sums 16 _BLOCK entries (a threshold pair at a node)
 at a time in another, so no full-size temporary is built.  All scratch
-belongs to the call, never to the module.  A cached geometry changes only
+belongs to the call, never to the module.  A held geometry changes only
 where _build_rows fills an unbuilt row, with the values a build of every
 row at once would give.
 
@@ -81,7 +81,6 @@ the pico angular sum once per T_s.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
@@ -283,36 +282,30 @@ def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
     return w * rho * width, rho ** -alpha
 
 
-# geometry cache, one per process (the package runs no threads): rebuilt
-# when the geometric parameters or level change.  Least recently used
-# geometries (never the one just inserted) are evicted while the cache
-# holds more than _GEOM_CACHE_BYTES of arrays or more than _GEOM_CACHE_MAX
-# geometries.  The byte bound counts allocated bytes, rows not yet built
-# included, not resident ones: at the default point a geometry allocates
-# 6.3, 47 and 214 MB at levels 3, 6 and 10.  The bounds hold one point's
-# ladder, and a sweep runs all modes of a point back to back in one
-# process, so a sweep over new points (fig7, 54 MB a point) keeps no
-# earlier point's geometry
-_GEOM_CACHE: OrderedDict = OrderedDict()
-_GEOM_CACHE_BYTES = 512 * 2 ** 20
-_GEOM_CACHE_MAX = 3
+# the geometries of one model point, by level, in this process (the
+# package runs no threads).  A call at another point drops them all before
+# it builds: no command comes back to an earlier point (docs/DECISIONS.md,
+# entry 10), so a process holds at most one point's ladder, which at the
+# default point allocates 6.3, 47 and 214 MB at levels 3, 6 and 10
+_HELD: dict = {}
 
 
-def _geometry_key(params: NetworkParams, level: int) -> tuple:
-    return (level, params.lambda_m, params.lambda_s, params.P_m, params.P_s,
+def _point_key(params: NetworkParams) -> tuple:
+    return (params.lambda_m, params.lambda_s, params.P_m, params.P_s,
             params.B_m, params.B_s, params.alpha_m, params.alpha_s)
 
 
 def _geometry(params: NetworkParams, level: int) -> dict:
-    """Outer (r_s, r) panel grid + per-node tensors, cached.
+    """Outer (r_s, r) panel grid + per-node tensors, held per point.
 
     level is the Gauss order per outer panel; inner orders scale with it.
     """
-    key = _geometry_key(params, level)
-    hit = _GEOM_CACHE.get(key)
-    if hit is not None:
-        _GEOM_CACHE.move_to_end(key)
-        return hit
+    point = _point_key(params)
+    if point not in _HELD:
+        _HELD.clear()
+    held = _HELD.setdefault(point, {})
+    if level in held:
+        return held[level]
 
     g = outer_grid(params, level)
     f2 = joint_pdf(g["rs"], g["r"], params)
@@ -333,12 +326,7 @@ def _geometry(params: NetworkParams, level: int) -> dict:
         reach_o2=np.maximum(ri, rs + r) ** 2,   # disc around o covering both voids
         reach_s2=np.maximum(r, rs + ri) ** 2,   # disc around S covering both voids
     )
-    _GEOM_CACHE[key] = geom
-    while len(_GEOM_CACHE) > 1 and (
-            len(_GEOM_CACHE) > _GEOM_CACHE_MAX
-            or sum(a.nbytes for g in _GEOM_CACHE.values()
-                   for a in g.values()) > _GEOM_CACHE_BYTES):
-        _GEOM_CACHE.popitem(last=False)
+    held[level] = geom
     return geom
 
 

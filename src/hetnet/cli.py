@@ -7,8 +7,10 @@ the two spellings of one field are mutually exclusive and unknown keys
 are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
 (window_half_width, wrap, fixed_count), and a default output path (out).
-wrap and fixed_count are JSON booleans, mc_trials an integer,
-window_half_width a number, and grid, modes, outputs and notes arrays.
+Model fields, thresholds and window_half_width are JSON numbers, in
+either spelling; self_interference_convention and out are strings, wrap
+and fixed_count booleans, mc_trials an integer, grid an array of
+numbers, and modes, outputs and notes arrays.
 
 Every command evaluates a point through experiments.evaluate_point, so a
 reported value whose integral missed its tolerance is never printed: the
@@ -77,14 +79,18 @@ class RunConfig:
 
 def _json_value(raw: dict, key: str, default, kind: type, source: str):
     """raw[key] (default when absent), which must have the JSON type of
-    kind; true and false are not numbers, a string is not an array."""
+    kind; true and false are not numbers, a string is not an array.  A
+    number comes back as a float."""
     value = raw.get(key, default)
     if type(value) not in ((int, float) if kind is float else (kind,)):
         name = {bool: "boolean", int: "integer", float: "number",
-                list: "array"}[kind]
+                list: "array", str: "string"}[kind]
         raise ValueError(
             f"{source}: {key} must be a JSON {name}, got {value!r}")
-    return value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ValueError(f"{source}: {key} is out of range") from None
 
 
 def parse_config(text: str, source: str = "config") -> RunConfig:
@@ -111,10 +117,15 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
     def scalar_fields(names):
         values = {}
         for name in names:
+            kind = str if name == "self_interference_convention" else float
             if name in raw:
-                values[name] = raw[name]
+                values[name] = _json_value(raw, name, None, kind, source)
             elif name + "_db" in raw:
-                values[name] = _db_to_linear(float(raw[name + "_db"]))
+                db = _json_value(raw, name + "_db", None, float, source)
+                try:
+                    values[name] = _db_to_linear(db)
+                except ValueError as exc:
+                    raise ValueError(f"{source}: {name}_db: {exc}") from None
         return values
 
     params = NetworkParams(**scalar_fields(_PARAM_KEYS))
@@ -132,10 +143,12 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             raise ValueError(
                 f"{source}: unknown mode {exc.args[0]!r}; expected "
                 f"ibfd or fdd") from exc
+        grid = {f"grid[{i}]": v for i, v in enumerate(
+            _json_value(raw, "grid", None, list, source))}
         sweep = SweepSpec(
             swept_parameter=raw["swept_parameter"],
-            grid=tuple(float(v) for v in
-                       _json_value(raw, "grid", None, list, source)),
+            grid=tuple(_json_value(grid, k, None, float, source)
+                       for k in grid),
             base_params=params,
             base_thresholds=thresholds,
             modes=modes,
@@ -146,13 +159,13 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
         )
 
     window = SimulationWindow(
-        half_width=float(_json_value(raw, "window_half_width", 30.0, float,
-                                     source)),
+        half_width=_json_value(raw, "window_half_width", 30.0, float, source),
         wrap=_json_value(raw, "wrap", False, bool, source))
     return RunConfig(
         params=params, thresholds=thresholds, sweep=sweep, window=window,
         fixed_count=_json_value(raw, "fixed_count", False, bool, source),
-        out=raw.get("out"))
+        out=_json_value(raw, "out", None, str, source) if "out" in raw
+        else None)
 
 
 def _fmt(value: float) -> str:
@@ -327,6 +340,7 @@ def main(argv=None) -> int:
             finally:
                 if stream is not sys.stdout:
                     stream.close()
+        _emit(rows_to_csv(rows, notes), out_path)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -334,7 +348,6 @@ def main(argv=None) -> int:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
 
-    _emit(rows_to_csv(rows, notes), out_path)
     failed = [row for row in rows if row.error is not None]
     for row in failed:
         print(f"point x={row.x} mode={row.mode.name.lower()} failed: "

@@ -154,39 +154,18 @@ def band_shares(params: NetworkParams, mode: DuplexMode):
 def lens_area(d, R1, R2):
     """Area of intersection of two discs with center distance d.
 
-    Accepts scalars or broadcastable arrays.  The arccos arguments are
-    clamped to [-1, 1] so that tangency configurations (d = R1 + R2 or
-    d = |R1 - R2|), where rounding can push the argument out of domain,
-    evaluate to their continuous limits.
+    Each disc adds the segment that the common chord cuts off it,
+    R^2 (t - sin(2 t) / 2), with t the chord_angle of its circle inside
+    the other disc.  Tangent, disjoint and nested discs come out exact,
+    swapping R1 and R2 gives a bitwise-identical result, and no difference
+    of nearly equal terms forms at a thin lens.  Scalars or broadcastable
+    arrays.
     """
-    d = np.asarray(d, dtype=float)
-    R1 = np.asarray(R1, dtype=float)
-    R2 = np.asarray(R2, dtype=float)
-
-    d, R1, R2 = np.broadcast_arrays(d, R1, R2)
-    disjoint = d >= R1 + R2
-    contained = d <= np.abs(R1 - R2)
-
-    # partial overlap formula on a division-safe copy of d; both chord
-    # projections are computed directly (not via d - d1) so that swapping
-    # R1 and R2 gives a bitwise-identical result
-    safe_d = np.where(d > 0, d, 1.0)
-    # subnormal d can overflow these intermediates and a zero radius divides
-    # by zero; such configurations land in the disjoint/contained masks
-    # below, so the noise is inert
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d1 = (d * d + R1 * R1 - R2 * R2) / (2.0 * safe_d)
-        d2 = (d * d + R2 * R2 - R1 * R1) / (2.0 * safe_d)
-        a1 = np.clip(d1 / R1, -1.0, 1.0)
-        a2 = np.clip(d2 / R2, -1.0, 1.0)
-        seg1 = R1 * R1 * np.arccos(a1) - d1 * np.sqrt(np.maximum(R1 * R1 - d1 * d1, 0.0))
-        seg2 = R2 * R2 * np.arccos(a2) - d2 * np.sqrt(np.maximum(R2 * R2 - d2 * d2, 0.0))
-
-    full = np.pi * np.minimum(R1, R2) ** 2
-    out = np.where(disjoint, 0.0, np.where(contained, full, seg1 + seg2))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    R1, R2 = np.asarray(R1, dtype=float), np.asarray(R2, dtype=float)
+    t1, t2 = chord_angle(d, R1, R2), chord_angle(d, R2, R1)
+    out = (R1 * R1 * (t1 - 0.5 * np.sin(2.0 * t1))
+           + R2 * R2 * (t2 - 0.5 * np.sin(2.0 * t2)))
+    return float(out) if out.ndim == 0 else out
 
 
 def disc_union_area(d, R1, R2):

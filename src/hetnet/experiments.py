@@ -50,7 +50,10 @@ SWEEP_OUTPUTS = ("coverage_total", "coverage_breakdown", "topology", "rate",
 
 
 def _db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB is out of range") from None
 
 
 @dataclass(frozen=True)

@@ -333,8 +333,7 @@ def _rate_sample(sample: UserSample,
 
 def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    window: SimulationWindow, master_seed: int,
-                   fixed_count: bool, tail_compensation: bool,
-                   start: int, stop: int):
+                   fixed_count: bool, start: int, stop: int):
     """Tallies of trials start..stop-1, each seeded on its own.
 
     Trial i's seed is child i of SeedSequence(master_seed), rebuilt from
@@ -356,8 +355,7 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                                    fixed_count=fixed_count),
         )
         sample = evaluate_user(realization, params, mode, seed_fading,
-                               window=window,
-                               tail_compensation=tail_compensation)
+                               window=window)
         covered = _is_covered(sample, th)
         if sample.associated_tier == "pico":
             n_assoc_s += 1
@@ -374,9 +372,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
                      n_trials: int = 20_000,
                      window: Optional[SimulationWindow] = None,
                      master_seed: int = 0,
-                     fixed_count: bool = False,
-                     tail_compensation: bool = True,
-                     ) -> dict[str, EstimateWithCI]:
+                     fixed_count: bool = False) -> dict[str, EstimateWithCI]:
     """Every simulated metric at one point, from one batch of trials.
 
     Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
@@ -399,8 +395,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
     n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
     bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
     tallies = fan_out(_chunk_tallies, [
-        (params, th, mode, window, master_seed, fixed_count,
-         tail_compensation, start, stop)
+        (params, th, mode, window, master_seed, fixed_count, start, stop)
         for start, stop in zip(bounds, bounds[1:])])
     n_assoc_s, hits_s, hits_m = (sum(t[k] for t in tallies)
                                  for k in range(3))

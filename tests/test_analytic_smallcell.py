@@ -2,7 +2,6 @@
 import math
 import tracemalloc
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -413,9 +412,10 @@ class TestLazyRows:
 
     @pytest.fixture
     def rows_built(self, monkeypatch):
-        # a cold cache, and the row count of every _znpow call that builds
-        # a field's rows (the bearing tables pass 1-D inputs, a node each)
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE", OrderedDict())
+        # no geometry held, and the row count of every _znpow call that
+        # builds a field's rows (the bearing tables pass 1-D inputs, a node
+        # each)
+        monkeypatch.setattr(smallcell, "_HELD", {})
         counts = []
         znpow = smallcell._znpow
 
@@ -454,7 +454,7 @@ class TestLazyRows:
         assert 0 < lazy["m_built"].sum() < lazy["m_built"].size
         build_every_row(lazy)
         assert sum(rows_built) == lazy["m_built"].size + 1
-        smallcell._GEOM_CACHE.clear()
+        smallcell._HELD.clear()
         eager = build_every_row(smallcell._geometry(p, 6))
         assert lazy.keys() == eager.keys()
         for key in lazy:
@@ -642,7 +642,7 @@ class TestBlockedKernel:
         # storage and the pico family is a single row, so a cold build of
         # every row allocates little beyond the one tensor it keeps
         p = params_with()
-        smallcell._GEOM_CACHE.pop(smallcell._geometry_key(p, 6), None)
+        smallcell._HELD.clear()
         tracemalloc.start()
         try:
             geom = build_every_row(smallcell._geometry(p, 6))
@@ -651,38 +651,25 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak < 2.5 * geom["m_znpow"].nbytes
 
-    def test_cache_evicts_least_recently_used_by_bytes(self, monkeypatch):
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE", OrderedDict())
-        a, b, c, d = (params_with(lambda_s=lam) for lam in (2, 3, 5, 7))
-
-        def nbytes(p):
-            # the bound counts allocated bytes: filling every row of the
-            # lazily built tables leaves it as it was
-            geom = smallcell._geometry(p, 3)
-            allocated = sum(v.nbytes for v in geom.values())
-            assert sum(v.nbytes for v in build_every_row(geom).values()) \
-                == allocated
-            return allocated
-
-        def cached():
-            return [k[2] for k in smallcell._GEOM_CACHE]  # lambda_s
-
-        budget = nbytes(a) + nbytes(b) + nbytes(c) - 1
-        smallcell._GEOM_CACHE.clear()
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE_BYTES", budget)
-        for p in (a, b, a, c):  # a is used again before c comes in
-            smallcell._geometry(p, 3)
-        assert cached() == [2, 5]
-        # a budget below one geometry keeps the one just inserted
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE_BYTES", 0)
-        smallcell._geometry(d, 3)
-        assert cached() == [7]
-        # the entry count bounds the cache as well
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE_BYTES", budget)
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE_MAX", 2)
-        for p in (a, b, c):
-            smallcell._geometry(p, 3)
-        assert cached() == [3, 5]
+    def test_geometries_are_held_for_one_point(self, monkeypatch):
+        # a process holds the geometries of one model point, by level: both
+        # modes and any thresholds at that point reuse them, a new level
+        # joins them, and a call at another point drops every one of them
+        monkeypatch.setattr(smallcell, "_HELD", {})
+        a, b = params_with(lambda_s=2.0), params_with(lambda_s=3.0)
+        evaluate_joint(a, 0.5, 0.5, DuplexMode.IBFD, 3)
+        first = smallcell._geometry(a, 3)
+        for mode in DuplexMode:
+            evaluate_joint(a, [0.1, 2.0], [1.0, 0.2], mode, 3, "arc")
+        assert smallcell._geometry(a, 3) is first
+        finer = smallcell._geometry(a, 6)
+        assert smallcell._geometry(a, 3) is first
+        assert smallcell._HELD == {smallcell._point_key(a):
+                                   {3: first, 6: finer}}
+        evaluate_joint(b, 0.5, 0.5, DuplexMode.FDD, 6)
+        assert list(smallcell._HELD) == [smallcell._point_key(b)]
+        assert list(smallcell._HELD[smallcell._point_key(b)]) == [6]
+        assert smallcell._geometry(a, 3) is not first
 
 
 def law_of_cosines_pow(x, r, width, g, alpha, mp):

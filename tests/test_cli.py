@@ -140,6 +140,10 @@ class TestParseConfig:
         ("modes", "ibfd", "array"), ("outputs", "rate", "array"),
         ("grid", 0.5, "array"), ("window_half_width", "15", "number"),
         ("window_half_width", True, "number"),
+        ("B_s", "100", "number"), ("T_s", None, "number"),
+        ("B_s_db", "20", "number"), ("B_s_db", True, "number"),
+        ("lambda_s", True, "number"), ("out", 5, "string"),
+        ("self_interference_convention", 3, "string"),
     ])
     def test_string_or_scalar_for_list_or_number_rejected(self, key, value,
                                                           kind):
@@ -148,6 +152,12 @@ class TestParseConfig:
         payload = {"swept_parameter": "T_s", "grid": [0.1], key: value}
         with pytest.raises(ValueError, match=f"cfg.json: {key} must be a "
                                              f"JSON {kind}"):
+            parse_config(json.dumps(payload), source="cfg.json")
+
+    def test_quoted_grid_entry_rejected_by_position(self):
+        payload = {"swept_parameter": "T_s", "grid": [0.1, "0.5"]}
+        with pytest.raises(ValueError, match=r"cfg\.json: grid\[1\] must be "
+                                             r"a JSON number"):
             parse_config(json.dumps(payload), source="cfg.json")
 
     def test_integer_window_half_width_accepted(self):
@@ -274,12 +284,44 @@ class TestMainErrors:
         ({"swept_parameter": "T_s", "grid": "015"}, "grid"),
         ({"swept_parameter": "T_s", "grid": [0.1], "notes": "abc"}, "notes"),
         ({"window_half_width": "15"}, "window_half_width"),
+        ({"swept_parameter": "T_s", "grid": [0.1], "B_s": "100"}, "B_s"),
+        ({"swept_parameter": "T_s", "grid": [0.1], "T_s": None}, "T_s"),
+        ({"swept_parameter": "T_s", "grid": [0.1], "out": 5}, "out"),
     ])
     def test_string_for_list_or_number_exits_one(self, tmp_path, capsys,
                                                  payload, key):
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg]) == 1
         assert f"{key} must be a JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("B_s_db", 4000),
+                                            ("B_s", 10 ** 400)])
+    def test_value_beyond_float_range_exits_one(self, tmp_path, capsys,
+                                                key, value):
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["coverage", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {key}")
+        assert "out of range" in err
+
+    @pytest.mark.parametrize("swept", ["B_s", "beta"])
+    def test_db_grid_value_beyond_float_range_keeps_an_error_row(
+            self, tmp_path, capsys, swept):
+        cfg = write_config(tmp_path, {"swept_parameter": swept,
+                                      "grid": [20.0, 4000.0],
+                                      "outputs": ["topology"]})
+        assert main(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        rows = csv_rows(captured.out)
+        assert [r["metric"] for r in rows if r["x"] == "4000.0"] == ["error"]
+        assert all(r["metric"] != "error" for r in rows if r["x"] == "20.0")
+        assert "out of range" in captured.err
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["figure", "fig6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["coverage", "--config", "/nonexistent/x.json"]) == 1

@@ -145,6 +145,26 @@ class TestLensArea:
             assert lo == pytest.approx(expect, abs=1e-4)
             assert hi == pytest.approx(expect, abs=1e-4)
 
+    def test_tangent_and_nested_discs_exact(self):
+        assert lens_area(2.5, 1.5, 1.0) == 0.0          # outer tangency
+        assert lens_area(0.5, 1.5, 1.0) == math.pi      # inner tangency
+        assert lens_area(0.2, 1.0, 2.0) == math.pi      # nested
+        assert lens_area(0.0, 1.0, 1.0) == math.pi      # coincident
+
+    def test_thin_lens_against_mpmath(self):
+        # two unit discs at d = 2 - 1e-7 overlap in a sliver of area 4e-11;
+        # the segment form keeps it to 3.4e-9 relative, where a chord
+        # projection and a square root subtracted from an arccos lost all
+        # but about 2 digits (4.0e-3)
+        mp = pytest.importorskip("mpmath")
+        d = 2.0 - 1e-7
+        with mp.workdps(40):
+            half = mp.mpf(d) / 2
+            exact = float(2 * mp.acos(half)
+                          - 2 * half * mp.sqrt(1 - half ** 2))
+        assert lens_area(d, 1.0, 1.0) == pytest.approx(exact, rel=1e-8,
+                                                       abs=0.0)
+
     @given(
         d=st.floats(0.0, 6.0),
         r1=st.floats(0.05, 3.0),

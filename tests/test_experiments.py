@@ -9,7 +9,6 @@ import multiprocessing
 import os
 import resource
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -277,9 +276,9 @@ class TestRunSweep:
 
     def test_rate_sweep_builds_each_geometry_once(self, monkeypatch,
                                                   tmp_path):
-        # the cache holds one point's ladder (levels 3, 6 and 10); both
-        # modes of a point run back to back in one process, so they share
-        # its geometry.  Builds are logged to a file that the worker
+        # a process holds one point's geometries (levels 3, 6 and 10);
+        # both modes of a point run back to back in one process, so they
+        # share its geometry.  Builds are logged to a file that the worker
         # appends to as well
         log = tmp_path / "builds.txt"
         outer_grid = smallcell.outer_grid
@@ -290,7 +289,7 @@ class TestRunSweep:
             return outer_grid(params, level)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
-        monkeypatch.setattr(smallcell, "_GEOM_CACHE", OrderedDict())
+        monkeypatch.setattr(smallcell, "_HELD", {})
         monkeypatch.setattr(smallcell, "outer_grid", logged_grid)
         rows = run_sweep(SweepSpec("lambda_ratio", (2.0, 3.0, 5.0),
                                    modes=tuple(DuplexMode),
