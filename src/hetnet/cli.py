@@ -73,7 +73,6 @@ class RunConfig:
     thresholds: Thresholds
     sweep: Optional[SweepSpec] = None
     window: SimulationWindow = SimulationWindow()
-    fixed_count: bool = False
     out: Optional[str] = None
 
 
@@ -160,10 +159,10 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
 
     window = SimulationWindow(
         half_width=_json_value(raw, "window_half_width", 30.0, float, source),
-        wrap=_json_value(raw, "wrap", False, bool, source))
+        wrap=_json_value(raw, "wrap", False, bool, source),
+        fixed_count=_json_value(raw, "fixed_count", False, bool, source))
     return RunConfig(
         params=params, thresholds=thresholds, sweep=sweep, window=window,
-        fixed_count=_json_value(raw, "fixed_count", False, bool, source),
         out=_json_value(raw, "out", None, str, source) if "out" in raw
         else None)
 
@@ -193,8 +192,7 @@ def rows_to_csv(rows, notes=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate(cfg: RunConfig, trials: int, seed: int, fixed_count: bool,
-              stream) -> int:
+def _validate(cfg: RunConfig, trials: int, seed: int, stream) -> int:
     """Analytic-vs-simulation consistency checks; 0 if all pass, else 2.
 
     The analytic side uses the serving-macro bearing law the simulator
@@ -213,7 +211,7 @@ def _validate(cfg: RunConfig, trials: int, seed: int, fixed_count: bool,
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
                              trials=trials, seed=seed, window=cfg.window,
-                             fixed_count=fixed_count, bearing="arc")
+                             bearing="arc")
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
@@ -305,7 +303,8 @@ def main(argv=None) -> int:
         return 1
 
     out_path = args.out if args.out is not None else cfg.out
-    fixed_count = cfg.fixed_count or getattr(args, "full_scale", False)
+    if getattr(args, "full_scale", False):
+        cfg = replace(cfg, window=replace(cfg.window, fixed_count=True))
     notes = ()
     try:
         if args.command in _POINT_OUTPUTS:
@@ -315,8 +314,7 @@ def main(argv=None) -> int:
             rows = [evaluate_point(
                 cfg.params, cfg.thresholds, _MODES[args.mode],
                 _POINT_OUTPUTS[args.command], trials=trials,
-                seed=getattr(args, "seed", 0), window=cfg.window,
-                fixed_count=fixed_count)]
+                seed=getattr(args, "seed", 0), window=cfg.window)]
         elif args.command in ("sweep", "figure"):
             if args.command == "figure":
                 spec = figure_preset(args.figure_id)
@@ -329,14 +327,13 @@ def main(argv=None) -> int:
             if args.trials is not None:
                 spec = replace(spec, mc_trials=args.trials)
             notes = spec.notes
-            rows = run_sweep(spec, master_seed=args.seed, window=cfg.window,
-                             fixed_count=fixed_count)
+            rows = run_sweep(spec, master_seed=args.seed, window=cfg.window)
         else:  # validate
             trials = _trials(args, 4000)
             stream = sys.stdout if out_path is None \
                 else open(out_path, "w", encoding="utf-8")
             try:
-                return _validate(cfg, trials, args.seed, fixed_count, stream)
+                return _validate(cfg, trials, args.seed, stream)
             finally:
                 if stream is not sys.stdout:
                     stream.close()

@@ -139,7 +139,7 @@ def _converged(name: str, result):
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
                    seed: int = 0, window: Optional[SimulationWindow] = None,
-                   fixed_count: bool = False, bearing: str = "circle",
+                   bearing: str = "circle",
                    x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
@@ -207,8 +207,7 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     mc: dict = {}
     if trials > 0 and (wants_coverage or wants_rate):
         estimates = estimate_metrics(params, th, mode, n_trials=trials,
-                                     window=window, master_seed=seed,
-                                     fixed_count=fixed_count)
+                                     window=window, master_seed=seed)
         if wants_rate and "rate_total" not in estimates:
             raise ValueError("conditioning event empty in sample")
         mc = {name: est for name, est in estimates.items()
@@ -218,8 +217,7 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
 
 def _sweep_cells(spec: SweepSpec, cells: list,
-                 window: Optional[SimulationWindow],
-                 fixed_count: bool) -> list:
+                 window: Optional[SimulationWindow]) -> list:
     """The row of each (x, mode, seed) cell, in order."""
     rows = []
     for x, mode, seed in cells:
@@ -227,15 +225,14 @@ def _sweep_cells(spec: SweepSpec, cells: list,
             params, th = _apply_swept_value(spec, x)
             rows.append(evaluate_point(
                 params, th, mode, spec.outputs, trials=spec.mc_trials,
-                seed=seed, window=window, fixed_count=fixed_count, x=x))
+                seed=seed, window=window, x=x))
         except (ValueError, NonConvergenceError) as exc:
             rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
     return rows
 
 
 def run_sweep(spec: SweepSpec, master_seed: int = 0,
-              window: Optional[SimulationWindow] = None,
-              fixed_count: bool = False) -> list:
+              window: Optional[SimulationWindow] = None) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Simulation seeds derive from master_seed by cell index, so results are
@@ -248,8 +245,8 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
     m, n = len(spec.modes), min(process_count(), len(spec.grid))
     # grid point i, with all its modes, goes to process i % n
     rows = [iter(part) for part in fan_out(_sweep_cells, [
-        (spec, [c for i, c in enumerate(cells) if i // m % n == j], window,
-         fixed_count) for j in range(n)])]
+        (spec, [c for i, c in enumerate(cells) if i // m % n == j], window)
+        for j in range(n)])]
     return [next(rows[i // m % n]) for i in range(len(cells))]
 
 

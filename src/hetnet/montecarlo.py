@@ -22,15 +22,16 @@ fading-averaged tail is deterministic: intensity * P * integral of
 angular profile, offset by the receiver's displacement from center).  A
 torus option wraps distances instead; zero-interference links are capped.
 
-Per-trial kernel: each receiver's squared distances x*x + y*y go into one
-fresh array (minimum-image components under wrap), which is turned into
-the path gains d2^{-alpha/2} in place (1/(d2*d2) when alpha == 4).  A
-link's interference is then P * einsum("i,i->", h, g) with the serving
-(or, at the serving pico, its own) entry of g zeroed; serving distances
-are the square root of the argmin entry.  The sum is numpy's own loop,
-not a BLAS dot product, whose result would depend on how many threads
-the BLAS library runs.  Fading is drawn once per station per receiving
-link, in a fixed order, whatever the kernel does.
+Per-trial kernel: the macro user's access link, the pico access link and
+the backhaul each call one link routine.  It draws the serving tier's
+fading, forms the signal and adds that tier's power sum without the
+server, then its out-of-window tail; in IBFD it draws the other tier's
+fading and adds that tier's power sum (without the serving pico, at the
+backhaul) and tail.  A power sum turns one fresh array of squared
+distances (minimum-image under wrap) into path gains in place and is
+P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot product,
+whose result would depend on the BLAS thread count.  Fading is drawn
+once per station per receiving link, in a fixed order.
 
 Chunked pass: trial i is seeded by SeedSequence(master_seed,
 spawn_key=(i,)), so any contiguous range of trials can run anywhere.
@@ -72,14 +73,25 @@ _MIN_CHUNK_TRIALS = 250
 
 @dataclass(frozen=True)
 class SimulationWindow:
-    """Sampling region [-half_width, half_width]^2, optionally a torus."""
+    """How the simulator samples a network.
+
+    The region is [-half_width, half_width]^2, a torus with wrap.  Each
+    tier's station count is Poisson, or round(intensity * area) with
+    fixed_count (a binomial process, reproducing fixed-node-budget
+    setups).
+    """
 
     half_width: float = 30.0
     wrap: bool = False
+    fixed_count: bool = False
 
     def __post_init__(self) -> None:
         if not self.half_width > 0:
             raise ValueError("half_width must be > 0")
+        if not math.isfinite(4.0 * self.half_width * self.half_width):
+            raise ValueError(
+                f"half_width {self.half_width!r} is too large: the window "
+                f"area is not finite")
 
     @property
     def area(self) -> float:
@@ -123,18 +135,17 @@ class UserSample:
     sir_um: float
 
 
-def sample_ppp(intensity: float, window: SimulationWindow, seed,
-               fixed_count: bool = False) -> np.ndarray:
+def sample_ppp(intensity: float, window: SimulationWindow, seed) -> np.ndarray:
     """Points of a homogeneous process in the window, shape (N, 2).
 
     seed: anything numpy's default_rng accepts (int or SeedSequence).
-    fixed_count replaces the Poisson draw with round(intensity * area),
-    reproducing fixed-node-budget setups (a binomial process).
+    The count is Poisson, or round(intensity * area) with
+    window.fixed_count.
     """
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
     rng = default_rng(seed)
-    if fixed_count:
+    if window.fixed_count:
         n = int(round(intensity * window.area))
     else:
         n = int(rng.poisson(intensity * window.area))
@@ -231,88 +242,59 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = default_rng(seed)
+    ibfd = mode is DuplexMode.IBFD
+    comp_on = tail_compensation and not window.wrap
+    macro = (params.lambda_m, params.P_m, params.alpha_m)
+    pico = (params.lambda_s, params.P_s, params.alpha_s)
+
+    def link(own, d2_own, serve, other, d2_other, skip, offset):
+        """(signal, interference) at a receiver offset from the window
+        centre; own and other are (intensity, power, alpha), and the
+        power sums overwrite d2_own and d2_other."""
+        reach = window.half_width - offset
+        intensity, power, alpha = own
+        h = rng.exponential(size=d2_own.shape)
+        signal = power * float(h[serve]) * math.sqrt(d2_own[serve]) ** -alpha
+        interference = _power_sum(power, h, d2_own, alpha, skip=serve)
+        if comp_on:
+            interference += _tail_mean(intensity, power, alpha, reach)
+        if ibfd:
+            intensity, power, alpha = other
+            h = rng.exponential(size=d2_other.shape)
+            interference += _power_sum(power, h, d2_other, alpha, skip=skip)
+            if comp_on:
+                interference += _tail_mean(intensity, power, alpha, reach)
+        return signal, interference
+
     m_pts, s_pts = realization.macro_points, realization.pico_points
     d2_m = _sq_distances(m_pts, (0.0, 0.0), window)
     d2_s = _sq_distances(s_pts, (0.0, 0.0), window)
-    comp_on = tail_compensation and not window.wrap
-    a_m, a_s = params.alpha_m, params.alpha_s
-
-    def macro_tail(center_dist: float) -> float:
-        if not comp_on:
-            return 0.0
-        return _tail_mean(params.lambda_m, params.P_m, a_m,
-                          window.half_width - center_dist)
-
-    def pico_tail(center_dist: float) -> float:
-        if not comp_on:
-            return 0.0
-        return _tail_mean(params.lambda_s, params.P_s, a_s,
-                          window.half_width - center_dist)
-
     i_macro = int(np.argmin(d2_m))
     x_m = math.sqrt(d2_m[i_macro])
     i_pico = int(np.argmin(d2_s)) if d2_s.size else -1
     x_s = math.sqrt(d2_s[i_pico]) if d2_s.size else math.inf
     pico_assoc = d2_s.size > 0 and \
-        x_m > x_s ** (a_s / a_m) / delta_m(params)
-
+        x_m > x_s ** (params.alpha_s / params.alpha_m) / delta_m(params)
     if not pico_assoc:
-        h_m = rng.exponential(size=d2_m.shape)
-        signal = params.P_m * float(h_m[i_macro]) * x_m ** (-a_m)
-        interference = _power_sum(params.P_m, h_m, d2_m, a_m, skip=i_macro)
-        interference += macro_tail(0.0)
-        if mode is DuplexMode.IBFD:
-            if d2_s.size:
-                h_s = rng.exponential(size=d2_s.shape)
-                interference += _power_sum(params.P_s, h_s, d2_s, a_s)
-            interference += pico_tail(0.0)
+        sir_um = _sir(*link(macro, d2_m, i_macro, pico, d2_s, None, 0.0))
         return UserSample(associated_tier="macro", sir_us=math.nan,
-                          sir_sm=math.nan,
-                          sir_um=_sir(signal, interference))
+                          sir_sm=math.nan, sir_um=sir_um)
 
+    # at the user every macro interferes, the backhauling one via its
+    # own term; at the serving pico its own zero distance is skipped
+    sir_us = _sir(*link(pico, d2_s, i_pico, macro, d2_m, None, 0.0))
     s_pos = s_pts[i_pico]
     d2_m_from_s = _sq_distances(m_pts, s_pos, window)
-    i_backhaul = int(np.argmin(d2_m_from_s))
-    r = math.sqrt(d2_m_from_s[i_backhaul])
-
-    # access link, receiver at the user
-    h_s_user = rng.exponential(size=d2_s.shape)
-    signal_us = params.P_s * float(h_s_user[i_pico]) * x_s ** (-a_s)
-    int_us = _power_sum(params.P_s, h_s_user, d2_s, a_s, skip=i_pico)
-    int_us += pico_tail(0.0)
-    if mode is DuplexMode.IBFD:
-        # every macro interferes, the backhauling one via its own term
-        h_m_user = rng.exponential(size=d2_m.shape)
-        int_us += _power_sum(params.P_m, h_m_user, d2_m, a_m)
-        int_us += macro_tail(0.0)
-
-    # backhaul link, receiver at the serving pico
-    h_m_s = rng.exponential(size=d2_m_from_s.shape)
-    signal_sm = params.P_m * float(h_m_s[i_backhaul]) * r ** (-a_m)
-    int_sm = _power_sum(params.P_m, h_m_s, d2_m_from_s, a_m,
-                        skip=i_backhaul)
-    int_sm += macro_tail(x_s)
-    if mode is DuplexMode.IBFD:
-        d2_s_from_s = _sq_distances(s_pts, s_pos, window)
-        h_s_s = rng.exponential(size=d2_s_from_s.shape)
-        # the serving pico's own zero distance is excluded, not summed
-        int_sm += _power_sum(params.P_s, h_s_s, d2_s_from_s, a_s,
-                             skip=i_pico)
-        int_sm += pico_tail(x_s)
+    d2_s_from_s = _sq_distances(s_pts, s_pos, window) if ibfd else None
+    signal_sm, int_sm = link(macro, d2_m_from_s,
+                             int(np.argmin(d2_m_from_s)),
+                             pico, d2_s_from_s, i_pico, x_s)
+    if ibfd:
         int_sm += params.beta * (
             params.P_s if params.self_interference_convention == "ps"
             else params.P_m)
-
-    return UserSample(associated_tier="pico",
-                      sir_us=_sir(signal_us, int_us),
-                      sir_sm=_sir(signal_sm, int_sm),
-                      sir_um=math.nan)
-
-
-def _is_covered(sample: UserSample, th: Thresholds) -> bool:
-    if sample.associated_tier == "pico":
-        return sample.sir_us > th.T_s and sample.sir_sm > th.T_b
-    return sample.sir_um > th.T_m
+    return UserSample(associated_tier="pico", sir_us=sir_us,
+                      sir_sm=_sir(signal_sm, int_sm), sir_um=math.nan)
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -321,19 +303,9 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def _rate_sample(sample: UserSample,
-                 shares: tuple[float, float, float]) -> float:
-    access_share, backhaul_share, macro_share = shares  # core.band_shares
-    if sample.associated_tier == "macro":
-        return macro_share * math.log2(1.0 + sample.sir_um)
-    access = access_share * math.log2(1.0 + sample.sir_us)
-    backhaul = backhaul_share * math.log2(1.0 + sample.sir_sm)
-    return min(access, backhaul)
-
-
 def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
-                   window: SimulationWindow, master_seed: int,
-                   fixed_count: bool, start: int, stop: int):
+                   window: SimulationWindow, master_seed: int, start: int,
+                   stop: int):
     """Tallies of trials start..stop-1, each seeded on its own.
 
     Trial i's seed is child i of SeedSequence(master_seed), rebuilt from
@@ -344,26 +316,26 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     """
     n_assoc_s = hits_s = hits_m = 0
     rates = []
-    shares = band_shares(params, mode)
+    access_share, backhaul_share, macro_share = band_shares(params, mode)
     for i in range(start, stop):
         seed_m, seed_s, seed_fading = \
             SeedSequence(master_seed, spawn_key=(i,)).spawn(3)
         realization = NetworkRealization(
-            macro_points=sample_ppp(params.lambda_m, window, seed_m,
-                                    fixed_count=fixed_count),
-            pico_points=sample_ppp(params.lambda_s, window, seed_s,
-                                   fixed_count=fixed_count),
+            macro_points=sample_ppp(params.lambda_m, window, seed_m),
+            pico_points=sample_ppp(params.lambda_s, window, seed_s),
         )
         sample = evaluate_user(realization, params, mode, seed_fading,
                                window=window)
-        covered = _is_covered(sample, th)
         if sample.associated_tier == "pico":
             n_assoc_s += 1
-            hits_s += covered
-        else:
-            hits_m += covered
-        if covered:
-            rates.append(_rate_sample(sample, shares))
+            if sample.sir_us > th.T_s and sample.sir_sm > th.T_b:
+                hits_s += 1
+                rates.append(min(
+                    access_share * math.log2(1.0 + sample.sir_us),
+                    backhaul_share * math.log2(1.0 + sample.sir_sm)))
+        elif sample.sir_um > th.T_m:
+            hits_m += 1
+            rates.append(macro_share * math.log2(1.0 + sample.sir_um))
     return n_assoc_s, hits_s, hits_m, rates
 
 
@@ -371,8 +343,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
                      mode: DuplexMode = DuplexMode.IBFD,
                      n_trials: int = 20_000,
                      window: Optional[SimulationWindow] = None,
-                     master_seed: int = 0,
-                     fixed_count: bool = False) -> dict[str, EstimateWithCI]:
+                     master_seed: int = 0) -> dict[str, EstimateWithCI]:
     """Every simulated metric at one point, from one batch of trials.
 
     Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
@@ -395,7 +366,7 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
     n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
     bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
     tallies = fan_out(_chunk_tallies, [
-        (params, th, mode, window, master_seed, fixed_count, start, stop)
+        (params, th, mode, window, master_seed, start, stop)
         for start, stop in zip(bounds, bounds[1:])])
     n_assoc_s, hits_s, hits_m = (sum(t[k] for t in tallies)
                                  for k in range(3))

@@ -121,8 +121,8 @@ class TestParseConfig:
         cfg = parse_config(json.dumps({
             "window_half_width": 15.0, "wrap": True, "fixed_count": True,
             "out": "result.csv"}))
-        assert cfg.window == SimulationWindow(half_width=15.0, wrap=True)
-        assert cfg.fixed_count is True
+        assert cfg.window == SimulationWindow(half_width=15.0, wrap=True,
+                                              fixed_count=True)
         assert cfg.out == "result.csv"
 
     @pytest.mark.parametrize("key, value", [
@@ -316,6 +316,30 @@ class TestMainErrors:
         assert [r["metric"] for r in rows if r["x"] == "4000.0"] == ["error"]
         assert all(r["metric"] != "error" for r in rows if r["x"] == "20.0")
         assert "out of range" in captured.err
+
+    @pytest.mark.parametrize("half_width", [1e200, 1e308, math.inf])
+    @pytest.mark.parametrize("command", [["simulate", "--trials", "300"],
+                                         ["validate"]])
+    def test_window_with_overflowing_area_exits_one(self, tmp_path, capsys,
+                                                    half_width, command):
+        cfg = write_config(tmp_path, {"window_half_width": half_width})
+        assert main([*command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: half_width")
+        assert "area is not finite" in err
+
+    def test_topology_with_non_finite_mass_keeps_an_error_row(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"swept_parameter": "lambda_ratio",
+                                      "grid": [4.0, 1e308],
+                                      "outputs": ["topology"]})
+        assert main(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        rows = csv_rows(captured.out)
+        assert [r["metric"] for r in rows if r["x"] == "1e+308"] == ["error"]
+        assert [r["metric"] for r in rows if r["x"] == "4.0"] == \
+            ["p_case_a", "p_case_b", "p_case_c"]
+        assert "not converged" in captured.err
 
     def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

@@ -66,10 +66,9 @@ class TestSamplePpp:
         assert abs(total - expected) < 4.0 * math.sqrt(expected)
 
     def test_fixed_count_is_exact(self):
-        w = SimulationWindow(half_width=5.0)
+        w = SimulationWindow(half_width=5.0, fixed_count=True)
         for s in range(5):
-            assert sample_ppp(2.0, w, seed=s, fixed_count=True).shape[0] \
-                == round(2.0 * w.area)
+            assert sample_ppp(2.0, w, seed=s).shape[0] == round(2.0 * w.area)
 
     def test_zero_intensity_gives_empty(self):
         assert sample_ppp(0.0, SimulationWindow(), seed=1).shape == (0, 2)
@@ -293,6 +292,51 @@ class TestEstimators:
                              window=w, master_seed=22)
         assert a["rate_total"].mean != c["rate_total"].mean
 
+    @pytest.mark.parametrize("th, mode, hits_s, hits_m, rate", [
+        (Thresholds(), DuplexMode.IBFD, 158, 52, 0.31483734148192605),
+        (Thresholds(), DuplexMode.FDD, 392, 52, 0.14998100836815123),
+        # distinct thresholds: each one is compared on its own link
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 37, 50,
+         0.6206667489217983),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 129, 50,
+         0.29544994998919827),
+    ])
+    def test_frozen_seeded_tallies(self, th, mode, hits_s, hits_m, rate):
+        # frozen across versions: a change to the draw order, the tier
+        # decision or the order of the interference sums moves these
+        est = estimate_metrics(NetworkParams(), th, mode, n_trials=600,
+                               master_seed=2024)
+        counts = {name: round(600 * est[name].mean) for name in
+                  ("p_assoc_s", "p_smallcell_joint", "p_macro_joint",
+                   "p_total")}
+        assert counts == {"p_assoc_s": 547, "p_smallcell_joint": hits_s,
+                          "p_macro_joint": hits_m,
+                          "p_total": hits_s + hits_m}
+        assert est["rate_total"].n_trials == hits_s + hits_m
+        assert est["rate_total"].mean == pytest.approx(rate, rel=1e-15)
+
+    @pytest.mark.parametrize("trial, mode, expected", [
+        (0, DuplexMode.IBFD, (0.01905030556827225, 0.1729979898948745)),
+        (0, DuplexMode.FDD, (0.27745394260739853, 0.0442813380559903)),
+        (39, DuplexMode.IBFD, 212.55809406217188),
+        (39, DuplexMode.FDD, 226.19926486596125),
+    ])
+    def test_frozen_seeded_sirs(self, trial, mode, expected):
+        # bit for bit across versions: the tallies above do not see a
+        # reordered floating-point addition, these SIRs do
+        p, w = NetworkParams(), SimulationWindow()
+        seed_m, seed_s, seed_fading = \
+            SeedSequence(2024, spawn_key=(trial,)).spawn(3)
+        rel = NetworkRealization(sample_ppp(p.lambda_m, w, seed_m),
+                                 sample_ppp(p.lambda_s, w, seed_s))
+        s = evaluate_user(rel, p, mode, seed_fading, window=w)
+        if trial == 0:
+            assert s.associated_tier == "pico"
+            assert (s.sir_us, s.sir_sm) == expected
+        else:
+            assert s.associated_tier == "macro"
+            assert s.sir_um == expected
+
     def test_estimate_shape(self):
         e = EstimateWithCI.from_mean_se(0.4, 0.01, 100)
         assert e.ci95_low <= e.mean <= e.ci95_high
@@ -379,7 +423,8 @@ class TestEstimators:
     def test_fixed_count_route(self):
         p = NetworkParams()
         est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
-                               master_seed=37, fixed_count=True)["p_total"]
+                               window=SimulationWindow(fixed_count=True),
+                               master_seed=37)["p_total"]
         assert 0.1 < est.mean < 0.7
 
     def test_macro_only_network(self):

@@ -100,6 +100,7 @@ RETIRED = [
     "integrate_1d", "QuadratureSpec", "_MAX_SUBDIVISIONS", "_clip_cos",
     "_pico_mixed_term", "_rate_shares", "nu_lo", "nu_hi",
     "_GEOM_CACHE", "_GEOM_CACHE_MAX", "_GEOM_CACHE_BYTES", "_geometry_key",
+    "_is_covered", "_rate_sample", "macro_tail", "pico_tail",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
