@@ -3,8 +3,8 @@
 Each solver returns an IntegralResult (value, error estimate, converged
 flag) or, for the association and topology splits, plain floats.
 experiments.evaluate_point assembles them into the reported coverage and
-covered rate of one model point; this namespace holds what it and the CLI
-import, and everything else is imported from its submodule.
+covered rate of one model point; this namespace holds what it imports,
+and everything else is imported from its submodule.
 """
 from .association import association_probability
 from .distances import topology_probabilities

@@ -31,12 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (
-    NetworkParams,
-    circle_arc_outside_disc,
-    delta_m,
-    disc_union_area,
-)
+from ..core import NetworkParams, chord_angle, delta_m, lens_area
 from ..numerics import NonConvergenceError, gauss_panel_nodes
 from .association import association_probability
 
@@ -64,8 +59,8 @@ def joint_pdf(r_s, r, params: NetworkParams):
         raise ValueError("distances must be non-negative")
     lm, ls = params.lambda_m, params.lambda_s
     R_i = inner_disc_radius(r_s, params)
-    U = disc_union_area(r_s, R_i, r)
-    L = r * circle_arc_outside_disc(r_s, r, R_i)
+    U = np.pi * R_i ** 2 + np.pi * r ** 2 - lens_area(r_s, R_i, r)
+    L = r * (2.0 * (np.pi - chord_angle(r_s, r, R_i)))
     f = 2.0 * np.pi * ls * r_s * np.exp(-np.pi * ls * r_s ** 2) \
         * lm * L * np.exp(-lm * U)
     if f.ndim == 0:

@@ -354,26 +354,23 @@ def _one_minus_g(s, xn, out=None):
 
 
 def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
-                acc: Optional[np.ndarray] = None) -> np.ndarray:
+                acc: np.ndarray) -> np.ndarray:
     """Sum_l w_l (1-g(s_cross, l)) * width*Sum_chi w_chi g(s_own, |z|).
 
     The mixed term of the pico ("s_") or macro ("m_") field: s_own is the
     access-link sharpness entering through |z| (distance to the user),
     s_cross the backhaul-link sharpness entering radially from S.  s_own
     is given per access pair (table row idx, one T_s), s_cross per entry,
-    whose access pair is acc (non-decreasing, every pair at least once;
-    default: one each).  The rows of idx are built first (_build_rows).
-    Angular sums are per pair, _BLOCK pairs at a time in one scratch
-    buffer; radial sums run 16 _BLOCK entries at a time in another, and
-    read the pairs' angular sums in place when each pair has one entry or
-    the chunk has one pair.
+    whose access pair is acc (non-decreasing, every pair at least once).
+    The rows of idx are built first (_build_rows).  Angular sums are per
+    pair, _BLOCK pairs at a time in one scratch buffer; radial sums run 16
+    _BLOCK entries at a time in another, and read the pairs' angular sums
+    in place when each pair has one entry or the chunk has one pair.
     """
     _build_rows(geom, prefix, idx)
     zn, xn, txn = (geom[prefix + k] for k in ("znpow", "xnpow", "txnpow"))
     wl, width, tw = (geom[prefix + k] for k in ("wx", "width", "tw"))
     aw = geom["ang_w"]
-    if acc is None:
-        acc = np.arange(idx.size)
     out = np.empty(acc.size)
     scratch = np.empty((min(idx.size, _BLOCK),) + zn.shape[1:])
     radial = np.empty((2, min(acc.size, 16 * _BLOCK), zn.shape[1]))
@@ -402,6 +399,7 @@ def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
                 out=cross)
             if stop - start == ib.size or j[0] == j[-1]:
                 # an entry per pair, or one pair: its sums, not copies
+                # (copies made fig14's warm IBFD rate terms 8% slower)
                 j = slice(j[0], j[-1] + 1)
                 pair_inner = inner[j]
             else:
@@ -496,6 +494,7 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
                          T_b.min(keepdims=True), geom, slice(None))[0]
     cand = np.flatnonzero(lb < _SKIP_EXPONENT * (1.0 + 1e-12))
+    # K = 1 reuses lb; recomputing it made a warm L6 FDD call 1.5, not 1.2 ms
     live = (lb[None, cand] if T_s.size == 1 else _exponent_bound(
         params, mode, T_s, T_b, geom, cand)) < _SKIP_EXPONENT
     # (threshold k, node) pairs, node-major and grouped by access threshold

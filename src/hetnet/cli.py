@@ -92,6 +92,13 @@ def _json_value(raw: dict, key: str, default, kind: type, source: str):
         raise ValueError(f"{source}: {key} is out of range") from None
 
 
+def _build(cls, source: str, **values):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def parse_config(text: str, source: str = "config") -> RunConfig:
     """Parse a flat JSON config; errors carry the offending location."""
     try:
@@ -127,8 +134,8 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
                     raise ValueError(f"{source}: {name}_db: {exc}") from None
         return values
 
-    params = NetworkParams(**scalar_fields(_PARAM_KEYS))
-    thresholds = Thresholds(**scalar_fields(_THRESHOLD_KEYS))
+    params = _build(NetworkParams, source, **scalar_fields(_PARAM_KEYS))
+    thresholds = _build(Thresholds, source, **scalar_fields(_THRESHOLD_KEYS))
 
     sweep = None
     if any(k in raw for k in _SWEEP_KEYS):
@@ -144,8 +151,8 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
                 f"ibfd or fdd") from exc
         grid = {f"grid[{i}]": v for i, v in enumerate(
             _json_value(raw, "grid", None, list, source))}
-        sweep = SweepSpec(
-            swept_parameter=raw["swept_parameter"],
+        sweep = _build(
+            SweepSpec, source, swept_parameter=raw["swept_parameter"],
             grid=tuple(_json_value(grid, k, None, float, source)
                        for k in grid),
             base_params=params,
@@ -157,7 +164,8 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             notes=tuple(_json_value(raw, "notes", [], list, source)),
         )
 
-    window = SimulationWindow(
+    window = _build(
+        SimulationWindow, f"{source}: window_half_width",
         half_width=_json_value(raw, "window_half_width", 30.0, float, source),
         wrap=_json_value(raw, "wrap", False, bool, source),
         fixed_count=_json_value(raw, "fixed_count", False, bool, source))

@@ -1,8 +1,8 @@
 """Parameter model, derived constants, and planar geometry primitives.
 
 Everything here is a pure function over immutable value types.  Powers,
-biases and the self-interference factor are stored in linear scale; dB
-conversion happens at the CLI boundary only.
+biases and the self-interference factor are stored in linear scale; cli
+converts the `_db` config keys, experiments the B_s and beta sweep grids.
 """
 from __future__ import annotations
 
@@ -20,9 +20,7 @@ __all__ = [
     "delta_s",
     "band_shares",
     "lens_area",
-    "disc_union_area",
     "chord_angle",
-    "circle_arc_outside_disc",
 ]
 
 
@@ -168,12 +166,6 @@ def lens_area(d, R1, R2):
     return float(out) if out.ndim == 0 else out
 
 
-def disc_union_area(d, R1, R2):
-    """Area of the union of two discs with center distance d."""
-    return np.pi * np.asarray(R1, dtype=float) ** 2 \
-        + np.pi * np.asarray(R2, dtype=float) ** 2 - lens_area(d, R1, R2)
-
-
 def chord_angle(d, r, R):
     """Half-angle (in [0, pi]) of the arc of the circle of radius r,
     centered a distance d from the origin, inside the disc B(origin, R),
@@ -187,15 +179,3 @@ def chord_angle(d, r, R):
     # the limit
     with np.errstate(over="ignore"):
         return np.arccos(np.clip((d * d + r * r - R * R) / denom, -1.0, 1.0))
-
-
-def circle_arc_outside_disc(d, r, R):
-    """Angle (radians, in [0, 2*pi]) of the circle of radius r, centered a
-    distance d from the origin, that lies outside the disc B(origin, R).
-
-    This is the derivative of ``disc_union_area`` with respect to r, divided
-    by r, and also 2*pi times the fraction of directions (seen from the
-    circle's own center) pointing out of the disc.  Scalars or arrays.
-    """
-    out = 2.0 * (np.pi - chord_angle(d, r, R))
-    return float(out) if out.ndim == 0 else out

@@ -138,9 +138,9 @@ def _converged(name: str, result):
 
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
-                   seed: int = 0, window: Optional[SimulationWindow] = None,
-                   bearing: str = "circle",
-                   x: float = math.nan) -> SweepRow:
+                   seed: int = 0,
+                   window: SimulationWindow = SimulationWindow(),
+                   bearing: str = "circle", x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
     This is the package's one analytic entry point, for library callers
@@ -217,7 +217,7 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
 
 def _sweep_cells(spec: SweepSpec, cells: list,
-                 window: Optional[SimulationWindow]) -> list:
+                 window: SimulationWindow) -> list:
     """The row of each (x, mode, seed) cell, in order."""
     rows = []
     for x, mode, seed in cells:
@@ -232,7 +232,7 @@ def _sweep_cells(spec: SweepSpec, cells: list,
 
 
 def run_sweep(spec: SweepSpec, master_seed: int = 0,
-              window: Optional[SimulationWindow] = None) -> list:
+              window: SimulationWindow = SimulationWindow()) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Simulation seeds derive from master_seed by cell index, so results are

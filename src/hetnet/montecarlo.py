@@ -15,12 +15,12 @@ definition exactly:
  - macro access SIR: nearest macro over all other macros plus every pico;
  - FDD keeps only same-tier interferers on each link and no residual term.
 
-Finite-window bias control: by default the expected interference of the
-field outside the sampling square is added to every denominator (the
-fading-averaged tail is deterministic: intensity * P * integral of
-|z|^{-alpha} beyond the square, computed with the exact square-boundary
-angular profile, offset by the receiver's displacement from center).  A
-torus option wraps distances instead; zero-interference links are capped.
+Finite-window bias control: unless the window wraps (a torus), the
+expected interference of the field outside the sampling square is added
+to every denominator (the fading-averaged tail is deterministic:
+intensity * P * integral of |z|^{-alpha} beyond the square, computed with
+the exact square-boundary angular profile, offset by the receiver's
+displacement from center); zero-interference links are capped.
 
 Per-trial kernel: the macro user's access link, the pico access link and
 the backhaul each call one link routine.  It draws the serving tier's
@@ -186,6 +186,7 @@ def _sq_distances(points: np.ndarray, center,
         np.minimum(diff, period - diff, out=diff)
         diff *= diff
         return diff[:, 0] + diff[:, 1]
+    # per coordinate: that (N, 2) form is 3-11x slower at 3,600-72,000 points
     d2 = points[:, 0] - center[0]
     d2 *= d2
     dy = points[:, 1] - center[1]
@@ -229,21 +230,18 @@ def _sir(signal: float, interference: float) -> float:
 
 def evaluate_user(realization: NetworkRealization, params: NetworkParams,
                   mode: DuplexMode, seed,
-                  window: Optional[SimulationWindow] = None,
-                  tail_compensation: bool = True) -> UserSample:
+                  window: SimulationWindow = SimulationWindow()) -> UserSample:
     """SIR outcome for the typical user at the origin of one realization.
 
     seed drives the fading draws only (i.i.d. unit-mean exponential per
-    station per receiving link).  The window is needed for torus metrics
-    and edge compensation; it defaults to the desk-scale window.
+    station per receiving link).  The window gives the distance metric
+    (a torus under wrap) and, when flat, each link's out-of-window tail.
     """
-    if window is None:
-        window = SimulationWindow()
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = default_rng(seed)
     ibfd = mode is DuplexMode.IBFD
-    comp_on = tail_compensation and not window.wrap
+    comp_on = not window.wrap
     macro = (params.lambda_m, params.P_m, params.alpha_m)
     pico = (params.lambda_s, params.P_s, params.alpha_s)
 
@@ -342,7 +340,7 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 def estimate_metrics(params: NetworkParams, th: Thresholds,
                      mode: DuplexMode = DuplexMode.IBFD,
                      n_trials: int = 20_000,
-                     window: Optional[SimulationWindow] = None,
+                     window: SimulationWindow = SimulationWindow(),
                      master_seed: int = 0) -> dict[str, EstimateWithCI]:
     """Every simulated metric at one point, from one batch of trials.
 
@@ -361,8 +359,6 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be >= 1")
-    if window is None:
-        window = SimulationWindow()
     n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
     bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
     tallies = fan_out(_chunk_tallies, [

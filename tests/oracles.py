@@ -363,11 +363,9 @@ def _power_sum(power, h, d, alpha):
     return float(power * np.sum(h * d ** (-alpha)))
 
 
-def reference_evaluate_user(realization, params, mode, seed, window=None,
-                            tail_compensation=True):
+def reference_evaluate_user(realization, params, mode, seed,
+                            window=montecarlo.SimulationWindow()):
     """montecarlo.evaluate_user on distances and masks (same signature)."""
-    if window is None:
-        window = montecarlo.SimulationWindow()
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = np.random.default_rng(seed)
@@ -375,7 +373,7 @@ def reference_evaluate_user(realization, params, mode, seed, window=None,
     m_pts, s_pts = realization.macro_points, realization.pico_points
     d_m = _distances(m_pts, origin, window)
     d_s = _distances(s_pts, origin, window)
-    comp_on = tail_compensation and not window.wrap
+    comp_on = not window.wrap
     a_m, a_s = params.alpha_m, params.alpha_s
     sir = montecarlo._sir
 
@@ -662,9 +660,9 @@ def j_components(params, T_s, T_b, r_s, r):
     # the pico field on its r_s = 1 row, where s_1 = T_s
     J_s = F_s + geom["rs2"] * smallcell._mixed_term(
         s2 / geom["rs_pow_as"], np.array([float(T_s)]), geom, "s_",
-        np.zeros(1, dtype=np.intp))
+        np.zeros(1, dtype=np.intp), idx)
     J_m = (shifted_functional_radius2(s1p, params.alpha_m, geom["ri2"])
-           - K1 + smallcell._mixed_term(s2p, s1p, geom, "m_", idx))
+           - K1 + smallcell._mixed_term(s2p, s1p, geom, "m_", idx, idx))
     gbar = {
         tag: float(((1.0 / (1.0 + s1p[:, None] * geom["g_rmnpow_" + tag]))
                     @ geom["g_w"])[0])

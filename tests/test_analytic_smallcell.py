@@ -534,7 +534,8 @@ class TestBlockedKernel:
                 np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp))
             expected = dense_mixed_term(s2, s1, dense, prefix, idx)
         else:
-            got = smallcell._mixed_term(s2p, s1p, geom, prefix, idx)
+            got = smallcell._mixed_term(s2p, s1p, geom, prefix, idx,
+                                        np.arange(n))
             expected = dense_mixed_term(s2p, s1p, dense, prefix, idx)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 

@@ -325,8 +325,25 @@ class TestMainErrors:
         cfg = write_config(tmp_path, {"window_half_width": half_width})
         assert main([*command, "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: half_width")
+        assert err.startswith(f"error: {cfg}: window_half_width: half_width")
         assert "area is not finite" in err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"lambda_m": -1}, "invalid NetworkParams: lambda_m must be > 0"),
+        ({"eta": 2}, "invalid NetworkParams: eta must be in [0, 1]"),
+        ({"T_s": 0}, "all thresholds must be strictly positive"),
+        ({"window_half_width": 0},
+         "window_half_width: half_width must be > 0"),
+        ({"swept_parameter": "B_s", "grid": [3, 1]},
+         "grid must be sorted ascending"),
+        ({"swept_parameter": "B_s", "grid": [3], "mc_trials": -2},
+         "mc_trials must be >= 0"),
+    ])
+    def test_invalid_value_names_the_config_file(self, tmp_path, capsys,
+                                                 payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     def test_topology_with_non_finite_mass_keeps_an_error_row(
             self, tmp_path, capsys):

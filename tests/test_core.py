@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnet.analytic.distances import inner_disc_radius, joint_pdf
 from hetnet.core import (
     DuplexMode,
     NetworkParams,
     Thresholds,
     chord_angle,
-    circle_arc_outside_disc,
     delta_m,
     delta_s,
-    disc_union_area,
     lens_area,
 )
 
@@ -27,6 +26,18 @@ LENS_1_1_1 = 1.2283696986087568    # d=1, R1=R2=1: 2*pi/3 - sqrt(3)/2
 
 def params_with(**kw) -> NetworkParams:
     return NetworkParams(**kw)
+
+
+def union_area(d, R1, R2):
+    """U of analytic.distances.joint_pdf: the area of the union of two
+    discs with center distance d."""
+    return np.pi * R1 ** 2 + np.pi * R2 ** 2 - lens_area(d, R1, R2)
+
+
+def arc_outside(d, r, R):
+    """L / r of joint_pdf: the angle of the circle of radius r, centered a
+    distance d from the origin, that lies outside B(origin, R)."""
+    return 2.0 * (np.pi - chord_angle(d, r, R))
 
 
 class TestNetworkParams:
@@ -185,16 +196,16 @@ class TestLensArea:
 class TestDiscGeometry:
     def test_union_area_limits(self):
         # disjoint: sum of areas; concentric: larger disc
-        assert disc_union_area(5.0, 1.0, 1.0) == pytest.approx(2 * math.pi)
-        assert disc_union_area(0.0, 1.0, 2.0) == pytest.approx(4 * math.pi)
+        assert union_area(5.0, 1.0, 1.0) == pytest.approx(2 * math.pi)
+        assert union_area(0.0, 1.0, 2.0) == pytest.approx(4 * math.pi)
 
     def test_arc_outside_limits(self):
         # circle fully inside the disc -> no exterior arc
-        assert circle_arc_outside_disc(0.2, 0.3, 1.0) == pytest.approx(0.0)
+        assert arc_outside(0.2, 0.3, 1.0) == pytest.approx(0.0)
         # circle fully outside -> whole circumference
-        assert circle_arc_outside_disc(3.0, 0.5, 1.0) == pytest.approx(2 * math.pi)
+        assert arc_outside(3.0, 0.5, 1.0) == pytest.approx(2 * math.pi)
         # circle engulfing the disc -> whole circumference
-        assert circle_arc_outside_disc(0.5, 4.0, 1.0) == pytest.approx(2 * math.pi)
+        assert arc_outside(0.5, 4.0, 1.0) == pytest.approx(2 * math.pi)
 
     def test_chord_angle_at_tangency_and_zero_distance(self):
         # external tangency (d = r + R) and a circle engulfing the disc at
@@ -211,7 +222,7 @@ class TestDiscGeometry:
         # d * r = 0 under a numerator above 4 overflows the quotient of
         # chord_angle, and a zero radius divides by zero inside lens_area;
         # warnings from hetnet.core are errors under the test configuration
-        assert circle_arc_outside_disc(0.0, 20.0, 1.0) == 2 * math.pi
+        assert arc_outside(0.0, 20.0, 1.0) == 2 * math.pi
         assert chord_angle(0.0, 20.0, 1.0) == 0.0
         assert chord_angle(0.0, 0.5, 20.0) == math.pi
         assert lens_area(0.0, 0.0, 3.0) == 0.0
@@ -232,13 +243,16 @@ class TestDiscGeometry:
             np.sqrt(d * d + r * r - 2.0 * d * r * np.cos(phi))[cross],
             R[cross], rtol=1e-9)
         assert np.all(phi[~cross] % math.pi == 0.0)
-        assert np.array_equal(circle_arc_outside_disc(d, r, R),
-                              2.0 * (np.pi - phi))
-        assert circle_arc_outside_disc(0.5, 0.7, 1.0) == \
-            2.0 * (math.pi - float(chord_angle(0.5, 0.7, 1.0)))
+        # joint_pdf's L / r against the share of 4096 points on each
+        # circle that lie outside the disc, to within two points
+        theta = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        dist2 = (d * d + r * r)[:, None] - np.outer(2.0 * d * r, np.cos(theta))
+        counted = 2.0 * np.pi * np.mean(dist2 > (R * R)[:, None], axis=1)
+        np.testing.assert_allclose(counted, arc_outside(d, r, R), rtol=0,
+                                   atol=2.0 * 2.0 * np.pi / 4096)
 
     def test_arc_is_union_area_derivative(self):
-        # d(disc_union_area)/dr == r * arc angle, via central differences
+        # d(union area)/dr == r * arc angle, via central differences
         rng = np.random.default_rng(1)
         for _ in range(50):
             d = rng.uniform(0.1, 3.0)
@@ -247,7 +261,20 @@ class TestDiscGeometry:
             if abs(d - abs(r - R)) < 1e-3 or abs(d - (r + R)) < 1e-3:
                 continue  # skip tangency kinks
             h = 1e-6 * max(1.0, r)
-            num = (disc_union_area(d, R, r + h) - disc_union_area(d, R, r - h)) / (2 * h)
+            num = (union_area(d, R, r + h) - union_area(d, R, r - h)) / (2 * h)
             assert num == pytest.approx(
-                r * circle_arc_outside_disc(d, r, R), rel=2e-4, abs=1e-6
+                r * arc_outside(d, r, R), rel=2e-4, abs=1e-6
             )
+
+    def test_joint_pdf_uses_this_union_area_and_arc(self):
+        # union_area and arc_outside are joint_pdf's U and L / r, so the
+        # checks above test the density's own void area and its r-slope
+        rng = np.random.default_rng(5)
+        p = NetworkParams()
+        r_s, r = rng.uniform(0.05, 2.0, 200), rng.uniform(0.05, 3.0, 200)
+        R_i = inner_disc_radius(r_s, p)
+        expected = (2.0 * np.pi * p.lambda_s * r_s
+                    * np.exp(-np.pi * p.lambda_s * r_s ** 2) * p.lambda_m
+                    * (r * arc_outside(r_s, r, R_i))
+                    * np.exp(-p.lambda_m * union_area(r_s, R_i, r)))
+        assert np.array_equal(joint_pdf(r_s, r, p), expected)

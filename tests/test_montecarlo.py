@@ -37,6 +37,18 @@ from hetnet.montecarlo import (
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
 
 
+def no_tail(*args) -> float:
+    """Stand-in for montecarlo._tail_mean: raw power sums, no tail."""
+    return 0.0
+
+
+@pytest.fixture
+def raw_sums(monkeypatch):
+    """evaluate_user and its oracle without the out-of-window tail (both
+    look montecarlo._tail_mean up at call time)."""
+    monkeypatch.setattr(montecarlo, "_tail_mean", no_tail)
+
+
 def realization(macros, picos) -> NetworkRealization:
     return NetworkRealization(
         macro_points=np.asarray(macros, dtype=float).reshape(-1, 2),
@@ -122,33 +134,74 @@ class TestEvaluateUser:
         assert evaluate_user(far, p, DuplexMode.IBFD, 0).associated_tier \
             == "pico"
 
+    @pytest.mark.usefixtures("raw_sums")
     def test_interferer_sets_by_mode(self):
         # one macro + one pico, beta = 0: the pico's access link sees only
         # the macro, and the backhaul link has no interferer at all
         p = NetworkParams(beta=0.0)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
-        ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9,
-                             tail_compensation=False)
+        ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
         assert ibfd.sir_us < 1e10  # macro interference present
         assert ibfd.sir_sm == pytest.approx(1e12)  # interference-free cap
         # FDD drops the cross-tier term: both links are interference-free
-        fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9,
-                            tail_compensation=False)
+        fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9)
         assert fdd.sir_us == pytest.approx(1e12)
         assert fdd.sir_sm == pytest.approx(1e12)
 
+    @pytest.mark.usefixtures("raw_sums")
     def test_residual_self_interference_scales(self):
         # lone macro-pico pair: the backhaul denominator is exactly the
         # residual term, so conventions differ by the power ratio
         p_ps = NetworkParams(beta=2.0, self_interference_convention="ps")
         p_pm = NetworkParams(beta=2.0, self_interference_convention="pm")
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
-        s_ps = evaluate_user(rel, p_ps, DuplexMode.IBFD, seed=4,
-                             tail_compensation=False)
-        s_pm = evaluate_user(rel, p_pm, DuplexMode.IBFD, seed=4,
-                             tail_compensation=False)
+        s_ps = evaluate_user(rel, p_ps, DuplexMode.IBFD, seed=4)
+        s_pm = evaluate_user(rel, p_pm, DuplexMode.IBFD, seed=4)
         assert s_ps.sir_sm == pytest.approx(
             s_pm.sir_sm * p_ps.P_m / p_ps.P_s, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    @pytest.mark.parametrize("tier", ["pico", "macro"])
+    def test_tail_compensation_follows_the_window(self, tier, mode,
+                                                  monkeypatch):
+        # a flat window adds each field's tail once per link, reaching
+        # from the receiver to the window edge: half_width at the user,
+        # half_width - x_s at the serving pico; a wrapping window adds none
+        calls = []
+        real = montecarlo._tail_mean
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "_tail_mean", spy)
+        p = NetworkParams()
+        macro = (p.lambda_m, p.P_m, p.alpha_m)
+        pico = (p.lambda_s, p.P_s, p.alpha_s)
+        if tier == "pico":
+            rel = realization([[6.0, 0.0], [-7.0, 1.0]],
+                              [[0.3, 0.4], [2.0, 2.0]])
+            links = [(pico, macro, 10.0), (macro, pico, 10.0 - 0.5)]
+        else:
+            rel = realization([[0.2, 0.1], [6.0, 0.0]],
+                              [[3.0, 3.0], [-4.0, 1.0]])
+            links = [(macro, pico, 10.0)]
+        ibfd = mode is DuplexMode.IBFD
+        expected = [(*field, reach) for own, other, reach in links
+                    for field in ((own, other) if ibfd else (own,))]
+
+        s = evaluate_user(rel, p, mode, seed=1,
+                          window=SimulationWindow(half_width=10.0))
+        assert s.associated_tier == tier
+        assert [c[:3] for c in calls] == [e[:3] for e in expected]
+        assert [c[3] for c in calls] == pytest.approx(
+            [e[3] for e in expected], rel=1e-12)
+
+        calls.clear()
+        s = evaluate_user(rel, p, mode, seed=1,
+                          window=SimulationWindow(half_width=10.0, wrap=True))
+        assert s.associated_tier == tier
+        assert calls == []
 
     def test_huge_residual_kills_backhaul(self):
         p = NetworkParams(beta=1e15)
@@ -156,6 +209,7 @@ class TestEvaluateUser:
         s = evaluate_user(rel, p, DuplexMode.IBFD, seed=4)
         assert s.sir_sm < 1e-6
 
+    @pytest.mark.usefixtures("raw_sums")
     def test_torus_metric_flips_backhaul_station(self):
         # The serving pico sits at (5, 0); macro A is 11 away from it,
         # macro B is 19.5 away on the flat window but 10.5 under wrap, so
@@ -165,12 +219,10 @@ class TestEvaluateUser:
         p = NetworkParams(beta=0.0)
         rel = realization([[5.0, -11.0], [-14.5, 0.0]], [[5.0, 0.0]])
         flat = evaluate_user(rel, p, DuplexMode.FDD, seed=2,
-                             window=SimulationWindow(half_width=15.0),
-                             tail_compensation=False)
+                             window=SimulationWindow(half_width=15.0))
         wrapped = evaluate_user(rel, p, DuplexMode.FDD, seed=2,
                                 window=SimulationWindow(half_width=15.0,
-                                                        wrap=True),
-                                tail_compensation=False)
+                                                        wrap=True))
         assert flat.associated_tier == wrapped.associated_tier == "pico"
         assert flat.sir_sm != wrapped.sir_sm
         expected = (19.5 / 10.5) ** p.alpha_m
@@ -215,7 +267,7 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("case", ["pico", "macro", "empty"])
     @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_grid(self, mode, wrap, case):
+    def test_grid(self, mode, wrap, case, monkeypatch):
         window = SimulationWindow(half_width=6.0, wrap=wrap)
         for k, (comp, conv, alpha_s) in enumerate(
                 (c, v, a) for c in (True, False) for v in ("ps", "pm")
@@ -223,8 +275,11 @@ class TestKernelMatchesOracle:
             p = NetworkParams(alpha_s=alpha_s, beta=1e-6,
                               self_interference_convention=conv)
             rel = self.build(case, window, seed=100 + 2 * k)
-            got = assert_matches_oracle(rel, p, mode, seed=k, window=window,
-                                        tail_compensation=comp)
+            with monkeypatch.context() as m:
+                if not comp:
+                    m.setattr(montecarlo, "_tail_mean", no_tail)
+                got = assert_matches_oracle(rel, p, mode, seed=k,
+                                            window=window)
             assert got.associated_tier == \
                 ("pico" if case == "pico" else "macro")
 
@@ -247,6 +302,7 @@ class TestKernelMatchesOracle:
             assert got[mode]["rate_total"].mean == pytest.approx(
                 ref[mode]["rate_total"].mean, rel=1e-12, abs=0.0)
 
+    @pytest.mark.usefixtures("raw_sums")
     def test_self_distance_neither_warns_nor_counts(self):
         # the serving pico is 0 from itself in the IBFD backhaul sum
         rel = realization([[6.0, 0.0], [-7.0, 1.0]],
@@ -254,10 +310,10 @@ class TestKernelMatchesOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = assert_matches_oracle(rel, NetworkParams(beta=0.0),
-                                      DuplexMode.IBFD, seed=5,
-                                      tail_compensation=False)
+                                      DuplexMode.IBFD, seed=5)
         assert 0.0 < s.sir_sm < 1e12
 
+    @pytest.mark.usefixtures("raw_sums")
     def test_coincident_interferer_zeroes_sir(self):
         # a second pico on top of the serving one: infinite backhaul
         # interference in IBFD (the shared band), untouched in FDD
@@ -265,13 +321,10 @@ class TestKernelMatchesOracle:
         p = NetworkParams(beta=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9,
-                                 tail_compensation=False)
-            fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9,
-                                tail_compensation=False)
+            ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
+            fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9)
         with np.errstate(divide="ignore"):
-            ref = reference_evaluate_user(rel, p, DuplexMode.IBFD, seed=9,
-                                          tail_compensation=False)
+            ref = reference_evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
         assert ibfd.associated_tier == "pico"
         assert ibfd.sir_sm == ref.sir_sm == 0.0
         assert same_sir(ibfd.sir_us, ref.sir_us) and 0.0 < ibfd.sir_us
@@ -397,7 +450,7 @@ class TestEstimators:
         assert abs(est.mean - analytic) < 3.0 * est.std_error
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_tail_compensation_only_hurts_sir(self, mode):
+    def test_tail_compensation_only_hurts_sir(self, mode, monkeypatch):
         # same realization, same fading seed, small window: adding the mean
         # far-field interference can only lower every SIR, never raise it
         p = NetworkParams()
@@ -409,9 +462,10 @@ class TestEstimators:
             rel = NetworkRealization(
                 macro_points=sample_ppp(p.lambda_m, w, seed_m),
                 pico_points=sample_ppp(p.lambda_s, w, seed_s))
-            on, off = (evaluate_user(rel, p, mode, seed_fading, window=w,
-                                     tail_compensation=comp)
-                       for comp in (True, False))
+            on = evaluate_user(rel, p, mode, seed_fading, window=w)
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_tail_mean", no_tail)
+                off = evaluate_user(rel, p, mode, seed_fading, window=w)
             assert on.associated_tier == off.associated_tier
             for name in ("sir_us", "sir_sm", "sir_um"):
                 a, b = getattr(on, name), getattr(off, name)

@@ -84,10 +84,13 @@ def test_every_exported_name_is_used_by_the_package():
 # only tests used (now under tests/ or gone), the second library path
 # beside experiments.evaluate_point (the coverage_total/rate_covered
 # assembly, its result fields, and the float wrappers that raised on
-# non-convergence), and second copies of one quantity (the pico mixed-term
-# kernel, the simulator's rate shares, the outer grid's case bounds).  The
-# __all__ scan above cannot see a keyword argument, a dataclass field or a
-# private helper, so each one is named here.
+# non-convergence), second copies of one quantity (the pico mixed-term
+# kernel, the simulator's rate shares, the outer grid's case bounds), the
+# one-caller disc wrappers of joint_pdf, and defaults that only tests read
+# (the simulator's compensation switch, a None window re-defaulted inside
+# a function, _mixed_term's optional access map).  The __all__ scan above
+# cannot see a keyword argument, a dataclass field or a private helper, so
+# each one is named here.
 RETIRED = [
     "integrate_annulus", "tail_profile_quad", "classify_case",
     "JointPdfCase", "j_components", "intersection_given_coverage",
@@ -101,6 +104,8 @@ RETIRED = [
     "_pico_mixed_term", "_rate_shares", "nu_lo", "nu_hi",
     "_GEOM_CACHE", "_GEOM_CACHE_MAX", "_GEOM_CACHE_BYTES", "_geometry_key",
     "_is_covered", "_rate_sample", "macro_tail", "pico_tail",
+    "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
+    "window is None", "acc is None",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
