@@ -1,10 +1,10 @@
 """Analytic (integral-based) route: association, distance law, coverage, rate.
 
-Each solver returns an IntegralResult (value, error estimate, converged
-flag) or, for the association and topology splits, plain floats.
-experiments.evaluate_point assembles them into the reported coverage and
-covered rate of one model point; this namespace holds what it imports,
-and everything else is imported from its submodule.
+Each solver returns IntegralResults (value, error estimate, converged
+flag), with converged set from the solver's own tolerances.
+experiments.evaluate_point assembles them into the reported values of one
+model point; this namespace holds what it imports, and everything else is
+imported from its submodule.
 """
 from .association import association_probability
 from .distances import topology_probabilities

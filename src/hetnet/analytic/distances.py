@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import NetworkParams, chord_angle, delta_m, lens_area
-from ..numerics import NonConvergenceError, gauss_panel_nodes
+from ..numerics import IntegralResult, gauss_panel_nodes
 from .association import association_probability
 
 __all__ = [
@@ -133,20 +133,24 @@ def _case_masses(params: NetworkParams, nodes_per_panel: int
 
 
 def topology_probabilities(
-        params: NetworkParams) -> tuple[float, float, float]:
+        params: NetworkParams) -> tuple[IntegralResult, ...]:
     """(p_A, p_B, p_C): probabilities of the three relative-geometry cases,
     conditioned on pico association (masses of the joint density per case
-    region, normalized by the association probability)."""
-    p_s, _ = association_probability(params)
-    if p_s <= 0.0:
+    region, normalized by the association probability).
+
+    A mass's error is its 12- versus 8-node gap, carried through the
+    division with p_s's own; the three converge together, when every gap
+    is within _TOPOLOGY_TOL of p_s and p_s converged.
+    """
+    p_s = association_probability(params)
+    if p_s.value <= 0.0:
         raise ValueError("pico association has zero probability")
-    # at extreme densities a mass can come out inf or nan; the gate
-    # below rejects it, so the warnings on the way are not needed
+    # at extreme densities a mass can come out inf or nan; its error is
+    # then nan, which fails the gate, so the warnings are not needed
     with np.errstate(invalid="ignore", over="ignore"):
         fine = _case_masses(params, 12)
         coarse = _case_masses(params, 8)
-        err = float(np.max(np.abs(np.subtract(fine, coarse)))) / p_s
-    if not err <= _TOPOLOGY_TOL:
-        raise NonConvergenceError(
-            f"case-probability grid not converged (diff {err:.2e})")
-    return tuple(m / p_s for m in fine)
+    gaps = [abs(f - c) for f, c in zip(fine, coarse)]
+    converged = all(gap / p_s.value <= _TOPOLOGY_TOL for gap in gaps)
+    return tuple(IntegralResult(m, gap, converged) / p_s
+                 for m, gap in zip(fine, gaps))

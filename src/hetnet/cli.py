@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -194,25 +193,22 @@ def rows_to_csv(rows, notes=()) -> str:
             mc_cols = ["nan", "nan", "nan", "0"] if est is None else [
                 _fmt(est.mean), _fmt(est.ci95_low), _fmt(est.ci95_high),
                 str(est.n_trials)]
-            qe = row.quad_error.get(metric, math.nan)
             lines.append(", ".join([_fmt(row.x), mode, metric, _fmt(value),
-                                    *mc_cols, _fmt(qe)]))
+                                    *mc_cols, _fmt(row.quad_error[metric])]))
     return "\n".join(lines) + "\n"
 
 
-def _validate(cfg: RunConfig, trials: int, seed: int, stream) -> int:
-    """Analytic-vs-simulation consistency checks; 0 if all pass, else 2.
+def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
+    """Analytic-vs-simulation consistency report, and 0 if all pass, else 2.
 
     The analytic side uses the serving-macro bearing law the simulator
     realizes (bearing="arc"), so the comparison stays unbiased at any
     trial count.
     """
-    failures = 0
+    lines = []
 
     def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=stream)
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
 
     th = cfg.thresholds
     for mode_name, mode in _MODES.items():
@@ -235,7 +231,8 @@ def _validate(cfg: RunConfig, trials: int, seed: int, stream) -> int:
     report("seeded determinism", first == second,
            "two identically seeded runs agree" if first == second
            else "identically seeded runs diverged")
-    return 2 if failures else 0
+    failed = any(line.startswith("FAIL") for line in lines)
+    return "".join(lines), 2 if failed else 0
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -337,14 +334,9 @@ def main(argv=None) -> int:
             notes = spec.notes
             rows = run_sweep(spec, master_seed=args.seed, window=cfg.window)
         else:  # validate
-            trials = _trials(args, 4000)
-            stream = sys.stdout if out_path is None \
-                else open(out_path, "w", encoding="utf-8")
-            try:
-                return _validate(cfg, trials, args.seed, stream)
-            finally:
-                if stream is not sys.stdout:
-                    stream.close()
+            text, code = _validate(cfg, _trials(args, 4000), args.seed)
+            _emit(text, out_path)
+            return code
         _emit(rows_to_csv(rows, notes), out_path)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

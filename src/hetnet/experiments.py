@@ -97,9 +97,9 @@ class SweepSpec:
 class SweepRow:
     """All metrics for one (grid value, mode) cell.
 
-    analytic maps metric name to value; mc carries the matching simulation
-    estimates when the sweep ran with trials; quad_error holds the
-    solver's own error estimate where one is available (nan otherwise).
+    analytic maps metric name to value and quad_error maps the same names
+    to their error estimates; mc carries the matching simulation
+    estimates when the sweep ran with trials.
     A failed point keeps its row with the failure message in `error`.
     """
 
@@ -128,14 +128,6 @@ def _apply_swept_value(spec: SweepSpec, x: float):
     return replace(p, alpha_s=x), th
 
 
-def _converged(name: str, result):
-    if not result.converged:
-        raise NonConvergenceError(
-            f"{name} did not reach the requested tolerance "
-            f"(estimate {result.error_estimate:.2e})")
-    return result
-
-
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
                    seed: int = 0,
@@ -152,57 +144,48 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     Coverage is integrated once and also normalizes the covered rate;
     with trials > 0 and coverage or rate requested, one seeded simulation
     pass supplies the Monte Carlo estimate of every reported metric it
-    covers.  topology (p_case_*) and association (p_assoc_s) are closed
-    forms with quad_error NaN.  bearing is the serving-macro bearing
+    covers.  Every analytic value comes with its solver's error estimate;
+    p_total and rate_total carry their inputs' estimates and converge only
+    when all of their inputs did.  bearing is the serving-macro bearing
     convention of the small-cell integrals; x labels the row.
 
     Raises NonConvergenceError when an integral behind a reported value
     misses its tolerance, and ValueError when the rate's conditioning
     event is empty (zero analytic coverage, or no covered trial).
     """
-    analytic: dict = {}
-    quad_error: dict = {}
+    results: dict = {}
     wants_coverage = "coverage_total" in outputs \
         or "coverage_breakdown" in outputs
     wants_rate = "rate" in outputs
     if wants_coverage or wants_rate:
-        small = _converged("small-cell coverage integral",
-                           coverage_smallcell_result(
-                               params, th.T_s, th.T_b, mode,
-                               bearing=bearing))
-        macro = _converged("macro coverage integral",
-                           coverage_macro_result(params, th.T_m, mode))
-        p_cov = small.value + macro.value
+        small = coverage_smallcell_result(params, th.T_s, th.T_b, mode,
+                                          bearing=bearing)
+        macro = coverage_macro_result(params, th.T_m, mode)
+        p_cov = small + macro
     if wants_coverage:
-        analytic["p_total"] = p_cov
-        quad_error["p_total"] = small.error_estimate + macro.error_estimate
+        results["p_total"] = p_cov
         if "coverage_breakdown" in outputs:
-            analytic["p_smallcell_joint"] = small.value
-            analytic["p_macro_joint"] = macro.value
-            quad_error["p_smallcell_joint"] = small.error_estimate
-            quad_error["p_macro_joint"] = macro.error_estimate
+            results["p_smallcell_joint"] = small
+            results["p_macro_joint"] = macro
     if "topology" in outputs:
-        for name, value in zip(("p_case_a", "p_case_b", "p_case_c"),
-                               topology_probabilities(params)):
-            analytic[name], quad_error[name] = value, math.nan
+        results.update(zip(("p_case_a", "p_case_b", "p_case_c"),
+                           topology_probabilities(params)))
     if "association" in outputs:
-        analytic["p_assoc_s"] = association_probability(params)[0]
-        quad_error["p_assoc_s"] = math.nan
+        results["p_assoc_s"] = association_probability(params)
     if wants_rate:
-        macro_rate = _converged("macro rate integral",
-                                rate_macro_term_result(params, th, mode))
-        small_rate = _converged("small-cell rate integral",
-                                rate_smallcell_term_result(
-                                    params, th, mode, bearing=bearing))
-        if p_cov <= 0.0:
+        macro_rate = rate_macro_term_result(params, th, mode)
+        small_rate = rate_smallcell_term_result(params, th, mode,
+                                                bearing=bearing)
+        if p_cov.value <= 0.0:
             raise ValueError("conditioning event has zero probability")
-        analytic["rate_macro_term"] = macro_rate.value
-        analytic["rate_smallcell_term"] = small_rate.value
-        analytic["rate_total"] = (macro_rate.value + small_rate.value) / p_cov
-        quad_error["rate_macro_term"] = macro_rate.error_estimate
-        quad_error["rate_smallcell_term"] = small_rate.error_estimate
-        quad_error["rate_total"] = \
-            (macro_rate.error_estimate + small_rate.error_estimate) / p_cov
+        results["rate_macro_term"] = macro_rate
+        results["rate_smallcell_term"] = small_rate
+        results["rate_total"] = (macro_rate + small_rate) / p_cov
+    for name, result in results.items():
+        if not result.converged:
+            raise NonConvergenceError(
+                f"{name} not converged (error estimate "
+                f"{result.error_estimate:.2e})")
 
     mc: dict = {}
     if trials > 0 and (wants_coverage or wants_rate):
@@ -211,9 +194,11 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
         if wants_rate and "rate_total" not in estimates:
             raise ValueError("conditioning event empty in sample")
         mc = {name: est for name, est in estimates.items()
-              if name in analytic}
-    return SweepRow(x=x, mode=mode, analytic=analytic, mc=mc,
-                    quad_error=quad_error)
+              if name in results}
+    return SweepRow(
+        x=x, mode=mode, mc=mc,
+        analytic={n: r.value for n, r in results.items()},
+        quad_error={n: r.error_estimate for n, r in results.items()})
 
 
 def _sweep_cells(spec: SweepSpec, cells: list,

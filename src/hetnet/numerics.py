@@ -39,6 +39,20 @@ class IntegralResult:
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be >= 0")
 
+    # a value derived from integrals carries their errors to first order
+    # and converges only when every one of them did
+    def __add__(self, other: "IntegralResult") -> "IntegralResult":
+        return IntegralResult(self.value + other.value,
+                              self.error_estimate + other.error_estimate,
+                              self.converged and other.converged)
+
+    def __truediv__(self, other: "IntegralResult") -> "IntegralResult":
+        value = self.value / other.value
+        return IntegralResult(
+            value, self.error_estimate / other.value
+            + value * other.error_estimate / other.value,
+            self.converged and other.converged)
+
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:

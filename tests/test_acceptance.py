@@ -84,6 +84,16 @@ def metric_table(rows, metric, mode=None):
     return table
 
 
+def assert_finite_errors(errors):
+    """Every analytic value carries a finite, non-negative error estimate."""
+    errors = list(errors)
+    assert errors and all(math.isfinite(e) and e >= 0.0 for e in errors)
+
+
+def sweep_errors(rows):
+    return (e for row in rows for e in row.quad_error.values())
+
+
 @pytest.fixture(scope="session")
 def density_sweep(tmp_path_factory):
     """Full density-ratio preset through the real CLI, timed."""
@@ -91,7 +101,9 @@ def density_sweep(tmp_path_factory):
     start = time.monotonic()
     assert main(["figure", "fig7", "--out", str(out)]) == 0
     elapsed = time.monotonic() - start
-    return read_csv_rows(out.read_text(encoding="utf-8")), elapsed
+    rows = read_csv_rows(out.read_text(encoding="utf-8"))
+    assert_finite_errors(float(row["quad_error"]) for row in rows)
+    return rows, elapsed
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +118,7 @@ def threshold_sweep_output(tmp_path_factory):
 def coverage_mode_sweep():
     rows = run_sweep(figure_preset("fig9"))
     assert all(row.error is None for row in rows)
+    assert_finite_errors(sweep_errors(rows))
     return rows
 
 
@@ -113,6 +126,7 @@ def coverage_mode_sweep():
 def rate_mode_sweep():
     rows = run_sweep(figure_preset("fig12"))
     assert all(row.error is None for row in rows)
+    assert_finite_errors(sweep_errors(rows))
     return rows
 
 
@@ -179,6 +193,7 @@ def test_2_simulation_brackets_analytic_density_curve(density_sweep):
 def test_3_topology_case_split_anchors():
     rows = run_sweep(figure_preset("fig6"))
     assert all(row.error is None for row in rows)
+    assert_finite_errors(sweep_errors(rows))
     for row in rows:
         total = sum(row.analytic[k] for k in
                     ("p_case_a", "p_case_b", "p_case_c"))
@@ -234,6 +249,7 @@ def test_5_rate_ratio_ceiling(rate_mode_sweep):
 def test_6_backhaul_share_rate_anchors_and_additivity():
     rows = run_sweep(figure_preset("fig14"))
     assert all(row.error is None for row in rows)
+    assert_finite_errors(sweep_errors(rows))
     rates = {row.x: row.analytic["rate_total"] for row in rows}
     for eta, anchor in ((0.001, 0.756), (0.451, 0.509), (0.901, 0.225)):
         assert rates[eta] == pytest.approx(anchor, abs=0.05), \
@@ -295,12 +311,12 @@ def test_7_property_suite():
         grid = outer_grid(params, 8)
         mass = float((joint_pdf(grid["rs"], grid["r"], params)
                       * grid["w"]).sum())
-        p_s, _ = association_probability(params)
+        p_s = association_probability(params).value
         assert mass == pytest.approx(p_s, abs=1e-3)
 
     # (b) equal path-loss exponents admit a closed-form association split
     params_eq = NetworkParams(alpha_s=2.8)
-    p_s, _ = association_probability(params_eq)
+    p_s = association_probability(params_eq).value
     closed = params_eq.lambda_s / (
         params_eq.lambda_s + params_eq.lambda_m * delta_m(params_eq) ** -2)
     assert p_s == pytest.approx(closed, abs=1e-8)

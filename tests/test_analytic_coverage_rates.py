@@ -38,7 +38,8 @@ def analytic(p, th, mode=DuplexMode.IBFD, outputs=("coverage_total",)):
 class TestCoverageTotal:
     def test_breakdown_identities(self):
         p = params_with()
-        p_s, p_m = association_probability(p)
+        p_s = association_probability(p).value
+        p_m = 1.0 - p_s
         for mode in DuplexMode:
             cb = analytic(p, TH, mode, ("coverage_breakdown",))
             assert cb["p_total"] == pytest.approx(

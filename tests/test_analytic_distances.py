@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hetnet.analytic import association_probability, topology_probabilities
-from hetnet.analytic.distances import inner_disc_radius, joint_pdf, outer_grid
+from hetnet.analytic.distances import (
+    _case_masses,
+    inner_disc_radius,
+    joint_pdf,
+    outer_grid,
+)
 from hetnet.analytic.tails import (
     power_tail_nodes,
     shifted_functional_radius2,
     tail_profile,
 )
 from hetnet.core import NetworkParams, delta_m
+from hetnet.numerics import IntegralResult
 from oracles import QuadratureSpec, integrate_annulus, tail_profile_quad
 
 
@@ -173,13 +179,14 @@ class TestPowerTailNodes:
 
 class TestAssociation:
     def test_probabilities_sum_to_one(self):
-        p_s, p_m = association_probability(params_with())
-        assert 0.0 < p_s < 1.0
-        assert p_s + p_m == pytest.approx(1.0, abs=1e-14)
+        # the macro share is 1 - p_s; p_s must be a converged probability
+        p_s = association_probability(params_with())
+        assert 0.0 < p_s.value < 1.0
+        assert p_s.converged and p_s.error_estimate < 1e-8
 
     def test_no_picos_means_macro_only(self):
-        p_s, p_m = association_probability(params_with(lambda_s=0.0))
-        assert (p_s, p_m) == (0.0, 1.0)
+        assert association_probability(params_with(lambda_s=0.0)) == \
+            IntegralResult(0.0, 0.0, True)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -192,7 +199,7 @@ class TestAssociation:
     def test_equal_exponents_closed_form(self, lam_s, bias_db, alpha):
         p = params_with(lambda_s=lam_s, B_s=10 ** (bias_db / 10.0),
                         alpha_m=alpha, alpha_s=alpha)
-        p_s, _ = association_probability(p)
+        p_s = association_probability(p).value
         expected = lam_s / (lam_s + p.lambda_m * delta_m(p) ** -2)
         assert p_s == pytest.approx(expected, rel=1e-8)
 
@@ -203,14 +210,37 @@ class TestAssociation:
         # from a pico share of 1.4e-8 to one of 1 - 4.6e-6
         p = params_with(lambda_s=lam_s, B_s=10 ** (bias_db / 10.0),
                         alpha_s=2.8)
-        p_s, _ = association_probability(p)
+        p_s = association_probability(p).value
         expected = lam_s / (lam_s + p.lambda_m * delta_m(p) ** -2)
         assert p_s == pytest.approx(expected, rel=1e-12)
 
     def test_bias_increases_pico_share(self):
-        shares = [association_probability(params_with(B_s=10 ** (b / 10)))[0]
+        shares = [association_probability(params_with(B_s=10 ** (b / 10)))
                   for b in (0.0, 10.0, 22.0, 40.0)]
-        assert all(a < b for a, b in zip(shares, shares[1:]))
+        assert all(a.value < b.value for a, b in zip(shares, shares[1:]))
+
+    @staticmethod
+    def reference(p):
+        """p_s in its own variable x, the nearest-pico distance, by 30-digit
+        mpmath quadrature split at the scales of both exponents."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ls, gamma = mp.mpf(p.lambda_s), mp.mpf(p.alpha_s) / p.alpha_m
+            lm = mp.mpf(p.lambda_m) * mp.mpf(delta_m(p)) ** -2
+            scales = sorted([1 / mp.sqrt(mp.pi * ls),
+                             (mp.pi * lm) ** (-1 / (2 * gamma))])
+            return float(2 * mp.pi * ls * mp.quad(
+                lambda x: x * mp.exp(-mp.pi * (lm * x ** (2 * gamma)
+                                               + ls * x ** 2)),
+                [0, scales[0] / 10, scales[0], scales[1], mp.inf]))
+
+    @pytest.mark.parametrize("lam_s", [0.5, 1.0, 4.0, 20.0, 40.0])
+    @pytest.mark.parametrize("bias_db", [0.0, 10.0, 22.0, 40.0, 60.0])
+    def test_error_estimate_covers_mpmath(self, lam_s, bias_db):
+        p = params_with(lambda_s=lam_s, B_s=10 ** (bias_db / 10.0))
+        p_s = association_probability(p)
+        assert p_s.converged
+        assert abs(p_s.value - self.reference(p)) <= p_s.error_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +310,33 @@ class TestJointPdf:
         p = params_with(B_s=10 ** (bs_db / 10.0))
         g = outer_grid(p, 8)
         mass = float((joint_pdf(g["rs"], g["r"], p) * g["w"]).sum())
-        p_s, _ = association_probability(p)
+        p_s = association_probability(p).value
         assert mass == pytest.approx(p_s, rel=1e-3)
 
 
 class TestTopologyProbabilities:
     def test_probabilities_are_a_distribution(self):
-        probs = topology_probabilities(params_with())
+        probs = [q.value for q in topology_probabilities(params_with())]
         assert all(0.0 <= q <= 1.0 for q in probs)
         assert sum(probs) == pytest.approx(1.0, abs=2e-3)
 
     def test_reference_operating_point(self):
         p_a, p_b, p_c = topology_probabilities(params_with())
-        assert p_a == pytest.approx(0.038, abs=0.02)
-        assert p_b == pytest.approx(0.284, abs=0.02)
-        assert p_c == pytest.approx(0.679, abs=0.02)
+        assert p_a.value == pytest.approx(0.038, abs=0.02)
+        assert p_b.value == pytest.approx(0.284, abs=0.02)
+        assert p_c.value == pytest.approx(0.679, abs=0.02)
 
     def test_engulfing_dominates_at_strong_bias(self):
         _, _, p_c_weak = topology_probabilities(params_with(B_s=10.0))
         _, _, p_c_strong = topology_probabilities(params_with(B_s=1e5))
-        assert p_c_strong > p_c_weak
+        assert p_c_strong.value > p_c_weak.value
+
+    @pytest.mark.parametrize("bias_db", [22.0, 30.0, 40.0, 60.0])
+    def test_error_estimate_covers_a_finer_grid(self, bias_db):
+        # fig6's model points, against the same case split on 24 nodes per
+        # panel (the solver takes 12 and checks them against 8)
+        p = NetworkParams(B_s=10 ** (bias_db / 10.0))
+        p_s = association_probability(p).value
+        for case, mass in zip(topology_probabilities(p), _case_masses(p, 24)):
+            assert case.converged
+            assert abs(case.value - mass / p_s) <= case.error_estimate

@@ -99,7 +99,7 @@ class TestMacroCoverage:
 
     def test_vanishing_threshold_recovers_association_share(self):
         p = params_with()
-        _, p_m = association_probability(p)
+        p_m = 1.0 - association_probability(p).value
         assert macro_value(p, 1e-12) == pytest.approx(p_m, abs=1e-9)
 
     def test_monotone_in_threshold(self):
@@ -161,7 +161,7 @@ class TestMacroCoverage:
         T_m = 10.0 ** log_t
         ibfd = macro_value(p, T_m)
         fdd = macro_value(p, T_m, DuplexMode.FDD)
-        _, p_m = association_probability(p)
+        p_m = 1.0 - association_probability(p).value
         assert 0.0 <= ibfd <= fdd <= p_m + 1e-9
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import pytest
 
-from hetnet import cli, experiments
+from hetnet import cli, experiments, montecarlo
 from hetnet.analytic import (
     association_probability,
     coverage_smallcell_result,
@@ -22,7 +22,12 @@ from hetnet.analytic import (
 from hetnet.cli import CSV_HEADER, main, parse_config, rows_to_csv
 from hetnet.core import DuplexMode, NetworkParams, Thresholds
 from hetnet.experiments import FIGURE_IDS, SweepRow, SweepSpec, figure_preset
-from hetnet.montecarlo import EstimateWithCI, SimulationWindow, evaluate_user
+from hetnet.montecarlo import (
+    EstimateWithCI,
+    SimulationWindow,
+    evaluate_user,
+    sample_ppp,
+)
 from hetnet.numerics import IntegralResult
 
 
@@ -453,6 +458,44 @@ class TestMainSimulate:
                          "coverage_smallcell_result": 1}
 
 
+class TestFullScale:
+    """--full-scale is the one way to fixed station counts for figure,
+    which takes no config."""
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_flag_equals_fixed_count_config(self, command, tmp_path):
+        base = {"window_half_width": 8.0}
+        if command == "sweep":
+            base.update(swept_parameter="lambda_ratio", grid=[4.0])
+        argv = [command, "--trials", "300", "--seed", "5"]
+        flag, fixed = tmp_path / "flag.csv", tmp_path / "fixed.csv"
+        assert main(argv + ["--full-scale", "--out", str(flag), "--config",
+                            write_config(tmp_path, base, "flag.json")]) == 0
+        assert main(argv + ["--out", str(fixed), "--config", write_config(
+            tmp_path, {**base, "fixed_count": True}, "fixed.json")]) == 0
+        assert flag.read_bytes() == fixed.read_bytes()
+
+    def test_each_tier_draws_round_intensity_times_area(self, tmp_path,
+                                                        monkeypatch):
+        draws = []
+
+        def spy(intensity, window, seed):
+            points = sample_ppp(intensity, window, seed)
+            draws.append((intensity, window.area, len(points)))
+            return points
+
+        monkeypatch.setattr(montecarlo, "sample_ppp", spy)
+        # one process, so that the spy sees every draw
+        monkeypatch.setattr(montecarlo, "process_count", lambda: 1)
+        cfg = write_config(tmp_path, {"window_half_width": 8.0})
+        assert main(["simulate", "--config", cfg, "--full-scale",
+                     "--trials", "40", "--out", str(tmp_path / "s.csv")]) == 0
+        p = NetworkParams()
+        assert {i for i, _, _ in draws} == {p.lambda_m, p.lambda_s}
+        assert len(draws) == 80
+        assert all(n == round(i * area) for i, area, n in draws)
+
+
 class TestMainSweep:
     def test_sweep_runs_config_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -507,6 +550,13 @@ class TestMainFigure:
         rows = csv_rows(out.read_text(encoding="utf-8"))
         assert len(rows) == 3 * len(figure_preset("fig6").grid)
 
+    def test_topology_figure_reports_every_error_estimate(self, capsys):
+        assert main(["figure", "fig6"]) == 0
+        errors = [float(r["quad_error"])
+                  for r in csv_rows(capsys.readouterr().out)]
+        assert len(errors) == 3 * len(figure_preset("fig6").grid)
+        assert all(math.isfinite(e) and e >= 0.0 for e in errors)
+
 
 class TestMainValidate:
     def test_consistency_suite_passes(self, capsys):
@@ -527,8 +577,25 @@ class TestMainValidate:
         line = next(l for l in out.splitlines() if "fdd p_assoc_s:" in l)
         printed = float(line.split("analytic=")[1].split()[0])
         assert printed == pytest.approx(
-            association_probability(NetworkParams())[0], abs=5e-7)
+            association_probability(NetworkParams()).value, abs=5e-7)
 
     def test_rejects_zero_trials(self, capsys):
         assert main(["validate", "--trials", "0"]) == 1
         assert "n_trials" in capsys.readouterr().err
+
+    def test_out_flag_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "validate.txt"
+        assert main(["validate", "--trials", "800", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 11
+        assert all(line.startswith("PASS  ") for line in lines)
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(cli, "_validate",
+                            lambda *args: ("PASS  stand-in: ok\n", 0))
+        out = tmp_path / "missing" / "validate.txt"
+        assert main(["validate", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

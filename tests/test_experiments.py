@@ -34,6 +34,7 @@ from hetnet.experiments import (
     run_sweep,
 )
 from hetnet.montecarlo import SimulationWindow, evaluate_user
+from hetnet.numerics import IntegralResult, NonConvergenceError
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
 
@@ -150,19 +151,20 @@ class TestRunSweep:
 
     def test_db_axis_converted_before_evaluation(self):
         row = run_sweep(SweepSpec("B_s", (20.0,), outputs=("topology",)))[0]
-        p_a, p_b, p_c = topology_probabilities(NetworkParams(B_s=100.0))
-        assert row.analytic["p_case_a"] == pytest.approx(p_a, abs=1e-12)
-        assert row.analytic["p_case_b"] == pytest.approx(p_b, abs=1e-12)
-        assert row.analytic["p_case_c"] == pytest.approx(p_c, abs=1e-12)
-        assert math.isnan(row.quad_error["p_case_a"])
+        cases = topology_probabilities(NetworkParams(B_s=100.0))
+        for name, case in zip(("p_case_a", "p_case_b", "p_case_c"), cases):
+            assert row.analytic[name] == pytest.approx(case.value, abs=1e-12)
+            assert row.quad_error[name] == case.error_estimate
+            assert math.isfinite(case.error_estimate)
 
     def test_association_output(self):
-        # like topology, a closed-form value with no quadrature estimate
         p = NetworkParams(B_s=100.0)
         row = run_sweep(SweepSpec("B_s", (20.0,),
                                   outputs=("association",)))[0]
-        assert row.analytic == {"p_assoc_s": association_probability(p)[0]}
-        assert math.isnan(row.quad_error["p_assoc_s"])
+        p_s = association_probability(p)
+        assert row.analytic == {"p_assoc_s": p_s.value}
+        assert row.quad_error == {"p_assoc_s": p_s.error_estimate}
+        assert math.isfinite(p_s.error_estimate)
         assert row.mc == {}
 
     def test_breakdown_output_adds_components(self):
@@ -189,6 +191,34 @@ class TestRunSweep:
         # conditional rate times coverage recovers the two summands
         assert row.analytic["rate_total"] * p_cov == pytest.approx(
             macro.value + small.value, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
+    def test_rate_error_carries_the_coverage_error(self, mode):
+        # rate_total = (macro + small) / p_cov, to first order in all three
+        row = evaluate_point(NetworkParams(), TH, mode,
+                             ("coverage_total", "rate"))
+        a, e = row.analytic, row.quad_error
+        assert e["rate_total"] == pytest.approx(
+            (e["rate_macro_term"] + e["rate_smallcell_term"]) / a["p_total"]
+            + a["rate_total"] * e["p_total"] / a["p_total"], rel=1e-12)
+
+    @pytest.mark.parametrize("outputs", [("rate",), ("coverage_total",)])
+    def test_unconverged_coverage_fails_every_value_it_enters(
+            self, outputs, monkeypatch):
+        # p_cov normalizes the rate, so a rate-only request fails with it
+        # although p_total is not reported
+        def stub(value, converged=True):
+            return lambda *args, **kwargs: IntegralResult(value, 1e-6,
+                                                          converged)
+
+        monkeypatch.setattr(experiments, "coverage_smallcell_result",
+                            stub(0.2, converged=False))
+        monkeypatch.setattr(experiments, "coverage_macro_result", stub(0.3))
+        monkeypatch.setattr(experiments, "rate_macro_term_result", stub(0.1))
+        monkeypatch.setattr(experiments, "rate_smallcell_term_result",
+                            stub(0.05))
+        with pytest.raises(NonConvergenceError, match="not converged"):
+            evaluate_point(NetworkParams(), TH, DuplexMode.IBFD, outputs)
 
     def test_failing_point_becomes_error_row(self):
         spec = SweepSpec("T_s", (-0.5, 0.1))

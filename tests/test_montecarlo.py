@@ -410,7 +410,7 @@ class TestEstimators:
         p = NetworkParams()
         bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=2000,
                               master_seed=7)
-        p_s, _ = association_probability(p)
+        p_s = association_probability(p).value
         est = bd["p_assoc_s"]
         assert abs(est.mean - p_s) < 3.0 * max(est.std_error, 1e-6)
 

@@ -38,6 +38,17 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             IntegralResult(value=1.0, error_estimate=-1.0, converged=True)
 
+    def test_integral_result_arithmetic_carries_errors(self):
+        a = IntegralResult(0.3, 1e-6, True)
+        b = IntegralResult(0.6, 2e-6, False)
+        assert a + b == IntegralResult(0.3 + 0.6, 1e-6 + 2e-6, False)
+        ratio = a / IntegralResult(0.6, 2e-6, True)
+        assert ratio.value == 0.3 / 0.6 and ratio.converged
+        # first order in both: d(a/b) = da/b + (a/b) db/b
+        assert ratio.error_estimate == pytest.approx(
+            1e-6 / 0.6 + 0.5 * 2e-6 / 0.6, rel=1e-15)
+        assert not (a / b).converged and not (b / a).converged
+
 
 class TestIntegrate1D:
     def test_arctan_full_halfline(self):

@@ -88,7 +88,8 @@ def test_every_exported_name_is_used_by_the_package():
 # kernel, the simulator's rate shares, the outer grid's case bounds), the
 # one-caller disc wrappers of joint_pdf, and defaults that only tests read
 # (the simulator's compensation switch, a None window re-defaulted inside
-# a function, _mixed_term's optional access map).  The __all__ scan above
+# a function, _mixed_term's optional access map), and a second convergence
+# gate beside evaluate_point's one loop.  The __all__ scan above
 # cannot see a keyword argument, a dataclass field or a private helper, so
 # each one is named here.
 RETIRED = [
@@ -105,7 +106,7 @@ RETIRED = [
     "_GEOM_CACHE", "_GEOM_CACHE_MAX", "_GEOM_CACHE_BYTES", "_geometry_key",
     "_is_covered", "_rate_sample", "macro_tail", "pico_tail",
     "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
-    "window is None", "acc is None",
+    "window is None", "acc is None", "_converged",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
