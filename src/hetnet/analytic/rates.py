@@ -29,7 +29,9 @@ the last one, t_b, G10/K21 Gauss-Kronrod panels: a graded panel
 t = t_b + _TAIL_GRADE u^2, u in [0, 1], then plain panels of doubling
 width until one adds less than _TAIL_TOL.  The difference of each pair is
 the panel's error; the last panel counts twice more for the remainder
-(the survival is non-increasing and decays exponentially).  Each panel is
+(the survival is non-increasing and decays exponentially).  The pico term
+adds the probability each evaluate_joint call may skip (smallcell
+_SKIP_MASS) times the length of t it integrates.  Each panel is
 one vectorized call of the integrand: one evaluate_joint call for the pico
 term, one numpy pass for the macro term.
 """
@@ -42,7 +44,7 @@ import numpy as np
 from ..core import DuplexMode, NetworkParams, Thresholds, band_shares
 from ..numerics import IntegralResult, _leggauss, kronrod_panel
 from .macro import coverage_macro_batch
-from .smallcell import evaluate_joint
+from .smallcell import _SKIP_MASS, evaluate_joint
 
 __all__ = ["rate_macro_term_result", "rate_smallcell_term_result"]
 
@@ -55,13 +57,16 @@ _TAIL_GRADE = 6.0
 _MAX_PANELS = 40
 
 
-def _survival_integral(survival, breakpoints) -> IntegralResult:
+def _survival_integral(survival, breakpoints,
+                       abs_error: float = 0.0) -> IntegralResult:
     """Integrate a smooth-between-breakpoints survival function over t>0.
 
     breakpoints: one or two sorted positive floats where max(...) floors
     switch off; below the first one the function is constant.  survival
     maps an array of t to values; it is called once for the head node and
     the panel between the breakpoints, then once per tail panel.
+    abs_error bounds survival's own error at any t; times the length of
+    the t-range the panels cover, it joins the error estimate.
     """
     t1, t_b = breakpoints[0], breakpoints[-1]
     rules = (_leggauss(10), _leggauss(5))
@@ -87,11 +92,14 @@ def _survival_integral(survival, breakpoints) -> IntegralResult:
         value += fine
         err += abs(fine - f @ w_g)
         if abs(fine) < _TAIL_TOL:
-            return IntegralResult(value=value, error_estimate=err
-                                  + 2.0 * abs(fine), converged=True)
+            err += 2.0 * abs(fine)
+            break
         t, w_k, w_g = kronrod_panel(*(t_b + _TAIL_GRADE * (
             2.0 ** np.array([k, k + 1]) - 1.0)))
-    return IntegralResult(value=value, error_estimate=err, converged=False)
+    # panel k ends at t_b + (2^k - 1) L
+    err += abs_error * (t_b + _TAIL_GRADE * (2.0 ** k - 1.0))
+    return IntegralResult(value=value, error_estimate=err,
+                          converged=bool(abs(fine) < _TAIL_TOL))
 
 
 def rate_macro_term_result(params: NetworkParams, th: Thresholds,
@@ -143,4 +151,4 @@ def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
 
     t_a = k_a * math.log2(1.0 + th.T_s)
     t_b = k_bh * math.log2(1.0 + th.T_b)
-    return _survival_integral(survival, sorted((t_a, t_b)))
+    return _survival_integral(survival, sorted((t_a, t_b)), _SKIP_MASS)

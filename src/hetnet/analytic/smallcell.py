@@ -59,15 +59,19 @@ and its (node, radial, angular) tensor is the bulk of a geometry (34 MB
 of 47 MB allocated at level 6, 158 MB of 214 MB at level 10, at the
 default parameters).  _znpow builds it, and every distance to the user
 taken from polar coordinates around S, in place from the half-angle
-chord form of the law of cosines.  A call first drops the nodes whose
-exponent lower bound already makes them negligible, then indexes only
-the live ones.  The radial tables of both fields are filled on first
-use, only in the rows a call keeps (_build_rows, run by _mixed_term), so
-a geometry holds only the rows its calls kept: after figure fig9, 40 % of
-the level-10 macro rows; FDD calls build none.  The kernel forms the angular sums of
-_BLOCK access pairs (a table row with one T_s) at a time in one scratch
-buffer and the radial sums 16 _BLOCK entries (a threshold pair at a node)
-at a time in another, so no full-size temporary is built.  All scratch
+chord form of the law of cosines.  For each threshold pair a call first
+drops the nodes whose exponent lower bound reaches their skip exponent
+log(f2w N / _SKIP_MASS), N the node count: such a node adds at most
+_SKIP_MASS / N (Gbar <= 1), so an evaluation drops at most _SKIP_MASS,
+which the coverage and rate error estimates include (docs/DECISIONS.md,
+entry 11).  It then indexes only the live nodes.  The radial tables of
+both fields are filled on first use, only in the rows a call keeps
+(_build_rows, run by _mixed_term), so a geometry holds only the rows its
+calls kept: after figure fig9, 29 % of the level-10 macro rows and 68 %
+of the level-6 ones; FDD calls build none.  The kernel forms the angular
+sums of _BLOCK access pairs (a table row with one T_s) at a time in one
+scratch buffer and the radial sums 16 _BLOCK entries (a threshold pair at
+a node) at a time in another, so no full-size temporary is built.  All scratch
 belongs to the call, never to the module.  A held geometry changes only
 where _build_rows fills an unbuilt row, with the values a build of every
 row at once would give.
@@ -92,8 +96,9 @@ from .tails import power_tail_nodes, shifted_functional_radius2
 
 __all__ = ["coverage_smallcell_result", "evaluate_joint"]
 
-# exponent above which a node's contribution e^{-E} is treated as zero
-_SKIP_EXPONENT = 45.0
+# probability one evaluation may drop: a node is skipped for a threshold
+# pair once its exponent lower bound reaches its skip exponent (_geometry)
+_SKIP_MASS = 1e-9
 # accuracy targets for the panelized 2-D coverage integral
 _COV_ABS_TOL = 5e-5
 _COV_REL_TOL = 2e-4
@@ -320,6 +325,7 @@ def _geometry(params: NetworkParams, level: int) -> dict:
     geom = _node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
     geom.update(
         f2w=f2w,
+        skip=np.log(f2w * (f2w.size / _SKIP_MASS)),  # module docstring
         rs_pow_as=rs ** params.alpha_s,
         r_pow_am=r ** params.alpha_m,
         ri2=ri ** 2, rs2=rs ** 2, r2=r ** 2,
@@ -490,13 +496,15 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     (K values, K live-node counts)."""
     lam_s, lam_m = params.lambda_s, params.lambda_m
     # the bound at the smallest thresholds keeps every node any pair keeps
-    # (the slack absorbs rounding); each pair then applies its own bound
+    # (the slack absorbs rounding, and is never negative); each pair then
+    # applies its own bound
+    skip = geom["skip"]
     lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
                          T_b.min(keepdims=True), geom, slice(None))[0]
-    cand = np.flatnonzero(lb < _SKIP_EXPONENT * (1.0 + 1e-12))
+    cand = np.flatnonzero(lb < skip + 1e-12 * np.abs(skip))
     # K = 1 reuses lb; recomputing it made a warm L6 FDD call 1.5, not 1.2 ms
     live = (lb[None, cand] if T_s.size == 1 else _exponent_bound(
-        params, mode, T_s, T_b, geom, cand)) < _SKIP_EXPONENT
+        params, mode, T_s, T_b, geom, cand)) < skip[cand]
     # (threshold k, node) pairs, node-major and grouped by access threshold
     # u within a node; each distinct (node, u) is one access pair
     ts_u, u_of = np.unique(T_s, return_inverse=True)
@@ -557,8 +565,9 @@ def coverage_smallcell_result(
 
     The ladder walks levels 3, 6 and 10, evaluating each at most once.
     The value is the finest level reached; the error estimate is its
-    difference against the level below.  One escalation, (6,3) to (10,6),
-    is attempted before reporting non-convergence.
+    difference against the level below, plus the _SKIP_MASS its skipped
+    nodes may hold.  One escalation, (6,3) to (10,6), on the level gap
+    alone, is attempted before reporting non-convergence.
     """
     if params.lambda_s <= 0.0:  # empty pico tier: the joint event is null
         return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
@@ -566,10 +575,11 @@ def coverage_smallcell_result(
     for level in (6, 10):
         value = evaluate_joint(params, T_s, T_b, mode, level=level,
                                bearing=bearing)
-        err = abs(value - coarse)
-        converged = err <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(value))
+        gap = abs(value - coarse)
+        converged = gap <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(value))
         if converged:
             break
         coarse = value
     return IntegralResult(value=min(max(value, 0.0), 1.0),
-                          error_estimate=err, converged=converged)
+                          error_estimate=gap + _SKIP_MASS,
+                          converged=converged)

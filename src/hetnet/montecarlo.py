@@ -33,8 +33,8 @@ P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot product,
 whose result would depend on the BLAS thread count.  Fading is drawn
 once per station per receiving link, in a fixed order.
 
-Chunked pass: trial i is seeded by SeedSequence(master_seed,
-spawn_key=(i,)), so any contiguous range of trials can run anywhere.
+Chunked pass: trial i's draws are seeded by SeedSequence(master_seed,
+spawn_key=(i, k)), so any contiguous range of trials can run anywhere.
 estimate_metrics splits its trials into one range per usable CPU (none
 shorter than _MIN_CHUNK_TRIALS; one inside a sweep, which spreads its
 points instead), runs them with fanout.fan_out and merges the ranges'
@@ -150,7 +150,11 @@ def sample_ppp(intensity: float, window: SimulationWindow, seed) -> np.ndarray:
     else:
         n = int(rng.poisson(intensity * window.area))
     w = window.half_width
-    return rng.uniform(-w, w, size=(n, 2))
+    # rng.uniform(-w, w, (n, 2)) bit for bit, in less time
+    points = rng.random((n, 2))
+    points *= 2.0 * w
+    points += -w
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -198,15 +202,15 @@ def _sq_distances(points: np.ndarray, center,
 def _gain(d2: np.ndarray, alpha: float) -> np.ndarray:
     """Path gains d^{-alpha} from squared distances, in place.
 
-    A zero distance gives an infinite gain without a warning: a coincident
+    A zero distance gives an infinite gain (evaluate_user, which runs
+    every power sum, ignores numpy's divide warning): a coincident
     interferer makes the link's interference infinite (SIR 0).
     """
-    with np.errstate(divide="ignore"):
-        if alpha == 4.0:
-            np.multiply(d2, d2, out=d2)
-            np.reciprocal(d2, out=d2)
-        else:
-            np.power(d2, -0.5 * alpha, out=d2)
+    if alpha == 4.0:
+        np.multiply(d2, d2, out=d2)
+        np.reciprocal(d2, out=d2)
+    else:
+        np.power(d2, -0.5 * alpha, out=d2)
     return d2
 
 
@@ -228,6 +232,8 @@ def _sir(signal: float, interference: float) -> float:
     return min(signal / interference, _SIR_CAP)
 
 
+# one error state per trial, not one per power sum
+@np.errstate(divide="ignore")
 def evaluate_user(realization: NetworkRealization, params: NetworkParams,
                   mode: DuplexMode, seed,
                   window: SimulationWindow = SimulationWindow()) -> UserSample:
@@ -236,6 +242,8 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     seed drives the fading draws only (i.i.d. unit-mean exponential per
     station per receiving link).  The window gives the distance metric
     (a torus under wrap) and, when flat, each link's out-of-window tail.
+    A zero distance (the serving pico from itself, or a coincident
+    station) raises no warning.
     """
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
@@ -251,14 +259,14 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
         power sums overwrite d2_own and d2_other."""
         reach = window.half_width - offset
         intensity, power, alpha = own
-        h = rng.exponential(size=d2_own.shape)
+        h = rng.standard_exponential(size=d2_own.shape)
         signal = power * float(h[serve]) * math.sqrt(d2_own[serve]) ** -alpha
         interference = _power_sum(power, h, d2_own, alpha, skip=serve)
         if comp_on:
             interference += _tail_mean(intensity, power, alpha, reach)
         if ibfd:
             intensity, power, alpha = other
-            h = rng.exponential(size=d2_other.shape)
+            h = rng.standard_exponential(size=d2_other.shape)
             interference += _power_sum(power, h, d2_other, alpha, skip=skip)
             if comp_on:
                 interference += _tail_mean(intensity, power, alpha, reach)
@@ -306,9 +314,10 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    stop: int):
     """Tallies of trials start..stop-1, each seeded on its own.
 
-    Trial i's seed is child i of SeedSequence(master_seed), rebuilt from
-    its spawn key and split again into the two point-process draws and
-    the fading draw, so results do not depend on which process runs which
+    Trial i's two point-process draws and its fading draw are seeded by
+    SeedSequence(master_seed, spawn_key=(i, k)), k = 0, 1, 2: the
+    children of child i of SeedSequence(master_seed), built from their
+    spawn keys, so results do not depend on which process runs which
     trials.  Returns (pico-associated count, pico hits, macro hits, the
     covered trials' rates in trial order).
     """
@@ -316,8 +325,8 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     rates = []
     access_share, backhaul_share, macro_share = band_shares(params, mode)
     for i in range(start, stop):
-        seed_m, seed_s, seed_fading = \
-            SeedSequence(master_seed, spawn_key=(i,)).spawn(3)
+        seed_m, seed_s, seed_fading = (
+            SeedSequence(master_seed, spawn_key=(i, k)) for k in range(3))
         realization = NetworkRealization(
             macro_points=sample_ppp(params.lambda_m, window, seed_m),
             pico_points=sample_ppp(params.lambda_s, window, seed_s),

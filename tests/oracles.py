@@ -297,9 +297,17 @@ def _dense_lens(s, geom, prefix, idx):
                                   * geom[prefix + "_xnpow"][idx]))
 
 
-def dense_evaluate_joint(params, T_s, T_b, mode, level=6, bearing="circle"):
-    """(value, number of live nodes) of smallcell.evaluate_joint, dense."""
+def dense_evaluate_joint(params, T_s, T_b, mode, level=6, bearing="circle",
+                         skip_mass=smallcell._SKIP_MASS):
+    """(value, number of live nodes) of smallcell.evaluate_joint, dense.
+
+    A node is live while its exponent lower bound is below
+    log(f2w N / skip_mass), N the node count; skip_mass = 0 keeps every
+    node whose bound is finite."""
     geom = dense_geometry(params, level)
+    f2w = geom["f2w"]
+    skip = (np.log(f2w * (f2w.size / skip_mass)) if skip_mass
+            else np.full(f2w.size, np.inf))
     lam_s, lam_m = params.lambda_s, params.lambda_m
     a_s, a_m = params.alpha_s, params.alpha_m
     rs, r, ri = geom["rs"], geom["r"], geom["ri"]
@@ -320,7 +328,7 @@ def dense_evaluate_joint(params, T_s, T_b, mode, level=6, bearing="circle"):
         lb = (lam_s * shifted_functional_radius2(s1, a_s, rs ** 2)
               + lam_m * shifted_functional_radius2(
                   s2p, a_m, np.maximum(r, rs + ri) ** 2))
-    idx = np.flatnonzero(lb < smallcell._SKIP_EXPONENT)
+    idx = np.flatnonzero(lb < skip)
     if idx.size == 0:
         return 0.0, 0
     s1, s2, s1p, s2p = s1[idx], s2[idx], s1p[idx], s2p[idx]

@@ -1,19 +1,20 @@
 """Tests for the assembled coverage and the covered-rate terms."""
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import integrate
 
 from hetnet import experiments
-from hetnet.analytic import association_probability
+from hetnet.analytic import association_probability, rates, smallcell
 from hetnet.analytic.macro import coverage_macro_result
 from hetnet.analytic.rates import (
     rate_macro_term_result,
     rate_smallcell_term_result,
 )
 from hetnet.analytic.smallcell import coverage_smallcell_result, evaluate_joint
-from hetnet.core import DuplexMode, NetworkParams, Thresholds
-from hetnet.experiments import evaluate_point
+from hetnet.core import DuplexMode, NetworkParams, Thresholds, band_shares
+from hetnet.experiments import evaluate_point, figure_preset
 
 
 def params_with(**kw) -> NetworkParams:
@@ -130,12 +131,14 @@ class TestRateTerms:
     # rate_smallcell_term_result at T = 0.1 with the G10/K21 tail, frozen
     # from the scalar t-node integrand (one evaluate_joint call per node
     # gives the same bits); each moved from its G10/G5-tail value by less
-    # than 0.1 of that value's error estimate
+    # than 0.1 of that value's error estimate; skipping nodes by a
+    # probability budget instead of an exponent of 45 moved each by at most
+    # 3.4e-12 (1.3e-6 of its error) and added 1.8e-8 to each error
     @pytest.mark.parametrize("mode, eta, value, error", [
-        (DuplexMode.IBFD, 0.151, 0.00993803803823713, 9.986400763833925e-06),
-        (DuplexMode.IBFD, 0.451, 0.027128185427559993, 1.2007917668923132e-06),
-        (DuplexMode.IBFD, 0.901, 0.04811085124611326, 1.4323000174755376e-06),
-        (DuplexMode.FDD, 0.451, 0.045945250861810644, 1.3578540567917019e-05)])
+        (DuplexMode.IBFD, 0.151, 0.009938038037779985, 1.0004538144790897e-05),
+        (DuplexMode.IBFD, 0.451, 0.027128185426570715, 1.2189291717449919e-06),
+        (DuplexMode.IBFD, 0.901, 0.04811085124425942, 1.4504376015297918e-06),
+        (DuplexMode.FDD, 0.451, 0.04594525085843977, 1.3596609212233591e-05)])
     def test_frozen_smallcell_term(self, mode, eta, value, error):
         res = rate_smallcell_term_result(params_with(eta=eta), TH, mode)
         assert res.converged
@@ -155,6 +158,39 @@ class TestRateTerms:
     def test_steep_backhaul_panel_against_composite_reference(self):
         res = rate_smallcell_term_result(NetworkParams(eta=0.001), TH)
         assert abs(res.value - 6.688059e-5) <= res.error_estimate
+
+    # fig14's eta grid: one evaluate_joint call for the head and the
+    # breakpoint panel, then one per tail panel, whether nodes are skipped
+    # by an exponent of 45 or by the probability budget
+    @pytest.mark.parametrize("eta, n_calls", [
+        (0.001, 2), (0.151, 3), (0.301, 3), (0.451, 3), (0.601, 3),
+        (0.751, 3), (0.901, 3)])
+    def test_error_holds_the_skip_budget_over_its_t_range(
+            self, monkeypatch, eta, n_calls):
+        spec = figure_preset("fig14")
+        p, th = replace(spec.base_params, eta=eta), spec.base_thresholds
+        calls = []
+        original = rates.evaluate_joint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "evaluate_joint", counted)
+        res = rate_smallcell_term_result(p, th)
+        assert res.converged and len(calls) == n_calls
+        # the last of the n_calls - 1 tail panels ends (2^(n_calls - 1) - 1)
+        # graded lengths past the last breakpoint
+        k_a, k_bh, _ = band_shares(p, DuplexMode.IBFD)
+        t_end = max(k_a * math.log2(1.0 + th.T_s),
+                    k_bh * math.log2(1.0 + th.T_b)) \
+            + rates._TAIL_GRADE * (2.0 ** (n_calls - 1) - 1.0)
+        assert res.error_estimate >= smallcell._SKIP_MASS * t_end
+        monkeypatch.setattr(rates, "_SKIP_MASS", 0.0)
+        no_budget = rate_smallcell_term_result(p, th)
+        assert no_budget.value == res.value
+        assert res.error_estimate - no_budget.error_estimate \
+            == pytest.approx(smallcell._SKIP_MASS * t_end, rel=1e-6)
 
     def test_frozen_rate_anchors(self):
         p = params_with()

@@ -82,6 +82,20 @@ class TestSamplePpp:
         for s in range(5):
             assert sample_ppp(2.0, w, seed=s).shape[0] == round(2.0 * w.area)
 
+    @pytest.mark.parametrize("fixed_count", [False, True])
+    @pytest.mark.parametrize("half_width", [0.5, 3.0, 30.0, 123.456])
+    def test_points_are_the_uniform_draw(self, half_width, fixed_count):
+        # the seeded positions are rng.uniform(-w, w, (n, 2)) bit for bit
+        w = SimulationWindow(half_width=half_width, fixed_count=fixed_count)
+        for seed in (0, 1, 7, 2024, SeedSequence(5, spawn_key=(3, 1))):
+            got = sample_ppp(2.0, w, seed)
+            rng = np.random.default_rng(seed)
+            n = (round(2.0 * w.area) if fixed_count
+                 else int(rng.poisson(2.0 * w.area)))
+            expected = rng.uniform(-half_width, half_width, (n, 2))
+            assert got.shape == (n, 2)
+            assert np.array_equal(got, expected)
+
     def test_zero_intensity_gives_empty(self):
         assert sample_ppp(0.0, SimulationWindow(), seed=1).shape == (0, 2)
 

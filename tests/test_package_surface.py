@@ -106,7 +106,7 @@ RETIRED = [
     "_GEOM_CACHE", "_GEOM_CACHE_MAX", "_GEOM_CACHE_BYTES", "_geometry_key",
     "_is_covered", "_rate_sample", "macro_tail", "pico_tail",
     "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
-    "window is None", "acc is None", "_converged",
+    "window is None", "acc is None", "_converged", "_SKIP_EXPONENT",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
