@@ -224,10 +224,9 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
             report(f"{mode_name} {name}", abs(z) <= 3.0,
                    f"analytic={value:.6f} mc={est.mean:.6f} z={z:+.2f}")
 
-    first = estimate_metrics(cfg.params, th, DuplexMode.IBFD, n_trials=200,
-                             window=cfg.window, master_seed=seed)
-    second = estimate_metrics(cfg.params, th, DuplexMode.IBFD, n_trials=200,
-                              window=cfg.window, master_seed=seed)
+    first, second = (estimate_metrics(cfg.params, th, DuplexMode.IBFD,
+                                      n_trials=200, window=cfg.window,
+                                      master_seed=seed) for _ in range(2))
     report("seeded determinism", first == second,
            "two identically seeded runs agree" if first == second
            else "identically seeded runs diverged")

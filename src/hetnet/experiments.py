@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .analytic import (
     association_probability,
     coverage_macro_result,
@@ -29,7 +27,7 @@ from .analytic import (
 )
 from .core import DuplexMode, NetworkParams, Thresholds
 from .fanout import fan_out, process_count
-from .montecarlo import SimulationWindow, estimate_metrics
+from .montecarlo import SimulationWindow, simulate_pass, tally_metrics
 from .numerics import NonConvergenceError
 
 __all__ = [
@@ -128,6 +126,22 @@ def _apply_swept_value(spec: SweepSpec, x: float):
     return replace(p, alpha_s=x), th
 
 
+# one model point's passes, by mode: no SIR reads eta, kappa or a threshold
+# (docs/DECISIONS.md, entry 12); a new point drops them
+_PASSES: dict = {}
+
+
+def _held_pass(params: NetworkParams, mode: DuplexMode, trials: int,
+               window: SimulationWindow, seed: int) -> list:
+    point = (replace(params, eta=0.0, kappa=0.0), trials, window, seed)
+    if point not in _PASSES:
+        _PASSES.clear()
+    held = _PASSES.setdefault(point, {})
+    if mode not in held:
+        held[mode] = simulate_pass(params, mode, trials, window, seed)
+    return held[mode]
+
+
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",), trials: int = 0,
                    seed: int = 0,
@@ -143,8 +157,9 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     their plain sum, with no extra association weighting.
     Coverage is integrated once and also normalizes the covered rate;
     with trials > 0 and coverage or rate requested, one seeded simulation
-    pass supplies the Monte Carlo estimate of every reported metric it
-    covers.  Every analytic value comes with its solver's error estimate;
+    pass, held for this point (_held_pass), supplies the Monte Carlo
+    estimate of every reported metric it covers.  Every analytic value
+    comes with its solver's error estimate;
     p_total and rate_total carry their inputs' estimates and converge only
     when all of their inputs did.  bearing is the serving-macro bearing
     convention of the small-cell integrals; x labels the row.
@@ -189,8 +204,8 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
     mc: dict = {}
     if trials > 0 and (wants_coverage or wants_rate):
-        estimates = estimate_metrics(params, th, mode, n_trials=trials,
-                                     window=window, master_seed=seed)
+        estimates = tally_metrics(
+            _held_pass(params, mode, trials, window, seed), params, th, mode)
         if wants_rate and "rate_total" not in estimates:
             raise ValueError("conditioning event empty in sample")
         mc = {name: est for name, est in estimates.items()
@@ -201,11 +216,11 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
         quad_error={n: r.error_estimate for n, r in results.items()})
 
 
-def _sweep_cells(spec: SweepSpec, cells: list,
+def _sweep_cells(spec: SweepSpec, cells: list, seed: int,
                  window: SimulationWindow) -> list:
-    """The row of each (x, mode, seed) cell, in order."""
+    """The row of each (x, mode) cell, in order."""
     rows = []
-    for x, mode, seed in cells:
+    for x, mode in cells:
         try:
             params, th = _apply_swept_value(spec, x)
             rows.append(evaluate_point(
@@ -220,17 +235,18 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
               window: SimulationWindow = SimulationWindow()) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
-    Simulation seeds derive from master_seed by cell index, so results are
-    reproducible and independent of the CPU count.  A failing point is
-    reported in its row's `error` field without aborting the sweep.
+    Every cell simulates with master_seed from no held pass, so the cells
+    of one model point (a T_s or eta sweep) tally one pass per mode and
+    results do not depend on the CPU count.  A failing point is reported
+    in its row's `error` field without aborting the sweep.
     """
+    _PASSES.clear()
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
-    seeds = np.random.SeedSequence(master_seed).generate_state(len(cells))
-    cells = [(x, mode, int(seed)) for (x, mode), seed in zip(cells, seeds)]
     m, n = len(spec.modes), min(process_count(), len(spec.grid))
     # grid point i, with all its modes, goes to process i % n
     rows = [iter(part) for part in fan_out(_sweep_cells, [
-        (spec, [c for i, c in enumerate(cells) if i // m % n == j], window)
+        (spec, [c for i, c in enumerate(cells) if i // m % n == j],
+         master_seed, window)
         for j in range(n)])]
     return [next(rows[i // m % n]) for i in range(len(cells))]
 

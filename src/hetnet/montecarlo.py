@@ -22,23 +22,21 @@ intensity * P * integral of |z|^{-alpha} beyond the square, computed with
 the exact square-boundary angular profile, offset by the receiver's
 displacement from center); zero-interference links are capped.
 
-Per-trial kernel: the macro user's access link, the pico access link and
-the backhaul each call one link routine.  It draws the serving tier's
-fading, forms the signal and adds that tier's power sum without the
-server, then its out-of-window tail; in IBFD it draws the other tier's
-fading and adds that tier's power sum (without the serving pico, at the
-backhaul) and tail.  A power sum turns one fresh array of squared
-distances (minimum-image under wrap) into path gains in place and is
-P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot product,
-whose result would depend on the BLAS thread count.  Fading is drawn
-once per station per receiving link, in a fixed order.
+Per-trial kernel: the three links (macro access, pico access, backhaul)
+share one link routine, which sums the serving tier without the server,
+and in IBFD the other tier (without the serving pico, at the backhaul),
+each with its out-of-window tail.  A power sum turns a fresh array of
+squared distances (minimum-image under wrap) into path gains in place
+and is P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot
+product, whose result would depend on the BLAS thread count.  Fading is
+drawn once per station per receiving link, in a fixed order.
 
-Chunked pass: trial i's draws are seeded by SeedSequence(master_seed,
-spawn_key=(i, k)), so any contiguous range of trials can run anywhere.
-estimate_metrics splits its trials into one range per usable CPU (none
-shorter than _MIN_CHUNK_TRIALS; one inside a sweep, which spreads its
-points instead), runs them with fanout.fan_out and merges the ranges'
-tallies in trial order, so every estimate is bit-identical for any split.
+Pass and tally: simulate_pass returns the trials' UserSamples, which no
+threshold, eta or kappa enters, and tally_metrics counts them against
+the thresholds.  Trial i's draws are seeded by SeedSequence(master_seed,
+spawn_key=(i, k)), so a pass splits into one range of trials per usable
+CPU (one inside a sweep, which spreads its points instead), run by
+fanout.fan_out and joined in trial order: bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -62,6 +60,8 @@ __all__ = [
     "estimate_metrics",
     "evaluate_user",
     "sample_ppp",
+    "simulate_pass",
+    "tally_metrics",
 ]
 
 # stand-in for an interference-free link, keeping rate samples finite
@@ -199,31 +199,23 @@ def _sq_distances(points: np.ndarray, center,
     return d2
 
 
-def _gain(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """Path gains d^{-alpha} from squared distances, in place.
+def _power_sum(power: float, h: np.ndarray, d2: np.ndarray, alpha: float,
+               skip: Optional[int] = None) -> float:
+    """power * sum of h * d^{-alpha} over every station but skip.
 
-    A zero distance gives an infinite gain (evaluate_user, which runs
-    every power sum, ignores numpy's divide warning): a coincident
-    interferer makes the link's interference infinite (SIR 0).
+    Consumes d2: it is overwritten by the gains d^{-alpha}.  A zero
+    distance gives an infinite gain (evaluate_user, which runs every power
+    sum, ignores numpy's divide warning): a coincident interferer makes
+    the link's interference infinite (SIR 0).
     """
     if alpha == 4.0:
         np.multiply(d2, d2, out=d2)
         np.reciprocal(d2, out=d2)
     else:
         np.power(d2, -0.5 * alpha, out=d2)
-    return d2
-
-
-def _power_sum(power: float, h: np.ndarray, d2: np.ndarray, alpha: float,
-               skip: Optional[int] = None) -> float:
-    """power * sum of h * d^{-alpha} over every station but skip.
-
-    Consumes d2: it is overwritten by the gains.
-    """
-    g = _gain(d2, alpha)
     if skip is not None:
-        g[skip] = 0.0
-    return power * float(np.einsum("i,i->", h, g))
+        d2[skip] = 0.0
+    return power * float(np.einsum("i,i->", h, d2))
 
 
 def _sir(signal: float, interference: float) -> float:
@@ -309,30 +301,55 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
+def _chunk_samples(params: NetworkParams, mode: DuplexMode,
                    window: SimulationWindow, master_seed: int, start: int,
-                   stop: int):
-    """Tallies of trials start..stop-1, each seeded on its own.
-
-    Trial i's two point-process draws and its fading draw are seeded by
-    SeedSequence(master_seed, spawn_key=(i, k)), k = 0, 1, 2: the
-    children of child i of SeedSequence(master_seed), built from their
-    spawn keys, so results do not depend on which process runs which
-    trials.  Returns (pico-associated count, pico hits, macro hits, the
-    covered trials' rates in trial order).
-    """
-    n_assoc_s = hits_s = hits_m = 0
-    rates = []
-    access_share, backhaul_share, macro_share = band_shares(params, mode)
+                   stop: int) -> list:
+    """The UserSamples of trials start..stop-1.  Trial i's two point
+    processes and its fading are seeded by SeedSequence(master_seed,
+    spawn_key=(i, k)), k = 0, 1, 2: the children of child i of
+    SeedSequence(master_seed), rebuilt from their spawn keys."""
+    samples = []
     for i in range(start, stop):
         seed_m, seed_s, seed_fading = (
             SeedSequence(master_seed, spawn_key=(i, k)) for k in range(3))
         realization = NetworkRealization(
-            macro_points=sample_ppp(params.lambda_m, window, seed_m),
-            pico_points=sample_ppp(params.lambda_s, window, seed_s),
-        )
-        sample = evaluate_user(realization, params, mode, seed_fading,
-                               window=window)
+            sample_ppp(params.lambda_m, window, seed_m),
+            sample_ppp(params.lambda_s, window, seed_s))
+        samples.append(evaluate_user(realization, params, mode, seed_fading,
+                                     window=window))
+    return samples
+
+
+def simulate_pass(params: NetworkParams, mode: DuplexMode, n_trials: int,
+                  window: SimulationWindow, master_seed: int) -> list:
+    """The UserSamples of n_trials seeded trials, in trial order, run in
+    one range per usable CPU (none shorter than _MIN_CHUNK_TRIALS)."""
+    if n_trials <= 0:
+        raise ValueError("n_trials must be >= 1")
+    n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
+    bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
+    return [sample for chunk in fan_out(_chunk_samples, [
+        (params, mode, window, master_seed, start, stop)
+        for start, stop in zip(bounds, bounds[1:])]) for sample in chunk]
+
+
+def tally_metrics(samples: list, params: NetworkParams, th: Thresholds,
+                  mode: DuplexMode) -> dict[str, EstimateWithCI]:
+    """Every simulated metric of one pass (simulate_pass) at thresholds th.
+
+    Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
+    The tier components count trials that both associate with that tier
+    and clear its thresholds, so p_total = p_smallcell_joint +
+    p_macro_joint exactly.  rate_total, present when a trial is covered,
+    is the mean throughput over covered trials (its n_trials is the
+    covered count): the macro band share of log2(1 + SIR_um) for macro
+    users, the lesser of the access share and the per-pico backhaul share
+    for pico users, summed with fsum in trial order.
+    """
+    n_assoc_s = hits_s = hits_m = 0
+    rates = []
+    access_share, backhaul_share, macro_share = band_shares(params, mode)
+    for sample in samples:
         if sample.associated_tier == "pico":
             n_assoc_s += 1
             if sample.sir_us > th.T_s and sample.sir_sm > th.T_b:
@@ -343,39 +360,7 @@ def _chunk_tallies(params: NetworkParams, th: Thresholds, mode: DuplexMode,
         elif sample.sir_um > th.T_m:
             hits_m += 1
             rates.append(macro_share * math.log2(1.0 + sample.sir_um))
-    return n_assoc_s, hits_s, hits_m, rates
-
-
-def estimate_metrics(params: NetworkParams, th: Thresholds,
-                     mode: DuplexMode = DuplexMode.IBFD,
-                     n_trials: int = 20_000,
-                     window: SimulationWindow = SimulationWindow(),
-                     master_seed: int = 0) -> dict[str, EstimateWithCI]:
-    """Every simulated metric at one point, from one batch of trials.
-
-    Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
-    The tier components count trials that both associate with that tier
-    and clear its thresholds, so p_total = p_smallcell_joint +
-    p_macro_joint exactly.
-
-    rate_total, present when at least one trial is covered, is the mean
-    throughput over covered trials (conditional on coverage; its n_trials
-    is the covered count).  Macro users get the macro band share of
-    log2(1 + SIR_um); pico users get the lesser of their access share and
-    the backhaul share split across the lambda_s/lambda_m picos per
-    macro.  Summation uses fsum, so no estimate depends on accumulation
-    order or on how the trials are split (see the module docstring).
-    """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be >= 1")
-    n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
-    bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
-    tallies = fan_out(_chunk_tallies, [
-        (params, th, mode, window, master_seed, start, stop)
-        for start, stop in zip(bounds, bounds[1:])])
-    n_assoc_s, hits_s, hits_m = (sum(t[k] for t in tallies)
-                                 for k in range(3))
-    rates = [rate for t in tallies for rate in t[3]]
+    n_trials = len(samples)
     out = {
         "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
         "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),
@@ -389,3 +374,13 @@ def estimate_metrics(params: NetworkParams, th: Thresholds,
         out["rate_total"] = EstimateWithCI.from_mean_se(
             mean, math.sqrt(var / n_cov), n_cov)
     return out
+
+
+def estimate_metrics(params: NetworkParams, th: Thresholds,
+                     mode: DuplexMode = DuplexMode.IBFD,
+                     n_trials: int = 20_000,
+                     window: SimulationWindow = SimulationWindow(),
+                     master_seed: int = 0) -> dict[str, EstimateWithCI]:
+    """tally_metrics of a pass drawn for this call alone."""
+    samples = simulate_pass(params, mode, n_trials, window, master_seed)
+    return tally_metrics(samples, params, th, mode)

@@ -38,7 +38,6 @@ Independent routes that the package does not run:
   with direct adaptive quadrature of the defining integrals.  The allowed
   bearing angle is computed here from (r_s, r, R_i).
 """
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -248,10 +247,26 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     return out
 
 
-@functools.lru_cache(maxsize=1)
+# the last dense geometry built, by (params, level); at level 10 it holds
+# about 412 MB, so it is dropped before the next one is built, and by
+# release_dense_geometry once the tests that use it are done
+_DENSE_HELD: dict = {}
+
+
 def dense_geometry(params, level):
     """The live nodes of smallcell._geometry with dense_node_tensors, plus
-    their (r_s, r, R_i); the last one built is kept."""
+    their (r_s, r, R_i); the last one built is held (_DENSE_HELD)."""
+    if (params, level) not in _DENSE_HELD:
+        _DENSE_HELD.clear()
+        _DENSE_HELD[params, level] = _dense_geometry(params, level)
+    return _DENSE_HELD[params, level]
+
+
+def release_dense_geometry():
+    _DENSE_HELD.clear()
+
+
+def _dense_geometry(params, level):
     g = outer_grid(params, level)
     f2w = joint_pdf(g["rs"], g["r"], params) * g["w"]
     live = f2w > (f2w.max() * 1e-15 if f2w.size else 0.0)

@@ -21,7 +21,16 @@ from oracles import (
     dense_mixed_term,
     dense_sharpness,
     j_components,
+    release_dense_geometry,
 )
+
+
+@pytest.fixture(autouse=True, scope="class")
+def _release_dense_geometry():
+    # a dense level-10 geometry holds about 412 MB: no class leaves one
+    # behind for the next
+    yield
+    release_dense_geometry()
 
 
 def params_with(**kw) -> NetworkParams:

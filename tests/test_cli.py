@@ -418,8 +418,34 @@ class TestMainSimulate:
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--trials", "300", "--seed", "42"]
         assert main(argv + ["--out", str(out_a)]) == 0
+        # the second run draws its own pass, as a new process would
+        experiments._PASSES.clear()
         assert main(argv + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["ibfd", "fdd"])
+    def test_equals_a_one_point_sweep_with_its_seed(self, mode, tmp_path):
+        # a sweep simulates every cell with its master seed
+        argv = ["--trials", "300", "--seed", "9"]
+        point, swept = tmp_path / "point.csv", tmp_path / "swept.csv"
+        assert main(["simulate", "--mode", mode, "--out", str(point)]
+                    + argv) == 0
+        experiments._PASSES.clear()
+        cfg = write_config(tmp_path, {
+            "swept_parameter": "T_s", "grid": [Thresholds().T_s],
+            "modes": [mode], "outputs": ["coverage_breakdown", "rate"]})
+        assert main(["sweep", "--config", cfg, "--out", str(swept)]
+                    + argv) == 0
+
+        def mc_columns(path):
+            return [(r["metric"], r["mc_mean"], r["mc_ci95_low"],
+                     r["mc_ci95_high"], r["n_trials"])
+                    for r in csv_rows(path.read_text(encoding="utf-8"))]
+
+        simulated = [c for c in mc_columns(point) if c[4] != "0"]
+        assert [c[0] for c in simulated] == [
+            "p_total", "p_smallcell_joint", "p_macro_joint", "rate_total"]
+        assert mc_columns(point) == mc_columns(swept)
 
     def test_simulation_columns_populated(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -452,6 +478,7 @@ class TestMainSimulate:
                         getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name,
                                         count(name, original))
+        monkeypatch.setattr(experiments, "_PASSES", {})
         assert main(["simulate", "--trials", "120", "--seed", "4",
                      "--out", str(tmp_path / "sim.csv")]) == 0
         assert calls == {"evaluate_user": 120,
@@ -471,6 +498,7 @@ class TestFullScale:
         flag, fixed = tmp_path / "flag.csv", tmp_path / "fixed.csv"
         assert main(argv + ["--full-scale", "--out", str(flag), "--config",
                             write_config(tmp_path, base, "flag.json")]) == 0
+        experiments._PASSES.clear()
         assert main(argv + ["--out", str(fixed), "--config", write_config(
             tmp_path, {**base, "fixed_count": True}, "fixed.json")]) == 0
         assert flag.read_bytes() == fixed.read_bytes()
@@ -485,6 +513,7 @@ class TestFullScale:
             return points
 
         monkeypatch.setattr(montecarlo, "sample_ppp", spy)
+        monkeypatch.setattr(experiments, "_PASSES", {})
         # one process, so that the spy sees every draw
         monkeypatch.setattr(montecarlo, "process_count", lambda: 1)
         cfg = write_config(tmp_path, {"window_half_width": 8.0})

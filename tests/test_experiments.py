@@ -10,6 +10,7 @@ import os
 import resource
 import threading
 from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 
@@ -232,7 +233,7 @@ class TestRunSweep:
         def boom(*args, **kwargs):
             raise AssertionError("simulation invoked on analytic sweep")
 
-        monkeypatch.setattr("hetnet.experiments.estimate_metrics", boom)
+        monkeypatch.setattr("hetnet.experiments.simulate_pass", boom)
         rows = run_sweep(SweepSpec("lambda_ratio", (4.0,)))
         assert rows[0].mc == {}
 
@@ -250,10 +251,13 @@ class TestRunSweep:
                   modes=tuple(DuplexMode), mc_trials=500),
         SweepSpec("eta", (0.151, 0.451, 0.901), modes=tuple(DuplexMode),
                   outputs=("rate",)),
-    ], ids=["coverage-trials", "rate"])
+        # one model point: every process tallies its own held passes
+        SweepSpec("T_s", (0.1, 0.6, 1.1, 2.1), modes=tuple(DuplexMode),
+                  outputs=("coverage_breakdown",), mc_trials=300),
+    ], ids=["coverage-trials", "rate", "threshold-trials"])
     def test_process_count_does_not_change_results(self, spec, monkeypatch):
         # 3 processes share 4 points unevenly; each run builds its own
-        # geometries, in its own processes
+        # geometries and draws its own passes, in its own processes
         runs = []
         for count in (1, 2, 3):
             monkeypatch.setattr(fanout, "_process_count",
@@ -303,6 +307,47 @@ class TestRunSweep:
         # the second point ran in a worker, which is gone
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
         assert multiprocessing.active_children() == []
+
+    def test_threshold_sweep_draws_one_pass_per_mode(self, monkeypatch):
+        # no SIR reads T_s, so the six cells of a mode tally one pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_user(*args, **kwargs)
+
+        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
+        monkeypatch.setattr(montecarlo, "evaluate_user", counted)
+        rows = run_sweep(SweepSpec("T_s", (0.1, 0.3, 0.6, 1.1, 2.1, 4.1),
+                                   modes=tuple(DuplexMode), mc_trials=300),
+                         window=SimulationWindow(10.0))
+        assert all(row.error is None and row.mc for row in rows)
+        assert len(calls) == 2 * 300
+        assert {mode: calls.count(mode) for mode in DuplexMode} == {
+            DuplexMode.IBFD: 300, DuplexMode.FDD: 300}
+
+    def test_shared_pass_rows_agree_with_analytic(self):
+        # every row of a threshold and a backhaul-share sweep tallies one
+        # pass per mode, so the rows are correlated; each row's interval
+        # stays a valid marginal one, and a Bonferroni band over all rows
+        # holds the family-wise false-alarm rate at 1 %.  The presets use
+        # the circle bearing; its gap to the law the simulator realizes
+        # is at most 0.0032 in coverage and 0.0055 in rate at these rows,
+        # about a tenth of each row's band
+        fig9 = replace(figure_preset("fig9"), grid=(0.1, 1.1, 2.1, 3.1, 4.1),
+                       mc_trials=2000)
+        fig14 = replace(figure_preset("fig14"),
+                        grid=figure_preset("fig14").grid[1::2],
+                        mc_trials=2000)
+        rows = run_sweep(fig9, master_seed=1) + run_sweep(fig14,
+                                                          master_seed=1)
+        checks = [(row, name) for row in rows for name in row.mc]
+        assert len(checks) == 2 * 5 + 3
+        z_max = NormalDist().inv_cdf(1.0 - 0.01 / (2 * len(checks)))
+        for row, name in checks:
+            est = row.mc[name]
+            z = (est.mean - row.analytic[name]) / est.std_error
+            assert abs(z) <= z_max, (row.x, row.mode, name, z)
 
     def test_rate_sweep_builds_each_geometry_once(self, monkeypatch,
                                                   tmp_path):

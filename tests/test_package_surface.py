@@ -107,6 +107,7 @@ RETIRED = [
     "_is_covered", "_rate_sample", "macro_tail", "pico_tail",
     "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
     "window is None", "acc is None", "_converged", "_SKIP_EXPONENT",
+    "_chunk_tallies", "generate_state", "_gain",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
