@@ -37,7 +37,7 @@ from .experiments import (
     figure_preset,
     run_sweep,
 )
-from .montecarlo import SimulationWindow, estimate_metrics
+from .montecarlo import SimulationWindow, estimate_metrics, simulate_pass
 from .numerics import NonConvergenceError
 
 __all__ = [
@@ -212,10 +212,10 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
 
     th = cfg.thresholds
     for mode_name, mode in _MODES.items():
+        samples = simulate_pass(cfg.params, mode, trials, cfg.window, seed)
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
-                             trials=trials, seed=seed, window=cfg.window,
-                             bearing="arc")
+                             samples, bearing="arc")
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
@@ -245,13 +245,13 @@ def _build_parser() -> _CliParser:
     parser = _CliParser(prog="hetnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, config=True, mc=False):
+    def command(name, help_text, config=True, mc=False, trials=None):
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
         if mc:
-            p.add_argument("--trials", type=int, default=None,
+            p.add_argument("--trials", type=int, default=trials,
                            help="simulation trial count")
             p.add_argument("--seed", type=int, default=0,
                            help="master seed for simulation draws")
@@ -264,13 +264,15 @@ def _build_parser() -> _CliParser:
             ("coverage", "single-point analytic coverage"),
             ("rate", "single-point analytic covered rate"),
             ("simulate", "Monte Carlo estimate at one point")):
-        command(name, help_text, mc=name == "simulate").add_argument(
+        command(name, help_text, mc=name == "simulate",
+                trials=20_000).add_argument(
             "--mode", default="ibfd", choices=sorted(_MODES),
             help="duplexing mode")
     command("sweep", "run a sweep from a config file", mc=True)
     command("figure", "run a reference-figure preset sweep", config=False,
             mc=True).add_argument("figure_id", choices=list(FIGURE_IDS))
-    command("validate", "analytic-vs-simulation consistency suite", mc=True)
+    command("validate", "analytic-vs-simulation consistency suite", mc=True,
+            trials=4000)
     return parser
 
 
@@ -280,14 +282,6 @@ def _load_config(args) -> RunConfig:
         return parse_config("{}")
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read(), source=path)
-
-
-def _trials(args, default: int) -> int:
-    """--trials of simulate and validate, which need at least one trial."""
-    trials = args.trials if args.trials is not None else default
-    if trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    return trials
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -312,13 +306,12 @@ def main(argv=None) -> int:
     notes = ()
     try:
         if args.command in _POINT_OUTPUTS:
-            trials = 0
+            mode, samples = _MODES[args.mode], None
             if args.command == "simulate":
-                trials = _trials(args, 20_000)
-            rows = [evaluate_point(
-                cfg.params, cfg.thresholds, _MODES[args.mode],
-                _POINT_OUTPUTS[args.command], trials=trials,
-                seed=getattr(args, "seed", 0), window=cfg.window)]
+                samples = simulate_pass(cfg.params, mode, args.trials,
+                                        cfg.window, args.seed)
+            rows = [evaluate_point(cfg.params, cfg.thresholds, mode,
+                                   _POINT_OUTPUTS[args.command], samples)]
         elif args.command in ("sweep", "figure"):
             if args.command == "figure":
                 spec = figure_preset(args.figure_id)
@@ -333,7 +326,7 @@ def main(argv=None) -> int:
             notes = spec.notes
             rows = run_sweep(spec, master_seed=args.seed, window=cfg.window)
         else:  # validate
-            text, code = _validate(cfg, _trials(args, 4000), args.seed)
+            text, code = _validate(cfg, args.trials, args.seed)
             _emit(text, out_path)
             return code
         _emit(rows_to_csv(rows, notes), out_path)

@@ -75,6 +75,13 @@ class NetworkParams:
                 raise ValueError(f"invalid NetworkParams: {name} must be finite")
 
     @property
+    def network(self) -> tuple:
+        """Densities, powers, biases and path-loss exponents: every field
+        that a simulation pass or a small-cell geometry reads."""
+        return (self.lambda_m, self.lambda_s, self.P_m, self.P_s, self.B_m,
+                self.B_s, self.alpha_m, self.alpha_s)
+
+    @property
     def picos_per_macro(self) -> float:
         """Mean number of pico stations per macro station, lambda_s/lambda_m."""
         return self.lambda_s / self.lambda_m

@@ -126,27 +126,10 @@ def _apply_swept_value(spec: SweepSpec, x: float):
     return replace(p, alpha_s=x), th
 
 
-# one model point's passes, by mode: no SIR reads eta, kappa or a threshold
-# (docs/DECISIONS.md, entry 12); a new point drops them
-_PASSES: dict = {}
-
-
-def _held_pass(params: NetworkParams, mode: DuplexMode, trials: int,
-               window: SimulationWindow, seed: int) -> list:
-    point = (replace(params, eta=0.0, kappa=0.0), trials, window, seed)
-    if point not in _PASSES:
-        _PASSES.clear()
-    held = _PASSES.setdefault(point, {})
-    if mode not in held:
-        held[mode] = simulate_pass(params, mode, trials, window, seed)
-    return held[mode]
-
-
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
-                   outputs: tuple = ("coverage_total",), trials: int = 0,
-                   seed: int = 0,
-                   window: SimulationWindow = SimulationWindow(),
-                   bearing: str = "circle", x: float = math.nan) -> SweepRow:
+                   outputs: tuple = ("coverage_total",),
+                   samples: Optional[list] = None, bearing: str = "circle",
+                   x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
     This is the package's one analytic entry point, for library callers
@@ -155,13 +138,13 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     macro-associated with its one link up.  Both tier solvers return
     probabilities joint with their association event, so p_total is
     their plain sum, with no extra association weighting.
-    Coverage is integrated once and also normalizes the covered rate;
-    with trials > 0 and coverage or rate requested, one seeded simulation
-    pass, held for this point (_held_pass), supplies the Monte Carlo
-    estimate of every reported metric it covers.  Every analytic value
-    comes with its solver's error estimate;
-    p_total and rate_total carry their inputs' estimates and converge only
-    when all of their inputs did.  bearing is the serving-macro bearing
+    Coverage is integrated once and also normalizes the covered rate.
+    samples, a simulate_pass result for this network and mode or None,
+    is tallied at this point's thresholds, eta, kappa and beta for the
+    Monte Carlo estimate of every reported metric it covers.  Every
+    analytic value comes with its solver's error estimate; p_total and
+    rate_total carry their inputs' estimates and converge only when all
+    of their inputs did.  bearing is the serving-macro bearing
     convention of the small-cell integrals; x labels the row.
 
     Raises NonConvergenceError when an integral behind a reported value
@@ -203,9 +186,8 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                 f"{result.error_estimate:.2e})")
 
     mc: dict = {}
-    if trials > 0 and (wants_coverage or wants_rate):
-        estimates = tally_metrics(
-            _held_pass(params, mode, trials, window, seed), params, th, mode)
+    if samples is not None:
+        estimates = tally_metrics(samples, params, th, mode)
         if wants_rate and "rate_total" not in estimates:
             raise ValueError("conditioning event empty in sample")
         mc = {name: est for name, est in estimates.items()
@@ -218,14 +200,22 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
 def _sweep_cells(spec: SweepSpec, cells: list, seed: int,
                  window: SimulationWindow) -> list:
-    """The row of each (x, mode) cell, in order."""
-    rows = []
+    """The row of each (x, mode) cell, in order; the cells of one network
+    tally one pass per mode, drawn at the first cell that needs it."""
+    simulated = spec.mc_trials > 0 and any(
+        name in spec.outputs
+        for name in ("coverage_total", "coverage_breakdown", "rate"))
+    rows, passes, network = [], {}, None
     for x, mode in cells:
         try:
             params, th = _apply_swept_value(spec, x)
-            rows.append(evaluate_point(
-                params, th, mode, spec.outputs, trials=spec.mc_trials,
-                seed=seed, window=window, x=x))
+            if simulated and params.network != network:
+                passes, network = {}, params.network
+            if simulated and mode not in passes:
+                passes[mode] = simulate_pass(params, mode, spec.mc_trials,
+                                             window, seed)
+            rows.append(evaluate_point(params, th, mode, spec.outputs,
+                                       passes.get(mode), x=x))
         except (ValueError, NonConvergenceError) as exc:
             rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
     return rows
@@ -235,12 +225,11 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
               window: SimulationWindow = SimulationWindow()) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
-    Every cell simulates with master_seed from no held pass, so the cells
-    of one model point (a T_s or eta sweep) tally one pass per mode and
-    results do not depend on the CPU count.  A failing point is reported
-    in its row's `error` field without aborting the sweep.
+    Every cell simulates with master_seed, so the cells of one network
+    (a T_s, eta or beta sweep) tally one pass per mode, and results do
+    not depend on the CPU count.  A failing point is reported in its
+    row's `error` field without aborting the sweep.
     """
-    _PASSES.clear()
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
     m, n = len(spec.modes), min(process_count(), len(spec.grid))
     # grid point i, with all its modes, goes to process i % n

@@ -11,7 +11,7 @@ definition exactly:
    all other macros, plus the backhauling macro's own explicit term;
  - backhaul SIR at the serving pico: its nearest macro's signal over all
    other macros, all other picos (shared band), and the residual
-   self-interference beta * P (own or macro power by convention);
+   self-interference beta * P_s or beta * P_m, which the tally adds;
  - macro access SIR: nearest macro over all other macros plus every pico;
  - FDD keeps only same-tier interferers on each link and no residual term.
 
@@ -31,12 +31,14 @@ and is P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot
 product, whose result would depend on the BLAS thread count.  Fading is
 drawn once per station per receiving link, in a fixed order.
 
-Pass and tally: simulate_pass returns the trials' UserSamples, which no
-threshold, eta or kappa enters, and tally_metrics counts them against
-the thresholds.  Trial i's draws are seeded by SeedSequence(master_seed,
-spawn_key=(i, k)), so a pass splits into one range of trials per usable
-CPU (one inside a sweep, which spreads its points instead), run by
-fanout.fan_out and joined in trial order: bit-identical for any split.
+Pass and tally: simulate_pass returns the trials' UserSamples, which
+read only NetworkParams.network, and tally_metrics adds the residual
+self-interference to each backhaul interference before _sir's cap and
+counts the trials against the thresholds.  Trial i's draws are seeded
+by SeedSequence(master_seed, spawn_key=(i, k)), so a pass splits into
+one range of trials per usable CPU (one inside a sweep, which spreads
+its points instead), run by fanout.fan_out and joined in trial order:
+bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -125,13 +127,15 @@ class EstimateWithCI:
 class UserSample:
     """Per-trial outcome for the user at the origin.
 
-    associated_tier is "pico" or "macro"; the SIR fields of the other
-    tier's links are nan.
+    associated_tier is "pico" or "macro"; the fields of the other tier's
+    links are nan.  interference_sm leaves out the residual
+    self-interference, which tally_metrics adds.
     """
 
     associated_tier: str
     sir_us: float
-    sir_sm: float
+    signal_sm: float
+    interference_sm: float
     sir_um: float
 
 
@@ -276,7 +280,8 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     if not pico_assoc:
         sir_um = _sir(*link(macro, d2_m, i_macro, pico, d2_s, None, 0.0))
         return UserSample(associated_tier="macro", sir_us=math.nan,
-                          sir_sm=math.nan, sir_um=sir_um)
+                          signal_sm=math.nan, interference_sm=math.nan,
+                          sir_um=sir_um)
 
     # at the user every macro interferes, the backhauling one via its
     # own term; at the serving pico its own zero distance is skipped
@@ -287,12 +292,17 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     signal_sm, int_sm = link(macro, d2_m_from_s,
                              int(np.argmin(d2_m_from_s)),
                              pico, d2_s_from_s, i_pico, x_s)
-    if ibfd:
-        int_sm += params.beta * (
-            params.P_s if params.self_interference_convention == "ps"
-            else params.P_m)
     return UserSample(associated_tier="pico", sir_us=sir_us,
-                      sir_sm=_sir(signal_sm, int_sm), sir_um=math.nan)
+                      signal_sm=signal_sm, interference_sm=int_sm,
+                      sir_um=math.nan)
+
+
+def _self_interference(params: NetworkParams, mode: DuplexMode) -> float:
+    """beta * P_s ("ps") or beta * P_m ("pm") in IBFD, 0.0 in FDD."""
+    if mode is DuplexMode.FDD:
+        return 0.0
+    own = params.self_interference_convention == "ps"
+    return params.beta * (params.P_s if own else params.P_m)
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -349,14 +359,16 @@ def tally_metrics(samples: list, params: NetworkParams, th: Thresholds,
     n_assoc_s = hits_s = hits_m = 0
     rates = []
     access_share, backhaul_share, macro_share = band_shares(params, mode)
+    residual = _self_interference(params, mode)
     for sample in samples:
         if sample.associated_tier == "pico":
             n_assoc_s += 1
-            if sample.sir_us > th.T_s and sample.sir_sm > th.T_b:
+            sir_sm = _sir(sample.signal_sm, sample.interference_sm + residual)
+            if sample.sir_us > th.T_s and sir_sm > th.T_b:
                 hits_s += 1
                 rates.append(min(
                     access_share * math.log2(1.0 + sample.sir_us),
-                    backhaul_share * math.log2(1.0 + sample.sir_sm)))
+                    backhaul_share * math.log2(1.0 + sir_sm)))
         elif sample.sir_um > th.T_m:
             hits_m += 1
             rates.append(macro_share * math.log2(1.0 + sample.sir_um))

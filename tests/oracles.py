@@ -430,7 +430,8 @@ def reference_evaluate_user(realization, params, mode, seed,
                 interference += _power_sum(params.P_s, h_s, d_s, a_s)
             interference += pico_tail(0.0)
         return montecarlo.UserSample(associated_tier="macro",
-                                     sir_us=math.nan, sir_sm=math.nan,
+                                     sir_us=math.nan, signal_sm=math.nan,
+                                     interference_sm=math.nan,
                                      sir_um=sir(signal, interference))
 
     i_pico = int(np.argmin(d_s))
@@ -461,13 +462,10 @@ def reference_evaluate_user(realization, params, mode, seed,
         int_sm += _power_sum(params.P_s, h_s_s[mask_s],
                              d_s_from_s[mask_s], a_s)
         int_sm += pico_tail(r_s)
-        int_sm += params.beta * (
-            params.P_s if params.self_interference_convention == "ps"
-            else params.P_m)
 
     return montecarlo.UserSample(associated_tier="pico",
                                  sir_us=sir(signal_us, int_us),
-                                 sir_sm=sir(signal_sm, int_sm),
+                                 signal_sm=signal_sm, interference_sm=int_sm,
                                  sir_um=math.nan)
 
 

@@ -747,11 +747,10 @@ class TestBlockedKernel:
         assert smallcell._geometry(a, 3) is first
         finer = smallcell._geometry(a, 6)
         assert smallcell._geometry(a, 3) is first
-        assert smallcell._HELD == {smallcell._point_key(a):
-                                   {3: first, 6: finer}}
+        assert smallcell._HELD == {a.network: {3: first, 6: finer}}
         evaluate_joint(b, 0.5, 0.5, DuplexMode.FDD, 6)
-        assert list(smallcell._HELD) == [smallcell._point_key(b)]
-        assert list(smallcell._HELD[smallcell._point_key(b)]) == [6]
+        assert list(smallcell._HELD) == [b.network]
+        assert list(smallcell._HELD[b.network]) == [6]
         assert smallcell._geometry(a, 3) is not first
 
 

@@ -418,8 +418,6 @@ class TestMainSimulate:
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--trials", "300", "--seed", "42"]
         assert main(argv + ["--out", str(out_a)]) == 0
-        # the second run draws its own pass, as a new process would
-        experiments._PASSES.clear()
         assert main(argv + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -430,7 +428,6 @@ class TestMainSimulate:
         point, swept = tmp_path / "point.csv", tmp_path / "swept.csv"
         assert main(["simulate", "--mode", mode, "--out", str(point)]
                     + argv) == 0
-        experiments._PASSES.clear()
         cfg = write_config(tmp_path, {
             "swept_parameter": "T_s", "grid": [Thresholds().T_s],
             "modes": [mode], "outputs": ["coverage_breakdown", "rate"]})
@@ -478,11 +475,15 @@ class TestMainSimulate:
                         getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name,
                                         count(name, original))
-        monkeypatch.setattr(experiments, "_PASSES", {})
-        assert main(["simulate", "--trials", "120", "--seed", "4",
-                     "--out", str(tmp_path / "sim.csv")]) == 0
+        argv = ["simulate", "--trials", "120", "--seed", "4",
+                "--out", str(tmp_path / "sim.csv")]
+        assert main(argv) == 0
         assert calls == {"evaluate_user": 120,
                          "coverage_smallcell_result": 1}
+        # no pass outlives the call that drew it: a second run draws again
+        assert main(argv) == 0
+        assert calls == {"evaluate_user": 240,
+                         "coverage_smallcell_result": 2}
 
 
 class TestFullScale:
@@ -498,7 +499,6 @@ class TestFullScale:
         flag, fixed = tmp_path / "flag.csv", tmp_path / "fixed.csv"
         assert main(argv + ["--full-scale", "--out", str(flag), "--config",
                             write_config(tmp_path, base, "flag.json")]) == 0
-        experiments._PASSES.clear()
         assert main(argv + ["--out", str(fixed), "--config", write_config(
             tmp_path, {**base, "fixed_count": True}, "fixed.json")]) == 0
         assert flag.read_bytes() == fixed.read_bytes()
@@ -513,7 +513,6 @@ class TestFullScale:
             return points
 
         monkeypatch.setattr(montecarlo, "sample_ppp", spy)
-        monkeypatch.setattr(experiments, "_PASSES", {})
         # one process, so that the spy sees every draw
         monkeypatch.setattr(montecarlo, "process_count", lambda: 1)
         cfg = write_config(tmp_path, {"window_half_width": 8.0})

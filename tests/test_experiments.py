@@ -34,7 +34,11 @@ from hetnet.experiments import (
     figure_preset,
     run_sweep,
 )
-from hetnet.montecarlo import SimulationWindow, evaluate_user
+from hetnet.montecarlo import (
+    SimulationWindow,
+    estimate_metrics,
+    evaluate_user,
+)
 from hetnet.numerics import IntegralResult, NonConvergenceError
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
@@ -251,10 +255,12 @@ class TestRunSweep:
                   modes=tuple(DuplexMode), mc_trials=500),
         SweepSpec("eta", (0.151, 0.451, 0.901), modes=tuple(DuplexMode),
                   outputs=("rate",)),
-        # one model point: every process tallies its own held passes
+        # one network: every process tallies its own passes
         SweepSpec("T_s", (0.1, 0.6, 1.1, 2.1), modes=tuple(DuplexMode),
                   outputs=("coverage_breakdown",), mc_trials=300),
-    ], ids=["coverage-trials", "rate", "threshold-trials"])
+        SweepSpec("beta", (-10.0, 0.0, 10.0, 20.0), modes=tuple(DuplexMode),
+                  outputs=("coverage_breakdown",), mc_trials=300),
+    ], ids=["coverage-trials", "rate", "threshold-trials", "beta-trials"])
     def test_process_count_does_not_change_results(self, spec, monkeypatch):
         # 3 processes share 4 points unevenly; each run builds its own
         # geometries and draws its own passes, in its own processes
@@ -287,10 +293,11 @@ class TestRunSweep:
         # a 500-trial pass splits in two on its own; in a split sweep it
         # runs in the process that runs its cell
         cell_pid = []
+        simulate_pass = montecarlo.simulate_pass
 
         def record_pid(*args, **kwargs):
             cell_pid[:] = [os.getpid()]
-            return evaluate_point(*args, **kwargs)
+            return simulate_pass(*args, **kwargs)
 
         def in_cell_process(*args, **kwargs):
             if os.getpid() != cell_pid[0]:
@@ -298,7 +305,7 @@ class TestRunSweep:
             return evaluate_user(*args, **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
-        monkeypatch.setattr(experiments, "evaluate_point", record_pid)
+        monkeypatch.setattr(experiments, "simulate_pass", record_pid)
         monkeypatch.setattr(montecarlo, "evaluate_user", in_cell_process)
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
         rows = run_sweep(SweepSpec("lambda_ratio", (2.0, 4.0), mc_trials=500),
@@ -308,8 +315,18 @@ class TestRunSweep:
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
         assert multiprocessing.active_children() == []
 
-    def test_threshold_sweep_draws_one_pass_per_mode(self, monkeypatch):
-        # no SIR reads T_s, so the six cells of a mode tally one pass
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("T_s", (0.1, 0.3, 0.6, 1.1, 2.1, 4.1),
+                  modes=tuple(DuplexMode), mc_trials=300),
+        SweepSpec("eta", (0.151, 0.451, 0.901), modes=tuple(DuplexMode),
+                  outputs=("rate",), mc_trials=300),
+        SweepSpec("beta", (-20.0, 0.0, 20.0, 36.0), modes=tuple(DuplexMode),
+                  mc_trials=300),
+    ], ids=["T_s", "eta", "beta"])
+    def test_threshold_sweep_draws_one_pass_per_mode(self, spec,
+                                                     monkeypatch):
+        # no sample reads T_s, eta or beta, so the cells of a mode tally
+        # one pass
         calls = []
 
         def counted(*args, **kwargs):
@@ -318,31 +335,52 @@ class TestRunSweep:
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 1)
         monkeypatch.setattr(montecarlo, "evaluate_user", counted)
-        rows = run_sweep(SweepSpec("T_s", (0.1, 0.3, 0.6, 1.1, 2.1, 4.1),
-                                   modes=tuple(DuplexMode), mc_trials=300),
-                         window=SimulationWindow(10.0))
+        rows = run_sweep(spec, window=SimulationWindow(10.0))
         assert all(row.error is None and row.mc for row in rows)
         assert len(calls) == 2 * 300
         assert {mode: calls.count(mode) for mode in DuplexMode} == {
             DuplexMode.IBFD: 300, DuplexMode.FDD: 300}
 
+    @pytest.mark.parametrize("convention", ["ps", "pm"])
+    def test_beta_sweep_cells_equal_a_pass_of_their_own(self, convention):
+        # the cells of a beta sweep tally one pass per mode, which leaves
+        # beta out; each equals a pass drawn at its beta alone
+        base = NetworkParams(self_interference_convention=convention)
+        window = SimulationWindow(10.0)
+        rows = run_sweep(SweepSpec("beta", (-10.0, 10.0, 30.0),
+                                   base_params=base, modes=tuple(DuplexMode),
+                                   outputs=("coverage_breakdown", "rate"),
+                                   mc_trials=300),
+                         master_seed=13, window=window)
+        for row in rows:
+            params = replace(base, beta=experiments._db_to_linear(row.x))
+            alone = estimate_metrics(params, TH, row.mode, n_trials=300,
+                                     window=window, master_seed=13)
+            assert set(row.mc) == {"p_total", "p_smallcell_joint",
+                                   "p_macro_joint", "rate_total"}
+            assert row.mc == {name: alone[name] for name in row.mc}
+
     def test_shared_pass_rows_agree_with_analytic(self):
-        # every row of a threshold and a backhaul-share sweep tallies one
-        # pass per mode, so the rows are correlated; each row's interval
-        # stays a valid marginal one, and a Bonferroni band over all rows
-        # holds the family-wise false-alarm rate at 1 %.  The presets use
-        # the circle bearing; its gap to the law the simulator realizes
-        # is at most 0.0032 in coverage and 0.0055 in rate at these rows,
-        # about a tenth of each row's band
+        # every row of a threshold, a backhaul-share and a self-interference
+        # sweep tallies one pass per mode, so the rows are correlated; each
+        # row's interval stays a valid marginal one, and a Bonferroni band
+        # over all rows holds the family-wise false-alarm rate at 1 %.  The
+        # presets use the circle bearing; its gap to the law the simulator
+        # realizes is at most 0.0032 in coverage and 0.0055 in rate at the
+        # fig9 and fig14 rows, and 0.0030-0.0032 in IBFD coverage (0 in
+        # FDD) at the fig11 rows against bands of 0.034-0.037: about a
+        # tenth of each row's band
         fig9 = replace(figure_preset("fig9"), grid=(0.1, 1.1, 2.1, 3.1, 4.1),
                        mc_trials=2000)
+        fig11 = replace(figure_preset("fig11"),
+                        grid=(-20.0, 20.0, 28.0, 36.0), mc_trials=2000)
         fig14 = replace(figure_preset("fig14"),
                         grid=figure_preset("fig14").grid[1::2],
                         mc_trials=2000)
-        rows = run_sweep(fig9, master_seed=1) + run_sweep(fig14,
-                                                          master_seed=1)
+        rows = [row for spec in (fig9, fig11, fig14)
+                for row in run_sweep(spec, master_seed=1)]
         checks = [(row, name) for row in rows for name in row.mc]
-        assert len(checks) == 2 * 5 + 3
+        assert len(checks) == 2 * 5 + 2 * 4 + 3
         z_max = NormalDist().inv_cdf(1.0 - 0.01 / (2 * len(checks)))
         for row, name in checks:
             est = row.mc[name]

@@ -15,6 +15,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def raw_sums(monkeypatch):
     """evaluate_user and its oracle without the out-of-window tail (both
     look montecarlo._tail_mean up at call time)."""
     monkeypatch.setattr(montecarlo, "_tail_mean", no_tail)
+
+
+def sir_sm(sample, params, mode) -> float:
+    """The backhaul SIR of a pico sample as tally_metrics forms it."""
+    return montecarlo._sir(
+        sample.signal_sm,
+        sample.interference_sm + montecarlo._self_interference(params, mode))
 
 
 def realization(macros, picos) -> NetworkRealization:
@@ -129,12 +137,13 @@ class TestEvaluateUser:
         s = evaluate_user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
         assert s.associated_tier == "pico"
         assert math.isnan(s.sir_um)
-        assert s.sir_us > 0 and s.sir_sm > 0
+        assert s.sir_us > 0 and s.signal_sm > 0 and s.interference_sm > 0
         # no pico at all: macro association
         rel = realization([[1.0, 0.0]], np.empty((0, 2)))
         s = evaluate_user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
         assert s.associated_tier == "macro"
-        assert math.isnan(s.sir_us) and math.isnan(s.sir_sm)
+        assert math.isnan(s.sir_us) and math.isnan(s.signal_sm) \
+            and math.isnan(s.interference_sm)
         assert s.sir_um > 0
 
     def test_association_boundary(self):
@@ -156,11 +165,19 @@ class TestEvaluateUser:
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
         assert ibfd.sir_us < 1e10  # macro interference present
-        assert ibfd.sir_sm == pytest.approx(1e12)  # interference-free cap
+        assert ibfd.interference_sm == 0.0
+        # interference-free cap
+        assert sir_sm(ibfd, p, DuplexMode.IBFD) == pytest.approx(1e12)
         # FDD drops the cross-tier term: both links are interference-free
         fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9)
         assert fdd.sir_us == pytest.approx(1e12)
-        assert fdd.sir_sm == pytest.approx(1e12)
+        assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
+        # the record does not read beta; only the IBFD tally adds it
+        q = replace(p, beta=2.0)
+        for mode, sample in ((DuplexMode.IBFD, ibfd), (DuplexMode.FDD, fdd)):
+            assert evaluate_user(rel, q, mode, seed=9) == sample
+        assert sir_sm(ibfd, q, DuplexMode.IBFD) < 1e10
+        assert sir_sm(fdd, q, DuplexMode.FDD) == pytest.approx(1e12)
 
     @pytest.mark.usefixtures("raw_sums")
     def test_residual_self_interference_scales(self):
@@ -171,8 +188,15 @@ class TestEvaluateUser:
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         s_ps = evaluate_user(rel, p_ps, DuplexMode.IBFD, seed=4)
         s_pm = evaluate_user(rel, p_pm, DuplexMode.IBFD, seed=4)
-        assert s_ps.sir_sm == pytest.approx(
-            s_pm.sir_sm * p_ps.P_m / p_ps.P_s, rel=1e-12)
+        assert s_ps == s_pm  # the convention enters the tally only
+        assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
+            sir_sm(s_pm, p_pm, DuplexMode.IBFD) * p_ps.P_m / p_ps.P_s,
+            rel=1e-12)
+        # each convention's residual is beta times its power
+        assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
+            s_ps.signal_sm / (2.0 * p_ps.P_s), rel=1e-12)
+        assert sir_sm(s_pm, p_pm, DuplexMode.IBFD) == pytest.approx(
+            s_pm.signal_sm / (2.0 * p_pm.P_m), rel=1e-12)
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     @pytest.mark.parametrize("tier", ["pico", "macro"])
@@ -180,7 +204,9 @@ class TestEvaluateUser:
                                                   monkeypatch):
         # a flat window adds each field's tail once per link, reaching
         # from the receiver to the window edge: half_width at the user,
-        # half_width - x_s at the serving pico; a wrapping window adds none
+        # half_width - x_s at the serving pico; a wrapping window adds none.
+        # The backhaul's tails go into its interference record, beside
+        # which the tally adds the residual self-interference
         calls = []
         real = montecarlo._tail_mean
 
@@ -204,12 +230,21 @@ class TestEvaluateUser:
         expected = [(*field, reach) for own, other, reach in links
                     for field in ((own, other) if ibfd else (own,))]
 
-        s = evaluate_user(rel, p, mode, seed=1,
-                          window=SimulationWindow(half_width=10.0))
+        flat = SimulationWindow(half_width=10.0)
+        s = evaluate_user(rel, p, mode, seed=1, window=flat)
         assert s.associated_tier == tier
         assert [c[:3] for c in calls] == [e[:3] for e in expected]
         assert [c[3] for c in calls] == pytest.approx(
             [e[3] for e in expected], rel=1e-12)
+        if tier == "pico":
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_tail_mean", no_tail)
+                raw = evaluate_user(rel, p, mode, seed=1, window=flat)
+            backhaul = calls[-2:] if ibfd else calls[-1:]
+            assert s.signal_sm == raw.signal_sm
+            assert s.interference_sm == pytest.approx(
+                raw.interference_sm + sum(real(*c) for c in backhaul),
+                rel=1e-12)
 
         calls.clear()
         s = evaluate_user(rel, p, mode, seed=1,
@@ -221,7 +256,7 @@ class TestEvaluateUser:
         p = NetworkParams(beta=1e15)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         s = evaluate_user(rel, p, DuplexMode.IBFD, seed=4)
-        assert s.sir_sm < 1e-6
+        assert sir_sm(s, p, DuplexMode.IBFD) < 1e-6
 
     @pytest.mark.usefixtures("raw_sums")
     def test_torus_metric_flips_backhaul_station(self):
@@ -238,10 +273,11 @@ class TestEvaluateUser:
                                 window=SimulationWindow(half_width=15.0,
                                                         wrap=True))
         assert flat.associated_tier == wrapped.associated_tier == "pico"
-        assert flat.sir_sm != wrapped.sir_sm
+        flat_sir, wrapped_sir = (sir_sm(s, p, DuplexMode.FDD)
+                                 for s in (flat, wrapped))
+        assert flat_sir != wrapped_sir
         expected = (19.5 / 10.5) ** p.alpha_m
-        assert flat.sir_sm * wrapped.sir_sm == pytest.approx(expected,
-                                                             rel=1e-9)
+        assert flat_sir * wrapped_sir == pytest.approx(expected, rel=1e-9)
 
 
 def same_sir(got: float, ref: float) -> bool:
@@ -255,7 +291,7 @@ def assert_matches_oracle(rel, p, mode, seed, **kw):
     got = evaluate_user(rel, p, mode, seed, **kw)
     ref = reference_evaluate_user(rel, p, mode, seed, **kw)
     assert got.associated_tier == ref.associated_tier
-    for field in ("sir_us", "sir_sm", "sir_um"):
+    for field in ("sir_us", "signal_sm", "interference_sm", "sir_um"):
         assert same_sir(getattr(got, field), getattr(ref, field)), \
             (field, getattr(got, field), getattr(ref, field))
     return got
@@ -325,7 +361,8 @@ class TestKernelMatchesOracle:
             warnings.simplefilter("error")
             s = assert_matches_oracle(rel, NetworkParams(beta=0.0),
                                       DuplexMode.IBFD, seed=5)
-        assert 0.0 < s.sir_sm < 1e12
+        assert 0.0 < sir_sm(s, NetworkParams(beta=0.0), DuplexMode.IBFD) \
+            < 1e12
 
     @pytest.mark.usefixtures("raw_sums")
     def test_coincident_interferer_zeroes_sir(self):
@@ -340,9 +377,10 @@ class TestKernelMatchesOracle:
         with np.errstate(divide="ignore"):
             ref = reference_evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
         assert ibfd.associated_tier == "pico"
-        assert ibfd.sir_sm == ref.sir_sm == 0.0
+        assert ibfd.interference_sm == ref.interference_sm == math.inf
+        assert sir_sm(ibfd, p, DuplexMode.IBFD) == 0.0
         assert same_sir(ibfd.sir_us, ref.sir_us) and 0.0 < ibfd.sir_us
-        assert fdd.sir_sm == pytest.approx(1e12)
+        assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
 
 
 class TestEstimators:
@@ -399,7 +437,7 @@ class TestEstimators:
         s = evaluate_user(rel, p, mode, seed_fading, window=w)
         if trial == 0:
             assert s.associated_tier == "pico"
-            assert (s.sir_us, s.sir_sm) == expected
+            assert (s.sir_us, sir_sm(s, p, mode)) == expected
         else:
             assert s.associated_tier == "macro"
             assert s.sir_um == expected
@@ -481,8 +519,12 @@ class TestEstimators:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
                 off = evaluate_user(rel, p, mode, seed_fading, window=w)
             assert on.associated_tier == off.associated_tier
-            for name in ("sir_us", "sir_sm", "sir_um"):
-                a, b = getattr(on, name), getattr(off, name)
+            sirs = [(name, getattr(on, name), getattr(off, name))
+                    for name in ("sir_us", "sir_um")]
+            if on.associated_tier == "pico":
+                sirs.append(("sir_sm", sir_sm(on, p, mode),
+                             sir_sm(off, p, mode)))
+            for name, a, b in sirs:
                 assert math.isnan(a) == math.isnan(b)
                 assert math.isnan(a) or a <= b, (i, name)
                 lowered += a < b
@@ -517,9 +559,10 @@ class TestEstimators:
         assert est["p_total"].mean == 0.0
         assert "rate_total" not in est
         # a point evaluation that must report the rate refuses instead
+        samples = montecarlo.simulate_pass(p, DuplexMode.IBFD, 100,
+                                           SimulationWindow(), 47)
         with pytest.raises(ValueError, match="conditioning event empty"):
-            evaluate_point(p, th, DuplexMode.IBFD, ("rate",), trials=100,
-                           seed=47)
+            evaluate_point(p, th, DuplexMode.IBFD, ("rate",), samples)
 
     def test_bad_trial_count_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):

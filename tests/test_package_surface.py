@@ -88,8 +88,10 @@ def test_every_exported_name_is_used_by_the_package():
 # kernel, the simulator's rate shares, the outer grid's case bounds), the
 # one-caller disc wrappers of joint_pdf, and defaults that only tests read
 # (the simulator's compensation switch, a None window re-defaulted inside
-# a function, _mixed_term's optional access map), and a second convergence
-# gate beside evaluate_point's one loop.  The __all__ scan above
+# a function, _mixed_term's optional access map), a second convergence
+# gate beside evaluate_point's one loop, a pass hold that outlived the
+# call that drew it, and a second definition of the fields that fix a
+# network (NetworkParams.network).  The __all__ scan above
 # cannot see a keyword argument, a dataclass field or a private helper, so
 # each one is named here.
 RETIRED = [
@@ -108,6 +110,7 @@ RETIRED = [
     "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
     "window is None", "acc is None", "_converged", "_SKIP_EXPONENT",
     "_chunk_tallies", "generate_state", "_gain",
+    "_PASSES", "_held_pass", "_point_key",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
