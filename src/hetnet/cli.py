@@ -37,7 +37,7 @@ from .experiments import (
     figure_preset,
     run_sweep,
 )
-from .montecarlo import SimulationWindow, estimate_metrics, simulate_pass
+from .montecarlo import SimulationWindow, simulate_pass, tally_metrics
 from .numerics import NonConvergenceError
 
 __all__ = [
@@ -210,12 +210,12 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
     def report(name: str, ok: bool, detail: str) -> None:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
 
-    th = cfg.thresholds
+    th, modes = cfg.thresholds, tuple(_MODES.values())
+    samples = simulate_pass(cfg.params, modes, trials, cfg.window, seed)
     for mode_name, mode in _MODES.items():
-        samples = simulate_pass(cfg.params, mode, trials, cfg.window, seed)
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
-                             samples, bearing="arc")
+                             samples[mode], bearing="arc")
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
@@ -224,11 +224,13 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
             report(f"{mode_name} {name}", abs(z) <= 3.0,
                    f"analytic={value:.6f} mc={est.mean:.6f} z={z:+.2f}")
 
-    first, second = (estimate_metrics(cfg.params, th, DuplexMode.IBFD,
-                                      n_trials=200, window=cfg.window,
-                                      master_seed=seed) for _ in range(2))
-    report("seeded determinism", first == second,
-           "two identically seeded runs agree" if first == second
+    first, second = (simulate_pass(cfg.params, modes, 200, cfg.window, seed)
+                     for _ in range(2))
+    same = all(tally_metrics(first[mode], cfg.params, th, mode)
+               == tally_metrics(second[mode], cfg.params, th, mode)
+               for mode in modes)
+    report("seeded determinism", same,
+           "two identically seeded runs agree" if same
            else "identically seeded runs diverged")
     failed = any(line.startswith("FAIL") for line in lines)
     return "".join(lines), 2 if failed else 0
@@ -308,8 +310,8 @@ def main(argv=None) -> int:
         if args.command in _POINT_OUTPUTS:
             mode, samples = _MODES[args.mode], None
             if args.command == "simulate":
-                samples = simulate_pass(cfg.params, mode, args.trials,
-                                        cfg.window, args.seed)
+                samples = simulate_pass(cfg.params, (mode,), args.trials,
+                                        cfg.window, args.seed)[mode]
             rows = [evaluate_point(cfg.params, cfg.thresholds, mode,
                                    _POINT_OUTPUTS[args.command], samples)]
         elif args.command in ("sweep", "figure"):

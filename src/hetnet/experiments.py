@@ -14,6 +14,7 @@ natural units (thresholds linear, densities as the pico-per-macro ratio).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -111,19 +112,14 @@ class SweepRow:
 
 def _apply_swept_value(spec: SweepSpec, x: float):
     """Base params/thresholds with the swept knob set to grid value x."""
-    p, th = spec.base_params, spec.base_thresholds
-    name = spec.swept_parameter
-    if name == "B_s":
-        return replace(p, B_s=_db_to_linear(x)), th
-    if name == "beta":
-        return replace(p, beta=_db_to_linear(x)), th
+    p, th, name = spec.base_params, spec.base_thresholds, spec.swept_parameter
     if name == "T_s":
         return p, replace(th, T_s=x)
     if name == "lambda_ratio":
         return replace(p, lambda_s=x * p.lambda_m), th
-    if name == "eta":
-        return replace(p, eta=x), th
-    return replace(p, alpha_s=x), th
+    if name in ("B_s", "beta"):  # power dB grids
+        x = _db_to_linear(x)
+    return replace(p, **{name: x}), th
 
 
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
@@ -139,9 +135,9 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     probabilities joint with their association event, so p_total is
     their plain sum, with no extra association weighting.
     Coverage is integrated once and also normalizes the covered rate.
-    samples, a simulate_pass result for this network and mode or None,
-    is tallied at this point's thresholds, eta, kappa and beta for the
-    Monte Carlo estimate of every reported metric it covers.  Every
+    samples, this mode's list of a simulate_pass result for this network
+    or None, is tallied at this point's thresholds, eta, kappa and beta
+    for the Monte Carlo estimate of every reported metric it covers.  Every
     analytic value comes with its solver's error estimate; p_total and
     rate_total carry their inputs' estimates and converge only when all
     of their inputs did.  bearing is the serving-macro bearing
@@ -198,24 +194,30 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
         quad_error={n: r.error_estimate for n, r in results.items()})
 
 
+def _network_pass(spec: SweepSpec, params: NetworkParams, seed: int,
+                  window: SimulationWindow) -> dict:
+    """The pass of params' network, all the sweep's modes in one, that its
+    rows tally; empty when they carry no simulation estimate."""
+    if spec.mc_trials == 0 or {"coverage_total", "coverage_breakdown",
+                               "rate"}.isdisjoint(spec.outputs):
+        return {}
+    return simulate_pass(params, spec.modes, spec.mc_trials, window, seed)
+
+
 def _sweep_cells(spec: SweepSpec, cells: list, seed: int,
-                 window: SimulationWindow) -> list:
-    """The row of each (x, mode) cell, in order; the cells of one network
-    tally one pass per mode, drawn at the first cell that needs it."""
-    simulated = spec.mc_trials > 0 and any(
-        name in spec.outputs
-        for name in ("coverage_total", "coverage_breakdown", "rate"))
-    rows, passes, network = [], {}, None
+                 window: SimulationWindow, held: tuple) -> list:
+    """The row of each (x, mode) cell, in order.  held is a (network,
+    pass) pair; a cell of another network draws that network's pass."""
+    network, samples = held
+    rows = []
     for x, mode in cells:
         try:
             params, th = _apply_swept_value(spec, x)
-            if simulated and params.network != network:
-                passes, network = {}, params.network
-            if simulated and mode not in passes:
-                passes[mode] = simulate_pass(params, mode, spec.mc_trials,
-                                             window, seed)
+            if params.network != network:
+                network, samples = params.network, _network_pass(
+                    spec, params, seed, window)
             rows.append(evaluate_point(params, th, mode, spec.outputs,
-                                       passes.get(mode), x=x))
+                                       samples.get(mode), x=x))
         except (ValueError, NonConvergenceError) as exc:
             rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
     return rows
@@ -225,17 +227,24 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
               window: SimulationWindow = SimulationWindow()) -> list:
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
-    Every cell simulates with master_seed, so the cells of one network
-    (a T_s, eta or beta sweep) tally one pass per mode, and results do
-    not depend on the CPU count.  A failing point is reported in its
-    row's `error` field without aborting the sweep.
+    Every cell simulates with master_seed, and one pass serves all modes
+    of a network.  If the grid never changes the network (T_s, eta or
+    beta), that pass is drawn once, before the grid is split over the
+    CPUs.  Results do not depend on the CPU count.  A failing point is
+    reported in its row's `error` field without aborting the sweep.
     """
+    held = (None, {})
+    with suppress(ValueError):  # each cell then records the error itself
+        points = [_apply_swept_value(spec, x)[0] for x in spec.grid]
+        if len({point.network for point in points}) == 1:
+            held = points[0].network, _network_pass(spec, points[0],
+                                                    master_seed, window)
     cells = [(x, mode) for x in spec.grid for mode in spec.modes]
     m, n = len(spec.modes), min(process_count(), len(spec.grid))
     # grid point i, with all its modes, goes to process i % n
     rows = [iter(part) for part in fan_out(_sweep_cells, [
         (spec, [c for i, c in enumerate(cells) if i // m % n == j],
-         master_seed, window)
+         master_seed, window, held)
         for j in range(n)])]
     return [next(rows[i // m % n]) for i in range(len(cells))]
 

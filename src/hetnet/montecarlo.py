@@ -22,30 +22,29 @@ intensity * P * integral of |z|^{-alpha} beyond the square, computed with
 the exact square-boundary angular profile, offset by the receiver's
 displacement from center); zero-interference links are capped.
 
-Per-trial kernel: the three links (macro access, pico access, backhaul)
-share one link routine, which sums the serving tier without the server,
-and in IBFD the other tier (without the serving pico, at the backhaul),
-each with its out-of-window tail.  A power sum turns a fresh array of
-squared distances (minimum-image under wrap) into path gains in place
-and is P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot
-product, whose result would depend on the BLAS thread count.  Fading is
-drawn once per station per receiving link, in a fixed order.
+Per-trial kernel: each link (macro access, pico access, backhaul) sums
+its serving tier without the server, and in IBFD adds the other tier
+(without the serving pico, at the backhaul), each with its tail.  A
+power sum turns fresh squared distances (minimum-image under wrap) into
+path gains in place and is P * einsum("i,i->", h, g): numpy's own loop,
+not a BLAS dot product, whose result depends on the BLAS thread count.
+Fading is drawn once per station per receiving link, every same-tier
+array first, so one draw serves both modes: FDD reads the same-tier
+sums, and IBFD continues them.
 
-Pass and tally: simulate_pass returns the trials' UserSamples, which
-read only NetworkParams.network, and tally_metrics adds the residual
+Pass and tally: simulate_pass returns each mode's UserSamples, which
+read only NetworkParams.network; tally_metrics adds the residual
 self-interference to each backhaul interference before _sir's cap and
 counts the trials against the thresholds.  Trial i's draws are seeded
 by SeedSequence(master_seed, spawn_key=(i, k)), so a pass splits into
-one range of trials per usable CPU (one inside a sweep, which spreads
-its points instead), run by fanout.fan_out and joined in trial order:
-bit-identical for any split.
+ranges of trials over the usable CPUs (fanout.fan_out), joined in trial
+order: bit-identical for any split.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,7 +58,6 @@ __all__ = [
     "NetworkRealization",
     "SimulationWindow",
     "UserSample",
-    "estimate_metrics",
     "evaluate_user",
     "sample_ppp",
     "simulate_pass",
@@ -203,25 +201,6 @@ def _sq_distances(points: np.ndarray, center,
     return d2
 
 
-def _power_sum(power: float, h: np.ndarray, d2: np.ndarray, alpha: float,
-               skip: Optional[int] = None) -> float:
-    """power * sum of h * d^{-alpha} over every station but skip.
-
-    Consumes d2: it is overwritten by the gains d^{-alpha}.  A zero
-    distance gives an infinite gain (evaluate_user, which runs every power
-    sum, ignores numpy's divide warning): a coincident interferer makes
-    the link's interference infinite (SIR 0).
-    """
-    if alpha == 4.0:
-        np.multiply(d2, d2, out=d2)
-        np.reciprocal(d2, out=d2)
-    else:
-        np.power(d2, -0.5 * alpha, out=d2)
-    if skip is not None:
-        d2[skip] = 0.0
-    return power * float(np.einsum("i,i->", h, d2))
-
-
 def _sir(signal: float, interference: float) -> float:
     if interference <= 0.0:
         return _SIR_CAP
@@ -231,42 +210,51 @@ def _sir(signal: float, interference: float) -> float:
 # one error state per trial, not one per power sum
 @np.errstate(divide="ignore")
 def evaluate_user(realization: NetworkRealization, params: NetworkParams,
-                  mode: DuplexMode, seed,
-                  window: SimulationWindow = SimulationWindow()) -> UserSample:
-    """SIR outcome for the typical user at the origin of one realization.
+                  modes: tuple, seed,
+                  window: SimulationWindow = SimulationWindow()) -> dict:
+    """{mode: UserSample} of the typical user at the origin of one
+    realization, for each duplexing mode in modes.
 
     seed drives the fading draws only (i.i.d. unit-mean exponential per
-    station per receiving link).  The window gives the distance metric
-    (a torus under wrap) and, when flat, each link's out-of-window tail.
-    A zero distance (the serving pico from itself, or a coincident
-    station) raises no warning.
+    station per receiving link): every same-tier array (access, then
+    backhaul), then, with IBFD in modes, every cross-tier one, so a
+    mode's sample does not depend on the other mode.  The window gives
+    the distance metric (a torus under wrap) and, when flat, each link's
+    out-of-window tail.  A zero distance (the serving pico from itself,
+    or a coincident station) raises no warning.
     """
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = default_rng(seed)
-    ibfd = mode is DuplexMode.IBFD
-    comp_on = not window.wrap
     macro = (params.lambda_m, params.P_m, params.alpha_m)
     pico = (params.lambda_s, params.P_s, params.alpha_s)
 
-    def link(own, d2_own, serve, other, d2_other, skip, offset):
-        """(signal, interference) at a receiver offset from the window
-        centre; own and other are (intensity, power, alpha), and the
-        power sums overwrite d2_own and d2_other."""
-        reach = window.half_width - offset
-        intensity, power, alpha = own
-        h = rng.standard_exponential(size=d2_own.shape)
-        signal = power * float(h[serve]) * math.sqrt(d2_own[serve]) ** -alpha
-        interference = _power_sum(power, h, d2_own, alpha, skip=serve)
-        if comp_on:
-            interference += _tail_mean(intensity, power, alpha, reach)
-        if ibfd:
-            intensity, power, alpha = other
-            h = rng.standard_exponential(size=d2_other.shape)
-            interference += _power_sum(power, h, d2_other, alpha, skip=skip)
-            if comp_on:
-                interference += _tail_mean(intensity, power, alpha, reach)
-        return signal, interference
+    def add_field(interference, tier, d2, skip, reach):
+        """(interference plus tier's power sum without station skip, then
+        in a flat window its tail beyond reach; the fades).  tier is
+        (intensity, power, alpha).  d2 is overwritten by the gains
+        d^{-alpha}: a zero distance gives an infinite gain, so a
+        coincident interferer makes the interference infinite (SIR 0)."""
+        _, power, alpha = tier
+        h = rng.standard_exponential(size=d2.shape)
+        if alpha == 4.0:
+            np.multiply(d2, d2, out=d2)
+            np.reciprocal(d2, out=d2)
+        else:
+            np.power(d2, -0.5 * alpha, out=d2)
+        if skip is not None:
+            d2[skip] = 0.0
+        interference += power * float(np.einsum("i,i->", h, d2))
+        if not window.wrap:
+            interference += _tail_mean(*tier, reach)
+        return interference, h
+
+    def link(tier, d2, serve, reach):
+        """(signal, same-tier interference) of a link served by station
+        serve of tier."""
+        gain = math.sqrt(d2[serve]) ** -tier[2]
+        interference, h = add_field(0.0, tier, d2, serve, reach)
+        return tier[1] * float(h[serve]) * gain, interference
 
     m_pts, s_pts = realization.macro_points, realization.pico_points
     d2_m = _sq_distances(m_pts, (0.0, 0.0), window)
@@ -277,24 +265,33 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     x_s = math.sqrt(d2_s[i_pico]) if d2_s.size else math.inf
     pico_assoc = d2_s.size > 0 and \
         x_m > x_s ** (params.alpha_s / params.alpha_m) / delta_m(params)
+    ibfd, w = DuplexMode.IBFD in modes, window.half_width
     if not pico_assoc:
-        sir_um = _sir(*link(macro, d2_m, i_macro, pico, d2_s, None, 0.0))
-        return UserSample(associated_tier="macro", sir_us=math.nan,
-                          signal_sm=math.nan, interference_sm=math.nan,
-                          sir_um=sir_um)
+        signal, int_um = link(macro, d2_m, i_macro, w)
+        interference = {DuplexMode.FDD: int_um}
+        if ibfd:
+            interference[DuplexMode.IBFD] = \
+                add_field(int_um, pico, d2_s, None, w)[0]
+        return {mode: UserSample("macro", math.nan, math.nan, math.nan,
+                                 _sir(signal, interference[mode]))
+                for mode in modes}
 
-    # at the user every macro interferes, the backhauling one via its
-    # own term; at the serving pico its own zero distance is skipped
-    sir_us = _sir(*link(pico, d2_s, i_pico, macro, d2_m, None, 0.0))
+    # at the user every macro interferes, the backhauling one via its own
+    # term; at the serving pico its own zero distance is skipped
     s_pos = s_pts[i_pico]
     d2_m_from_s = _sq_distances(m_pts, s_pos, window)
-    d2_s_from_s = _sq_distances(s_pts, s_pos, window) if ibfd else None
-    signal_sm, int_sm = link(macro, d2_m_from_s,
-                             int(np.argmin(d2_m_from_s)),
-                             pico, d2_s_from_s, i_pico, x_s)
-    return UserSample(associated_tier="pico", sir_us=sir_us,
-                      signal_sm=signal_sm, interference_sm=int_sm,
-                      sir_um=math.nan)
+    signal_us, int_us = link(pico, d2_s, i_pico, w)
+    signal_sm, int_sm = link(macro, d2_m_from_s, int(np.argmin(d2_m_from_s)),
+                             w - x_s)
+    interference = {DuplexMode.FDD: (int_us, int_sm)}
+    if ibfd:
+        interference[DuplexMode.IBFD] = (
+            add_field(int_us, macro, d2_m, None, w)[0],
+            add_field(int_sm, pico, _sq_distances(s_pts, s_pos, window),
+                      i_pico, w - x_s)[0])
+    return {mode: UserSample("pico", _sir(signal_us, interference[mode][0]),
+                             signal_sm, interference[mode][1], math.nan)
+            for mode in modes}
 
 
 def _self_interference(params: NetworkParams, mode: DuplexMode) -> float:
@@ -311,11 +308,11 @@ def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     return EstimateWithCI.from_mean_se(p, se, n)
 
 
-def _chunk_samples(params: NetworkParams, mode: DuplexMode,
+def _chunk_samples(params: NetworkParams, modes: tuple,
                    window: SimulationWindow, master_seed: int, start: int,
                    stop: int) -> list:
-    """The UserSamples of trials start..stop-1.  Trial i's two point
-    processes and its fading are seeded by SeedSequence(master_seed,
+    """The evaluate_user results of trials start..stop-1.  Trial i's two
+    point processes and its fading are seeded by SeedSequence(master_seed,
     spawn_key=(i, k)), k = 0, 1, 2: the children of child i of
     SeedSequence(master_seed), rebuilt from their spawn keys."""
     samples = []
@@ -325,27 +322,28 @@ def _chunk_samples(params: NetworkParams, mode: DuplexMode,
         realization = NetworkRealization(
             sample_ppp(params.lambda_m, window, seed_m),
             sample_ppp(params.lambda_s, window, seed_s))
-        samples.append(evaluate_user(realization, params, mode, seed_fading,
+        samples.append(evaluate_user(realization, params, modes, seed_fading,
                                      window=window))
     return samples
 
 
-def simulate_pass(params: NetworkParams, mode: DuplexMode, n_trials: int,
-                  window: SimulationWindow, master_seed: int) -> list:
-    """The UserSamples of n_trials seeded trials, in trial order, run in
-    one range per usable CPU (none shorter than _MIN_CHUNK_TRIALS)."""
+def simulate_pass(params: NetworkParams, modes: tuple, n_trials: int,
+                  window: SimulationWindow, master_seed: int) -> dict:
+    """{mode: UserSamples of n_trials seeded trials, in trial order}, run
+    in one range per usable CPU (none shorter than _MIN_CHUNK_TRIALS)."""
     if n_trials <= 0:
         raise ValueError("n_trials must be >= 1")
     n_chunks = max(1, min(process_count(), n_trials // _MIN_CHUNK_TRIALS))
     bounds = [n_trials * k // n_chunks for k in range(n_chunks + 1)]
-    return [sample for chunk in fan_out(_chunk_samples, [
-        (params, mode, window, master_seed, start, stop)
-        for start, stop in zip(bounds, bounds[1:])]) for sample in chunk]
+    trials = [trial for chunk in fan_out(_chunk_samples, [
+        (params, modes, window, master_seed, start, stop)
+        for start, stop in zip(bounds, bounds[1:])]) for trial in chunk]
+    return {mode: [trial[mode] for trial in trials] for mode in modes}
 
 
 def tally_metrics(samples: list, params: NetworkParams, th: Thresholds,
                   mode: DuplexMode) -> dict[str, EstimateWithCI]:
-    """Every simulated metric of one pass (simulate_pass) at thresholds th.
+    """Every simulated metric of one mode's samples (simulate_pass) at th.
 
     Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
     The tier components count trials that both associate with that tier
@@ -386,13 +384,3 @@ def tally_metrics(samples: list, params: NetworkParams, th: Thresholds,
         out["rate_total"] = EstimateWithCI.from_mean_se(
             mean, math.sqrt(var / n_cov), n_cov)
     return out
-
-
-def estimate_metrics(params: NetworkParams, th: Thresholds,
-                     mode: DuplexMode = DuplexMode.IBFD,
-                     n_trials: int = 20_000,
-                     window: SimulationWindow = SimulationWindow(),
-                     master_seed: int = 0) -> dict[str, EstimateWithCI]:
-    """tally_metrics of a pass drawn for this call alone."""
-    samples = simulate_pass(params, mode, n_trials, window, master_seed)
-    return tally_metrics(samples, params, th, mode)

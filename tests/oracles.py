@@ -15,6 +15,9 @@ index and sum(h * d**-alpha) per link.  The package works on squared
 distances in place and takes each power sum as one einsum; with the same
 seed both draw the same fading, so they differ only in rounding.
 
+estimate_metrics is a tally of a one-mode pass drawn for the call alone,
+the short form that the statistical checks use.
+
 Independent routes that the package does not run:
 
 * integrate_1d: scipy's adaptive quadpack on finite or semi-infinite
@@ -386,9 +389,11 @@ def _power_sum(power, h, d, alpha):
     return float(power * np.sum(h * d ** (-alpha)))
 
 
-def reference_evaluate_user(realization, params, mode, seed,
+def reference_evaluate_user(realization, params, modes, seed,
                             window=montecarlo.SimulationWindow()):
-    """montecarlo.evaluate_user on distances and masks (same signature)."""
+    """montecarlo.evaluate_user on distances and masks (same signature and
+    draw order: every same-tier array, then, with IBFD in modes, every
+    cross-tier one)."""
     if realization.macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = np.random.default_rng(seed)
@@ -399,6 +404,7 @@ def reference_evaluate_user(realization, params, mode, seed,
     comp_on = not window.wrap
     a_m, a_s = params.alpha_m, params.alpha_s
     sir = montecarlo._sir
+    ibfd = DuplexMode.IBFD in modes
 
     def macro_tail(center_dist):
         if not comp_on:
@@ -424,15 +430,16 @@ def reference_evaluate_user(realization, params, mode, seed,
         mask = np.arange(d_m.size) != i_macro
         interference = _power_sum(params.P_m, h_m[mask], d_m[mask], a_m)
         interference += macro_tail(0.0)
-        if mode is DuplexMode.IBFD:
+        sirs = {DuplexMode.FDD: sir(signal, interference)}
+        if ibfd:
             if d_s.size:
                 h_s = rng.exponential(size=d_s.shape)
                 interference += _power_sum(params.P_s, h_s, d_s, a_s)
             interference += pico_tail(0.0)
-        return montecarlo.UserSample(associated_tier="macro",
-                                     sir_us=math.nan, signal_sm=math.nan,
-                                     interference_sm=math.nan,
-                                     sir_um=sir(signal, interference))
+            sirs[DuplexMode.IBFD] = sir(signal, interference)
+        return {mode: montecarlo.UserSample(
+            associated_tier="macro", sir_us=math.nan, signal_sm=math.nan,
+            interference_sm=math.nan, sir_um=sirs[mode]) for mode in modes}
 
     i_pico = int(np.argmin(d_s))
     s_pos = s_pts[i_pico]
@@ -446,27 +453,38 @@ def reference_evaluate_user(realization, params, mode, seed,
     mask_s = np.arange(d_s.size) != i_pico
     int_us = _power_sum(params.P_s, h_s_user[mask_s], d_s[mask_s], a_s)
     int_us += pico_tail(0.0)
-    if mode is DuplexMode.IBFD:
-        h_m_user = rng.exponential(size=d_m.shape)
-        int_us += _power_sum(params.P_m, h_m_user, d_m, a_m)
-        int_us += macro_tail(0.0)
 
     h_m_s = rng.exponential(size=d_m_from_s.shape)
     signal_sm = params.P_m * float(h_m_s[i_backhaul]) * r ** (-a_m)
     mask_m = np.arange(d_m_from_s.size) != i_backhaul
     int_sm = _power_sum(params.P_m, h_m_s[mask_m], d_m_from_s[mask_m], a_m)
     int_sm += macro_tail(r_s)
-    if mode is DuplexMode.IBFD:
+    interference = {DuplexMode.FDD: (int_us, int_sm)}
+
+    if ibfd:
+        h_m_user = rng.exponential(size=d_m.shape)
+        int_us += _power_sum(params.P_m, h_m_user, d_m, a_m)
+        int_us += macro_tail(0.0)
         d_s_from_s = _distances(s_pts, s_pos, window)
         h_s_s = rng.exponential(size=d_s_from_s.shape)
         int_sm += _power_sum(params.P_s, h_s_s[mask_s],
                              d_s_from_s[mask_s], a_s)
         int_sm += pico_tail(r_s)
+        interference[DuplexMode.IBFD] = (int_us, int_sm)
 
-    return montecarlo.UserSample(associated_tier="pico",
-                                 sir_us=sir(signal_us, int_us),
-                                 signal_sm=signal_sm, interference_sm=int_sm,
-                                 sir_um=math.nan)
+    return {mode: montecarlo.UserSample(
+        associated_tier="pico", sir_us=sir(signal_us, interference[mode][0]),
+        signal_sm=signal_sm, interference_sm=interference[mode][1],
+        sir_um=math.nan) for mode in modes}
+
+
+def estimate_metrics(params, th, mode=DuplexMode.IBFD, n_trials=20_000,
+                     window=montecarlo.SimulationWindow(), master_seed=0):
+    """montecarlo.tally_metrics of a one-mode pass drawn for this call
+    alone."""
+    samples = montecarlo.simulate_pass(params, (mode,), n_trials, window,
+                                       master_seed)[mode]
+    return montecarlo.tally_metrics(samples, params, th, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import estimate_metrics
 from scipy import integrate
 
 from hetnet.analytic import (
@@ -36,7 +37,6 @@ from hetnet.core import (
     lens_area,
 )
 from hetnet.experiments import evaluate_point, figure_preset, run_sweep
-from hetnet.montecarlo import estimate_metrics
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
 

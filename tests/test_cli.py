@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import pytest
 
-from hetnet import cli, experiments, montecarlo
+from hetnet import cli, experiments, fanout, montecarlo
 from hetnet.analytic import (
     association_probability,
     coverage_smallcell_result,
@@ -398,7 +398,7 @@ class TestMainErrors:
     ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
     def test_flag_the_command_ignores_exits_one(self, argv, monkeypatch,
                                                 capsys):
-        for name in ("evaluate_point", "run_sweep", "estimate_metrics"):
+        for name in ("evaluate_point", "run_sweep", "simulate_pass"):
             monkeypatch.setattr(cli, name, _no_work)
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -606,6 +606,21 @@ class TestMainValidate:
         printed = float(line.split("analytic=")[1].split()[0])
         assert printed == pytest.approx(
             association_probability(NetworkParams()).value, abs=5e-7)
+
+    def test_one_pass_serves_both_modes(self, monkeypatch, capsys):
+        # both modes tally one pass; the determinism line draws two more
+        # of 200 trials
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_user(*args, **kwargs)
+
+        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
+        monkeypatch.setattr(montecarlo, "evaluate_user", counted)
+        assert main(["validate", "--trials", "800"]) == 0
+        assert "PASS  seeded determinism" in capsys.readouterr().out
+        assert calls == [tuple(DuplexMode)] * (800 + 2 * 200)
 
     def test_rejects_zero_trials(self, capsys):
         assert main(["validate", "--trials", "0"]) == 1

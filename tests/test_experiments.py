@@ -13,6 +13,7 @@ from dataclasses import replace
 from statistics import NormalDist
 
 import pytest
+from oracles import estimate_metrics
 
 from hetnet import experiments, fanout, montecarlo
 from hetnet.analytic import (
@@ -34,11 +35,7 @@ from hetnet.experiments import (
     figure_preset,
     run_sweep,
 )
-from hetnet.montecarlo import (
-    SimulationWindow,
-    estimate_metrics,
-    evaluate_user,
-)
+from hetnet.montecarlo import SimulationWindow, evaluate_user
 from hetnet.numerics import IntegralResult, NonConvergenceError
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
@@ -315,6 +312,7 @@ class TestRunSweep:
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > before
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("spec", [
         SweepSpec("T_s", (0.1, 0.3, 0.6, 1.1, 2.1, 4.1),
                   modes=tuple(DuplexMode), mc_trials=300),
@@ -323,23 +321,47 @@ class TestRunSweep:
         SweepSpec("beta", (-20.0, 0.0, 20.0, 36.0), modes=tuple(DuplexMode),
                   mc_trials=300),
     ], ids=["T_s", "eta", "beta"])
-    def test_threshold_sweep_draws_one_pass_per_mode(self, spec,
-                                                     monkeypatch):
-        # no sample reads T_s, eta or beta, so the cells of a mode tally
-        # one pass
-        calls = []
+    def test_one_network_sweep_draws_one_pass(self, spec, count,
+                                              monkeypatch):
+        # no sample reads T_s, eta or beta, and one pass serves both modes,
+        # so every cell tallies one pass, drawn before the fan-out: on 2
+        # CPUs the worker draws none.  A 300-trial pass is one range, so
+        # every call runs in this process, where the counter lives
+        parent, calls = os.getpid(), []
 
         def counted(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker drew trials")
             calls.append(args[2])
             return evaluate_user(*args, **kwargs)
 
-        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
+        monkeypatch.setattr(fanout, "_process_count", lambda: count)
         monkeypatch.setattr(montecarlo, "evaluate_user", counted)
         rows = run_sweep(spec, window=SimulationWindow(10.0))
         assert all(row.error is None and row.mc for row in rows)
-        assert len(calls) == 2 * 300
-        assert {mode: calls.count(mode) for mode in DuplexMode} == {
-            DuplexMode.IBFD: 300, DuplexMode.FDD: 300}
+        assert calls == [tuple(DuplexMode)] * 300
+
+    def test_value_without_a_model_point_keeps_its_error_row(self,
+                                                           monkeypatch):
+        # eta = 1.5 makes no model point, so no pass is drawn before the
+        # fan-out: each process draws its own, and that value records its
+        # error without aborting the sweep
+        monkeypatch.setattr(fanout, "_process_count", lambda: 2)
+        rows = run_sweep(SweepSpec("eta", (0.151, 0.451, 1.5),
+                                   modes=tuple(DuplexMode), outputs=("rate",),
+                                   mc_trials=300),
+                         window=SimulationWindow(10.0))
+        assert all(row.error is None and row.mc for row in rows[:4])
+        assert all("eta must be in [0, 1]" in row.error for row in rows[4:])
+
+    def test_failed_shared_draw_gives_every_cell_its_error_row(self):
+        # a window this small almost never holds a macro, so the pass
+        # fails; as when each cell drew its own, each cell records it
+        rows = run_sweep(SweepSpec("T_s", (0.1, 1.1), modes=tuple(DuplexMode),
+                                   mc_trials=20),
+                         window=SimulationWindow(0.1))
+        assert len(rows) == 4
+        assert all(row.error == "no station in tier: macro" for row in rows)
 
     @pytest.mark.parametrize("convention", ["ps", "pm"])
     def test_beta_sweep_cells_equal_a_pass_of_their_own(self, convention):

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
-from oracles import reference_evaluate_user
+from oracles import estimate_metrics, reference_evaluate_user
 
 from hetnet import fanout, montecarlo
 from hetnet.analytic import association_probability
@@ -30,9 +30,9 @@ from hetnet.montecarlo import (
     EstimateWithCI,
     NetworkRealization,
     SimulationWindow,
-    estimate_metrics,
     evaluate_user,
     sample_ppp,
+    tally_metrics,
 )
 
 TH = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
@@ -48,6 +48,11 @@ def raw_sums(monkeypatch):
     """evaluate_user and its oracle without the out-of-window tail (both
     look montecarlo._tail_mean up at call time)."""
     monkeypatch.setattr(montecarlo, "_tail_mean", no_tail)
+
+
+def user(rel, params, mode, seed, **kw) -> montecarlo.UserSample:
+    """The sample of evaluate_user for one mode."""
+    return evaluate_user(rel, params, (mode,), seed, **kw)[mode]
 
 
 def sir_sm(sample, params, mode) -> float:
@@ -122,25 +127,25 @@ class TestEvaluateUser:
         rel = realization(sample_ppp(1.0, w, seed=1),
                           sample_ppp(4.0, w, seed=2))
         p = NetworkParams()
-        a = evaluate_user(rel, p, DuplexMode.IBFD, seed=7, window=w)
-        b = evaluate_user(rel, p, DuplexMode.IBFD, seed=7, window=w)
+        a = user(rel, p, DuplexMode.IBFD, seed=7, window=w)
+        b = user(rel, p, DuplexMode.IBFD, seed=7, window=w)
         assert a == b
 
     def test_empty_macro_tier_rejected(self):
         rel = realization(np.empty((0, 2)), [[0.5, 0.0]])
         with pytest.raises(ValueError, match="no station in tier"):
-            evaluate_user(rel, NetworkParams(), DuplexMode.IBFD, seed=0)
+            user(rel, NetworkParams(), DuplexMode.IBFD, seed=0)
 
     def test_tier_fields_nan_pattern(self):
         # lone distant macro, nearby pico: pico association
         rel = realization([[5.0, 0.0]], [[0.4, 0.0]])
-        s = evaluate_user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
+        s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
         assert s.associated_tier == "pico"
         assert math.isnan(s.sir_um)
         assert s.sir_us > 0 and s.signal_sm > 0 and s.interference_sm > 0
         # no pico at all: macro association
         rel = realization([[1.0, 0.0]], np.empty((0, 2)))
-        s = evaluate_user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
+        s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
         assert s.associated_tier == "macro"
         assert math.isnan(s.sir_us) and math.isnan(s.signal_sm) \
             and math.isnan(s.interference_sm)
@@ -152,9 +157,9 @@ class TestEvaluateUser:
         cut = 1.0 / delta_m(p)
         near = realization([[cut * 0.98, 0.0]], [[0.0, 1.0]])
         far = realization([[cut * 1.02, 0.0]], [[0.0, 1.0]])
-        assert evaluate_user(near, p, DuplexMode.IBFD, 0).associated_tier \
+        assert user(near, p, DuplexMode.IBFD, 0).associated_tier \
             == "macro"
-        assert evaluate_user(far, p, DuplexMode.IBFD, 0).associated_tier \
+        assert user(far, p, DuplexMode.IBFD, 0).associated_tier \
             == "pico"
 
     @pytest.mark.usefixtures("raw_sums")
@@ -163,19 +168,19 @@ class TestEvaluateUser:
         # the macro, and the backhaul link has no interferer at all
         p = NetworkParams(beta=0.0)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
-        ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
+        ibfd = user(rel, p, DuplexMode.IBFD, seed=9)
         assert ibfd.sir_us < 1e10  # macro interference present
         assert ibfd.interference_sm == 0.0
         # interference-free cap
         assert sir_sm(ibfd, p, DuplexMode.IBFD) == pytest.approx(1e12)
         # FDD drops the cross-tier term: both links are interference-free
-        fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9)
+        fdd = user(rel, p, DuplexMode.FDD, seed=9)
         assert fdd.sir_us == pytest.approx(1e12)
         assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
         # the record does not read beta; only the IBFD tally adds it
         q = replace(p, beta=2.0)
         for mode, sample in ((DuplexMode.IBFD, ibfd), (DuplexMode.FDD, fdd)):
-            assert evaluate_user(rel, q, mode, seed=9) == sample
+            assert user(rel, q, mode, seed=9) == sample
         assert sir_sm(ibfd, q, DuplexMode.IBFD) < 1e10
         assert sir_sm(fdd, q, DuplexMode.FDD) == pytest.approx(1e12)
 
@@ -186,8 +191,8 @@ class TestEvaluateUser:
         p_ps = NetworkParams(beta=2.0, self_interference_convention="ps")
         p_pm = NetworkParams(beta=2.0, self_interference_convention="pm")
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
-        s_ps = evaluate_user(rel, p_ps, DuplexMode.IBFD, seed=4)
-        s_pm = evaluate_user(rel, p_pm, DuplexMode.IBFD, seed=4)
+        s_ps = user(rel, p_ps, DuplexMode.IBFD, seed=4)
+        s_pm = user(rel, p_pm, DuplexMode.IBFD, seed=4)
         assert s_ps == s_pm  # the convention enters the tally only
         assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
             sir_sm(s_pm, p_pm, DuplexMode.IBFD) * p_ps.P_m / p_ps.P_s,
@@ -226,12 +231,14 @@ class TestEvaluateUser:
             rel = realization([[0.2, 0.1], [6.0, 0.0]],
                               [[3.0, 3.0], [-4.0, 1.0]])
             links = [(macro, pico, 10.0)]
+        # every link's same-tier tail, then in IBFD every cross-tier one
         ibfd = mode is DuplexMode.IBFD
-        expected = [(*field, reach) for own, other, reach in links
-                    for field in ((own, other) if ibfd else (own,))]
+        expected = [(*own, reach) for own, other, reach in links]
+        if ibfd:
+            expected += [(*other, reach) for own, other, reach in links]
 
         flat = SimulationWindow(half_width=10.0)
-        s = evaluate_user(rel, p, mode, seed=1, window=flat)
+        s = user(rel, p, mode, seed=1, window=flat)
         assert s.associated_tier == tier
         assert [c[:3] for c in calls] == [e[:3] for e in expected]
         assert [c[3] for c in calls] == pytest.approx(
@@ -239,23 +246,23 @@ class TestEvaluateUser:
         if tier == "pico":
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
-                raw = evaluate_user(rel, p, mode, seed=1, window=flat)
-            backhaul = calls[-2:] if ibfd else calls[-1:]
+                raw = user(rel, p, mode, seed=1, window=flat)
+            backhaul = calls[1::len(links)]
             assert s.signal_sm == raw.signal_sm
             assert s.interference_sm == pytest.approx(
                 raw.interference_sm + sum(real(*c) for c in backhaul),
                 rel=1e-12)
 
         calls.clear()
-        s = evaluate_user(rel, p, mode, seed=1,
-                          window=SimulationWindow(half_width=10.0, wrap=True))
+        s = user(rel, p, mode, seed=1,
+                 window=SimulationWindow(half_width=10.0, wrap=True))
         assert s.associated_tier == tier
         assert calls == []
 
     def test_huge_residual_kills_backhaul(self):
         p = NetworkParams(beta=1e15)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
-        s = evaluate_user(rel, p, DuplexMode.IBFD, seed=4)
+        s = user(rel, p, DuplexMode.IBFD, seed=4)
         assert sir_sm(s, p, DuplexMode.IBFD) < 1e-6
 
     @pytest.mark.usefixtures("raw_sums")
@@ -267,11 +274,10 @@ class TestEvaluateUser:
         # cancels them, leaving a pure distance-ratio identity.
         p = NetworkParams(beta=0.0)
         rel = realization([[5.0, -11.0], [-14.5, 0.0]], [[5.0, 0.0]])
-        flat = evaluate_user(rel, p, DuplexMode.FDD, seed=2,
-                             window=SimulationWindow(half_width=15.0))
-        wrapped = evaluate_user(rel, p, DuplexMode.FDD, seed=2,
-                                window=SimulationWindow(half_width=15.0,
-                                                        wrap=True))
+        flat = user(rel, p, DuplexMode.FDD, seed=2,
+                    window=SimulationWindow(half_width=15.0))
+        wrapped = user(rel, p, DuplexMode.FDD, seed=2,
+                       window=SimulationWindow(half_width=15.0, wrap=True))
         assert flat.associated_tier == wrapped.associated_tier == "pico"
         flat_sir, wrapped_sir = (sir_sm(s, p, DuplexMode.FDD)
                                  for s in (flat, wrapped))
@@ -288,8 +294,8 @@ def same_sir(got: float, ref: float) -> bool:
 
 
 def assert_matches_oracle(rel, p, mode, seed, **kw):
-    got = evaluate_user(rel, p, mode, seed, **kw)
-    ref = reference_evaluate_user(rel, p, mode, seed, **kw)
+    got = user(rel, p, mode, seed, **kw)
+    ref = reference_evaluate_user(rel, p, (mode,), seed, **kw)[mode]
     assert got.associated_tier == ref.associated_tier
     for field in ("sir_us", "signal_sm", "interference_sm", "sir_um"):
         assert same_sir(getattr(got, field), getattr(ref, field)), \
@@ -372,10 +378,11 @@ class TestKernelMatchesOracle:
         p = NetworkParams(beta=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ibfd = evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
-            fdd = evaluate_user(rel, p, DuplexMode.FDD, seed=9)
+            ibfd = user(rel, p, DuplexMode.IBFD, seed=9)
+            fdd = user(rel, p, DuplexMode.FDD, seed=9)
         with np.errstate(divide="ignore"):
-            ref = reference_evaluate_user(rel, p, DuplexMode.IBFD, seed=9)
+            ref = reference_evaluate_user(rel, p, (DuplexMode.IBFD,),
+                                          seed=9)[DuplexMode.IBFD]
         assert ibfd.associated_tier == "pico"
         assert ibfd.interference_sm == ref.interference_sm == math.inf
         assert sir_sm(ibfd, p, DuplexMode.IBFD) == 0.0
@@ -398,17 +405,19 @@ class TestEstimators:
         assert a["rate_total"].mean != c["rate_total"].mean
 
     @pytest.mark.parametrize("th, mode, hits_s, hits_m, rate", [
-        (Thresholds(), DuplexMode.IBFD, 158, 52, 0.31483734148192605),
+        (Thresholds(), DuplexMode.IBFD, 165, 52, 0.3141541106746506),
         (Thresholds(), DuplexMode.FDD, 392, 52, 0.14998100836815123),
         # distinct thresholds: each one is compared on its own link
-        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 37, 50,
-         0.6206667489217983),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 33, 50,
+         0.6567147120254144),
         (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 129, 50,
          0.29544994998919827),
     ])
     def test_frozen_seeded_tallies(self, th, mode, hits_s, hits_m, rate):
         # frozen across versions: a change to the draw order, the tier
-        # decision or the order of the interference sums moves these
+        # decision or the order of the interference sums moves these.  The
+        # IBFD pico counts moved once, when the cross-tier fades went after
+        # every same-tier one
         est = estimate_metrics(NetworkParams(), th, mode, n_trials=600,
                                master_seed=2024)
         counts = {name: round(600 * est[name].mean) for name in
@@ -421,7 +430,7 @@ class TestEstimators:
         assert est["rate_total"].mean == pytest.approx(rate, rel=1e-15)
 
     @pytest.mark.parametrize("trial, mode, expected", [
-        (0, DuplexMode.IBFD, (0.01905030556827225, 0.1729979898948745)),
+        (0, DuplexMode.IBFD, (0.017792720090178665, 0.02104491965831663)),
         (0, DuplexMode.FDD, (0.27745394260739853, 0.0442813380559903)),
         (39, DuplexMode.IBFD, 212.55809406217188),
         (39, DuplexMode.FDD, 226.19926486596125),
@@ -434,7 +443,7 @@ class TestEstimators:
             SeedSequence(2024, spawn_key=(trial,)).spawn(3)
         rel = NetworkRealization(sample_ppp(p.lambda_m, w, seed_m),
                                  sample_ppp(p.lambda_s, w, seed_s))
-        s = evaluate_user(rel, p, mode, seed_fading, window=w)
+        s = user(rel, p, mode, seed_fading, window=w)
         if trial == 0:
             assert s.associated_tier == "pico"
             assert (s.sir_us, sir_sm(s, p, mode)) == expected
@@ -514,10 +523,10 @@ class TestEstimators:
             rel = NetworkRealization(
                 macro_points=sample_ppp(p.lambda_m, w, seed_m),
                 pico_points=sample_ppp(p.lambda_s, w, seed_s))
-            on = evaluate_user(rel, p, mode, seed_fading, window=w)
+            on = user(rel, p, mode, seed_fading, window=w)
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
-                off = evaluate_user(rel, p, mode, seed_fading, window=w)
+                off = user(rel, p, mode, seed_fading, window=w)
             assert on.associated_tier == off.associated_tier
             sirs = [(name, getattr(on, name), getattr(off, name))
                     for name in ("sir_us", "sir_um")]
@@ -559,8 +568,9 @@ class TestEstimators:
         assert est["p_total"].mean == 0.0
         assert "rate_total" not in est
         # a point evaluation that must report the rate refuses instead
-        samples = montecarlo.simulate_pass(p, DuplexMode.IBFD, 100,
-                                           SimulationWindow(), 47)
+        samples = montecarlo.simulate_pass(p, (DuplexMode.IBFD,), 100,
+                                           SimulationWindow(),
+                                           47)[DuplexMode.IBFD]
         with pytest.raises(ValueError, match="conditioning event empty"):
             evaluate_point(p, th, DuplexMode.IBFD, ("rate",), samples)
 
@@ -603,6 +613,28 @@ class TestChunkedPass:
                                          master_seed=53))
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, wrap,
+                                                            count,
+                                                            monkeypatch):
+        # every same-tier fade is drawn before any cross-tier one, so a
+        # mode's samples do not depend on the other mode sharing the pass.
+        # Field reprs are compared: a nan field unpickled from a worker is
+        # a new object, and nan != nan
+        monkeypatch.setattr(fanout, "_process_count", lambda: count)
+        window = SimulationWindow(half_width=10.0, wrap=wrap)
+        both = montecarlo.simulate_pass(NetworkParams(), tuple(DuplexMode),
+                                        500, window, 71)
+        assert {s.associated_tier for s in both[DuplexMode.IBFD]} == {
+            "pico", "macro"}
+        for mode in DuplexMode:
+            alone = montecarlo.simulate_pass(NetworkParams(), (mode,), 500,
+                                             window, 71)
+            assert list(alone) == [mode]
+            assert [repr(s) for s in alone[mode]] == \
+                [repr(s) for s in both[mode]]
+
     def test_trial_seed_is_the_spawned_child(self):
         # a range rebuilds trial i's seed from its spawn key alone
         children = SeedSequence(61).spawn(7)
@@ -614,10 +646,10 @@ class TestChunkedPass:
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         # the last trial, which a worker runs, fails as an empty tier would
-        def fail_last(realization, params, mode, seed, **kwargs):
+        def fail_last(realization, params, modes, seed, **kwargs):
             if seed.spawn_key[0] == 599:
                 raise ValueError("no station in tier: macro")
-            return evaluate_user(realization, params, mode, seed, **kwargs)
+            return evaluate_user(realization, params, modes, seed, **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "evaluate_user", fail_last)
@@ -676,11 +708,11 @@ class TestChunkedPass:
             "    rel = mc.NetworkRealization(\n"
             "        mc.sample_ppp(p.lambda_m, w, seed=2 * k),\n"
             "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1))\n"
-            "    print(mc.evaluate_user(rel, p, DuplexMode.IBFD, seed=k))\n"
+            "    print(mc.evaluate_user(rel, p, tuple(DuplexMode), seed=k))\n"
             "th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)\n"
+            "passes = mc.simulate_pass(p, tuple(DuplexMode), 500, w, 67)\n"
             "for mode in DuplexMode:\n"
-            "    out = mc.estimate_metrics(p, th, mode, n_trials=500,"
-            " master_seed=67)\n"
+            "    out = mc.tally_metrics(passes[mode], p, th, mode)\n"
             "    print(sorted((k, repr(v)) for k, v in out.items()))\n")
         outputs = []
         for pinned in (True, False):

@@ -90,8 +90,9 @@ def test_every_exported_name_is_used_by_the_package():
 # (the simulator's compensation switch, a None window re-defaulted inside
 # a function, _mixed_term's optional access map), a second convergence
 # gate beside evaluate_point's one loop, a pass hold that outlived the
-# call that drew it, and a second definition of the fields that fix a
-# network (NetworkParams.network).  The __all__ scan above
+# call that drew it, a second definition of the fields that fix a
+# network (NetworkParams.network), and the one-mode pass-and-tally
+# shortcut that only tests call (estimate_metrics).  The __all__ scan above
 # cannot see a keyword argument, a dataclass field or a private helper, so
 # each one is named here.
 RETIRED = [
@@ -110,7 +111,7 @@ RETIRED = [
     "disc_union_area", "circle_arc_outside_disc", "tail_compensation",
     "window is None", "acc is None", "_converged", "_SKIP_EXPONENT",
     "_chunk_tallies", "generate_state", "_gain",
-    "_PASSES", "_held_pass", "_point_key",
+    "_PASSES", "_held_pass", "_point_key", "estimate_metrics",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
