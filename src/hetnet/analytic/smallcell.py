@@ -203,9 +203,7 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     # onto [0, U] with U = pi (circle) or U = theta_allow (arc), and the
     # 1/U density makes U cancel out of the weighted mean
     gxt, gwt = _leggauss(16)
-    theta_allow = np.arccos(np.clip((ri ** 2 - rs ** 2 - r ** 2)
-                                    / np.maximum(2.0 * rs * r, 1e-300),
-                                    -1.0, 1.0))
+    theta_allow = np.pi - chord_angle(rs, r, ri)
     out["g_w"] = 0.5 * gwt
     # r_m^2 = r_s^2 + r^2 + 2 r_s r cos(theta) in the chord form of _znpow;
     # its nodes theta = U/2 (1 - x) at x = -gxt are the Gauss nodes on [0, U]

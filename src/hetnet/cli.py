@@ -211,11 +211,11 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
 
     th, modes = cfg.thresholds, tuple(_MODES.values())
-    samples = simulate_pass(cfg.params, modes, trials, cfg.window, seed)
+    simulation = simulate_pass(cfg.params, modes, trials, cfg.window, seed)
     for mode_name, mode in _MODES.items():
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
-                             samples[mode], bearing="arc")
+                             simulation, bearing="arc")
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
@@ -226,8 +226,8 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
 
     first, second = (simulate_pass(cfg.params, modes, 200, cfg.window, seed)
                      for _ in range(2))
-    same = all(tally_metrics(first[mode], cfg.params, th, mode)
-               == tally_metrics(second[mode], cfg.params, th, mode)
+    same = all(tally_metrics(first, cfg.params, th, mode)
+               == tally_metrics(second, cfg.params, th, mode)
                for mode in modes)
     report("seeded determinism", same,
            "two identically seeded runs agree" if same
@@ -308,12 +308,12 @@ def main(argv=None) -> int:
     notes = ()
     try:
         if args.command in _POINT_OUTPUTS:
-            mode, samples = _MODES[args.mode], None
+            mode, simulation = _MODES[args.mode], None
             if args.command == "simulate":
-                samples = simulate_pass(cfg.params, (mode,), args.trials,
-                                        cfg.window, args.seed)[mode]
+                simulation = simulate_pass(cfg.params, (mode,), args.trials,
+                                           cfg.window, args.seed)
             rows = [evaluate_point(cfg.params, cfg.thresholds, mode,
-                                   _POINT_OUTPUTS[args.command], samples)]
+                                   _POINT_OUTPUTS[args.command], simulation)]
         elif args.command in ("sweep", "figure"):
             if args.command == "figure":
                 spec = figure_preset(args.figure_id)

@@ -28,7 +28,8 @@ from .analytic import (
 )
 from .core import DuplexMode, NetworkParams, Thresholds
 from .fanout import fan_out, process_count
-from .montecarlo import SimulationWindow, simulate_pass, tally_metrics
+from .montecarlo import (SimulationPass, SimulationWindow, simulate_pass,
+                         tally_metrics)
 from .numerics import NonConvergenceError
 
 __all__ = [
@@ -124,7 +125,8 @@ def _apply_swept_value(spec: SweepSpec, x: float):
 
 def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                    outputs: tuple = ("coverage_total",),
-                   samples: Optional[list] = None, bearing: str = "circle",
+                   simulation: Optional[SimulationPass] = None,
+                   bearing: str = "circle",
                    x: float = math.nan) -> SweepRow:
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
@@ -135,13 +137,13 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     probabilities joint with their association event, so p_total is
     their plain sum, with no extra association weighting.
     Coverage is integrated once and also normalizes the covered rate.
-    samples, this mode's list of a simulate_pass result for this network
-    or None, is tallied at this point's thresholds, eta, kappa and beta
-    for the Monte Carlo estimate of every reported metric it covers.  Every
-    analytic value comes with its solver's error estimate; p_total and
-    rate_total carry their inputs' estimates and converge only when all
-    of their inputs did.  bearing is the serving-macro bearing
-    convention of the small-cell integrals; x labels the row.
+    simulation, a simulate_pass result of this network that holds this
+    mode, or None, is tallied at this point's thresholds, eta, kappa and
+    beta for the Monte Carlo estimate of every reported metric it
+    covers.  Every analytic value comes with its solver's error estimate;
+    p_total and rate_total carry their inputs' estimates and converge
+    only when all of their inputs did.  bearing is the serving-macro
+    bearing convention of the small-cell integrals; x labels the row.
 
     Raises NonConvergenceError when an integral behind a reported value
     misses its tolerance, and ValueError when the rate's conditioning
@@ -182,8 +184,8 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
                 f"{result.error_estimate:.2e})")
 
     mc: dict = {}
-    if samples is not None:
-        estimates = tally_metrics(samples, params, th, mode)
+    if simulation is not None:
+        estimates = tally_metrics(simulation, params, th, mode)
         if wants_rate and "rate_total" not in estimates:
             raise ValueError("conditioning event empty in sample")
         mc = {name: est for name, est in estimates.items()
@@ -195,12 +197,12 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
 
 
 def _network_pass(spec: SweepSpec, params: NetworkParams, seed: int,
-                  window: SimulationWindow) -> dict:
+                  window: SimulationWindow) -> Optional[SimulationPass]:
     """The pass of params' network, all the sweep's modes in one, that its
-    rows tally; empty when they carry no simulation estimate."""
+    rows tally; None when they carry no simulation estimate."""
     if spec.mc_trials == 0 or {"coverage_total", "coverage_breakdown",
                                "rate"}.isdisjoint(spec.outputs):
-        return {}
+        return None
     return simulate_pass(params, spec.modes, spec.mc_trials, window, seed)
 
 
@@ -208,16 +210,16 @@ def _sweep_cells(spec: SweepSpec, cells: list, seed: int,
                  window: SimulationWindow, held: tuple) -> list:
     """The row of each (x, mode) cell, in order.  held is a (network,
     pass) pair; a cell of another network draws that network's pass."""
-    network, samples = held
+    network, simulation = held
     rows = []
     for x, mode in cells:
         try:
             params, th = _apply_swept_value(spec, x)
             if params.network != network:
-                network, samples = params.network, _network_pass(
+                network, simulation = params.network, _network_pass(
                     spec, params, seed, window)
             rows.append(evaluate_point(params, th, mode, spec.outputs,
-                                       samples.get(mode), x=x))
+                                       simulation, x=x))
         except (ValueError, NonConvergenceError) as exc:
             rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
     return rows
@@ -233,7 +235,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
     CPUs.  Results do not depend on the CPU count.  A failing point is
     reported in its row's `error` field without aborting the sweep.
     """
-    held = (None, {})
+    held = (None, None)
     with suppress(ValueError):  # each cell then records the error itself
         points = [_apply_swept_value(spec, x)[0] for x in spec.grid]
         if len({point.network for point in points}) == 1:

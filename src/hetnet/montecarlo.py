@@ -32,13 +32,14 @@ Fading is drawn once per station per receiving link, every same-tier
 array first, so one draw serves both modes: FDD reads the same-tier
 sums, and IBFD continues them.
 
-Pass and tally: simulate_pass returns each mode's UserSamples, which
-read only NetworkParams.network; tally_metrics adds the residual
-self-interference to each backhaul interference before _sir's cap and
-counts the trials against the thresholds.  Trial i's draws are seeded
-by SeedSequence(master_seed, spawn_key=(i, k)), so a pass splits into
-ranges of trials over the usable CPUs (fanout.fan_out), joined in trial
-order: bit-identical for any split.
+Pass and tally: simulate_pass returns a SimulationPass, per-trial columns
+of link powers that read only NetworkParams.network.  tally_metrics, its
+one reader, adds the residual self-interference to the backhaul's
+interference, forms every SIR with _sir's cap and counts the trials
+against the thresholds.  Trial i's draws are seeded by
+SeedSequence(master_seed, spawn_key=(i, k)), so a pass splits into ranges
+of trials over the usable CPUs (fanout.fan_out), joined in trial order:
+bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ from .fanout import fan_out, process_count
 __all__ = [
     "EstimateWithCI",
     "NetworkRealization",
+    "SimulationPass",
     "SimulationWindow",
-    "UserSample",
     "evaluate_user",
     "sample_ppp",
     "simulate_pass",
@@ -111,30 +112,26 @@ class EstimateWithCI:
     mean: float
     std_error: float
     n_trials: int
-    ci95_low: float
-    ci95_high: float
 
-    @staticmethod
-    def from_mean_se(mean: float, se: float, n: int) -> "EstimateWithCI":
-        return EstimateWithCI(mean=mean, std_error=se, n_trials=n,
-                              ci95_low=mean - _Z95 * se,
-                              ci95_high=mean + _Z95 * se)
+    ci95_low = property(lambda self: self.mean - _Z95 * self.std_error)
+    ci95_high = property(lambda self: self.mean + _Z95 * self.std_error)
 
 
-@dataclass(frozen=True)
-class UserSample:
-    """Per-trial outcome for the user at the origin.
+@dataclass(frozen=True, eq=False)
+class SimulationPass:
+    """Per-trial link powers of the user at the origin, in trial order.
 
-    associated_tier is "pico" or "macro"; the fields of the other tier's
-    links are nan.  interference_sm leaves out the residual
-    self-interference, which tally_metrics adds.
+    pico is True for a pico user.  access_signal is the signal of the
+    user's serving link (pico access or macro); backhaul_signal is the
+    serving pico's, nan for a macro user.  interference maps each mode to
+    an (n, 2) array of (access, backhaul) interference, the backhaul's
+    without the residual self-interference, which tally_metrics adds.
     """
 
-    associated_tier: str
-    sir_us: float
-    signal_sm: float
-    interference_sm: float
-    sir_um: float
+    pico: np.ndarray
+    access_signal: np.ndarray
+    backhaul_signal: np.ndarray
+    interference: dict
 
 
 def sample_ppp(intensity: float, window: SimulationWindow, seed) -> np.ndarray:
@@ -201,19 +198,22 @@ def _sq_distances(points: np.ndarray, center,
     return d2
 
 
-def _sir(signal: float, interference: float) -> float:
-    if interference <= 0.0:
-        return _SIR_CAP
-    return min(signal / interference, _SIR_CAP)
+@np.errstate(divide="ignore", invalid="ignore")
+def _sir(signal: np.ndarray, interference: np.ndarray) -> np.ndarray:
+    """signal / interference, capped at _SIR_CAP, and the cap if it is <= 0."""
+    ratio = np.minimum(np.divide(signal, interference), _SIR_CAP)
+    return np.where(interference > 0.0, ratio, _SIR_CAP)
 
 
 # one error state per trial, not one per power sum
 @np.errstate(divide="ignore")
 def evaluate_user(realization: NetworkRealization, params: NetworkParams,
                   modes: tuple, seed,
-                  window: SimulationWindow = SimulationWindow()) -> dict:
-    """{mode: UserSample} of the typical user at the origin of one
-    realization, for each duplexing mode in modes.
+                  window: SimulationWindow = SimulationWindow()) -> tuple:
+    """(pico, access_signal, backhaul_signal, {mode: (access, backhaul)
+    interference}) of the typical user at the origin of one realization:
+    one trial of a SimulationPass.  The dict holds FDD and, with IBFD in
+    modes, IBFD.
 
     seed drives the fading draws only (i.i.d. unit-mean exponential per
     station per receiving link): every same-tier array (access, then
@@ -268,13 +268,11 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     ibfd, w = DuplexMode.IBFD in modes, window.half_width
     if not pico_assoc:
         signal, int_um = link(macro, d2_m, i_macro, w)
-        interference = {DuplexMode.FDD: int_um}
+        interference = {DuplexMode.FDD: (int_um, math.nan)}
         if ibfd:
-            interference[DuplexMode.IBFD] = \
-                add_field(int_um, pico, d2_s, None, w)[0]
-        return {mode: UserSample("macro", math.nan, math.nan, math.nan,
-                                 _sir(signal, interference[mode]))
-                for mode in modes}
+            interference[DuplexMode.IBFD] = (
+                add_field(int_um, pico, d2_s, None, w)[0], math.nan)
+        return False, signal, math.nan, interference
 
     # at the user every macro interferes, the backhauling one via its own
     # term; at the serving pico its own zero distance is skipped
@@ -289,9 +287,7 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
             add_field(int_us, macro, d2_m, None, w)[0],
             add_field(int_sm, pico, _sq_distances(s_pts, s_pos, window),
                       i_pico, w - x_s)[0])
-    return {mode: UserSample("pico", _sir(signal_us, interference[mode][0]),
-                             signal_sm, interference[mode][1], math.nan)
-            for mode in modes}
+    return True, signal_us, signal_sm, interference
 
 
 def _self_interference(params: NetworkParams, mode: DuplexMode) -> float:
@@ -302,10 +298,11 @@ def _self_interference(params: NetworkParams, mode: DuplexMode) -> float:
     return params.beta * (params.P_s if own else params.P_m)
 
 
-def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
-    p = hits / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return EstimateWithCI.from_mean_se(p, se, n)
+def _binomial_estimate(hit: np.ndarray) -> EstimateWithCI:
+    """The share of the trials marked in hit, with its standard error."""
+    n = hit.size
+    p = int(np.count_nonzero(hit)) / n
+    return EstimateWithCI(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
 def _chunk_samples(params: NetworkParams, modes: tuple,
@@ -328,8 +325,9 @@ def _chunk_samples(params: NetworkParams, modes: tuple,
 
 
 def simulate_pass(params: NetworkParams, modes: tuple, n_trials: int,
-                  window: SimulationWindow, master_seed: int) -> dict:
-    """{mode: UserSamples of n_trials seeded trials, in trial order}, run
+                  window: SimulationWindow,
+                  master_seed: int) -> SimulationPass:
+    """The SimulationPass of n_trials seeded trials, in trial order, run
     in one range per usable CPU (none shorter than _MIN_CHUNK_TRIALS)."""
     if n_trials <= 0:
         raise ValueError("n_trials must be >= 1")
@@ -338,49 +336,50 @@ def simulate_pass(params: NetworkParams, modes: tuple, n_trials: int,
     trials = [trial for chunk in fan_out(_chunk_samples, [
         (params, modes, window, master_seed, start, stop)
         for start, stop in zip(bounds, bounds[1:])]) for trial in chunk]
-    return {mode: [trial[mode] for trial in trials] for mode in modes}
+    pico, access, backhaul, interference = zip(*trials)
+    return SimulationPass(
+        np.array(pico), np.array(access), np.array(backhaul),
+        {mode: np.array([links[mode] for links in interference])
+         for mode in modes})
 
 
-def tally_metrics(samples: list, params: NetworkParams, th: Thresholds,
+def tally_metrics(run: SimulationPass, params: NetworkParams, th: Thresholds,
                   mode: DuplexMode) -> dict[str, EstimateWithCI]:
-    """Every simulated metric of one mode's samples (simulate_pass) at th.
+    """Every simulated metric of one mode of a pass (simulate_pass) at th.
 
     Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
     The tier components count trials that both associate with that tier
     and clear its thresholds, so p_total = p_smallcell_joint +
     p_macro_joint exactly.  rate_total, present when a trial is covered,
     is the mean throughput over covered trials (its n_trials is the
-    covered count): the macro band share of log2(1 + SIR_um) for macro
-    users, the lesser of the access share and the per-pico backhaul share
-    for pico users, summed with fsum in trial order.
+    covered count): the macro band share of math.log2(1 + SIR) for macro
+    users, the lesser of the access and per-pico backhaul share's for pico
+    users, summed with fsum in trial order.
     """
-    n_assoc_s = hits_s = hits_m = 0
-    rates = []
     access_share, backhaul_share, macro_share = band_shares(params, mode)
-    residual = _self_interference(params, mode)
-    for sample in samples:
-        if sample.associated_tier == "pico":
-            n_assoc_s += 1
-            sir_sm = _sir(sample.signal_sm, sample.interference_sm + residual)
-            if sample.sir_us > th.T_s and sir_sm > th.T_b:
-                hits_s += 1
-                rates.append(min(
-                    access_share * math.log2(1.0 + sample.sir_us),
-                    backhaul_share * math.log2(1.0 + sir_sm)))
-        elif sample.sir_um > th.T_m:
-            hits_m += 1
-            rates.append(macro_share * math.log2(1.0 + sample.sir_um))
-    n_trials = len(samples)
+    interference = run.interference[mode]
+    sir_a = _sir(run.access_signal, interference[:, 0])
+    sir_b = _sir(run.backhaul_signal,
+                 interference[:, 1] + _self_interference(params, mode))
+    hit_s = run.pico & (sir_a > th.T_s) & (sir_b > th.T_b)
+    hit_m = ~run.pico & (sir_a > th.T_m)
+    covered = hit_s | hit_m
+    rates = [min(access_share * math.log2(1.0 + a),
+                 backhaul_share * math.log2(1.0 + b)) if pico
+             else macro_share * math.log2(1.0 + a)
+             for pico, a, b in zip(run.pico[covered].tolist(),
+                                   sir_a[covered].tolist(),
+                                   sir_b[covered].tolist())]
     out = {
-        "p_total": _binomial_estimate(hits_s + hits_m, n_trials),
-        "p_smallcell_joint": _binomial_estimate(hits_s, n_trials),
-        "p_macro_joint": _binomial_estimate(hits_m, n_trials),
-        "p_assoc_s": _binomial_estimate(n_assoc_s, n_trials),
+        "p_total": _binomial_estimate(covered),
+        "p_smallcell_joint": _binomial_estimate(hit_s),
+        "p_macro_joint": _binomial_estimate(hit_m),
+        "p_assoc_s": _binomial_estimate(run.pico),
     }
     n_cov = len(rates)
     if n_cov:
         mean = math.fsum(rates) / n_cov
         var = math.fsum((v - mean) ** 2 for v in rates) / max(n_cov - 1, 1)
-        out["rate_total"] = EstimateWithCI.from_mean_se(
-            mean, math.sqrt(var / n_cov), n_cov)
+        out["rate_total"] = EstimateWithCI(mean, math.sqrt(var / n_cov),
+                                           n_cov)
     return out

@@ -2,8 +2,9 @@
 
 dense_evaluate_joint is the small-cell joint-coverage panel sum written as
 whole-tensor einsums over per-node tensors: dense_node_tensors builds both
-mixed-term families for every node, each (node, radial, angular) tensor as
-one whole-array expression.  The package builds the pico family as one
+mixed-term families for every node, each (node, radial, angular) tensor by
+the same elementwise expression over every node (in node blocks, to bound
+the memory of its temporaries).  The package builds the pico family as one
 row, for r_s = 1, and scales it per node, builds the macro tensor block by
 block in place and evaluates the sums block by block; the two differ only
 in the order of floating-point operations (the macro tensor itself is
@@ -14,6 +15,10 @@ plain distances: abs + hypot per station, boolean masks to drop the serving
 index and sum(h * d**-alpha) per link.  The package works on squared
 distances in place and takes each power sum as one einsum; with the same
 seed both draw the same fading, so they differ only in rounding.
+
+reference_tally is the simulator's tally written as a loop over trials,
+one scalar SIR at a time with the same cap rule; the package forms each
+SIR column with one vectorized _sir, and the two must agree exactly.
 
 estimate_metrics is a tally of a one-mode pass drawn for the call alone,
 the short form that the statistical checks use.
@@ -56,7 +61,7 @@ from hetnet.analytic.tails import (
     shifted_functional_radius2,
     tail_profile,
 )
-from hetnet.core import DuplexMode, delta_m, delta_s
+from hetnet.core import DuplexMode, band_shares, delta_m, delta_s
 from hetnet.numerics import (
     IntegralResult,
     NonConvergenceError,
@@ -150,10 +155,24 @@ def chord_form(d2, four_rx, width, gx):
     return d2[..., None] + four_rx[..., None] / (1.0 + t * t)
 
 
+def _blocked_znpow(d2, four_rx, width, gx, alpha, block=256):
+    """chord_form(d2, four_rx, width, gx) ** (-alpha / 2), built block by
+    block over nodes (the first axis) into one preallocated array.  Every
+    operation is elementwise, so the result is bit-identical to the
+    whole-array expression, whose temporaries would each be as large as
+    the result."""
+    out = np.empty(d2.shape + gx.shape)
+    for lo in range(0, d2.shape[0], block):
+        rows = slice(lo, lo + block)
+        out[rows] = chord_form(d2[rows], four_rx[rows], width[rows], gx) \
+            ** (-alpha / 2.0)
+    return out
+
+
 def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     """smallcell._node_tensors with both mixed-term families per node,
-    every (node, radial, angular) tensor built as one whole-array
-    expression."""
+    every (node, radial, angular) tensor built by one elementwise
+    expression over all nodes (_blocked_znpow)."""
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     gx, gw = _leggauss(n_ang)
     # angular nodes mapped later per (node, l) interval [chi_ex, pi]
@@ -168,9 +187,8 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     out["s_wx"] = wxs * xs          # fold the l dl Jacobian
     out["s_xnpow"] = xs ** -alpha_s
     out["s_width"] = width
-    out["s_znpow"] = chord_form(
-        (xs - rs[:, None]) ** 2, 4.0 * rs[:, None] * xs, width, gx) \
-        ** (-alpha_s / 2.0)
+    out["s_znpow"] = _blocked_znpow(
+        (xs - rs[:, None]) ** 2, 4.0 * rs[:, None] * xs, width, gx, alpha_s)
     xt, wt = power_tail_nodes(rs * smallcell._LADDER_S[-1], alpha_s, n_tail)
     out["s_tw"] = wt * xt
     out["s_txnpow"] = xt ** -alpha_s
@@ -197,9 +215,8 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     out["m_wx"] = wxm * xm
     out["m_xnpow"] = xm ** -alpha_m
     out["m_width"] = width_m
-    out["m_znpow"] = chord_form(
-        (xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm, width_m, gx) \
-        ** (-alpha_m / 2.0)
+    out["m_znpow"] = _blocked_znpow(
+        (xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm, width_m, gx, alpha_m)
     xtm, wtm = power_tail_nodes(base * smallcell._LADDER_M[-1], alpha_m,
                                 n_tail)
     out["m_tw"] = wtm * xtm
@@ -239,9 +256,10 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     # onto [0, U] with U = pi (circle) or U = theta_allow (arc), and the
     # 1/U density makes U cancel out of the weighted mean
     gxt, gwt = _leggauss(16)
-    cos_allow = _clip_cos((ri ** 2 - rs ** 2 - r ** 2)
-                          / np.maximum(2.0 * rs * r, 1e-300))
-    theta_allow = np.arccos(cos_allow)
+    # the allowed bearing is pi minus the arc of the circle of radius r
+    # about S inside B(o, R_i), as for the macro widths above
+    theta_allow = np.pi - np.arccos(_clip_cos(
+        (rs ** 2 + r ** 2 - ri ** 2) / np.maximum(2.0 * rs * r, 1e-300)))
     out["g_w"] = 0.5 * gwt
     for tag, upper in (("arc", theta_allow), ("circle", np.pi)):
         # bearing theta = upper/2 (gxt + 1): the chord form's nodes at -gxt
@@ -295,10 +313,15 @@ def dense_mixed_term(s_cross, s_own, geom, prefix, idx):
     """The pico ("s_") or macro ("m_") mixed term of dense_geometry on the
     nodes idx, one einsum per sum."""
     xn = geom[prefix + "xnpow"][idx]
-    zn = geom[prefix + "znpow"][idx]
     one_minus = 1.0 - 1.0 / (1.0 + s_cross[:, None] * xn)
-    inner = np.einsum("nlk,k->nl", 1.0 / (1.0 + s_own[:, None, None] * zn),
-                      geom["ang_w"])
+    # the angular sum node block by node block (_blocked_znpow's reason)
+    inner = np.empty(xn.shape)
+    for lo in range(0, idx.size, 256):
+        rows = slice(lo, lo + 256)
+        zn = geom[prefix + "znpow"][idx[rows]]
+        inner[rows] = np.einsum("nlk,k->nl",
+                                1.0 / (1.0 + s_own[rows, None, None] * zn),
+                                geom["ang_w"])
     body = np.einsum("nl,nl->n", geom[prefix + "wx"][idx] * one_minus,
                      geom[prefix + "width"][idx] * inner)
     txn = geom[prefix + "txnpow"][idx]
@@ -403,7 +426,6 @@ def reference_evaluate_user(realization, params, modes, seed,
     d_s = _distances(s_pts, origin, window)
     comp_on = not window.wrap
     a_m, a_s = params.alpha_m, params.alpha_s
-    sir = montecarlo._sir
     ibfd = DuplexMode.IBFD in modes
 
     def macro_tail(center_dist):
@@ -430,16 +452,14 @@ def reference_evaluate_user(realization, params, modes, seed,
         mask = np.arange(d_m.size) != i_macro
         interference = _power_sum(params.P_m, h_m[mask], d_m[mask], a_m)
         interference += macro_tail(0.0)
-        sirs = {DuplexMode.FDD: sir(signal, interference)}
+        links = {DuplexMode.FDD: (interference, math.nan)}
         if ibfd:
             if d_s.size:
                 h_s = rng.exponential(size=d_s.shape)
                 interference += _power_sum(params.P_s, h_s, d_s, a_s)
             interference += pico_tail(0.0)
-            sirs[DuplexMode.IBFD] = sir(signal, interference)
-        return {mode: montecarlo.UserSample(
-            associated_tier="macro", sir_us=math.nan, signal_sm=math.nan,
-            interference_sm=math.nan, sir_um=sirs[mode]) for mode in modes}
+            links[DuplexMode.IBFD] = (interference, math.nan)
+        return False, signal, math.nan, links
 
     i_pico = int(np.argmin(d_s))
     s_pos = s_pts[i_pico]
@@ -472,19 +492,65 @@ def reference_evaluate_user(realization, params, modes, seed,
         int_sm += pico_tail(r_s)
         interference[DuplexMode.IBFD] = (int_us, int_sm)
 
-    return {mode: montecarlo.UserSample(
-        associated_tier="pico", sir_us=sir(signal_us, interference[mode][0]),
-        signal_sm=signal_sm, interference_sm=interference[mode][1],
-        sir_um=math.nan) for mode in modes}
+    return True, signal_us, signal_sm, interference
 
 
 def estimate_metrics(params, th, mode=DuplexMode.IBFD, n_trials=20_000,
                      window=montecarlo.SimulationWindow(), master_seed=0):
     """montecarlo.tally_metrics of a one-mode pass drawn for this call
     alone."""
-    samples = montecarlo.simulate_pass(params, (mode,), n_trials, window,
-                                       master_seed)[mode]
-    return montecarlo.tally_metrics(samples, params, th, mode)
+    run = montecarlo.simulate_pass(params, (mode,), n_trials, window,
+                                   master_seed)
+    return montecarlo.tally_metrics(run, params, th, mode)
+
+
+def _scalar_sir(signal, interference):
+    """montecarlo._sir of one trial, on Python floats."""
+    if interference <= 0.0:
+        return montecarlo._SIR_CAP
+    return min(signal / interference, montecarlo._SIR_CAP)
+
+
+def _binomial(hits, n):
+    p = hits / n
+    return montecarlo.EstimateWithCI(p, math.sqrt(p * (1.0 - p) / n), n)
+
+
+def reference_tally(run, params, th, mode):
+    """montecarlo.tally_metrics as a loop over the trials of a
+    SimulationPass, one scalar SIR at a time (_scalar_sir)."""
+    n_assoc_s = hits_s = hits_m = 0
+    rates = []
+    access_share, backhaul_share, macro_share = band_shares(params, mode)
+    residual = montecarlo._self_interference(params, mode)
+    for pico, signal, signal_sm, (int_a, int_b) in zip(
+            run.pico.tolist(), run.access_signal.tolist(),
+            run.backhaul_signal.tolist(), run.interference[mode].tolist()):
+        sir_a = _scalar_sir(signal, int_a)
+        if pico:
+            n_assoc_s += 1
+            sir_sm = _scalar_sir(signal_sm, int_b + residual)
+            if sir_a > th.T_s and sir_sm > th.T_b:
+                hits_s += 1
+                rates.append(min(access_share * math.log2(1.0 + sir_a),
+                                 backhaul_share * math.log2(1.0 + sir_sm)))
+        elif sir_a > th.T_m:
+            hits_m += 1
+            rates.append(macro_share * math.log2(1.0 + sir_a))
+    n_trials = len(run.pico)
+    out = {
+        "p_total": _binomial(hits_s + hits_m, n_trials),
+        "p_smallcell_joint": _binomial(hits_s, n_trials),
+        "p_macro_joint": _binomial(hits_m, n_trials),
+        "p_assoc_s": _binomial(n_assoc_s, n_trials),
+    }
+    n_cov = len(rates)
+    if n_cov:
+        mean = math.fsum(rates) / n_cov
+        var = math.fsum((v - mean) ** 2 for v in rates) / max(n_cov - 1, 1)
+        out["rate_total"] = montecarlo.EstimateWithCI(
+            mean, math.sqrt(var / n_cov), n_cov)
+    return out
 
 
 # ---------------------------------------------------------------------------

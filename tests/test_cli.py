@@ -192,14 +192,15 @@ class TestRowsToCsv:
             "4.0, ibfd, p_total, 0.5, nan, nan, nan, 0, 1e-06"
 
     def test_mc_columns_filled_from_estimate(self):
-        est = EstimateWithCI(mean=0.5, std_error=0.01, n_trials=400,
-                             ci95_low=0.48, ci95_high=0.52)
+        # the interval is mean -/+ 1.959963984540054 standard errors
+        est = EstimateWithCI(mean=0.5, std_error=0.01, n_trials=400)
         row = SweepRow(x=1.0, mode=DuplexMode.FDD,
                        analytic={"p_total": 0.51},
                        mc={"p_total": est}, quad_error={"p_total": 1e-7})
         fields = [c.strip() for c in
                   rows_to_csv([row]).splitlines()[1].split(",")]
-        assert fields[4:8] == ["0.5", "0.48", "0.52", "400"]
+        assert fields[4:8] == ["0.5", "0.48040036015459947",
+                               "0.5195996398454006", "400"]
 
     def test_error_row_marker(self):
         row = SweepRow(x=2.0, mode=DuplexMode.IBFD, error="bad point")

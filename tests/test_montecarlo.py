@@ -15,12 +15,13 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
-from oracles import estimate_metrics, reference_evaluate_user
+from oracles import estimate_metrics, reference_evaluate_user, reference_tally
 
 from hetnet import fanout, montecarlo
 from hetnet.analytic import association_probability
@@ -32,6 +33,7 @@ from hetnet.montecarlo import (
     SimulationWindow,
     evaluate_user,
     sample_ppp,
+    simulate_pass,
     tally_metrics,
 )
 
@@ -50,16 +52,36 @@ def raw_sums(monkeypatch):
     monkeypatch.setattr(montecarlo, "_tail_mean", no_tail)
 
 
-def user(rel, params, mode, seed, **kw) -> montecarlo.UserSample:
-    """The sample of evaluate_user for one mode."""
-    return evaluate_user(rel, params, (mode,), seed, **kw)[mode]
+class Trial(NamedTuple):
+    """One mode's links of one evaluate_user trial; the backhaul fields
+    are nan for a macro user."""
+
+    pico: bool
+    access_signal: float
+    backhaul_signal: float
+    access_interference: float
+    backhaul_interference: float
 
 
-def sir_sm(sample, params, mode) -> float:
-    """The backhaul SIR of a pico sample as tally_metrics forms it."""
-    return montecarlo._sir(
-        sample.signal_sm,
-        sample.interference_sm + montecarlo._self_interference(params, mode))
+def user(rel, params, mode, seed, kernel=evaluate_user, **kw) -> Trial:
+    """The trial of kernel (evaluate_user or its oracle) for one mode."""
+    pico, access, backhaul, interference = kernel(rel, params, (mode,), seed,
+                                                  **kw)
+    return Trial(pico, access, backhaul, *interference[mode])
+
+
+def access_sir(trial) -> float:
+    """The access SIR (pico access or macro) as tally_metrics forms it."""
+    return float(montecarlo._sir(trial.access_signal,
+                                 trial.access_interference))
+
+
+def sir_sm(trial, params, mode) -> float:
+    """The backhaul SIR of a pico trial as tally_metrics forms it."""
+    return float(montecarlo._sir(
+        trial.backhaul_signal,
+        trial.backhaul_interference
+        + montecarlo._self_interference(params, mode)))
 
 
 def realization(macros, picos) -> NetworkRealization:
@@ -140,16 +162,15 @@ class TestEvaluateUser:
         # lone distant macro, nearby pico: pico association
         rel = realization([[5.0, 0.0]], [[0.4, 0.0]])
         s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
-        assert s.associated_tier == "pico"
-        assert math.isnan(s.sir_um)
-        assert s.sir_us > 0 and s.signal_sm > 0 and s.interference_sm > 0
-        # no pico at all: macro association
+        assert s.pico
+        assert all(value > 0 for value in s[1:])
+        # no pico at all: macro association, with no backhaul
         rel = realization([[1.0, 0.0]], np.empty((0, 2)))
         s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
-        assert s.associated_tier == "macro"
-        assert math.isnan(s.sir_us) and math.isnan(s.signal_sm) \
-            and math.isnan(s.interference_sm)
-        assert s.sir_um > 0
+        assert not s.pico
+        assert math.isnan(s.backhaul_signal) \
+            and math.isnan(s.backhaul_interference)
+        assert s.access_signal > 0 and access_sir(s) > 0
 
     def test_association_boundary(self):
         # pico at unit distance: the macro wins inside delta_m^{-1}
@@ -157,10 +178,8 @@ class TestEvaluateUser:
         cut = 1.0 / delta_m(p)
         near = realization([[cut * 0.98, 0.0]], [[0.0, 1.0]])
         far = realization([[cut * 1.02, 0.0]], [[0.0, 1.0]])
-        assert user(near, p, DuplexMode.IBFD, 0).associated_tier \
-            == "macro"
-        assert user(far, p, DuplexMode.IBFD, 0).associated_tier \
-            == "pico"
+        assert not user(near, p, DuplexMode.IBFD, 0).pico
+        assert user(far, p, DuplexMode.IBFD, 0).pico
 
     @pytest.mark.usefixtures("raw_sums")
     def test_interferer_sets_by_mode(self):
@@ -169,13 +188,13 @@ class TestEvaluateUser:
         p = NetworkParams(beta=0.0)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         ibfd = user(rel, p, DuplexMode.IBFD, seed=9)
-        assert ibfd.sir_us < 1e10  # macro interference present
-        assert ibfd.interference_sm == 0.0
+        assert access_sir(ibfd) < 1e10  # macro interference present
+        assert ibfd.backhaul_interference == 0.0
         # interference-free cap
         assert sir_sm(ibfd, p, DuplexMode.IBFD) == pytest.approx(1e12)
         # FDD drops the cross-tier term: both links are interference-free
         fdd = user(rel, p, DuplexMode.FDD, seed=9)
-        assert fdd.sir_us == pytest.approx(1e12)
+        assert access_sir(fdd) == pytest.approx(1e12)
         assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
         # the record does not read beta; only the IBFD tally adds it
         q = replace(p, beta=2.0)
@@ -199,9 +218,9 @@ class TestEvaluateUser:
             rel=1e-12)
         # each convention's residual is beta times its power
         assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
-            s_ps.signal_sm / (2.0 * p_ps.P_s), rel=1e-12)
+            s_ps.backhaul_signal / (2.0 * p_ps.P_s), rel=1e-12)
         assert sir_sm(s_pm, p_pm, DuplexMode.IBFD) == pytest.approx(
-            s_pm.signal_sm / (2.0 * p_pm.P_m), rel=1e-12)
+            s_pm.backhaul_signal / (2.0 * p_pm.P_m), rel=1e-12)
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     @pytest.mark.parametrize("tier", ["pico", "macro"])
@@ -239,7 +258,7 @@ class TestEvaluateUser:
 
         flat = SimulationWindow(half_width=10.0)
         s = user(rel, p, mode, seed=1, window=flat)
-        assert s.associated_tier == tier
+        assert s.pico == (tier == "pico")
         assert [c[:3] for c in calls] == [e[:3] for e in expected]
         assert [c[3] for c in calls] == pytest.approx(
             [e[3] for e in expected], rel=1e-12)
@@ -248,15 +267,15 @@ class TestEvaluateUser:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
                 raw = user(rel, p, mode, seed=1, window=flat)
             backhaul = calls[1::len(links)]
-            assert s.signal_sm == raw.signal_sm
-            assert s.interference_sm == pytest.approx(
-                raw.interference_sm + sum(real(*c) for c in backhaul),
-                rel=1e-12)
+            assert s.backhaul_signal == raw.backhaul_signal
+            assert s.backhaul_interference == pytest.approx(
+                raw.backhaul_interference
+                + sum(real(*c) for c in backhaul), rel=1e-12)
 
         calls.clear()
         s = user(rel, p, mode, seed=1,
                  window=SimulationWindow(half_width=10.0, wrap=True))
-        assert s.associated_tier == tier
+        assert s.pico == (tier == "pico")
         assert calls == []
 
     def test_huge_residual_kills_backhaul(self):
@@ -278,7 +297,7 @@ class TestEvaluateUser:
                     window=SimulationWindow(half_width=15.0))
         wrapped = user(rel, p, DuplexMode.FDD, seed=2,
                        window=SimulationWindow(half_width=15.0, wrap=True))
-        assert flat.associated_tier == wrapped.associated_tier == "pico"
+        assert flat.pico and wrapped.pico
         flat_sir, wrapped_sir = (sir_sm(s, p, DuplexMode.FDD)
                                  for s in (flat, wrapped))
         assert flat_sir != wrapped_sir
@@ -286,8 +305,8 @@ class TestEvaluateUser:
         assert flat_sir * wrapped_sir == pytest.approx(expected, rel=1e-9)
 
 
-def same_sir(got: float, ref: float) -> bool:
-    """Equal up to rounding: 1e-12 relative, both capped, or both nan."""
+def close(got: float, ref: float) -> bool:
+    """Equal up to rounding: 1e-12 relative, both infinite, or both nan."""
     if math.isnan(ref):
         return math.isnan(got)
     return got == ref or abs(got - ref) <= 1e-12 * abs(ref)
@@ -295,17 +314,17 @@ def same_sir(got: float, ref: float) -> bool:
 
 def assert_matches_oracle(rel, p, mode, seed, **kw):
     got = user(rel, p, mode, seed, **kw)
-    ref = reference_evaluate_user(rel, p, (mode,), seed, **kw)[mode]
-    assert got.associated_tier == ref.associated_tier
-    for field in ("sir_us", "signal_sm", "interference_sm", "sir_um"):
-        assert same_sir(getattr(got, field), getattr(ref, field)), \
-            (field, getattr(got, field), getattr(ref, field))
+    ref = user(rel, p, mode, seed, kernel=reference_evaluate_user, **kw)
+    assert got.pico == ref.pico
+    for field, a, b in zip(Trial._fields[1:], got[1:], ref[1:]):
+        assert close(a, b), (field, a, b)
     return got
 
 
 class TestKernelMatchesOracle:
     """The squared-distance, in-place kernel against the distance-and-mask
-    reference: same tier, every SIR equal up to rounding."""
+    reference: same tier, every signal and interference equal up to
+    rounding."""
 
     @staticmethod
     def build(case, window, seed):
@@ -336,8 +355,7 @@ class TestKernelMatchesOracle:
                     m.setattr(montecarlo, "_tail_mean", no_tail)
                 got = assert_matches_oracle(rel, p, mode, seed=k,
                                             window=window)
-            assert got.associated_tier == \
-                ("pico" if case == "pico" else "macro")
+            assert got.pico == (case == "pico")
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_estimates_match_oracle_pass(self, seed, monkeypatch):
@@ -381,12 +399,14 @@ class TestKernelMatchesOracle:
             ibfd = user(rel, p, DuplexMode.IBFD, seed=9)
             fdd = user(rel, p, DuplexMode.FDD, seed=9)
         with np.errstate(divide="ignore"):
-            ref = reference_evaluate_user(rel, p, (DuplexMode.IBFD,),
-                                          seed=9)[DuplexMode.IBFD]
-        assert ibfd.associated_tier == "pico"
-        assert ibfd.interference_sm == ref.interference_sm == math.inf
+            ref = user(rel, p, DuplexMode.IBFD, seed=9,
+                       kernel=reference_evaluate_user)
+        assert ibfd.pico
+        assert ibfd.backhaul_interference == ref.backhaul_interference \
+            == math.inf
         assert sir_sm(ibfd, p, DuplexMode.IBFD) == 0.0
-        assert same_sir(ibfd.sir_us, ref.sir_us) and 0.0 < ibfd.sir_us
+        assert close(access_sir(ibfd), access_sir(ref)) \
+            and 0.0 < access_sir(ibfd)
         assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
 
 
@@ -445,16 +465,20 @@ class TestEstimators:
                                  sample_ppp(p.lambda_s, w, seed_s))
         s = user(rel, p, mode, seed_fading, window=w)
         if trial == 0:
-            assert s.associated_tier == "pico"
-            assert (s.sir_us, sir_sm(s, p, mode)) == expected
+            assert s.pico
+            assert (access_sir(s), sir_sm(s, p, mode)) == expected
         else:
-            assert s.associated_tier == "macro"
-            assert s.sir_um == expected
+            assert not s.pico
+            assert access_sir(s) == expected
 
     def test_estimate_shape(self):
-        e = EstimateWithCI.from_mean_se(0.4, 0.01, 100)
+        e = EstimateWithCI(0.4, 0.01, 100)
         assert e.ci95_low <= e.mean <= e.ci95_high
-        assert e.std_error >= 0
+        assert (e.ci95_low, e.ci95_high) == (
+            0.4 - montecarlo._Z95 * 0.01, 0.4 + montecarlo._Z95 * 0.01)
+        # an estimate holds its mean, standard error and trial count only
+        assert [f.name for f in fields(e)] == [
+            "mean", "std_error", "n_trials"]
 
     def test_breakdown_components_sum(self):
         p = NetworkParams()
@@ -527,15 +551,13 @@ class TestEstimators:
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
                 off = user(rel, p, mode, seed_fading, window=w)
-            assert on.associated_tier == off.associated_tier
-            sirs = [(name, getattr(on, name), getattr(off, name))
-                    for name in ("sir_us", "sir_um")]
-            if on.associated_tier == "pico":
-                sirs.append(("sir_sm", sir_sm(on, p, mode),
+            assert on.pico == off.pico
+            sirs = [("access", access_sir(on), access_sir(off))]
+            if on.pico:
+                sirs.append(("backhaul", sir_sm(on, p, mode),
                              sir_sm(off, p, mode)))
             for name, a, b in sirs:
-                assert math.isnan(a) == math.isnan(b)
-                assert math.isnan(a) or a <= b, (i, name)
+                assert a <= b, (i, name)
                 lowered += a < b
         assert lowered > 100
 
@@ -568,16 +590,111 @@ class TestEstimators:
         assert est["p_total"].mean == 0.0
         assert "rate_total" not in est
         # a point evaluation that must report the rate refuses instead
-        samples = montecarlo.simulate_pass(p, (DuplexMode.IBFD,), 100,
-                                           SimulationWindow(),
-                                           47)[DuplexMode.IBFD]
+        run = simulate_pass(p, (DuplexMode.IBFD,), 100, SimulationWindow(),
+                            47)
         with pytest.raises(ValueError, match="conditioning event empty"):
-            evaluate_point(p, th, DuplexMode.IBFD, ("rate",), samples)
+            evaluate_point(p, th, DuplexMode.IBFD, ("rate",), run)
 
     def test_bad_trial_count_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             estimate_metrics(NetworkParams(), TH, DuplexMode.IBFD,
                              n_trials=0)
+
+
+class TestTally:
+    """tally_metrics, one vectorized _sir per SIR column, against the
+    per-trial loop of tests/oracles.py: equal estimates, bit for bit."""
+
+    THRESHOLDS = (Thresholds(), Thresholds(T_s=0.3, T_b=1.0, T_m=0.2),
+                  Thresholds(T_s=5.0, T_b=0.01, T_m=20.0),
+                  Thresholds(T_s=1e11, T_b=1e11, T_m=1e11))
+
+    @staticmethod
+    def assert_equals_loop(run, params, mode, thresholds=THRESHOLDS):
+        for th in thresholds:
+            got = tally_metrics(run, params, th, mode)
+            assert got == reference_tally(run, params, th, mode), th
+        return got
+
+    @pytest.mark.parametrize("convention", ["ps", "pm"])
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_equals_the_trial_loop(self, mode, convention):
+        p = NetworkParams(self_interference_convention=convention)
+        run = simulate_pass(p, tuple(DuplexMode), 400,
+                            SimulationWindow(15.0), 5)
+        self.assert_equals_loop(run, p, mode)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_equals_the_trial_loop_on_a_built_pass(self, mode, beta):
+        # 20,000 trials of link powers over 12 decades, with no interferer
+        # on about 1 % of the links; thresholds at the cap tell > from >=
+        # on capped links
+        rng = np.random.default_rng(3)
+        n = 20_000
+        pico = rng.random(n) < 0.8
+
+        def powers():
+            return 10.0 ** rng.uniform(-6.0, 6.0, n)
+
+        interference = np.column_stack([powers(), powers()])
+        interference[rng.random((n, 2)) < 0.01] = 0.0
+        interference[~pico, 1] = np.nan
+        columns = (pico, powers(), np.where(pico, powers(), np.nan),
+                   interference)
+
+        def built(rows):
+            *links, per_mode = (c[rows] for c in columns)
+            return montecarlo.SimulationPass(*links, {mode: per_mode})
+
+        p, cap = NetworkParams(beta=beta), montecarlo._SIR_CAP
+        est = self.assert_equals_loop(
+            built(slice(None)), p, mode,
+            self.THRESHOLDS + (Thresholds(T_s=cap, T_b=0.1, T_m=cap),
+                               Thresholds(T_s=0.1, T_b=cap, T_m=0.1)))
+        assert est["p_total"].mean > 0.0
+        # a one-trial pass shows its rate's every bit, which a mean over
+        # many rounds away: numpy's log2 differs from math.log2 on about
+        # 1 in 700 of these arguments
+        for i in range(2_000):
+            self.assert_equals_loop(built(slice(i, i + 1)), p, mode, (TH,))
+
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_capped_links(self, mode):
+        # one macro and one pico on a torus: at beta = 0 a pico user's
+        # backhaul and every FDD link have no interferer, so _sir caps
+        # them; a backhaul threshold of 1e11 passes capped backhauls only
+        p = NetworkParams(lambda_m=0.25, lambda_s=0.25, beta=0.0)
+        window = SimulationWindow(1.0, wrap=True, fixed_count=True)
+        run = simulate_pass(p, tuple(DuplexMode), 300, window, 7)
+        assert 0 < np.count_nonzero(run.pico) < 300
+        assert np.all(run.interference[mode][run.pico, 1] == 0.0)
+        est = self.assert_equals_loop(
+            run, p, mode, self.THRESHOLDS + (Thresholds(T_b=1e11),))
+        assert est["p_smallcell_joint"].mean > 0.0
+        assert est["rate_total"].n_trials == round(300 * est["p_total"].mean)
+
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_no_pico_trial(self, mode):
+        # lambda_s = 0: no trial reads a backhaul column, whose share is nan
+        p = NetworkParams(lambda_s=0.0)
+        run = simulate_pass(p, (mode,), 200, SimulationWindow(10.0), 9)
+        assert not run.pico.any()
+        assert np.all(np.isnan(run.backhaul_signal))
+        est = self.assert_equals_loop(run, p, mode, self.THRESHOLDS[:3])
+        assert est["p_assoc_s"].mean == est["p_smallcell_joint"].mean == 0.0
+
+    @pytest.mark.parametrize("mode", list(DuplexMode))
+    def test_no_covered_trial(self, mode):
+        # thresholds above the cap: nothing is covered, and the rate,
+        # conditioned on coverage, is absent on both sides
+        p = NetworkParams()
+        run = simulate_pass(p, tuple(DuplexMode), 200,
+                            SimulationWindow(10.0), 11)
+        th = Thresholds(T_s=1e13, T_b=1e13, T_m=1e13)
+        est = self.assert_equals_loop(run, p, mode, (th,))
+        assert est["p_total"].mean == 0.0
+        assert "rate_total" not in est
 
 
 def test_simulator_loads_no_analytic_module():
@@ -619,21 +736,21 @@ class TestChunkedPass:
                                                             count,
                                                             monkeypatch):
         # every same-tier fade is drawn before any cross-tier one, so a
-        # mode's samples do not depend on the other mode sharing the pass.
-        # Field reprs are compared: a nan field unpickled from a worker is
-        # a new object, and nan != nan
+        # mode's columns do not depend on the other mode sharing the pass
         monkeypatch.setattr(fanout, "_process_count", lambda: count)
         window = SimulationWindow(half_width=10.0, wrap=wrap)
-        both = montecarlo.simulate_pass(NetworkParams(), tuple(DuplexMode),
-                                        500, window, 71)
-        assert {s.associated_tier for s in both[DuplexMode.IBFD]} == {
-            "pico", "macro"}
+        both = simulate_pass(NetworkParams(), tuple(DuplexMode), 500,
+                             window, 71)
+        assert 0 < np.count_nonzero(both.pico) < 500
         for mode in DuplexMode:
-            alone = montecarlo.simulate_pass(NetworkParams(), (mode,), 500,
-                                             window, 71)
-            assert list(alone) == [mode]
-            assert [repr(s) for s in alone[mode]] == \
-                [repr(s) for s in both[mode]]
+            alone = simulate_pass(NetworkParams(), (mode,), 500, window, 71)
+            assert list(alone.interference) == [mode]
+            for name in ("pico", "access_signal", "backhaul_signal"):
+                assert np.array_equal(getattr(alone, name),
+                                      getattr(both, name), equal_nan=True)
+            assert alone.interference[mode].shape == (500, 2)
+            assert np.array_equal(alone.interference[mode],
+                                  both.interference[mode], equal_nan=True)
 
     def test_trial_seed_is_the_spawned_child(self):
         # a range rebuilds trial i's seed from its spawn key alone
@@ -710,9 +827,9 @@ class TestChunkedPass:
             "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1))\n"
             "    print(mc.evaluate_user(rel, p, tuple(DuplexMode), seed=k))\n"
             "th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)\n"
-            "passes = mc.simulate_pass(p, tuple(DuplexMode), 500, w, 67)\n"
+            "run = mc.simulate_pass(p, tuple(DuplexMode), 500, w, 67)\n"
             "for mode in DuplexMode:\n"
-            "    out = mc.tally_metrics(passes[mode], p, th, mode)\n"
+            "    out = mc.tally_metrics(run, p, th, mode)\n"
             "    print(sorted((k, repr(v)) for k, v in out.items()))\n")
         outputs = []
         for pinned in (True, False):

@@ -112,6 +112,7 @@ RETIRED = [
     "window is None", "acc is None", "_converged", "_SKIP_EXPONENT",
     "_chunk_tallies", "generate_state", "_gain",
     "_PASSES", "_held_pass", "_point_key", "estimate_metrics",
+    "UserSample", "associated_tier", "from_mean_se",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
