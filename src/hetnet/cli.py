@@ -8,9 +8,10 @@ are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
 (window_half_width, wrap, fixed_count), and a default output path (out).
 Model fields, thresholds and window_half_width are JSON numbers, in
-either spelling; self_interference_convention and out are strings, wrap
-and fixed_count booleans, mc_trials an integer, grid an array of
-numbers, and modes, outputs and notes arrays.
+either spelling; self_interference_convention, swept_parameter and out
+are strings, wrap and fixed_count booleans, mc_trials an integer, grid
+an array of numbers, and modes, outputs and notes arrays.  An omitted
+key takes the default of the field it sets.
 
 Every command evaluates a point through experiments.evaluate_point, so a
 reported value whose integral missed its tolerance is never printed: the
@@ -28,15 +29,9 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .core import DuplexMode, NetworkParams, Thresholds
-from .experiments import (
-    FIGURE_IDS,
-    SweepSpec,
-    _db_to_linear,
-    evaluate_point,
-    figure_preset,
-    run_sweep,
-)
+from .core import DuplexMode, NetworkParams, Thresholds, db_to_linear
+from .experiments import (FIGURE_IDS, SweepSpec, evaluate_point,
+                          figure_preset, run_sweep)
 from .montecarlo import SimulationWindow, simulate_pass, tally_metrics
 from .numerics import NonConvergenceError
 
@@ -51,14 +46,21 @@ __all__ = [
 CSV_HEADER = ("x, mode, metric, analytic, mc_mean, mc_ci95_low, "
               "mc_ci95_high, n_trials, quad_error")
 
-_PARAM_KEYS = tuple(f.name for f in fields(NetworkParams))
-_THRESHOLD_KEYS = tuple(f.name for f in fields(Thresholds))
 # power-like quantities that admit decibel entry
-_DB_BASES = ("P_m", "P_s", "B_m", "B_s", "beta") + _THRESHOLD_KEYS
-_SWEEP_KEYS = ("swept_parameter", "grid", "modes", "outputs", "mc_trials",
-               "notes")
-_MC_KEYS = ("window_half_width", "wrap", "fixed_count")
-_MODES = {"ibfd": DuplexMode.IBFD, "fdd": DuplexMode.FDD}
+_DB_BASES = ("P_m", "P_s", "B_m", "B_s", "beta") \
+    + tuple(f.name for f in fields(Thresholds))
+# every config key and its JSON kind; an omitted key takes the default of
+# the field it sets
+_KEYS = {
+    **{f.name: str if f.name == "self_interference_convention" else float
+       for f in fields(NetworkParams)},
+    **{f.name: float for f in fields(Thresholds)},
+    **{base + "_db": float for base in _DB_BASES},
+    "swept_parameter": str, "grid": list, "modes": list, "outputs": list,
+    "mc_trials": int, "notes": list,
+    "window_half_width": float, "wrap": bool, "fixed_count": bool,
+    "out": str,
+}
 # outputs of the single-point commands
 _POINT_OUTPUTS = {"coverage": ("coverage_breakdown",), "rate": ("rate",),
                   "simulate": ("coverage_breakdown", "rate")}
@@ -75,25 +77,37 @@ class RunConfig:
     out: Optional[str] = None
 
 
-def _json_value(raw: dict, key: str, default, kind: type, source: str):
-    """raw[key] (default when absent), which must have the JSON type of
-    kind; true and false are not numbers, a string is not an array.  A
-    number comes back as a float."""
-    value = raw.get(key, default)
+def _json_value(key: str, value, kind: type, source: str):
+    """value, which must have the JSON type of kind; true and false are
+    not numbers, a string is not an array.  A number comes back as a
+    float, an array as a tuple."""
     if type(value) not in ((int, float) if kind is float else (kind,)):
         name = {bool: "boolean", int: "integer", float: "number",
                 list: "array", str: "string"}[kind]
         raise ValueError(
             f"{source}: {key} must be a JSON {name}, got {value!r}")
+    if kind is list:
+        return tuple(value)
     try:
         return float(value) if kind is float else value
     except OverflowError:
         raise ValueError(f"{source}: {key} is out of range") from None
 
 
-def _build(cls, source: str, **values):
+def _mode(name, source: str) -> DuplexMode:
     try:
-        return cls(**values)
+        return DuplexMode(str(name).lower())
+    except ValueError:
+        raise ValueError(
+            f"{source}: unknown mode {str(name).lower()!r}; expected "
+            f"{' or '.join(mode.value for mode in DuplexMode)}") from None
+
+
+def _build(cls, source: str, values: dict, **extra):
+    """cls from extra and the entries of values that name its fields."""
+    try:
+        return cls(**{f.name: values[f.name] for f in fields(cls)
+                      if f.name in values}, **extra)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -108,70 +122,42 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"{source}: top level must be a JSON object")
 
-    allowed = set(_PARAM_KEYS) | set(_THRESHOLD_KEYS) \
-        | {b + "_db" for b in _DB_BASES} | set(_SWEEP_KEYS) \
-        | set(_MC_KEYS) | {"out"}
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ValueError(f"{source}: unknown keys: {', '.join(unknown)}")
     for base in _DB_BASES:
         if base in raw and base + "_db" in raw:
             raise ValueError(
                 f"{source}: {base} and {base}_db are mutually exclusive")
+    values = {key: _json_value(key, raw[key], kind, source)
+              for key, kind in _KEYS.items() if key in raw}
+    if "grid" in values:
+        values["grid"] = tuple(
+            _json_value(f"grid[{i}]", v, float, source)
+            for i, v in enumerate(values["grid"]))
+    for base in _DB_BASES:
+        if base + "_db" in values:
+            try:
+                values[base] = db_to_linear(values.pop(base + "_db"))
+            except ValueError as exc:
+                raise ValueError(f"{source}: {base}_db: {exc}") from None
+    if "modes" in values:
+        values["modes"] = tuple(_mode(m, source) for m in values["modes"])
+    if "window_half_width" in values:  # the config's name of half_width
+        values["half_width"] = values.pop("window_half_width")
 
-    def scalar_fields(names):
-        values = {}
-        for name in names:
-            kind = str if name == "self_interference_convention" else float
-            if name in raw:
-                values[name] = _json_value(raw, name, None, kind, source)
-            elif name + "_db" in raw:
-                db = _json_value(raw, name + "_db", None, float, source)
-                try:
-                    values[name] = _db_to_linear(db)
-                except ValueError as exc:
-                    raise ValueError(f"{source}: {name}_db: {exc}") from None
-        return values
-
-    params = _build(NetworkParams, source, **scalar_fields(_PARAM_KEYS))
-    thresholds = _build(Thresholds, source, **scalar_fields(_THRESHOLD_KEYS))
-
+    params = _build(NetworkParams, source, values)
+    thresholds = _build(Thresholds, source, values)
     sweep = None
-    if any(k in raw for k in _SWEEP_KEYS):
-        if "swept_parameter" not in raw or "grid" not in raw:
+    if any(f.name in values for f in fields(SweepSpec)):
+        if "swept_parameter" not in values or "grid" not in values:
             raise ValueError(
                 f"{source}: a sweep needs swept_parameter and grid")
-        mode_names = _json_value(raw, "modes", ["ibfd"], list, source)
-        try:
-            modes = tuple(_MODES[str(m).lower()] for m in mode_names)
-        except KeyError as exc:
-            raise ValueError(
-                f"{source}: unknown mode {exc.args[0]!r}; expected "
-                f"ibfd or fdd") from exc
-        grid = {f"grid[{i}]": v for i, v in enumerate(
-            _json_value(raw, "grid", None, list, source))}
-        sweep = _build(
-            SweepSpec, source, swept_parameter=raw["swept_parameter"],
-            grid=tuple(_json_value(grid, k, None, float, source)
-                       for k in grid),
-            base_params=params,
-            base_thresholds=thresholds,
-            modes=modes,
-            outputs=tuple(_json_value(raw, "outputs", ["coverage_total"],
-                                      list, source)),
-            mc_trials=_json_value(raw, "mc_trials", 0, int, source),
-            notes=tuple(_json_value(raw, "notes", [], list, source)),
-        )
-
-    window = _build(
-        SimulationWindow, f"{source}: window_half_width",
-        half_width=_json_value(raw, "window_half_width", 30.0, float, source),
-        wrap=_json_value(raw, "wrap", False, bool, source),
-        fixed_count=_json_value(raw, "fixed_count", False, bool, source))
-    return RunConfig(
-        params=params, thresholds=thresholds, sweep=sweep, window=window,
-        out=_json_value(raw, "out", None, str, source) if "out" in raw
-        else None)
+        sweep = _build(SweepSpec, source, values, base_params=params,
+                       base_thresholds=thresholds)
+    window = _build(SimulationWindow, f"{source}: window_half_width", values)
+    return _build(RunConfig, source, values, params=params,
+                  thresholds=thresholds, sweep=sweep, window=window)
 
 
 def _fmt(value: float) -> str:
@@ -183,7 +169,7 @@ def rows_to_csv(rows, notes=()) -> str:
     lines = [f"# {note}" for note in notes]
     lines.append(CSV_HEADER)
     for row in rows:
-        mode = row.mode.name.lower()
+        mode = row.mode.value
         if row.error is not None:
             lines.append(", ".join([_fmt(row.x), mode, "error", "nan",
                                     "nan", "nan", "nan", "0", "nan"]))
@@ -210,9 +196,9 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
     def report(name: str, ok: bool, detail: str) -> None:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
 
-    th, modes = cfg.thresholds, tuple(_MODES.values())
+    th, modes = cfg.thresholds, tuple(DuplexMode)
     simulation = simulate_pass(cfg.params, modes, trials, cfg.window, seed)
-    for mode_name, mode in _MODES.items():
+    for mode in modes:
         row = evaluate_point(cfg.params, th, mode,
                              ("coverage_breakdown", "rate", "association"),
                              simulation, bearing="arc")
@@ -221,7 +207,7 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
             value, est = row.analytic[name], row.mc[name]
             sigma = max(est.std_error, 1e-9)
             z = (est.mean - value) / sigma
-            report(f"{mode_name} {name}", abs(z) <= 3.0,
+            report(f"{mode.value} {name}", abs(z) <= 3.0,
                    f"analytic={value:.6f} mc={est.mean:.6f} z={z:+.2f}")
 
     first, second = (simulate_pass(cfg.params, modes, 200, cfg.window, seed)
@@ -268,7 +254,8 @@ def _build_parser() -> _CliParser:
             ("simulate", "Monte Carlo estimate at one point")):
         command(name, help_text, mc=name == "simulate",
                 trials=20_000).add_argument(
-            "--mode", default="ibfd", choices=sorted(_MODES),
+            "--mode", default=DuplexMode.IBFD.value,
+            choices=sorted(mode.value for mode in DuplexMode),
             help="duplexing mode")
     command("sweep", "run a sweep from a config file", mc=True)
     command("figure", "run a reference-figure preset sweep", config=False,
@@ -308,7 +295,7 @@ def main(argv=None) -> int:
     notes = ()
     try:
         if args.command in _POINT_OUTPUTS:
-            mode, simulation = _MODES[args.mode], None
+            mode, simulation = DuplexMode(args.mode), None
             if args.command == "simulate":
                 simulation = simulate_pass(cfg.params, (mode,), args.trials,
                                            cfg.window, args.seed)
@@ -341,7 +328,7 @@ def main(argv=None) -> int:
 
     failed = [row for row in rows if row.error is not None]
     for row in failed:
-        print(f"point x={row.x} mode={row.mode.name.lower()} failed: "
+        print(f"point x={row.x} mode={row.mode.value} failed: "
               f"{row.error}", file=sys.stderr)
     return 2 if failed else 0
 

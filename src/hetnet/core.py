@@ -1,13 +1,14 @@
 """Parameter model, derived constants, and planar geometry primitives.
 
 Everything here is a pure function over immutable value types.  Powers,
-biases and the self-interference factor are stored in linear scale; cli
-converts the `_db` config keys, experiments the B_s and beta sweep grids.
+biases and the self-interference factor are stored in linear scale;
+db_to_linear is the one decibel conversion, of the `_db` config keys and
+of the B_s and beta sweep grids alike.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "NetworkParams",
     "Thresholds",
     "DuplexMode",
+    "db_to_linear",
     "delta_m",
     "delta_s",
     "band_shares",
@@ -69,10 +71,11 @@ class NetworkParams:
         bad = [msg for ok, msg in checks if not ok]
         if bad:
             raise ValueError("invalid NetworkParams: " + "; ".join(bad))
-        for name in ("lambda_m", "lambda_s", "P_m", "P_s", "B_m", "B_s",
-                     "alpha_m", "alpha_s", "beta", "eta", "kappa"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"invalid NetworkParams: {name} must be finite")
+        for field in fields(self):
+            if field.type == "float" \
+                    and not math.isfinite(getattr(self, field.name)):
+                raise ValueError(
+                    f"invalid NetworkParams: {field.name} must be finite")
 
     @property
     def network(self) -> tuple:
@@ -113,6 +116,14 @@ class DuplexMode(Enum):
 
     IBFD = "ibfd"
     FDD = "fdd"
+
+
+def db_to_linear(value_db: float) -> float:
+    """Power decibels to linear scale: 10^(value_db / 10)."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB is out of range") from None
 
 
 def delta_m(params: NetworkParams) -> float:

@@ -26,7 +26,7 @@ from .analytic import (
     rate_smallcell_term_result,
     topology_probabilities,
 )
-from .core import DuplexMode, NetworkParams, Thresholds
+from .core import DuplexMode, NetworkParams, Thresholds, db_to_linear
 from .fanout import fan_out, process_count
 from .montecarlo import (SimulationPass, SimulationWindow, simulate_pass,
                          tally_metrics)
@@ -47,13 +47,6 @@ SWEEPABLE_PARAMETERS = ("B_s", "T_s", "lambda_ratio", "eta", "beta",
                         "alpha_s")
 SWEEP_OUTPUTS = ("coverage_total", "coverage_breakdown", "topology", "rate",
                  "association")
-
-
-def _db_to_linear(value_db: float) -> float:
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        raise ValueError(f"{value_db!r} dB is out of range") from None
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def _apply_swept_value(spec: SweepSpec, x: float):
     if name == "lambda_ratio":
         return replace(p, lambda_s=x * p.lambda_m), th
     if name in ("B_s", "beta"):  # power dB grids
-        x = _db_to_linear(x)
+        x = db_to_linear(x)
     return replace(p, **{name: x}), th
 
 
@@ -261,36 +254,35 @@ _FIG8_NOTES = (
 )
 
 
-def _presets() -> dict:
-    both = (DuplexMode.IBFD, DuplexMode.FDD)
-    ratio_20 = tuple(float(k) for k in range(1, 21))
-    ratio_40 = tuple(float(k) for k in range(1, 41))
-    return {
-        "fig6": SweepSpec("B_s", tuple(float(v) for v in range(22, 61, 2)),
-                          outputs=("topology",)),
-        "fig7": SweepSpec("lambda_ratio", ratio_20,
-                          outputs=("coverage_breakdown",)),
-        "fig8": SweepSpec("T_s", _TS_GRID,
-                          outputs=("coverage_breakdown",),
-                          notes=_FIG8_NOTES),
-        "fig9": SweepSpec("T_s", _TS_GRID, modes=both),
-        "fig10": SweepSpec("lambda_ratio", ratio_40, modes=both,
-                           base_params=NetworkParams(B_s=10.0 ** 3.4)),
-        "fig11": SweepSpec("beta",
-                           tuple(float(v) for v in range(-20, 37, 4)),
-                           modes=both),
-        "fig12": SweepSpec("B_s", tuple(float(v) for v in range(-10, 61, 2)),
-                           modes=both, outputs=("rate",)),
-        "fig13": SweepSpec("lambda_ratio", ratio_40, modes=both,
-                           outputs=("rate",)),
-        "fig14": SweepSpec("eta",
-                           tuple(round(0.001 + 0.15 * k, 3)
-                                 for k in range(7)),
-                           outputs=("rate",)),
-    }
+_BOTH = (DuplexMode.IBFD, DuplexMode.FDD)
+_RATIO_20 = tuple(float(k) for k in range(1, 21))
+_RATIO_40 = tuple(float(k) for k in range(1, 41))
+_PRESETS = {
+    "fig6": SweepSpec("B_s", tuple(float(v) for v in range(22, 61, 2)),
+                      outputs=("topology",)),
+    "fig7": SweepSpec("lambda_ratio", _RATIO_20,
+                      outputs=("coverage_breakdown",)),
+    "fig8": SweepSpec("T_s", _TS_GRID,
+                      outputs=("coverage_breakdown",),
+                      notes=_FIG8_NOTES),
+    "fig9": SweepSpec("T_s", _TS_GRID, modes=_BOTH),
+    "fig10": SweepSpec("lambda_ratio", _RATIO_40, modes=_BOTH,
+                       base_params=NetworkParams(B_s=10.0 ** 3.4)),
+    "fig11": SweepSpec("beta",
+                       tuple(float(v) for v in range(-20, 37, 4)),
+                       modes=_BOTH),
+    "fig12": SweepSpec("B_s", tuple(float(v) for v in range(-10, 61, 2)),
+                       modes=_BOTH, outputs=("rate",)),
+    "fig13": SweepSpec("lambda_ratio", _RATIO_40, modes=_BOTH,
+                       outputs=("rate",)),
+    "fig14": SweepSpec("eta",
+                       tuple(round(0.001 + 0.15 * k, 3)
+                             for k in range(7)),
+                       outputs=("rate",)),
+}
 
 
-FIGURE_IDS = tuple(f"fig{n}" for n in range(6, 15))
+FIGURE_IDS = tuple(_PRESETS)
 
 
 def figure_preset(figure_id: str) -> SweepSpec:
@@ -300,9 +292,8 @@ def figure_preset(figure_id: str) -> SweepSpec:
     captioned thresholds; dB-axis grids stay in dB.  Presets are analytic
     by default (mc_trials=0); callers opt into simulation columns.
     """
-    presets = _presets()
-    if figure_id not in presets:
+    if figure_id not in _PRESETS:
         raise ValueError(
             f"unknown figure id {figure_id!r}; expected one of "
             f"{', '.join(FIGURE_IDS)}")
-    return presets[figure_id]
+    return _PRESETS[figure_id]

@@ -56,7 +56,6 @@ from .fanout import fan_out, process_count
 
 __all__ = [
     "EstimateWithCI",
-    "NetworkRealization",
     "SimulationPass",
     "SimulationWindow",
     "evaluate_user",
@@ -97,14 +96,6 @@ class SimulationWindow:
     @property
     def area(self) -> float:
         return 4.0 * self.half_width ** 2
-
-
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled network: station coordinates of both tiers."""
-
-    macro_points: np.ndarray  # shape (N_m, 2)
-    pico_points: np.ndarray  # shape (N_s, 2)
 
 
 @dataclass(frozen=True)
@@ -207,13 +198,13 @@ def _sir(signal: np.ndarray, interference: np.ndarray) -> np.ndarray:
 
 # one error state per trial, not one per power sum
 @np.errstate(divide="ignore")
-def evaluate_user(realization: NetworkRealization, params: NetworkParams,
-                  modes: tuple, seed,
+def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
+                  params: NetworkParams, modes: tuple, seed,
                   window: SimulationWindow = SimulationWindow()) -> tuple:
     """(pico, access_signal, backhaul_signal, {mode: (access, backhaul)
-    interference}) of the typical user at the origin of one realization:
-    one trial of a SimulationPass.  The dict holds FDD and, with IBFD in
-    modes, IBFD.
+    interference}) of the typical user at the origin of one sampled
+    network, its stations' (N, 2) coordinates by tier: one trial of a
+    SimulationPass.  The dict holds FDD and, with IBFD in modes, IBFD.
 
     seed drives the fading draws only (i.i.d. unit-mean exponential per
     station per receiving link): every same-tier array (access, then
@@ -221,9 +212,11 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     mode's sample does not depend on the other mode.  The window gives
     the distance metric (a torus under wrap) and, when flat, each link's
     out-of-window tail.  A zero distance (the serving pico from itself,
-    or a coincident station) raises no warning.
+    a coincident station, or a serving station at the user) raises no
+    warning; at the user it gives an infinite signal, which the tally
+    caps.
     """
-    if realization.macro_points.shape[0] == 0:
+    if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = default_rng(seed)
     macro = (params.lambda_m, params.P_m, params.alpha_m)
@@ -252,13 +245,12 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     def link(tier, d2, serve, reach):
         """(signal, same-tier interference) of a link served by station
         serve of tier."""
-        gain = math.sqrt(d2[serve]) ** -tier[2]
+        gain = float(np.sqrt(d2[serve]) ** -tier[2])
         interference, h = add_field(0.0, tier, d2, serve, reach)
         return tier[1] * float(h[serve]) * gain, interference
 
-    m_pts, s_pts = realization.macro_points, realization.pico_points
-    d2_m = _sq_distances(m_pts, (0.0, 0.0), window)
-    d2_s = _sq_distances(s_pts, (0.0, 0.0), window)
+    d2_m = _sq_distances(macro_points, (0.0, 0.0), window)
+    d2_s = _sq_distances(pico_points, (0.0, 0.0), window)
     i_macro = int(np.argmin(d2_m))
     x_m = math.sqrt(d2_m[i_macro])
     i_pico = int(np.argmin(d2_s)) if d2_s.size else -1
@@ -276,8 +268,8 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
 
     # at the user every macro interferes, the backhauling one via its own
     # term; at the serving pico its own zero distance is skipped
-    s_pos = s_pts[i_pico]
-    d2_m_from_s = _sq_distances(m_pts, s_pos, window)
+    s_pos = pico_points[i_pico]
+    d2_m_from_s = _sq_distances(macro_points, s_pos, window)
     signal_us, int_us = link(pico, d2_s, i_pico, w)
     signal_sm, int_sm = link(macro, d2_m_from_s, int(np.argmin(d2_m_from_s)),
                              w - x_s)
@@ -285,7 +277,7 @@ def evaluate_user(realization: NetworkRealization, params: NetworkParams,
     if ibfd:
         interference[DuplexMode.IBFD] = (
             add_field(int_us, macro, d2_m, None, w)[0],
-            add_field(int_sm, pico, _sq_distances(s_pts, s_pos, window),
+            add_field(int_sm, pico, _sq_distances(pico_points, s_pos, window),
                       i_pico, w - x_s)[0])
     return True, signal_us, signal_sm, interference
 
@@ -316,11 +308,14 @@ def _chunk_samples(params: NetworkParams, modes: tuple,
     for i in range(start, stop):
         seed_m, seed_s, seed_fading = (
             SeedSequence(master_seed, spawn_key=(i, k)) for k in range(3))
-        realization = NetworkRealization(
-            sample_ppp(params.lambda_m, window, seed_m),
-            sample_ppp(params.lambda_s, window, seed_s))
-        samples.append(evaluate_user(realization, params, modes, seed_fading,
-                                     window=window))
+        # bound to locals, not passed as temporaries: the last trial's
+        # arrays then live until this trial's are drawn, so the allocator
+        # keeps their pages instead of returning them to the OS and
+        # faulting them in again (docs/DECISIONS.md, entry 12)
+        macro_points = sample_ppp(params.lambda_m, window, seed_m)
+        pico_points = sample_ppp(params.lambda_s, window, seed_s)
+        samples.append(evaluate_user(macro_points, pico_points, params,
+                                     modes, seed_fading, window=window))
     return samples
 
 

@@ -412,16 +412,16 @@ def _power_sum(power, h, d, alpha):
     return float(power * np.sum(h * d ** (-alpha)))
 
 
-def reference_evaluate_user(realization, params, modes, seed,
+def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
                             window=montecarlo.SimulationWindow()):
     """montecarlo.evaluate_user on distances and masks (same signature and
     draw order: every same-tier array, then, with IBFD in modes, every
     cross-tier one)."""
-    if realization.macro_points.shape[0] == 0:
+    if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = np.random.default_rng(seed)
     origin = np.zeros(2)
-    m_pts, s_pts = realization.macro_points, realization.pico_points
+    m_pts, s_pts = macro_points, pico_points
     d_m = _distances(m_pts, origin, window)
     d_s = _distances(s_pts, origin, window)
     comp_on = not window.wrap

@@ -77,6 +77,14 @@ class TestParseConfig:
         assert cfg.sweep is None and cfg.out is None
         assert cfg.window == SimulationWindow()
 
+    def test_omitted_keys_take_the_field_defaults(self):
+        # the parser restates no default: a sweep of only the two keys it
+        # needs is the spec with every other field at its own default (the
+        # empty config's window is checked above)
+        cfg = parse_config('{"swept_parameter": "T_s", "grid": [0.1, 1]}')
+        assert cfg.sweep == SweepSpec("T_s", (0.1, 1.0), NetworkParams(),
+                                      Thresholds())
+
     def test_db_suffix_converts_power_decibels(self):
         cfg = parse_config('{"B_s_db": 20, "T_s_db": -10}')
         assert cfg.params.B_s == pytest.approx(100.0, rel=1e-12)
@@ -149,6 +157,7 @@ class TestParseConfig:
         ("B_s_db", "20", "number"), ("B_s_db", True, "number"),
         ("lambda_s", True, "number"), ("out", 5, "string"),
         ("self_interference_convention", 3, "string"),
+        ("swept_parameter", 5, "string"),
     ])
     def test_string_or_scalar_for_list_or_number_rejected(self, key, value,
                                                           kind):
@@ -614,7 +623,7 @@ class TestMainValidate:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[3])
             return evaluate_user(*args, **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 1)

@@ -25,7 +25,7 @@ from hetnet.analytic import (
     smallcell,
     topology_probabilities,
 )
-from hetnet.core import DuplexMode, NetworkParams, Thresholds
+from hetnet.core import DuplexMode, NetworkParams, Thresholds, db_to_linear
 from hetnet.experiments import (
     FIGURE_IDS,
     SWEEP_OUTPUTS,
@@ -332,7 +332,7 @@ class TestRunSweep:
         def counted(*args, **kwargs):
             if os.getpid() != parent:
                 raise RuntimeError("a worker drew trials")
-            calls.append(args[2])
+            calls.append(args[3])
             return evaluate_user(*args, **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: count)
@@ -375,7 +375,7 @@ class TestRunSweep:
                                    mc_trials=300),
                          master_seed=13, window=window)
         for row in rows:
-            params = replace(base, beta=experiments._db_to_linear(row.x))
+            params = replace(base, beta=db_to_linear(row.x))
             alone = estimate_metrics(params, TH, row.mode, n_trials=300,
                                      window=window, master_seed=13)
             assert set(row.mc) == {"p_total", "p_smallcell_joint",

@@ -29,7 +29,6 @@ from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_m
 from hetnet.experiments import evaluate_point
 from hetnet.montecarlo import (
     EstimateWithCI,
-    NetworkRealization,
     SimulationWindow,
     evaluate_user,
     sample_ppp,
@@ -65,8 +64,8 @@ class Trial(NamedTuple):
 
 def user(rel, params, mode, seed, kernel=evaluate_user, **kw) -> Trial:
     """The trial of kernel (evaluate_user or its oracle) for one mode."""
-    pico, access, backhaul, interference = kernel(rel, params, (mode,), seed,
-                                                  **kw)
+    pico, access, backhaul, interference = kernel(*rel, params, (mode,),
+                                                  seed, **kw)
     return Trial(pico, access, backhaul, *interference[mode])
 
 
@@ -84,11 +83,10 @@ def sir_sm(trial, params, mode) -> float:
         + montecarlo._self_interference(params, mode)))
 
 
-def realization(macros, picos) -> NetworkRealization:
-    return NetworkRealization(
-        macro_points=np.asarray(macros, dtype=float).reshape(-1, 2),
-        pico_points=np.asarray(picos, dtype=float).reshape(-1, 2),
-    )
+def realization(macros, picos) -> tuple:
+    """(macro_points, pico_points), the station arrays of evaluate_user."""
+    return tuple(np.asarray(points, dtype=float).reshape(-1, 2)
+                 for points in (macros, picos))
 
 
 class TestSamplePpp:
@@ -171,6 +169,26 @@ class TestEvaluateUser:
         assert math.isnan(s.backhaul_signal) \
             and math.isnan(s.backhaul_interference)
         assert s.access_signal > 0 and access_sir(s) > 0
+
+    @pytest.mark.parametrize("modes", [(DuplexMode.FDD,), tuple(DuplexMode)],
+                             ids=["fdd", "both"])
+    @pytest.mark.parametrize("macros, picos", [
+        ([[5.0, 0.0]], [[0.0, 0.0]]), ([[0.0, 0.0]], np.empty((0, 2)))],
+        ids=["pico", "lone-macro"])
+    def test_serving_station_at_the_user_gives_the_cap(self, macros, picos,
+                                                       modes):
+        # a zero serving distance is an infinite signal, which the tally
+        # caps: no ZeroDivisionError and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pico, access, backhaul, interference = evaluate_user(
+                *realization(macros, picos), NetworkParams(), modes, seed=1)
+        assert pico == (len(picos) == 1)
+        assert access == math.inf
+        assert 0.0 < backhaul < math.inf if pico else math.isnan(backhaul)
+        for mode in modes:
+            trial = Trial(pico, access, backhaul, *interference[mode])
+            assert access_sir(trial) == 1e12
 
     def test_association_boundary(self):
         # pico at unit distance: the macro wins inside delta_m^{-1}
@@ -461,8 +479,8 @@ class TestEstimators:
         p, w = NetworkParams(), SimulationWindow()
         seed_m, seed_s, seed_fading = \
             SeedSequence(2024, spawn_key=(trial,)).spawn(3)
-        rel = NetworkRealization(sample_ppp(p.lambda_m, w, seed_m),
-                                 sample_ppp(p.lambda_s, w, seed_s))
+        rel = (sample_ppp(p.lambda_m, w, seed_m),
+               sample_ppp(p.lambda_s, w, seed_s))
         s = user(rel, p, mode, seed_fading, window=w)
         if trial == 0:
             assert s.pico
@@ -544,9 +562,8 @@ class TestEstimators:
         for i in range(100):
             seed_m, seed_s, seed_fading = \
                 SeedSequence(31, spawn_key=(i,)).spawn(3)
-            rel = NetworkRealization(
-                macro_points=sample_ppp(p.lambda_m, w, seed_m),
-                pico_points=sample_ppp(p.lambda_s, w, seed_s))
+            rel = (sample_ppp(p.lambda_m, w, seed_m),
+                   sample_ppp(p.lambda_s, w, seed_s))
             on = user(rel, p, mode, seed_fading, window=w)
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
@@ -763,10 +780,11 @@ class TestChunkedPass:
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         # the last trial, which a worker runs, fails as an empty tier would
-        def fail_last(realization, params, modes, seed, **kwargs):
+        def fail_last(macros, picos, params, modes, seed, **kwargs):
             if seed.spawn_key[0] == 599:
                 raise ValueError("no station in tier: macro")
-            return evaluate_user(realization, params, modes, seed, **kwargs)
+            return evaluate_user(macros, picos, params, modes, seed,
+                                 **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "evaluate_user", fail_last)
@@ -822,10 +840,10 @@ class TestChunkedPass:
             "p = NetworkParams(lambda_s=20.0)\n"
             "w = mc.SimulationWindow()\n"
             "for k in range(10):\n"
-            "    rel = mc.NetworkRealization(\n"
+            "    print(mc.evaluate_user(\n"
             "        mc.sample_ppp(p.lambda_m, w, seed=2 * k),\n"
-            "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1))\n"
-            "    print(mc.evaluate_user(rel, p, tuple(DuplexMode), seed=k))\n"
+            "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1),\n"
+            "        p, tuple(DuplexMode), seed=k))\n"
             "th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)\n"
             "run = mc.simulate_pass(p, tuple(DuplexMode), 500, w, 67)\n"
             "for mode in DuplexMode:\n"
