@@ -461,7 +461,7 @@ def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
     """Single-level evaluation of the joint access+backhaul probability.
 
     This is the raw panel sum without error control;
-    coverage_smallcell_result wraps it with a two-level estimate.  T_s and
+    coverage_smallcell_result builds a two-level estimate from it.  T_s and
     T_b are scalars (the result is a float) or 1-D arrays of one length K
     (K values; a scalar broadcasts); an infinite threshold gives 0.
     ``bearing`` selects the serving-macro bearing convention (module

@@ -6,12 +6,12 @@ linear name (P_m, B_s, T_s, ...) or, for power-like quantities, with a
 the two spellings of one field are mutually exclusive and unknown keys
 are rejected.  A config may also define a sweep (swept_parameter, grid,
 modes, outputs, mc_trials, notes), simulation window settings
-(window_half_width, wrap, fixed_count), and a default output path (out).
+(window_half_width, fixed_count), and a default output path (out).
 Model fields, thresholds and window_half_width are JSON numbers, in
 either spelling; self_interference_convention, swept_parameter and out
-are strings, wrap and fixed_count booleans, mc_trials an integer, grid
-an array of numbers, and modes, outputs and notes arrays.  An omitted
-key takes the default of the field it sets.
+are strings, fixed_count a boolean, mc_trials an integer, grid an array
+of numbers, and modes, outputs and notes arrays.  An omitted key takes
+the default of the field it sets.
 
 Every command evaluates a point through experiments.evaluate_point, so a
 reported value whose integral missed its tolerance is never printed: the
@@ -58,7 +58,7 @@ _KEYS = {
     **{base + "_db": float for base in _DB_BASES},
     "swept_parameter": str, "grid": list, "modes": list, "outputs": list,
     "mc_trials": int, "notes": list,
-    "window_half_width": float, "wrap": bool, "fixed_count": bool,
+    "window_half_width": float, "fixed_count": bool,
     "out": str,
 }
 # outputs of the single-point commands

@@ -15,19 +15,19 @@ definition exactly:
  - macro access SIR: nearest macro over all other macros plus every pico;
  - FDD keeps only same-tier interferers on each link and no residual term.
 
-Finite-window bias control: unless the window wraps (a torus), the
-expected interference of the field outside the sampling square is added
-to every denominator (the fading-averaged tail is deterministic:
-intensity * P * integral of |z|^{-alpha} beyond the square, computed with
-the exact square-boundary angular profile, offset by the receiver's
-displacement from center); zero-interference links are capped.
+Finite-window bias control: the expected interference of the field
+outside the sampling square is added to every denominator (the
+fading-averaged tail is deterministic: intensity * P * integral of
+|z|^{-alpha} beyond the square, computed with the exact square-boundary
+angular profile, offset by the receiver's displacement from center);
+zero-interference links are capped.
 
 Per-trial kernel: each link (macro access, pico access, backhaul) sums
 its serving tier without the server, and in IBFD adds the other tier
 (without the serving pico, at the backhaul), each with its tail.  A
-power sum turns fresh squared distances (minimum-image under wrap) into
-path gains in place and is P * einsum("i,i->", h, g): numpy's own loop,
-not a BLAS dot product, whose result depends on the BLAS thread count.
+power sum turns fresh squared distances into path gains in place and is
+P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot product,
+whose result depends on the BLAS thread count.
 Fading is drawn once per station per receiving link, every same-tier
 array first, so one draw serves both modes: FDD reads the same-tier
 sums, and IBFD continues them.
@@ -75,14 +75,12 @@ _MIN_CHUNK_TRIALS = 250
 class SimulationWindow:
     """How the simulator samples a network.
 
-    The region is [-half_width, half_width]^2, a torus with wrap.  Each
-    tier's station count is Poisson, or round(intensity * area) with
-    fixed_count (a binomial process, reproducing fixed-node-budget
-    setups).
+    The region is [-half_width, half_width]^2.  Each tier's station
+    count is Poisson, or round(intensity * area) with fixed_count (a
+    binomial process, reproducing fixed-node-budget setups).
     """
 
     half_width: float = 30.0
-    wrap: bool = False
     fixed_count: bool = False
 
     def __post_init__(self) -> None:
@@ -170,17 +168,9 @@ def _tail_mean(intensity: float, power: float, alpha: float,
         * _square_tail_angular_factor(alpha)
 
 
-def _sq_distances(points: np.ndarray, center,
-                  window: SimulationWindow) -> np.ndarray:
+def _sq_distances(points: np.ndarray, center) -> np.ndarray:
     """Squared distances from center, as a fresh array."""
-    if window.wrap:
-        # minimum-image displacement on the torus
-        diff = np.abs(points - center)
-        period = 2.0 * window.half_width
-        np.minimum(diff, period - diff, out=diff)
-        diff *= diff
-        return diff[:, 0] + diff[:, 1]
-    # per coordinate: that (N, 2) form is 3-11x slower at 3,600-72,000 points
+    # per coordinate: an (N, 2) form is 3-11x slower at 3,600-72,000 points
     d2 = points[:, 0] - center[0]
     d2 *= d2
     dy = points[:, 1] - center[1]
@@ -209,12 +199,11 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
     seed drives the fading draws only (i.i.d. unit-mean exponential per
     station per receiving link): every same-tier array (access, then
     backhaul), then, with IBFD in modes, every cross-tier one, so a
-    mode's sample does not depend on the other mode.  The window gives
-    the distance metric (a torus under wrap) and, when flat, each link's
-    out-of-window tail.  A zero distance (the serving pico from itself,
-    a coincident station, or a serving station at the user) raises no
-    warning; at the user it gives an infinite signal, which the tally
-    caps.
+    mode's sample does not depend on the other mode.  The window's
+    half-width sets each link's out-of-window tail.  A zero distance (the
+    serving pico from itself, a coincident station, or a serving station
+    at the user) raises no warning; at the user it gives an infinite
+    signal, which the tally caps.
     """
     if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
@@ -224,10 +213,10 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
 
     def add_field(interference, tier, d2, skip, reach):
         """(interference plus tier's power sum without station skip, then
-        in a flat window its tail beyond reach; the fades).  tier is
-        (intensity, power, alpha).  d2 is overwritten by the gains
-        d^{-alpha}: a zero distance gives an infinite gain, so a
-        coincident interferer makes the interference infinite (SIR 0)."""
+        its tail beyond reach; the fades).  tier is (intensity, power,
+        alpha).  d2 is overwritten by the gains d^{-alpha}: a zero
+        distance gives an infinite gain, so a coincident interferer makes
+        the interference infinite (SIR 0)."""
         _, power, alpha = tier
         h = rng.standard_exponential(size=d2.shape)
         if alpha == 4.0:
@@ -238,8 +227,7 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
         if skip is not None:
             d2[skip] = 0.0
         interference += power * float(np.einsum("i,i->", h, d2))
-        if not window.wrap:
-            interference += _tail_mean(*tier, reach)
+        interference += _tail_mean(*tier, reach)
         return interference, h
 
     def link(tier, d2, serve, reach):
@@ -249,8 +237,8 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
         interference, h = add_field(0.0, tier, d2, serve, reach)
         return tier[1] * float(h[serve]) * gain, interference
 
-    d2_m = _sq_distances(macro_points, (0.0, 0.0), window)
-    d2_s = _sq_distances(pico_points, (0.0, 0.0), window)
+    d2_m = _sq_distances(macro_points, (0.0, 0.0))
+    d2_s = _sq_distances(pico_points, (0.0, 0.0))
     i_macro = int(np.argmin(d2_m))
     x_m = math.sqrt(d2_m[i_macro])
     i_pico = int(np.argmin(d2_s)) if d2_s.size else -1
@@ -269,7 +257,7 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
     # at the user every macro interferes, the backhauling one via its own
     # term; at the serving pico its own zero distance is skipped
     s_pos = pico_points[i_pico]
-    d2_m_from_s = _sq_distances(macro_points, s_pos, window)
+    d2_m_from_s = _sq_distances(macro_points, s_pos)
     signal_us, int_us = link(pico, d2_s, i_pico, w)
     signal_sm, int_sm = link(macro, d2_m_from_s, int(np.argmin(d2_m_from_s)),
                              w - x_s)
@@ -277,7 +265,7 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
     if ibfd:
         interference[DuplexMode.IBFD] = (
             add_field(int_us, macro, d2_m, None, w)[0],
-            add_field(int_sm, pico, _sq_distances(pico_points, s_pos, window),
+            add_field(int_sm, pico, _sq_distances(pico_points, s_pos),
                       i_pico, w - x_s)[0])
     return True, signal_us, signal_sm, interference
 

@@ -396,14 +396,17 @@ def dense_evaluate_joint(params, T_s, T_b, mode, level=6, bearing="circle",
     return value, int(idx.size)
 
 
-def _distances(points, center, window):
+def _distances(points, center):
     if points.shape[0] == 0:
         return np.empty(0)
     diff = np.abs(points - center)
-    if window.wrap:
-        period = 2.0 * window.half_width
-        diff = np.minimum(diff, period - diff)
     return np.hypot(diff[:, 0], diff[:, 1])
+
+
+@np.errstate(divide="ignore")
+def _path_gain(d, alpha):
+    """d ** -alpha in numpy, so a zero distance gives inf."""
+    return float(np.float64(d) ** -alpha)
 
 
 def _power_sum(power, h, d, alpha):
@@ -422,21 +425,16 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
     rng = np.random.default_rng(seed)
     origin = np.zeros(2)
     m_pts, s_pts = macro_points, pico_points
-    d_m = _distances(m_pts, origin, window)
-    d_s = _distances(s_pts, origin, window)
-    comp_on = not window.wrap
+    d_m = _distances(m_pts, origin)
+    d_s = _distances(s_pts, origin)
     a_m, a_s = params.alpha_m, params.alpha_s
     ibfd = DuplexMode.IBFD in modes
 
     def macro_tail(center_dist):
-        if not comp_on:
-            return 0.0
         return montecarlo._tail_mean(params.lambda_m, params.P_m, a_m,
                                      window.half_width - center_dist)
 
     def pico_tail(center_dist):
-        if not comp_on:
-            return 0.0
         return montecarlo._tail_mean(params.lambda_s, params.P_s, a_s,
                                      window.half_width - center_dist)
 
@@ -448,7 +446,7 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
 
     if not pico_assoc:
         h_m = rng.exponential(size=d_m.shape)
-        signal = params.P_m * float(h_m[i_macro]) * x_m ** (-a_m)
+        signal = params.P_m * float(h_m[i_macro]) * _path_gain(x_m, a_m)
         mask = np.arange(d_m.size) != i_macro
         interference = _power_sum(params.P_m, h_m[mask], d_m[mask], a_m)
         interference += macro_tail(0.0)
@@ -464,18 +462,18 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
     i_pico = int(np.argmin(d_s))
     s_pos = s_pts[i_pico]
     r_s = float(d_s[i_pico])
-    d_m_from_s = _distances(m_pts, s_pos, window)
+    d_m_from_s = _distances(m_pts, s_pos)
     i_backhaul = int(np.argmin(d_m_from_s))
     r = float(d_m_from_s[i_backhaul])
 
     h_s_user = rng.exponential(size=d_s.shape)
-    signal_us = params.P_s * float(h_s_user[i_pico]) * r_s ** (-a_s)
+    signal_us = params.P_s * float(h_s_user[i_pico]) * _path_gain(r_s, a_s)
     mask_s = np.arange(d_s.size) != i_pico
     int_us = _power_sum(params.P_s, h_s_user[mask_s], d_s[mask_s], a_s)
     int_us += pico_tail(0.0)
 
     h_m_s = rng.exponential(size=d_m_from_s.shape)
-    signal_sm = params.P_m * float(h_m_s[i_backhaul]) * r ** (-a_m)
+    signal_sm = params.P_m * float(h_m_s[i_backhaul]) * _path_gain(r, a_m)
     mask_m = np.arange(d_m_from_s.size) != i_backhaul
     int_sm = _power_sum(params.P_m, h_m_s[mask_m], d_m_from_s[mask_m], a_m)
     int_sm += macro_tail(r_s)
@@ -485,7 +483,7 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
         h_m_user = rng.exponential(size=d_m.shape)
         int_us += _power_sum(params.P_m, h_m_user, d_m, a_m)
         int_us += macro_tail(0.0)
-        d_s_from_s = _distances(s_pts, s_pos, window)
+        d_s_from_s = _distances(s_pts, s_pos)
         h_s_s = rng.exponential(size=d_s_from_s.shape)
         int_sm += _power_sum(params.P_s, h_s_s[mask_s],
                              d_s_from_s[mask_s], a_s)

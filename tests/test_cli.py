@@ -132,14 +132,14 @@ class TestParseConfig:
 
     def test_window_and_output_settings(self):
         cfg = parse_config(json.dumps({
-            "window_half_width": 15.0, "wrap": True, "fixed_count": True,
+            "window_half_width": 15.0, "fixed_count": True,
             "out": "result.csv"}))
-        assert cfg.window == SimulationWindow(half_width=15.0, wrap=True,
+        assert cfg.window == SimulationWindow(half_width=15.0,
                                               fixed_count=True)
         assert cfg.out == "result.csv"
 
     @pytest.mark.parametrize("key, value", [
-        ("wrap", "false"), ("fixed_count", "no"), ("fixed_count", 1),
+        ("fixed_count", "no"), ("fixed_count", 1),
         ("mc_trials", 2.7), ("mc_trials", True), ("mc_trials", "5"),
     ])
     def test_mistyped_value_rejected_by_key(self, key, value):
@@ -294,6 +294,10 @@ class TestMainErrors:
         assert main(["coverage", "--config", cfg]) == 1
         assert "unknown keys: quad_abs_tol, quad_rel_tol" in \
             capsys.readouterr().err
+        # the out-of-window tail is the simulator's one bias control
+        cfg = write_config(tmp_path, {"wrap": True})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "unknown keys: wrap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload, key", [
         ({"swept_parameter": "T_s", "grid": "015"}, "grid"),
@@ -524,7 +528,7 @@ class TestFullScale:
 
         monkeypatch.setattr(montecarlo, "sample_ppp", spy)
         # one process, so that the spy sees every draw
-        monkeypatch.setattr(montecarlo, "process_count", lambda: 1)
+        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
         cfg = write_config(tmp_path, {"window_half_width": 8.0})
         assert main(["simulate", "--config", cfg, "--full-scale",
                      "--trials", "40", "--out", str(tmp_path / "s.csv")]) == 0

@@ -178,17 +178,23 @@ class TestEvaluateUser:
     def test_serving_station_at_the_user_gives_the_cap(self, macros, picos,
                                                        modes):
         # a zero serving distance is an infinite signal, which the tally
-        # caps: no ZeroDivisionError and no warning
+        # caps: no ZeroDivisionError and no warning, in the kernel and in
+        # its oracle
+        rel = realization(macros, picos)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pico, access, backhaul, interference = evaluate_user(
-                *realization(macros, picos), NetworkParams(), modes, seed=1)
+                *rel, NetworkParams(), modes, seed=1)
+            ref = reference_evaluate_user(*rel, NetworkParams(), modes, 1)
         assert pico == (len(picos) == 1)
         assert access == math.inf
         assert 0.0 < backhaul < math.inf if pico else math.isnan(backhaul)
+        assert ref[:2] == (pico, access) and close(backhaul, ref[2])
+        assert list(interference) == list(ref[3])
         for mode in modes:
             trial = Trial(pico, access, backhaul, *interference[mode])
             assert access_sir(trial) == 1e12
+            assert all(map(close, interference[mode], ref[3][mode]))
 
     def test_association_boundary(self):
         # pico at unit distance: the macro wins inside delta_m^{-1}
@@ -244,11 +250,11 @@ class TestEvaluateUser:
     @pytest.mark.parametrize("tier", ["pico", "macro"])
     def test_tail_compensation_follows_the_window(self, tier, mode,
                                                   monkeypatch):
-        # a flat window adds each field's tail once per link, reaching
-        # from the receiver to the window edge: half_width at the user,
-        # half_width - x_s at the serving pico; a wrapping window adds none.
-        # The backhaul's tails go into its interference record, beside
-        # which the tally adds the residual self-interference
+        # the window adds each field's tail once per link, reaching from
+        # the receiver to the window edge: half_width at the user,
+        # half_width - x_s at the serving pico.  The backhaul's tails go
+        # into its interference record, beside which the tally adds the
+        # residual self-interference
         calls = []
         real = montecarlo._tail_mean
 
@@ -290,37 +296,11 @@ class TestEvaluateUser:
                 raw.backhaul_interference
                 + sum(real(*c) for c in backhaul), rel=1e-12)
 
-        calls.clear()
-        s = user(rel, p, mode, seed=1,
-                 window=SimulationWindow(half_width=10.0, wrap=True))
-        assert s.pico == (tier == "pico")
-        assert calls == []
-
     def test_huge_residual_kills_backhaul(self):
         p = NetworkParams(beta=1e15)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         s = user(rel, p, DuplexMode.IBFD, seed=4)
         assert sir_sm(s, p, DuplexMode.IBFD) < 1e-6
-
-    @pytest.mark.usefixtures("raw_sums")
-    def test_torus_metric_flips_backhaul_station(self):
-        # The serving pico sits at (5, 0); macro A is 11 away from it,
-        # macro B is 19.5 away on the flat window but 10.5 under wrap, so
-        # the nearest backhauling macro flips.  With the same seed the
-        # fading draws coincide, and the product of the two backhaul SIRs
-        # cancels them, leaving a pure distance-ratio identity.
-        p = NetworkParams(beta=0.0)
-        rel = realization([[5.0, -11.0], [-14.5, 0.0]], [[5.0, 0.0]])
-        flat = user(rel, p, DuplexMode.FDD, seed=2,
-                    window=SimulationWindow(half_width=15.0))
-        wrapped = user(rel, p, DuplexMode.FDD, seed=2,
-                       window=SimulationWindow(half_width=15.0, wrap=True))
-        assert flat.pico and wrapped.pico
-        flat_sir, wrapped_sir = (sir_sm(s, p, DuplexMode.FDD)
-                                 for s in (flat, wrapped))
-        assert flat_sir != wrapped_sir
-        expected = (19.5 / 10.5) ** p.alpha_m
-        assert flat_sir * wrapped_sir == pytest.approx(expected, rel=1e-9)
 
 
 def close(got: float, ref: float) -> bool:
@@ -358,10 +338,9 @@ class TestKernelMatchesOracle:
         return realization(macros, picos)
 
     @pytest.mark.parametrize("case", ["pico", "macro", "empty"])
-    @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_grid(self, mode, wrap, case, monkeypatch):
-        window = SimulationWindow(half_width=6.0, wrap=wrap)
+    def test_grid(self, mode, case, monkeypatch):
+        window = SimulationWindow(half_width=6.0)
         for k, (comp, conv, alpha_s) in enumerate(
                 (c, v, a) for c in (True, False) for v in ("ps", "pm")
                 for a in (4.0, 3.5)):
@@ -544,14 +523,6 @@ class TestEstimators:
         gap = abs(small.mean - big.mean)
         assert gap < 3.0 * math.hypot(small.std_error, big.std_error)
 
-    def test_torus_route_consistent(self):
-        p = NetworkParams()
-        analytic = evaluate_point(p, TH, DuplexMode.IBFD).analytic["p_total"]
-        est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=1500,
-                               window=SimulationWindow(30.0, wrap=True),
-                               master_seed=29)["p_total"]
-        assert abs(est.mean - analytic) < 3.0 * est.std_error
-
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_tail_compensation_only_hurts_sir(self, mode, monkeypatch):
         # same realization, same fading seed, small window: adding the mean
@@ -678,18 +649,32 @@ class TestTally:
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_capped_links(self, mode):
-        # one macro and one pico on a torus: at beta = 0 a pico user's
-        # backhaul and every FDD link have no interferer, so _sir caps
-        # them; a backhaul threshold of 1e11 passes capped backhauls only
-        p = NetworkParams(lambda_m=0.25, lambda_s=0.25, beta=0.0)
-        window = SimulationWindow(1.0, wrap=True, fixed_count=True)
-        run = simulate_pass(p, tuple(DuplexMode), 300, window, 7)
-        assert 0 < np.count_nonzero(run.pico) < 300
-        assert np.all(run.interference[mode][run.pico, 1] == 0.0)
+        # exact-zero interference on the access links of pico and macro
+        # users and on backhauls, in both modes: _sir caps those links.
+        # Every other SIR lies in [1, 20], so at beta = 0 a backhaul
+        # threshold of 1e11 passes the capped backhauls only
+        rng = np.random.default_rng(7)
+        n = 300
+        pico = np.arange(n) % 2 == 0
+        access, backhaul = rng.uniform(1.0, 2.0, (2, n))
+        backhaul[~pico] = np.nan
+        interference = {}
+        for each in DuplexMode:
+            columns = rng.uniform(0.1, 1.0, (n, 2))
+            columns[rng.random((n, 2)) < 0.2] = 0.0
+            columns[~pico, 1] = np.nan
+            interference[each] = columns
+        run = montecarlo.SimulationPass(pico, access, backhaul, interference)
+        zero = interference[mode] == 0.0
+        assert np.any(zero[pico, 0]) and np.any(zero[~pico, 0])
+        capped = pico & zero[:, 1]
+        assert 0 < np.count_nonzero(capped) < np.count_nonzero(pico)
         est = self.assert_equals_loop(
-            run, p, mode, self.THRESHOLDS + (Thresholds(T_b=1e11),))
-        assert est["p_smallcell_joint"].mean > 0.0
-        assert est["rate_total"].n_trials == round(300 * est["p_total"].mean)
+            run, NetworkParams(beta=0.0), mode,
+            self.THRESHOLDS + (Thresholds(T_b=1e11),))
+        assert round(n * est["p_smallcell_joint"].mean) == \
+            np.count_nonzero(capped)
+        assert est["rate_total"].n_trials == round(n * est["p_total"].mean)
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_no_pico_trial(self, mode):
@@ -732,12 +717,10 @@ class TestChunkedPass:
     """The trials of one pass split over forked workers: the estimates do
     not depend on how many processes share the pass."""
 
-    @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_estimates_equal_for_any_process_count(self, mode, wrap,
-                                                   monkeypatch):
+    def test_estimates_equal_for_any_process_count(self, mode, monkeypatch):
         # 1,001 trials: the ranges are uneven for 2 and 3 processes
-        window = SimulationWindow(half_width=15.0, wrap=wrap)
+        window = SimulationWindow(half_width=15.0)
         runs = []
         for count in (1, 2, 3):
             monkeypatch.setattr(fanout, "_process_count",
@@ -748,14 +731,12 @@ class TestChunkedPass:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("count", [1, 2])
-    @pytest.mark.parametrize("wrap", [False, True])
-    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, wrap,
-                                                            count,
+    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, count,
                                                             monkeypatch):
         # every same-tier fade is drawn before any cross-tier one, so a
         # mode's columns do not depend on the other mode sharing the pass
         monkeypatch.setattr(fanout, "_process_count", lambda: count)
-        window = SimulationWindow(half_width=10.0, wrap=wrap)
+        window = SimulationWindow(half_width=10.0)
         both = simulate_pass(NetworkParams(), tuple(DuplexMode), 500,
                              window, 71)
         assert 0 < np.count_nonzero(both.pico) < 500
