@@ -139,8 +139,9 @@ class TestParseConfig:
         assert cfg.out == "result.csv"
 
     @pytest.mark.parametrize("key, value", [
-        ("fixed_count", "no"), ("fixed_count", 1),
-        ("mc_trials", 2.7), ("mc_trials", True), ("mc_trials", "5"),
+        ("fixed_count", "no"), ("fixed_count", "false"), ("fixed_count", 1),
+        ("fixed_count", 0), ("mc_trials", 2.7), ("mc_trials", 1e3),
+        ("mc_trials", True), ("mc_trials", "5"),
     ])
     def test_mistyped_value_rejected_by_key(self, key, value):
         payload = {"swept_parameter": "T_s", "grid": [0.1], key: value}

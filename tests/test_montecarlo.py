@@ -338,9 +338,12 @@ class TestKernelMatchesOracle:
         return realization(macros, picos)
 
     @pytest.mark.parametrize("case", ["pico", "macro", "empty"])
+    @pytest.mark.parametrize("half_width", [3.0, 6.0])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_grid(self, mode, case, monkeypatch):
-        window = SimulationWindow(half_width=6.0)
+    def test_grid(self, mode, half_width, case, monkeypatch):
+        # two window sizes: the tails reach half_width from the user and
+        # half_width - x_s from the serving pico
+        window = SimulationWindow(half_width=half_width)
         for k, (comp, conv, alpha_s) in enumerate(
                 (c, v, a) for c in (True, False) for v in ("ps", "pm")
                 for a in (4.0, 3.5)):
@@ -717,10 +720,12 @@ class TestChunkedPass:
     """The trials of one pass split over forked workers: the estimates do
     not depend on how many processes share the pass."""
 
+    @pytest.mark.parametrize("fixed_count", [False, True])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_estimates_equal_for_any_process_count(self, mode, monkeypatch):
+    def test_estimates_equal_for_any_process_count(self, mode, fixed_count,
+                                                   monkeypatch):
         # 1,001 trials: the ranges are uneven for 2 and 3 processes
-        window = SimulationWindow(half_width=15.0)
+        window = SimulationWindow(half_width=15.0, fixed_count=fixed_count)
         runs = []
         for count in (1, 2, 3):
             monkeypatch.setattr(fanout, "_process_count",
@@ -731,12 +736,14 @@ class TestChunkedPass:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, count,
+    @pytest.mark.parametrize("fixed_count", [False, True])
+    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, fixed_count,
+                                                            count,
                                                             monkeypatch):
         # every same-tier fade is drawn before any cross-tier one, so a
         # mode's columns do not depend on the other mode sharing the pass
         monkeypatch.setattr(fanout, "_process_count", lambda: count)
-        window = SimulationWindow(half_width=10.0)
+        window = SimulationWindow(half_width=10.0, fixed_count=fixed_count)
         both = simulate_pass(NetworkParams(), tuple(DuplexMode), 500,
                              window, 71)
         assert 0 < np.count_nonzero(both.pico) < 500
