@@ -285,23 +285,24 @@ def _lens_shell(rs, lo, far, n: int, alpha: float) -> tuple:
     return w * rho * width, rho ** -alpha
 
 
-# the geometries of one network, by level, in this process (the package
-# runs no threads).  A call at another network drops them all before it
-# builds: no command comes back to an earlier one (docs/DECISIONS.md,
-# entry 10), so a process holds at most one network's ladder, which at the
+# the geometries of one network and biases, by level, in this process (the
+# package runs no threads).  A call at another point drops them all before
+# it builds: no command comes back to an earlier one (docs/DECISIONS.md,
+# entry 10), so a process holds at most one point's ladder, which at the
 # default point allocates 6.3, 47 and 214 MB at levels 3, 6 and 10
 _HELD: dict = {}
 
 
 def _geometry(params: NetworkParams, level: int) -> dict:
-    """Outer (r_s, r) panel grid + per-node tensors, held per network
-    (NetworkParams.network).
+    """Outer (r_s, r) panel grid + per-node tensors, held per network and
+    biases (the grid's disc radii read them).
 
     level is the Gauss order per outer panel; inner orders scale with it.
     """
-    if params.network not in _HELD:
+    key = (params.network, params.B_m, params.B_s)
+    if key not in _HELD:
         _HELD.clear()
-    held = _HELD.setdefault(params.network, {})
+    held = _HELD.setdefault(key, {})
     if level in held:
         return held[level]
 

@@ -79,10 +79,10 @@ class NetworkParams:
 
     @property
     def network(self) -> tuple:
-        """Densities, powers, biases and path-loss exponents: every field
-        that a simulation pass or a small-cell geometry reads."""
-        return (self.lambda_m, self.lambda_s, self.P_m, self.P_s, self.B_m,
-                self.B_s, self.alpha_m, self.alpha_s)
+        """Densities, powers and path-loss exponents: every field that a
+        simulation pass reads."""
+        return (self.lambda_m, self.lambda_s, self.P_m, self.P_s,
+                self.alpha_m, self.alpha_s)
 
     @property
     def picos_per_macro(self) -> float:

@@ -223,8 +223,8 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
     """Evaluate the sweep; one row per grid point per mode, grid-ordered.
 
     Every cell simulates with master_seed, and one pass serves all modes
-    of a network.  If the grid never changes the network (T_s, eta or
-    beta), that pass is drawn once, before the grid is split over the
+    of a network.  If the grid never changes the network (T_s, eta, beta
+    or B_s), that pass is drawn once, before the grid is split over the
     CPUs.  Results do not depend on the CPU count.  A failing point is
     reported in its row's `error` field without aborting the sweep.
     """

@@ -6,11 +6,12 @@ actual points, and events are counted.  Construction mirrors the model
 definition exactly:
 
  - association by biased nearest power: pico iff the nearest macro sits
-   beyond delta_m^{-1} * x_s^{a_s/a_m} (ties to macro);
- - pico access SIR at the user: serving pico signal over all other picos,
+   beyond delta_m^{-1} * x_s^{a_s/a_m} (ties to macro), decided in the
+   tally from the two distances;
+ - pico access SIR at the user: nearest pico signal over all other picos,
    all other macros, plus the backhauling macro's own explicit term;
- - backhaul SIR at the serving pico: its nearest macro's signal over all
-   other macros, all other picos (shared band), and the residual
+ - backhaul SIR at that pico: its nearest macro's signal over all other
+   macros, all other picos (shared band), and the residual
    self-interference beta * P_s or beta * P_m, which the tally adds;
  - macro access SIR: nearest macro over all other macros plus every pico;
  - FDD keeps only same-tier interferers on each link and no residual term.
@@ -19,27 +20,27 @@ Finite-window bias control: the expected interference of the field
 outside the sampling square is added to every denominator (the
 fading-averaged tail is deterministic: intensity * P * integral of
 |z|^{-alpha} beyond the square, computed with the exact square-boundary
-angular profile, offset by the receiver's displacement from center);
-zero-interference links are capped.
+angular profile from its center, for every receiver); zero-interference
+links are capped.
 
-Per-trial kernel: each link (macro access, pico access, backhaul) sums
-its serving tier without the server, and in IBFD adds the other tier
-(without the serving pico, at the backhaul), each with its tail.  A
-power sum turns fresh squared distances into path gains in place and is
-P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot product,
-whose result depends on the BLAS thread count.
-Fading is drawn once per station per receiving link, every same-tier
-array first, so one draw serves both modes: FDD reads the same-tier
-sums, and IBFD continues them.
+Per-trial kernel: neither candidate link, nor the backhaul, reads the
+biases, so every trial records all three.  One fade per station per
+receiver: each tier at the user gives its nearest station's power and
+the rest of its power sum, which both the macro and the pico access link
+read.  A power sum turns fresh squared distances into path gains in
+place and is P * einsum("i,i->", h, g): numpy's own loop, not a BLAS dot
+product, whose result depends on the BLAS thread count.  The FDD links
+read their own tier's sums; IBFD adds the other tier's, drawn last at the
+backhaul, so one draw serves both modes.
 
 Pass and tally: simulate_pass returns a SimulationPass, per-trial columns
-of link powers that read only NetworkParams.network.  tally_metrics, its
-one reader, adds the residual self-interference to the backhaul's
-interference, forms every SIR with _sir's cap and counts the trials
-against the thresholds.  Trial i's draws are seeded by
-SeedSequence(master_seed, spawn_key=(i, k)), so a pass splits into ranges
-of trials over the usable CPUs (fanout.fan_out), joined in trial order:
-bit-identical for any split.
+of distances and link powers that read only NetworkParams.network.
+tally_metrics, its one reader, decides each trial's tier, adds the
+residual self-interference to the backhaul's interference, forms every
+SIR with _sir's cap and counts the trials against the thresholds.  Trial
+i's draws are seeded by SeedSequence(master_seed, spawn_key=(i, k)), so a
+pass splits into ranges of trials over the usable CPUs (fanout.fan_out),
+joined in trial order: bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -108,18 +109,19 @@ class EstimateWithCI:
 
 @dataclass(frozen=True, eq=False)
 class SimulationPass:
-    """Per-trial link powers of the user at the origin, in trial order.
+    """Per-trial candidate links of the user at the origin, in trial order.
 
-    pico is True for a pico user.  access_signal is the signal of the
-    user's serving link (pico access or macro); backhaul_signal is the
-    serving pico's, nan for a macro user.  interference maps each mode to
-    an (n, 2) array of (access, backhaul) interference, the backhaul's
-    without the residual self-interference, which tally_metrics adds.
+    x_m and x_s are the distances to the nearest macro and pico (inf with
+    no pico), from which tally_metrics decides the tier.  signal is an
+    (n, 3) array of the (macro, pico access, backhaul) signals, the pico
+    links nan with no pico; interference maps each mode to the same
+    links' (n, 3) interference, the backhaul's without the residual
+    self-interference, which tally_metrics adds.
     """
 
-    pico: np.ndarray
-    access_signal: np.ndarray
-    backhaul_signal: np.ndarray
+    x_m: np.ndarray
+    x_s: np.ndarray
+    signal: np.ndarray
     interference: dict
 
 
@@ -160,11 +162,10 @@ def _square_tail_angular_factor(alpha: float) -> float:
 
 
 def _tail_mean(intensity: float, power: float, alpha: float,
-               w_eff: float) -> float:
-    """Expected interference from the un-sampled field beyond the window."""
-    if intensity == 0.0 or w_eff <= 0.0:
-        return 0.0
-    return intensity * power * w_eff ** (2.0 - alpha) / (alpha - 2.0) \
+               half_width: float) -> float:
+    """Expected interference from the un-sampled field beyond the window,
+    seen from its center: every link's tail (docs/DECISIONS.md, entry 13)."""
+    return intensity * power * half_width ** (2.0 - alpha) / (alpha - 2.0) \
         * _square_tail_angular_factor(alpha)
 
 
@@ -191,83 +192,70 @@ def _sir(signal: np.ndarray, interference: np.ndarray) -> np.ndarray:
 def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
                   params: NetworkParams, modes: tuple, seed,
                   window: SimulationWindow = SimulationWindow()) -> tuple:
-    """(pico, access_signal, backhaul_signal, {mode: (access, backhaul)
-    interference}) of the typical user at the origin of one sampled
-    network, its stations' (N, 2) coordinates by tier: one trial of a
-    SimulationPass.  The dict holds FDD and, with IBFD in modes, IBFD.
+    """(x_m, x_s, signal, {mode: interference}) of the user at the origin
+    of one sampled network (its stations' (N, 2) coordinates by tier): one
+    trial of a SimulationPass.  signal and each interference are (macro,
+    pico access, backhaul) triples, the pico links nan and x_s inf with no
+    pico; the dict holds FDD and, with IBFD in modes, IBFD.
 
-    seed drives the fading draws only (i.i.d. unit-mean exponential per
-    station per receiving link): every same-tier array (access, then
-    backhaul), then, with IBFD in modes, every cross-tier one, so a
-    mode's sample does not depend on the other mode.  The window's
-    half-width sets each link's out-of-window tail.  A zero distance (the
-    serving pico from itself, a coincident station, or a serving station
-    at the user) raises no warning; at the user it gives an infinite
-    signal, which the tally caps.
+    seed drives the fades, one unit-mean exponential per station and
+    receiver: macros, then picos at the user, macros at the nearest pico
+    S, then, in IBFD only, picos at S.  A zero distance raises no warning:
+    a station at the user gives an infinite signal, which the tally caps.
     """
     if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = default_rng(seed)
-    macro = (params.lambda_m, params.P_m, params.alpha_m)
-    pico = (params.lambda_s, params.P_s, params.alpha_s)
+    w = window.half_width
+    macro = (params.P_m, params.alpha_m,
+             _tail_mean(params.lambda_m, params.P_m, params.alpha_m, w))
+    pico = (params.P_s, params.alpha_s,
+            _tail_mean(params.lambda_s, params.P_s, params.alpha_s, w))
 
-    def add_field(interference, tier, d2, skip, reach):
-        """(interference plus tier's power sum without station skip, then
-        its tail beyond reach; the fades).  tier is (intensity, power,
-        alpha).  d2 is overwritten by the gains d^{-alpha}: a zero
-        distance gives an infinite gain, so a coincident interferer makes
-        the interference infinite (SIR 0)."""
-        _, power, alpha = tier
+    def field(tier, d2, serve):
+        """(station serve's power, the rest of tier's power sum plus its
+        tail); tier is (power, alpha, tail).  d2 becomes the gains
+        d^{-alpha}, so a coincident interferer gives an infinite sum."""
+        power, alpha, tail = tier
+        gain = float(np.sqrt(d2[serve]) ** -alpha)
         h = rng.standard_exponential(size=d2.shape)
         if alpha == 4.0:
             np.multiply(d2, d2, out=d2)
             np.reciprocal(d2, out=d2)
         else:
             np.power(d2, -0.5 * alpha, out=d2)
-        if skip is not None:
-            d2[skip] = 0.0
-        interference += power * float(np.einsum("i,i->", h, d2))
-        interference += _tail_mean(*tier, reach)
-        return interference, h
-
-    def link(tier, d2, serve, reach):
-        """(signal, same-tier interference) of a link served by station
-        serve of tier."""
-        gain = float(np.sqrt(d2[serve]) ** -tier[2])
-        interference, h = add_field(0.0, tier, d2, serve, reach)
-        return tier[1] * float(h[serve]) * gain, interference
+        d2[serve] = 0.0
+        return (power * float(h[serve]) * gain,
+                power * float(np.einsum("i,i->", h, d2)) + tail)
 
     d2_m = _sq_distances(macro_points, (0.0, 0.0))
     d2_s = _sq_distances(pico_points, (0.0, 0.0))
-    i_macro = int(np.argmin(d2_m))
-    x_m = math.sqrt(d2_m[i_macro])
-    i_pico = int(np.argmin(d2_s)) if d2_s.size else -1
-    x_s = math.sqrt(d2_s[i_pico]) if d2_s.size else math.inf
-    pico_assoc = d2_s.size > 0 and \
-        x_m > x_s ** (params.alpha_s / params.alpha_m) / delta_m(params)
-    ibfd, w = DuplexMode.IBFD in modes, window.half_width
-    if not pico_assoc:
-        signal, int_um = link(macro, d2_m, i_macro, w)
-        interference = {DuplexMode.FDD: (int_um, math.nan)}
+    i_m = int(np.argmin(d2_m))
+    x_m = math.sqrt(d2_m[i_m])
+    signal_m, rest_m = field(macro, d2_m, i_m)
+    ibfd = DuplexMode.IBFD in modes
+    if d2_s.size == 0:
+        # the pico field reduces to its tail
+        interference = {DuplexMode.FDD: (rest_m, math.nan, math.nan)}
         if ibfd:
-            interference[DuplexMode.IBFD] = (
-                add_field(int_um, pico, d2_s, None, w)[0], math.nan)
-        return False, signal, math.nan, interference
+            interference[DuplexMode.IBFD] = (rest_m + pico[2], math.nan,
+                                             math.nan)
+        return x_m, math.inf, (signal_m, math.nan, math.nan), interference
 
-    # at the user every macro interferes, the backhauling one via its own
-    # term; at the serving pico its own zero distance is skipped
-    s_pos = pico_points[i_pico]
-    d2_m_from_s = _sq_distances(macro_points, s_pos)
-    signal_us, int_us = link(pico, d2_s, i_pico, w)
-    signal_sm, int_sm = link(macro, d2_m_from_s, int(np.argmin(d2_m_from_s)),
-                             w - x_s)
-    interference = {DuplexMode.FDD: (int_us, int_sm)}
+    # each candidate link's IBFD interference adds the other tier's whole
+    # sum at the user; the backhaul's adds every pico but S
+    i_s = int(np.argmin(d2_s))
+    x_s = math.sqrt(d2_s[i_s])
+    signal_s, rest_s = field(pico, d2_s, i_s)
+    d2_m_at_s = _sq_distances(macro_points, pico_points[i_s])
+    signal_b, rest_b = field(macro, d2_m_at_s, int(np.argmin(d2_m_at_s)))
+    interference = {DuplexMode.FDD: (rest_m, rest_s, rest_b)}
     if ibfd:
         interference[DuplexMode.IBFD] = (
-            add_field(int_us, macro, d2_m, None, w)[0],
-            add_field(int_sm, pico, _sq_distances(pico_points, s_pos),
-                      i_pico, w - x_s)[0])
-    return True, signal_us, signal_sm, interference
+            rest_m + (rest_s + signal_s), rest_s + (rest_m + signal_m),
+            rest_b + field(pico, _sq_distances(pico_points, pico_points[i_s]),
+                           i_s)[1])
+    return x_m, x_s, (signal_m, signal_s, signal_b), interference
 
 
 def _self_interference(params: NetworkParams, mode: DuplexMode) -> float:
@@ -319,9 +307,9 @@ def simulate_pass(params: NetworkParams, modes: tuple, n_trials: int,
     trials = [trial for chunk in fan_out(_chunk_samples, [
         (params, modes, window, master_seed, start, stop)
         for start, stop in zip(bounds, bounds[1:])]) for trial in chunk]
-    pico, access, backhaul, interference = zip(*trials)
+    x_m, x_s, signal, interference = zip(*trials)
     return SimulationPass(
-        np.array(pico), np.array(access), np.array(backhaul),
+        np.array(x_m), np.array(x_s), np.array(signal),
         {mode: np.array([links[mode] for links in interference])
          for mode in modes})
 
@@ -330,6 +318,8 @@ def tally_metrics(run: SimulationPass, params: NetworkParams, th: Thresholds,
                   mode: DuplexMode) -> dict[str, EstimateWithCI]:
     """Every simulated metric of one mode of a pass (simulate_pass) at th.
 
+    A trial's user takes the pico tier iff x_m > x_s^(alpha_s/alpha_m) /
+    delta_m (ties to macro), so only the tally reads the biases.
     Coverage keys: p_total, p_smallcell_joint, p_macro_joint, p_assoc_s.
     The tier components count trials that both associate with that tier
     and clear its thresholds, so p_total = p_smallcell_joint +
@@ -340,24 +330,23 @@ def tally_metrics(run: SimulationPass, params: NetworkParams, th: Thresholds,
     users, summed with fsum in trial order.
     """
     access_share, backhaul_share, macro_share = band_shares(params, mode)
-    interference = run.interference[mode]
-    sir_a = _sir(run.access_signal, interference[:, 0])
-    sir_b = _sir(run.backhaul_signal,
-                 interference[:, 1] + _self_interference(params, mode))
-    hit_s = run.pico & (sir_a > th.T_s) & (sir_b > th.T_b)
-    hit_m = ~run.pico & (sir_a > th.T_m)
+    pico = run.x_m > run.x_s ** (params.alpha_s / params.alpha_m) \
+        / delta_m(params)
+    sir = _sir(run.signal, run.interference[mode]
+               + [0.0, 0.0, _self_interference(params, mode)])
+    hit_s = pico & (sir[:, 1] > th.T_s) & (sir[:, 2] > th.T_b)
+    hit_m = ~pico & (sir[:, 0] > th.T_m)
     covered = hit_s | hit_m
     rates = [min(access_share * math.log2(1.0 + a),
-                 backhaul_share * math.log2(1.0 + b)) if pico
-             else macro_share * math.log2(1.0 + a)
-             for pico, a, b in zip(run.pico[covered].tolist(),
-                                   sir_a[covered].tolist(),
-                                   sir_b[covered].tolist())]
+                 backhaul_share * math.log2(1.0 + b)) if is_pico
+             else macro_share * math.log2(1.0 + m)
+             for is_pico, (m, a, b) in zip(pico[covered].tolist(),
+                                           sir[covered].tolist())]
     out = {
         "p_total": _binomial_estimate(covered),
         "p_smallcell_joint": _binomial_estimate(hit_s),
         "p_macro_joint": _binomial_estimate(hit_m),
-        "p_assoc_s": _binomial_estimate(run.pico),
+        "p_assoc_s": _binomial_estimate(pico),
     }
     n_cov = len(rates)
     if n_cov:

@@ -17,8 +17,9 @@ distances in place and takes each power sum as one einsum; with the same
 seed both draw the same fading, so they differ only in rounding.
 
 reference_tally is the simulator's tally written as a loop over trials,
-one scalar SIR at a time with the same cap rule; the package forms each
-SIR column with one vectorized _sir, and the two must agree exactly.
+one scalar tier decision and SIR at a time with the same cap rule; the
+package decides every tier and forms every SIR column with numpy, and the
+two must agree exactly.
 
 estimate_metrics is a tally of a one-mode pass drawn for the call alone,
 the short form that the statistical checks use.
@@ -417,80 +418,50 @@ def _power_sum(power, h, d, alpha):
 
 def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
                             window=montecarlo.SimulationWindow()):
-    """montecarlo.evaluate_user on distances and masks (same signature and
-    draw order: every same-tier array, then, with IBFD in modes, every
-    cross-tier one)."""
+    """montecarlo.evaluate_user on distances and masks (same signature,
+    record and draw order: macros and picos at the user, macros at the
+    nearest pico S, then, with IBFD in modes, picos at S)."""
     if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
     rng = np.random.default_rng(seed)
-    origin = np.zeros(2)
-    m_pts, s_pts = macro_points, pico_points
-    d_m = _distances(m_pts, origin)
-    d_s = _distances(s_pts, origin)
-    a_m, a_s = params.alpha_m, params.alpha_s
+    w = window.half_width
     ibfd = DuplexMode.IBFD in modes
+    macro = (params.P_m, params.alpha_m, montecarlo._tail_mean(
+        params.lambda_m, params.P_m, params.alpha_m, w))
+    pico = (params.P_s, params.alpha_s, montecarlo._tail_mean(
+        params.lambda_s, params.P_s, params.alpha_s, w))
 
-    def macro_tail(center_dist):
-        return montecarlo._tail_mean(params.lambda_m, params.P_m, a_m,
-                                     window.half_width - center_dist)
+    def links(tier, d):
+        """(nearest station's distance, its received power, every other
+        station's power sum plus the tail)."""
+        power, alpha, tail = tier
+        h = rng.exponential(size=d.shape)
+        near = int(np.argmin(d))
+        mask = np.arange(d.size) != near
+        return (float(d[near]),
+                power * float(h[near]) * _path_gain(d[near], alpha),
+                _power_sum(power, h[mask], d[mask], alpha) + tail)
 
-    def pico_tail(center_dist):
-        return montecarlo._tail_mean(params.lambda_s, params.P_s, a_s,
-                                     window.half_width - center_dist)
-
-    i_macro = int(np.argmin(d_m))
-    x_m = float(d_m[i_macro])
-    x_s = float(d_s[int(np.argmin(d_s))]) if d_s.size else math.inf
-    pico_assoc = d_s.size > 0 and \
-        x_m > x_s ** (a_s / a_m) / delta_m(params)
-
-    if not pico_assoc:
-        h_m = rng.exponential(size=d_m.shape)
-        signal = params.P_m * float(h_m[i_macro]) * _path_gain(x_m, a_m)
-        mask = np.arange(d_m.size) != i_macro
-        interference = _power_sum(params.P_m, h_m[mask], d_m[mask], a_m)
-        interference += macro_tail(0.0)
-        links = {DuplexMode.FDD: (interference, math.nan)}
+    x_m, signal_m, int_m = links(macro, _distances(macro_points, np.zeros(2)))
+    if pico_points.shape[0] == 0:
+        interference = {DuplexMode.FDD: (int_m, math.nan, math.nan)}
         if ibfd:
-            if d_s.size:
-                h_s = rng.exponential(size=d_s.shape)
-                interference += _power_sum(params.P_s, h_s, d_s, a_s)
-            interference += pico_tail(0.0)
-            links[DuplexMode.IBFD] = (interference, math.nan)
-        return False, signal, math.nan, links
+            interference[DuplexMode.IBFD] = (int_m + pico[2], math.nan,
+                                             math.nan)
+        return x_m, math.inf, (signal_m, math.nan, math.nan), interference
 
-    i_pico = int(np.argmin(d_s))
-    s_pos = s_pts[i_pico]
-    r_s = float(d_s[i_pico])
-    d_m_from_s = _distances(m_pts, s_pos)
-    i_backhaul = int(np.argmin(d_m_from_s))
-    r = float(d_m_from_s[i_backhaul])
-
-    h_s_user = rng.exponential(size=d_s.shape)
-    signal_us = params.P_s * float(h_s_user[i_pico]) * _path_gain(r_s, a_s)
-    mask_s = np.arange(d_s.size) != i_pico
-    int_us = _power_sum(params.P_s, h_s_user[mask_s], d_s[mask_s], a_s)
-    int_us += pico_tail(0.0)
-
-    h_m_s = rng.exponential(size=d_m_from_s.shape)
-    signal_sm = params.P_m * float(h_m_s[i_backhaul]) * _path_gain(r, a_m)
-    mask_m = np.arange(d_m_from_s.size) != i_backhaul
-    int_sm = _power_sum(params.P_m, h_m_s[mask_m], d_m_from_s[mask_m], a_m)
-    int_sm += macro_tail(r_s)
-    interference = {DuplexMode.FDD: (int_us, int_sm)}
-
+    d_s = _distances(pico_points, np.zeros(2))
+    x_s, signal_s, int_s = links(pico, d_s)
+    s_pos = pico_points[int(np.argmin(d_s))]
+    _, signal_b, int_b = links(macro, _distances(macro_points, s_pos))
+    interference = {DuplexMode.FDD: (int_m, int_s, int_b)}
     if ibfd:
-        h_m_user = rng.exponential(size=d_m.shape)
-        int_us += _power_sum(params.P_m, h_m_user, d_m, a_m)
-        int_us += macro_tail(0.0)
-        d_s_from_s = _distances(s_pts, s_pos)
-        h_s_s = rng.exponential(size=d_s_from_s.shape)
-        int_sm += _power_sum(params.P_s, h_s_s[mask_s],
-                             d_s_from_s[mask_s], a_s)
-        int_sm += pico_tail(r_s)
-        interference[DuplexMode.IBFD] = (int_us, int_sm)
-
-    return True, signal_us, signal_sm, interference
+        # S is the nearest pico to itself, at distance 0
+        int_b_cross = links(pico, _distances(pico_points, s_pos))[2]
+        interference[DuplexMode.IBFD] = (
+            int_m + (int_s + signal_s), int_s + (int_m + signal_m),
+            int_b + int_b_cross)
+    return x_m, x_s, (signal_m, signal_s, signal_b), interference
 
 
 def estimate_metrics(params, th, mode=DuplexMode.IBFD, n_trials=20_000,
@@ -516,26 +487,28 @@ def _binomial(hits, n):
 
 def reference_tally(run, params, th, mode):
     """montecarlo.tally_metrics as a loop over the trials of a
-    SimulationPass, one scalar SIR at a time (_scalar_sir)."""
+    SimulationPass: the tier decision and one scalar SIR at a time
+    (_scalar_sir)."""
     n_assoc_s = hits_s = hits_m = 0
     rates = []
     access_share, backhaul_share, macro_share = band_shares(params, mode)
     residual = montecarlo._self_interference(params, mode)
-    for pico, signal, signal_sm, (int_a, int_b) in zip(
-            run.pico.tolist(), run.access_signal.tolist(),
-            run.backhaul_signal.tolist(), run.interference[mode].tolist()):
-        sir_a = _scalar_sir(signal, int_a)
-        if pico:
+    exponent = params.alpha_s / params.alpha_m
+    for x_m, x_s, (s_m, s_a, s_b), (i_m, i_a, i_b) in zip(
+            run.x_m.tolist(), run.x_s.tolist(), run.signal.tolist(),
+            run.interference[mode].tolist()):
+        if x_m > x_s ** exponent / delta_m(params):
             n_assoc_s += 1
-            sir_sm = _scalar_sir(signal_sm, int_b + residual)
+            sir_a = _scalar_sir(s_a, i_a)
+            sir_sm = _scalar_sir(s_b, i_b + residual)
             if sir_a > th.T_s and sir_sm > th.T_b:
                 hits_s += 1
                 rates.append(min(access_share * math.log2(1.0 + sir_a),
                                  backhaul_share * math.log2(1.0 + sir_sm)))
-        elif sir_a > th.T_m:
+        elif (sir_m := _scalar_sir(s_m, i_m)) > th.T_m:
             hits_m += 1
-            rates.append(macro_share * math.log2(1.0 + sir_a))
-    n_trials = len(run.pico)
+            rates.append(macro_share * math.log2(1.0 + sir_m))
+    n_trials = len(run.x_m)
     out = {
         "p_total": _binomial(hits_s + hits_m, n_trials),
         "p_smallcell_joint": _binomial(hits_s, n_trials),

@@ -737,9 +737,11 @@ class TestBlockedKernel:
     def test_geometries_are_held_for_one_point(self, monkeypatch):
         # a process holds the geometries of one model point, by level: both
         # modes and any thresholds at that point reuse them, a new level
-        # joins them, and a call at another point drops every one of them
+        # joins them, and a call at another point drops every one of them.
+        # The outer grid reads the biases, which the network key leaves out
         monkeypatch.setattr(smallcell, "_HELD", {})
-        a, b = params_with(lambda_s=2.0), params_with(lambda_s=3.0)
+        a, b = params_with(lambda_s=2.0), params_with(lambda_s=2.0, B_s=10.0)
+        assert a.network == b.network
         evaluate_joint(a, 0.5, 0.5, DuplexMode.IBFD, 3)
         first = smallcell._geometry(a, 3)
         for mode in DuplexMode:
@@ -747,10 +749,11 @@ class TestBlockedKernel:
         assert smallcell._geometry(a, 3) is first
         finer = smallcell._geometry(a, 6)
         assert smallcell._geometry(a, 3) is first
-        assert smallcell._HELD == {a.network: {3: first, 6: finer}}
+        key_a, key_b = ((p.network, p.B_m, p.B_s) for p in (a, b))
+        assert smallcell._HELD == {key_a: {3: first, 6: finer}}
         evaluate_joint(b, 0.5, 0.5, DuplexMode.FDD, 6)
-        assert list(smallcell._HELD) == [b.network]
-        assert list(smallcell._HELD[b.network]) == [6]
+        assert list(smallcell._HELD) == [key_b]
+        assert list(smallcell._HELD[key_b]) == [6]
         assert smallcell._geometry(a, 3) is not first
 
 

@@ -52,35 +52,36 @@ def raw_sums(monkeypatch):
 
 
 class Trial(NamedTuple):
-    """One mode's links of one evaluate_user trial; the backhaul fields
-    are nan for a macro user."""
+    """One mode's links of one evaluate_user trial: the distances to the
+    nearest macro and pico, then the (macro, pico access, backhaul)
+    signals and interference, the pico links nan with no pico."""
 
-    pico: bool
-    access_signal: float
-    backhaul_signal: float
-    access_interference: float
-    backhaul_interference: float
+    x_m: float
+    x_s: float
+    signal: tuple
+    interference: tuple
 
 
 def user(rel, params, mode, seed, kernel=evaluate_user, **kw) -> Trial:
     """The trial of kernel (evaluate_user or its oracle) for one mode."""
-    pico, access, backhaul, interference = kernel(*rel, params, (mode,),
-                                                  seed, **kw)
-    return Trial(pico, access, backhaul, *interference[mode])
+    x_m, x_s, signal, interference = kernel(*rel, params, (mode,), seed,
+                                            **kw)
+    return Trial(x_m, x_s, signal, interference[mode])
 
 
-def access_sir(trial) -> float:
-    """The access SIR (pico access or macro) as tally_metrics forms it."""
-    return float(montecarlo._sir(trial.access_signal,
-                                 trial.access_interference))
+def is_pico(trial, params) -> bool:
+    """The tier that tally_metrics decides for the trial."""
+    return trial.x_m > trial.x_s ** (params.alpha_s / params.alpha_m) \
+        / delta_m(params)
 
 
-def sir_sm(trial, params, mode) -> float:
-    """The backhaul SIR of a pico trial as tally_metrics forms it."""
-    return float(montecarlo._sir(
-        trial.backhaul_signal,
-        trial.backhaul_interference
-        + montecarlo._self_interference(params, mode)))
+def sirs(trial, params, mode) -> tuple:
+    """The (macro, pico access, backhaul) SIRs as tally_metrics forms
+    them."""
+    residual = montecarlo._self_interference(params, mode)
+    return tuple(montecarlo._sir(np.array(trial.signal),
+                                 np.array(trial.interference)
+                                 + [0.0, 0.0, residual]).tolist())
 
 
 def realization(macros, picos) -> tuple:
@@ -156,19 +157,20 @@ class TestEvaluateUser:
         with pytest.raises(ValueError, match="no station in tier"):
             user(rel, NetworkParams(), DuplexMode.IBFD, seed=0)
 
-    def test_tier_fields_nan_pattern(self):
-        # lone distant macro, nearby pico: pico association
+    def test_candidate_links_and_nan_pattern(self):
+        # lone distant macro, nearby pico: both candidate links and the
+        # backhaul are recorded, and the tally picks the pico
+        p = NetworkParams()
         rel = realization([[5.0, 0.0]], [[0.4, 0.0]])
-        s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
-        assert s.pico
-        assert all(value > 0 for value in s[1:])
-        # no pico at all: macro association, with no backhaul
+        s = user(rel, p, DuplexMode.IBFD, seed=3)
+        assert (s.x_m, s.x_s) == (5.0, 0.4) and is_pico(s, p)
+        assert all(value > 0 for value in s.signal + s.interference)
+        # no pico at all: macro association, with no pico link
         rel = realization([[1.0, 0.0]], np.empty((0, 2)))
-        s = user(rel, NetworkParams(), DuplexMode.IBFD, seed=3)
-        assert not s.pico
-        assert math.isnan(s.backhaul_signal) \
-            and math.isnan(s.backhaul_interference)
-        assert s.access_signal > 0 and access_sir(s) > 0
+        s = user(rel, p, DuplexMode.IBFD, seed=3)
+        assert s.x_s == math.inf and not is_pico(s, p)
+        assert all(map(math.isnan, s.signal[1:] + s.interference[1:]))
+        assert s.signal[0] > 0 and sirs(s, p, DuplexMode.IBFD)[0] > 0
 
     @pytest.mark.parametrize("modes", [(DuplexMode.FDD,), tuple(DuplexMode)],
                              ids=["fdd", "both"])
@@ -180,52 +182,65 @@ class TestEvaluateUser:
         # a zero serving distance is an infinite signal, which the tally
         # caps: no ZeroDivisionError and no warning, in the kernel and in
         # its oracle
-        rel = realization(macros, picos)
+        p, rel = NetworkParams(), realization(macros, picos)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pico, access, backhaul, interference = evaluate_user(
-                *rel, NetworkParams(), modes, seed=1)
-            ref = reference_evaluate_user(*rel, NetworkParams(), modes, 1)
-        assert pico == (len(picos) == 1)
-        assert access == math.inf
-        assert 0.0 < backhaul < math.inf if pico else math.isnan(backhaul)
-        assert ref[:2] == (pico, access) and close(backhaul, ref[2])
+            x_m, x_s, signal, interference = evaluate_user(*rel, p, modes,
+                                                           seed=1)
+            ref = reference_evaluate_user(*rel, p, modes, 1)
+        served = 1 if len(picos) else 0
+        assert signal[served] == math.inf
+        assert all(map(close, (x_m, x_s, *signal), (*ref[:2], *ref[2])))
         assert list(interference) == list(ref[3])
         for mode in modes:
-            trial = Trial(pico, access, backhaul, *interference[mode])
-            assert access_sir(trial) == 1e12
+            trial = Trial(x_m, x_s, signal, interference[mode])
+            assert is_pico(trial, p) == bool(served)
+            assert sirs(trial, p, mode)[served] == 1e12
             assert all(map(close, interference[mode], ref[3][mode]))
 
     def test_association_boundary(self):
-        # pico at unit distance: the macro wins inside delta_m^{-1}
+        # the tally decides the tier: with the pico and the macro at unit
+        # distance, the pico wins once delta_m exceeds 1.  delta_m is
+        # (P_s B_s / (P_m B_m))^(1/alpha_m), so B_s places the cut, and
+        # one pass serves both sides of it
         p = NetworkParams()
-        cut = 1.0 / delta_m(p)
-        near = realization([[cut * 0.98, 0.0]], [[0.0, 1.0]])
-        far = realization([[cut * 1.02, 0.0]], [[0.0, 1.0]])
-        assert not user(near, p, DuplexMode.IBFD, 0).pico
-        assert user(far, p, DuplexMode.IBFD, 0).pico
+        x_m, x_s, signal, interference = evaluate_user(
+            *realization([[1.0, 0.0]], [[0.0, 1.0]]), p, tuple(DuplexMode),
+            seed=0)
+        run = montecarlo.SimulationPass(
+            np.array([x_m]), np.array([x_s]), np.array([signal]),
+            {mode: np.array([links]) for mode, links in interference.items()})
+        shares = []
+        for scale in (0.98, 1.02):
+            q = replace(p, B_s=scale ** p.alpha_m * p.P_m * p.B_m / p.P_s)
+            assert delta_m(q) == pytest.approx(scale, rel=1e-12)
+            shares.append([tally_metrics(run, q, TH, mode)["p_assoc_s"].mean
+                           for mode in DuplexMode])
+        assert shares == [[0.0, 0.0], [1.0, 1.0]]
 
     @pytest.mark.usefixtures("raw_sums")
     def test_interferer_sets_by_mode(self):
-        # one macro + one pico, beta = 0: the pico's access link sees only
-        # the macro, and the backhaul link has no interferer at all
+        # one macro + one pico, beta = 0: FDD links see no interferer; in
+        # IBFD each candidate link sees the other tier's station, and the
+        # backhaul sees none
         p = NetworkParams(beta=0.0)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         ibfd = user(rel, p, DuplexMode.IBFD, seed=9)
-        assert access_sir(ibfd) < 1e10  # macro interference present
-        assert ibfd.backhaul_interference == 0.0
-        # interference-free cap
-        assert sir_sm(ibfd, p, DuplexMode.IBFD) == pytest.approx(1e12)
-        # FDD drops the cross-tier term: both links are interference-free
         fdd = user(rel, p, DuplexMode.FDD, seed=9)
-        assert access_sir(fdd) == pytest.approx(1e12)
-        assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
+        signal_m, signal_s, _ = ibfd.signal
+        assert fdd.signal == ibfd.signal
+        assert fdd.interference == (0.0, 0.0, 0.0)
+        assert ibfd.interference == (signal_s, signal_m, 0.0)
+        # interference-free caps
+        assert sirs(fdd, p, DuplexMode.FDD) == (1e12, 1e12, 1e12)
+        assert sirs(ibfd, p, DuplexMode.IBFD)[2] == 1e12
+        assert max(sirs(ibfd, p, DuplexMode.IBFD)[:2]) < 1e10
         # the record does not read beta; only the IBFD tally adds it
         q = replace(p, beta=2.0)
         for mode, sample in ((DuplexMode.IBFD, ibfd), (DuplexMode.FDD, fdd)):
             assert user(rel, q, mode, seed=9) == sample
-        assert sir_sm(ibfd, q, DuplexMode.IBFD) < 1e10
-        assert sir_sm(fdd, q, DuplexMode.FDD) == pytest.approx(1e12)
+        assert sirs(ibfd, q, DuplexMode.IBFD)[2] < 1e10
+        assert sirs(fdd, q, DuplexMode.FDD)[2] == 1e12
 
     @pytest.mark.usefixtures("raw_sums")
     def test_residual_self_interference_scales(self):
@@ -237,24 +252,27 @@ class TestEvaluateUser:
         s_ps = user(rel, p_ps, DuplexMode.IBFD, seed=4)
         s_pm = user(rel, p_pm, DuplexMode.IBFD, seed=4)
         assert s_ps == s_pm  # the convention enters the tally only
-        assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
-            sir_sm(s_pm, p_pm, DuplexMode.IBFD) * p_ps.P_m / p_ps.P_s,
-            rel=1e-12)
+        sir_ps = sirs(s_ps, p_ps, DuplexMode.IBFD)[2]
+        sir_pm = sirs(s_pm, p_pm, DuplexMode.IBFD)[2]
+        assert sir_ps == pytest.approx(sir_pm * p_ps.P_m / p_ps.P_s,
+                                       rel=1e-12)
         # each convention's residual is beta times its power
-        assert sir_sm(s_ps, p_ps, DuplexMode.IBFD) == pytest.approx(
-            s_ps.backhaul_signal / (2.0 * p_ps.P_s), rel=1e-12)
-        assert sir_sm(s_pm, p_pm, DuplexMode.IBFD) == pytest.approx(
-            s_pm.backhaul_signal / (2.0 * p_pm.P_m), rel=1e-12)
+        assert sir_ps == pytest.approx(s_ps.signal[2] / (2.0 * p_ps.P_s),
+                                       rel=1e-12)
+        assert sir_pm == pytest.approx(s_pm.signal[2] / (2.0 * p_pm.P_m),
+                                       rel=1e-12)
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    @pytest.mark.parametrize("tier", ["pico", "macro"])
-    def test_tail_compensation_follows_the_window(self, tier, mode,
+    @pytest.mark.parametrize("picos", [[[0.3, 0.4], [2.0, 2.0]], []],
+                             ids=["picos", "no-pico"])
+    def test_tail_compensation_follows_the_window(self, picos, mode,
                                                   monkeypatch):
-        # the window adds each field's tail once per link, reaching from
-        # the receiver to the window edge: half_width at the user,
-        # half_width - x_s at the serving pico.  The backhaul's tails go
-        # into its interference record, beside which the tally adds the
-        # residual self-interference
+        # each tier's tail beyond the window is taken once per trial, seen
+        # from the window's center, and every link adds the tails of the
+        # tiers it sums: its own in FDD, both in IBFD, whether it ends at
+        # the user or at the pico S.  The backhaul's tails go into its
+        # interference record, beside which the tally adds the residual
+        # self-interference
         calls = []
         real = montecarlo._tail_mean
 
@@ -264,43 +282,30 @@ class TestEvaluateUser:
 
         monkeypatch.setattr(montecarlo, "_tail_mean", spy)
         p = NetworkParams()
-        macro = (p.lambda_m, p.P_m, p.alpha_m)
-        pico = (p.lambda_s, p.P_s, p.alpha_s)
-        if tier == "pico":
-            rel = realization([[6.0, 0.0], [-7.0, 1.0]],
-                              [[0.3, 0.4], [2.0, 2.0]])
-            links = [(pico, macro, 10.0), (macro, pico, 10.0 - 0.5)]
-        else:
-            rel = realization([[0.2, 0.1], [6.0, 0.0]],
-                              [[3.0, 3.0], [-4.0, 1.0]])
-            links = [(macro, pico, 10.0)]
-        # every link's same-tier tail, then in IBFD every cross-tier one
-        ibfd = mode is DuplexMode.IBFD
-        expected = [(*own, reach) for own, other, reach in links]
-        if ibfd:
-            expected += [(*other, reach) for own, other, reach in links]
-
+        rel = realization([[6.0, 0.0], [-7.0, 1.0]], picos)
         flat = SimulationWindow(half_width=10.0)
         s = user(rel, p, mode, seed=1, window=flat)
-        assert s.pico == (tier == "pico")
-        assert [c[:3] for c in calls] == [e[:3] for e in expected]
-        assert [c[3] for c in calls] == pytest.approx(
-            [e[3] for e in expected], rel=1e-12)
-        if tier == "pico":
-            with monkeypatch.context() as m:
-                m.setattr(montecarlo, "_tail_mean", no_tail)
-                raw = user(rel, p, mode, seed=1, window=flat)
-            backhaul = calls[1::len(links)]
-            assert s.backhaul_signal == raw.backhaul_signal
-            assert s.backhaul_interference == pytest.approx(
-                raw.backhaul_interference
-                + sum(real(*c) for c in backhaul), rel=1e-12)
+        macro = (p.lambda_m, p.P_m, p.alpha_m, 10.0)
+        pico = (p.lambda_s, p.P_s, p.alpha_s, 10.0)
+        assert calls == [macro, pico]
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_tail_mean", no_tail)
+            raw = user(rel, p, mode, seed=1, window=flat)
+        assert np.array_equal(s.signal, raw.signal, equal_nan=True)
+        tail_m, tail_s = real(*macro), real(*pico)
+        tails = ((tail_m, tail_s, tail_m) if mode is DuplexMode.FDD
+                 else (tail_m + tail_s,) * 3)
+        links = 3 if picos else 1
+        assert s.interference[:links] == pytest.approx(
+            [r + t for r, t in zip(raw.interference, tails)][:links],
+            rel=1e-12)
+        assert all(map(math.isnan, s.interference[links:]))
 
     def test_huge_residual_kills_backhaul(self):
         p = NetworkParams(beta=1e15)
         rel = realization([[6.0, 0.0]], [[0.3, 0.0]])
         s = user(rel, p, DuplexMode.IBFD, seed=4)
-        assert sir_sm(s, p, DuplexMode.IBFD) < 1e-6
+        assert sirs(s, p, DuplexMode.IBFD)[2] < 1e-6
 
 
 def close(got: float, ref: float) -> bool:
@@ -313,16 +318,19 @@ def close(got: float, ref: float) -> bool:
 def assert_matches_oracle(rel, p, mode, seed, **kw):
     got = user(rel, p, mode, seed, **kw)
     ref = user(rel, p, mode, seed, kernel=reference_evaluate_user, **kw)
-    assert got.pico == ref.pico
-    for field, a, b in zip(Trial._fields[1:], got[1:], ref[1:]):
+    for field, a, b in zip(("x_m", "x_s", "signal", "signal", "signal",
+                            "interference", "interference", "interference"),
+                           (*got[:2], *got.signal, *got.interference),
+                           (*ref[:2], *ref.signal, *ref.interference)):
         assert close(a, b), (field, a, b)
+    assert is_pico(got, p) == is_pico(ref, p)
     return got
 
 
 class TestKernelMatchesOracle:
     """The squared-distance, in-place kernel against the distance-and-mask
-    reference: same tier, every signal and interference equal up to
-    rounding."""
+    reference: same distances, and every signal and interference equal up
+    to rounding."""
 
     @staticmethod
     def build(case, window, seed):
@@ -341,8 +349,7 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("half_width", [3.0, 6.0])
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_grid(self, mode, half_width, case, monkeypatch):
-        # two window sizes: the tails reach half_width from the user and
-        # half_width - x_s from the serving pico
+        # two window sizes: two sizes of every tail, and of the field
         window = SimulationWindow(half_width=half_width)
         for k, (comp, conv, alpha_s) in enumerate(
                 (c, v, a) for c in (True, False) for v in ("ps", "pm")
@@ -355,7 +362,7 @@ class TestKernelMatchesOracle:
                     m.setattr(montecarlo, "_tail_mean", no_tail)
                 got = assert_matches_oracle(rel, p, mode, seed=k,
                                             window=window)
-            assert got.pico == (case == "pico")
+            assert is_pico(got, p) == (case == "pico")
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_estimates_match_oracle_pass(self, seed, monkeypatch):
@@ -378,20 +385,19 @@ class TestKernelMatchesOracle:
 
     @pytest.mark.usefixtures("raw_sums")
     def test_self_distance_neither_warns_nor_counts(self):
-        # the serving pico is 0 from itself in the IBFD backhaul sum
+        # the pico S is 0 from itself in the IBFD backhaul sum
         rel = realization([[6.0, 0.0], [-7.0, 1.0]],
                           [[0.3, 0.0], [2.0, 2.0]])
+        p = NetworkParams(beta=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = assert_matches_oracle(rel, NetworkParams(beta=0.0),
-                                      DuplexMode.IBFD, seed=5)
-        assert 0.0 < sir_sm(s, NetworkParams(beta=0.0), DuplexMode.IBFD) \
-            < 1e12
+            s = assert_matches_oracle(rel, p, DuplexMode.IBFD, seed=5)
+        assert 0.0 < sirs(s, p, DuplexMode.IBFD)[2] < 1e12
 
     @pytest.mark.usefixtures("raw_sums")
     def test_coincident_interferer_zeroes_sir(self):
-        # a second pico on top of the serving one: infinite backhaul
-        # interference in IBFD (the shared band), untouched in FDD
+        # a second pico on top of S: infinite backhaul interference in
+        # IBFD (the shared band), untouched in FDD
         rel = realization([[6.0, 0.0]], [[0.3, 0.0], [0.3, 0.0]])
         p = NetworkParams(beta=0.0)
         with warnings.catch_warnings():
@@ -401,13 +407,13 @@ class TestKernelMatchesOracle:
         with np.errstate(divide="ignore"):
             ref = user(rel, p, DuplexMode.IBFD, seed=9,
                        kernel=reference_evaluate_user)
-        assert ibfd.pico
-        assert ibfd.backhaul_interference == ref.backhaul_interference \
-            == math.inf
-        assert sir_sm(ibfd, p, DuplexMode.IBFD) == 0.0
-        assert close(access_sir(ibfd), access_sir(ref)) \
-            and 0.0 < access_sir(ibfd)
-        assert sir_sm(fdd, p, DuplexMode.FDD) == pytest.approx(1e12)
+        assert is_pico(ibfd, p)
+        assert ibfd.interference[2] == ref.interference[2] == math.inf
+        assert sirs(ibfd, p, DuplexMode.IBFD)[2] == 0.0
+        access, ref_access = (sirs(t, p, DuplexMode.IBFD)[1]
+                              for t in (ibfd, ref))
+        assert close(access, ref_access) and 0.0 < access
+        assert sirs(fdd, p, DuplexMode.FDD)[2] == 1e12
 
 
 class TestEstimators:
@@ -425,19 +431,20 @@ class TestEstimators:
         assert a["rate_total"].mean != c["rate_total"].mean
 
     @pytest.mark.parametrize("th, mode, hits_s, hits_m, rate", [
-        (Thresholds(), DuplexMode.IBFD, 165, 52, 0.3141541106746506),
-        (Thresholds(), DuplexMode.FDD, 392, 52, 0.14998100836815123),
+        (Thresholds(), DuplexMode.IBFD, 165, 52, 0.3089536346999085),
+        (Thresholds(), DuplexMode.FDD, 407, 52, 0.1439630963463222),
         # distinct thresholds: each one is compared on its own link
-        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 33, 50,
-         0.6567147120254144),
-        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 129, 50,
-         0.29544994998919827),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 38, 50,
+         0.6135931306245594),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 136, 50,
+         0.28475124990298906),
     ])
     def test_frozen_seeded_tallies(self, th, mode, hits_s, hits_m, rate):
         # frozen across versions: a change to the draw order, the tier
         # decision or the order of the interference sums moves these.  The
-        # IBFD pico counts moved once, when the cross-tier fades went after
-        # every same-tier one
+        # pico counts moved when the cross-tier fades went after every
+        # same-tier one (IBFD), and when every trial drew the macros at the
+        # user first (both modes); the tier counts never moved
         est = estimate_metrics(NetworkParams(), th, mode, n_trials=600,
                                master_seed=2024)
         counts = {name: round(600 * est[name].mean) for name in
@@ -450,9 +457,9 @@ class TestEstimators:
         assert est["rate_total"].mean == pytest.approx(rate, rel=1e-15)
 
     @pytest.mark.parametrize("trial, mode, expected", [
-        (0, DuplexMode.IBFD, (0.017792720090178665, 0.02104491965831663)),
-        (0, DuplexMode.FDD, (0.27745394260739853, 0.0442813380559903)),
-        (39, DuplexMode.IBFD, 212.55809406217188),
+        (0, DuplexMode.IBFD, (0.09133617091935488, 0.17305109769154886)),
+        (0, DuplexMode.FDD, (2.0413110968491615, 0.3891979692804007)),
+        (39, DuplexMode.IBFD, 212.55809406217193),
         (39, DuplexMode.FDD, 226.19926486596125),
     ])
     def test_frozen_seeded_sirs(self, trial, mode, expected):
@@ -464,12 +471,13 @@ class TestEstimators:
         rel = (sample_ppp(p.lambda_m, w, seed_m),
                sample_ppp(p.lambda_s, w, seed_s))
         s = user(rel, p, mode, seed_fading, window=w)
+        macro, access, backhaul = sirs(s, p, mode)
         if trial == 0:
-            assert s.pico
-            assert (access_sir(s), sir_sm(s, p, mode)) == expected
+            assert is_pico(s, p)
+            assert (access, backhaul) == expected
         else:
-            assert not s.pico
-            assert access_sir(s) == expected
+            assert not is_pico(s, p)
+            assert macro == expected
 
     def test_estimate_shape(self):
         e = EstimateWithCI(0.4, 0.01, 100)
@@ -542,15 +550,12 @@ class TestEstimators:
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
                 off = user(rel, p, mode, seed_fading, window=w)
-            assert on.pico == off.pico
-            sirs = [("access", access_sir(on), access_sir(off))]
-            if on.pico:
-                sirs.append(("backhaul", sir_sm(on, p, mode),
-                             sir_sm(off, p, mode)))
-            for name, a, b in sirs:
-                assert a <= b, (i, name)
+            assert on[:3] == off[:3]
+            for link, a, b in zip(("macro", "access", "backhaul"),
+                                  sirs(on, p, mode), sirs(off, p, mode)):
+                assert a <= b, (i, link)
                 lowered += a < b
-        assert lowered > 100
+        assert lowered > 250
 
     def test_fixed_count_route(self):
         p = NetworkParams()
@@ -619,30 +624,28 @@ class TestTally:
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_equals_the_trial_loop_on_a_built_pass(self, mode, beta):
         # 20,000 trials of link powers over 12 decades, with no interferer
-        # on about 1 % of the links; thresholds at the cap tell > from >=
-        # on capped links
+        # on about 1 % of the links and no pico in about 1 % of the trials;
+        # thresholds at the cap tell > from >= on capped links
         rng = np.random.default_rng(3)
         n = 20_000
-        pico = rng.random(n) < 0.8
-
-        def powers():
-            return 10.0 ** rng.uniform(-6.0, 6.0, n)
-
-        interference = np.column_stack([powers(), powers()])
-        interference[rng.random((n, 2)) < 0.01] = 0.0
-        interference[~pico, 1] = np.nan
-        columns = (pico, powers(), np.where(pico, powers(), np.nan),
-                   interference)
+        x_m, x_s = rng.uniform(0.0, 2.0, (2, n))
+        no_pico = rng.random(n) < 0.01
+        x_s[no_pico] = math.inf
+        signal, interference = 10.0 ** rng.uniform(-6.0, 6.0, (2, n, 3))
+        interference[rng.random((n, 3)) < 0.01] = 0.0
+        signal[no_pico, 1:] = interference[no_pico, 1:] = np.nan
 
         def built(rows):
-            *links, per_mode = (c[rows] for c in columns)
-            return montecarlo.SimulationPass(*links, {mode: per_mode})
+            return montecarlo.SimulationPass(
+                x_m[rows], x_s[rows], signal[rows],
+                {mode: interference[rows]})
 
         p, cap = NetworkParams(beta=beta), montecarlo._SIR_CAP
         est = self.assert_equals_loop(
             built(slice(None)), p, mode,
             self.THRESHOLDS + (Thresholds(T_s=cap, T_b=0.1, T_m=cap),
                                Thresholds(T_s=0.1, T_b=cap, T_m=0.1)))
+        assert 0.2 < est["p_assoc_s"].mean < 0.8
         assert est["p_total"].mean > 0.0
         # a one-trial pass shows its rate's every bit, which a mean over
         # many rounds away: numpy's log2 differs from math.log2 on about
@@ -652,40 +655,42 @@ class TestTally:
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_capped_links(self, mode):
-        # exact-zero interference on the access links of pico and macro
-        # users and on backhauls, in both modes: _sir caps those links.
-        # Every other SIR lies in [1, 20], so at beta = 0 a backhaul
-        # threshold of 1e11 passes the capped backhauls only
+        # exact-zero interference on every link, of pico and macro users,
+        # in both modes: _sir caps those links.  Every other SIR lies in
+        # [1, 20], so at beta = 0 a backhaul threshold of 1e11 passes the
+        # capped backhauls only
         rng = np.random.default_rng(7)
         n = 300
         pico = np.arange(n) % 2 == 0
-        access, backhaul = rng.uniform(1.0, 2.0, (2, n))
-        backhaul[~pico] = np.nan
+        # a pico at 0.001 wins against a macro at 1, one at 1000 loses
+        x_m, x_s = np.ones(n), np.where(pico, 1e-3, 1e3)
+        signal = rng.uniform(1.0, 2.0, (n, 3))
         interference = {}
         for each in DuplexMode:
-            columns = rng.uniform(0.1, 1.0, (n, 2))
-            columns[rng.random((n, 2)) < 0.2] = 0.0
-            columns[~pico, 1] = np.nan
+            columns = rng.uniform(0.1, 1.0, (n, 3))
+            columns[rng.random((n, 3)) < 0.2] = 0.0
             interference[each] = columns
-        run = montecarlo.SimulationPass(pico, access, backhaul, interference)
+        run = montecarlo.SimulationPass(x_m, x_s, signal, interference)
         zero = interference[mode] == 0.0
-        assert np.any(zero[pico, 0]) and np.any(zero[~pico, 0])
-        capped = pico & zero[:, 1]
+        assert np.any(zero[~pico, 0]) and np.any(zero[pico, 1])
+        capped = pico & zero[:, 2]
         assert 0 < np.count_nonzero(capped) < np.count_nonzero(pico)
         est = self.assert_equals_loop(
             run, NetworkParams(beta=0.0), mode,
             self.THRESHOLDS + (Thresholds(T_b=1e11),))
+        assert est["p_assoc_s"].mean == 0.5
         assert round(n * est["p_smallcell_joint"].mean) == \
             np.count_nonzero(capped)
         assert est["rate_total"].n_trials == round(n * est["p_total"].mean)
 
     @pytest.mark.parametrize("mode", list(DuplexMode))
     def test_no_pico_trial(self, mode):
-        # lambda_s = 0: no trial reads a backhaul column, whose share is nan
+        # lambda_s = 0: no trial has a pico link, and the tally reads none
         p = NetworkParams(lambda_s=0.0)
         run = simulate_pass(p, (mode,), 200, SimulationWindow(10.0), 9)
-        assert not run.pico.any()
-        assert np.all(np.isnan(run.backhaul_signal))
+        assert np.all(run.x_s == math.inf)
+        assert np.all(np.isnan(run.signal[:, 1:]))
+        assert np.all(np.isnan(run.interference[mode][:, 1:]))
         est = self.assert_equals_loop(run, p, mode, self.THRESHOLDS[:3])
         assert est["p_assoc_s"].mean == est["p_smallcell_joint"].mean == 0.0
 
@@ -746,16 +751,38 @@ class TestChunkedPass:
         window = SimulationWindow(half_width=10.0, fixed_count=fixed_count)
         both = simulate_pass(NetworkParams(), tuple(DuplexMode), 500,
                              window, 71)
-        assert 0 < np.count_nonzero(both.pico) < 500
+        shares = tally_metrics(both, NetworkParams(), TH, DuplexMode.FDD)
+        assert 0.0 < shares["p_assoc_s"].mean < 1.0
         for mode in DuplexMode:
             alone = simulate_pass(NetworkParams(), (mode,), 500, window, 71)
             assert list(alone.interference) == [mode]
-            for name in ("pico", "access_signal", "backhaul_signal"):
+            for name in ("x_m", "x_s", "signal"):
                 assert np.array_equal(getattr(alone, name),
                                       getattr(both, name), equal_nan=True)
-            assert alone.interference[mode].shape == (500, 2)
+            assert alone.interference[mode].shape == (500, 3)
             assert np.array_equal(alone.interference[mode],
                                   both.interference[mode], equal_nan=True)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_pass_does_not_read_the_biases(self, count, monkeypatch):
+        # no link reads B_m or B_s, so one pass serves every bias; only the
+        # tally's tier decision moves with them
+        monkeypatch.setattr(fanout, "_process_count", lambda: count)
+        window = SimulationWindow(half_width=10.0)
+        base = NetworkParams()
+        other = replace(base, B_m=2.0, B_s=1.0)
+        assert other.network == base.network
+        runs = [simulate_pass(params, tuple(DuplexMode), 500, window, 73)
+                for params in (base, other)]
+        for name in ("x_m", "x_s", "signal"):
+            assert np.array_equal(getattr(runs[0], name),
+                                  getattr(runs[1], name), equal_nan=True)
+        for mode in DuplexMode:
+            assert np.array_equal(runs[0].interference[mode],
+                                  runs[1].interference[mode], equal_nan=True)
+        shares = [tally_metrics(runs[0], params, TH, DuplexMode.FDD)
+                  ["p_assoc_s"].mean for params in (base, other)]
+        assert shares[0] > shares[1] > 0.0
 
     def test_trial_seed_is_the_spawned_child(self):
         # a range rebuilds trial i's seed from its spawn key alone

@@ -94,10 +94,11 @@ def test_every_exported_name_is_used_by_the_package():
 # network (NetworkParams.network), the one-mode pass-and-tally
 # shortcut that only tests call (estimate_metrics), the config parser's
 # second copies of the mode vocabulary, the window keys and the decibel
-# conversion, the wrapper of a trial's two station arrays, and the torus
-# window option, which read coverage high.  The __all__ scan above
-# cannot see a keyword argument, a dataclass field or a private helper, so
-# each one is named here.
+# conversion, the wrapper of a trial's two station arrays, the torus
+# window option, which read coverage high, and the kernel's tier branch
+# with its serving-link record, now that the tally decides the tier.  The
+# __all__ scan above cannot see a keyword argument, a dataclass field or a
+# private helper, so each one is named here.
 RETIRED = [
     "integrate_annulus", "tail_profile_quad", "classify_case",
     "JointPdfCase", "j_components", "intersection_given_coverage",
@@ -117,6 +118,7 @@ RETIRED = [
     "_PASSES", "_held_pass", "_point_key", "estimate_metrics",
     "UserSample", "associated_tier", "from_mean_se",
     "_db_to_linear", "_MODES", "_MC_KEYS", "NetworkRealization", "wrap",
+    "pico_assoc", "access_signal",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
