@@ -12,9 +12,11 @@ bit-identical).
 
 reference_evaluate_user is the simulator's per-trial kernel written on
 plain distances: abs + hypot per station, boolean masks to drop the serving
-index and sum(h * d**-alpha) per link.  The package works on squared
-distances in place and takes each power sum as one einsum; with the same
-seed both draw the same fading, so they differ only in rounding.
+index, sum(h * d**-alpha) per link and, for each IBFD candidate link, the
+other tier's sum over all of its stations.  The package works on squared
+distances in place, takes each power sum as one einsum and forms the
+other tier's sum as its rest plus its serving term; with the same seed
+both draw the same fading, so they differ only in rounding.
 
 reference_tally is the simulator's tally written as a loop over trials,
 one scalar tier decision and SIR at a time with the same cap rule; the
@@ -433,16 +435,20 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
 
     def links(tier, d):
         """(nearest station's distance, its received power, every other
-        station's power sum plus the tail)."""
+        station's power sum plus the tail, every station's power sum plus
+        the tail)."""
         power, alpha, tail = tier
         h = rng.exponential(size=d.shape)
         near = int(np.argmin(d))
         mask = np.arange(d.size) != near
+        with np.errstate(divide="ignore"):
+            whole = _power_sum(power, h, d, alpha) + tail
         return (float(d[near]),
                 power * float(h[near]) * _path_gain(d[near], alpha),
-                _power_sum(power, h[mask], d[mask], alpha) + tail)
+                _power_sum(power, h[mask], d[mask], alpha) + tail, whole)
 
-    x_m, signal_m, int_m = links(macro, _distances(macro_points, np.zeros(2)))
+    x_m, signal_m, int_m, all_m = links(macro,
+                                        _distances(macro_points, np.zeros(2)))
     if pico_points.shape[0] == 0:
         interference = {DuplexMode.FDD: (int_m, math.nan, math.nan)}
         if ibfd:
@@ -451,16 +457,15 @@ def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
         return x_m, math.inf, (signal_m, math.nan, math.nan), interference
 
     d_s = _distances(pico_points, np.zeros(2))
-    x_s, signal_s, int_s = links(pico, d_s)
+    x_s, signal_s, int_s, all_s = links(pico, d_s)
     s_pos = pico_points[int(np.argmin(d_s))]
-    _, signal_b, int_b = links(macro, _distances(macro_points, s_pos))
+    _, signal_b, int_b, _ = links(macro, _distances(macro_points, s_pos))
     interference = {DuplexMode.FDD: (int_m, int_s, int_b)}
     if ibfd:
         # S is the nearest pico to itself, at distance 0
         int_b_cross = links(pico, _distances(pico_points, s_pos))[2]
-        interference[DuplexMode.IBFD] = (
-            int_m + (int_s + signal_s), int_s + (int_m + signal_m),
-            int_b + int_b_cross)
+        interference[DuplexMode.IBFD] = (int_m + all_s, int_s + all_m,
+                                         int_b + int_b_cross)
     return x_m, x_s, (signal_m, signal_s, signal_b), interference
 
 

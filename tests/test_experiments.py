@@ -394,12 +394,16 @@ class TestRunSweep:
         # every row of a threshold, a backhaul-share and a self-interference
         # sweep tallies one pass per mode, so the rows are correlated; each
         # row's interval stays a valid marginal one, and a Bonferroni band
-        # over all rows holds the family-wise false-alarm rate at 1 %.  The
-        # presets use the circle bearing; its gap to the law the simulator
-        # realizes is at most 0.0032 in coverage and 0.0055 in rate at the
-        # fig9 and fig14 rows, and 0.0030-0.0032 in IBFD coverage (0 in
-        # FDD) at the fig11 rows against bands of 0.034-0.037: about a
-        # tenth of each row's band
+        # over all rows holds the family-wise false-alarm rate at 1 %.  No
+        # one seed decides: each row pools the passes of seeds 1-4, the
+        # mean of four independent estimates with its standard error, so a
+        # change of the draw order cannot be passed by moving to a luckier
+        # seed.  The presets use the circle bearing; its gap to the law the
+        # simulator realizes is at most 0.0032 in coverage and 0.0055 in
+        # rate at the fig9 and fig14 rows, and 0.0030-0.0032 in IBFD
+        # coverage (0 in FDD) at the fig11 rows, against pooled bands of
+        # 0.014-0.020 in coverage and 0.029-0.10 in rate: under a fifth of
+        # each row's band
         fig9 = replace(figure_preset("fig9"), grid=(0.1, 1.1, 2.1, 3.1, 4.1),
                        mc_trials=2000)
         fig11 = replace(figure_preset("fig11"),
@@ -407,17 +411,20 @@ class TestRunSweep:
         fig14 = replace(figure_preset("fig14"),
                         grid=figure_preset("fig14").grid[1::2],
                         mc_trials=2000)
-        # a false alarm, not a bias, put FDD T_s = 2.1 at z = -3.54 under
-        # seed 1 of today's draw order (docs/DECISIONS.md, entry 14)
-        rows = [row for spec in (fig9, fig11, fig14)
-                for row in run_sweep(spec, master_seed=2)]
-        checks = [(row, name) for row in rows for name in row.mc]
+        seeds = (1, 2, 3, 4)
+        runs = [[row for spec in (fig9, fig11, fig14)
+                 for row in run_sweep(spec, master_seed=seed)]
+                for seed in seeds]
+        checks = [(rows, name) for rows in zip(*runs) for name in rows[0].mc]
         assert len(checks) == 2 * 5 + 2 * 4 + 3
         z_max = NormalDist().inv_cdf(1.0 - 0.01 / (2 * len(checks)))
-        for row, name in checks:
-            est = row.mc[name]
-            z = (est.mean - row.analytic[name]) / est.std_error
-            assert abs(z) <= z_max, (row.x, row.mode, name, z)
+        for rows, name in checks:
+            estimates = [row.mc[name] for row in rows]
+            mean = math.fsum(est.mean for est in estimates) / len(seeds)
+            std_error = math.sqrt(math.fsum(
+                est.std_error ** 2 for est in estimates)) / len(seeds)
+            z = (mean - rows[0].analytic[name]) / std_error
+            assert abs(z) <= z_max, (rows[0].x, rows[0].mode, name, z)
 
     def test_rate_sweep_builds_each_geometry_once(self, monkeypatch,
                                                   tmp_path):
