@@ -38,9 +38,9 @@ of distances and link powers that read only NetworkParams.network.
 tally_metrics, its one reader, decides each trial's tier, adds the
 residual self-interference to the backhaul's interference, forms every
 SIR with _sir's cap and counts the trials against the thresholds.  Trial
-i's draws are seeded by SeedSequence(master_seed, spawn_key=(i, k)), so a
-pass splits into ranges of trials over the usable CPUs (fanout.fan_out),
-joined in trial order: bit-identical for any split.
+i draws from one generator seeded by SeedSequence(master_seed,
+spawn_key=(i,)), so a pass splits into ranges of trials over the usable
+CPUs (fanout.fan_out), joined in trial order: bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -128,8 +128,8 @@ class SimulationPass:
 def sample_ppp(intensity: float, window: SimulationWindow, seed) -> np.ndarray:
     """Points of a homogeneous process in the window, shape (N, 2).
 
-    seed: anything numpy's default_rng accepts (int or SeedSequence).
-    The count is Poisson, or round(intensity * area) with
+    seed: anything numpy's default_rng accepts; a Generator is drawn from
+    in place.  The count is Poisson, or round(intensity * area) with
     window.fixed_count.
     """
     if intensity < 0:
@@ -276,22 +276,21 @@ def _binomial_estimate(hit: np.ndarray) -> EstimateWithCI:
 def _chunk_samples(params: NetworkParams, modes: tuple,
                    window: SimulationWindow, master_seed: int, start: int,
                    stop: int) -> list:
-    """The evaluate_user results of trials start..stop-1.  Trial i's two
-    point processes and its fading are seeded by SeedSequence(master_seed,
-    spawn_key=(i, k)), k = 0, 1, 2: the children of child i of
-    SeedSequence(master_seed), rebuilt from their spawn keys."""
+    """The evaluate_user results of trials start..stop-1.  Trial i draws
+    its macros, then its picos, then its fades from one generator seeded
+    by SeedSequence(master_seed, spawn_key=(i,)): child i of
+    SeedSequence(master_seed), rebuilt from its spawn key."""
     samples = []
     for i in range(start, stop):
-        seed_m, seed_s, seed_fading = (
-            SeedSequence(master_seed, spawn_key=(i, k)) for k in range(3))
+        rng = default_rng(SeedSequence(master_seed, spawn_key=(i,)))
         # bound to locals, not passed as temporaries: the last trial's
         # arrays then live until this trial's are drawn, so the allocator
         # keeps their pages instead of returning them to the OS and
         # faulting them in again (docs/DECISIONS.md, entry 12)
-        macro_points = sample_ppp(params.lambda_m, window, seed_m)
-        pico_points = sample_ppp(params.lambda_s, window, seed_s)
+        macro_points = sample_ppp(params.lambda_m, window, rng)
+        pico_points = sample_ppp(params.lambda_s, window, rng)
         samples.append(evaluate_user(macro_points, pico_points, params,
-                                     modes, seed_fading, window=window))
+                                     modes, rng, window=window))
     return samples
 
 

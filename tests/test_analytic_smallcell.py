@@ -622,8 +622,10 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("level", [3, 6, 10])
     def test_geometry_matches_dense_build(self, level):
         p = params_with()
-        geom = build_every_row(smallcell._geometry(p, level))
+        # the dense build first: the package build then reuses the heap
+        # that the dense build's temporaries freed
         dense = dense_geometry(p, level)
+        geom = build_every_row(smallcell._geometry(p, level))
         # the blocked in-place build runs the dense build's operations in
         # its order, on a node count that leaves a partial last block
         assert geom["f2w"].size % smallcell._BLOCK != 0
@@ -646,15 +648,21 @@ class TestBlockedKernel:
                    for k in ("s_xnpow", "s_wx", "s_width"))
         assert geom["s_tw"].shape == geom["s_txnpow"].shape \
             == (1, geom["m_tw"].shape[1])
-        rs = dense["rs"][::5, None]
-        rs_a = rs ** p.alpha_s
-        for key, scale in (("s_znpow", rs_a[..., None]), ("s_xnpow", rs_a),
-                           ("s_txnpow", rs_a), ("s_wx", rs ** -2.0),
-                           ("s_tw", rs ** -2.0), ("s_width", 1.0)):
-            scaled = dense[key][::5] * scale
-            np.testing.assert_allclose(
-                scaled, np.broadcast_to(geom[key], scaled.shape),
-                rtol=1e-13, atol=0.0, err_msg=key)
+        # every fifth node, _BLOCK of them at a time: no temporary grows
+        # with the node count
+        step = 5 * smallcell._BLOCK
+        for lo in range(0, dense["rs"].size, step):
+            nodes = slice(lo, lo + step, 5)
+            rs = dense["rs"][nodes, None]
+            rs_a = rs ** p.alpha_s
+            for key, scale in (("s_znpow", rs_a[..., None]),
+                               ("s_xnpow", rs_a), ("s_txnpow", rs_a),
+                               ("s_wx", rs ** -2.0), ("s_tw", rs ** -2.0),
+                               ("s_width", 1.0)):
+                scaled = dense[key][nodes] * scale
+                np.testing.assert_allclose(
+                    scaled, np.broadcast_to(geom[key], scaled.shape),
+                    rtol=1e-13, atol=0.0, err_msg=key)
 
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
     @pytest.mark.parametrize("T, live", [
@@ -776,14 +784,19 @@ class TestChordForm:
     def test_tensors_match_law_of_cosines(self, level):
         mp = pytest.importorskip("mpmath")
         p = params_with()
+        # only the nodes' radii come from the dense build, which is
+        # dropped before the package build
+        xm, rs = (dense_geometry(p, level)[k] for k in ("m_x", "rs"))
+        release_dense_geometry()
         geom = build_every_row(smallcell._geometry(p, level))
-        dense = dense_geometry(p, level)
         gx = _leggauss(geom["ang_w"].size)[0]
-        xm, rs, zn = dense["m_x"], dense["rs"], geom["m_znpow"]
+        zn = geom["m_znpow"]
         assert np.array_equal(xm ** -p.alpha_m, geom["m_xnpow"])
         # the rows where |z| gets smallest against its two legs are where
-        # r_s^2 + x^2 - 2 r_s x cos(chi) cancels; add a fixed random sample
-        ratio = (zn ** (-2.0 / p.alpha_m)).min(axis=2) \
+        # r_s^2 + x^2 - 2 r_s x cos(chi) cancels; add a fixed random sample.
+        # |z|^2 = zn^(-2/alpha) falls as zn grows, so its least over the
+        # angles is that of the largest zn: no temporary of zn's size
+        ratio = zn.max(axis=2) ** (-2.0 / p.alpha_m) \
             / (rs[:, None] ** 2 + xm ** 2)
         rng = np.random.default_rng(level)
         rows = np.union1d(np.argsort(ratio, axis=None)[:200],

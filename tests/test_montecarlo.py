@@ -90,6 +90,17 @@ def realization(macros, picos) -> tuple:
                  for points in (macros, picos))
 
 
+def replay(master_seed, i, params, modes, window=SimulationWindow()) -> tuple:
+    """Trial i of a pass seeded by master_seed, drawn by the pass's rule:
+    one generator seeded by SeedSequence(master_seed, spawn_key=(i,))
+    draws the macros, then the picos, then evaluate_user's fades."""
+    rng = np.random.default_rng(SeedSequence(master_seed, spawn_key=(i,)))
+    macro_points = sample_ppp(params.lambda_m, window, rng)
+    pico_points = sample_ppp(params.lambda_s, window, rng)
+    return evaluate_user(macro_points, pico_points, params, modes, rng,
+                         window=window)
+
+
 class TestSamplePpp:
     def test_deterministic_for_fixed_seed(self):
         w = SimulationWindow(half_width=10.0)
@@ -431,46 +442,44 @@ class TestEstimators:
         assert a["rate_total"].mean != c["rate_total"].mean
 
     @pytest.mark.parametrize("th, mode, hits_s, hits_m, rate", [
-        (Thresholds(), DuplexMode.IBFD, 165, 52, 0.3089536346999085),
-        (Thresholds(), DuplexMode.FDD, 407, 52, 0.1439630963463222),
+        (Thresholds(), DuplexMode.IBFD, 159, 62, 0.2771855508180188),
+        (Thresholds(), DuplexMode.FDD, 397, 62, 0.1330662780744693),
         # distinct thresholds: each one is compared on its own link
-        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 38, 50,
-         0.6135931306245594),
-        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 136, 50,
-         0.28475124990298906),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.IBFD, 25, 60,
+         0.5622987946786854),
+        (Thresholds(T_s=0.3, T_b=1.0, T_m=0.2), DuplexMode.FDD, 123, 60,
+         0.257534118572816),
     ])
     def test_frozen_seeded_tallies(self, th, mode, hits_s, hits_m, rate):
         # frozen across versions: a change to the draw order, the tier
         # decision or the order of the interference sums moves these.  The
         # pico counts moved when the cross-tier fades went after every
         # same-tier one (IBFD), and when every trial drew the macros at the
-        # user first (both modes); the tier counts never moved
+        # user first (both modes); every count moved when a trial came to
+        # draw its stations and fades from one generator
         est = estimate_metrics(NetworkParams(), th, mode, n_trials=600,
                                master_seed=2024)
         counts = {name: round(600 * est[name].mean) for name in
                   ("p_assoc_s", "p_smallcell_joint", "p_macro_joint",
                    "p_total")}
-        assert counts == {"p_assoc_s": 547, "p_smallcell_joint": hits_s,
+        assert counts == {"p_assoc_s": 537, "p_smallcell_joint": hits_s,
                           "p_macro_joint": hits_m,
                           "p_total": hits_s + hits_m}
         assert est["rate_total"].n_trials == hits_s + hits_m
         assert est["rate_total"].mean == pytest.approx(rate, rel=1e-15)
 
     @pytest.mark.parametrize("trial, mode, expected", [
-        (0, DuplexMode.IBFD, (0.09133617091935488, 0.17305109769154886)),
-        (0, DuplexMode.FDD, (2.0413110968491615, 0.3891979692804007)),
-        (39, DuplexMode.IBFD, 212.55809406217193),
-        (39, DuplexMode.FDD, 226.19926486596125),
+        (0, DuplexMode.IBFD, (0.001998300554233398, 0.030577521408168915)),
+        (0, DuplexMode.FDD, (0.21382117447725044, 0.039483599094596075)),
+        (1, DuplexMode.IBFD, 0.38805575121493),
+        (1, DuplexMode.FDD, 0.3970629703271964),
     ])
     def test_frozen_seeded_sirs(self, trial, mode, expected):
         # bit for bit across versions: the tallies above do not see a
         # reordered floating-point addition, these SIRs do
-        p, w = NetworkParams(), SimulationWindow()
-        seed_m, seed_s, seed_fading = \
-            SeedSequence(2024, spawn_key=(trial,)).spawn(3)
-        rel = (sample_ppp(p.lambda_m, w, seed_m),
-               sample_ppp(p.lambda_s, w, seed_s))
-        s = user(rel, p, mode, seed_fading, window=w)
+        p = NetworkParams()
+        x_m, x_s, signal, interference = replay(2024, trial, p, (mode,))
+        s = Trial(x_m, x_s, signal, interference[mode])
         macro, access, backhaul = sirs(s, p, mode)
         if trial == 0:
             assert is_pico(s, p)
@@ -542,15 +551,12 @@ class TestEstimators:
         w = SimulationWindow(half_width=10.0)
         lowered = 0
         for i in range(100):
-            seed_m, seed_s, seed_fading = \
-                SeedSequence(31, spawn_key=(i,)).spawn(3)
-            rel = (sample_ppp(p.lambda_m, w, seed_m),
-                   sample_ppp(p.lambda_s, w, seed_s))
-            on = user(rel, p, mode, seed_fading, window=w)
+            on = replay(31, i, p, (mode,), w)
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_tail_mean", no_tail)
-                off = user(rel, p, mode, seed_fading, window=w)
+                off = replay(31, i, p, (mode,), w)
             assert on[:3] == off[:3]
+            on, off = (Trial(*t[:3], t[3][mode]) for t in (on, off))
             for link, a, b in zip(("macro", "access", "backhaul"),
                                   sirs(on, p, mode), sirs(off, p, mode)):
                 assert a <= b, (i, link)
@@ -793,10 +799,26 @@ class TestChunkedPass:
             np.testing.assert_array_equal(rebuilt.generate_state(8),
                                           child.generate_state(8))
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_each_row_replays_its_trial(self, count, monkeypatch):
+        # row i of a pass is trial i drawn from its one generator, on any
+        # split of the pass
+        monkeypatch.setattr(fanout, "_process_count", lambda: count)
+        p, window = NetworkParams(), SimulationWindow(half_width=10.0)
+        run = simulate_pass(p, tuple(DuplexMode), 500, window, 79)
+        for i in range(500):
+            x_m, x_s, signal, interference = replay(79, i, p,
+                                                    tuple(DuplexMode), window)
+            assert (run.x_m[i], run.x_s[i]) == (x_m, x_s), i
+            assert np.array_equal(run.signal[i], signal, equal_nan=True), i
+            for mode in DuplexMode:
+                assert np.array_equal(run.interference[mode][i],
+                                      interference[mode], equal_nan=True), i
+
     def test_worker_error_reaches_caller(self, monkeypatch):
         # the last trial, which a worker runs, fails as an empty tier would
         def fail_last(macros, picos, params, modes, seed, **kwargs):
-            if seed.spawn_key[0] == 599:
+            if seed.bit_generator.seed_seq.spawn_key[0] == 599:
                 raise ValueError("no station in tier: macro")
             return evaluate_user(macros, picos, params, modes, seed,
                                  **kwargs)

@@ -118,7 +118,7 @@ RETIRED = [
     "_PASSES", "_held_pass", "_point_key", "estimate_metrics",
     "UserSample", "associated_tier", "from_mean_se",
     "_db_to_linear", "_MODES", "_MC_KEYS", "NetworkRealization", "wrap",
-    "pico_assoc", "access_signal",
+    "pico_assoc", "access_signal", "seed_m", "seed_s", "seed_fading",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
