@@ -31,9 +31,12 @@ width until one adds less than _TAIL_TOL.  The difference of each pair is
 the panel's error; the last panel counts twice more for the remainder
 (the survival is non-increasing and decays exponentially).  The pico term
 adds the probability each evaluate_joint call may skip (smallcell
-_SKIP_MASS) times the length of t it integrates.  Each panel is
-one vectorized call of the integrand: one evaluate_joint call for the pico
-term, one numpy pass for the macro term.
+_SKIP_MASS) times the length of t it integrates.  The rule is a generator
+that yields each panel's t nodes and takes the survival there, so
+_lockstep can run several integrals side by side: the pico terms of
+points that differ only in eta and kappa (one small-cell geometry) share
+one evaluate_joint call per round, for the panels of every integral
+still running; the macro term is one numpy pass per panel.
 """
 from __future__ import annotations
 
@@ -57,22 +60,23 @@ _TAIL_GRADE = 6.0
 _MAX_PANELS = 40
 
 
-def _survival_integral(survival, breakpoints,
-                       abs_error: float = 0.0) -> IntegralResult:
+def _survival_integral(breakpoints, abs_error: float = 0.0):
     """Integrate a smooth-between-breakpoints survival function over t>0.
 
-    breakpoints: one or two sorted positive floats where max(...) floors
-    switch off; below the first one the function is constant.  survival
-    maps an array of t to values; it is called once for the head node and
-    the panel between the breakpoints, then once per tail panel.
-    abs_error bounds survival's own error at any t; times the length of
-    the t-range the panels cover, it joins the error estimate.
+    A generator: it yields the t array of each panel and takes the survival
+    values there (send), first for the head node and the panel between the
+    breakpoints, then per tail panel; it returns the IntegralResult
+    (_lockstep drives it).  breakpoints: one or two sorted positive floats
+    where max(...) floors switch off; below the first one the function is
+    constant.  abs_error bounds the survival's own error at any t; times
+    the length of the t-range the panels cover, it joins the error
+    estimate.
     """
     t1, t_b = breakpoints[0], breakpoints[-1]
     rules = (_leggauss(10), _leggauss(5))
     half = 0.5 * (t_b - t1)
-    f = survival(np.concatenate([[0.5 * t1]] + [
-        t1 + half * (gx + 1.0) for gx, _ in rules if t_b > t1]))
+    f = yield np.concatenate([[0.5 * t1]] + [
+        t1 + half * (gx + 1.0) for gx, _ in rules if t_b > t1])
     value, err = t1 * f[0], 0.0  # constant stretch, any node works
     if t_b > t1:
         fine, coarse = (half * sum(w * v for w, v in zip(gw, part))
@@ -87,7 +91,7 @@ def _survival_integral(survival, breakpoints,
     t, w_k, w_g = (t_b + _TAIL_GRADE * u * u, jacobian * w_k,
                    jacobian * w_g)
     for k in range(1, _MAX_PANELS + 1):
-        f = survival(t)
+        f = yield t
         fine = f @ w_k
         value += fine
         err += abs(fine - f @ w_g)
@@ -100,6 +104,23 @@ def _survival_integral(survival, breakpoints,
     err += abs_error * (t_b + _TAIL_GRADE * (2.0 ** k - 1.0))
     return IntegralResult(value=value, error_estimate=err,
                           converged=bool(abs(fine) < _TAIL_TOL))
+
+
+def _lockstep(integrals: dict, survival) -> dict:
+    """Run _survival_integral generators side by side, by key.  Each round
+    makes one survival call: it maps the {key: t array} of the integrals
+    still running to their values, a list in that order.  Returns
+    {key: IntegralResult}."""
+    t = {key: next(integral) for key, integral in integrals.items()}
+    done = {}
+    while t:
+        for key, f in zip(list(t), survival(t)):
+            try:
+                t[key] = integrals[key].send(f)
+            except StopIteration as stop:
+                done[key] = stop.value
+                del t[key]
+    return done
 
 
 def rate_macro_term_result(params: NetworkParams, th: Thresholds,
@@ -120,7 +141,9 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
                     worst[1] and ok.all())
         return out
 
-    res = _survival_integral(survival, [math.log2(1.0 + th.T_m)])
+    res = _lockstep(
+        {0: _survival_integral([math.log2(1.0 + th.T_m)])},
+        lambda t: [survival(t[0])])[0]
     # the coverage errors add at most their worst relative share
     error = res.error_estimate + worst[0] * abs(res.value)
     return IntegralResult(value=prefactor * res.value,
@@ -128,27 +151,48 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
                           converged=bool(res.converged and worst[1]))
 
 
-def rate_smallcell_term_result(params: NetworkParams, th: Thresholds,
-                               mode: DuplexMode = DuplexMode.IBFD,
-                               bearing: str = "circle") -> IntegralResult:
-    """Unnormalized pico-path addend of the covered rate (bits/s/Hz)."""
-    if params.eta == 0.0 or params.lambda_s == 0.0 \
-            or not (math.isfinite(th.T_s) and math.isfinite(th.T_b)):
-        # no backhaul bandwidth (the backhaul exponent blows up for every
-        # t > 0), no pico tier at all, or an unsatisfiable floor
-        return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    k_a, k_bh, _ = band_shares(params, mode)
+def rate_smallcell_term_result(params, th, mode: DuplexMode = DuplexMode.IBFD,
+                               bearing: str = "circle"):
+    """Unnormalized pico-path addend of the covered rate (bits/s/Hz).
 
-    def survival(t: np.ndarray) -> np.ndarray:
-        e_a = t / k_a
-        e_b = t / k_bh
+    params and th are one point (one IntegralResult), or equal-length
+    lists of points whose params differ only in eta and kappa (a list of
+    results).  The integrals of a list run in lockstep: each round makes
+    one evaluate_joint call at the panels of every integral still
+    running.  Each point's result equals its own call.
+    """
+    one = isinstance(params, NetworkParams)
+    points = [(params, th)] if one else list(zip(params, th, strict=True))
+    if len({p.joint_key for p, _ in points}) > 1:
+        raise ValueError("batched points must differ only in eta and kappa")
+    floors, integrals = {}, {}
+    for i, (p, t) in enumerate(points):
+        if p.eta == 0.0 or p.lambda_s == 0.0 \
+                or not (math.isfinite(t.T_s) and math.isfinite(t.T_b)):
+            # no backhaul bandwidth (the backhaul exponent blows up for
+            # every t > 0), no pico tier at all, or an unsatisfiable floor:
+            # the term is 0
+            continue
+        k_a, k_bh, _ = band_shares(p, mode)
+        floors[i] = ((k_a, t.T_s), (k_bh, t.T_b))
+        integrals[i] = _survival_integral(
+            sorted((k_a * math.log2(1.0 + t.T_s),
+                    k_bh * math.log2(1.0 + t.T_b))), _SKIP_MASS)
+
+    def threshold(t: np.ndarray, share: float, floor: float) -> np.ndarray:
+        e = t / share
         # past the cap the threshold is out of reach: inf gives 0 at no cost
-        T_s = np.where(e_a > _EXP_CAP, np.inf, np.maximum(
-            2.0 ** np.minimum(e_a, _EXP_CAP) - 1.0, th.T_s))
-        T_b = np.where(e_b > _EXP_CAP, np.inf, np.maximum(
-            2.0 ** np.minimum(e_b, _EXP_CAP) - 1.0, th.T_b))
-        return evaluate_joint(params, T_s, T_b, mode, bearing=bearing)
+        return np.where(e > _EXP_CAP, np.inf, np.maximum(
+            2.0 ** np.minimum(e, _EXP_CAP) - 1.0, floor))
 
-    t_a = k_a * math.log2(1.0 + th.T_s)
-    t_b = k_bh * math.log2(1.0 + th.T_b)
-    return _survival_integral(survival, sorted((t_a, t_b)), _SKIP_MASS)
+    def survival(ts: dict) -> list:
+        T_s, T_b = zip(*([threshold(t, *floor) for floor in floors[i]]
+                         for i, t in ts.items()))
+        values = evaluate_joint(points[0][0], np.concatenate(T_s),
+                                np.concatenate(T_b), mode, bearing=bearing)
+        return np.split(values, np.cumsum([a.size for a in T_s])[:-1])
+
+    done = _lockstep(integrals, survival)
+    results = [done.get(i, IntegralResult(0.0, 0.0, True))
+               for i in range(len(points))]
+    return results[0] if one else results

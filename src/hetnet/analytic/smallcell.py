@@ -76,12 +76,18 @@ belongs to the call, never to the module.  A held geometry changes only
 where _build_rows fills an unbuilt row, with the values a build of every
 row at once would give.
 
-evaluate_joint takes K threshold pairs (one rate t-panel) and equals K
-scalar calls.  The skip bound grows with both thresholds, so it runs over
-all nodes once at the smallest pair; each pair re-applies its own bound to
-those candidates only.  What depends on T_s alone (s_1', the J_m access
-part, K1, gbar, the macro angular sum) is formed once per (node, T_s),
-the pico angular sum once per T_s.
+evaluate_joint takes K threshold pairs and equals K scalar calls: one
+level of the coverage ladder for every cell of a sweep batch, or one
+round of a batch's rate t-panels (coverage_smallcell_result,
+rates.rate_smallcell_term_result).  It evaluates each distinct pair once.
+The skip bound grows with both thresholds, so it runs over all nodes once
+at the smallest pair; each pair re-applies its own bound to those
+candidates only, _CHUNK (pair, node) entries at a time, so no temporary
+grows with K.  What depends on T_s alone (s_1', the J_m access part, K1,
+gbar, the macro angular sum) is formed once per (node, T_s), the pico
+angular sum once per T_s and chunk.  Each pair's value is one pairwise
+sum over its live nodes in grid order, whatever the batch
+(docs/DECISIONS.md, entry 15, gives the one last-bit caveat).
 """
 from __future__ import annotations
 
@@ -106,6 +112,10 @@ _COV_REL_TOL = 2e-4
 # block's (node, radial, angular) slab, about 0.6 MB at level 6, stays in
 # cache through its passes
 _BLOCK = 64
+# (threshold pair, node) entries per chunk of a batched call: _joint_batch
+# takes the candidate nodes in chunks of at most this many entries, which
+# bounds its temporaries whatever the number of pairs
+_CHUNK = 512 * _BLOCK
 
 # radial panel ladders, in units of the natural per-node scale; the wide
 # span keeps the grid threshold-independent (the 1-g sigmoid may sit
@@ -479,16 +489,18 @@ def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
     out = np.zeros(T_s.size)
     ks = np.flatnonzero(np.isfinite(T_s) & np.isfinite(T_b))
     if ks.size and (geom := _geometry(params, level))["f2w"].size:
-        out[ks] = _joint_batch(params, T_s.ravel()[ks], T_b.ravel()[ks],
-                               mode, geom, bearing)[0]
+        # each distinct pair once
+        pairs, same = np.unique(np.stack([T_s.ravel()[ks], T_b.ravel()[ks]]),
+                                axis=1, return_inverse=True)
+        out[ks] = _joint_batch(params, pairs[0], pairs[1], mode, geom,
+                               bearing)[0][same.ravel()]
     return float(out[0]) if T_s.ndim == 0 else out
 
 
 def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
                  mode: DuplexMode, geom: dict, bearing: str) -> tuple:
-    """evaluate_joint for K finite threshold pairs (module docstring):
-    (K values, K live-node counts)."""
-    lam_s, lam_m = params.lambda_s, params.lambda_m
+    """evaluate_joint for K distinct finite threshold pairs (module
+    docstring): (K values, K live-node counts)."""
     # the bound at the smallest thresholds keeps every node any pair keeps
     # (the slack absorbs rounding, and is never negative); each pair then
     # applies its own bound
@@ -496,21 +508,51 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
     lb = _exponent_bound(params, mode, T_s.min(keepdims=True),
                          T_b.min(keepdims=True), geom, slice(None))[0]
     cand = np.flatnonzero(lb < skip + 1e-12 * np.abs(skip))
-    # K = 1 reuses lb; recomputing it made a warm L6 FDD call 1.5, not 1.2 ms
-    live = (lb[None, cand] if T_s.size == 1 else _exponent_bound(
-        params, mode, T_s, T_b, geom, cand)) < skip[cand]
-    # (threshold k, node) pairs, node-major and grouped by access threshold
-    # u within a node; each distinct (node, u) is one access pair
     ts_u, u_of = np.unique(T_s, return_inverse=True)
-    order = np.argsort(u_of, kind="stable")
-    pos, j = np.nonzero(live[order].T)
-    k = order[j]
-    u, node = u_of[k], cand[pos]
+    by_u = np.argsort(u_of, kind="stable")
+    # each pair's contributions, chunk by chunk in grid order
+    parts: list = [[] for _ in range(T_s.size)]
+    n_live = np.zeros(T_s.size, dtype=np.intp)
+    step = max(1, _CHUNK // T_s.size)
+    for lo in range(0, cand.size, step):
+        nodes = cand[lo:lo + step]
+        # K = 1 reuses lb; recomputing it made a warm L6 FDD call 1.5, not
+        # 1.2 ms
+        live = (lb[None, nodes] if T_s.size == 1 else _exponent_bound(
+            params, mode, T_s, T_b, geom, nodes)) < skip[nodes]
+        # (threshold k, node) entries, node-major and grouped by access
+        # threshold u within a node
+        pos, j = np.nonzero(live[by_u].T)
+        if not pos.size:
+            continue
+        k = by_u[j]
+        contrib = _contributions(params, mode, geom, bearing, ts_u,
+                                 u_of[k], T_b[k], nodes[pos])
+        # a stable sort by pair keeps each pair's entries in grid order
+        counts = np.bincount(k, minlength=T_s.size)
+        ends = np.cumsum(counts)
+        contrib = contrib[np.argsort(k, kind="stable")]
+        for i in np.flatnonzero(counts):
+            parts[i].append(contrib[ends[i] - counts[i]:ends[i]])
+        n_live += counts
+    # one pairwise sum per threshold pair, over its nodes in grid order
+    return (np.array([np.concatenate(part).sum() if part else 0.0
+                      for part in parts]), n_live)
+
+
+def _contributions(params: NetworkParams, mode: DuplexMode, geom: dict,
+                   bearing: str, ts_u: np.ndarray, u: np.ndarray,
+                   T_b: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """f2w Gbar e^-E of each (threshold pair, node) entry, given its node,
+    its backhaul threshold and the index u of its access threshold in
+    ts_u; the entries are node-major and grouped by u within a node, so
+    each distinct (node, u) is one access pair."""
+    lam_s, lam_m = params.lambda_s, params.lambda_m
     new = (np.diff(node, prepend=-1) != 0) | (np.diff(u, prepend=-1) != 0)
     acc = np.cumsum(new) - 1
     node_a, u_a = node[new], u[new]
 
-    s2, s1p, s2p = _sharpness(params, ts_u[u_a], T_b[k],  # s1p per pair
+    s2, s1p, s2p = _sharpness(params, ts_u[u_a], T_b,  # s1p per pair
                               geom["rs_pow_as"][node_a],
                               geom["r_pow_am"][node])
     # exterior-disc functional of the access link, part of J_s exactly; like
@@ -542,38 +584,48 @@ def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
                - _lens_correction(s2p, geom, "k2", node))
         expo = lam_s * F_s + lam_m * J_m
         weight = geom["f2w"][node]
-
-    contrib = weight * np.exp(-np.minimum(expo, 700.0))
-    # one pairwise sum per threshold pair, over its nodes in grid order
-    return (np.array([contrib[k == i].sum() for i in range(T_s.size)]),
-            np.bincount(k, minlength=T_s.size))
+    return weight * np.exp(-np.minimum(expo, 700.0))
 
 
 def coverage_smallcell_result(
-    params: NetworkParams, T_s: float, T_b: float,
+    params: NetworkParams, T_s, T_b,
     mode: DuplexMode = DuplexMode.IBFD,
     bearing: str = "circle",
-) -> IntegralResult:
+):
     """Pr{pico association, access SIR > T_s, backhaul SIR > T_b} with a
     two-level panel error estimate.
 
-    The ladder walks levels 3, 6 and 10, evaluating each at most once.
-    The value is the finest level reached; the error estimate is its
-    difference against the level below, plus the _SKIP_MASS its skipped
-    nodes may hold.  One escalation, (6,3) to (10,6), on the level gap
-    alone, is attempted before reporting non-convergence.
+    T_s and T_b are scalars (one IntegralResult) or 1-D arrays of one
+    length K (a list of K results; a scalar broadcasts).  The ladder walks
+    levels 3, 6 and 10 with one evaluate_joint call per level, the one at
+    level 10 only at the pairs that (6,3) left unconverged, so each pair
+    is evaluated at most once per level.  The value is the finest level
+    reached; the error estimate is its difference against the level below,
+    plus the _SKIP_MASS its skipped nodes may hold.  One escalation, (6,3)
+    to (10,6), on the level gap alone, is attempted before reporting
+    non-convergence.  Each pair's result equals its scalar call.
     """
-    if params.lambda_s <= 0.0:  # empty pico tier: the joint event is null
-        return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    coarse = evaluate_joint(params, T_s, T_b, mode, level=3, bearing=bearing)
-    for level in (6, 10):
-        value = evaluate_joint(params, T_s, T_b, mode, level=level,
-                               bearing=bearing)
-        gap = abs(value - coarse)
-        converged = gap <= max(_COV_ABS_TOL, _COV_REL_TOL * abs(value))
-        if converged:
-            break
-        coarse = value
-    return IntegralResult(value=min(max(value, 0.0), 1.0),
-                          error_estimate=gap + _SKIP_MASS,
-                          converged=converged)
+    T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
+                                   np.asarray(T_b, dtype=float))
+    pairs = np.atleast_1d(T_s), np.atleast_1d(T_b)
+    value, gap = np.zeros(T_s.size), np.zeros(T_s.size)
+    converged, skipped = np.ones(T_s.size, dtype=bool), 0.0
+    if params.lambda_s > 0.0:  # else the pico tier is empty: a null event
+        skipped, todo = _SKIP_MASS, np.arange(T_s.size)
+        coarse = evaluate_joint(params, *pairs, mode, level=3,
+                                bearing=bearing)
+        for level in (6, 10):
+            fine = evaluate_joint(params, *(t[todo] for t in pairs), mode,
+                                  level=level, bearing=bearing)
+            value[todo], gap[todo] = fine, np.abs(fine - coarse[todo])
+            converged[todo] = gap[todo] <= np.maximum(
+                _COV_ABS_TOL, _COV_REL_TOL * np.abs(fine))
+            coarse[todo] = fine
+            todo = todo[~converged[todo]]
+            if not todo.size:
+                break
+    results = [IntegralResult(value=min(max(v, 0.0), 1.0),
+                              error_estimate=e + skipped, converged=c)
+               for v, e, c in zip(value.tolist(), gap.tolist(),
+                                  converged.tolist())]
+    return results[0] if T_s.ndim == 0 else results

@@ -13,10 +13,11 @@ are strings, fixed_count a boolean, mc_trials an integer, grid an array
 of numbers, and modes, outputs and notes arrays.  An omitted key takes
 the default of the field it sets.
 
-Every command evaluates a point through experiments.evaluate_point, so a
-reported value whose integral missed its tolerance is never printed: the
-single-point commands and validate stop with exit code 2, and a sweep
-keeps an error marker row for that point.
+Every command evaluates a point through experiments.evaluate_point (a
+sweep through its batch form), so a reported value whose integral missed
+its tolerance is never printed: the single-point commands and validate
+stop with exit code 2, and a sweep keeps an error marker row for that
+point.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence
 (including sweep points that recorded an error marker).

@@ -8,7 +8,7 @@ of the B_s and beta sweep grids alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -83,6 +83,13 @@ class NetworkParams:
         simulation pass reads."""
         return (self.lambda_m, self.lambda_s, self.P_m, self.P_s,
                 self.alpha_m, self.alpha_s)
+
+    @property
+    def joint_key(self) -> "NetworkParams":
+        """These params with eta and kappa, the two fields that the joint
+        small-cell coverage (smallcell.evaluate_joint) does not read, set
+        to 0: points with one key share every evaluate_joint call."""
+        return replace(self, eta=0.0, kappa=0.0)
 
     @property
     def picos_per_macro(self) -> float:

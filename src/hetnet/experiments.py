@@ -4,8 +4,11 @@ A sweep varies one scalar knob over a sorted grid and evaluates the
 requested outputs at every grid point for every duplexing mode, pairing
 each analytic value with an optional simulation estimate.  run_sweep
 spreads the points, each with all its modes, over the usable CPUs
-(fanout); rows follow the grid for any CPU count.  Each point goes
-through evaluate_point, which the single-point CLI commands call too.
+(fanout); rows follow the grid for any CPU count.  Within a process,
+the cells of one mode whose points differ only in eta and kappa share
+one small-cell geometry and go through _evaluate_cells as one batch;
+evaluate_point, which the single-point CLI commands call, is its
+one-cell case.
 
 Swept-parameter units follow the figure axes: B_s and beta grids are in
 power dB (converted to linear before evaluation), all other grids are in
@@ -124,8 +127,9 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     """Every requested output (SWEEP_OUTPUTS) at one model point.
 
     This is the package's one analytic entry point, for library callers
-    as for every command.  The coverage event is a disjoint union over
-    the association outcome: pico-associated with both links up, or
+    as for every command, and the one-cell case of _evaluate_cells, which
+    evaluates a sweep's cells.  The coverage event is a disjoint union
+    over the association outcome: pico-associated with both links up, or
     macro-associated with its one link up.  Both tier solvers return
     probabilities joint with their association event, so p_total is
     their plain sum, with no extra association weighting.
@@ -142,51 +146,79 @@ def evaluate_point(params: NetworkParams, th: Thresholds, mode: DuplexMode,
     misses its tolerance, and ValueError when the rate's conditioning
     event is empty (zero analytic coverage, or no covered trial).
     """
-    results: dict = {}
+    row = _evaluate_cells([(params, th, x)], mode, outputs, simulation,
+                          bearing)[0]
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+def _evaluate_cells(cells: list, mode: DuplexMode, outputs: tuple,
+                    simulation: Optional[SimulationPass] = None,
+                    bearing: str = "circle") -> list:
+    """evaluate_point at each (params, th, x) cell of cells, whose params
+    share one joint_key: the cell's row, or the exception it raises there.
+
+    The cells share every small-cell evaluation: one
+    coverage_smallcell_result call takes all their threshold pairs and
+    one rate_smallcell_term_result call all their rate integrals, and each
+    cell's results equal its own calls.  The other solvers run per cell.
+    """
+    params, ths = [cell[0] for cell in cells], [cell[1] for cell in cells]
     wants_coverage = "coverage_total" in outputs \
         or "coverage_breakdown" in outputs
     wants_rate = "rate" in outputs
     if wants_coverage or wants_rate:
-        small = coverage_smallcell_result(params, th.T_s, th.T_b, mode,
+        small = coverage_smallcell_result(params[0], [th.T_s for th in ths],
+                                          [th.T_b for th in ths], mode,
                                           bearing=bearing)
-        macro = coverage_macro_result(params, th.T_m, mode)
-        p_cov = small + macro
-    if wants_coverage:
-        results["p_total"] = p_cov
-        if "coverage_breakdown" in outputs:
-            results["p_smallcell_joint"] = small
-            results["p_macro_joint"] = macro
-    if "topology" in outputs:
-        results.update(zip(("p_case_a", "p_case_b", "p_case_c"),
-                           topology_probabilities(params)))
-    if "association" in outputs:
-        results["p_assoc_s"] = association_probability(params)
     if wants_rate:
-        macro_rate = rate_macro_term_result(params, th, mode)
-        small_rate = rate_smallcell_term_result(params, th, mode,
+        small_rate = rate_smallcell_term_result(params, ths, mode,
                                                 bearing=bearing)
-        if p_cov.value <= 0.0:
-            raise ValueError("conditioning event has zero probability")
-        results["rate_macro_term"] = macro_rate
-        results["rate_smallcell_term"] = small_rate
-        results["rate_total"] = (macro_rate + small_rate) / p_cov
-    for name, result in results.items():
-        if not result.converged:
-            raise NonConvergenceError(
-                f"{name} not converged (error estimate "
-                f"{result.error_estimate:.2e})")
-
-    mc: dict = {}
-    if simulation is not None:
-        estimates = tally_metrics(simulation, params, th, mode)
-        if wants_rate and "rate_total" not in estimates:
-            raise ValueError("conditioning event empty in sample")
-        mc = {name: est for name, est in estimates.items()
-              if name in results}
-    return SweepRow(
-        x=x, mode=mode, mc=mc,
-        analytic={n: r.value for n, r in results.items()},
-        quad_error={n: r.error_estimate for n, r in results.items()})
+    rows: list = []
+    for i, (p, th, x) in enumerate(cells):
+        results: dict = {}
+        try:
+            if wants_coverage or wants_rate:
+                macro = coverage_macro_result(p, th.T_m, mode)
+                p_cov = small[i] + macro
+            if wants_coverage:
+                results["p_total"] = p_cov
+                if "coverage_breakdown" in outputs:
+                    results["p_smallcell_joint"] = small[i]
+                    results["p_macro_joint"] = macro
+            if "topology" in outputs:
+                results.update(zip(("p_case_a", "p_case_b", "p_case_c"),
+                                   topology_probabilities(p)))
+            if "association" in outputs:
+                results["p_assoc_s"] = association_probability(p)
+            if wants_rate:
+                macro_rate = rate_macro_term_result(p, th, mode)
+                if p_cov.value <= 0.0:
+                    raise ValueError("conditioning event has zero probability")
+                results["rate_macro_term"] = macro_rate
+                results["rate_smallcell_term"] = small_rate[i]
+                results["rate_total"] = (macro_rate + small_rate[i]) / p_cov
+            for name, result in results.items():
+                if not result.converged:
+                    raise NonConvergenceError(
+                        f"{name} not converged (error estimate "
+                        f"{result.error_estimate:.2e})")
+            mc: dict = {}
+            if simulation is not None:
+                estimates = tally_metrics(simulation, p, th, mode)
+                if wants_rate and "rate_total" not in estimates:
+                    raise ValueError("conditioning event empty in sample")
+                mc = {name: est for name, est in estimates.items()
+                      if name in results}
+            rows.append(SweepRow(
+                x=x, mode=mode, mc=mc,
+                analytic={n: r.value for n, r in results.items()},
+                quad_error={n: r.error_estimate
+                            for n, r in results.items()}))
+        except (ValueError, NonConvergenceError) as exc:
+            rows.append(exc)
+    return rows
 
 
 def _network_pass(spec: SweepSpec, params: NetworkParams, seed: int,
@@ -201,21 +233,40 @@ def _network_pass(spec: SweepSpec, params: NetworkParams, seed: int,
 
 def _sweep_cells(spec: SweepSpec, cells: list, seed: int,
                  window: SimulationWindow, held: tuple) -> list:
-    """The row of each (x, mode) cell, in order.  held is a (network,
-    pass) pair; a cell of another network draws that network's pass."""
+    """The row of each (x, mode) cell, in order.
+
+    The cells of one mode whose params share one joint_key are evaluated
+    as one batch (_evaluate_cells), the batches in the order of their
+    first cells.  held is a (network, pass) pair; a batch of another
+    network draws that network's pass, and a batch that fails as a whole
+    gives each of its cells the error row.
+    """
     network, simulation = held
-    rows = []
-    for x, mode in cells:
+    rows: list = [None] * len(cells)
+    batches: dict = {}
+    for i, (x, mode) in enumerate(cells):
         try:
             params, th = _apply_swept_value(spec, x)
-            if params.network != network:
-                network, simulation = params.network, _network_pass(
-                    spec, params, seed, window)
-            rows.append(evaluate_point(params, th, mode, spec.outputs,
-                                       simulation, x=x))
+        except ValueError as exc:
+            rows[i] = exc
+            continue
+        batches.setdefault((mode, params.joint_key), []).append(
+            (i, (params, th, x)))
+    for (mode, key), batch in batches.items():
+        indices, batch_cells = zip(*batch)
+        try:
+            if key.network != network:
+                network, simulation = key.network, _network_pass(
+                    spec, batch_cells[0][0], seed, window)
+            evaluated = _evaluate_cells(list(batch_cells), mode,
+                                        spec.outputs, simulation)
         except (ValueError, NonConvergenceError) as exc:
-            rows.append(SweepRow(x=x, mode=mode, error=str(exc)))
-    return rows
+            evaluated = [exc] * len(batch)
+        for i, row in zip(indices, evaluated):
+            rows[i] = row
+    return [SweepRow(x=x, mode=mode, error=str(row))
+            if isinstance(row, Exception) else row
+            for (x, mode), row in zip(cells, rows)]
 
 
 def run_sweep(spec: SweepSpec, master_seed: int = 0,
@@ -225,8 +276,10 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0,
     Every cell simulates with master_seed, and one pass serves all modes
     of a network.  If the grid never changes the network (T_s, eta, beta
     or B_s), that pass is drawn once, before the grid is split over the
-    CPUs.  Results do not depend on the CPU count.  A failing point is
-    reported in its row's `error` field without aborting the sweep.
+    CPUs.  Each process evaluates its cells in batches that share a
+    small-cell geometry (_sweep_cells).  Results do not depend on the CPU
+    count.  A failing point is reported in its row's `error` field
+    without aborting the sweep.
     """
     held = (None, None)
     with suppress(ValueError):  # each cell then records the error itself

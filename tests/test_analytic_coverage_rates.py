@@ -268,5 +268,6 @@ class TestRateCovered:
                             counted)
         row = analytic(params_with(), TH, DuplexMode.FDD,
                        ("coverage_breakdown", "rate"))
-        assert len(results) == 1
-        assert row["p_smallcell_joint"] == results[0].value
+        # the point is a batch of one
+        assert len(results) == 1 and len(results[0]) == 1
+        assert row["p_smallcell_joint"] == results[0][0].value

@@ -14,7 +14,8 @@ from hetnet.analytic.distances import inner_disc_radius
 from hetnet.analytic.smallcell import coverage_smallcell_result, evaluate_joint
 from hetnet.core import DuplexMode, NetworkParams
 from hetnet.experiments import figure_preset
-from hetnet.numerics import NonConvergenceError, _leggauss, gauss_panel_nodes
+from hetnet.numerics import (IntegralResult, NonConvergenceError,
+                             _leggauss, gauss_panel_nodes)
 from oracles import (
     dense_evaluate_joint,
     dense_geometry,
@@ -310,6 +311,37 @@ class TestLevelLadder:
         assert res.value == fine
         assert res.error_estimate == abs(fine - coarse) + smallcell._SKIP_MASS
 
+    @pytest.mark.parametrize("mode, level10", [(DuplexMode.IBFD, [(10, 1)]),
+                                              (DuplexMode.FDD, [])])
+    def test_array_call_equals_scalar_calls(self, monkeypatch, mode,
+                                            level10):
+        # one evaluate_joint call per level for the whole array, the one at
+        # level 10 only at the pair (6,3) leaves unconverged (T_s = 7.1
+        # under IBFD); an infinite T_s gives 0 and a repeated pair its
+        # first's result
+        T_s = [0.1, 7.1, math.inf, 1.1, 0.1]
+        T_b = [0.1, 0.1, 0.1, 0.5, 0.1]
+        calls = []
+
+        def counted(params, T_s, T_b, mode, level=6, bearing="circle"):
+            calls.append((level, np.size(T_s)))
+            return evaluate_joint(params, T_s, T_b, mode, level, bearing)
+
+        monkeypatch.setattr(smallcell, "evaluate_joint", counted)
+        p = params_with()
+        got = coverage_smallcell_result(p, T_s, T_b, mode)
+        assert calls == [(3, 5), (6, 5)] + level10
+        assert type(got) is list and len(got) == len(T_s)
+        for res, ts, tb in zip(got, T_s, T_b):
+            one = coverage_smallcell_result(p, ts, tb, mode)
+            assert type(one) is IntegralResult and one.converged
+            assert res == one
+        assert got[2].value == 0.0 and got[0] == got[4]
+        # an empty pico tier: every pair's joint event is null
+        assert coverage_smallcell_result(params_with(lambda_s=0.0), T_s,
+                                         0.1, mode) \
+            == [IntegralResult(0.0, 0.0, True)] * len(T_s)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "1 - 1/(1 + s x) cancels in the radial tails and moves the value "
         "by 8.95e-7 against an error estimate of 8.4e-9; the fix must "
@@ -369,20 +401,24 @@ class TestSkipBudget:
     def test_skipped_mass_within_budget(self, point, level):
         kw, pairs = self.POINTS[point]
         p = params_with(**kw)
+        cases = [(p, T_s, T_b, mode, level, bearing) for mode in DuplexMode
+                 for bearing in ("circle", "arc") for T_s, T_b in pairs]
+        # the dense oracle first, dropped before the package geometry is
+        # built: the two are never held at once
+        smallcell._HELD.clear()
+        dense = [dense_evaluate_joint(*args, skip_mass=0.0)
+                 for args in cases]
+        release_dense_geometry()
         geom = smallcell._geometry(p, level)
-        for mode in DuplexMode:
-            for bearing in ("circle", "arc"):
-                for T_s, T_b in pairs:
-                    args = (p, T_s, T_b, mode, level, bearing)
-                    every, n_every = dense_evaluate_joint(*args,
-                                                          skip_mass=0.0)
-                    n_live = smallcell._joint_batch(
-                        p, np.array([T_s]), np.array([T_b]), mode, geom,
-                        bearing)[1][0]
-                    assert n_every == geom["f2w"].size
-                    assert 0 < n_live < n_every   # the budget skips nodes
-                    assert abs(evaluate_joint(*args) - every) \
-                        <= smallcell._SKIP_MASS
+        for args, (every, n_every) in zip(cases, dense):
+            _, T_s, T_b, mode, _, bearing = args
+            n_live = smallcell._joint_batch(
+                p, np.array([T_s]), np.array([T_b]), mode, geom,
+                bearing)[1][0]
+            assert n_every == geom["f2w"].size
+            assert 0 < n_live < n_every   # the budget skips nodes
+            assert abs(evaluate_joint(*args) - every) \
+                <= smallcell._SKIP_MASS
 
     def test_coverage_error_holds_the_budget(self):
         p = params_with()
@@ -585,7 +621,11 @@ class TestBlockedKernel:
     def test_matches_dense_oracle(self, level, mode, bearing, point):
         p = params_with(**POINTS[point])
         args = (p, 0.5, 0.5, mode, level, bearing)
+        # the dense oracle first, dropped before the package geometry is
+        # built: the two are never held at once
+        smallcell._HELD.clear()
         expected, n_live = dense_evaluate_joint(*args)
+        release_dense_geometry()
         assert n_live > 0
         assert evaluate_joint(*args) == pytest.approx(expected, rel=1e-12,
                                                       abs=0.0)

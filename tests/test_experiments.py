@@ -12,6 +12,7 @@ import threading
 from dataclasses import replace
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from oracles import estimate_metrics
 
@@ -22,6 +23,7 @@ from hetnet.analytic import (
     coverage_smallcell_result,
     rate_macro_term_result,
     rate_smallcell_term_result,
+    rates,
     smallcell,
     topology_probabilities,
 )
@@ -208,17 +210,21 @@ class TestRunSweep:
     def test_unconverged_coverage_fails_every_value_it_enters(
             self, outputs, monkeypatch):
         # p_cov normalizes the rate, so a rate-only request fails with it
-        # although p_total is not reported
-        def stub(value, converged=True):
-            return lambda *args, **kwargs: IntegralResult(value, 1e-6,
-                                                          converged)
+        # although p_total is not reported.  The small-cell solvers take
+        # the point as a batch of one (its thresholds or its points as
+        # lists) and return a list
+        def stub(value, converged=True, batch=False):
+            def solver(*args, **kwargs):
+                result = IntegralResult(value, 1e-6, converged)
+                return [result] * len(args[1]) if batch else result
+            return solver
 
         monkeypatch.setattr(experiments, "coverage_smallcell_result",
-                            stub(0.2, converged=False))
+                            stub(0.2, converged=False, batch=True))
         monkeypatch.setattr(experiments, "coverage_macro_result", stub(0.3))
         monkeypatch.setattr(experiments, "rate_macro_term_result", stub(0.1))
         monkeypatch.setattr(experiments, "rate_smallcell_term_result",
-                            stub(0.05))
+                            stub(0.05, batch=True))
         with pytest.raises(NonConvergenceError, match="not converged"):
             evaluate_point(NetworkParams(), TH, DuplexMode.IBFD, outputs)
 
@@ -253,7 +259,9 @@ class TestRunSweep:
         SweepSpec("eta", (0.151, 0.451, 0.901), modes=tuple(DuplexMode),
                   outputs=("rate",)),
         # one network: every process tallies its own passes
-        SweepSpec("T_s", (0.1, 0.6, 1.1, 2.1), modes=tuple(DuplexMode),
+        # T_s = 7.1 escalates to level 10 under IBFD, so one batch mixes
+        # cells that stop at level 6 with one that goes on
+        SweepSpec("T_s", (0.1, 0.6, 1.1, 2.1, 7.1), modes=tuple(DuplexMode),
                   outputs=("coverage_breakdown",), mc_trials=300),
         SweepSpec("beta", (-10.0, 0.0, 10.0, 20.0), modes=tuple(DuplexMode),
                   outputs=("coverage_breakdown",), mc_trials=300),
@@ -274,16 +282,73 @@ class TestRunSweep:
         assert all(row.error is None for row in runs[0])
         assert runs[0] == runs[1] == runs[2]
 
+    def test_eta_sweep_makes_the_level6_calls_of_one_point(self,
+                                                           monkeypatch):
+        # fig14's 7 eta points share one small-cell geometry, so one
+        # process evaluates them as one batch: one level-6 coverage call
+        # for all, and one per round of their lockstep rate integrals.
+        # Each row equals the row of its own one-point sweep
+        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
+        levels = []
+        evaluate_joint = smallcell.evaluate_joint
+
+        def counted(params, T_s, T_b, mode, level=6, bearing="circle"):
+            levels.append(level)
+            return evaluate_joint(params, T_s, T_b, mode, level, bearing)
+
+        for module in (smallcell, rates):
+            monkeypatch.setattr(module, "evaluate_joint", counted)
+        spec = figure_preset("fig14")
+        rows = run_sweep(spec)
+        batch_calls, single_calls, singles = levels.count(6), [], []
+        for x in spec.grid:
+            levels.clear()
+            singles += run_sweep(replace(spec, grid=(x,)))
+            single_calls.append(levels.count(6))
+        assert batch_calls <= max(single_calls) < sum(single_calls)
+        assert all(row.error is None for row in rows)
+        assert rows == singles
+
+    def test_failed_cell_keeps_its_own_error_row_in_a_batch(self,
+                                                            monkeypatch):
+        # the three T_s points share one geometry, so one process takes
+        # them as one batch; every value at T_s = 0.6 is nan, which fails
+        # that cell alone, and its batch-mates' rows equal their one-cell
+        # rows
+        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
+        sizes = []
+        evaluate_joint = smallcell.evaluate_joint
+
+        def nan_at(params, T_s, T_b, mode, level=6, bearing="circle"):
+            sizes.append((level, np.size(T_s)))
+            return np.where(np.asarray(T_s) == 0.6, np.nan, evaluate_joint(
+                params, T_s, T_b, mode, level, bearing))
+
+        for module in (smallcell, rates):
+            monkeypatch.setattr(module, "evaluate_joint", nan_at)
+        spec = SweepSpec("T_s", (0.1, 0.6, 1.1),
+                         outputs=("coverage_total", "rate"))
+        rows = run_sweep(spec)
+        # one level-3 call holds the coverage pairs of all three cells
+        assert [n for level, n in sizes if level == 3] == [3]
+        assert rows[1].error == "p_total not converged (error estimate nan)"
+        assert rows[1].analytic == {}
+        for row in (rows[0], rows[2]):
+            assert row.error is None
+            assert row == run_sweep(replace(spec, grid=(row.x,)))[0]
+
     def test_worker_error_reaches_caller(self, monkeypatch):
         # the second point runs in the worker, and an error that is not a
         # failed point's leaves no process or thread behind
-        def fail_second(*args, x, **kwargs):
-            if x == 3.0:
+        evaluate_cells = experiments._evaluate_cells
+
+        def fail_second(cells, *args, **kwargs):
+            if any(x == 3.0 for _, _, x in cells):
                 raise RuntimeError("cell failed")
-            return evaluate_point(*args, x=x, **kwargs)
+            return evaluate_cells(cells, *args, **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
-        monkeypatch.setattr(experiments, "evaluate_point", fail_second)
+        monkeypatch.setattr(experiments, "_evaluate_cells", fail_second)
         with pytest.raises(RuntimeError, match="^cell failed$"):
             run_sweep(SweepSpec("lambda_ratio", (2.0, 3.0),
                                 outputs=("association",)))
