@@ -8,14 +8,14 @@ imported from its submodule.
 """
 from .association import association_probability
 from .distances import topology_probabilities
-from .macro import coverage_macro_result
+from .macro import coverage_macro_batch
 from .rates import rate_macro_term_result, rate_smallcell_term_result
 from .smallcell import coverage_smallcell_result
 
 __all__ = [
     "association_probability",
     "topology_probabilities",
-    "coverage_macro_result",
+    "coverage_macro_batch",
     "rate_macro_term_result",
     "rate_smallcell_term_result",
     "coverage_smallcell_result",

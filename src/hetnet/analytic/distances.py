@@ -51,10 +51,8 @@ def inner_disc_radius(r_s, params: NetworkParams):
 def joint_pdf(r_s, r, params: NetworkParams):
     """Joint density of (nearest-pico distance, its backhaul distance).
 
-    Vectorized over broadcastable r_s, r.
+    Vectorized over broadcastable arrays r_s, r.
     """
-    r_s = np.asarray(r_s, dtype=float)
-    r = np.asarray(r, dtype=float)
     if np.any(r_s < 0) or np.any(r < 0):
         raise ValueError("distances must be non-negative")
     lm, ls = params.lambda_m, params.lambda_s
@@ -63,8 +61,6 @@ def joint_pdf(r_s, r, params: NetworkParams):
     L = r * (2.0 * (np.pi - chord_angle(r_s, r, R_i)))
     f = 2.0 * np.pi * ls * r_s * np.exp(-np.pi * ls * r_s ** 2) \
         * lm * L * np.exp(-lm * U)
-    if f.ndim == 0:
-        return float(f)
     return f
 
 

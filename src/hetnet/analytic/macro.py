@@ -20,7 +20,8 @@ drops, the association void delta_s^2 stays.
 
 Quadrature: u = r'^2 and v = A u turn Pr into (pi l_m / A) times
 Int_0^inf exp(-v - (B/A^gamma) v^gamma) dv (A, B, gamma below), which
-numerics.exp_power_integral takes for all thresholds in one pass.
+numerics.exp_power_integral takes for a 1-D array of thresholds (a sweep
+batch's T_m, a rate panel's nodes) in one pass.
 """
 from __future__ import annotations
 
@@ -29,10 +30,10 @@ import math
 import numpy as np
 
 from ..core import DuplexMode, NetworkParams, delta_s
-from ..numerics import IntegralResult, exp_power_integral
+from ..numerics import exp_power_integral
 from .tails import tail_profile
 
-__all__ = ["coverage_macro_batch", "coverage_macro_result"]
+__all__ = ["coverage_macro_batch"]
 
 
 def _exponent_coefficients(params: NetworkParams, T_m: np.ndarray,
@@ -52,27 +53,17 @@ def _exponent_coefficients(params: NetworkParams, T_m: np.ndarray,
     return A, B, gamma
 
 
-def coverage_macro_batch(params: NetworkParams, T_m: np.ndarray,
-                         mode: DuplexMode = DuplexMode.IBFD):
-    """(value, error, converged) arrays of the macro coverage at every
-    finite, positive threshold of the 1-D array T_m."""
-    A, B, gamma = _exponent_coefficients(params, T_m, mode)
-    value, error, converged = exp_power_integral(B / A ** gamma, gamma)
-    scale = math.pi * params.lambda_m / A
-    return scale * value, scale * error, converged
-
-
-def coverage_macro_result(params: NetworkParams, T_m: float,
-                          mode: DuplexMode = DuplexMode.IBFD
-                          ) -> IntegralResult:
-    """Pr{macro association, access SIR > T_m} (joint, not conditional)
-    with error estimate."""
-    if not T_m > 0.0:
+def coverage_macro_batch(params: NetworkParams, T_m,
+                         mode: DuplexMode = DuplexMode.IBFD) -> tuple:
+    """Pr{macro association, access SIR > T_m} (joint, not conditional) at
+    each T_m of a 1-D array, as (value, error, converged) arrays.  A T_m
+    must be positive, and an infinite one gives 0, converged."""
+    T_m = np.asarray(T_m, dtype=float)
+    if not np.all(T_m > 0.0):
         raise ValueError("threshold must be strictly positive")
-    if not math.isfinite(T_m):
-        return IntegralResult(value=0.0, error_estimate=0.0, converged=True)
-    value, error, converged = coverage_macro_batch(
-        params, np.array([float(T_m)]), mode)
-    return IntegralResult(value=float(value[0]),
-                          error_estimate=float(error[0]),
-                          converged=bool(converged[0]))
+    finite = np.isfinite(T_m)  # an infinite T_m: 1 stands in, scaled by 0
+    A, B, gamma = _exponent_coefficients(
+        params, np.where(finite, T_m, 1.0), mode)
+    value, error, converged = exp_power_integral(B / A ** gamma, gamma)
+    scale = np.where(finite, math.pi * params.lambda_m / A, 0.0)
+    return scale * value, scale * error, converged | ~finite

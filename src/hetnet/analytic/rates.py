@@ -33,10 +33,11 @@ the panel's error; the last panel counts twice more for the remainder
 adds the probability each evaluate_joint call may skip (smallcell
 _SKIP_MASS) times the length of t it integrates.  The rule is a generator
 that yields each panel's t nodes and takes the survival there, so
-_lockstep can run several integrals side by side: the pico terms of
-points that differ only in eta and kappa (one small-cell geometry) share
-one evaluate_joint call per round, for the panels of every integral
-still running; the macro term is one numpy pass per panel.
+_lockstep can run several integrals side by side: the pico terms of a
+list of points that differ only in eta and kappa (one small-cell
+geometry) share one evaluate_joint call per round, for the panels of
+every integral still running; the macro term of one point makes one
+coverage_macro_batch call per panel.
 """
 from __future__ import annotations
 
@@ -152,17 +153,16 @@ def rate_macro_term_result(params: NetworkParams, th: Thresholds,
 
 
 def rate_smallcell_term_result(params, th, mode: DuplexMode = DuplexMode.IBFD,
-                               bearing: str = "circle"):
-    """Unnormalized pico-path addend of the covered rate (bits/s/Hz).
+                               bearing: str = "circle") -> list:
+    """Unnormalized pico-path addend of the covered rate (bits/s/Hz) at
+    each point of the equal-length lists params and th, whose params
+    differ only in eta and kappa: a list of IntegralResults.
 
-    params and th are one point (one IntegralResult), or equal-length
-    lists of points whose params differ only in eta and kappa (a list of
-    results).  The integrals of a list run in lockstep: each round makes
-    one evaluate_joint call at the panels of every integral still
-    running.  Each point's result equals its own call.
+    The integrals run in lockstep: each round makes one evaluate_joint
+    call at the panels of every integral still running.  Each point's
+    result equals its one-point call.
     """
-    one = isinstance(params, NetworkParams)
-    points = [(params, th)] if one else list(zip(params, th, strict=True))
+    points = list(zip(params, th, strict=True))
     if len({p.joint_key for p, _ in points}) > 1:
         raise ValueError("batched points must differ only in eta and kappa")
     floors, integrals = {}, {}
@@ -193,6 +193,5 @@ def rate_smallcell_term_result(params, th, mode: DuplexMode = DuplexMode.IBFD,
         return np.split(values, np.cumsum([a.size for a in T_s])[:-1])
 
     done = _lockstep(integrals, survival)
-    results = [done.get(i, IntegralResult(0.0, 0.0, True))
-               for i in range(len(points))]
-    return results[0] if one else results
+    return [done.get(i, IntegralResult(0.0, 0.0, True))
+            for i in range(len(points))]

@@ -76,9 +76,9 @@ belongs to the call, never to the module.  A held geometry changes only
 where _build_rows fills an unbuilt row, with the values a build of every
 row at once would give.
 
-evaluate_joint takes K threshold pairs and equals K scalar calls: one
-level of the coverage ladder for every cell of a sweep batch, or one
-round of a batch's rate t-panels (coverage_smallcell_result,
+evaluate_joint takes K threshold pairs as two 1-D arrays: one level of
+the coverage ladder for every cell of a sweep batch, or one round of a
+batch's rate t-panels (coverage_smallcell_result,
 rates.rate_smallcell_term_result).  It evaluates each distinct pair once.
 The skip bound grows with both thresholds, so it runs over all nodes once
 at the smallest pair; each pair re-applies its own bound to those
@@ -86,8 +86,8 @@ candidates only, _CHUNK (pair, node) entries at a time, so no temporary
 grows with K.  What depends on T_s alone (s_1', the J_m access part, K1,
 gbar, the macro angular sum) is formed once per (node, T_s), the pico
 angular sum once per T_s and chunk.  Each pair's value is one pairwise
-sum over its live nodes in grid order, whatever the batch
-(docs/DECISIONS.md, entry 15, gives the one last-bit caveat).
+sum over its live nodes in grid order, and each per-row sum reads its
+row alone (docs/DECISIONS.md, entry 15), so a batch moves no pair's bits.
 """
 from __future__ import annotations
 
@@ -392,7 +392,11 @@ def _mixed_term(s_cross, s_own, geom: dict, prefix: str, idx: np.ndarray,
         g *= so[..., None]
         g += 1.0
         np.reciprocal(g, out=g)
-        inner = (g.reshape(-1, zn.shape[2]) @ aw).reshape(ib.size, -1)
+        # OpenBLAS dgemv (@) rounds the rows past a multiple of 4 apart: the
+        # pico row's 90 or 150 take einsum's per-row loop (DECISIONS.md 15)
+        g = g.reshape(-1, zn.shape[2])
+        inner = (g @ aw if zn.shape[1] % 4 == 0
+                 else np.einsum("nk,k->n", g, aw)).reshape(ib.size, -1)
         inner *= width[ib]
         inner *= wl[ib]
         # radial tail: the two discs subtend vanishing angles, g(s_own) ->
@@ -468,20 +472,18 @@ def _exponent_bound(params: NetworkParams, mode: DuplexMode, T_s, T_b,
 
 
 def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
-                   level: int = 6, bearing: str = "circle"):
+                   level: int = 6, bearing: str = "circle") -> np.ndarray:
     """Single-level evaluation of the joint access+backhaul probability.
 
     This is the raw panel sum without error control;
     coverage_smallcell_result builds a two-level estimate from it.  T_s and
-    T_b are scalars (the result is a float) or 1-D arrays of one length K
-    (K values; a scalar broadcasts); an infinite threshold gives 0.
-    ``bearing`` selects the serving-macro bearing convention (module
-    docstring).
+    T_b are 1-D arrays of one length K, and the K values come back as an
+    array; an infinite threshold gives 0.  ``bearing`` selects the
+    serving-macro bearing convention (module docstring).
     """
-    T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
-                                   np.asarray(T_b, dtype=float))
-    if T_s.ndim > 1:
-        raise ValueError("thresholds must be scalars or 1-D arrays")
+    T_s, T_b = np.asarray(T_s, dtype=float), np.asarray(T_b, dtype=float)
+    if T_s.ndim != 1 or T_s.shape != T_b.shape:
+        raise ValueError("thresholds must be 1-D arrays of one length")
     if not (np.all(T_s > 0.0) and np.all(T_b > 0.0)):
         raise ValueError("thresholds must be strictly positive")
     if bearing not in ("circle", "arc"):
@@ -490,11 +492,11 @@ def evaluate_joint(params: NetworkParams, T_s, T_b, mode: DuplexMode,
     ks = np.flatnonzero(np.isfinite(T_s) & np.isfinite(T_b))
     if ks.size and (geom := _geometry(params, level))["f2w"].size:
         # each distinct pair once
-        pairs, same = np.unique(np.stack([T_s.ravel()[ks], T_b.ravel()[ks]]),
-                                axis=1, return_inverse=True)
+        pairs, same = np.unique(np.stack([T_s[ks], T_b[ks]]), axis=1,
+                                return_inverse=True)
         out[ks] = _joint_batch(params, pairs[0], pairs[1], mode, geom,
                                bearing)[0][same.ravel()]
-    return float(out[0]) if T_s.ndim == 0 else out
+    return out
 
 
 def _joint_batch(params: NetworkParams, T_s: np.ndarray, T_b: np.ndarray,
@@ -574,8 +576,9 @@ def _contributions(params: NetworkParams, mode: DuplexMode, geom: dict,
                 - _lens_correction(s1p, geom, "k1", node_a))[acc]
                + _mixed_term(s2p, s1p, geom, "m_", node_a, acc))
         rm = geom["g_rmnpow_" + bearing]
-        gbar = _by_rows(lambda b: (1.0 / (1.0 + s1p[b, None] * rm[node_a[b]]))
-                        @ geom["g_w"], node_a.size)
+        # per-row sums, not @, as for the pico angular sums (_mixed_term)
+        gbar = _by_rows(lambda b: np.einsum("nk,k->n", 1.0 / (
+            1.0 + s1p[b, None] * rm[node_a[b]]), geom["g_w"]), node_a.size)
         expo = lam_s * J_s + lam_m * J_m + _self_interference(params, s2, s2p)
         weight = geom["f2w"][node] * gbar[acc]
     else:
@@ -587,35 +590,31 @@ def _contributions(params: NetworkParams, mode: DuplexMode, geom: dict,
     return weight * np.exp(-np.minimum(expo, 700.0))
 
 
-def coverage_smallcell_result(
-    params: NetworkParams, T_s, T_b,
-    mode: DuplexMode = DuplexMode.IBFD,
-    bearing: str = "circle",
-):
+def coverage_smallcell_result(params: NetworkParams, T_s, T_b,
+                              mode: DuplexMode = DuplexMode.IBFD,
+                              bearing: str = "circle") -> list:
     """Pr{pico association, access SIR > T_s, backhaul SIR > T_b} with a
-    two-level panel error estimate.
+    two-level panel error estimate, at each pair of the 1-D threshold
+    arrays T_s and T_b (one length K): a list of K IntegralResults.
 
-    T_s and T_b are scalars (one IntegralResult) or 1-D arrays of one
-    length K (a list of K results; a scalar broadcasts).  The ladder walks
-    levels 3, 6 and 10 with one evaluate_joint call per level, the one at
-    level 10 only at the pairs that (6,3) left unconverged, so each pair
-    is evaluated at most once per level.  The value is the finest level
-    reached; the error estimate is its difference against the level below,
-    plus the _SKIP_MASS its skipped nodes may hold.  One escalation, (6,3)
-    to (10,6), on the level gap alone, is attempted before reporting
-    non-convergence.  Each pair's result equals its scalar call.
+    The ladder walks levels 3, 6 and 10 with one evaluate_joint call per
+    level, the one at level 10 only at the pairs that (6,3) left
+    unconverged, so each pair is evaluated at most once per level.  The
+    value is the finest level reached; the error estimate is its
+    difference against the level below, plus the _SKIP_MASS its skipped
+    nodes may hold.  One escalation, (6,3) to (10,6), on the level gap
+    alone, is attempted before reporting non-convergence.  Each pair's
+    result equals its one-pair call.
     """
-    T_s, T_b = np.broadcast_arrays(np.asarray(T_s, dtype=float),
-                                   np.asarray(T_b, dtype=float))
-    pairs = np.atleast_1d(T_s), np.atleast_1d(T_b)
+    T_s, T_b = np.asarray(T_s, dtype=float), np.asarray(T_b, dtype=float)
     value, gap = np.zeros(T_s.size), np.zeros(T_s.size)
     converged, skipped = np.ones(T_s.size, dtype=bool), 0.0
     if params.lambda_s > 0.0:  # else the pico tier is empty: a null event
         skipped, todo = _SKIP_MASS, np.arange(T_s.size)
-        coarse = evaluate_joint(params, *pairs, mode, level=3,
+        coarse = evaluate_joint(params, T_s, T_b, mode, level=3,
                                 bearing=bearing)
         for level in (6, 10):
-            fine = evaluate_joint(params, *(t[todo] for t in pairs), mode,
+            fine = evaluate_joint(params, T_s[todo], T_b[todo], mode,
                                   level=level, bearing=bearing)
             value[todo], gap[todo] = fine, np.abs(fine - coarse[todo])
             converged[todo] = gap[todo] <= np.maximum(
@@ -624,8 +623,7 @@ def coverage_smallcell_result(
             todo = todo[~converged[todo]]
             if not todo.size:
                 break
-    results = [IntegralResult(value=min(max(v, 0.0), 1.0),
-                              error_estimate=e + skipped, converged=c)
-               for v, e, c in zip(value.tolist(), gap.tolist(),
-                                  converged.tolist())]
-    return results[0] if T_s.ndim == 0 else results
+    return [IntegralResult(value=min(max(v, 0.0), 1.0),
+                           error_estimate=e + skipped, converged=c)
+            for v, e, c in zip(value.tolist(), gap.tolist(),
+                               converged.tolist())]

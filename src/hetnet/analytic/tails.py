@@ -1,4 +1,4 @@
-"""Scalar building blocks shared by the coverage integrals.
+"""Building blocks shared by the coverage integrals.
 
 The central quantity is
 
@@ -11,10 +11,10 @@ transmitters with fading, beyond a disc, reduces to
     Int_{||z|| > R} [1 - 1/(1 + s*||z||^-alpha)] dz
         = pi * s^(2/alpha) * C(R^2 * s^(-2/alpha), alpha).
 
-tail_profile evaluates C, vectorized for the hot paths: arctan(1/c) at
-alpha = 4, and otherwise two exact forms that each reduce to the Euler
-integral b Int_0^1 u^(b-1) / (1 + x u) du with 0 <= x <= 1, which a
-12-node Gauss-Jacobi rule (Golub and Welsch 1969) takes to rounding.
+tail_profile evaluates C over an array of c, into an array of its shape:
+arctan(1/c) at alpha = 4, and otherwise two exact forms that each reduce
+to the Euler integral b Int_0^1 u^(b-1) / (1 + x u) du with 0 <= x <= 1,
+which a 12-node Gauss-Jacobi rule (Golub and Welsch 1969) takes to rounding.
 The tests check C against adaptive quadrature of the defining integral
 and against 60-digit mpmath.
 """
@@ -87,8 +87,8 @@ def _euler_integral(x: np.ndarray, b: float) -> np.ndarray:
     return out
 
 
-def tail_profile(c, alpha: float):
-    """C(c, alpha), vectorized over c.
+def tail_profile(c, alpha: float) -> np.ndarray:
+    """C(c, alpha) at every element of the array c.
 
     At alpha = 4 it is arctan(1/c).  Otherwise, with p = alpha/2 and
     F(x, b) = 2F1(1, b; 1 + b; -x) from _euler_integral, c < 1 uses
@@ -112,7 +112,7 @@ def tail_profile(c, alpha: float):
         out[head] = full - ch * _euler_integral(ch ** p, 1.0 / p)
         out[~head] = (ct ** (1.0 - p) / (p - 1.0)
                       * _euler_integral(ct ** -p, b))
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def shifted_functional_radius2(s, alpha: float, r2):

@@ -10,8 +10,8 @@ modes, outputs, mc_trials, notes), simulation window settings
 Model fields, thresholds and window_half_width are JSON numbers, in
 either spelling; self_interference_convention, swept_parameter and out
 are strings, fixed_count a boolean, mc_trials an integer, grid an array
-of numbers, and modes, outputs and notes arrays.  An omitted key takes
-the default of the field it sets.
+of numbers, notes an array of one-line strings, and modes and outputs
+arrays.  An omitted key takes the default of the field it sets.
 
 Every command evaluates a point through experiments.evaluate_point (a
 sweep through its batch form), so a reported value whose integral missed
@@ -132,10 +132,13 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
                 f"{source}: {base} and {base}_db are mutually exclusive")
     values = {key: _json_value(key, raw[key], kind, source)
               for key, kind in _KEYS.items() if key in raw}
-    if "grid" in values:
-        values["grid"] = tuple(
-            _json_value(f"grid[{i}]", v, float, source)
-            for i, v in enumerate(values["grid"]))
+    for key, kind in (("grid", float), ("notes", str)):
+        if key in values:
+            values[key] = tuple(_json_value(f"{key}[{i}]", v, kind, source)
+                                for i, v in enumerate(values[key]))
+    for i, note in enumerate(values.get("notes", ())):
+        if note.splitlines() not in ([], [note]):  # one '#' line each
+            raise ValueError(f"{source}: notes[{i}] must be one line")
     for base in _DB_BASES:
         if base + "_db" in values:
             try:
@@ -230,6 +233,18 @@ class _CliParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _at_least(name: str, least: int):
+    """argparse type of an integer >= least; argparse names the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer: "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="hetnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -240,9 +255,12 @@ def _build_parser() -> _CliParser:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
         if mc:
-            p.add_argument("--trials", type=int, default=trials,
+            # a sweep may run no trial; simulate and validate need one
+            p.add_argument("--trials", default=trials,
+                           type=_at_least("mc_trials", 0) if trials is None
+                           else _at_least("n_trials", 1),
                            help="simulation trial count")
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_at_least("seed", 0), default=0,
                            help="master seed for simulation draws")
             p.add_argument("--full-scale", action="store_true",
                            help="fixed station counts as in the reference "

@@ -181,14 +181,12 @@ def lens_area(d, R1, R2):
     R^2 (t - sin(2 t) / 2), with t the chord_angle of its circle inside
     the other disc.  Tangent, disjoint and nested discs come out exact,
     swapping R1 and R2 gives a bitwise-identical result, and no difference
-    of nearly equal terms forms at a thin lens.  Scalars or broadcastable
-    arrays.
+    of nearly equal terms forms at a thin lens.  Broadcastable arrays in,
+    an array out.
     """
-    R1, R2 = np.asarray(R1, dtype=float), np.asarray(R2, dtype=float)
     t1, t2 = chord_angle(d, R1, R2), chord_angle(d, R2, R1)
-    out = (R1 * R1 * (t1 - 0.5 * np.sin(2.0 * t1))
-           + R2 * R2 * (t2 - 0.5 * np.sin(2.0 * t2)))
-    return float(out) if out.ndim == 0 else out
+    return (R1 * R1 * (t1 - 0.5 * np.sin(2.0 * t1))
+            + R2 * R2 * (t2 - 0.5 * np.sin(2.0 * t2)))
 
 
 def chord_angle(d, r, R):

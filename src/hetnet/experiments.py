@@ -6,9 +6,9 @@ each analytic value with an optional simulation estimate.  run_sweep
 spreads the points, each with all its modes, over the usable CPUs
 (fanout); rows follow the grid for any CPU count.  Within a process,
 the cells of one mode whose points differ only in eta and kappa share
-one small-cell geometry and go through _evaluate_cells as one batch;
-evaluate_point, which the single-point CLI commands call, is its
-one-cell case.
+one small-cell geometry and go through _evaluate_cells as one batch (one
+call of each coverage solver); evaluate_point, which the single-point CLI
+commands call, is its one-cell case.
 
 Swept-parameter units follow the figure axes: B_s and beta grids are in
 power dB (converted to linear before evaluation), all other grids are in
@@ -23,7 +23,7 @@ from typing import Optional
 
 from .analytic import (
     association_probability,
-    coverage_macro_result,
+    coverage_macro_batch,
     coverage_smallcell_result,
     rate_macro_term_result,
     rate_smallcell_term_result,
@@ -33,7 +33,7 @@ from .core import DuplexMode, NetworkParams, Thresholds, db_to_linear
 from .fanout import fan_out, process_count
 from .montecarlo import (SimulationPass, SimulationWindow, simulate_pass,
                          tally_metrics)
-from .numerics import NonConvergenceError
+from .numerics import IntegralResult, NonConvergenceError
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -159,10 +159,9 @@ def _evaluate_cells(cells: list, mode: DuplexMode, outputs: tuple,
     """evaluate_point at each (params, th, x) cell of cells, whose params
     share one joint_key: the cell's row, or the exception it raises there.
 
-    The cells share every small-cell evaluation: one
-    coverage_smallcell_result call takes all their threshold pairs and
-    one rate_smallcell_term_result call all their rate integrals, and each
-    cell's results equal its own calls.  The other solvers run per cell.
+    One call of each coverage solver takes all their thresholds, and one
+    rate_smallcell_term_result call all their rate integrals; each cell's
+    results equal its own calls.  The other solvers run per cell.
     """
     params, ths = [cell[0] for cell in cells], [cell[1] for cell in cells]
     wants_coverage = "coverage_total" in outputs \
@@ -172,6 +171,8 @@ def _evaluate_cells(cells: list, mode: DuplexMode, outputs: tuple,
         small = coverage_smallcell_result(params[0], [th.T_s for th in ths],
                                           [th.T_b for th in ths], mode,
                                           bearing=bearing)
+        macro = coverage_macro_batch(params[0], [th.T_m for th in ths], mode)
+        macro = list(map(IntegralResult, *(a.tolist() for a in macro)))
     if wants_rate:
         small_rate = rate_smallcell_term_result(params, ths, mode,
                                                 bearing=bearing)
@@ -180,13 +181,12 @@ def _evaluate_cells(cells: list, mode: DuplexMode, outputs: tuple,
         results: dict = {}
         try:
             if wants_coverage or wants_rate:
-                macro = coverage_macro_result(p, th.T_m, mode)
-                p_cov = small[i] + macro
+                p_cov = small[i] + macro[i]
             if wants_coverage:
                 results["p_total"] = p_cov
                 if "coverage_breakdown" in outputs:
                     results["p_smallcell_joint"] = small[i]
-                    results["p_macro_joint"] = macro
+                    results["p_macro_joint"] = macro[i]
             if "topology" in outputs:
                 results.update(zip(("p_case_a", "p_case_b", "p_case_c"),
                                    topology_probabilities(p)))

@@ -38,9 +38,10 @@ of distances and link powers that read only NetworkParams.network.
 tally_metrics, its one reader, decides each trial's tier, adds the
 residual self-interference to the backhaul's interference, forms every
 SIR with _sir's cap and counts the trials against the thresholds.  Trial
-i draws from one generator seeded by SeedSequence(master_seed,
-spawn_key=(i,)), so a pass splits into ranges of trials over the usable
-CPUs (fanout.fan_out), joined in trial order: bit-identical for any split.
+i draws (sample_ppp, evaluate_user) from one generator seeded by
+SeedSequence(master_seed, spawn_key=(i,)), so a pass splits into ranges
+of trials over the usable CPUs (fanout.fan_out), joined in trial order:
+bit-identical for any split.
 """
 from __future__ import annotations
 
@@ -125,16 +126,14 @@ class SimulationPass:
     interference: dict
 
 
-def sample_ppp(intensity: float, window: SimulationWindow, seed) -> np.ndarray:
-    """Points of a homogeneous process in the window, shape (N, 2).
-
-    seed: anything numpy's default_rng accepts; a Generator is drawn from
-    in place.  The count is Poisson, or round(intensity * area) with
+def sample_ppp(intensity: float, window: SimulationWindow,
+               rng: np.random.Generator) -> np.ndarray:
+    """Points of a homogeneous process in the window, shape (N, 2), drawn
+    from rng.  The count is Poisson, or round(intensity * area) with
     window.fixed_count.
     """
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    rng = default_rng(seed)
     if window.fixed_count:
         n = int(round(intensity * window.area))
     else:
@@ -190,7 +189,8 @@ def _sir(signal: np.ndarray, interference: np.ndarray) -> np.ndarray:
 # one error state per trial, not one per power sum
 @np.errstate(divide="ignore")
 def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
-                  params: NetworkParams, modes: tuple, seed,
+                  params: NetworkParams, modes: tuple,
+                  rng: np.random.Generator,
                   window: SimulationWindow = SimulationWindow()) -> tuple:
     """(x_m, x_s, signal, {mode: interference}) of the user at the origin
     of one sampled network (its stations' (N, 2) coordinates by tier): one
@@ -198,14 +198,13 @@ def evaluate_user(macro_points: np.ndarray, pico_points: np.ndarray,
     pico access, backhaul) triples, the pico links nan and x_s inf with no
     pico; the dict holds FDD and, with IBFD in modes, IBFD.
 
-    seed drives the fades, one unit-mean exponential per station and
+    rng draws the fades, one unit-mean exponential per station and
     receiver: macros, then picos at the user, macros at the nearest pico
     S, then, in IBFD only, picos at S.  A zero distance raises no warning:
     a station at the user gives an infinite signal, which the tally caps.
     """
     if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
-    rng = default_rng(seed)
     w = window.half_width
     macro = (params.P_m, params.alpha_m,
              _tail_mean(params.lambda_m, params.P_m, params.alpha_m, w))

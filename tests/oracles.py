@@ -4,19 +4,20 @@ dense_evaluate_joint is the small-cell joint-coverage panel sum written as
 whole-tensor einsums over per-node tensors: dense_node_tensors builds both
 mixed-term families for every node, each (node, radial, angular) tensor by
 the same elementwise expression over every node (in node blocks, to bound
-the memory of its temporaries).  The package builds the pico family as one
-row, for r_s = 1, and scales it per node, builds the macro tensor block by
-block in place and evaluates the sums block by block; the two differ only
-in the order of floating-point operations (the macro tensor itself is
-bit-identical).
+the memory of its temporaries), and can build one table family at a time
+(FAMILIES), so a test can compare and drop each before the next.  The
+package builds the pico family as one row, for r_s = 1, and scales it per
+node, builds the macro tensor block by block in place and evaluates the
+sums block by block; the two differ only in the order of floating-point
+operations (the macro tensor itself is bit-identical).
 
 reference_evaluate_user is the simulator's per-trial kernel written on
 plain distances: abs + hypot per station, boolean masks to drop the serving
 index, sum(h * d**-alpha) per link and, for each IBFD candidate link, the
 other tier's sum over all of its stations.  The package works on squared
 distances in place, takes each power sum as one einsum and forms the
-other tier's sum as its rest plus its serving term; with the same seed
-both draw the same fading, so they differ only in rounding.
+other tier's sum as its rest plus its serving term; from generators of
+the same seed both draw the same fading, so they differ only in rounding.
 
 reference_tally is the simulator's tally written as a loop over trials,
 one scalar tier decision and SIR at a time with the same cap rule; the
@@ -41,7 +42,7 @@ Independent routes that the package does not run:
   that pico's interference explicitly and integrates the rest of the field
   beyond r_s.  Palm decomposition over the nearest point is an identity,
   so it must agree with the closed reduction of
-  macro.coverage_macro_result.  With pico_exclusion=False the association
+  macro.coverage_macro_batch.  With pico_exclusion=False the association
   void is dropped and pico interference comes in from radius 0: the
   baseline that the B_s -> 0 degenerate-tier limit converges to.
 * j_components: the pieces of the IBFD integrand at one (r_s, r), built
@@ -172,10 +173,17 @@ def _blocked_znpow(d2, four_rx, width, gx, alpha, block=256):
     return out
 
 
-def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
+# the table families of dense_node_tensors, by key prefix: the pico and
+# macro mixed terms, the two lens shells and the bearing average
+FAMILIES = ("s_", "m_", "k1_", "k2_", "g_")
+
+
+def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail,
+                       families=FAMILIES):
     """smallcell._node_tensors with both mixed-term families per node,
     every (node, radial, angular) tensor built by one elementwise
-    expression over all nodes (_blocked_znpow)."""
+    expression over all nodes (_blocked_znpow).  Only the table families
+    named in families (FAMILIES) are built."""
     alpha_s, alpha_m = params.alpha_s, params.alpha_m
     gx, gw = _leggauss(n_ang)
     # angular nodes mapped later per (node, l) interval [chi_ex, pi]
@@ -183,121 +191,134 @@ def dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail):
     out = {"ang_w": gw}
 
     # --- pico-field mixed term: polar around S, exclusion B(o, r_s) ------
-    knots_s = rs[:, None] * smallcell._LADDER_S[None, :]
-    xs, wxs = gauss_panel_nodes(knots_s, n_rad)
-    chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
-    width = np.pi - chi_ex          # angular interval [chi_ex, pi]
-    out["s_wx"] = wxs * xs          # fold the l dl Jacobian
-    out["s_xnpow"] = xs ** -alpha_s
-    out["s_width"] = width
-    out["s_znpow"] = _blocked_znpow(
-        (xs - rs[:, None]) ** 2, 4.0 * rs[:, None] * xs, width, gx, alpha_s)
-    xt, wt = power_tail_nodes(rs * smallcell._LADDER_S[-1], alpha_s, n_tail)
-    out["s_tw"] = wt * xt
-    out["s_txnpow"] = xt ** -alpha_s
+    if "s_" in families:
+        knots_s = rs[:, None] * smallcell._LADDER_S[None, :]
+        xs, wxs = gauss_panel_nodes(knots_s, n_rad)
+        chi_ex = np.arccos(_clip_cos(xs / (2.0 * rs[:, None])))
+        width = np.pi - chi_ex          # angular interval [chi_ex, pi]
+        out["s_wx"] = wxs * xs          # fold the l dl Jacobian
+        out["s_xnpow"] = xs ** -alpha_s
+        out["s_width"] = width
+        out["s_znpow"] = _blocked_znpow(
+            (xs - rs[:, None]) ** 2, 4.0 * rs[:, None] * xs, width, gx,
+            alpha_s)
+        xt, wt = power_tail_nodes(rs * smallcell._LADDER_S[-1], alpha_s,
+                                  n_tail)
+        out["s_tw"] = wt * xt
+        out["s_txnpow"] = xt ** -alpha_s
 
     # --- macro-field mixed term: polar around S, exclusions B(o, R_i)
     #     (angular) and B(S, r) (radial lower limit) ----------------------
-    base = np.maximum(r, rs + ri)
-    knots_m = np.concatenate(
-        [
-            r[:, None] * np.array([1.0, 1.12, 1.3, 1.6])[None, :],
-            np.clip(np.abs(ri - rs), r, None)[:, None],
-            np.clip(ri + rs, r, None)[:, None],
-            base[:, None] * smallcell._LADDER_M[None, :],
-        ],
-        axis=1,
-    )
-    knots_m = np.sort(knots_m, axis=1)
-    xm, wxm = gauss_panel_nodes(knots_m, n_rad)
-    cos_in = (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2) \
-        / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
-    chi_ex2 = np.arccos(_clip_cos(cos_in))
-    width_m = np.pi - chi_ex2
-    out["m_x"] = xm
-    out["m_wx"] = wxm * xm
-    out["m_xnpow"] = xm ** -alpha_m
-    out["m_width"] = width_m
-    out["m_znpow"] = _blocked_znpow(
-        (xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm, width_m, gx, alpha_m)
-    xtm, wtm = power_tail_nodes(base * smallcell._LADDER_M[-1], alpha_m,
-                                n_tail)
-    out["m_tw"] = wtm * xtm
-    out["m_txnpow"] = xtm ** -alpha_m
+    if "m_" in families:
+        base = np.maximum(r, rs + ri)
+        knots_m = np.concatenate(
+            [
+                r[:, None] * np.array([1.0, 1.12, 1.3, 1.6])[None, :],
+                np.clip(np.abs(ri - rs), r, None)[:, None],
+                np.clip(ri + rs, r, None)[:, None],
+                base[:, None] * smallcell._LADDER_M[None, :],
+            ],
+            axis=1,
+        )
+        knots_m = np.sort(knots_m, axis=1)
+        xm, wxm = gauss_panel_nodes(knots_m, n_rad)
+        cos_in = (rs[:, None] ** 2 + xm ** 2 - ri[:, None] ** 2) \
+            / np.maximum(2.0 * rs[:, None] * xm, 1e-300)
+        chi_ex2 = np.arccos(_clip_cos(cos_in))
+        width_m = np.pi - chi_ex2
+        out["m_x"] = xm
+        out["m_wx"] = wxm * xm
+        out["m_xnpow"] = xm ** -alpha_m
+        out["m_width"] = width_m
+        out["m_znpow"] = _blocked_znpow(
+            (xm - rs[:, None]) ** 2, 4.0 * rs[:, None] * xm, width_m, gx,
+            alpha_m)
+        xtm, wtm = power_tail_nodes(base * smallcell._LADDER_M[-1], alpha_m,
+                                    n_tail)
+        out["m_tw"] = wtm * xtm
+        out["m_txnpow"] = xtm ** -alpha_m
 
     # --- lens correction K1: user-centered shell of B(S, r) beyond R_i ---
-    k1_knots = np.sort(np.stack([
-        ri,
-        np.clip(np.abs(rs - r), ri, rs + r),
-        np.clip(np.sqrt(np.abs(rs - r) * (rs + r)), ri, rs + r),
-        np.maximum(rs + r, ri),
-    ], axis=1), axis=1)
-    rho1, wrho1 = gauss_panel_nodes(k1_knots, max(n_rad, 6))
-    width1 = 2.0 * np.arccos(_clip_cos(
-        (rs[:, None] ** 2 + rho1 ** 2 - r[:, None] ** 2)
-        / np.maximum(2.0 * rs[:, None] * rho1, 1e-300)))
-    out["k1_w"] = wrho1 * rho1 * width1
-    out["k1_xnpow"] = rho1 ** -alpha_m
+    if "k1_" in families:
+        k1_knots = np.sort(np.stack([
+            ri,
+            np.clip(np.abs(rs - r), ri, rs + r),
+            np.clip(np.sqrt(np.abs(rs - r) * (rs + r)), ri, rs + r),
+            np.maximum(rs + r, ri),
+        ], axis=1), axis=1)
+        rho1, wrho1 = gauss_panel_nodes(k1_knots, max(n_rad, 6))
+        width1 = 2.0 * np.arccos(_clip_cos(
+            (rs[:, None] ** 2 + rho1 ** 2 - r[:, None] ** 2)
+            / np.maximum(2.0 * rs[:, None] * rho1, 1e-300)))
+        out["k1_w"] = wrho1 * rho1 * width1
+        out["k1_xnpow"] = rho1 ** -alpha_m
 
     # --- lens correction K2: S-centered shell of B(o, R_i) beyond r ------
-    k2_knots = np.sort(np.stack([
-        r,
-        np.clip(np.abs(ri - rs), r, None),
-        np.clip(np.sqrt(np.clip(np.abs(ri - rs), 1e-300, None)
-                        * (ri + rs)), r, None),
-        np.maximum(ri + rs, r),
-    ], axis=1), axis=1)
-    rho2, wrho2 = gauss_panel_nodes(k2_knots, max(n_rad, 6))
-    width2 = 2.0 * np.arccos(_clip_cos(
-        (rs[:, None] ** 2 + rho2 ** 2 - ri[:, None] ** 2)
-        / np.maximum(2.0 * rs[:, None] * rho2, 1e-300)))
-    out["k2_w"] = wrho2 * rho2 * width2
-    out["k2_xnpow"] = rho2 ** -alpha_m
+    if "k2_" in families:
+        k2_knots = np.sort(np.stack([
+            r,
+            np.clip(np.abs(ri - rs), r, None),
+            np.clip(np.sqrt(np.clip(np.abs(ri - rs), 1e-300, None)
+                            * (ri + rs)), r, None),
+            np.maximum(ri + rs, r),
+        ], axis=1), axis=1)
+        rho2, wrho2 = gauss_panel_nodes(k2_knots, max(n_rad, 6))
+        width2 = 2.0 * np.arccos(_clip_cos(
+            (rs[:, None] ** 2 + rho2 ** 2 - ri[:, None] ** 2)
+            / np.maximum(2.0 * rs[:, None] * rho2, 1e-300)))
+        out["k2_w"] = wrho2 * rho2 * width2
+        out["k2_xnpow"] = rho2 ** -alpha_m
 
     # --- serving-macro bearing average -----------------------------------
     # both conventions share the normalized Gauss weights: nodes are mapped
     # onto [0, U] with U = pi (circle) or U = theta_allow (arc), and the
     # 1/U density makes U cancel out of the weighted mean
-    gxt, gwt = _leggauss(16)
-    # the allowed bearing is pi minus the arc of the circle of radius r
-    # about S inside B(o, R_i), as for the macro widths above
-    theta_allow = np.pi - np.arccos(_clip_cos(
-        (rs ** 2 + r ** 2 - ri ** 2) / np.maximum(2.0 * rs * r, 1e-300)))
-    out["g_w"] = 0.5 * gwt
-    for tag, upper in (("arc", theta_allow), ("circle", np.pi)):
-        # bearing theta = upper/2 (gxt + 1): the chord form's nodes at -gxt
-        out["g_rmnpow_" + tag] = chord_form(
-            (rs - r) ** 2, 4.0 * rs * r, upper, -gxt) ** (-alpha_m / 2.0)
+    if "g_" in families:
+        gxt, gwt = _leggauss(16)
+        # the allowed bearing is pi minus the arc of the circle of radius r
+        # about S inside B(o, R_i), as for the macro widths above
+        theta_allow = np.pi - np.arccos(_clip_cos(
+            (rs ** 2 + r ** 2 - ri ** 2) / np.maximum(2.0 * rs * r, 1e-300)))
+        out["g_w"] = 0.5 * gwt
+        for tag, upper in (("arc", theta_allow), ("circle", np.pi)):
+            # bearing theta = upper/2 (gxt + 1): the chord form's nodes at
+            # -gxt
+            out["g_rmnpow_" + tag] = chord_form(
+                (rs - r) ** 2, 4.0 * rs * r, upper, -gxt) \
+                ** (-alpha_m / 2.0)
     return out
 
 
-# the last dense geometry built, by (params, level); at level 10 it holds
-# about 412 MB, so it is dropped before the next one is built, and by
-# release_dense_geometry once the tests that use it are done
+# the last dense geometry built, by (params, level, families); at level 10
+# all families hold about 412 MB, so it is dropped before the next one is
+# built, and by release_dense_geometry once the tests that use it are done
 _DENSE_HELD: dict = {}
 
 
-def dense_geometry(params, level):
-    """The live nodes of smallcell._geometry with dense_node_tensors, plus
-    their (r_s, r, R_i); the last one built is held (_DENSE_HELD)."""
-    if (params, level) not in _DENSE_HELD:
+def dense_geometry(params, level, families=FAMILIES):
+    """The live nodes of smallcell._geometry with dense_node_tensors of the
+    table families named in families, plus their (r_s, r, R_i) and f2w;
+    the last one built is held (_DENSE_HELD)."""
+    key = (params, level, tuple(families))
+    if key not in _DENSE_HELD:
         _DENSE_HELD.clear()
-        _DENSE_HELD[params, level] = _dense_geometry(params, level)
-    return _DENSE_HELD[params, level]
+        _DENSE_HELD[key] = _dense_geometry(params, level, families)
+    return _DENSE_HELD[key]
 
 
 def release_dense_geometry():
     _DENSE_HELD.clear()
 
 
-def _dense_geometry(params, level):
+def _dense_geometry(params, level, families):
     g = outer_grid(params, level)
     f2w = joint_pdf(g["rs"], g["r"], params) * g["w"]
     live = f2w > (f2w.max() * 1e-15 if f2w.size else 0.0)
     rs, r, ri = g["rs"][live], g["r"][live], g["ri"][live]
     n_rad = max(level, 4)
     n_ang = n_tail = 12 if level >= 6 else 8
-    geom = dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail)
+    geom = dense_node_tensors(params, rs, r, ri, n_rad, n_ang, n_tail,
+                              families)
     geom.update(f2w=f2w[live], rs=rs, r=r, ri=ri)
     return geom
 
@@ -418,14 +439,13 @@ def _power_sum(power, h, d, alpha):
     return float(power * np.sum(h * d ** (-alpha)))
 
 
-def reference_evaluate_user(macro_points, pico_points, params, modes, seed,
+def reference_evaluate_user(macro_points, pico_points, params, modes, rng,
                             window=montecarlo.SimulationWindow()):
     """montecarlo.evaluate_user on distances and masks (same signature,
     record and draw order: macros and picos at the user, macros at the
     nearest pico S, then, with IBFD in modes, picos at S)."""
     if macro_points.shape[0] == 0:
         raise ValueError("no station in tier: macro")
-    rng = np.random.default_rng(seed)
     w = window.half_width
     ibfd = DuplexMode.IBFD in modes
     macro = (params.P_m, params.alpha_m, montecarlo._tail_mean(

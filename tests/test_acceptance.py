@@ -24,7 +24,7 @@ from scipy import integrate
 
 from hetnet.analytic import (
     association_probability,
-    coverage_macro_result,
+    coverage_macro_batch,
     coverage_smallcell_result,
 )
 from hetnet.analytic.smallcell import evaluate_joint
@@ -168,8 +168,9 @@ def test_2_simulation_brackets_analytic_density_curve(density_sweep):
     for k, ratio in enumerate(sorted(MACRO_ANCHORS)):
         params = NetworkParams(lambda_s=ratio)
         small_exact = coverage_smallcell_result(
-            params, TH.T_s, TH.T_b, DuplexMode.IBFD, bearing="arc").value
-        macro = coverage_macro_result(params, TH.T_m, DuplexMode.IBFD).value
+            params, [TH.T_s], [TH.T_b], DuplexMode.IBFD,
+            bearing="arc")[0].value
+        macro = coverage_macro_batch(params, [TH.T_m], DuplexMode.IBFD)[0][0]
         analytic_exact = {"p_smallcell_joint": small_exact,
                           "p_macro_joint": macro,
                           "p_total": small_exact + macro}
@@ -350,10 +351,12 @@ def test_7_property_suite():
     for ratio in (1.0, 4.0, 20.0):
         params = NetworkParams(lambda_s=ratio)
         for mode in (DuplexMode.IBFD, DuplexMode.FDD):
-            res = coverage_smallcell_result(params, TH.T_s, TH.T_b, mode)
-            assert res.value == evaluate_joint(params, TH.T_s, TH.T_b, mode,
-                                               level=6)
-            finer = evaluate_joint(params, TH.T_s, TH.T_b, mode, level=10)
+            res, = coverage_smallcell_result(params, [TH.T_s], [TH.T_b],
+                                             mode)
+            assert res.value == evaluate_joint(params, [TH.T_s], [TH.T_b],
+                                               mode, level=6)[0]
+            finer, = evaluate_joint(params, [TH.T_s], [TH.T_b], mode,
+                                    level=10)
             assert abs(finer - res.value) <= res.error_estimate, \
                 f"level-10 sum outside the (6,3) error at ratio {ratio}"
 

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from hetnet import experiments
 from hetnet.analytic import association_probability, rates, smallcell
-from hetnet.analytic.macro import coverage_macro_result
+from hetnet.analytic.macro import coverage_macro_batch
 from hetnet.analytic.rates import (
     rate_macro_term_result,
     rate_smallcell_term_result,
@@ -78,11 +78,11 @@ class TestCoverageTotal:
         # a vanishing threshold makes its link's constraint vacuous, so the
         # joint event is contained in either single-link event
         p = params_with()
-        joint = converged_value(coverage_smallcell_result(p, 0.1, 0.1))
+        joint = converged_value(coverage_smallcell_result(p, [0.1], [0.1])[0])
         assert joint <= converged_value(
-            coverage_smallcell_result(p, 0.1, 1e-12)) + 1e-9
+            coverage_smallcell_result(p, [0.1], [1e-12])[0]) + 1e-9
         assert joint <= converged_value(
-            coverage_smallcell_result(p, 1e-12, 0.1)) + 1e-9
+            coverage_smallcell_result(p, [1e-12], [0.1])[0]) + 1e-9
 
     def test_no_pico_tier(self):
         cb = analytic(params_with(lambda_s=0.0), TH,
@@ -94,14 +94,17 @@ class TestCoverageTotal:
 class TestRateTerms:
     def test_macro_term_matches_adaptive_quadrature(self):
         p = params_with()
+
+        def coverage(T_m, mode):
+            (value,), _, (converged,) = coverage_macro_batch(p, [T_m], mode)
+            assert converged
+            return value
+
         for mode in DuplexMode:
             t_star = math.log2(1.0 + TH.T_m)
-            tail = integrate.quad(
-                lambda t: converged_value(coverage_macro_result(
-                    p, 2.0 ** t - 1.0, mode)),
-                t_star, 60.0, limit=200)[0]
-            head = t_star * converged_value(
-                coverage_macro_result(p, TH.T_m, mode))
+            tail = integrate.quad(lambda t: coverage(2.0 ** t - 1.0, mode),
+                                  t_star, 60.0, limit=200)[0]
+            head = t_star * coverage(TH.T_m, mode)
             prefactor = (1.0 - p.eta)
             if mode is DuplexMode.FDD:
                 prefactor *= 1.0 - p.kappa
@@ -117,16 +120,16 @@ class TestRateTerms:
             e_b = n * t / eta
             if e_b > 50.0:
                 return 0.0
-            return evaluate_joint(p, max(2.0 ** t - 1.0, TH.T_s),
-                                  max(2.0 ** e_b - 1.0, TH.T_b),
-                                  DuplexMode.IBFD)
+            return evaluate_joint(p, [max(2.0 ** t - 1.0, TH.T_s)],
+                                  [max(2.0 ** e_b - 1.0, TH.T_b)],
+                                  DuplexMode.IBFD)[0]
 
         t_a = math.log2(1.1)
         t_b = (eta / n) * math.log2(1.1)
         ref = integrate.quad(survival, 0.0, 11.0, points=[t_b, t_a],
                              limit=80, epsabs=1e-7)[0]
         assert converged_value(rate_smallcell_term_result(
-            p, TH)) == pytest.approx(ref, rel=2e-4)
+            [p], [TH])[0]) == pytest.approx(ref, rel=2e-4)
 
     # rate_smallcell_term_result at T = 0.1 with the G10/K21 tail, frozen
     # from the scalar t-node integrand (one evaluate_joint call per node
@@ -140,7 +143,7 @@ class TestRateTerms:
         (DuplexMode.IBFD, 0.901, 0.04811085124425942, 1.4504376015297918e-06),
         (DuplexMode.FDD, 0.451, 0.04594525085843977, 1.3596609212233591e-05)])
     def test_frozen_smallcell_term(self, mode, eta, value, error):
-        res = rate_smallcell_term_result(params_with(eta=eta), TH, mode)
+        res, = rate_smallcell_term_result([params_with(eta=eta)], [TH], mode)
         assert res.converged
         assert res.value == pytest.approx(value, rel=1e-11, abs=0.0)
         assert res.error_estimate == pytest.approx(error, rel=1e-2)
@@ -156,7 +159,7 @@ class TestRateTerms:
     @pytest.mark.xfail(strict=True, reason="the G10 breakpoint panel misses "
                        "the backhaul drop at eta = 0.001")
     def test_steep_backhaul_panel_against_composite_reference(self):
-        res = rate_smallcell_term_result(NetworkParams(eta=0.001), TH)
+        res, = rate_smallcell_term_result([NetworkParams(eta=0.001)], [TH])
         assert abs(res.value - 6.688059e-5) <= res.error_estimate
 
     # fig14's eta grid: one evaluate_joint call for the head and the
@@ -177,7 +180,7 @@ class TestRateTerms:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(rates, "evaluate_joint", counted)
-        res = rate_smallcell_term_result(p, th)
+        res, = rate_smallcell_term_result([p], [th])
         assert res.converged and len(calls) == n_calls
         # the last of the n_calls - 1 tail panels ends (2^(n_calls - 1) - 1)
         # graded lengths past the last breakpoint
@@ -187,7 +190,7 @@ class TestRateTerms:
             + rates._TAIL_GRADE * (2.0 ** (n_calls - 1) - 1.0)
         assert res.error_estimate >= smallcell._SKIP_MASS * t_end
         monkeypatch.setattr(rates, "_SKIP_MASS", 0.0)
-        no_budget = rate_smallcell_term_result(p, th)
+        no_budget, = rate_smallcell_term_result([p], [th])
         assert no_budget.value == res.value
         assert res.error_estimate - no_budget.error_estimate \
             == pytest.approx(smallcell._SKIP_MASS * t_end, rel=1e-6)
@@ -212,7 +215,7 @@ class TestRateTerms:
 
     def test_zero_backhaul_allocation_kills_pico_term(self):
         assert converged_value(
-            rate_smallcell_term_result(params_with(eta=0.0), TH)) == 0.0
+            rate_smallcell_term_result([params_with(eta=0.0)], [TH])[0]) == 0.0
 
     def test_band_split_scales_single_tier_macro_rate(self):
         # with no picos the macro coverage is mode-independent, so the FDD

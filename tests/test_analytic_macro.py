@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hetnet.analytic import association_probability
-from hetnet.analytic.macro import coverage_macro_result
+from hetnet.analytic.macro import coverage_macro_batch
 from hetnet.analytic.rates import rate_macro_term_result
 from hetnet.core import DuplexMode, NetworkParams, Thresholds, delta_s
 from hetnet.experiments import evaluate_point
@@ -25,9 +25,9 @@ def params_with(**kw) -> NetworkParams:
 def macro_value(p: NetworkParams, T_m: float,
                 mode: DuplexMode = DuplexMode.IBFD) -> float:
     """Converged macro coverage value."""
-    res = coverage_macro_result(p, T_m, mode)
-    assert res.converged
-    return res.value
+    (value,), _, (converged,) = coverage_macro_batch(p, [T_m], mode)
+    assert converged
+    return value
 
 
 def oracle_macro(p: NetworkParams, T_m: float, mode: DuplexMode) -> float:
@@ -143,14 +143,25 @@ class TestMacroCoverage:
     def test_infinite_threshold_gives_zero(self):
         assert macro_value(params_with(), math.inf) == 0.0
 
+    @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
+    def test_batch_equals_one_threshold_calls(self, mode):
+        # an infinite T_m among finite ones gives 0, converged, and every
+        # entry is what its one-threshold call gives, bit for bit
+        p, T_m = params_with(), [0.1, math.inf, 3.0, 0.1]
+        batch = coverage_macro_batch(p, T_m, mode)
+        for i, T in enumerate(T_m):
+            one = coverage_macro_batch(p, [T], mode)
+            assert all(a[i] == b[0] for a, b in zip(batch, one))
+        assert [a[1] for a in batch] == [0.0, 0.0, True]
+
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            coverage_macro_result(params_with(), 0.0)
+            coverage_macro_batch(params_with(), [0.0])
 
     def test_result_reports_convergence(self):
-        res = coverage_macro_result(params_with(), 0.1)
-        assert res.converged
-        assert res.error_estimate < 1e-7
+        _, (error,), (converged,) = coverage_macro_batch(params_with(), [0.1])
+        assert converged
+        assert error < 1e-7
 
     @given(st.floats(min_value=-2.0, max_value=2.0),
            st.floats(min_value=0.0, max_value=20.0),
@@ -218,12 +229,13 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
     @pytest.mark.parametrize("T_m", [0.1, 0.01])
     def test_strong_bias_dense_tier_coverage(self, mode, T_m):
-        res = coverage_macro_result(params_with(**STRONG_BIAS), T_m, mode)
+        (value,), (error,), (converged,) = coverage_macro_batch(
+            params_with(**STRONG_BIAS), [T_m], mode)
         ref = mpmath_macro(params_with(**STRONG_BIAS), T_m, mode)
         assert ref == pytest.approx(7.40e-6, rel=1e-3)
-        assert res.converged
-        assert res.value == pytest.approx(ref, rel=1e-12)
-        assert abs(res.value - ref) <= res.error_estimate
+        assert converged
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert abs(value - ref) <= error
 
     @pytest.mark.parametrize("mode", [DuplexMode.IBFD, DuplexMode.FDD])
     @pytest.mark.parametrize("T_m", [0.1, 0.01])
@@ -244,8 +256,9 @@ class TestAgainstMpmath:
                         alpha_m=alpha_m)
         for mode in DuplexMode:
             for T_m in (0.01, 10.0):
-                res = coverage_macro_result(p, T_m, mode)
+                (value,), (error,), (converged,) = coverage_macro_batch(
+                    p, [T_m], mode)
                 ref = mpmath_macro(p, T_m, mode)
-                assert res.converged
-                assert abs(res.value - ref) <= res.error_estimate, \
-                    f"{mode.name} T_m={T_m}: {res.value!r} vs {ref!r}"
+                assert converged
+                assert abs(value - ref) <= error, \
+                    f"{mode.name} T_m={T_m}: {value!r} vs {ref!r}"

@@ -17,6 +17,7 @@ from hetnet.experiments import figure_preset
 from hetnet.numerics import (IntegralResult, NonConvergenceError,
                              _leggauss, gauss_panel_nodes)
 from oracles import (
+    FAMILIES,
     dense_evaluate_joint,
     dense_geometry,
     dense_mixed_term,
@@ -45,7 +46,7 @@ def joint_value(p: NetworkParams, T_s: float, T_b: float,
                 mode: DuplexMode = DuplexMode.IBFD,
                 bearing: str = "circle") -> float:
     """Converged joint coverage value."""
-    res = coverage_smallcell_result(p, T_s, T_b, mode, bearing=bearing)
+    res, = coverage_smallcell_result(p, [T_s], [T_b], mode, bearing=bearing)
     assert res.converged
     return res.value
 
@@ -233,7 +234,7 @@ class TestJointCoverage:
             expected, abs=2e-4)
 
     def test_result_carries_error_estimate(self):
-        res = coverage_smallcell_result(params_with(), 0.1, 0.1)
+        res, = coverage_smallcell_result(params_with(), [0.1], [0.1])
         assert res.converged
         assert 0.0 <= res.value <= 1.0
         assert res.error_estimate < 1e-4
@@ -268,27 +269,27 @@ class TestJointCoverage:
     def test_probability_bounds_and_mode_order(self, log_ts, log_tb):
         p = params_with()
         T_s, T_b = 10.0 ** log_ts, 10.0 ** log_tb
-        ibfd = evaluate_joint(p, T_s, T_b, DuplexMode.IBFD)
-        fdd = evaluate_joint(p, T_s, T_b, DuplexMode.FDD)
+        ibfd, = evaluate_joint(p, [T_s], [T_b], DuplexMode.IBFD)
+        fdd, = evaluate_joint(p, [T_s], [T_b], DuplexMode.FDD)
         assert 0.0 <= ibfd <= fdd <= 1.0
 
     def test_extreme_threshold_starves_coverage(self):
         p = params_with()
-        assert evaluate_joint(p, 1e9, 0.1, DuplexMode.IBFD) < 1e-6
-        assert evaluate_joint(p, 0.1, 1e9, DuplexMode.IBFD) < 1e-6
+        assert evaluate_joint(p, [1e9], [0.1], DuplexMode.IBFD)[0] < 1e-6
+        assert evaluate_joint(p, [0.1], [1e9], DuplexMode.IBFD)[0] < 1e-6
 
     def test_infinite_threshold_gives_zero(self):
-        assert evaluate_joint(params_with(), math.inf, 0.1,
-                              DuplexMode.IBFD) == 0.0
+        assert evaluate_joint(params_with(), [math.inf], [0.1],
+                              DuplexMode.IBFD)[0] == 0.0
 
     def test_rejects_nonpositive_thresholds_and_bad_bearing(self):
         p = params_with()
         with pytest.raises(ValueError, match="strictly positive"):
-            evaluate_joint(p, 0.0, 0.1, DuplexMode.IBFD)
+            evaluate_joint(p, [0.0], [0.1], DuplexMode.IBFD)
         with pytest.raises(ValueError, match="strictly positive"):
-            evaluate_joint(p, 0.1, -1.0, DuplexMode.IBFD)
+            evaluate_joint(p, [0.1], [-1.0], DuplexMode.IBFD)
         with pytest.raises(ValueError, match="bearing"):
-            evaluate_joint(p, 0.1, 0.1, DuplexMode.IBFD, bearing="chord")
+            evaluate_joint(p, [0.1], [0.1], DuplexMode.IBFD, bearing="chord")
 
 
 class TestLevelLadder:
@@ -303,10 +304,10 @@ class TestLevelLadder:
             return evaluate_joint(params, T_s, T_b, mode, level, bearing)
 
         monkeypatch.setattr(smallcell, "evaluate_joint", counted)
-        res = coverage_smallcell_result(params_with(), T_s, 0.1)
+        res, = coverage_smallcell_result(params_with(), [T_s], [0.1])
         assert res.converged and calls == levels
-        fine, coarse = (evaluate_joint(params_with(), T_s, 0.1,
-                                       DuplexMode.IBFD, level)
+        fine, coarse = (evaluate_joint(params_with(), [T_s], [0.1],
+                                       DuplexMode.IBFD, level)[0]
                         for level in (levels[-1], levels[-2]))
         assert res.value == fine
         assert res.error_estimate == abs(fine - coarse) + smallcell._SKIP_MASS
@@ -333,13 +334,13 @@ class TestLevelLadder:
         assert calls == [(3, 5), (6, 5)] + level10
         assert type(got) is list and len(got) == len(T_s)
         for res, ts, tb in zip(got, T_s, T_b):
-            one = coverage_smallcell_result(p, ts, tb, mode)
+            one, = coverage_smallcell_result(p, [ts], [tb], mode)
             assert type(one) is IntegralResult and one.converged
             assert res == one
         assert got[2].value == 0.0 and got[0] == got[4]
         # an empty pico tier: every pair's joint event is null
         assert coverage_smallcell_result(params_with(lambda_s=0.0), T_s,
-                                         0.1, mode) \
+                                         [0.1] * len(T_s), mode) \
             == [IntegralResult(0.0, 0.0, True)] * len(T_s)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -349,10 +350,10 @@ class TestLevelLadder:
     def test_error_estimate_covers_the_rayleigh_complement(self,
                                                            monkeypatch):
         p = params_with()
-        res = coverage_smallcell_result(p, 7.1, 0.1, DuplexMode.IBFD)
+        res, = coverage_smallcell_result(p, [7.1], [0.1], DuplexMode.IBFD)
         monkeypatch.setattr(smallcell, "_one_minus_g",
                             lambda s, xn, out=None: s * xn / (1.0 + s * xn))
-        exact = coverage_smallcell_result(p, 7.1, 0.1, DuplexMode.IBFD)
+        exact, = coverage_smallcell_result(p, [7.1], [0.1], DuplexMode.IBFD)
         assert abs(exact.value - res.value) <= res.error_estimate
 
 
@@ -371,8 +372,9 @@ class TestLevelLadder:
         for mode in DuplexMode:
             for T_s in spec.grid:
                 levels.clear()
-                res = coverage_smallcell_result(
-                    spec.base_params, T_s, spec.base_thresholds.T_b, mode)
+                res, = coverage_smallcell_result(
+                    spec.base_params, [T_s], [spec.base_thresholds.T_b],
+                    mode)
                 assert res.converged
                 if 10 in levels:
                     escalated.append((mode, T_s))
@@ -417,7 +419,8 @@ class TestSkipBudget:
                 bearing)[1][0]
             assert n_every == geom["f2w"].size
             assert 0 < n_live < n_every   # the budget skips nodes
-            assert abs(evaluate_joint(*args) - every) \
+            assert abs(evaluate_joint(p, [T_s], [T_b], mode, level,
+                                      bearing)[0] - every) \
                 <= smallcell._SKIP_MASS
 
     def test_coverage_error_holds_the_budget(self):
@@ -426,7 +429,7 @@ class TestSkipBudget:
                                (7.1, 0.1, DuplexMode.IBFD),   # escalates
                                (0.1, 0.1, DuplexMode.FDD),
                                (math.inf, 0.1, DuplexMode.IBFD)):
-            res = coverage_smallcell_result(p, T_s, T_b, mode)
+            res, = coverage_smallcell_result(p, [T_s], [T_b], mode)
             assert res.error_estimate >= smallcell._SKIP_MASS
 
 
@@ -447,8 +450,9 @@ class TestBearingConventions:
 
     def test_fdd_is_bearing_independent(self):
         p = params_with()
-        a = evaluate_joint(p, 0.2, 0.3, DuplexMode.FDD, bearing="arc")
-        c = evaluate_joint(p, 0.2, 0.3, DuplexMode.FDD, bearing="circle")
+        a, = evaluate_joint(p, [0.2], [0.3], DuplexMode.FDD, bearing="arc")
+        c, = evaluate_joint(p, [0.2], [0.3], DuplexMode.FDD,
+                            bearing="circle")
         assert a == c
 
 
@@ -559,9 +563,9 @@ class TestLazyRows:
     def test_any_call_order_fills_the_eager_tables(self, rows_built,
                                                    order):
         p = params_with()
-        calls = [(50.0, 20.0, DuplexMode.IBFD, "circle"),   # high thresholds
-                 (0.5, 0.5, DuplexMode.FDD, "circle"),
-                 (2.0, 0.3, DuplexMode.IBFD, "arc"),
+        calls = [([50.0], [20.0], DuplexMode.IBFD, "circle"),  # high ones
+                 ([0.5], [0.5], DuplexMode.FDD, "circle"),
+                 ([2.0], [0.3], DuplexMode.IBFD, "arc"),
                  (*ORACLE_BATCHES["t-panel"], DuplexMode.IBFD, "circle")]
         for T_s, T_b, mode, bearing in (calls if order == "listed"
                                         else calls[::-1]):
@@ -578,7 +582,7 @@ class TestLazyRows:
 
     def test_one_call_builds_exactly_its_live_nodes(self, rows_built):
         p = params_with()
-        evaluate_joint(p, 2.0, 0.5, DuplexMode.IBFD)
+        evaluate_joint(p, [2.0], [0.5], DuplexMode.IBFD)
         geom = smallcell._geometry(p, 6)
         live = smallcell._exponent_bound(
             p, DuplexMode.IBFD, np.array([2.0]), np.array([0.5]), geom,
@@ -603,7 +607,7 @@ class TestLazyRows:
         assert n_calls > 0
         assert np.array_equal(evaluate_joint(p, T_s, T_b, DuplexMode.IBFD),
                               first)
-        evaluate_joint(p, T_s[3], T_b[3], DuplexMode.IBFD)
+        evaluate_joint(p, T_s[3:4], T_b[3:4], DuplexMode.IBFD)
         assert len(rows_built) == n_calls
 
 
@@ -627,8 +631,9 @@ class TestBlockedKernel:
         expected, n_live = dense_evaluate_joint(*args)
         release_dense_geometry()
         assert n_live > 0
-        assert evaluate_joint(*args) == pytest.approx(expected, rel=1e-12,
-                                                      abs=0.0)
+        assert evaluate_joint(p, [0.5], [0.5], mode, level,
+                              bearing)[0] == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("prefix, n", [
         # three full blocks and a partial one of the macro kernel
@@ -662,9 +667,6 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("level", [3, 6, 10])
     def test_geometry_matches_dense_build(self, level):
         p = params_with()
-        # the dense build first: the package build then reuses the heap
-        # that the dense build's temporaries freed
-        dense = dense_geometry(p, level)
         geom = build_every_row(smallcell._geometry(p, level))
         # the blocked in-place build runs the dense build's operations in
         # its order, on a node count that leaves a partial last block
@@ -677,19 +679,35 @@ class TestBlockedKernel:
                     or k.startswith(("m_", "k1_", "k2_", "g_rmnpow_")))
                     and k not in ROW_INPUTS]
         assert len(per_node) == 14
-        for key in per_node:
-            assert np.array_equal(geom[key], dense[key]), key
         # the pico family has the macro layout with one row, the node
-        # r_s = R_i = 1; each node's dense tensor is that row with lengths
-        # scaled by r_s
+        # r_s = R_i = 1
         n_l = geom["s_znpow"].shape[1]
         assert geom["s_znpow"].shape == (1, n_l, geom["ang_w"].size)
         assert all(geom[k].shape == (1, n_l)
                    for k in ("s_xnpow", "s_wx", "s_width"))
         assert geom["s_tw"].shape == geom["s_txnpow"].shape \
             == (1, geom["m_tw"].shape[1])
-        # every fifth node, _BLOCK of them at a time: no temporary grows
-        # with the node count
+        # the dense build one table family at a time, each dropped before
+        # the next is built: at level 10 the package build and all dense
+        # families at once would hold about 626 MB of arrays
+        compared = set()
+        for family in FAMILIES:
+            dense = dense_geometry(p, level, (family,))
+            keys = [k for k in per_node if k in dense]   # f2w in each
+            for key in keys:
+                assert np.array_equal(geom[key], dense[key]), key
+            compared.update(keys)
+            if family == "s_":
+                self.assert_pico_tables_scale(p, geom, dense)
+            del dense
+            release_dense_geometry()
+        assert compared == set(per_node)
+
+    @staticmethod
+    def assert_pico_tables_scale(p, geom, dense):
+        # each node's dense pico tensor is the package's one row with
+        # lengths scaled by r_s; every fifth node, _BLOCK of them at a
+        # time: no temporary grows with the node count
         step = 5 * smallcell._BLOCK
         for lo in range(0, dense["rs"].size, step):
             nodes = slice(lo, lo + step, 5)
@@ -718,7 +736,7 @@ class TestBlockedKernel:
         else:
             assert n_live > smallcell._BLOCK
             assert n_live % smallcell._BLOCK != 0
-        assert evaluate_joint(p, T, T, mode) == pytest.approx(
+        assert evaluate_joint(p, [T], [T], mode)[0] == pytest.approx(
             expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mode, bearing, batch", [
@@ -759,10 +777,10 @@ class TestBlockedKernel:
         assert dense_evaluate_joint(p, 0.01, 0.01,
                                     DuplexMode.IBFD)[1] \
             > 0.85 * geom["f2w"].size
-        evaluate_joint(p, 0.01, 0.01, DuplexMode.IBFD)
+        evaluate_joint(p, [0.01], [0.01], DuplexMode.IBFD)
         tracemalloc.start()
         try:
-            evaluate_joint(p, 0.01, 0.01, DuplexMode.IBFD)
+            evaluate_joint(p, [0.01], [0.01], DuplexMode.IBFD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -790,7 +808,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(smallcell, "_HELD", {})
         a, b = params_with(lambda_s=2.0), params_with(lambda_s=2.0, B_s=10.0)
         assert a.network == b.network
-        evaluate_joint(a, 0.5, 0.5, DuplexMode.IBFD, 3)
+        evaluate_joint(a, [0.5], [0.5], DuplexMode.IBFD, 3)
         first = smallcell._geometry(a, 3)
         for mode in DuplexMode:
             evaluate_joint(a, [0.1, 2.0], [1.0, 0.2], mode, 3, "arc")
@@ -799,7 +817,7 @@ class TestBlockedKernel:
         assert smallcell._geometry(a, 3) is first
         key_a, key_b = ((p.network, p.B_m, p.B_s) for p in (a, b))
         assert smallcell._HELD == {key_a: {3: first, 6: finer}}
-        evaluate_joint(b, 0.5, 0.5, DuplexMode.FDD, 6)
+        evaluate_joint(b, [0.5], [0.5], DuplexMode.FDD, 6)
         assert list(smallcell._HELD) == [key_b]
         assert list(smallcell._HELD[key_b]) == [6]
         assert smallcell._geometry(a, 3) is not first
@@ -913,7 +931,7 @@ BATCHES = {
 
 
 class TestBatchedThresholds:
-    """evaluate_joint on K threshold pairs is K scalar calls: the batch
+    """evaluate_joint on K threshold pairs is K one-pair calls: the batch
     shares the candidate nodes and the access-side work, but every pair
     keeps its own live nodes and sums them in grid order."""
 
@@ -930,9 +948,8 @@ class TestBatchedThresholds:
         args = (mode, level, bearing)
         got = evaluate_joint(p, T_s, T_b, *args)
         assert isinstance(got, np.ndarray) and got.shape == T_s.shape
-        for i, (ts, tb) in enumerate(zip(T_s, T_b)):
-            one = evaluate_joint(p, float(ts), float(tb), *args)
-            assert type(one) is float
+        for i in range(T_s.size):
+            one, = evaluate_joint(p, T_s[i:i + 1], T_b[i:i + 1], *args)
             assert got[i] == pytest.approx(one, rel=1e-14, abs=0.0)
         finite = np.isfinite(T_s) & np.isfinite(T_b)
         assert np.all(got[~finite] == 0.0)
@@ -946,18 +963,62 @@ class TestBatchedThresholds:
         if batch == "inf and no live node":
             assert singles[1] == 0 and singles[0] > 0
 
-    def test_one_pair_returns_a_float(self):
-        p = params_with()
-        one = evaluate_joint(p, 0.3, 0.2, DuplexMode.IBFD)
-        assert type(one) is float
-        assert evaluate_joint(p, [0.3], [0.2], DuplexMode.IBFD)[0] == one
-        # a scalar broadcasts against the other threshold's array
-        both = evaluate_joint(p, 0.3, [0.2, 0.2], DuplexMode.IBFD)
-        assert both == pytest.approx([one, one], rel=1e-14, abs=0.0)
+    # 65 pairs, each with its own T_s, the backhaul thresholds shuffled
+    T_S65 = np.geomspace(0.02, 5.0, 65)
+    T_B65 = np.geomspace(0.01, 3.0, 65)[
+        np.random.default_rng(1).permutation(65)]
 
-    def test_rejects_any_nonpositive_entry_and_matrices(self):
+    @pytest.mark.parametrize("bearing", ["circle", "arc"])
+    @pytest.mark.parametrize("level", [6, 10])
+    def test_pair_bits_do_not_depend_on_the_batch(self, level, bearing):
+        # OpenBLAS dgemv (@) rounds the rows past the last multiple of 4 in
+        # a call differently, so the pico angular sums and the bearing
+        # averages take per-row sums: each pair gives the same bits alone
+        # as in a batch of any size
+        p, args = params_with(), (DuplexMode.IBFD, level, bearing)
+        alone = [evaluate_joint(p, self.T_S65[i:i + 1], self.T_B65[i:i + 1],
+                                *args)[0] for i in range(65)]
+        for m in (2, 3, 5, 7, 65):
+            got = evaluate_joint(p, self.T_S65[:m], self.T_B65[:m], *args)
+            assert got.tolist() == alone[:m], m
+
+    @pytest.mark.parametrize("bearing", ["circle", "arc"])
+    @pytest.mark.parametrize("level", [6, 10])
+    def test_entry_bits_do_not_depend_on_the_batch(self, level, bearing):
+        # the same at each (pair, node) entry, over every node, where a
+        # batch-dependent bearing average shows (it did at each level and
+        # bearing here with @)
+        p = params_with()
+        geom = smallcell._geometry(p, level)
+        nodes = np.arange(geom["f2w"].size)
+
+        def entries(pairs):
+            # every node an entry of each pair, node-major; the pairs'
+            # T_s ascend, so each node's entries are grouped by T_s
+            ts_u, u = np.unique(self.T_S65[pairs], return_inverse=True)
+            contrib = smallcell._contributions(
+                p, DuplexMode.IBFD, geom, bearing, ts_u,
+                np.tile(u, nodes.size), np.tile(self.T_B65[pairs], nodes.size),
+                np.repeat(nodes, pairs.size))
+            return contrib.reshape(nodes.size, pairs.size).T
+
+        alone = [entries(np.array([i]))[0] for i in range(7)]
+        for m in (2, 3, 5, 7):
+            for i, got in enumerate(entries(np.arange(m))):
+                assert np.array_equal(got, alone[i]), (m, i)
+
+    def test_one_pair_is_a_batch_of_one(self):
+        p = params_with()
+        one = evaluate_joint(p, [0.3], [0.2], DuplexMode.IBFD)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        both = evaluate_joint(p, [0.3, 0.3], [0.2, 0.2], DuplexMode.IBFD)
+        assert both == pytest.approx([one[0], one[0]], rel=1e-14, abs=0.0)
+
+    def test_rejects_any_nonpositive_entry_and_other_shapes(self):
         p = params_with()
         with pytest.raises(ValueError, match="strictly positive"):
-            evaluate_joint(p, [0.1, 0.0], 0.1, DuplexMode.IBFD)
-        with pytest.raises(ValueError, match="1-D"):
-            evaluate_joint(p, np.full((2, 2), 0.1), 0.1, DuplexMode.IBFD)
+            evaluate_joint(p, [0.1, 0.0], [0.1, 0.1], DuplexMode.IBFD)
+        for T_s, T_b in ((np.full((2, 2), 0.1), np.full((2, 2), 0.1)),
+                         (0.1, 0.1), ([0.1, 0.2], [0.1])):
+            with pytest.raises(ValueError, match="1-D"):
+                evaluate_joint(p, T_s, T_b, DuplexMode.IBFD)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from hetnet import cli, experiments, fanout, montecarlo
@@ -28,7 +29,6 @@ from hetnet.montecarlo import (
     evaluate_user,
     sample_ppp,
 )
-from hetnet.numerics import IntegralResult
 
 
 def config_from_sweep_spec(spec: SweepSpec) -> dict:
@@ -267,9 +267,9 @@ class TestMainSinglePoint:
 
     def test_nonconverged_integral_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            experiments, "coverage_macro_result",
-            lambda *args, **kwargs: IntegralResult(
-                value=0.5, error_estimate=0.1, converged=False))
+            experiments, "coverage_macro_batch",
+            lambda *args, **kwargs: (np.array([0.5]), np.array([0.1]),
+                                     np.array([False])))
         assert main(["coverage"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -313,6 +313,44 @@ class TestMainErrors:
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg]) == 1
         assert f"{key} must be a JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("notes, message", [
+        (["first\nsecond"], "notes[0] must be one line"),
+        (["ok", "a\rb"], "notes[1] must be one line"),
+        (["ok", "a\u2028b"], "notes[1] must be one line"),
+        ([1, {"a": 2}], "notes[0] must be a JSON string, got 1"),
+        (["ok", {"a": 2}], "notes[1] must be a JSON string, got {'a': 2}"),
+    ])
+    def test_note_that_is_not_one_line_of_text_exits_one(
+            self, tmp_path, capsys, notes, message):
+        # each note is one '#' line above the CSV header: a line break
+        # would put a bare line there, and a number or object its repr
+        cfg = write_config(tmp_path, {"swept_parameter": "T_s",
+                                      "grid": [0.1], "notes": notes})
+        assert main(["sweep", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+        (["validate", "--trials", "0"],
+         "--trials: n_trials must be >= 1, got 0"),
+        (["simulate", "--trials", "-5"],
+         "--trials: n_trials must be >= 1, got -5"),
+        (["figure", "fig6", "--trials", "-2"],
+         "--trials: mc_trials must be >= 0, got -2"),
+        (["sweep", "--seed", "x"], "--seed: invalid int value: 'x'"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_bad_count_flag_exits_one_naming_the_flag(self, argv, message,
+                                                      monkeypatch, capsys):
+        for name in ("evaluate_point", "run_sweep", "simulate_pass",
+                     "_validate"):
+            monkeypatch.setattr(cli, name, _no_work)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {message}\n"
 
     @pytest.mark.parametrize("key, value", [("B_s_db", 4000),
                                             ("B_s", 10 ** 400)])
@@ -522,8 +560,8 @@ class TestFullScale:
                                                         monkeypatch):
         draws = []
 
-        def spy(intensity, window, seed):
-            points = sample_ppp(intensity, window, seed)
+        def spy(intensity, window, rng):
+            points = sample_ppp(intensity, window, rng)
             draws.append((intensity, window.area, len(points)))
             return points
 
@@ -613,8 +651,8 @@ class TestMainValidate:
                     if "ibfd p_smallcell_joint:" in l)
         printed = float(line.split("analytic=")[1].split()[0])
         th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)
-        arc = coverage_smallcell_result(NetworkParams(), th.T_s, th.T_b,
-                                        DuplexMode.IBFD, bearing="arc")
+        arc, = coverage_smallcell_result(NetworkParams(), [th.T_s], [th.T_b],
+                                         DuplexMode.IBFD, bearing="arc")
         assert printed == pytest.approx(arc.value, abs=5e-7)
         # the association share comes from the same evaluator
         line = next(l for l in out.splitlines() if "fdd p_assoc_s:" in l)

@@ -19,7 +19,7 @@ from oracles import estimate_metrics
 from hetnet import experiments, fanout, montecarlo
 from hetnet.analytic import (
     association_probability,
-    coverage_macro_result,
+    coverage_macro_batch,
     coverage_smallcell_result,
     rate_macro_term_result,
     rate_smallcell_term_result,
@@ -147,8 +147,8 @@ class TestRunSweep:
         row = run_sweep(spec)[0]
         params = NetworkParams(lambda_s=4.0)
         direct = coverage_smallcell_result(
-            params, TH.T_s, TH.T_b, DuplexMode.IBFD).value \
-            + coverage_macro_result(params, TH.T_m, DuplexMode.IBFD).value
+            params, [TH.T_s], [TH.T_b], DuplexMode.IBFD)[0].value \
+            + coverage_macro_batch(params, [TH.T_m], DuplexMode.IBFD)[0][0]
         assert row.analytic["p_total"] == pytest.approx(direct, abs=1e-12)
         assert row.quad_error["p_total"] < 1e-4
         assert row.mc == {} and row.error is None
@@ -184,10 +184,10 @@ class TestRunSweep:
         row = run_sweep(spec)[0]
         params = NetworkParams(eta=0.451)
         macro = rate_macro_term_result(params, TH, DuplexMode.IBFD)
-        small = rate_smallcell_term_result(params, TH, DuplexMode.IBFD)
+        small, = rate_smallcell_term_result([params], [TH], DuplexMode.IBFD)
         p_cov = coverage_smallcell_result(
-            params, TH.T_s, TH.T_b, DuplexMode.IBFD).value \
-            + coverage_macro_result(params, TH.T_m, DuplexMode.IBFD).value
+            params, [TH.T_s], [TH.T_b], DuplexMode.IBFD)[0].value \
+            + coverage_macro_batch(params, [TH.T_m], DuplexMode.IBFD)[0][0]
         assert row.analytic["rate_macro_term"] == pytest.approx(
             macro.value, abs=1e-12)
         assert row.analytic["rate_smallcell_term"] == pytest.approx(
@@ -210,18 +210,22 @@ class TestRunSweep:
     def test_unconverged_coverage_fails_every_value_it_enters(
             self, outputs, monkeypatch):
         # p_cov normalizes the rate, so a rate-only request fails with it
-        # although p_total is not reported.  The small-cell solvers take
-        # the point as a batch of one (its thresholds or its points as
-        # lists) and return a list
+        # although p_total is not reported.  The coverage solvers and the
+        # small-cell rate take the point as a batch of one (its thresholds
+        # or its points as lists); the macro one returns arrays
         def stub(value, converged=True, batch=False):
             def solver(*args, **kwargs):
                 result = IntegralResult(value, 1e-6, converged)
                 return [result] * len(args[1]) if batch else result
             return solver
 
+        def macro(params, T_m, mode):
+            return (np.full(len(T_m), 0.3), np.full(len(T_m), 1e-6),
+                    np.ones(len(T_m), dtype=bool))
+
         monkeypatch.setattr(experiments, "coverage_smallcell_result",
                             stub(0.2, converged=False, batch=True))
-        monkeypatch.setattr(experiments, "coverage_macro_result", stub(0.3))
+        monkeypatch.setattr(experiments, "coverage_macro_batch", macro)
         monkeypatch.setattr(experiments, "rate_macro_term_result", stub(0.1))
         monkeypatch.setattr(experiments, "rate_smallcell_term_result",
                             stub(0.05, batch=True))

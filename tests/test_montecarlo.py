@@ -63,9 +63,10 @@ class Trial(NamedTuple):
 
 
 def user(rel, params, mode, seed, kernel=evaluate_user, **kw) -> Trial:
-    """The trial of kernel (evaluate_user or its oracle) for one mode."""
-    x_m, x_s, signal, interference = kernel(*rel, params, (mode,), seed,
-                                            **kw)
+    """The trial of kernel (evaluate_user or its oracle) for one mode,
+    its fades drawn from a generator seeded by seed."""
+    x_m, x_s, signal, interference = kernel(
+        *rel, params, (mode,), np.random.default_rng(seed), **kw)
     return Trial(x_m, x_s, signal, interference[mode])
 
 
@@ -104,28 +105,30 @@ def replay(master_seed, i, params, modes, window=SimulationWindow()) -> tuple:
 class TestSamplePpp:
     def test_deterministic_for_fixed_seed(self):
         w = SimulationWindow(half_width=10.0)
-        a = sample_ppp(3.0, w, seed=123)
-        b = sample_ppp(3.0, w, seed=123)
+        a = sample_ppp(3.0, w, np.random.default_rng(123))
+        b = sample_ppp(3.0, w, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
-        c = sample_ppp(3.0, w, seed=124)
+        c = sample_ppp(3.0, w, np.random.default_rng(124))
         assert a.shape != c.shape or not np.array_equal(a, c)
 
     def test_points_inside_window(self):
         w = SimulationWindow(half_width=4.0)
-        pts = sample_ppp(5.0, w, seed=5)
+        pts = sample_ppp(5.0, w, np.random.default_rng(5))
         assert pts.shape[1] == 2
         assert np.all(np.abs(pts) <= w.half_width)
 
     def test_mean_count_matches_intensity(self):
         w = SimulationWindow(half_width=5.0)
-        counts = [sample_ppp(2.0, w, seed=s).shape[0] for s in range(300)]
+        counts = [sample_ppp(2.0, w, np.random.default_rng(s)).shape[0]
+                  for s in range(300)]
         total, expected = sum(counts), 300 * 2.0 * w.area
         assert abs(total - expected) < 4.0 * math.sqrt(expected)
 
     def test_fixed_count_is_exact(self):
         w = SimulationWindow(half_width=5.0, fixed_count=True)
         for s in range(5):
-            assert sample_ppp(2.0, w, seed=s).shape[0] == round(2.0 * w.area)
+            assert sample_ppp(2.0, w, np.random.default_rng(s)).shape[0] \
+                == round(2.0 * w.area)
 
     @pytest.mark.parametrize("fixed_count", [False, True])
     @pytest.mark.parametrize("half_width", [0.5, 3.0, 30.0, 123.456])
@@ -133,7 +136,7 @@ class TestSamplePpp:
         # the seeded positions are rng.uniform(-w, w, (n, 2)) bit for bit
         w = SimulationWindow(half_width=half_width, fixed_count=fixed_count)
         for seed in (0, 1, 7, 2024, SeedSequence(5, spawn_key=(3, 1))):
-            got = sample_ppp(2.0, w, seed)
+            got = sample_ppp(2.0, w, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             n = (round(2.0 * w.area) if fixed_count
                  else int(rng.poisson(2.0 * w.area)))
@@ -142,11 +145,12 @@ class TestSamplePpp:
             assert np.array_equal(got, expected)
 
     def test_zero_intensity_gives_empty(self):
-        assert sample_ppp(0.0, SimulationWindow(), seed=1).shape == (0, 2)
+        assert sample_ppp(0.0, SimulationWindow(),
+                          np.random.default_rng(1)).shape == (0, 2)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
-            sample_ppp(-1.0, SimulationWindow(), seed=1)
+            sample_ppp(-1.0, SimulationWindow(), np.random.default_rng(1))
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +160,8 @@ class TestSamplePpp:
 class TestEvaluateUser:
     def test_deterministic_for_fixed_seed(self):
         w = SimulationWindow(half_width=8.0)
-        rel = realization(sample_ppp(1.0, w, seed=1),
-                          sample_ppp(4.0, w, seed=2))
+        rel = realization(sample_ppp(1.0, w, np.random.default_rng(1)),
+                          sample_ppp(4.0, w, np.random.default_rng(2)))
         p = NetworkParams()
         a = user(rel, p, DuplexMode.IBFD, seed=7, window=w)
         b = user(rel, p, DuplexMode.IBFD, seed=7, window=w)
@@ -196,9 +200,10 @@ class TestEvaluateUser:
         p, rel = NetworkParams(), realization(macros, picos)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x_m, x_s, signal, interference = evaluate_user(*rel, p, modes,
-                                                           seed=1)
-            ref = reference_evaluate_user(*rel, p, modes, 1)
+            x_m, x_s, signal, interference = evaluate_user(
+                *rel, p, modes, np.random.default_rng(1))
+            ref = reference_evaluate_user(*rel, p, modes,
+                                          np.random.default_rng(1))
         served = 1 if len(picos) else 0
         assert signal[served] == math.inf
         assert all(map(close, (x_m, x_s, *signal), (*ref[:2], *ref[2])))
@@ -217,7 +222,7 @@ class TestEvaluateUser:
         p = NetworkParams()
         x_m, x_s, signal, interference = evaluate_user(
             *realization([[1.0, 0.0]], [[0.0, 1.0]]), p, tuple(DuplexMode),
-            seed=0)
+            np.random.default_rng(0))
         run = montecarlo.SimulationPass(
             np.array([x_m]), np.array([x_s]), np.array([signal]),
             {mode: np.array([links]) for mode, links in interference.items()})
@@ -346,8 +351,8 @@ class TestKernelMatchesOracle:
     @staticmethod
     def build(case, window, seed):
         # a sampled field plus one station by the user that fixes the tier
-        macros = sample_ppp(1.0, window, seed=seed)
-        picos = sample_ppp(4.0, window, seed=seed + 1)
+        macros = sample_ppp(1.0, window, np.random.default_rng(seed))
+        picos = sample_ppp(4.0, window, np.random.default_rng(seed + 1))
         if case == "pico":
             picos = np.vstack([[[0.05, -0.02]], picos])
         elif case == "macro":
@@ -817,10 +822,10 @@ class TestChunkedPass:
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         # the last trial, which a worker runs, fails as an empty tier would
-        def fail_last(macros, picos, params, modes, seed, **kwargs):
-            if seed.bit_generator.seed_seq.spawn_key[0] == 599:
+        def fail_last(macros, picos, params, modes, rng, **kwargs):
+            if rng.bit_generator.seed_seq.spawn_key[0] == 599:
                 raise ValueError("no station in tier: macro")
-            return evaluate_user(macros, picos, params, modes, seed,
+            return evaluate_user(macros, picos, params, modes, rng,
                                  **kwargs)
 
         monkeypatch.setattr(fanout, "_process_count", lambda: 2)
@@ -871,6 +876,7 @@ class TestChunkedPass:
         # a one-ulp change in a sum rarely survives into an estimate, so
         # single users' SIRs are compared as well
         code = (
+            "from numpy.random import default_rng\n"
             "from hetnet import fanout, montecarlo as mc\n"
             "from hetnet.core import DuplexMode, NetworkParams, Thresholds\n"
             "fanout._process_count = lambda: 2\n"
@@ -878,9 +884,9 @@ class TestChunkedPass:
             "w = mc.SimulationWindow()\n"
             "for k in range(10):\n"
             "    print(mc.evaluate_user(\n"
-            "        mc.sample_ppp(p.lambda_m, w, seed=2 * k),\n"
-            "        mc.sample_ppp(p.lambda_s, w, seed=2 * k + 1),\n"
-            "        p, tuple(DuplexMode), seed=k))\n"
+            "        mc.sample_ppp(p.lambda_m, w, default_rng(2 * k)),\n"
+            "        mc.sample_ppp(p.lambda_s, w, default_rng(2 * k + 1)),\n"
+            "        p, tuple(DuplexMode), default_rng(k)))\n"
             "th = Thresholds(T_s=0.1, T_b=0.1, T_m=0.1)\n"
             "run = mc.simulate_pass(p, tuple(DuplexMode), 500, w, 67)\n"
             "for mode in DuplexMode:\n"

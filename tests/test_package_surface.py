@@ -95,8 +95,9 @@ def test_every_exported_name_is_used_by_the_package():
 # shortcut that only tests call (estimate_metrics), the config parser's
 # second copies of the mode vocabulary, the window keys and the decibel
 # conversion, the wrapper of a trial's two station arrays, the torus
-# window option, which read coverage high, and the kernel's tier branch
-# with its serving-link record, now that the tally decides the tier.  The
+# window option, which read coverage high, the kernel's tier branch
+# with its serving-link record, now that the tally decides the tier, and
+# the one-threshold macro coverage beside its batch form.  The
 # __all__ scan above cannot see a keyword argument, a dataclass field or a
 # private helper, so each one is named here.
 RETIRED = [
@@ -119,6 +120,7 @@ RETIRED = [
     "UserSample", "associated_tier", "from_mean_se",
     "_db_to_linear", "_MODES", "_MC_KEYS", "NetworkRealization", "wrap",
     "pico_assoc", "access_signal", "seed_m", "seed_s", "seed_fading",
+    "coverage_macro_result",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
