@@ -58,8 +58,13 @@ The macro field depends on r and R_i as well, so it has a row per node,
 and its (node, radial, angular) tensor is the bulk of a geometry (34 MB
 of 47 MB allocated at level 6, 158 MB of 214 MB at level 10, at the
 default parameters).  _znpow builds it, and every distance to the user
-taken from polar coordinates around S, in place from the half-angle
-chord form of the law of cosines.  For each threshold pair a call first
+taken from polar coordinates around S, from the half-angle chord form of
+the law of cosines.  Past its first six panels a macro row's radii all
+exceed r_s + R_i, so those nodes see the whole circle: _build_rows takes
+no chord_angle there, and _znpow forms every entry of width pi (most of
+the macro tensor, and the circle bearing table) from one constant row of
+1 + tan^2(theta/2), with no tan, bit for bit the chord form
+(docs/DECISIONS.md, entry 16).  For each threshold pair a call first
 drops the nodes whose exponent lower bound reaches their skip exponent
 log(f2w N / _SKIP_MASS), N the node count: such a node adds at most
 _SKIP_MASS / N (Gbar <= 1), so an evaluation drops at most _SKIP_MASS,
@@ -142,23 +147,42 @@ def _znpow(d2: np.ndarray, four_rx: np.ndarray, width: np.ndarray,
     without AVX-512 np.tan falls back to libm too, and the form keeps only
     its accuracy.
 
-    Built _BLOCK rows at a time in place in the output (out, if given),
-    with the operations of the whole-array expression in its order (so
-    bit-identical to it): no temporary the size of the output is ever
-    allocated.
+    At width pi (the whole circle: most macro nodes, every circle bearing
+    node) the angular nodes are the same in every row, so 1 + t^2 is one
+    row c, formed once, and the entry is (d2 + four_rx / c)^(-alpha/2), with
+    no tan.  Only the other entries are formed from their own width.
+
+    Built _BLOCK rows at a time in one angle-major scratch buffer, in long
+    contiguous loops; the last operation, the power, writes the output (out,
+    if given) transposed.  Every entry takes the operations of the
+    whole-array expression in its order (so bit-identical to it), and no
+    temporary the size of the output is ever allocated.
     """
-    quarter, gx1 = 0.25 * width, 1.0 - gx
+    gx1 = 1.0 - gx
+    c = np.multiply(0.25 * np.pi, gx1)
+    np.tan(c, out=c)
+    c *= c
+    c += 1.0
     zn = np.empty(d2.shape + gx.shape) if out is None else out
+    zt = zn.transpose(zn.ndim - 1, *range(zn.ndim - 1))  # angles first
+    scratch = np.empty(min(zn.shape[0], _BLOCK) * zn[:1].size)
     for lo in range(0, zn.shape[0], _BLOCK):
         b = slice(lo, lo + _BLOCK)
-        z = zn[b]
-        np.multiply(quarter[b, ..., None], gx1, out=z)
-        np.tan(z, out=z)
-        z *= z
-        z += 1.0
-        np.divide(four_rx[b, ..., None], z, out=z)
-        z += d2[b, ..., None]
-        z **= -alpha / 2.0
+        four, w = four_rx[b].reshape(-1), width[b].reshape(-1)
+        z = scratch[:four.size * gx.size].reshape(gx.size, -1)
+        np.divide(four, c[:, None], out=z)
+        part = (w != np.pi).nonzero()[0]   # less than the whole circle
+        if part.size:
+            t = np.multiply(0.25 * w[part], gx1[:, None])
+            np.tan(t, out=t)
+            t *= t
+            t += 1.0
+            np.divide(four[part], t, out=t)
+            z[:, part] = t
+        z += d2[b].reshape(-1)
+        # the power lands transposed in the output (at alpha > 2, ** calls
+        # np.power too)
+        np.power(z.reshape(zt[:, b].shape), -alpha / 2.0, out=zt[:, b])
     return zn
 
 
@@ -184,7 +208,7 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
     #     scale with r_s; one row, at r_s = 1 ------------------------------
     one = np.ones(1)
     _field(out, "s_", _LADDER_S[None, :], one, one, one * _LADDER_S[-1],
-           n_ang, alpha_s, n_rad, n_tail)
+           _LADDER_S.size - 1, n_ang, alpha_s, n_rad, n_tail)
 
     # --- macro-field mixed term: exclusions B(o, R_i) (angular) and
     #     B(S, r) (radial lower limit); one row per node -------------------
@@ -199,8 +223,11 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
         axis=1,
     )
     knots_m.sort(axis=1)
-    _field(out, "m_", knots_m, rs, ri, base * _LADDER_M[-1], n_ang, alpha_m,
-           n_rad, n_tail)
+    # the six knots before base _LADDER_M are at most max(1.6 r, base), so
+    # knot 6 is max(1.6 r, 1.4 base), beyond r_s + R_i by 40 %: only panels
+    # 0-5 can meet B(o, R_i), and the rest see the whole circle
+    _field(out, "m_", knots_m, rs, ri, base * _LADDER_M[-1], 6, n_ang,
+           alpha_m, n_rad, n_tail)
 
     # --- lens corrections: K1, the user-centered shell of B(S, r) beyond
     #     R_i, and K2, the S-centered shell of B(o, R_i) beyond r ---------
@@ -225,21 +252,24 @@ def _node_tensors(params: NetworkParams, rs: np.ndarray, r: np.ndarray,
 
 
 def _field(out: dict, prefix: str, knots: np.ndarray, rs: np.ndarray,
-           ri: np.ndarray, far: np.ndarray, n_ang: int, alpha: float,
-           n_rad: int, n_tail: int) -> None:
+           ri: np.ndarray, far: np.ndarray, n_chord: int, n_ang: int,
+           alpha: float, n_rad: int, n_tail: int) -> None:
     """Tables of one field's mixed term into out, under prefix: a row per
     (r_s, R_i), in polar coordinates around S.  The radial rule runs over
     the panels knots, then a power tail beyond far; at radius l the arc
     outside B(o, R_i) is [chi_ex, pi], chi_ex = chord_angle(r_s, l, R_i),
-    and its angular nodes are mapped onto it per (row, l).
+    and its angular nodes are mapped onto it per (row, l).  Only the first
+    n_chord panels of a row may meet B(o, R_i): beyond them every chi_ex is
+    0 and the width pi.
 
     The tail tables are built here.  The radial ones (wx, xnpow, width,
     znpow) are only allocated: _build_rows fills a row on its first use,
-    from the inputs kept here (knot rows, r_s, R_i, alpha) and marks it in
-    the built-row mask."""
+    from the inputs kept here (knot rows, r_s, R_i, alpha, n_chord) and
+    marks it in the built-row mask."""
     n_l = (knots.shape[1] - 1) * n_rad
     out.update({prefix + "knots": knots, prefix + "rs": rs,
                 prefix + "ri": ri, prefix + "alpha": np.float64(alpha),
+                prefix + "chord": n_chord,
                 prefix + "built": np.zeros(knots.shape[0], dtype=bool)})
     for k in ("wx", "xnpow", "width"):
         out[prefix + k] = np.empty((knots.shape[0], n_l))
@@ -254,7 +284,8 @@ def _build_rows(geom: dict, prefix: str, idx: np.ndarray) -> None:
     are not built yet, each once, in place: runs of consecutive rows, 16
     _BLOCK rows at a time.  Every entry comes from the same elementwise
     operations as a whole-table build, so it does not depend on which rows
-    are built together or when."""
+    are built together or when.  The panels past the first n_chord
+    (_field) take width pi with no chord_angle: the same bits."""
     built = geom[prefix + "built"]
     missing = idx[~built[idx]]
     if not missing.size:
@@ -264,6 +295,7 @@ def _build_rows(geom: dict, prefix: str, idx: np.ndarray) -> None:
     knots, rs, ri = (geom[prefix + k] for k in ("knots", "rs", "ri"))
     alpha = float(geom[prefix + "alpha"])
     n_rad = geom[prefix + "wx"].shape[1] // (knots.shape[1] - 1)  # per panel
+    n_c = n_rad * geom[prefix + "chord"]   # columns that may meet B(o, R_i)
     edges = np.flatnonzero(np.diff(need, prepend=False, append=False))
     for start, stop in edges.reshape(-1, 2):
         for lo in range(start, stop, 16 * _BLOCK):
@@ -274,7 +306,9 @@ def _build_rows(geom: dict, prefix: str, idx: np.ndarray) -> None:
             geom[prefix + "wx"][rows] = wx
             geom[prefix + "xnpow"][rows] = x ** -alpha
             width = geom[prefix + "width"][rows]
-            np.subtract(np.pi, chord_angle(r_s, x, r_i), out=width)
+            np.subtract(np.pi, chord_angle(r_s, x[:, :n_c], r_i),
+                        out=width[:, :n_c])
+            width[:, n_c:] = np.pi
             _znpow((x - r_s) ** 2, 4.0 * r_s * x, width, geom["ang_x"],
                    alpha, out=geom[prefix + "znpow"][rows])
     built |= need

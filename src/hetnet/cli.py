@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -193,7 +194,10 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
 
     The analytic side uses the serving-macro bearing law the simulator
     realizes (bearing="arc"), so the comparison stays unbiased at any
-    trial count.
+    trial count.  A proportion's z takes the standard error under the null,
+    sqrt(p (1 - p) / n) at the analytic p, which stays positive when no
+    trial hits; at p = 0 or 1 a line passes only if every trial agrees.
+    rate_total takes its sample standard error.
     """
     lines = []
 
@@ -209,8 +213,12 @@ def _validate(cfg: RunConfig, trials: int, seed: int) -> tuple[str, int]:
         for name in ("p_total", "p_smallcell_joint", "p_macro_joint",
                      "p_assoc_s", "rate_total"):
             value, est = row.analytic[name], row.mc[name]
-            sigma = max(est.std_error, 1e-9)
-            z = (est.mean - value) / sigma
+            sigma = (est.std_error if name == "rate_total" else
+                     math.sqrt(max(value * (1.0 - value), 0.0)
+                               / est.n_trials))
+            diff = est.mean - value
+            z = (diff / sigma if sigma > 0.0
+                 else 0.0 if diff == 0.0 else math.copysign(math.inf, diff))
             report(f"{mode.value} {name}", abs(z) <= 3.0,
                    f"analytic={value:.6f} mc={est.mean:.6f} z={z:+.2f}")
 

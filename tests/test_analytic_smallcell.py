@@ -12,12 +12,13 @@ from scipy import integrate
 from hetnet.analytic import smallcell
 from hetnet.analytic.distances import inner_disc_radius
 from hetnet.analytic.smallcell import coverage_smallcell_result, evaluate_joint
-from hetnet.core import DuplexMode, NetworkParams
+from hetnet.core import DuplexMode, NetworkParams, chord_angle
 from hetnet.experiments import figure_preset
 from hetnet.numerics import (IntegralResult, NonConvergenceError,
                              _leggauss, gauss_panel_nodes)
 from oracles import (
     FAMILIES,
+    chord_form,
     dense_evaluate_joint,
     dense_geometry,
     dense_mixed_term,
@@ -513,7 +514,7 @@ ORACLE_BATCHES = {
 
 
 # what _field keeps for the row builder of the macro family
-ROW_INPUTS = ("m_knots", "m_rs", "m_ri", "m_alpha", "m_built")
+ROW_INPUTS = ("m_knots", "m_rs", "m_ri", "m_alpha", "m_chord", "m_built")
 
 
 def build_every_row(geom: dict) -> dict:
@@ -915,6 +916,77 @@ class TestChordForm:
         assert all(np.all(np.isfinite(geom[k]) & (geom[k] > 0.0))
                    for k in ("m_znpow", "s_znpow", "g_rmnpow_arc",
                              "g_rmnpow_circle"))
+
+
+class TestWholeCircle:
+    """Past the first six panels of a macro row every radius exceeds
+    r_s + R_i, so those nodes see the whole circle (width pi) and _build_rows
+    takes no chord_angle there; _znpow forms every width-pi entry from one
+    constant row of 1 + tan^2(theta/2), bit for bit the chord form."""
+
+    @pytest.mark.parametrize("level", [3, 6, 10])
+    @pytest.mark.parametrize("point", [
+        {}, dict(lambda_s=1.0), dict(lambda_s=40.0), dict(B_s=1.0),
+        dict(B_s=1e6), dict(alpha_m=2.1), dict(alpha_m=4.0)],
+        ids=["defaults", "lambda_s=lambda_m", "lambda_s=40lambda_m",
+             "B_s=0dB", "B_s=60dB", "alpha_m=2.1", "alpha_m=4"])
+    def test_far_panels_see_the_whole_circle(self, level, point):
+        p = params_with(**point)
+        smallcell._HELD.clear()
+        geom = smallcell._geometry(p, level)
+        knots, rs, ri = (geom["m_" + k] for k in ("knots", "rs", "ri"))
+        n_chord = geom["m_chord"]
+        assert n_chord == 6
+        n_rad = geom["m_wx"].shape[1] // (knots.shape[1] - 1)
+        # the nodes of every row's far panels, as _build_rows places them
+        x = gauss_panel_nodes(knots, n_rad)[0][:, n_chord * n_rad:]
+        assert np.all(chord_angle(rs[:, None], x, ri[:, None]) == 0.0)
+        assert np.all(knots[:, n_chord] >= 1.4 * (rs + ri))
+        # the built widths: pi exactly on those panels, and some rows reach
+        # B(o, R_i) before them
+        smallcell._build_rows(geom, "m_", np.arange(rs.size))
+        width = geom["m_width"]
+        assert np.all(width[:, n_chord * n_rad:] == np.pi)
+        assert np.any(width[:, :n_chord * n_rad] < np.pi)
+        smallcell._HELD.clear()
+
+    @pytest.mark.parametrize("n_ang", [8, 12, 16])
+    @pytest.mark.parametrize("alpha", [2.1, 2.8, 4.0])
+    def test_whole_circle_entries_are_the_chord_form(self, n_ang, alpha):
+        # rows of width pi only, and rows that mix pi with narrower widths,
+        # over two full _BLOCKs and part of a third; the bearing tables
+        # pass 1-D rows and the mirrored nodes -gx
+        rng = np.random.default_rng(n_ang)
+        n = 2 * smallcell._BLOCK + 7
+        x = rng.uniform(0.05, 50.0, (n, 30))
+        r = rng.uniform(0.05, 5.0, (n, 1))
+        d2, four = (x - r) ** 2, 4.0 * r * x
+        mixed = np.where(rng.random((n, 30)) < 0.3,
+                         rng.uniform(0.0, np.pi, (n, 30)), np.pi)
+        for width in (np.full((n, 30), np.pi), mixed):
+            for gx in (_leggauss(n_ang)[0], -_leggauss(n_ang)[0]):
+                expected = chord_form(d2, four, width, gx) ** (-alpha / 2.0)
+                got = smallcell._znpow(d2, four, width, gx, alpha)
+                assert np.array_equal(got, expected)
+                got = smallcell._znpow(d2[:, 0], four[:, 0], width[:, 0], gx,
+                                       alpha)
+                assert np.array_equal(got, expected[:, 0])
+
+    def test_whole_circle_calls_tan_on_one_row(self, monkeypatch):
+        # at width pi the only tan is the constant row's
+        sizes = []
+        tan = np.tan
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return tan(a, *args, **kwargs)
+
+        monkeypatch.setattr(smallcell.np, "tan", counted)
+        gx = _leggauss(12)[0]
+        x = np.linspace(0.1, 9.0, 3 * smallcell._BLOCK * 20).reshape(-1, 20)
+        smallcell._znpow((x - 1.0) ** 2, 4.0 * x, np.full_like(x, np.pi), gx,
+                         2.8)
+        assert sizes == [12]
 
 
 # threshold batches shaped like the rate integral's t-panels

@@ -660,6 +660,42 @@ class TestMainValidate:
         assert printed == pytest.approx(
             association_probability(NetworkParams()).value, abs=5e-7)
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_proportion_with_no_hit_passes(self, tmp_path, capsys, seed):
+        # at B_s = 60 dB the analytic macro share is 2e-4, so 4,000 trials
+        # expect 0.8 macro users and often draw none: the null standard
+        # error sqrt(p (1 - p) / n) still scales such a line's z
+        cfg = write_config(tmp_path, {"B_s_db": 60})
+        assert main(["validate", "--config", cfg, "--seed", seed,
+                     "--trials", "4000"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        line = next(l for l in out.splitlines()
+                    if "ibfd p_macro_joint:" in l)
+        assert 0.0 < float(line.split("analytic=")[1].split()[0]) < 1e-3
+
+    @pytest.mark.parametrize("name, shift, value", [
+        ("p_total", 0.1, None), ("rate_total", -0.05, None),
+        # an analytic share of exactly 0 or 1 passes only if every trial
+        # agrees with it
+        ("p_assoc_s", None, 1.0), ("p_macro_joint", None, 0.0)])
+    def test_planted_analytic_error_fails(self, monkeypatch, capsys, name,
+                                          shift, value):
+        def planted(*args, **kwargs):
+            row = experiments.evaluate_point(*args, **kwargs)
+            row.analytic[name] = (row.analytic[name] + shift
+                                  if value is None else value)
+            return row
+
+        monkeypatch.setattr(cli, "evaluate_point", planted)
+        assert main(["validate", "--trials", "800"]) == 2
+        failed = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("FAIL")]
+        assert [l.split(":")[0] for l in failed] == [
+            f"FAIL  {mode} {name}" for mode in ("ibfd", "fdd")]
+        if value is not None:
+            assert all(l.endswith(("z=+inf", "z=-inf")) for l in failed)
+
     def test_one_pass_serves_both_modes(self, monkeypatch, capsys):
         # both modes tally one pass; the determinism line draws two more
         # of 200 trials
