@@ -78,12 +78,10 @@ class SimulationWindow:
     """How the simulator samples a network.
 
     The region is [-half_width, half_width]^2.  Each tier's station
-    count is Poisson, or round(intensity * area) with fixed_count (a
-    binomial process, reproducing fixed-node-budget setups).
+    count is Poisson.
     """
 
     half_width: float = 30.0
-    fixed_count: bool = False
 
     def __post_init__(self) -> None:
         if not self.half_width > 0:
@@ -129,15 +127,12 @@ class SimulationPass:
 def sample_ppp(intensity: float, window: SimulationWindow,
                rng: np.random.Generator) -> np.ndarray:
     """Points of a homogeneous process in the window, shape (N, 2), drawn
-    from rng.  The count is Poisson, or round(intensity * area) with
-    window.fixed_count.
+    from rng: a Poisson count of mean intensity * area, then its uniform
+    positions.
     """
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    if window.fixed_count:
-        n = int(round(intensity * window.area))
-    else:
-        n = int(rng.poisson(intensity * window.area))
+    n = int(rng.poisson(intensity * window.area))
     w = window.half_width
     # rng.uniform(-w, w, (n, 2)) bit for bit, in less time
     points = rng.random((n, 2))

@@ -27,7 +27,6 @@ from hetnet.montecarlo import (
     EstimateWithCI,
     SimulationWindow,
     evaluate_user,
-    sample_ppp,
 )
 
 
@@ -132,21 +131,32 @@ class TestParseConfig:
 
     def test_window_and_output_settings(self):
         cfg = parse_config(json.dumps({
-            "window_half_width": 15.0, "fixed_count": True,
-            "out": "result.csv"}))
-        assert cfg.window == SimulationWindow(half_width=15.0,
-                                              fixed_count=True)
+            "window_half_width": 15.0, "out": "result.csv"}))
+        assert cfg.window == SimulationWindow(half_width=15.0)
         assert cfg.out == "result.csv"
 
     @pytest.mark.parametrize("key, value", [
-        ("fixed_count", "no"), ("fixed_count", "false"), ("fixed_count", 1),
-        ("fixed_count", 0), ("mc_trials", 2.7), ("mc_trials", 1e3),
-        ("mc_trials", True), ("mc_trials", "5"),
+        ("mc_trials", 2.7), ("mc_trials", 1e3), ("mc_trials", True),
+        ("mc_trials", "5"),
     ])
     def test_mistyped_value_rejected_by_key(self, key, value):
         payload = {"swept_parameter": "T_s", "grid": [0.1], key: value}
         with pytest.raises(ValueError, match=f"cfg.json: {key} must be a "
-                                             f"JSON (boolean|integer)"):
+                                             f"JSON integer"):
+            parse_config(json.dumps(payload), source="cfg.json")
+
+    @pytest.mark.parametrize(
+        "kind", sorted(set(cli._KEYS.values()), key=lambda k: k.__name__),
+        ids=lambda kind: kind.__name__)
+    def test_every_key_kind_names_its_json_type(self, kind):
+        # a mistyped value of any key kind reports the JSON type it needs;
+        # a kind without a JSON name would escape as a KeyError
+        key = next(k for k, v in cli._KEYS.items() if v is kind)
+        name = {int: "integer", float: "number", list: "array",
+                str: "string"}[kind]
+        payload = {"swept_parameter": "T_s", "grid": [0.1], key: {}}
+        with pytest.raises(ValueError, match=f"cfg.json: {key} must be a "
+                                             f"JSON {name}, got {{}}"):
             parse_config(json.dumps(payload), source="cfg.json")
 
     @pytest.mark.parametrize("key, value, kind", [
@@ -459,6 +469,37 @@ class TestMainErrors:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
             captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["sweep"], ["figure", "fig9"], ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_full_scale_flag_exits_one(self, argv, monkeypatch, capsys):
+        # no flag draws fixed station counts: the simulator's one law is
+        # the Poisson process the analytic route models
+        for name in ("evaluate_point", "run_sweep", "simulate_pass",
+                     "_validate"):
+            monkeypatch.setattr(cli, name, _no_work)
+        assert main(argv + ["--full-scale"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --full-scale" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage"], ["rate"], ["simulate"], ["sweep"], ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_fixed_count_config_exits_one(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        # every tier's station count is Poisson, the law of the analytic
+        # route, so no config key asks for fixed counts
+        for name in ("evaluate_point", "run_sweep", "simulate_pass",
+                     "_validate"):
+            monkeypatch.setattr(cli, name, _no_work)
+        cfg = write_config(tmp_path, {"swept_parameter": "T_s",
+                                      "grid": [0.1], "fixed_count": True})
+        assert main(argv + ["--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown keys: fixed_count" in captured.err
+
 
 class TestMainSimulate:
     @pytest.mark.parametrize("trials", ["-5", "0"])
@@ -539,44 +580,6 @@ class TestMainSimulate:
                          "coverage_smallcell_result": 2}
 
 
-class TestFullScale:
-    """--full-scale is the one way to fixed station counts for figure,
-    which takes no config."""
-
-    @pytest.mark.parametrize("command", ["sweep", "simulate"])
-    def test_flag_equals_fixed_count_config(self, command, tmp_path):
-        base = {"window_half_width": 8.0}
-        if command == "sweep":
-            base.update(swept_parameter="lambda_ratio", grid=[4.0])
-        argv = [command, "--trials", "300", "--seed", "5"]
-        flag, fixed = tmp_path / "flag.csv", tmp_path / "fixed.csv"
-        assert main(argv + ["--full-scale", "--out", str(flag), "--config",
-                            write_config(tmp_path, base, "flag.json")]) == 0
-        assert main(argv + ["--out", str(fixed), "--config", write_config(
-            tmp_path, {**base, "fixed_count": True}, "fixed.json")]) == 0
-        assert flag.read_bytes() == fixed.read_bytes()
-
-    def test_each_tier_draws_round_intensity_times_area(self, tmp_path,
-                                                        monkeypatch):
-        draws = []
-
-        def spy(intensity, window, rng):
-            points = sample_ppp(intensity, window, rng)
-            draws.append((intensity, window.area, len(points)))
-            return points
-
-        monkeypatch.setattr(montecarlo, "sample_ppp", spy)
-        # one process, so that the spy sees every draw
-        monkeypatch.setattr(fanout, "_process_count", lambda: 1)
-        cfg = write_config(tmp_path, {"window_half_width": 8.0})
-        assert main(["simulate", "--config", cfg, "--full-scale",
-                     "--trials", "40", "--out", str(tmp_path / "s.csv")]) == 0
-        p = NetworkParams()
-        assert {i for i, _, _ in draws} == {p.lambda_m, p.lambda_s}
-        assert len(draws) == 80
-        assert all(n == round(i * area) for i, area, n in draws)
-
-
 class TestMainSweep:
     def test_sweep_runs_config_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -644,8 +647,7 @@ class TestMainValidate:
         assert main(["validate", "--trials", "800"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "seeded determinism" in out
-        assert out.count("PASS") == 11
+        assert out.count("PASS") == 10
         # the analytic side follows the bearing law the simulator realizes
         line = next(l for l in out.splitlines()
                     if "ibfd p_smallcell_joint:" in l)
@@ -696,9 +698,8 @@ class TestMainValidate:
         if value is not None:
             assert all(l.endswith(("z=+inf", "z=-inf")) for l in failed)
 
-    def test_one_pass_serves_both_modes(self, monkeypatch, capsys):
-        # both modes tally one pass; the determinism line draws two more
-        # of 200 trials
+    def test_one_pass_serves_both_modes(self, monkeypatch):
+        # both modes tally one pass, and validate draws no other
         calls = []
 
         def counted(*args, **kwargs):
@@ -708,8 +709,7 @@ class TestMainValidate:
         monkeypatch.setattr(fanout, "_process_count", lambda: 1)
         monkeypatch.setattr(montecarlo, "evaluate_user", counted)
         assert main(["validate", "--trials", "800"]) == 0
-        assert "PASS  seeded determinism" in capsys.readouterr().out
-        assert calls == [tuple(DuplexMode)] * (800 + 2 * 200)
+        assert calls == [tuple(DuplexMode)] * 800
 
     def test_rejects_zero_trials(self, capsys):
         assert main(["validate", "--trials", "0"]) == 1
@@ -720,7 +720,7 @@ class TestMainValidate:
         assert main(["validate", "--trials", "800", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 10
         assert all(line.startswith("PASS  ") for line in lines)
 
     def test_unwritable_out_path_exits_one(self, tmp_path, monkeypatch,

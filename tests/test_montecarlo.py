@@ -124,22 +124,14 @@ class TestSamplePpp:
         total, expected = sum(counts), 300 * 2.0 * w.area
         assert abs(total - expected) < 4.0 * math.sqrt(expected)
 
-    def test_fixed_count_is_exact(self):
-        w = SimulationWindow(half_width=5.0, fixed_count=True)
-        for s in range(5):
-            assert sample_ppp(2.0, w, np.random.default_rng(s)).shape[0] \
-                == round(2.0 * w.area)
-
-    @pytest.mark.parametrize("fixed_count", [False, True])
     @pytest.mark.parametrize("half_width", [0.5, 3.0, 30.0, 123.456])
-    def test_points_are_the_uniform_draw(self, half_width, fixed_count):
+    def test_points_are_the_uniform_draw(self, half_width):
         # the seeded positions are rng.uniform(-w, w, (n, 2)) bit for bit
-        w = SimulationWindow(half_width=half_width, fixed_count=fixed_count)
+        w = SimulationWindow(half_width=half_width)
         for seed in (0, 1, 7, 2024, SeedSequence(5, spawn_key=(3, 1))):
             got = sample_ppp(2.0, w, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
-            n = (round(2.0 * w.area) if fixed_count
-                 else int(rng.poisson(2.0 * w.area)))
+            n = int(rng.poisson(2.0 * w.area))
             expected = rng.uniform(-half_width, half_width, (n, 2))
             assert got.shape == (n, 2)
             assert np.array_equal(got, expected)
@@ -155,6 +147,28 @@ class TestSamplePpp:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             SimulationWindow(half_width=0.0)
+
+    def test_window_is_its_half_width_only(self):
+        # no setting replaces the Poisson count by a fixed one
+        assert [f.name for f in fields(SimulationWindow)] == ["half_width"]
+        with pytest.raises(TypeError):
+            SimulationWindow(half_width=5.0, fixed_count=True)
+
+    @pytest.mark.parametrize("intensity, half_width",
+                             [(2.0, 5.0), (0.05, 3.0), (1e-3, 30.0)])
+    def test_count_variance_equals_its_mean(self, intensity, half_width):
+        # a Poisson count: its variance is its mean, where a fixed count
+        # of round(intensity * area) would have none
+        w = SimulationWindow(half_width=half_width)
+        n, mean = 400, intensity * w.area
+        counts = np.array([sample_ppp(intensity, w,
+                                      np.random.default_rng(s)).shape[0]
+                           for s in range(n)])
+        # the sample variance of n Poisson draws has standard error
+        # sqrt((mean + 2 mean^2) / (n - 1))
+        se = math.sqrt((mean + 2.0 * mean ** 2) / (n - 1))
+        assert abs(counts.var(ddof=1) - mean) < 4.0 * se
+        assert abs(counts.mean() - mean) < 4.0 * math.sqrt(mean / n)
 
 
 class TestEvaluateUser:
@@ -571,13 +585,6 @@ class TestEstimators:
                 lowered += a < b
         assert lowered > 250
 
-    def test_fixed_count_route(self):
-        p = NetworkParams()
-        est = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
-                               window=SimulationWindow(fixed_count=True),
-                               master_seed=37)["p_total"]
-        assert 0.1 < est.mean < 0.7
-
     def test_macro_only_network(self):
         p = NetworkParams(lambda_s=0.0)
         bd = estimate_metrics(p, TH, DuplexMode.IBFD, n_trials=300,
@@ -739,12 +746,10 @@ class TestChunkedPass:
     """The trials of one pass split over forked workers: the estimates do
     not depend on how many processes share the pass."""
 
-    @pytest.mark.parametrize("fixed_count", [False, True])
     @pytest.mark.parametrize("mode", list(DuplexMode))
-    def test_estimates_equal_for_any_process_count(self, mode, fixed_count,
-                                                   monkeypatch):
+    def test_estimates_equal_for_any_process_count(self, mode, monkeypatch):
         # 1,001 trials: the ranges are uneven for 2 and 3 processes
-        window = SimulationWindow(half_width=15.0, fixed_count=fixed_count)
+        window = SimulationWindow(half_width=15.0)
         runs = []
         for count in (1, 2, 3):
             monkeypatch.setattr(fanout, "_process_count",
@@ -755,14 +760,12 @@ class TestChunkedPass:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("count", [1, 2])
-    @pytest.mark.parametrize("fixed_count", [False, True])
-    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, fixed_count,
-                                                            count,
+    def test_each_mode_of_a_shared_pass_equals_its_own_pass(self, count,
                                                             monkeypatch):
         # every same-tier fade is drawn before any cross-tier one, so a
         # mode's columns do not depend on the other mode sharing the pass
         monkeypatch.setattr(fanout, "_process_count", lambda: count)
-        window = SimulationWindow(half_width=10.0, fixed_count=fixed_count)
+        window = SimulationWindow(half_width=10.0)
         both = simulate_pass(NetworkParams(), tuple(DuplexMode), 500,
                              window, 71)
         shares = tally_metrics(both, NetworkParams(), TH, DuplexMode.FDD)

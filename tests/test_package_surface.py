@@ -120,7 +120,7 @@ RETIRED = [
     "UserSample", "associated_tier", "from_mean_se",
     "_db_to_linear", "_MODES", "_MC_KEYS", "NetworkRealization", "wrap",
     "pico_assoc", "access_signal", "seed_m", "seed_s", "seed_fading",
-    "coverage_macro_result",
+    "coverage_macro_result", "fixed_count", "full_scale", "full-scale",
 ]
 # retired as functions, still quoted as sweep output names (SWEEP_OUTPUTS,
 # a config and command-line value), so a quoted use is not a hit
